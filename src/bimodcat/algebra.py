@@ -78,11 +78,6 @@ class MultiMatrixAlgebra:
     def identity(self) -> "AlgebraElement":
         return self.element([np.eye(n, dtype=complex) for n in self.blocks])
 
-    def unit_element(self, index: int) -> "AlgebraElement":
-        v = np.zeros(self.dim, dtype=complex)
-        v[index] = 1.0
-        return self.unvec(v)
-
     def vec(self, a: "AlgebraElement") -> np.ndarray:
         return np.concatenate([b.ravel() for b in a.data]) if self.blocks else np.zeros(0)
 
@@ -230,9 +225,6 @@ class StandardFormData:
     def sharp_perm(self) -> np.ndarray:
         """Permutation P with sharp(v) = P conj(v)."""
         return self.algebra.adjoint_perm()
-
-    def identity_vector(self) -> np.ndarray:
-        return self.algebra.identity().vec
 
 
 def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:

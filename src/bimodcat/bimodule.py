@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, amplify_algebra
-from .linalg import RANK_EPS, crandn, fix_phases, null_space_hermitian, op_norm
+from .linalg import RANK_EPS, crandn, null_space_hermitian, op_norm
 
 
 class NotABimoduleError(ValueError):
@@ -291,8 +291,8 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
         w = np.asarray(basis_unitary, dtype=complex)
         if w.shape != (d, d):
             raise ValueError("basis unitary has wrong shape")
-        left_units = np.einsum("ij,ujk,kl->uil", w, left_units, w.conj().T)
-        right_units = np.einsum("ij,ujk,kl->uil", w, right_units, w.conj().T)
+        left_units = w @ left_units @ w.conj().T
+        right_units = w @ right_units @ w.conj().T
     return Bimodule(a, b, left_units, right_units,
                     canonical=(mult, basis_unitary))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, dual_bimodule
-from .linalg import RANK_EPS, op_norm, psd_eig, psd_inv_sqrt
+from .linalg import RANK_EPS, op_norm, psd_eig, psd_inv_sqrt, unit_inner
 
 
 class ExtractionError(ValueError):
@@ -120,7 +120,11 @@ class BoundedBasis:
         return BoundedVector(self.side, self.bimodule, self.map_for(self.vectors[:, i]))
 
     def expand(self, eval_vectors: np.ndarray) -> np.ndarray:
-        """HS coordinates w.r.t. the basis, columns of evaluation vectors in, out."""
+        """HS coordinates w.r.t. the basis, columns of evaluation vectors in, out.
+
+        A stack (..., d, k) of evaluation-vector columns gives a stack
+        (..., n, k) of coordinate columns.
+        """
         single = eval_vectors.ndim == 1
         ev = eval_vectors[:, None] if single else eval_vectors
         coeff = self.vectors.conj().T @ (self.form @ ev)
@@ -138,7 +142,8 @@ class BoundedBasis:
             return self.vectors
         winv = (v * (1.0 / np.where(w > RANK_EPS * w[0], w, np.inf))) @ v.conj().T
         units = self.action_units
-        s = np.einsum("wab,bc,wdc->ad", units, winv, units.conj())
+        # S = sum_w U_w W^+ U_w^H
+        s = np.tensordot(units @ winv, units.conj(), axes=([0, 2], [0, 2]))
         return psd_inv_sqrt(s) @ self.vectors
 
 
@@ -250,9 +255,8 @@ class ProjectiveRealization:
         On the right side g_i^H g_j = L(p_ij); on the left side the composite
         commutes with left multiplications, so g_i^H g_j = R(p_ij).
         """
-        units = self.basis.action_units
-        return np.einsum("wab,bi,aj->ijw",
-                         units.conj(), self.frame.conj(), self.frame)
+        return unit_inner(self.basis.action_units, self.frame,
+                          self.frame).transpose(1, 2, 0)
 
 
 def right_projective_realization(x: Bimodule) -> ProjectiveRealization:

@@ -8,13 +8,15 @@ Subcommands::
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 construction or usage
 error.  ``BIMODULE_TOL`` in the environment overrides the default tolerance;
-an explicit ``--tol`` flag wins over the environment.
+an explicit ``--tol`` flag wins over the environment.  A tolerance must be
+a finite number > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -70,16 +72,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(ValueError):
+    """A command-line argument or setting is malformed (exit code 2)."""
+
+
 def _resolve_tol(flag: Optional[float]) -> float:
     if flag is not None:
-        return flag
-    env = os.environ.get("BIMODULE_TOL")
-    if env is not None and env.strip():
+        source, tol = "--tol", flag
+    else:
+        env = os.environ.get("BIMODULE_TOL")
+        if env is None or not env.strip():
+            return DEFAULT_TOL
+        source = "BIMODULE_TOL"
         try:
-            return float(env)
-        except ValueError as exc:
-            raise SystemExit(f"bimodcat: invalid BIMODULE_TOL {env!r}: {exc}")
-    return DEFAULT_TOL
+            tol = float(env)
+        except ValueError:
+            raise UsageError(f"invalid BIMODULE_TOL {env!r}: not a number")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"invalid {source} {tol!r}: must be finite and > 0")
+    return tol
 
 
 def _emit(text: str, out: Optional[str]):
@@ -96,7 +107,10 @@ def _load_or_generate(args, length: int = 4
     if args.instance:
         with open(args.instance, "rb") as fh:
             return instances.load_lenient(fh.read())
-    limits = instances.Limits(max_dim=args.max_dim)
+    try:
+        limits = instances.Limits(max_dim=args.max_dim)
+    except ValueError as exc:
+        raise UsageError(f"invalid --max-dim: {exc}")
     return instances.generate(args.seed, limits=limits, length=length), []
 
 
@@ -220,7 +234,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_gen(args)
         if args.command == "tensor":
             return cmd_tensor(args)
-    except instances.InstanceFormatError as exc:
+    except (instances.InstanceFormatError, UsageError) as exc:
         print(f"bimodcat: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

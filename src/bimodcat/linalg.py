@@ -47,21 +47,30 @@ def scale_tol(*norms: float, base: float = DEFAULT_TOL) -> float:
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significantly nonzero entry is real positive.
 
-    Deterministic tie-breaking for eigen/qr bases reproducible across runs.
+    "Significantly" means above 1e-8 times the column's largest magnitude;
+    zero columns are left as they are.  Deterministic tie-breaking for
+    eigen/qr bases reproducible across runs.
     """
     if vectors.size == 0:
         return vectors
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.argmax(mags > top * 1e-8))
-        phase = col[idx] / abs(col[idx])
-        out[:, j] = col / phase
-    return out
+    mags = np.abs(vectors)
+    top = mags.max(axis=0)
+    lead = vectors[np.argmax(mags > top * 1e-8, axis=0),
+                   np.arange(vectors.shape[1])]
+    phase = np.ones_like(lead)
+    nonzero = top > 0.0
+    phase[nonzero] = lead[nonzero] / np.abs(lead[nonzero])
+    return vectors / phase
+
+
+def unit_inner(units: np.ndarray, left: np.ndarray,
+               right: np.ndarray) -> np.ndarray:
+    """(W, n, m) stack of the inner products (U_w left_i)^H right_j.
+
+    ``units`` is a (W, d, d) stack of action matrices, ``left`` (d, n) and
+    ``right`` (d, m) hold vectors in their columns.
+    """
+    return (units @ left).conj().transpose(0, 2, 1) @ right
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -103,17 +112,6 @@ def psd_rank(m: np.ndarray, scale: float = 0.0) -> int:
     if w.size == 0 or w[0] == 0.0:
         return 0
     return int(np.count_nonzero(w > RANK_EPS * max(w[0], scale)))
-
-
-def range_projection(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the range of a matrix."""
-    if m.size == 0:
-        return np.zeros_like(m)
-    u, s, _ = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(m)
-    u = u[:, s > RANK_EPS * s[0]]
-    return u @ u.conj().T
 
 
 def null_space_hermitian(normal: np.ndarray, scale: float | None = None) -> np.ndarray:

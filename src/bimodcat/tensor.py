@@ -9,7 +9,20 @@ Y (B-C):
 Each is realized as the Gram quotient of the algebraic tensor space spanned
 by (bounded basis) x (orthonormal basis); the quotient map Q satisfies
 Q^H Q = Gram on the positive part, so standard coordinates on the quotient
-are isometric.  All structural isomorphisms (unitors, associators,
+are isometric, and the section E satisfies Q E = id.  An operator F (x) G
+on the algebraic space that preserves the Gram null space descends to
+Q (F (x) G) E on the quotient.  In particular the result bimodule acts by
+
+* ``Q (F_u (x) 1) E`` on the left, where F_u is the action of the u-th
+  matrix unit on the first leg (for ``ltimes`` the bounded-basis
+  coefficients of a . f_i, for ``rtimes`` the left action on X);
+* ``Q (1 (x) R_u) E`` on the right, where R_u acts on the second leg (for
+  ``ltimes`` the right action on Y, for ``rtimes`` the bounded-basis
+  coefficients of v_j . b).
+
+These and the other multi-operand contractions run as pairwise batched
+matrix products (BLAS): numpy's ``einsum`` runs three operands as one
+unblocked loop over every index.  All structural isomorphisms (unitors, associators,
 extension identifications, the multiplicativity isomorphism m) are built
 on canonical spanning families and verified for consistency.
 """
@@ -26,8 +39,7 @@ from .bimodule import Bimodule, Morphism, matrix_extension
 from .bounded import (BoundedBasis, ProjectiveRealization, left_bounded_space,
                       left_projective_realization, right_bounded_space,
                       right_projective_realization)
-from .linalg import (RANK_EPS, fix_phases, map_from_spanning, op_norm,
-                     psd_eig)
+from .linalg import RANK_EPS, map_from_spanning, op_norm, psd_eig, unit_inner
 
 KIND_LEFT = "left"     # ltimes
 KIND_RIGHT = "right"   # rtimes
@@ -60,13 +72,6 @@ class TensorProduct:
     def alg_dim(self) -> int:
         return self.gram.shape[0]
 
-    @property
-    def factor_shape(self) -> Tuple[int, int]:
-        """(size of first algebraic leg, size of second algebraic leg)."""
-        if self.kind == KIND_LEFT:
-            return self.bounded.size, self.right_factor.dim
-        return self.left_factor.dim, self.bounded.size
-
     def class_coords(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an elementary tensor.
 
@@ -93,35 +98,46 @@ def _quotient_from_gram(gram: np.ndarray):
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
-    """X ltimes Y: completion of XB(-1/2) (x)_B Y."""
+    """X ltimes Y: completion of XB(-1/2) (x)_B Y.
+
+    The algebraic space is (bounded basis of X) x (basis of Y).  The result
+    acts by Q (F_u (x) 1) E on the left, F_u the bounded-basis coefficients
+    of L_u f_i, and by Q (1 (x) R_u) E on the right, R_u the right action on Y.
+    """
     _check_middle(x, y)
     bb = right_bounded_space(x)
-    xi = bb.vectors                               # (dX, n)
-    runits = x.right_units
     # vec([f_i, f_j]_B)[w] = (R_w xi_i)^H xi_j
-    inner_vecs = np.einsum("wab,bi,aj->ijw", runits.conj(), xi.conj(), xi)
-    gram = np.einsum("ijw,wst->isjt", inner_vecs, y.left_units)
+    inner_vecs = unit_inner(x.right_units, bb.vectors, bb.vectors)
+    gram = np.einsum("wij,wst->isjt", inner_vecs, y.left_units)
     n, dy = bb.size, y.dim
     gram = gram.reshape(n * dy, n * dy)
     quotient, section, kernel = _quotient_from_gram(gram)
-    result = _tensor_result_left(x, y, bb, quotient, section)
+    # F_u: bounded-basis coefficients of L_u xi_j
+    fstack = bb.expand(x.left_units @ bb.vectors)
+    result = _tensor_result(x, y, quotient, section, fstack, y.right_units)
     return TensorProduct(KIND_LEFT, x, y, x.right_algebra, bb, gram,
                          quotient, section, kernel, result)
 
 
 def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
-    """X rtimes Y: completion of X (x)_B B(-1/2)Y."""
+    """X rtimes Y: completion of X (x)_B B(-1/2)Y.
+
+    The algebraic space is (basis of X) x (bounded basis of Y).  The result
+    acts by Q (L_u (x) 1) E on the left, L_u the left action on X, and by
+    Q (1 (x) C_u) E on the right, C_u the bounded-basis coefficients of
+    R_u v_j.
+    """
     _check_middle(x, y)
     bb = left_bounded_space(y)
-    eta = bb.vectors                              # (dY, m)
-    lunits = y.left_units
-    # vec(_B[v_j', v_j])[w] = (L_w eta_j)^H eta_j'  -> entry for pair (j, j')
-    inner_vecs = np.einsum("wab,bj,ak->jkw", lunits.conj(), eta.conj(), eta)
-    gram = np.einsum("jkw,wst->sjtk", inner_vecs, x.right_units)
+    # vec(_B[v_k, v_j])[w] = (L_w eta_j)^H eta_k  -> entry for pair (j, k)
+    inner_vecs = unit_inner(y.left_units, bb.vectors, bb.vectors)
+    gram = np.einsum("wjk,wst->sjtk", inner_vecs, x.right_units)
     dx, m = x.dim, bb.size
     gram = gram.reshape(dx * m, dx * m)
     quotient, section, kernel = _quotient_from_gram(gram)
-    result = _tensor_result_right(x, y, bb, quotient, section)
+    # C_u: bounded-basis coefficients of R_u eta_j
+    cstack = bb.expand(y.right_units @ bb.vectors)
+    result = _tensor_result(x, y, quotient, section, x.left_units, cstack)
     return TensorProduct(KIND_RIGHT, x, y, x.right_algebra, bb, gram,
                          quotient, section, kernel, result)
 
@@ -140,29 +156,22 @@ def _check_middle(x: Bimodule, y: Bimodule):
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
 
 
-def _tensor_result_left(x, y, bb, quotient, section) -> Bimodule:
-    n, dy = bb.size, y.dim
-    r = quotient.shape[0]
-    qr = quotient.reshape(r, n, dy)
-    er = section.reshape(n, dy, r)
-    # left action of A on bounded coefficients: coeffs of a . f_i
-    proj = bb.vectors.conj().T @ bb.form                      # (n, dX)
-    fstack = np.einsum("id,ude,ej->uij", proj, x.left_units, bb.vectors)
-    left_units = np.einsum("ris,uij,jsq->urq", qr, fstack, er)
-    right_units = np.einsum("ris,ust,itq->urq", qr, y.right_units, er)
-    return Bimodule(x.left_algebra, y.right_algebra, left_units, right_units)
+def _tensor_result(x, y, quotient, section, first, second) -> Bimodule:
+    """The quotient bimodule: actions Q (F_u (x) 1) E and Q (1 (x) R_u) E.
 
-
-def _tensor_result_right(x, y, bb, quotient, section) -> Bimodule:
-    dx, m = x.dim, bb.size
+    ``first`` (U, n1, n1) acts on the first algebraic leg, ``second``
+    (V, n2, n2) on the second; ``quotient`` is (r, n1*n2) and ``section``
+    (n1*n2, r).  Batch sizes stay explicit so that r = 0 works.
+    """
+    n1, n2 = first.shape[1], second.shape[1]
     r = quotient.shape[0]
-    qr = quotient.reshape(r, dx, m)
-    er = section.reshape(dx, m, r)
-    left_units = np.einsum("rsj,ust,tjq->urq", qr, x.left_units, er)
-    proj = bb.vectors.conj().T @ bb.form
-    cstack = np.einsum("id,ude,ej->uij", proj, y.right_units, bb.vectors)
-    right_units = np.einsum("rsj,uji,siq->urq", qr, cstack, er)
-    return Bimodule(x.left_algebra, y.right_algebra, left_units, right_units)
+    # (F_u (x) 1) E: F_u on E with rows grouped by the first leg
+    left = (first @ section.reshape(n1, n2 * r)).reshape(len(first), n1 * n2, r)
+    # (1 (x) R_u) E: R_u on each first-leg slice of E
+    right = (second[:, None] @ section.reshape(n1, n2, r)).reshape(
+        len(second), n1 * n2, r)
+    return Bimodule(x.left_algebra, y.right_algebra,
+                    quotient @ left, quotient @ right)
 
 
 def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
@@ -175,15 +184,18 @@ def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
     sqrt(machine epsilon times the Gram norm), hence the loose default.
     """
     if check and src.kernel.shape[1]:
-        imgs = alg_map @ src.kernel
-        defect = np.sqrt(max(0.0, float(np.real(
-            np.einsum("ij,ik,kj->", imgs.conj(), tgt.gram, imgs).real)))) if imgs.size else 0.0
+        defect = _gram_seminorm(tgt.gram, alg_map @ src.kernel)
         scale = (max(1.0, op_norm(alg_map))
                  * np.sqrt(max(1.0, op_norm(src.gram)) * max(1.0, op_norm(tgt.gram))))
         if defect > tol * scale:
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
     return tgt.quotient @ alg_map @ src.section
+
+
+def _gram_seminorm(gram: np.ndarray, vectors: np.ndarray) -> float:
+    """sqrt(tr(V^H G V)): the Gram seminorm of the columns of V, taken together."""
+    return float(np.sqrt(max(0.0, np.vdot(vectors, gram @ vectors).real)))
 
 
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
@@ -396,15 +408,17 @@ def _standard_images(b_alg: MultiMatrixAlgebra, avecs: np.ndarray,
                      cvecs: np.ndarray) -> np.ndarray:
     """Images in ^I L2(B) ^J of spanning tensors, entry (i', j') = vec(a_i' c_j').
 
-    ``avecs``: (n, |B|, colsA) algebra vectors per frame row and first spanning
-    index; ``cvecs``: (m, |B|, colsC) per frame row and second spanning index.
+    ``avecs``: (|B|, n, colsA) algebra vectors per frame row and first spanning
+    index; ``cvecs``: (|B|, m, colsC) per frame row and second spanning index.
     Returns (n*m*|B|, colsA*colsC) with rows (i', j', w) and columns
     (first, second), both row-major.
     """
-    lunits = standard_form(b_alg).bimodule.left_units
-    out = np.einsum("iwx,wvu,jus->ijvxs", avecs, lunits, cvecs)
-    n, m, w, ca, cc = out.shape
-    return out.reshape(n * m * w, ca * cc)
+    lunits = standard_form(b_alg).bimodule.left_units       # (w, v, u)
+    # vec(a c)[v] = sum_{w,u} a[w] L_w[v, u] c[u]
+    out = np.tensordot(np.tensordot(avecs, lunits, axes=(0, 0)), cvecs,
+                       axes=(3, 0))                          # (i, x, v, j, s)
+    n, ca, w, m, cc = out.shape
+    return out.transpose(0, 3, 2, 1, 4).reshape(n * m * w, ca * cc)
 
 
 def m_iso(x: Bimodule, y: Bimodule,
@@ -437,17 +451,16 @@ def m_iso(x: Bimodule, y: Bimodule,
     lunits = y.left_units
     xi = tp_left.bounded.vectors          # right-bounded basis of X
     eta = tp_right.bounded.vectors        # left-bounded basis of Y
-    dx, dy = x.dim, y.dim
     # ltimes side, spanning columns (i, s) = Q_left columns:
     #   a-part: vec(a_i') = g_i'^H xi_i ; c-part: vec(c_j') = h_j'^H e_s
-    av_l = np.einsum("wab,bi,aj->iwj", runits.conj(), gframe.conj(), xi)
-    cv_l = np.einsum("wab,bj->jwa", lunits, hframe).conj()
+    av_l = unit_inner(runits, gframe, xi)
+    cv_l = (lunits @ hframe).conj().transpose(0, 2, 1)
     big_l = _standard_images(b_alg, av_l, cv_l)
     m_l = big_l @ tp_left.section
     # rtimes side, spanning columns (s, j):
     #   b-part: vec(b_i') = g_i'^H e_s ; d-part: vec(d_j') = h_j'^H eta_j
-    bv_r = np.einsum("wab,bi->iwa", runits, gframe).conj()
-    dv_r = np.einsum("wab,bj,ak->jwk", lunits.conj(), hframe.conj(), eta)
+    bv_r = (runits @ gframe).conj().transpose(0, 2, 1)
+    dv_r = unit_inner(lunits, hframe, eta)
     big_r = _standard_images(b_alg, bv_r, dv_r)
     m_r = big_r @ tp_right.section
     return m_r.conj().T @ m_l

@@ -146,3 +146,30 @@ def test_structurally_bad_instance(capsys, tmp_path):
     code, _, err = _run(capsys, "verify", "--instance", str(path))
     assert code == 2
     assert "bimodcat:" in err
+
+
+def test_invalid_env_tol_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BIMODULE_TOL", "tight")
+    code, out, err = _run(capsys, "verify", "--seed", "0", "--suite", "m-unit")
+    assert code == 2
+    assert out == ""
+    assert "BIMODULE_TOL" in err
+
+
+def test_negative_tol_is_usage_error(capsys):
+    code, out, err = _run(capsys, "verify", "--seed", "0", "--tol", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err and "> 0" in err
+
+
+def test_nan_tol_is_usage_error(capsys):
+    code, out, err = _run(capsys, "verify", "--seed", "0", "--tol", "nan")
+    assert code == 2
+    assert "--tol" in err and "finite" in err
+
+
+def test_verify_max_dim_zero_is_usage_error(capsys):
+    code, out, err = _run(capsys, "verify", "--max-dim", "0")
+    assert code == 2
+    assert "max_dim" in err

@@ -48,6 +48,41 @@ def test_fix_phases_deterministic():
     assert np.allclose(fix_phases(v * phases), fix_phases(v))
 
 
+def _fix_phases_loop(vectors):
+    """Column-by-column reference for fix_phases."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        idx = int(np.argmax(mags > top * 1e-8))
+        out[:, j] = col / (col[idx] / abs(col[idx]))
+    return out
+
+
+def test_fix_phases_convention_and_loop_reference():
+    rng = np.random.default_rng(6)
+    for trial in range(50):
+        rows, cols = rng.integers(1, 9, size=2)
+        v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        # leading entries below the 1e-8 relative cut, and a zero column
+        v[0, 0] = 1e-12 * (1 + 1j)
+        if cols > 1:
+            v[:, 1] = 0.0
+        got = fix_phases(v)
+        assert np.abs(got - _fix_phases_loop(v)).max() <= 1e-14
+        assert np.allclose(np.abs(got), np.abs(v), rtol=0, atol=1e-14)
+        for j in range(cols):
+            mags = np.abs(v[:, j])
+            if mags.max() == 0.0:
+                assert np.array_equal(got[:, j], v[:, j])
+                continue
+            lead = got[np.argmax(mags > 1e-8 * mags.max()), j]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15 * lead.real
+
+
 def test_scale_tol_floor_and_growth():
     assert scale_tol(base=1e-9) >= 1e-12
     assert scale_tol(10.0, 10.0, base=1e-9) == pytest.approx(1e-7)
