@@ -38,13 +38,14 @@ class Bimodule:
             raise NotABimoduleError("left action has wrong shape")
         if self.right_units.shape != (self.right_algebra.dim, d, d):
             raise NotABimoduleError("right action has wrong shape")
-        # unitality is cheap and catches degenerate actions early
+        # unitality is cheap and catches degenerate actions early; the
+        # Frobenius norm bounds the operator norm from above, without an SVD
         scale = max(1.0, float(np.abs(self.left_units).max(initial=0.0)),
                     float(np.abs(self.right_units).max(initial=0.0)))
         for units, alg, side in ((self.left_units, self.left_algebra, "left"),
                                  (self.right_units, self.right_algebra, "right")):
             one = units[_diag_unit_indices(alg)].sum(axis=0)
-            if op_norm(one - np.eye(d)) > 1e-8 * scale:
+            if np.linalg.norm(one - np.eye(d)) > 1e-8 * scale:
                 raise NotABimoduleError(f"{side} action is not unital")
 
     @property

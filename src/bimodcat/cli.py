@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None,
                    help="comma-separated subset of check families "
                         f"({', '.join(coherence.CHECK_FAMILIES)})")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for independent checks")
 
     p = sub.add_parser("gen", help="emit a random instance as JSON")
     p.add_argument("--seed", type=int, default=0)
@@ -125,7 +123,7 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return 2
     spec, violations = _load_or_generate(args)
-    report = coherence.run_suite(spec, tol=tol, suite=suite, jobs=args.jobs)
+    report = coherence.run_suite(spec, tol=tol, suite=suite)
     for msg, defect in violations:
         report["checks"].insert(0, {
             "name": "instance-valid", "defect": float(defect), "tol": tol,

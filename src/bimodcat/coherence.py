@@ -12,9 +12,8 @@ identity — the sensitivity harness for the diagrams.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +29,9 @@ from .tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor, m_iso,
 
 #: (edge role, rng, epsilon) — twist the named edge by a random eps-rotation
 Mutation = Tuple[str, np.random.Generator, float]
+
+NATURALITY_FAMILIES = ("naturality-unitors", "naturality-assoc",
+                       "naturality-m", "naturality-c")
 
 
 @dataclass(frozen=True)
@@ -243,13 +245,15 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
         return _degenerate(name, base_tol, dims)
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     t_xy = tensor(kind, x, y)
-    c_xy = conjugation(kind, x, y, tp=t_xy, xstar=xs, ystar=ys)
+    t_yx = tensor(kind, ys, xs)
+    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx, xstar=xs, ystar=ys)
     c_xy_mat = _twist(c_xy.matrix, "c", mutation)
     xss, yss = dual_bimodule(xs), dual_bimodule(ys)
     t_dd = tensor(kind, xss, yss)
     d_x, d_y = double_dual_iso(x), double_dual_iso(y)
     dd_edge = tensor_morphisms(t_xy, t_dd, d_x.matrix, d_y.matrix)
-    c_dd = conjugation(kind, ys, xs, tp_dual=t_dd, xstar=yss, ystar=xss)
+    c_dd = conjugation(kind, ys, xs, tp=t_yx, tp_dual=t_dd,
+                       xstar=yss, ystar=xss)
     d_xy = double_dual_iso(t_xy.result)
     lhs = c_dd.matrix @ dd_edge
     rhs = c_xy_mat.T @ d_xy.matrix
@@ -270,9 +274,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     out: List[CheckResult] = []
     dims = (x.dim, y.dim, z.dim)
     if 0 in dims:
-        return [_degenerate(n, base_tol, dims)
-                for n in ("naturality-unitors", "naturality-assoc",
-                          "naturality-m", "naturality-c")]
+        return [_degenerate(n, base_tol, dims) for n in NATURALITY_FAMILIES]
     f = random_morphism(x, x, rng).matrix
     g = random_morphism(y, y, rng).matrix
     l2a = standard_form(x.left_algebra).bimodule
@@ -289,14 +291,14 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     out.append(_result("naturality-unitors", worst,
                        _path_tol(base_tol, f), dims))
 
+    t_xy = {kind: tensor(kind, x, y) for kind in (KIND_LEFT, KIND_RIGHT)}
     worst = 0.0
     for kind in (KIND_LEFT, KIND_RIGHT):
-        t_xy = tensor(kind, x, y)
         t_yz = tensor(kind, y, z)
-        t_xy_z = tensor(kind, t_xy.result, z)
+        t_xy_z = tensor(kind, t_xy[kind].result, z)
         t_x_yz = tensor(kind, x, t_yz.result)
-        a = associator(t_xy, t_xy_z, t_yz, t_x_yz)
-        fg = tensor_morphisms(t_xy, t_xy, f, g)
+        a = associator(t_xy[kind], t_xy_z, t_yz, t_x_yz)
+        fg = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
         lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg, np.eye(z.dim))
         gz = tensor_morphisms(t_yz, t_yz, g, np.eye(z.dim))
         rhs = tensor_morphisms(t_x_yz, t_x_yz, f, gz) @ a
@@ -304,8 +306,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     out.append(_result("naturality-assoc", worst,
                        _path_tol(base_tol, f, g), dims))
 
-    t_l = tensor_left(x, y)
-    t_r = tensor_right(x, y)
+    t_l, t_r = t_xy[KIND_LEFT], t_xy[KIND_RIGHT]
     m = _twist(m_iso(x, y, tp_left=t_l, tp_right=t_r), "m", mutation)
     lhs = m @ tensor_morphisms(t_l, t_l, f, g)
     rhs = tensor_morphisms(t_r, t_r, f, g) @ m
@@ -315,11 +316,11 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     worst = 0.0
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     for kind in (KIND_LEFT, KIND_RIGHT):
-        t_xy = tensor(kind, x, y)
         t_yx = tensor(kind, ys, xs)
-        c = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx, xstar=xs, ystar=ys)
+        c = conjugation(kind, x, y, tp=t_xy[kind], tp_dual=t_yx,
+                        xstar=xs, ystar=ys)
         tgf = tensor_morphisms(t_yx, t_yx, g.T, f.T)
-        fg = tensor_morphisms(t_xy, t_xy, f, g)
+        fg = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
         worst = max(worst, op_norm(c.matrix @ tgf - fg.T @ c.matrix))
     out.append(_result("naturality-c", worst,
                        _path_tol(base_tol, f, g), dims))
@@ -334,59 +335,13 @@ CHECK_FAMILIES = (
     "m-unit", "m-assoc",
     "hexagon-left", "hexagon-right",
     "duality-left", "duality-right",
-    "naturality-unitors", "naturality-assoc", "naturality-m", "naturality-c",
-)
+) + NATURALITY_FAMILIES
 
 REPORT_VERSION = 1
 
 
-def _suite_jobs(instance: InstanceSpec, tol: float,
-                mutation: Optional[Mutation],
-                names: Optional[Sequence[str]]
-                ) -> List[Tuple[str, Callable[[], object]]]:
-    """(family name, thunk) pairs for the checks this instance can run."""
-    bs = instance.bimodules
-    jobs: List[Tuple[str, Callable[[], object]]] = []
-
-    def want(name: str) -> bool:
-        return names is None or name in names
-
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        if len(bs) >= 2 and want(f"triangle-{kind}"):
-            jobs.append((f"triangle-{kind}",
-                         lambda k=kind: check_triangle(k, bs[0], bs[1], tol,
-                                                       mutation)))
-        if len(bs) >= 4 and want(f"pentagon-{kind}"):
-            jobs.append((f"pentagon-{kind}",
-                         lambda k=kind: check_pentagon(k, bs[0], bs[1], bs[2],
-                                                       bs[3], tol, mutation)))
-    if len(bs) >= 1 and want("m-unit"):
-        jobs.append(("m-unit", lambda: check_m_unit(bs[0], tol, mutation)))
-    if len(bs) >= 3 and want("m-assoc"):
-        jobs.append(("m-assoc",
-                     lambda: check_m_assoc(bs[0], bs[1], bs[2], tol, mutation)))
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        if len(bs) >= 3 and want(f"hexagon-{kind}"):
-            jobs.append((f"hexagon-{kind}",
-                         lambda k=kind: check_involution_hexagon(
-                             k, bs[0], bs[1], bs[2], tol, mutation)))
-        if len(bs) >= 2 and want(f"duality-{kind}"):
-            jobs.append((f"duality-{kind}",
-                         lambda k=kind: check_duality_square(k, bs[0], bs[1],
-                                                             tol, mutation)))
-    if len(bs) >= 3 and any(want(n) for n in
-                            ("naturality-unitors", "naturality-assoc",
-                             "naturality-m", "naturality-c")):
-        rng = np.random.default_rng(instance.seed + 1)
-        jobs.append(("naturality",
-                     lambda: [r for r in check_naturality_suite(
-                         bs[0], bs[1], bs[2], rng, tol, mutation)
-                         if want(r.name)]))
-    return jobs
-
-
 def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
-              suite: Optional[Sequence[str]] = None, jobs: int = 1,
+              suite: Optional[Sequence[str]] = None,
               mutation: Optional[Mutation] = None) -> dict:
     """Run the applicable checks on an instance and assemble a report.
 
@@ -394,19 +349,44 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     the report is deterministic for a fixed instance: checks are sorted by
     name and all values derive from seeded draws.
     """
-    pending = _suite_jobs(instance, tol, mutation, suite)
-
-    def run_one(thunk):
-        return thunk()
-
+    bs = instance.bimodules
     results: List[CheckResult] = []
-    if jobs > 1 and mutation is None:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda nt: _guard(nt[0], nt[1]), pending))
-    else:
-        outcomes = [_guard(name, thunk) for name, thunk in pending]
-    for out in outcomes:
-        results.extend(out)
+
+    def want(name: str) -> bool:
+        return suite is None or name in suite
+
+    def run(name: str, arity: int, check: Callable[..., object], *lead):
+        """Append check(*lead, *bs[:arity]), or an error result if it raises."""
+        if len(bs) < arity:
+            return
+        try:
+            out = check(*lead, *bs[:arity], base_tol=tol, mutation=mutation)
+        except Exception as exc:  # noqa: BLE001 — suite must keep going
+            out = CheckResult(name=name, defect=float("inf"), tol=0.0,
+                              passed=False, error=f"{type(exc).__name__}: {exc}")
+        results.extend(out if isinstance(out, list) else [out])
+
+    def naturality(x, y, z, **kw) -> List[CheckResult]:
+        rng = np.random.default_rng(instance.seed + 1)
+        return [r for r in check_naturality_suite(x, y, z, rng, **kw)
+                if want(r.name)]
+
+    for kind in (KIND_LEFT, KIND_RIGHT):
+        if want(f"triangle-{kind}"):
+            run(f"triangle-{kind}", 2, check_triangle, kind)
+        if want(f"pentagon-{kind}"):
+            run(f"pentagon-{kind}", 4, check_pentagon, kind)
+    if want("m-unit"):
+        run("m-unit", 1, check_m_unit)
+    if want("m-assoc"):
+        run("m-assoc", 3, check_m_assoc)
+    for kind in (KIND_LEFT, KIND_RIGHT):
+        if want(f"hexagon-{kind}"):
+            run(f"hexagon-{kind}", 3, check_involution_hexagon, kind)
+        if want(f"duality-{kind}"):
+            run(f"duality-{kind}", 2, check_duality_square, kind)
+    if any(want(n) for n in NATURALITY_FAMILIES):
+        run("naturality", 3, naturality)
     results.sort(key=lambda r: r.name)
     defects = [r.defect for r in results]
     errors = sum(1 for r in results if r.error)
@@ -423,15 +403,6 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
         },
     }
     return report
-
-
-def _guard(name: str, thunk: Callable[[], object]) -> List[CheckResult]:
-    try:
-        out = thunk()
-    except Exception as exc:  # noqa: BLE001 — suite must keep going
-        return [CheckResult(name=name, defect=float("inf"), tol=0.0,
-                            passed=False, error=f"{type(exc).__name__}: {exc}")]
-    return list(out) if isinstance(out, list) else [out]
 
 
 def exit_code(report: dict) -> int:

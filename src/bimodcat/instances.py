@@ -199,9 +199,27 @@ def save(spec: InstanceSpec) -> bytes:
 
 
 def _need(doc: dict, key: str, path: str):
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{path}: expected an object")
     if key not in doc:
         raise InstanceFormatError(f"missing field {path}.{key}")
     return doc[key]
+
+
+def _need_int(doc: dict, key: str, path: str) -> int:
+    value = _need(doc, key, path)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(
+            f"{path}.{key}: expected an integer, got {value!r}") from None
+
+
+def _need_list(doc: dict, key: str, path: str) -> list:
+    value = _need(doc, key, path)
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{path}.{key}: expected a list")
+    return value
 
 
 def load(data) -> InstanceSpec:
@@ -233,19 +251,17 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
     if version != FORMAT_VERSION:
         raise InstanceFormatError(
             f"unsupported version {version!r} (expected {FORMAT_VERSION})")
-    seed = int(_need(doc, "seed", "$"))
+    seed = _need_int(doc, "seed", "$")
     lim = _need(doc, "limits", "$")
+    bounds = {key: _need_int(lim, key, "$.limits")
+              for key in ("max_blocks", "max_block", "max_mult", "max_dim")}
     try:
-        limits = Limits(max_blocks=int(_need(lim, "max_blocks", "$.limits")),
-                        max_block=int(_need(lim, "max_block", "$.limits")),
-                        max_mult=int(_need(lim, "max_mult", "$.limits")),
-                        max_dim=int(_need(lim, "max_dim", "$.limits")),
-                        min_mult=int(lim.get("min_mult", 0)))
+        limits = Limits(**bounds, min_mult=int(lim.get("min_mult", 0)))
     except ValueError as exc:
         raise InstanceFormatError(f"$.limits: {exc}") from exc
 
     algebras = []
-    for i, a in enumerate(_need(doc, "algebras", "$")):
+    for i, a in enumerate(_need_list(doc, "algebras", "$")):
         blocks = _need(a, "blocks", f"$.algebras[{i}]")
         try:
             algebras.append(MultiMatrixAlgebra(tuple(int(n) for n in blocks)))
@@ -254,10 +270,10 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
 
     violations: List[Tuple[str, float]] = []
     bimodules = []
-    for i, b in enumerate(_need(doc, "bimodules", "$")):
+    for i, b in enumerate(_need_list(doc, "bimodules", "$")):
         path = f"$.bimodules[{i}]"
-        left = int(_need(b, "left", path))
-        right = int(_need(b, "right", path))
+        left = _need_int(b, "left", path)
+        right = _need_int(b, "right", path)
         if not (0 <= left < len(algebras)) or not (0 <= right < len(algebras)):
             raise InstanceFormatError(f"{path}: algebra reference out of range")
         la, ra = algebras[left], algebras[right]
@@ -284,8 +300,8 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
     morphisms = []
     for i, m in enumerate(doc.get("morphisms", [])):
         path = f"$.morphisms[{i}]"
-        src = int(_need(m, "source", path))
-        tgt = int(_need(m, "target", path))
+        src = _need_int(m, "source", path)
+        tgt = _need_int(m, "target", path)
         if not (0 <= src < n_listed) or not (0 <= tgt < n_listed):
             raise InstanceFormatError(f"{path}: bimodule reference out of range")
         if src >= n_kept or tgt >= n_kept:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bimodule import Bimodule, Morphism, dual_bimodule, transpose
 from .linalg import map_from_spanning
-from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct, m_iso, tensor,
+from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct, m_iso,
                      tensor_left, tensor_right)
 
 
@@ -91,21 +91,10 @@ def conjugation(kind: str, x: Bimodule, y: Bimodule,
 
 
 def conjugation_pair(x: Bimodule, y: Bimodule) -> Tuple[Morphism, Morphism]:
-    """Both single-kind conjugations (ltimes, rtimes) sharing the mixed data."""
-    xstar = dual_bimodule(x)
-    ystar = dual_bimodule(y)
-    tp_left = tensor_left(x, y)
-    tp_right = tensor_right(x, y)
-    tpd_l = tensor_left(ystar, xstar)
-    tpd_r = tensor_right(ystar, xstar)
-    c = conjugation_mixed(x, y, tp_left=tp_left, tp_dual=tpd_r,
-                          xstar=xstar, ystar=ystar)
-    m_dual = m_iso(ystar, xstar, tp_left=tpd_l, tp_right=tpd_r)
-    m = m_iso(x, y, tp_left=tp_left, tp_right=tp_right)
-    c_l = Morphism(tpd_l.result, c.target, c.matrix @ m_dual)
-    c_r = Morphism(tpd_r.result, dual_bimodule(tp_right.result),
-                   np.linalg.solve(m.T, c.matrix))
-    return c_l, c_r
+    """Both single-kind conjugations (ltimes, rtimes), sharing the duals."""
+    xstar, ystar = dual_bimodule(x), dual_bimodule(y)
+    return (conjugation(KIND_LEFT, x, y, xstar=xstar, ystar=ystar),
+            conjugation(KIND_RIGHT, x, y, xstar=xstar, ystar=ystar))
 
 
 def transpose_on_product(kind: str, x: Bimodule, y: Bimodule,

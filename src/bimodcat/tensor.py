@@ -36,9 +36,7 @@ import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Morphism, matrix_extension
-from .bounded import (BoundedBasis, ProjectiveRealization, left_bounded_space,
-                      left_projective_realization, right_bounded_space,
-                      right_projective_realization)
+from .bounded import BoundedBasis, left_bounded_space, right_bounded_space
 from .linalg import RANK_EPS, map_from_spanning, op_norm, psd_eig, unit_inner
 
 KIND_LEFT = "left"     # ltimes
@@ -186,11 +184,17 @@ def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
     if check and src.kernel.shape[1]:
         defect = _gram_seminorm(tgt.gram, alg_map @ src.kernel)
         scale = (max(1.0, op_norm(alg_map))
-                 * np.sqrt(max(1.0, op_norm(src.gram)) * max(1.0, op_norm(tgt.gram))))
+                 * np.sqrt(_gram_scale(src) * _gram_scale(tgt)))
         if defect > tol * scale:
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
     return tgt.quotient @ alg_map @ src.section
+
+
+def _gram_scale(tp: TensorProduct) -> float:
+    """max(1, ||Gram||): Q = Lambda^{1/2} V^H, so ||Q[0]||^2 is the top eigenvalue."""
+    top = np.vdot(tp.quotient[0], tp.quotient[0]).real if tp.dim else 0.0
+    return max(1.0, float(top))
 
 
 def _gram_seminorm(gram: np.ndarray, vectors: np.ndarray) -> float:
@@ -428,9 +432,11 @@ def m_iso(x: Bimodule, y: Bimodule,
           left_rotation: Optional[np.ndarray] = None) -> np.ndarray:
     """The multiplicativity isomorphism m_{X,Y} : X ltimes Y -> X rtimes Y.
 
-    Uses projective realizations u : X -> p ^I L2(B) and v : Y -> L2(B)^J q
-    (tight frames of bounded vectors); both sides are mapped into
-    ^I L2(B) ^J by the entrywise multiplication formula and composed.
+    Uses projective realizations u : X -> p ^I L2(B) and v : Y -> L2(B)^J q,
+    the tight frames of the bounded bases the two products already hold
+    (right-bounded of X for ltimes, left-bounded of Y for rtimes); both
+    sides are mapped into ^I L2(B) ^J by the entrywise multiplication
+    formula and composed.
     Optional unitary rotations recombine the frames, producing different
     but equivalent realizations (the result is provably independent).
     """
@@ -439,10 +445,8 @@ def m_iso(x: Bimodule, y: Bimodule,
     if tp_right is None:
         tp_right = tensor_right(x, y)
     b_alg = x.right_algebra
-    pr = right_projective_realization(x)
-    pl = left_projective_realization(y)
-    gframe = pr.frame
-    hframe = pl.frame
+    gframe = tp_left.bounded.frame_vectors()
+    hframe = tp_right.bounded.frame_vectors()
     if right_rotation is not None:
         gframe = gframe @ right_rotation
     if left_rotation is not None:
@@ -464,10 +468,3 @@ def m_iso(x: Bimodule, y: Bimodule,
     big_r = _standard_images(b_alg, bv_r, dv_r)
     m_r = big_r @ tp_right.section
     return m_r.conj().T @ m_l
-
-
-def m_morphism(x: Bimodule, y: Bimodule, **kw) -> Morphism:
-    tp_l = kw.pop("tp_left", None) or tensor_left(x, y)
-    tp_r = kw.pop("tp_right", None) or tensor_right(x, y)
-    mat = m_iso(x, y, tp_left=tp_l, tp_right=tp_r, **kw)
-    return Morphism(tp_l.result, tp_r.result, mat)

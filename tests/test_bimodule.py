@@ -49,6 +49,15 @@ def test_bad_actions_rejected():
     broken[0] += 0.05
     with pytest.raises(NotABimoduleError):
         Bimodule(a, a, broken, sf.right_units)
+    # the unitality threshold is 1e-8: a 5e-8 shift of the unit fails,
+    # rounding-level noise passes
+    slightly = sf.left_units.copy()
+    slightly[0] += 5e-8
+    with pytest.raises(NotABimoduleError, match="not unital"):
+        Bimodule(a, a, slightly, sf.right_units)
+    noisy = sf.left_units.copy()
+    noisy[0] += 1e-12
+    Bimodule(a, a, noisy, sf.right_units)
 
 
 def test_validate_reports_product_defect():

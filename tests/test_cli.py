@@ -62,10 +62,11 @@ def test_verify_env_tol_used(capsys, monkeypatch):
     assert code == 0
 
 
-def test_verify_jobs_matches_serial(capsys):
-    _, out1, _ = _run(capsys, "verify", "--seed", "3", "--json")
-    _, out4, _ = _run(capsys, "verify", "--seed", "3", "--json", "--jobs", "4")
-    assert out1 == out4
+def test_verify_jobs_option_removed(capsys):
+    # the suite runs serially; --jobs is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "3", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_corrupted_instance_fails(capsys, tmp_path):
@@ -146,6 +147,23 @@ def test_structurally_bad_instance(capsys, tmp_path):
     code, _, err = _run(capsys, "verify", "--instance", str(path))
     assert code == 2
     assert "bimodcat:" in err
+
+
+def test_malformed_instance_fields_exit_2(capsys, tmp_path):
+    cases = (("$.seed", lambda doc: doc.update(seed="x")),
+             ("$.bimodules[0].left",
+              lambda doc: doc["bimodules"][0].update(left="a")),
+             ("$.algebras[0]", lambda doc: doc["algebras"].__setitem__(0, 7)),
+             ("$.algebras", lambda doc: doc.update(algebras=3)))
+    for field, corrupt in cases:
+        doc = to_document(generate(1))
+        corrupt(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "verify", "--instance", str(path))
+        assert code == 2, field
+        assert out == ""
+        assert err.startswith(f"bimodcat: {field}:"), err
 
 
 def test_invalid_env_tol_is_usage_error(capsys, monkeypatch):

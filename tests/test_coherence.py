@@ -96,13 +96,11 @@ def test_run_suite_report_structure_and_determinism():
     assert exit_code(rep1) == 0
 
 
-def test_run_suite_subset_and_jobs():
+def test_run_suite_subset():
     spec = generate(8, limits=Limits())
     rep = run_suite(spec, suite=["m-unit", "triangle-left"])
     names = {c["name"] for c in rep["checks"]}
     assert names == {"m-unit", "triangle-left"}
-    rep_par = run_suite(spec, jobs=4)
-    assert rep_par == run_suite(spec)
 
 
 def test_run_suite_mutation_failures_and_exit_codes():
@@ -133,6 +131,26 @@ def test_guarded_errors_reported():
     assert not by_name["duality-left"]["passed"]
     assert by_name["duality-left"]["error"]
     assert rep["summary"]["errors"] >= 1
+    assert exit_code(rep) == 2
+
+
+def test_naturality_subset_reports_construction_error():
+    # a naturality-only suite on a chain with mismatched middle algebras
+    # still reports the failed construction, under the family's name
+    rng = np.random.default_rng(11)
+    x = _bim(rng, (2,), (2,), [[1]])
+    y = _bim(rng, (1,), (2,), [[1]])   # left algebra mismatch with x's right
+    z = _bim(rng, (2,), (2,), [[1]])
+    spec = InstanceSpec.__new__(InstanceSpec)
+    object.__setattr__(spec, "seed", 0)
+    object.__setattr__(spec, "limits", Limits())
+    object.__setattr__(spec, "algebras", (x.left_algebra, x.right_algebra,
+                                          y.right_algebra, z.right_algebra))
+    object.__setattr__(spec, "bimodules", (x, y, z))
+    object.__setattr__(spec, "morphisms", ())
+    rep = run_suite(spec, suite=["naturality-m"])
+    assert [c["name"] for c in rep["checks"]] == ["naturality"]
+    assert "middle algebras differ" in rep["checks"][0]["error"]
     assert exit_code(rep) == 2
 
 

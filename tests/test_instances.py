@@ -76,6 +76,21 @@ def test_load_missing_field_names_path():
         load(json.dumps(doc))
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc.update(seed="x"), r"\$\.seed: expected an integer"),
+    (lambda doc: doc["bimodules"][0].update(left="a"),
+     r"\$\.bimodules\[0\]\.left: expected an integer"),
+    (lambda doc: doc["algebras"].__setitem__(0, 7),
+     r"\$\.algebras\[0\]: expected an object"),
+    (lambda doc: doc.update(algebras=3), r"\$\.algebras: expected a list"),
+], ids=["seed", "bimodule-left", "algebra-entry", "algebras"])
+def test_load_wrong_field_type_names_path(corrupt, message):
+    doc = to_document(generate(1))
+    corrupt(doc)
+    with pytest.raises(InstanceFormatError, match="^" + message):
+        load(json.dumps(doc))
+
+
 def test_load_version_mismatch():
     doc = to_document(generate(1))
     doc["version"] = 99

@@ -1,4 +1,5 @@
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from bimodcat.coherence import run_suite
 from bimodcat.instances import generate
 from bimodcat.linalg import RANK_EPS, op_norm, psd_eig, psd_inv_sqrt, random_unitary
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
-                             _gram_seminorm, _standard_images, associator,
+                             _gram_scale, _gram_seminorm, _quotient_from_gram,
+                             _standard_images, associator,
                              induced_map, left_unitor, m_iso, m_standard,
                              morphism_tensor, right_unitor, tensor, tensor_left,
                              tensor_matrix_extension_iso, tensor_morphisms,
@@ -188,6 +190,18 @@ def test_m_iso_unitary_morphism_and_realization_independent():
         assert op_norm(m - m2) < 1e-9
 
 
+def test_m_iso_frames_are_the_products_bounded_frames():
+    # m takes its tight frames from the bounded bases its products hold;
+    # they are the projective-realization frames, bit for bit
+    for seed in range(3):
+        spec = generate(seed)
+        for x, y in zip(spec.bimodules, spec.bimodules[1:]):
+            assert np.array_equal(tensor_left(x, y).bounded.frame_vectors(),
+                                  right_projective_realization(x).frame)
+            assert np.array_equal(tensor_right(x, y).bounded.frame_vectors(),
+                                  left_projective_realization(y).frame)
+
+
 def test_m_iso_agrees_with_standard_on_square():
     b = MultiMatrixAlgebra((1, 2))
     l2 = standard_form(b).bimodule
@@ -273,12 +287,25 @@ def test_product_contractions_match_einsum(monkeypatch, seed):
         vecs = rng.standard_normal((tp.alg_dim, 3)) + 0j
         want = np.sqrt(np.einsum("ij,ik,kj->", vecs.conj(), tp.gram, vecs).real)
         assert abs(_gram_seminorm(tp.gram, vecs) - want) <= 1e-12 * max(want, 1e-300)
+        # the well-definedness scale reads the top Gram eigenvalue off Q
+        scale = max(1.0, op_norm(tp.gram))
+        assert abs(_gram_scale(tp) - scale) <= 1e-12 * scale
         zero_rank += tp.dim == 0 < tp.alg_dim
         asymmetric += bool(second.size) and np.abs(
             second - second.transpose(0, 2, 1)).max() > 1e-6
     # r = 0 products and second-leg stacks a transpose would get wrong occur
     assert zero_rank or seed != 1
     assert asymmetric or seed != 2
+
+
+def test_gram_scale_reads_the_top_eigenvalue():
+    # the suite's Grams are projections (every kept eigenvalue is 1), so a
+    # spread spectrum checks that the scale reads the largest one
+    u = random_unitary(np.random.default_rng(0), 4)
+    gram = (u * np.array([0.5, 3.0, 0.0, 2.0])) @ u.conj().T
+    quotient = _quotient_from_gram(gram)[0]
+    assert abs(_gram_scale(SimpleNamespace(quotient=quotient, dim=3)) - 3.0) <= 1e-12
+    assert _gram_scale(SimpleNamespace(quotient=quotient[:0], dim=0)) == 1.0
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
