@@ -8,6 +8,7 @@ flattening convention is shared by every module in the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -227,16 +228,20 @@ class StandardFormData:
         return self.algebra.adjoint_perm()
 
 
+@functools.cache
 def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
-    """Regular representation of the algebra on itself with trace inner product."""
+    """Regular representation of the algebra on itself with trace inner product.
+
+    Built once per block tuple and shared by every caller, so its action
+    arrays are read-only.
+    """
     from .bimodule import Bimodule  # local import to avoid a cycle
 
-    bim = Bimodule(
-        left_algebra=algebra,
-        right_algebra=algebra,
-        left_units=_left_unit_matrices(algebra),
-        right_units=_right_unit_matrices(algebra),
-    )
+    units = _left_unit_matrices(algebra), _right_unit_matrices(algebra)
+    for u in units:
+        u.setflags(write=False)
+    bim = Bimodule(left_algebra=algebra, right_algebra=algebra,
+                   left_units=units[0], right_units=units[1])
     return StandardFormData(algebra=algebra, bimodule=bim)
 
 

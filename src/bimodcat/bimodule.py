@@ -15,6 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, amplify_algebra
 from .linalg import RANK_EPS, crandn, null_space_hermitian, op_norm
+from .store import stored
 
 
 class NotABimoduleError(ValueError):
@@ -174,8 +175,13 @@ def dual_bimodule(x: Bimodule) -> Bimodule:
     """Dual bimodule X* on conjugate coordinates.
 
     A vector xi in X is sent to the functional xi* with coordinates conj(xi);
-    the actions are fixed by  b . xi* . a = (a* xi b*)*.
+    the actions are fixed by  b . xi* . a = (a* xi b*)*.  Inside an open
+    product store the dual of a member is built once and is a member too.
     """
+    return stored(_dual_bimodule, x, member=True)
+
+
+def _dual_bimodule(x: Bimodule) -> Bimodule:
     perm_r = x.right_algebra.adjoint_perm()
     perm_l = x.left_algebra.adjoint_perm()
     left_units = np.conj(x.right_units[perm_r])

@@ -23,6 +23,7 @@ from .bimodule import (Bimodule, Morphism, double_dual_iso, dual_bimodule,
 from .instances import InstanceSpec, random_morphism
 from .involution import conjugation
 from .linalg import DEFAULT_TOL, op_norm, scale_tol, small_rotation
+from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor, m_iso,
                      right_unitor, tensor, tensor_left, tensor_morphisms,
                      tensor_right)
@@ -292,24 +293,25 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
                        _path_tol(base_tol, f), dims))
 
     t_xy = {kind: tensor(kind, x, y) for kind in (KIND_LEFT, KIND_RIGHT)}
+    fg = {}     # f (x) g on X (x) Y, per kind: shared by the next three squares
     worst = 0.0
     for kind in (KIND_LEFT, KIND_RIGHT):
         t_yz = tensor(kind, y, z)
         t_xy_z = tensor(kind, t_xy[kind].result, z)
         t_x_yz = tensor(kind, x, t_yz.result)
         a = associator(t_xy[kind], t_xy_z, t_yz, t_x_yz)
-        fg = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
-        lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg, np.eye(z.dim))
+        fg[kind] = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
+        lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg[kind], np.eye(z.dim))
         gz = tensor_morphisms(t_yz, t_yz, g, np.eye(z.dim))
         rhs = tensor_morphisms(t_x_yz, t_x_yz, f, gz) @ a
         worst = max(worst, op_norm(lhs - rhs))
     out.append(_result("naturality-assoc", worst,
                        _path_tol(base_tol, f, g), dims))
 
-    t_l, t_r = t_xy[KIND_LEFT], t_xy[KIND_RIGHT]
-    m = _twist(m_iso(x, y, tp_left=t_l, tp_right=t_r), "m", mutation)
-    lhs = m @ tensor_morphisms(t_l, t_l, f, g)
-    rhs = tensor_morphisms(t_r, t_r, f, g) @ m
+    m = _twist(m_iso(x, y, tp_left=t_xy[KIND_LEFT], tp_right=t_xy[KIND_RIGHT]),
+               "m", mutation)
+    lhs = m @ fg[KIND_LEFT]
+    rhs = fg[KIND_RIGHT] @ m
     out.append(_result("naturality-m", op_norm(lhs - rhs),
                        _path_tol(base_tol, m, f, g), dims))
 
@@ -320,8 +322,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         c = conjugation(kind, x, y, tp=t_xy[kind], tp_dual=t_yx,
                         xstar=xs, ystar=ys)
         tgf = tensor_morphisms(t_yx, t_yx, g.T, f.T)
-        fg = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
-        worst = max(worst, op_norm(c.matrix @ tgf - fg.T @ c.matrix))
+        worst = max(worst, op_norm(c.matrix @ tgf - fg[kind].T @ c.matrix))
     out.append(_result("naturality-c", worst,
                        _path_tol(base_tol, f, g), dims))
     return out
@@ -348,6 +349,16 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     Construction failures are captured per-check (the suite continues);
     the report is deterministic for a fixed instance: checks are sorted by
     name and all values derive from seeded draws.
+
+    The checks share one product store (see :mod:`bimodcat.store`) that is
+    opened here and closed when the call returns, also when a check raises.
+    Its members are the chain bimodules, the standard forms of their
+    algebras and the duals of members; each product of two members, and
+    each dual of a member, is built once per call instead of once per check
+    (a full 4-chain suite builds 66 products instead of 102).  Products
+    with a product's result as a factor are built per check and not kept:
+    keeping every product raised the ``dense`` benchmark's peak RSS from
+    68 to 88 MB (+29 %), while keeping the members' products reads 69 MB.
     """
     bs = instance.bimodules
     results: List[CheckResult] = []
@@ -371,22 +382,25 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
         return [r for r in check_naturality_suite(x, y, z, rng, **kw)
                 if want(r.name)]
 
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        if want(f"triangle-{kind}"):
-            run(f"triangle-{kind}", 2, check_triangle, kind)
-        if want(f"pentagon-{kind}"):
-            run(f"pentagon-{kind}", 4, check_pentagon, kind)
-    if want("m-unit"):
-        run("m-unit", 1, check_m_unit)
-    if want("m-assoc"):
-        run("m-assoc", 3, check_m_assoc)
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        if want(f"hexagon-{kind}"):
-            run(f"hexagon-{kind}", 3, check_involution_hexagon, kind)
-        if want(f"duality-{kind}"):
-            run(f"duality-{kind}", 2, check_duality_square, kind)
-    if any(want(n) for n in NATURALITY_FAMILIES):
-        run("naturality", 3, naturality)
+    standard = [standard_form(a).bimodule
+                for x in bs for a in (x.left_algebra, x.right_algebra)]
+    with product_store([*bs, *standard]):
+        for kind in (KIND_LEFT, KIND_RIGHT):
+            if want(f"triangle-{kind}"):
+                run(f"triangle-{kind}", 2, check_triangle, kind)
+            if want(f"pentagon-{kind}"):
+                run(f"pentagon-{kind}", 4, check_pentagon, kind)
+        if want("m-unit"):
+            run("m-unit", 1, check_m_unit)
+        if want("m-assoc"):
+            run("m-assoc", 3, check_m_assoc)
+        for kind in (KIND_LEFT, KIND_RIGHT):
+            if want(f"hexagon-{kind}"):
+                run(f"hexagon-{kind}", 3, check_involution_hexagon, kind)
+            if want(f"duality-{kind}"):
+                run(f"duality-{kind}", 2, check_duality_square, kind)
+        if any(want(n) for n in NATURALITY_FAMILIES):
+            run("naturality", 3, naturality)
     results.sort(key=lambda r: r.name)
     defects = [r.defect for r in results]
     errors = sum(1 for r in results if r.error)

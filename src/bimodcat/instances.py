@@ -255,8 +255,9 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
     lim = _need(doc, "limits", "$")
     bounds = {key: _need_int(lim, key, "$.limits")
               for key in ("max_blocks", "max_block", "max_mult", "max_dim")}
+    min_mult = _need_int(lim, "min_mult", "$.limits") if "min_mult" in lim else 0
     try:
-        limits = Limits(**bounds, min_mult=int(lim.get("min_mult", 0)))
+        limits = Limits(**bounds, min_mult=min_mult)
     except ValueError as exc:
         raise InstanceFormatError(f"$.limits: {exc}") from exc
 
@@ -298,7 +299,8 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
 
     n_listed = len(doc["bimodules"])
     morphisms = []
-    for i, m in enumerate(doc.get("morphisms", [])):
+    listed = _need_list(doc, "morphisms", "$") if "morphisms" in doc else []
+    for i, m in enumerate(listed):
         path = f"$.morphisms[{i}]"
         src = _need_int(m, "source", path)
         tgt = _need_int(m, "target", path)

@@ -38,6 +38,7 @@ from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Morphism, matrix_extension
 from .bounded import BoundedBasis, left_bounded_space, right_bounded_space
 from .linalg import RANK_EPS, map_from_spanning, op_norm, psd_eig, unit_inner
+from .store import stored
 
 KIND_LEFT = "left"     # ltimes
 KIND_RIGHT = "right"   # rtimes
@@ -101,7 +102,12 @@ def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
     The algebraic space is (bounded basis of X) x (basis of Y).  The result
     acts by Q (F_u (x) 1) E on the left, F_u the bounded-basis coefficients
     of L_u f_i, and by Q (1 (x) R_u) E on the right, R_u the right action on Y.
+    Inside an open product store, a product of two members is built once.
     """
+    return stored(_tensor_left, x, y)
+
+
+def _tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
     _check_middle(x, y)
     bb = right_bounded_space(x)
     # vec([f_i, f_j]_B)[w] = (R_w xi_i)^H xi_j
@@ -123,8 +129,13 @@ def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
     The algebraic space is (basis of X) x (bounded basis of Y).  The result
     acts by Q (L_u (x) 1) E on the left, L_u the left action on X, and by
     Q (1 (x) C_u) E on the right, C_u the bounded-basis coefficients of
-    R_u v_j.
+    R_u v_j.  Inside an open product store, a product of two members is
+    built once.
     """
+    return stored(_tensor_right, x, y)
+
+
+def _tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
     _check_middle(x, y)
     bb = left_bounded_space(y)
     # vec(_B[v_k, v_j])[w] = (L_w eta_j)^H eta_k  -> entry for pair (j, k)

@@ -72,6 +72,15 @@ def test_standard_form_is_bimodule():
         assert sf.dim == sf.algebra.dim
 
 
+def test_standard_form_is_built_once_and_read_only():
+    sf = standard_form(MultiMatrixAlgebra((1, 2)))
+    assert standard_form(MultiMatrixAlgebra((1, 2))) is sf
+    with pytest.raises(ValueError):
+        sf.bimodule.left_units[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        sf.bimodule.right_units[0, 0, 0] = 2.0
+
+
 def test_sharp_is_star():
     a = MultiMatrixAlgebra((2, 2))
     sf = standard_form(a)

@@ -154,7 +154,10 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
              ("$.bimodules[0].left",
               lambda doc: doc["bimodules"][0].update(left="a")),
              ("$.algebras[0]", lambda doc: doc["algebras"].__setitem__(0, 7)),
-             ("$.algebras", lambda doc: doc.update(algebras=3)))
+             ("$.algebras", lambda doc: doc.update(algebras=3)),
+             ("$.morphisms", lambda doc: doc.update(morphisms=3)),
+             ("$.limits.min_mult",
+              lambda doc: doc["limits"].update(min_mult=None)))
     for field, corrupt in cases:
         doc = to_document(generate(1))
         corrupt(doc)

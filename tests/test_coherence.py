@@ -1,8 +1,12 @@
+import importlib
+import json
+
 import numpy as np
 import pytest
 
-from bimodcat.algebra import MultiMatrixAlgebra
-from bimodcat.bimodule import canonical_bimodule
+from bimodcat import coherence
+from bimodcat.algebra import MultiMatrixAlgebra, standard_form
+from bimodcat.bimodule import canonical_bimodule, dual_bimodule
 from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_square,
                                 check_involution_hexagon, check_m_assoc,
                                 check_m_unit, check_naturality_suite,
@@ -10,7 +14,11 @@ from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_squar
                                 run_suite)
 from bimodcat.instances import InstanceSpec, Limits, generate
 from bimodcat.linalg import random_unitary
-from bimodcat.tensor import KIND_LEFT, KIND_RIGHT
+from bimodcat.store import product_store
+from bimodcat.tensor import KIND_LEFT, KIND_RIGHT, tensor_left, tensor_right
+
+# the module, not the ``tensor`` function the package re-exports
+tensor_module = importlib.import_module("bimodcat.tensor")
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -134,9 +142,8 @@ def test_guarded_errors_reported():
     assert exit_code(rep) == 2
 
 
-def test_naturality_subset_reports_construction_error():
-    # a naturality-only suite on a chain with mismatched middle algebras
-    # still reports the failed construction, under the family's name
+def _mismatched_spec():
+    """A 3-chain whose second bimodule's left algebra is not the first's right."""
     rng = np.random.default_rng(11)
     x = _bim(rng, (2,), (2,), [[1]])
     y = _bim(rng, (1,), (2,), [[1]])   # left algebra mismatch with x's right
@@ -148,10 +155,92 @@ def test_naturality_subset_reports_construction_error():
                                           y.right_algebra, z.right_algebra))
     object.__setattr__(spec, "bimodules", (x, y, z))
     object.__setattr__(spec, "morphisms", ())
+    return spec
+
+
+def test_naturality_subset_reports_construction_error():
+    # a naturality-only suite on a chain with mismatched middle algebras
+    # still reports the failed construction, under the family's name
+    spec = _mismatched_spec()
     rep = run_suite(spec, suite=["naturality-m"])
     assert [c["name"] for c in rep["checks"]] == ["naturality"]
     assert "middle algebras differ" in rep["checks"][0]["error"]
     assert exit_code(rep) == 2
+
+
+def test_suite_builds_each_member_product_once(monkeypatch):
+    # 102 products on a full 4-chain suite, 36 of them repeats of a product
+    # of two members (chain bimodules, standard forms, duals)
+    builds = []
+
+    def counted(build):
+        def wrapper(x, y):
+            builds.append((x, y))
+            return build(x, y)
+        return wrapper
+
+    for name in ("_tensor_left", "_tensor_right"):
+        monkeypatch.setattr(tensor_module, name,
+                            counted(getattr(tensor_module, name)))
+    spec = generate(0, limits=Limits())
+    assert len(spec.bimodules) == 4
+    assert exit_code(run_suite(spec)) == 0
+    assert len(builds) == 66
+
+
+def _assert_no_store(x, z):
+    assert tensor_left(x, z) is not tensor_left(x, z)
+    assert dual_bimodule(x) is not dual_bimodule(x)
+
+
+def test_no_store_after_run_suite():
+    spec = _mismatched_spec()
+    x, _, z = spec.bimodules
+    rep = run_suite(spec)
+    assert rep["summary"]["errors"] > 0     # checks raised inside the store
+    _assert_no_store(x, z)
+
+
+def test_no_store_after_run_suite_raises(monkeypatch):
+    class Abort(BaseException):
+        pass
+
+    def abort(*args, **kwargs):
+        raise Abort
+
+    spec = _mismatched_spec()
+    x, _, z = spec.bimodules
+    monkeypatch.setattr(coherence, "check_m_unit", abort)
+    with pytest.raises(Abort):
+        run_suite(spec)
+    _assert_no_store(x, z)
+
+
+def test_run_suite_reports_do_not_depend_on_earlier_calls():
+    specs = (generate(3, limits=Limits()), generate(4, limits=Limits()))
+    in_turn = [run_suite(s) for s in specs]
+    standard_form.cache_clear()
+    fresh = [run_suite(s) for s in reversed(specs)][::-1]
+    assert json.dumps(in_turn) == json.dumps(fresh)
+
+
+def test_store_keeps_member_products_only():
+    rng = np.random.default_rng(2)
+    x, y, z = _chain(rng)
+    with product_store([x, y, z]):
+        t_xy = tensor_left(x, y)
+        assert tensor_left(x, y) is t_xy
+        assert not t_xy.quotient.flags.writeable
+        assert not t_xy.result.left_units.flags.writeable
+        assert x.left_units.flags.writeable      # members stay as given
+        assert tensor_right(x, y) is not t_xy
+        # a product of a product's result is built per call
+        assert tensor_left(t_xy.result, z) is not tensor_left(t_xy.result, z)
+        # the dual of a member is kept and is a member itself
+        xs, ys = dual_bimodule(x), dual_bimodule(y)
+        assert dual_bimodule(x) is xs
+        assert tensor_right(ys, xs) is tensor_right(ys, xs)
+    _assert_no_store(x, y)
 
 
 def test_empty_instance_gives_empty_report():
