@@ -14,7 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import RANK_EPS, crandn, hermitize, psd_eig
+from .linalg import RANK_EPS, crandn, hermitize, psd_eig, psd_sqrt
 
 
 class NotPositiveError(ValueError):
@@ -183,28 +183,17 @@ class NormalFunctional:
         return (self.density @ a).trace()
 
 
-def _left_unit_matrices(algebra: MultiMatrixAlgebra) -> np.ndarray:
-    """Left-multiplication action of every matrix unit on vectorized elements."""
+def _unit_matrices(algebra: MultiMatrixAlgebra) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right multiplication by every matrix unit, on vectorized elements."""
     d = algebra.dim
-    out = np.zeros((d, d, d), dtype=complex)
+    left, right = np.zeros((2, d, d, d), dtype=complex)
     for u, (k, p, q) in enumerate(algebra.unit_positions()):
         off, n = algebra.offsets[k], algebra.blocks[k]
         e = np.zeros((n, n))
         e[p, q] = 1.0
-        out[u, off:off + n * n, off:off + n * n] = np.kron(e, np.eye(n))
-    return out
-
-
-def _right_unit_matrices(algebra: MultiMatrixAlgebra) -> np.ndarray:
-    """Right-multiplication action of every matrix unit on vectorized elements."""
-    d = algebra.dim
-    out = np.zeros((d, d, d), dtype=complex)
-    for u, (k, p, q) in enumerate(algebra.unit_positions()):
-        off, n = algebra.offsets[k], algebra.blocks[k]
-        e = np.zeros((n, n))
-        e[p, q] = 1.0
-        out[u, off:off + n * n, off:off + n * n] = np.kron(np.eye(n), e.T)
-    return out
+        left[u, off:off + n * n, off:off + n * n] = np.kron(e, np.eye(n))
+        right[u, off:off + n * n, off:off + n * n] = np.kron(np.eye(n), e.T)
+    return left, right
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +226,7 @@ def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
     """
     from .bimodule import Bimodule  # local import to avoid a cycle
 
-    units = _left_unit_matrices(algebra), _right_unit_matrices(algebra)
+    units = _unit_matrices(algebra)
     for u in units:
         u.setflags(write=False)
     bim = Bimodule(left_algebra=algebra, right_algebra=algebra,
@@ -247,11 +236,7 @@ def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
 
 def gns_vector(phi: NormalFunctional) -> np.ndarray:
     """phi^{1/2} in L2(A): principal square root of the density, vectorized."""
-    roots = []
-    for b in phi.density.data:
-        w, v = psd_eig(b)
-        roots.append((v * np.sqrt(w)) @ v.conj().T)
-    return phi.algebra.element(roots).vec
+    return phi.algebra.element([psd_sqrt(b) for b in phi.density.data]).vec
 
 
 def support_projection(phi: NormalFunctional) -> AlgebraElement:

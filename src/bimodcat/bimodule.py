@@ -9,7 +9,7 @@ linearity this determines the action of every algebra element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class Bimodule:
                         prod = np.zeros_like(units[0])
                     else:
                         # e_pq e_rs = delta_qr e_ps
-                        w = k, p, s
                         idx = alg.offsets[k] + p * alg.blocks[k] + s
                         prod = units[idx] if q == r else np.zeros_like(units[0])
                     lhs = units[v] @ units[u] if anti else units[u] @ units[v]
@@ -85,6 +84,10 @@ class Bimodule:
         if worst > tol:
             raise NotABimoduleError(f"bimodule axioms violated (defect {worst:.3e})")
         return worst
+
+
+#: the two action stacks of a bimodule, in the order every two-sided loop takes
+_SIDES = ("left_units", "right_units")
 
 
 def _diag_unit_indices(alg: MultiMatrixAlgebra) -> List[int]:
@@ -112,10 +115,10 @@ class Morphism:
         """Worst defect of T L_a - L'_a T and T R_b - R'_b T over matrix units."""
         t = self.matrix
         worst = 0.0
-        for lu, lu2 in zip(self.source.left_units, self.target.left_units):
-            worst = max(worst, op_norm(t @ lu - lu2 @ t))
-        for ru, ru2 in zip(self.source.right_units, self.target.right_units):
-            worst = max(worst, op_norm(t @ ru - ru2 @ t))
+        for side in _SIDES:
+            for u, u2 in zip(getattr(self.source, side),
+                             getattr(self.target, side)):
+                worst = max(worst, op_norm(t @ u - u2 @ t))
         return worst
 
     def is_morphism(self, tol: float = 1e-8) -> bool:
@@ -159,14 +162,11 @@ def hom_basis(x: Bimodule, y: Bimodule) -> List[Morphism]:
     normal = np.zeros((n, n), dtype=complex)
     scale = 0.0
     idx = np.eye(dx, dtype=complex), np.eye(dy, dtype=complex)
-    for su, tu in zip(x.left_units, y.left_units):
-        k = np.kron(idx[1], su.T) - np.kron(tu, idx[0])
-        normal += k.conj().T @ k
-        scale += max(op_norm(su), op_norm(tu)) ** 2
-    for su, tu in zip(x.right_units, y.right_units):
-        k = np.kron(idx[1], su.T) - np.kron(tu, idx[0])
-        normal += k.conj().T @ k
-        scale += max(op_norm(su), op_norm(tu)) ** 2
+    for side in _SIDES:
+        for su, tu in zip(getattr(x, side), getattr(y, side)):
+            k = np.kron(idx[1], su.T) - np.kron(tu, idx[0])
+            normal += k.conj().T @ k
+            scale += max(op_norm(su), op_norm(tu)) ** 2
     kernel = null_space_hermitian(normal, scale=max(scale, 1.0))
     return [Morphism(x, y, kernel[:, j].reshape(dy, dx)) for j in range(kernel.shape[1])]
 
@@ -225,29 +225,34 @@ def matrix_extension(x: Bimodule, ni: int, nj: int) -> Bimodule:
     """
     if ni < 1 or nj < 1:
         raise ValueError("extension orders must be >= 1")
-    big_l = amplify_algebra(x.left_algebra, ni)
-    big_r = amplify_algebra(x.right_algebra, nj)
-    d = x.dim
-    dext = ni * nj * d
-    left_units = np.zeros((big_l.dim, dext, dext), dtype=complex)
-    for u, (k, pp, qq) in enumerate(big_l.unit_positions()):
-        nk = x.left_algebra.blocks[k]
+    # the outer unit e_ij acts on the slots of its own side: on the left it
+    # sends row j to row i, on the right slot i feeds slot j
+    dext = ni * nj * x.dim
+    big_l, left_units = _extended_units(x.left_algebra, x.left_units, ni, dext,
+                                        lambda e: np.kron(e, np.eye(nj)))
+    big_r, right_units = _extended_units(x.right_algebra, x.right_units, nj,
+                                         dext, lambda e: np.kron(np.eye(ni), e.T))
+    return Bimodule(big_l, big_r, left_units, right_units)
+
+
+def _extended_units(alg: MultiMatrixAlgebra, units: np.ndarray, n: int,
+                    dext: int, slots: Callable[[np.ndarray], np.ndarray]
+                    ) -> Tuple[MultiMatrixAlgebra, np.ndarray]:
+    """M_n(alg) and the actions of its matrix units e_ij (x) e_pq.
+
+    ``slots`` maps the n x n outer unit e_ij to its action on the ni x nj
+    outer slots; the unit acts as ``slots(e_ij) (x) units[e_pq]``.
+    """
+    big = amplify_algebra(alg, n)
+    out = np.zeros((big.dim, dext, dext), dtype=complex)
+    for u, (k, pp, qq) in enumerate(big.unit_positions()):
+        nk = alg.blocks[k]
         i, p = divmod(pp, nk)
         j, q = divmod(qq, nk)
-        inner = x.left_algebra.offsets[k] + p * nk + q
-        eo = np.zeros((ni, ni))
+        eo = np.zeros((n, n))
         eo[i, j] = 1.0
-        left_units[u] = np.kron(np.kron(eo, np.eye(nj)), x.left_units[inner])
-    right_units = np.zeros((big_r.dim, dext, dext), dtype=complex)
-    for u, (k, pp, qq) in enumerate(big_r.unit_positions()):
-        nk = x.right_algebra.blocks[k]
-        jp, p = divmod(pp, nk)   # outer row index of the algebra element
-        j, q = divmod(qq, nk)
-        inner = x.right_algebra.offsets[k] + p * nk + q
-        eo = np.zeros((nj, nj))
-        eo[j, jp] = 1.0          # slot jp feeds slot j under right multiplication
-        right_units[u] = np.kron(np.kron(np.eye(ni), eo), x.right_units[inner])
-    return Bimodule(big_l, big_r, left_units, right_units)
+        out[u] = np.kron(slots(eo), units[alg.offsets[k] + p * nk + q])
+    return big, out
 
 
 def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -265,35 +270,18 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
         raise ValueError("multiplicity matrix has wrong shape")
     if (mult < 0).any():
         raise ValueError("multiplicities must be nonnegative")
-    sectors = []  # (k, l, offset, size)
-    d = 0
-    for k, nk in enumerate(a.blocks):
-        for l, ml in enumerate(b.blocks):
-            size = nk * int(mult[k, l]) * ml
-            sectors.append((k, l, d, size))
-            d += size
+    d = canonical_dim(a, b, mult)
     left_units = np.zeros((a.dim, d, d), dtype=complex)
-    for u, (k, p, q) in enumerate(a.unit_positions()):
-        nk = a.blocks[k]
-        e = np.zeros((nk, nk))
-        e[p, q] = 1.0
-        for (k2, l, off, size) in sectors:
-            if k2 != k or size == 0:
-                continue
-            ml = b.blocks[l]
-            left_units[u][off:off + size, off:off + size] = np.kron(
-                e, np.eye(int(mult[k, l]) * ml))
     right_units = np.zeros((b.dim, d, d), dtype=complex)
-    for u, (l, p, q) in enumerate(b.unit_positions()):
-        ml = b.blocks[l]
-        e = np.zeros((ml, ml))
-        e[p, q] = 1.0
-        for (k, l2, off, size) in sectors:
-            if l2 != l or size == 0:
-                continue
-            nk = a.blocks[k]
-            right_units[u][off:off + size, off:off + size] = np.kron(
-                np.eye(nk * int(mult[k, l])), e.T)
+    sec = slice(0, 0)   # the nonzero sectors (k, l) follow each other row-major
+    for k, l in zip(*np.nonzero(mult)):
+        nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
+        sec = slice(sec.stop, sec.stop + nk * mu * ml)
+        # row p * n + q of the identity on C^(n*n) is the matrix unit e_pq
+        for u, e in enumerate(np.eye(nk * nk).reshape(-1, nk, nk)):
+            left_units[a.offsets[k] + u, sec, sec] = np.kron(e, np.eye(mu * ml))
+        for u, e in enumerate(np.eye(ml * ml).reshape(-1, ml, ml)):
+            right_units[b.offsets[l] + u, sec, sec] = np.kron(np.eye(nk * mu), e.T)
     if basis_unitary is not None:
         w = np.asarray(basis_unitary, dtype=complex)
         if w.shape != (d, d):
@@ -302,6 +290,12 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
         right_units = w @ right_units @ w.conj().T
     return Bimodule(a, b, left_units, right_units,
                     canonical=(mult, basis_unitary))
+
+
+def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
+                  mult: np.ndarray) -> int:
+    """Dimension sum_{k,l} n_k mult[k, l] m_l of the canonical model."""
+    return int(np.asarray(a.blocks) @ np.asarray(mult) @ np.asarray(b.blocks))
 
 
 def multiplicity_matrix(x: Bimodule) -> np.ndarray:

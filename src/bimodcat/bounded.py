@@ -27,6 +27,13 @@ class ExtractionError(ValueError):
     """An operator on L2 claimed to be a multiplication failed verification."""
 
 
+def _acting(x: Bimodule, side: str) -> Tuple[MultiMatrixAlgebra, np.ndarray]:
+    """(algebra, matrix-unit actions) of the ``side`` action on x."""
+    if side == "right":
+        return x.right_algebra, x.right_units
+    return x.left_algebra, x.left_units
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedVector:
     """One-sided module map from a standard form into a bimodule."""
@@ -38,14 +45,12 @@ class BoundedVector:
     def __post_init__(self):
         if self.side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {self.side!r}")
-        alg = self.algebra
-        if self.matrix.shape != (self.bimodule.dim, alg.dim):
+        if self.matrix.shape != (self.bimodule.dim, self.algebra.dim):
             raise ValueError("bounded-vector matrix has wrong shape")
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
-        return (self.bimodule.right_algebra if self.side == "right"
-                else self.bimodule.left_algebra)
+        return _acting(self.bimodule, self.side)[0]
 
     @property
     def eval_vector(self) -> np.ndarray:
@@ -54,10 +59,8 @@ class BoundedVector:
 
     def defect(self) -> float:
         """One-sided intertwiner defect over matrix units."""
-        units = (self.bimodule.right_units if self.side == "right"
-                 else self.bimodule.left_units)
-        std = standard_form(self.algebra).bimodule
-        std_units = std.right_units if self.side == "right" else std.left_units
+        alg, units = _acting(self.bimodule, self.side)
+        std_units = _acting(standard_form(alg).bimodule, self.side)[1]
         worst = 0.0
         for u, su in zip(units, std_units):
             worst = max(worst, op_norm(self.matrix @ su - u @ self.matrix))
@@ -68,16 +71,14 @@ class BoundedVector:
         """a . g . b for right vectors, (a f b) for left vectors."""
         m = self.matrix
         std = standard_form(self.algebra).bimodule
-        if self.side == "right":
-            if b is not None:
-                m = m @ std.left_action(b)
-            if a is not None:
-                m = self.bimodule.left_action(a) @ m
-        else:
-            if a is not None:
-                m = m @ std.right_action(a)
-            if b is not None:
-                m = self.bimodule.right_action(b) @ m
+        # the element on the bounded side acts on L2 and the other on the
+        # bimodule, both through the action opposite to the bounded side
+        inner, outer = (b, a) if self.side == "right" else (a, b)
+        act = "left_action" if self.side == "right" else "right_action"
+        if inner is not None:
+            m = m @ getattr(std, act)(inner)
+        if outer is not None:
+            m = getattr(self.bimodule, act)(outer) @ m
         return BoundedVector(self.side, self.bimodule, m)
 
     def hs_inner(self, other: "BoundedVector") -> complex:
@@ -97,11 +98,12 @@ class BoundedBasis:
     bimodule: Bimodule
     form: np.ndarray      # (d, d) positive definite (unital action)
     vectors: np.ndarray   # (d, n) with n == d
+    eigenvalues: np.ndarray   # psd_eig(form), kept for the frame
+    eigenvectors: np.ndarray
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
-        return (self.bimodule.right_algebra if self.side == "right"
-                else self.bimodule.left_algebra)
+        return _acting(self.bimodule, self.side)[0]
 
     @property
     def size(self) -> int:
@@ -109,8 +111,7 @@ class BoundedBasis:
 
     @property
     def action_units(self) -> np.ndarray:
-        return (self.bimodule.right_units if self.side == "right"
-                else self.bimodule.left_units)
+        return _acting(self.bimodule, self.side)[1]
 
     def map_for(self, eval_vector: np.ndarray) -> np.ndarray:
         """Full matrix L2 -> X of the bounded vector with the given value at 1."""
@@ -137,7 +138,7 @@ class BoundedBasis:
         bounded maps on X; S commutes with the one-sided action, so the
         normalized family is again made of bounded vectors.
         """
-        w, v = psd_eig(self.form)
+        w, v = self.eigenvalues, self.eigenvectors
         if w.size == 0:
             return self.vectors
         winv = (v * (1.0 / np.where(w > RANK_EPS * w[0], w, np.inf))) @ v.conj().T
@@ -158,13 +159,13 @@ def left_bounded_space(x: Bimodule) -> BoundedBasis:
 
 
 def _bounded_space(x: Bimodule, side: str) -> BoundedBasis:
-    units = x.right_units if side == "right" else x.left_units
+    units = _acting(x, side)[1]
     form = np.einsum("wca,wcb->ab", units.conj(), units)
     w, v = psd_eig(form)
     if w.size and w[0] > 0 and w[-1] < RANK_EPS * w[0]:
         raise ValueError(f"{side} action is degenerate; bounded vectors do not span")
     vectors = v / np.sqrt(w)[None, :] if w.size else v
-    return BoundedBasis(side, x, form, vectors)
+    return BoundedBasis(side, x, form, vectors, w, v)
 
 
 def right_bounded_basis(x: Bimodule):
@@ -179,14 +180,14 @@ def left_bounded_basis(x: Bimodule):
 
 
 def _extract_multiplication(alg: MultiMatrixAlgebra, composite: np.ndarray,
-                            side: str, tol: float = 1e-8) -> AlgebraElement:
+                            side: str) -> AlgebraElement:
     """Recover b from an operator on L2 that is left (or right) multiplication by b."""
     std = standard_form(alg).bimodule
     vec = composite @ alg.identity().vec
     b = alg.unvec(vec)
     model = std.left_action(b) if side == "left" else std.right_action(b)
     defect = op_norm(model - composite)
-    if defect > tol * max(1.0, op_norm(composite)):
+    if defect > 1e-8 * max(1.0, op_norm(composite)):
         raise ExtractionError(
             f"operator is not a {side} multiplication (defect {defect:.3e}); "
             "input is probably not an intertwiner")

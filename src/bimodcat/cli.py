@@ -25,7 +25,7 @@ import numpy as np
 
 from . import coherence, instances
 from .bimodule import multiplicity_matrix
-from .linalg import DEFAULT_TOL, op_norm, psd_rank
+from .linalg import DEFAULT_TOL, op_norm
 from .tensor import m_iso, tensor_left, tensor_right
 
 
@@ -194,8 +194,9 @@ def cmd_tensor(args) -> int:
     info = {
         "dims": {"X": x.dim, "Y": y.dim,
                  "ltimes": tp_l.dim, "rtimes": tp_r.dim},
-        "gramRank": {"ltimes": psd_rank(tp_l.gram, scale=1.0),
-                     "rtimes": psd_rank(tp_r.gram, scale=1.0)},
+        # the quotient keeps exactly the eigenvalues psd_rank(gram, scale=1.0)
+        # counts, so the Gram rank is the product dimension
+        "gramRank": {"ltimes": tp_l.dim, "rtimes": tp_r.dim},
         "multiplicities": {
             "X": multiplicity_matrix(x).tolist(),
             "Y": multiplicity_matrix(y).tolist(),

@@ -18,8 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import standard_form
-from .bimodule import (Bimodule, Morphism, double_dual_iso, dual_bimodule,
-                       transpose)
+from .bimodule import Bimodule, double_dual_iso, dual_bimodule, transpose
 from .instances import InstanceSpec, random_morphism
 from .involution import conjugation
 from .linalg import DEFAULT_TOL, op_norm, scale_tol, small_rotation
@@ -142,18 +141,15 @@ def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
         return _degenerate(name, base_tol, (x.dim,))
     l2a = standard_form(x.left_algebra).bimodule
     l2b = standard_form(x.right_algebra).bimodule
-    t1l = tensor_left(l2a, x)
-    t1r = tensor_right(l2a, x)
-    m1 = _twist(m_iso(l2a, x, tp_left=t1l, tp_right=t1r), "m", mutation)
-    lu = _twist(left_unitor(t1r), "left-unit", mutation)
-    d1 = op_norm(lu @ m1 - left_unitor(t1l))
-    t2l = tensor_left(x, l2b)
-    t2r = tensor_right(x, l2b)
-    m2 = _twist(m_iso(x, l2b, tp_left=t2l, tp_right=t2r), "m", mutation)
-    ru = _twist(right_unitor(t2r), "right-unit", mutation)
-    d2 = op_norm(ru @ m2 - right_unitor(t2l))
-    return _result(name, max(d1, d2), _path_tol(base_tol, lu, m1, ru, m2),
-                   (x.dim,))
+    defects, edges = [], []
+    for pair, unitor, role in (((l2a, x), left_unitor, "left-unit"),
+                               ((x, l2b), right_unitor, "right-unit")):
+        tl, tr = tensor_left(*pair), tensor_right(*pair)
+        m = _twist(m_iso(*pair, tp_left=tl, tp_right=tr), "m", mutation)
+        unit = _twist(unitor(tr), role, mutation)
+        defects.append(op_norm(unit @ m - unitor(tl)))
+        edges += [unit, m]
+    return _result(name, max(defects), _path_tol(base_tol, *edges), (x.dim,))
 
 
 def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
@@ -210,21 +206,19 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     t_z_yx = tensor(kind, zs, t_yx.result)
     a_dual = associator(t_zy, t_zy_x, t_yx, t_z_yx)
     a_dual = _twist(a_dual, "assoc", mutation)
-    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx, xstar=xs, ystar=ys)
-    c_yz = conjugation(kind, y, z, tp=t_yz, tp_dual=t_zy, xstar=ys, ystar=zs)
+    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx)
+    c_yz = conjugation(kind, y, z, tp=t_yz, tp_dual=t_zy)
     c_xy_mat = _twist(c_xy.matrix, "c", mutation)
     dual_xy = c_xy.target
     t_z_dxy = tensor(kind, zs, dual_xy)
     e_a = tensor_morphisms(t_z_yx, t_z_dxy, np.eye(zs.dim), c_xy_mat,
                            check=mutation is None)
-    c2 = conjugation(kind, t_xy.result, z, tp=t_xy_z, tp_dual=t_z_dxy,
-                     xstar=dual_xy, ystar=zs)
+    c2 = conjugation(kind, t_xy.result, z, tp=t_xy_z, tp_dual=t_z_dxy)
     lhs = c2.matrix @ e_a @ a_dual
     dual_yz = c_yz.target
     t_dyz_x = tensor(kind, dual_yz, xs)
     e_b = tensor_morphisms(t_zy_x, t_dyz_x, c_yz.matrix, np.eye(xs.dim))
-    c3 = conjugation(kind, x, t_yz.result, tp=t_x_yz, tp_dual=t_dyz_x,
-                     xstar=xs, ystar=dual_yz)
+    c3 = conjugation(kind, x, t_yz.result, tp=t_x_yz, tp_dual=t_dyz_x)
     rhs = a.T @ c3.matrix @ e_b
     defect = op_norm(lhs - rhs)
     return _result(name, defect, _path_tol(base_tol, c2.matrix, e_a, a_dual),
@@ -247,14 +241,13 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     t_xy = tensor(kind, x, y)
     t_yx = tensor(kind, ys, xs)
-    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx, xstar=xs, ystar=ys)
+    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx)
     c_xy_mat = _twist(c_xy.matrix, "c", mutation)
     xss, yss = dual_bimodule(xs), dual_bimodule(ys)
     t_dd = tensor(kind, xss, yss)
     d_x, d_y = double_dual_iso(x), double_dual_iso(y)
     dd_edge = tensor_morphisms(t_xy, t_dd, d_x.matrix, d_y.matrix)
-    c_dd = conjugation(kind, ys, xs, tp=t_yx, tp_dual=t_dd,
-                       xstar=yss, ystar=xss)
+    c_dd = conjugation(kind, ys, xs, tp=t_yx, tp_dual=t_dd)
     d_xy = double_dual_iso(t_xy.result)
     lhs = c_dd.matrix @ dd_edge
     rhs = c_xy_mat.T @ d_xy.matrix
@@ -283,12 +276,12 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
 
     worst = 0.0
     for kind in (KIND_LEFT, KIND_RIGHT):
-        t_lx = tensor(kind, l2a, x)
-        e = tensor_morphisms(t_lx, t_lx, np.eye(l2a.dim), f)
-        worst = max(worst, op_norm(left_unitor(t_lx) @ e - f @ left_unitor(t_lx)))
-        t_xr = tensor(kind, x, l2b)
-        e = tensor_morphisms(t_xr, t_xr, f, np.eye(l2b.dim))
-        worst = max(worst, op_norm(right_unitor(t_xr) @ e - f @ right_unitor(t_xr)))
+        for tp, unitor, f1, f2 in (
+                (tensor(kind, l2a, x), left_unitor, np.eye(l2a.dim), f),
+                (tensor(kind, x, l2b), right_unitor, f, np.eye(l2b.dim))):
+            u = unitor(tp)
+            e = tensor_morphisms(tp, tp, f1, f2)
+            worst = max(worst, op_norm(u @ e - f @ u))
     out.append(_result("naturality-unitors", worst,
                        _path_tol(base_tol, f), dims))
 
@@ -319,8 +312,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     for kind in (KIND_LEFT, KIND_RIGHT):
         t_yx = tensor(kind, ys, xs)
-        c = conjugation(kind, x, y, tp=t_xy[kind], tp_dual=t_yx,
-                        xstar=xs, ystar=ys)
+        c = conjugation(kind, x, y, tp=t_xy[kind], tp_dual=t_yx)
         tgf = tensor_morphisms(t_yx, t_yx, g.T, f.T)
         worst = max(worst, op_norm(c.matrix @ tgf - fg[kind].T @ c.matrix))
     out.append(_result("naturality-c", worst,

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra
-from .bimodule import (Bimodule, Morphism, canonical_bimodule,
+from .bimodule import (Bimodule, Morphism, canonical_bimodule, canonical_dim,
                        random_morphism_matrix)
 from .linalg import random_unitary
 
@@ -98,18 +98,12 @@ def random_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
                         size=(len(a.blocks), len(b.blocks)))
     if not mult.any():
         mult[0, 0] = 1
-
-    def total(m):
-        return sum(int(m[k, l]) * nk * ml
-                   for k, nk in enumerate(a.blocks)
-                   for l, ml in enumerate(b.blocks))
-
-    while total(mult) > limits.max_dim and mult.max() > 1:
+    while canonical_dim(a, b, mult) > limits.max_dim and mult.max() > 1:
         mult = mult - (mult > 1)
-    while total(mult) > limits.max_dim and mult.sum() > 1:
+    while canonical_dim(a, b, mult) > limits.max_dim and mult.sum() > 1:
         nz = np.argwhere(mult > 0)
         mult[tuple(nz[-1])] = 0
-    u = random_unitary(rng, total(mult))
+    u = random_unitary(rng, canonical_dim(a, b, mult))
     return canonical_bimodule(a, b, mult, basis_unitary=u)
 
 
@@ -120,12 +114,11 @@ def random_morphism(x: Bimodule, y: Bimodule,
 
 
 def generate(seed: int, limits: Optional[Limits] = None,
-             length: int = 4, n_morphisms: int = 3) -> InstanceSpec:
+             length: int = 4) -> InstanceSpec:
     """Deterministic random instance: a chain of ``length`` bimodules.
 
     Draw order: the ``length``+1 algebras, then the bimodules along the
-    chain, then one endomorphism of each of the first ``n_morphisms``
-    bimodules.
+    chain, then one endomorphism of each of the first three bimodules.
     """
     limits = limits if limits is not None else Limits()
     rng = np.random.default_rng(seed)
@@ -133,7 +126,7 @@ def generate(seed: int, limits: Optional[Limits] = None,
     bimodules = tuple(random_bimodule(algebras[i], algebras[i + 1], rng, limits)
                       for i in range(length))
     morphisms = tuple(random_morphism(bimodules[i], bimodules[i], rng)
-                      for i in range(min(n_morphisms, length)))
+                      for i in range(min(3, length)))
     return InstanceSpec(seed=seed, limits=limits, algebras=algebras,
                         bimodules=bimodules, morphisms=morphisms)
 
@@ -147,9 +140,12 @@ def _encode(arr: np.ndarray):
 
 
 def _decode(data, path: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise InstanceFormatError(f"{path}: expected [re, im] pairs")
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)   # not numbers: fails the shape test below
+    if arr.ndim < 1 or arr.shape[-1] != 2 or not np.isfinite(arr).all():
+        raise InstanceFormatError(f"{path}: expected [re, im] pairs of numbers")
     out = np.empty(arr.shape[:-1], dtype=complex)
     out.real = arr[..., 0]
     out.imag = arr[..., 1]   # keeps signed zeros for exact round trips
@@ -206,13 +202,17 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int`` in Python, but is not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _need_int(doc: dict, key: str, path: str) -> int:
     value = _need(doc, key, path)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
+    if not _is_int(value):
         raise InstanceFormatError(
-            f"{path}.{key}: expected an integer, got {value!r}") from None
+            f"{path}.{key}: expected an integer, got {value!r}")
+    return value
 
 
 def _need_list(doc: dict, key: str, path: str) -> list:
@@ -220,6 +220,16 @@ def _need_list(doc: dict, key: str, path: str) -> list:
     if not isinstance(value, list):
         raise InstanceFormatError(f"{path}.{key}: expected a list")
     return value
+
+
+def _multiplicities(value, rows: int, cols: int, path: str) -> np.ndarray:
+    """A rows x cols matrix of nonnegative integers, as nested lists."""
+    if not (isinstance(value, list) and len(value) == rows and all(
+            isinstance(row, list) and len(row) == cols
+            and all(_is_int(m) and m >= 0 for m in row) for row in value)):
+        raise InstanceFormatError(
+            f"{path}: expected a {rows}x{cols} matrix of nonnegative integers")
+    return np.array(value, dtype=int)
 
 
 def load(data) -> InstanceSpec:
@@ -248,7 +258,7 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be an object")
     version = _need(doc, "version", "$")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise InstanceFormatError(
             f"unsupported version {version!r} (expected {FORMAT_VERSION})")
     seed = _need_int(doc, "seed", "$")
@@ -263,10 +273,12 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
 
     algebras = []
     for i, a in enumerate(_need_list(doc, "algebras", "$")):
-        blocks = _need(a, "blocks", f"$.algebras[{i}]")
+        blocks = _need_list(a, "blocks", f"$.algebras[{i}]")
         try:
-            algebras.append(MultiMatrixAlgebra(tuple(int(n) for n in blocks)))
-        except (TypeError, ValueError) as exc:
+            if not all(_is_int(n) for n in blocks):
+                raise ValueError(f"expected integers, got {blocks!r}")
+            algebras.append(MultiMatrixAlgebra(tuple(blocks)))
+        except ValueError as exc:
             raise InstanceFormatError(f"$.algebras[{i}].blocks: {exc}") from exc
 
     violations: List[Tuple[str, float]] = []
@@ -280,15 +292,20 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
         la, ra = algebras[left], algebras[right]
         try:
             if "multiplicities" in b:
-                mult = np.asarray(b["multiplicities"], dtype=int)
+                mult = _multiplicities(b["multiplicities"], len(la.blocks),
+                                       len(ra.blocks), f"{path}.multiplicities")
                 u = (_decode(b["basis_unitary"], f"{path}.basis_unitary")
                      if "basis_unitary" in b else None)
+                dim = canonical_dim(la, ra, mult)
+                if u is not None and u.shape != (dim, dim):
+                    raise InstanceFormatError(
+                        f"{path}.basis_unitary: expected a {dim}x{dim} matrix")
                 x = canonical_bimodule(la, ra, mult, basis_unitary=u)
             else:
                 lu = _decode(_need(b, "left_action", path), f"{path}.left_action")
                 ru = _decode(_need(b, "right_action", path), f"{path}.right_action")
                 x = Bimodule(la, ra, lu, ru)
-                defect = x.validate()
+                x.validate()
         except InstanceFormatError:
             raise
         except Exception as exc:

@@ -35,14 +35,11 @@ def conjugation_mixed(x: Bimodule, y: Bimodule,
     and verifies consistency (raises ValueError if the family is not the
     graph of a linear map).
     """
-    if xstar is None:
-        xstar = dual_bimodule(x)
-    if ystar is None:
-        ystar = dual_bimodule(y)
     if tp_left is None:
         tp_left = tensor_left(x, y)
     if tp_dual is None:
-        tp_dual = tensor_right(ystar, xstar)
+        tp_dual = tensor_right(dual_bimodule(y) if ystar is None else ystar,
+                               dual_bimodule(x) if xstar is None else xstar)
     dy = y.dim
     # eval vector of the star of the i-th right bounded basis map is the
     # plain conjugate of its value at the identity
@@ -57,32 +54,29 @@ def conjugation_mixed(x: Bimodule, y: Bimodule,
 
 def conjugation(kind: str, x: Bimodule, y: Bimodule,
                 tp: Optional[TensorProduct] = None,
-                tp_dual: Optional[TensorProduct] = None,
-                xstar: Optional[Bimodule] = None,
-                ystar: Optional[Bimodule] = None) -> Morphism:
+                tp_dual: Optional[TensorProduct] = None) -> Morphism:
     """Single-kind conjugation c : (Y* kind X*) -> (X kind Y)*.
 
     ``tp`` is the kind-product of (X, Y) and ``tp_dual`` the kind-product
-    of (Y*, X*), when already available.
+    of (Y*, X*), when already available; the duals are ``tp_dual``'s
+    factors, or built here without it.
     """
-    if xstar is None:
-        xstar = dual_bimodule(x)
-    if ystar is None:
-        ystar = dual_bimodule(y)
+    if tp_dual is not None:
+        ystar, xstar = tp_dual.left_factor, tp_dual.right_factor
+    else:
+        xstar, ystar = dual_bimodule(x), dual_bimodule(y)
     if kind == KIND_LEFT:
         tp_left = tp if tp is not None else tensor_left(x, y)
         tpd_l = tp_dual if tp_dual is not None else tensor_left(ystar, xstar)
         tpd_r = tensor_right(ystar, xstar)
-        c = conjugation_mixed(x, y, tp_left=tp_left, tp_dual=tpd_r,
-                              xstar=xstar, ystar=ystar)
+        c = conjugation_mixed(x, y, tp_left=tp_left, tp_dual=tpd_r)
         m_dual = m_iso(ystar, xstar, tp_left=tpd_l, tp_right=tpd_r)
         return Morphism(tpd_l.result, c.target, c.matrix @ m_dual)
     if kind == KIND_RIGHT:
         tp_right = tp if tp is not None else tensor_right(x, y)
         tp_left = tensor_left(x, y)
         tpd_r = tp_dual if tp_dual is not None else tensor_right(ystar, xstar)
-        c = conjugation_mixed(x, y, tp_left=tp_left, tp_dual=tpd_r,
-                              xstar=xstar, ystar=ystar)
+        c = conjugation_mixed(x, y, tp_left=tp_left, tp_dual=tpd_r)
         m = m_iso(x, y, tp_left=tp_left, tp_right=tp_right)
         # c = (transpose m) o c_rtimes, so invert the transpose
         mat = np.linalg.solve(m.T, c.matrix)
@@ -91,10 +85,8 @@ def conjugation(kind: str, x: Bimodule, y: Bimodule,
 
 
 def conjugation_pair(x: Bimodule, y: Bimodule) -> Tuple[Morphism, Morphism]:
-    """Both single-kind conjugations (ltimes, rtimes), sharing the duals."""
-    xstar, ystar = dual_bimodule(x), dual_bimodule(y)
-    return (conjugation(KIND_LEFT, x, y, xstar=xstar, ystar=ystar),
-            conjugation(KIND_RIGHT, x, y, xstar=xstar, ystar=ystar))
+    """Both single-kind conjugations (ltimes, rtimes)."""
+    return conjugation(KIND_LEFT, x, y), conjugation(KIND_RIGHT, x, y)
 
 
 def transpose_on_product(kind: str, x: Bimodule, y: Bimodule,

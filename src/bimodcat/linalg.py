@@ -148,19 +148,18 @@ def small_rotation(rng: np.random.Generator, n: int, eps: float) -> np.ndarray:
     return (v * np.exp(1j * eps * theta)) @ v.conj().T
 
 
-def map_from_spanning(src_cols: np.ndarray, tgt_cols: np.ndarray,
-                      tol: float = 1e-7) -> np.ndarray:
+def map_from_spanning(src_cols: np.ndarray, tgt_cols: np.ndarray) -> np.ndarray:
     """Linear map M with M @ src_cols == tgt_cols, columns spanning the source.
 
     Raises ValueError when the columns are inconsistent (no linear map exists
-    within ``tol`` relative residual).
+    within 1e-7 relative residual).
     """
     if src_cols.shape[0] == 0:
         return np.zeros((tgt_cols.shape[0], 0), dtype=complex)
     m = tgt_cols @ np.linalg.pinv(src_cols, rcond=RANK_EPS)
     scale = max(op_norm(tgt_cols), 1.0)
     resid = op_norm(m @ src_cols - tgt_cols)
-    if resid > tol * scale:
+    if resid > 1e-7 * scale:
         raise ValueError(
             f"spanning-family data does not define a linear map (residual {resid:.3e})")
     return m

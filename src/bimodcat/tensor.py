@@ -7,11 +7,18 @@ Y (B-C):
 * ``kind="right"`` : completion of X (x)_B B(-1/2)Y        (the rtimes product)
 
 Each is realized as the Gram quotient of the algebraic tensor space spanned
-by (bounded basis) x (orthonormal basis); the quotient map Q satisfies
-Q^H Q = Gram on the positive part, so standard coordinates on the quotient
-are isometric, and the section E satisfies Q E = id.  An operator F (x) G
-on the algebraic space that preserves the Gram null space descends to
-Q (F (x) G) E on the quotient.  In particular the result bimodule acts by
+by (bounded basis) x (orthonormal basis), and both share one construction.
+The Gram is ``sum_w A_w (x) B_w`` over the matrix units w of the middle
+algebra B: for ``ltimes`` A_w holds the w-coordinates of the B-valued inner
+products [f_i, f_j]_B of the bounded basis and B_w is the left action on Y;
+for ``rtimes`` A_w is the right action on X and B_w holds the w-coordinates
+of _B[v_k, v_j].
+
+The quotient map Q satisfies Q^H Q = Gram on the positive part, so standard
+coordinates on the quotient are isometric, and the section E satisfies
+Q E = id.  An operator F (x) G on the algebraic space that preserves the
+Gram null space descends to Q (F (x) G) E on the quotient.  In particular
+the result bimodule acts by
 
 * ``Q (F_u (x) 1) E`` on the left, where F_u is the action of the u-th
   matrix unit on the first leg (for ``ltimes`` the bounded-basis
@@ -55,7 +62,6 @@ class TensorProduct:
     kind: str
     left_factor: Bimodule
     right_factor: Bimodule
-    middle: MultiMatrixAlgebra
     bounded: BoundedBasis        # right-bounded of X (kind left) / left-bounded of Y
     gram: np.ndarray             # algebraic Gram matrix
     quotient: np.ndarray         # Q : algebraic coords -> quotient coords
@@ -108,19 +114,13 @@ def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
 
 
 def _tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
-    _check_middle(x, y)
     bb = right_bounded_space(x)
     # vec([f_i, f_j]_B)[w] = (R_w xi_i)^H xi_j
     inner_vecs = unit_inner(x.right_units, bb.vectors, bb.vectors)
-    gram = np.einsum("wij,wst->isjt", inner_vecs, y.left_units)
-    n, dy = bb.size, y.dim
-    gram = gram.reshape(n * dy, n * dy)
-    quotient, section, kernel = _quotient_from_gram(gram)
     # F_u: bounded-basis coefficients of L_u xi_j
     fstack = bb.expand(x.left_units @ bb.vectors)
-    result = _tensor_result(x, y, quotient, section, fstack, y.right_units)
-    return TensorProduct(KIND_LEFT, x, y, x.right_algebra, bb, gram,
-                         quotient, section, kernel, result)
+    return _tensor_product(KIND_LEFT, x, y, bb, (inner_vecs, y.left_units),
+                           fstack, y.right_units)
 
 
 def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -136,19 +136,13 @@ def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
 
 
 def _tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
-    _check_middle(x, y)
     bb = left_bounded_space(y)
     # vec(_B[v_k, v_j])[w] = (L_w eta_j)^H eta_k  -> entry for pair (j, k)
     inner_vecs = unit_inner(y.left_units, bb.vectors, bb.vectors)
-    gram = np.einsum("wjk,wst->sjtk", inner_vecs, x.right_units)
-    dx, m = x.dim, bb.size
-    gram = gram.reshape(dx * m, dx * m)
-    quotient, section, kernel = _quotient_from_gram(gram)
     # C_u: bounded-basis coefficients of R_u eta_j
     cstack = bb.expand(y.right_units @ bb.vectors)
-    result = _tensor_result(x, y, quotient, section, x.left_units, cstack)
-    return TensorProduct(KIND_RIGHT, x, y, x.right_algebra, bb, gram,
-                         quotient, section, kernel, result)
+    return _tensor_product(KIND_RIGHT, x, y, bb, (x.right_units, inner_vecs),
+                           x.left_units, cstack)
 
 
 def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -159,44 +153,49 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
-def _check_middle(x: Bimodule, y: Bimodule):
-    if x.right_algebra.blocks != y.left_algebra.blocks:
-        raise ValueError(
-            f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
+def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
+                    legs: Tuple[np.ndarray, np.ndarray],
+                    first: np.ndarray, second: np.ndarray) -> TensorProduct:
+    """Gram quotient of sum_w A_w (x) B_w; acts by Q (F_u (x) 1) E, Q (1 (x) R_u) E.
 
-
-def _tensor_result(x, y, quotient, section, first, second) -> Bimodule:
-    """The quotient bimodule: actions Q (F_u (x) 1) E and Q (1 (x) R_u) E.
-
+    ``legs`` holds the (W, n1, n1) and (W, n2, n2) stacks A and B;
     ``first`` (U, n1, n1) acts on the first algebraic leg, ``second``
     (V, n2, n2) on the second; ``quotient`` is (r, n1*n2) and ``section``
     (n1*n2, r).  Batch sizes stay explicit so that r = 0 works.
     """
-    n1, n2 = first.shape[1], second.shape[1]
+    if x.right_algebra.blocks != y.left_algebra.blocks:
+        raise ValueError(
+            f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
+    gram = np.einsum("wij,wst->isjt", *legs)
+    n1, n2 = gram.shape[:2]
+    gram = gram.reshape(n1 * n2, n1 * n2)
+    quotient, section, kernel = _quotient_from_gram(gram)
     r = quotient.shape[0]
     # (F_u (x) 1) E: F_u on E with rows grouped by the first leg
     left = (first @ section.reshape(n1, n2 * r)).reshape(len(first), n1 * n2, r)
     # (1 (x) R_u) E: R_u on each first-leg slice of E
     right = (second[:, None] @ section.reshape(n1, n2, r)).reshape(
         len(second), n1 * n2, r)
-    return Bimodule(x.left_algebra, y.right_algebra,
-                    quotient @ left, quotient @ right)
+    result = Bimodule(x.left_algebra, y.right_algebra,
+                      quotient @ left, quotient @ right)
+    return TensorProduct(kind, x, y, bb, gram, quotient, section, kernel,
+                         result)
 
 
 def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
-                check: bool = True, tol: float = 1e-6) -> np.ndarray:
+                check: bool = True) -> np.ndarray:
     """Quotient map induced by a map of algebraic tensor coordinates.
 
     Verifies that the Gram null space of the source is mapped into the null
     space of the target (well-definedness of the descended map).  Numerically
     a true kernel vector carries a residual Gram seminorm of order
-    sqrt(machine epsilon times the Gram norm), hence the loose default.
+    sqrt(machine epsilon times the Gram norm), hence the loose 1e-6.
     """
     if check and src.kernel.shape[1]:
         defect = _gram_seminorm(tgt.gram, alg_map @ src.kernel)
         scale = (max(1.0, op_norm(alg_map))
                  * np.sqrt(_gram_scale(src) * _gram_scale(tgt)))
-        if defect > tol * scale:
+        if defect > 1e-6 * scale:
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
     return tgt.quotient @ alg_map @ src.section
@@ -224,13 +223,12 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
     """
     if src.kind != tgt.kind:
         raise ValueError("source and target tensor kinds differ")
+    # the bounded leg maps through the bounded-basis coefficients
     if src.kind == KIND_LEFT:
-        fc = tgt.bounded.expand(f @ src.bounded.vectors)
-        alg_map = np.kron(fc, g)
+        f = tgt.bounded.expand(f @ src.bounded.vectors)
     else:
-        gc = tgt.bounded.expand(g @ src.bounded.vectors)
-        alg_map = np.kron(f, gc)
-    return induced_map(src, tgt, alg_map, check=check)
+        g = tgt.bounded.expand(g @ src.bounded.vectors)
+    return induced_map(src, tgt, np.kron(f, g), check=check)
 
 
 def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
@@ -244,30 +242,29 @@ def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
 
 def left_unitor(tp: TensorProduct) -> np.ndarray:
     """l : L2(A) (x) X -> X on the quotient; the left factor must be standard."""
-    x = tp.right_factor
-    if tp.kind == KIND_LEFT:
-        # bounded vectors of L2(A) are left multiplications; evaluate a_i on X
-        lxs = np.einsum("wi,wst->ist", tp.bounded.vectors, x.left_units)
-        alg = lxs.transpose(1, 0, 2).reshape(x.dim, tp.alg_dim)
-    else:
-        # left bounded vectors of X applied to the basis of L2(A)
-        maps = np.einsum("wab,bj->jaw", x.left_units, tp.bounded.vectors)
-        alg = maps.transpose(1, 2, 0).reshape(x.dim, tp.alg_dim)
-    return alg @ tp.section
+    return _unitor(tp, tp.right_factor.left_units, tp.kind == KIND_LEFT)
 
 
 def right_unitor(tp: TensorProduct) -> np.ndarray:
     """r : X (x) L2(B) -> X on the quotient; the right factor must be standard."""
-    x = tp.left_factor
-    if tp.kind == KIND_LEFT:
-        # bounded vectors of X applied to the basis of L2(B)
-        maps = np.einsum("wab,bi->iaw", x.right_units, tp.bounded.vectors)
-        alg = maps.transpose(1, 0, 2).reshape(x.dim, tp.alg_dim)
+    return _unitor(tp, tp.left_factor.right_units, tp.kind == KIND_RIGHT)
+
+
+def _unitor(tp: TensorProduct, units: np.ndarray,
+            standard_bounded: bool) -> np.ndarray:
+    """A unitor of ``tp``, X's action of the standard factor's algebra in ``units``.
+
+    ``standard_bounded``: the standard factor is the bounded leg, which
+    leads for ltimes and trails for rtimes.
+    """
+    if standard_bounded:
+        # bounded vectors of L2 are multiplications; evaluate them on X
+        legs = np.einsum("wi,wst->ist", tp.bounded.vectors, units)
     else:
-        # left bounded vectors of L2(B) are right multiplications
-        rxs = np.einsum("wj,wst->jst", tp.bounded.vectors, x.right_units)
-        alg = rxs.transpose(1, 2, 0).reshape(x.dim, tp.alg_dim)
-    return alg @ tp.section
+        # bounded vectors of X applied to the basis of L2
+        legs = np.einsum("wab,bi->iaw", units, tp.bounded.vectors)
+    order = (1, 0, 2) if tp.kind == KIND_LEFT else (1, 2, 0)
+    return legs.transpose(order).reshape(units.shape[1], tp.alg_dim) @ tp.section
 
 
 def unit_isos(kind: str, x: Bimodule) -> Tuple[Morphism, Morphism]:
@@ -343,61 +340,44 @@ def _associator_right(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
 
 def tensor_matrix_extension_iso(x: Bimodule, y: Bimodule, ni: int, nj: int,
                                 kind: str,
-                                tp_xy: Optional[TensorProduct] = None,
-                                tp_ext: Optional[TensorProduct] = None):
+                                tp_xy: Optional[TensorProduct] = None):
     """Unitary ( ^I X ) (x) ( Y ^J )  ->  ^I ( X (x) Y ) ^J.
 
     Returns (matrix, tp_ext, ext_result) where tp_ext is the tensor product
     of the extended factors and ext_result the Hilbert-Schmidt extension of
     X (x) Y that the matrix maps onto.
     """
-    xi_ext = matrix_extension(x, ni, 1)
-    yj_ext = matrix_extension(y, 1, nj)
     if tp_xy is None:
         tp_xy = tensor(kind, x, y)
-    if tp_ext is None:
-        tp_ext = tensor(kind, xi_ext, yj_ext)
+    tp_ext = tensor(kind, matrix_extension(x, ni, 1), matrix_extension(y, 1, nj))
     ext_result = matrix_extension(tp_xy.result, ni, nj)
-    if kind == KIND_LEFT:
-        mat = _ext_iso_left(x, y, ni, nj, tp_xy, tp_ext)
+    return _ext_iso(tp_xy, tp_ext, ni, nj), tp_ext, ext_result
+
+
+def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
+             ni: int, nj: int) -> np.ndarray:
+    """The extension identification, solved on a spanning family.
+
+    The family pairs the bounded vectors (slot i, f_a) of ^I X (ltimes) or
+    (v_b, slot j) of Y^J (rtimes) with the other factor's basis vectors.
+    """
+    bb, ext = tp_xy.bounded, tp_ext.bounded
+    left = tp_xy.kind == KIND_LEFT
+    coeff = ext.expand(np.kron(np.eye(ni if left else nj), bb.vectors))
+    if left:
+        n1, n2 = bb.size, tp_xy.right_factor.dim
+        qsrc = tp_ext.quotient.reshape(tp_ext.dim, ext.size, nj * n2)
+        src = np.einsum("rtm,tc->rcm", qsrc, coeff)
     else:
-        mat = _ext_iso_right(x, y, ni, nj, tp_xy, tp_ext)
-    return mat, tp_ext, ext_result
-
-
-def _ext_target_cols(q: np.ndarray, ni: int, nj: int,
-                     n1: int, n2: int) -> np.ndarray:
-    """Target spanning columns e_i (x) e_j (x) Q(e_a (x) e_b), columns (i,a,j,b)."""
-    r = q.shape[0]
-    tgt = np.kron(np.eye(ni * nj), q)
-    tgt = tgt.reshape(ni * nj * r, ni, nj, n1, n2)
-    return tgt.transpose(0, 1, 3, 2, 4).reshape(ni * nj * r, ni * n1 * nj * n2)
-
-
-def _ext_iso_left(x, y, ni, nj, tp_xy, tp_ext):
-    nx = tp_xy.bounded.size
-    dy = y.dim
-    # spanning: bounded vector (slot i, f_a) of ^I X, basis vector (slot j, e_s) of Y^J
-    slot_evals = np.kron(np.eye(ni), tp_xy.bounded.vectors)      # (ni*dX, ni*nx)
-    coeff = tp_ext.bounded.expand(slot_evals)                    # (next, ni*nx)
-    qsrc = tp_ext.quotient.reshape(tp_ext.dim, tp_ext.bounded.size, nj * dy)
-    src = np.einsum("rtm,tc->rcm", qsrc, coeff).reshape(
-        tp_ext.dim, ni * nx * nj * dy)
-    tgt = _ext_target_cols(tp_xy.quotient, ni, nj, nx, dy)
-    return map_from_spanning(src, tgt)
-
-
-def _ext_iso_right(x, y, ni, nj, tp_xy, tp_ext):
-    dx = x.dim
-    my = tp_xy.bounded.size
-    # spanning: basis (slot i, e_s) of ^I X, left bounded (v_b, slot j) of Y^J
-    slot_evals = np.kron(np.eye(nj), tp_xy.bounded.vectors)      # (nj*dY, nj*my)
-    coeff = tp_ext.bounded.expand(slot_evals)                    # (mext, nj*my)
-    qsrc = tp_ext.quotient.reshape(tp_ext.dim, ni * dx, tp_ext.bounded.size)
-    src = np.einsum("rsm,mc->rsc", qsrc, coeff).reshape(
-        tp_ext.dim, ni * dx * nj * my)
-    tgt = _ext_target_cols(tp_xy.quotient, ni, nj, dx, my)
-    return map_from_spanning(src, tgt)
+        n1, n2 = tp_xy.left_factor.dim, bb.size
+        qsrc = tp_ext.quotient.reshape(tp_ext.dim, ni * n1, ext.size)
+        src = np.einsum("rsm,mc->rsc", qsrc, coeff)
+    # target columns e_i (x) e_j (x) Q(e_a (x) e_b), in the order (i, a, j, b)
+    r = tp_xy.dim
+    tgt = np.kron(np.eye(ni * nj), tp_xy.quotient).reshape(
+        ni * nj * r, ni, nj, n1, n2).transpose(0, 1, 3, 2, 4)
+    return map_from_spanning(src.reshape(tp_ext.dim, ni * n1 * nj * n2),
+                             tgt.reshape(ni * nj * r, ni * n1 * nj * n2))
 
 
 def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
@@ -462,20 +442,16 @@ def m_iso(x: Bimodule, y: Bimodule,
         gframe = gframe @ right_rotation
     if left_rotation is not None:
         hframe = hframe @ left_rotation
-    runits = x.right_units
-    lunits = y.left_units
-    xi = tp_left.bounded.vectors          # right-bounded basis of X
-    eta = tp_right.bounded.vectors        # left-bounded basis of Y
-    # ltimes side, spanning columns (i, s) = Q_left columns:
+    # per matrix unit w of B, the rows g_i'^H R_w^H on X and h_j'^H L_w^H on Y
+    gh = (x.right_units @ gframe).conj().transpose(0, 2, 1)
+    hh = (y.left_units @ hframe).conj().transpose(0, 2, 1)
+    # ltimes side, spanning columns (i, s) = Q_left columns, xi_i the
+    # right-bounded basis of X:
     #   a-part: vec(a_i') = g_i'^H xi_i ; c-part: vec(c_j') = h_j'^H e_s
-    av_l = unit_inner(runits, gframe, xi)
-    cv_l = (lunits @ hframe).conj().transpose(0, 2, 1)
-    big_l = _standard_images(b_alg, av_l, cv_l)
+    big_l = _standard_images(b_alg, gh @ tp_left.bounded.vectors, hh)
     m_l = big_l @ tp_left.section
-    # rtimes side, spanning columns (s, j):
+    # rtimes side, spanning columns (s, j), eta_j the left-bounded basis of Y:
     #   b-part: vec(b_i') = g_i'^H e_s ; d-part: vec(d_j') = h_j'^H eta_j
-    bv_r = (runits @ gframe).conj().transpose(0, 2, 1)
-    dv_r = unit_inner(lunits, hframe, eta)
-    big_r = _standard_images(b_alg, bv_r, dv_r)
+    big_r = _standard_images(b_alg, gh, hh @ tp_right.bounded.vectors)
     m_r = big_r @ tp_right.section
     return m_r.conj().T @ m_l

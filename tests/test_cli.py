@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -5,6 +6,8 @@ import pytest
 
 from bimodcat.cli import main
 from bimodcat.instances import generate, save, to_document
+from bimodcat.linalg import psd_rank
+from bimodcat.tensor import tensor_left, tensor_right
 
 
 def _run(capsys, *argv):
@@ -123,6 +126,13 @@ def test_tensor_report(capsys):
     code, out, _ = _run(capsys, "tensor", "--seed", "0")
     assert code == 0
     assert "Gram rank" in out
+    # gramRank is the product dimension; the Gram's own rank is the reference
+    for seed in range(10):
+        _, out, _ = _run(capsys, "tensor", "--seed", str(seed), "--json")
+        x, y = generate(seed, length=2).bimodules
+        assert json.loads(out)["gramRank"] == {
+            "ltimes": psd_rank(tensor_left(x, y).gram, scale=1.0),
+            "rtimes": psd_rank(tensor_right(x, y).gram, scale=1.0)}
 
 
 def test_tensor_mismatched_chain(capsys, tmp_path):
@@ -157,7 +167,34 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
              ("$.algebras", lambda doc: doc.update(algebras=3)),
              ("$.morphisms", lambda doc: doc.update(morphisms=3)),
              ("$.limits.min_mult",
-              lambda doc: doc["limits"].update(min_mult=None)))
+              lambda doc: doc["limits"].update(min_mult=None)),
+             ("$.seed", lambda doc: doc.update(seed=1.5)),
+             ("$.seed", lambda doc: doc.update(seed=True)),
+             ("$.limits.max_dim", lambda doc: doc["limits"].update(max_dim=40.9)),
+             ("$.algebras[0].blocks",
+              lambda doc: doc["algebras"][0].update(blocks=[2.5])),
+             ("$.morphisms[0].source",
+              lambda doc: doc["morphisms"][0].update(source=0.5)),
+             ("$.morphisms[0].matrix",
+              lambda doc: doc["morphisms"][0].update(matrix="x")),
+             ("$.bimodules[0].basis_unitary",
+              lambda doc: doc["bimodules"][0].update(basis_unitary="x")),
+             ("$.bimodules[0].basis_unitary",
+              lambda doc: doc["bimodules"][0]["basis_unitary"].pop()),
+             ("$.bimodules[0].left_action",
+              lambda doc: doc["bimodules"].__setitem__(0, {
+                  "left": 0, "right": 1, "left_action": "x",
+                  "right_action": "x"})),
+             ("$.bimodules[0].multiplicities",
+              lambda doc: doc["bimodules"][0].update(multiplicities="x")),
+             ("$.bimodules[0].multiplicities",
+              lambda doc: doc["bimodules"][0]["multiplicities"].append([1])),
+             ("$.bimodules[0].multiplicities",
+              lambda doc: doc["bimodules"][0]["multiplicities"][0].__setitem__(
+                  0, -1)),
+             ("$.bimodules[0].multiplicities",
+              lambda doc: doc["bimodules"][0]["multiplicities"][0].__setitem__(
+                  0, 1.7)))
     for field, corrupt in cases:
         doc = to_document(generate(1))
         corrupt(doc)
@@ -167,6 +204,39 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
         assert code == 2, field
         assert out == ""
         assert err.startswith(f"bimodcat: {field}:"), err
+
+
+def _fields(node, path=()):
+    """Paths of the members and list entries of a document, complex arrays whole."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        if key not in ("basis_unitary", "left_action", "right_action", "matrix"):
+            yield from _fields(value, path + (key,))
+
+
+def test_junk_in_any_field_exits_with_a_code(capsys, tmp_path):
+    # each field of a seeded document replaced in turn by each junk value
+    doc = to_document(generate(5, length=2))
+    fields = list(_fields(doc))
+    assert len(fields) > 30
+    path = tmp_path / "junk.json"
+    for field in fields:
+        for junk in ("x", 1.5, True, None, [], -1):
+            bad = copy.deepcopy(doc)
+            parent = bad
+            for key in field[:-1]:
+                parent = parent[key]
+            parent[field[-1]] = junk
+            path.write_text(json.dumps(bad))
+            code = main(["verify", "--instance", str(path), "--suite", "m-unit"])
+            assert code in (0, 1, 2), (field, junk)
+    capsys.readouterr()
 
 
 def test_invalid_env_tol_is_usage_error(capsys, monkeypatch):

@@ -48,6 +48,18 @@ def test_conjugation_both_kinds_unitary_morphisms():
         assert c.target.right_algebra.blocks == x.left_algebra.blocks
 
 
+def test_conjugation_takes_the_duals_from_tp_dual():
+    # the duals are tp_dual's factors; built afresh, they give the same bits
+    rng = np.random.default_rng(8)
+    x, y = _pair(rng)
+    xstar, ystar = dual_bimodule(x), dual_bimodule(y)
+    for kind in KINDS:
+        tp_dual = tensor(kind, ystar, xstar)
+        c = conjugation(kind, x, y, tp=tensor(kind, x, y), tp_dual=tp_dual)
+        assert c.source is tp_dual.result
+        assert np.array_equal(c.matrix, conjugation(kind, x, y).matrix)
+
+
 def test_conjugation_pair_matches_single_builds():
     rng = np.random.default_rng(2)
     x, y = _pair(rng)

@@ -318,6 +318,9 @@ def test_frame_contractions_match_einsum(seed):
             want = np.einsum("wab,bi,aj->ijw", units.conj(), pr.frame.conj(), pr.frame)
             assert _rel_err(pr.projection_entries(), want) <= 1e-12
             w, v = psd_eig(bb.form)
+            # the frame reads the eigenpairs the bounded space kept
+            assert np.array_equal(bb.eigenvalues, w)
+            assert np.array_equal(bb.eigenvectors, v)
             winv = (v * (1.0 / np.where(w > RANK_EPS * w[0], w, np.inf))) @ v.conj().T
             s = np.einsum("wab,bc,wdc->ad", units, winv, units.conj())
             assert _rel_err(bb.frame_vectors(), psd_inv_sqrt(s) @ bb.vectors) <= 1e-12
