@@ -176,9 +176,9 @@ def dual_bimodule(x: Bimodule) -> Bimodule:
 
     A vector xi in X is sent to the functional xi* with coordinates conj(xi);
     the actions are fixed by  b . xi* . a = (a* xi b*)*.  Inside an open
-    product store the dual of a member is built once and is a member too.
+    product store each dual is built once.
     """
-    return stored(_dual_bimodule, x, member=True)
+    return stored(_dual_bimodule, x)
 
 
 def _dual_bimodule(x: Bimodule) -> Bimodule:

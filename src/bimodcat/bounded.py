@@ -8,7 +8,7 @@ therefore parameterized by these evaluation vectors; the relevant inner
 product on them is the positive form W = sum_u R(b_u)^H R(b_u) over the
 matrix units of B (Hilbert-Schmidt inner product of the maps).
 The left-handed space Hom(L2(A) -> X) works mirror-image with the left
-action.
+action.  Inside an open product store each bounded space is built once.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import AlgebraElement, MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, dual_bimodule
 from .linalg import RANK_EPS, op_norm, psd_eig, psd_inv_sqrt, unit_inner
+from .store import stored
 
 
 class ExtractionError(ValueError):
@@ -150,12 +151,12 @@ class BoundedBasis:
 
 def right_bounded_space(x: Bimodule) -> BoundedBasis:
     """Orthonormal basis of XB(-1/2) = Hom(L2(B)_B, X_B)."""
-    return _bounded_space(x, "right")
+    return stored(_bounded_space, x, "right")
 
 
 def left_bounded_space(x: Bimodule) -> BoundedBasis:
     """Orthonormal basis of A(-1/2)X = Hom(L2(A), X) as left modules."""
-    return _bounded_space(x, "left")
+    return stored(_bounded_space, x, "left")
 
 
 def _bounded_space(x: Bimodule, side: str) -> BoundedBasis:

@@ -119,9 +119,7 @@ def cmd_verify(args) -> int:
         suite = [s.strip() for s in args.suite.split(",") if s.strip()]
         unknown = [s for s in suite if s not in coherence.CHECK_FAMILIES]
         if unknown:
-            print(f"bimodcat: unknown check families: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown check families: {', '.join(unknown)}")
     spec, violations = _load_or_generate(args)
     report = coherence.run_suite(spec, tol=tol, suite=suite)
     for msg, defect in violations:
@@ -160,11 +158,9 @@ def cmd_gen(args) -> int:
             max_mult=args.max_mult, max_dim=args.max_dim,
             min_mult=args.min_mult)
     except ValueError as exc:
-        print(f"bimodcat: invalid limits: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"invalid limits: {exc}")
     if args.length < 0:
-        print("bimodcat: invalid length", file=sys.stderr)
-        return 2
+        raise UsageError("invalid length")
     spec = instances.generate(args.seed, limits=limits, length=args.length)
     data = instances.save(spec).decode()
     _emit(data, args.out)
@@ -179,9 +175,7 @@ def cmd_tensor(args) -> int:
             print(f"bimodcat: {msg}", file=sys.stderr)
         return 2
     if len(spec.bimodules) < 2:
-        print("bimodcat: need at least two bimodules in the chain",
-              file=sys.stderr)
-        return 2
+        raise UsageError("need at least two bimodules in the chain")
     x, y = spec.bimodules[0], spec.bimodules[1]
     try:
         tp_l = tensor_left(x, y)
@@ -227,16 +221,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"invalid --seed {args.seed}: must be >= 0")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "tensor":
             return cmd_tensor(args)
-    except (instances.InstanceFormatError, UsageError) as exc:
-        print(f"bimodcat: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (instances.InstanceFormatError, UsageError, OSError) as exc:
         print(f"bimodcat: {exc}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")

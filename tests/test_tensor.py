@@ -11,9 +11,10 @@ from bimodcat.bounded import (left_projective_realization,
                               right_projective_realization)
 from bimodcat.coherence import run_suite
 from bimodcat.instances import generate
-from bimodcat.linalg import RANK_EPS, op_norm, psd_eig, psd_inv_sqrt, random_unitary
+from bimodcat.linalg import (RANK_EPS, crandn, op_norm, psd_eig, psd_inv_sqrt,
+                             random_unitary)
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
-                             _gram_scale, _gram_seminorm, _quotient_from_gram,
+                             _gram_scale, _quotient_from_gram,
                              _standard_images, associator,
                              induced_map, left_unitor, m_iso, m_standard,
                              morphism_tensor, right_unitor, tensor, tensor_left,
@@ -63,6 +64,11 @@ def test_multiplicity_matrices_multiply():
         assert tp.result.validate() < 1e-9
 
 
+def _kernel(tp):
+    """Orthonormal basis of the Gram null space: the eigenvectors Q drops."""
+    return psd_eig(tp.gram)[1][:, tp.dim:]
+
+
 def test_quotient_section_identities():
     rng = np.random.default_rng(3)
     x = _bim(rng, (2,), (1, 2), [[1, 1]])
@@ -73,8 +79,9 @@ def test_quotient_section_identities():
         # Q^H Q equals the Gram matrix on the positive part
         recon = tp.quotient.conj().T @ tp.quotient
         assert op_norm(recon - tp.gram) < 1e-9 * max(1.0, op_norm(tp.gram))
-        if tp.kernel.size:
-            assert op_norm(tp.gram @ tp.kernel) < 1e-7 * max(1.0, op_norm(tp.gram))
+        kernel = _kernel(tp)
+        if kernel.size:
+            assert op_norm(tp.gram @ kernel) < 1e-7 * max(1.0, op_norm(tp.gram))
 
 
 def test_unit_isos_are_unitary_morphisms():
@@ -133,7 +140,7 @@ def test_induced_map_rejects_kernel_violation():
     row = _bim(rng, (1,), (2,), [[1]])
     col = _bim(rng, (2,), (1,), [[1]])
     tp = tensor_left(row, col)
-    assert tp.kernel.shape[1] > 0
+    assert _kernel(tp).shape[1] > 0
     bad = random_unitary(rng, tp.alg_dim)   # generic map ignores the kernel
     with pytest.raises(WellDefinednessError):
         induced_map(tp, tp, bad)
@@ -276,7 +283,6 @@ def _einsum_oracle(tp):
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_product_contractions_match_einsum(monkeypatch, seed):
-    rng = np.random.default_rng(seed)
     products = _suite_products(monkeypatch, seed)
     zero_rank = asymmetric = 0
     for tp in products:
@@ -284,9 +290,6 @@ def test_product_contractions_match_einsum(monkeypatch, seed):
         assert _rel_err(tp.gram, gram) <= 1e-12
         assert _rel_err(tp.result.left_units, left) <= 1e-12
         assert _rel_err(tp.result.right_units, right) <= 1e-12
-        vecs = rng.standard_normal((tp.alg_dim, 3)) + 0j
-        want = np.sqrt(np.einsum("ij,ik,kj->", vecs.conj(), tp.gram, vecs).real)
-        assert abs(_gram_seminorm(tp.gram, vecs) - want) <= 1e-12 * max(want, 1e-300)
         # the well-definedness scale reads the top Gram eigenvalue off Q
         scale = max(1.0, op_norm(tp.gram))
         assert abs(_gram_scale(tp) - scale) <= 1e-12 * scale
@@ -306,6 +309,34 @@ def test_gram_scale_reads_the_top_eigenvalue():
     quotient = _quotient_from_gram(gram)[0]
     assert abs(_gram_scale(SimpleNamespace(quotient=quotient, dim=3)) - 3.0) <= 1e-12
     assert _gram_scale(SimpleNamespace(quotient=quotient[:0], dim=0)) == 1.0
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_kernel_free_checks_match_the_kernel(monkeypatch, seed):
+    # induced maps test ||QA - (QA E) Q||_F, which is ||Q A K||_F since
+    # E Q = 1 - K K^H, and tensor_morphisms takes ||f (x) g|| = ||f|| ||g||
+    rng = np.random.default_rng(seed)
+    with_kernel = 0
+    for tp in _suite_products(monkeypatch, seed):
+        q, e, gram = tp.quotient, tp.section, tp.gram
+        # every Gram is an orthogonal projection
+        assert op_norm(q @ q.conj().T - np.eye(tp.dim)) <= 1e-12
+        assert op_norm(gram @ gram - gram) <= 1e-12
+        f, g = (crandn(rng, leg.shape[1], leg.shape[1]) for leg in tp.legs)
+        norm = op_norm(f) * op_norm(g)
+        assert abs(op_norm(np.kron(f, g)) - norm) <= 1e-12 * norm
+        kernel = _kernel(tp)
+        if not kernel.size:
+            continue    # the check runs only when there is a null space
+        with_kernel += 1
+        for a in (crandn(rng, tp.alg_dim, tp.alg_dim), np.kron(f, g)):
+            qa = q @ a
+            want = np.linalg.norm(qa @ kernel)
+            assert abs(np.linalg.norm(qa - qa @ e @ q) - want) <= 1e-12 * want
+            if tp.dim:      # a generic map does not descend
+                with pytest.raises(WellDefinednessError):
+                    induced_map(tp, tp, a)
+    assert with_kernel
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
