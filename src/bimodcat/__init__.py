@@ -29,6 +29,7 @@ from .instances import (InstanceFormatError, InstanceSpec, Limits, generate,
                         save)
 from .involution import conjugation, conjugation_mixed, conjugation_pair
 from .linalg import DEFAULT_TOL, RANK_EPS, op_norm, scale_tol
+from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct,
                      WellDefinednessError, associator, induced_map,
                      left_unitor, m_iso, m_standard, morphism_tensor,

@@ -199,15 +199,13 @@ def dual_vector(xi: np.ndarray) -> np.ndarray:
     return np.conj(xi)
 
 
-def transpose(f: Morphism, source_dual: Optional[Bimodule] = None,
-              target_dual: Optional[Bimodule] = None) -> Morphism:
+def transpose(f: Morphism) -> Morphism:
     """Transposed morphism ^tf : Y* -> X*, pairing <^tf eta*, xi> = (eta | f xi).
 
     In conjugate coordinates the matrix of ^tf is the plain transpose of f's.
     """
-    src = source_dual if source_dual is not None else dual_bimodule(f.target)
-    tgt = target_dual if target_dual is not None else dual_bimodule(f.source)
-    return Morphism(src, tgt, f.matrix.T)
+    return Morphism(dual_bimodule(f.target), dual_bimodule(f.source),
+                    f.matrix.T)
 
 
 def double_dual_iso(x: Bimodule) -> Morphism:

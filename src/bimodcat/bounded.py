@@ -211,8 +211,7 @@ def left_inner(f2: BoundedVector, f: BoundedVector) -> AlgebraElement:
     return _extract_multiplication(f.algebra, f.matrix.conj().T @ f2.matrix, "right")
 
 
-def star_bounded(x: BoundedVector,
-                 dual: Optional[Bimodule] = None) -> BoundedVector:
+def star_bounded(x: BoundedVector) -> BoundedVector:
     """The conjugate-linear star map XB(-1/2) -> B(-1/2)X*.
 
     x-star sends beta to (x(beta-sharp))*, which in conjugate coordinates is
@@ -220,9 +219,9 @@ def star_bounded(x: BoundedVector,
     """
     if x.side != "right":
         raise ValueError("star_bounded acts on right bounded vectors")
-    xstar_bim = dual if dual is not None else dual_bimodule(x.bimodule)
     perm = x.algebra.adjoint_perm()
-    return BoundedVector("left", xstar_bim, np.conj(x.matrix[:, perm]))
+    return BoundedVector("left", dual_bimodule(x.bimodule),
+                         np.conj(x.matrix[:, perm]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ import numpy as np
 from . import coherence, instances
 from .bimodule import multiplicity_matrix
 from .linalg import DEFAULT_TOL, op_norm
+from .store import product_store
 from .tensor import m_iso, tensor_left, tensor_right
 
 
@@ -115,8 +116,11 @@ def _load_or_generate(args, length: int = 4
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args.tol)
     suite = None
-    if args.suite:
+    if args.suite is not None:
         suite = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not suite:
+            raise UsageError(f"invalid --suite {args.suite!r}: "
+                             "names no check family")
         unknown = [s for s in suite if s not in coherence.CHECK_FAMILIES]
         if unknown:
             raise UsageError(f"unknown check families: {', '.join(unknown)}")
@@ -167,6 +171,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@product_store()
 def cmd_tensor(args) -> int:
     tol = _resolve_tol(args.tol)
     spec, violations = _load_or_generate(args, length=2)
@@ -183,7 +188,7 @@ def cmd_tensor(args) -> int:
     except ValueError as exc:
         print(f"bimodcat: {exc}", file=sys.stderr)
         return 2
-    m = m_iso(x, y, tp_left=tp_l, tp_right=tp_r)
+    m = m_iso(x, y)
     m_defect = float(op_norm(m.conj().T @ m - np.eye(m.shape[1])))
     info = {
         "dims": {"X": x.dim, "Y": y.dim,

@@ -8,6 +8,10 @@ path, floored).  Zero-dimensional inputs yield "degenerate-pass" results.
 Every check accepts a ``mutation`` hook ``(role, rng, eps)`` that replaces
 the named structural edge e by R e for a random unitary R within eps of the
 identity — the sensitivity harness for the diagrams.
+
+Each check runs in a product store (see :mod:`bimodcat.store`): its own
+when called alone, the suite's inside :func:`run_suite`.  So a check
+builds each product it needs once either way.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ def _path_tol(base: float, *edges: np.ndarray) -> float:
     return scale_tol(*[op_norm(e) for e in edges], base=base)
 
 
+@product_store()
 def check_triangle(kind: str, x: Bimodule, y: Bimodule,
                    base_tol: float = DEFAULT_TOL,
                    mutation: Optional[Mutation] = None) -> CheckResult:
@@ -98,6 +103,7 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     return _result(name, defect, _path_tol(base_tol, e_l, a), dims)
 
 
+@product_store()
 def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
                    z: Bimodule, base_tol: float = DEFAULT_TOL,
                    mutation: Optional[Mutation] = None) -> CheckResult:
@@ -133,6 +139,7 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     return _result(name, defect, _path_tol(base_tol, e1, a2, e3), dims)
 
 
+@product_store()
 def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
                  mutation: Optional[Mutation] = None) -> CheckResult:
     """Both unit triangles for m: l o m = l and r o m = r across the kinds."""
@@ -145,13 +152,14 @@ def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
     for pair, unitor, role in (((l2a, x), left_unitor, "left-unit"),
                                ((x, l2b), right_unitor, "right-unit")):
         tl, tr = tensor_left(*pair), tensor_right(*pair)
-        m = _twist(m_iso(*pair, tp_left=tl, tp_right=tr), "m", mutation)
+        m = _twist(m_iso(*pair), "m", mutation)
         unit = _twist(unitor(tr), role, mutation)
         defects.append(op_norm(unit @ m - unitor(tl)))
         edges += [unit, m]
     return _result(name, max(defects), _path_tol(base_tol, *edges), (x.dim,))
 
 
+@product_store()
 def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
                   base_tol: float = DEFAULT_TOL,
                   mutation: Optional[Mutation] = None) -> CheckResult:
@@ -164,8 +172,8 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
     t_xy_r = tensor_right(x, y)
     t_yz_l = tensor_left(y, z)
     t_yz_r = tensor_right(y, z)
-    m_xy = _twist(m_iso(x, y, tp_left=t_xy_l, tp_right=t_xy_r), "m", mutation)
-    m_yz = m_iso(y, z, tp_left=t_yz_l, tp_right=t_yz_r)
+    m_xy = _twist(m_iso(x, y), "m", mutation)
+    m_yz = m_iso(y, z)
     t_l_xyl_z = tensor_left(t_xy_l.result, z)
     t_l_xyr_z = tensor_left(t_xy_r.result, z)
     t_r_xyr_z = tensor_right(t_xy_r.result, z)
@@ -177,15 +185,16 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
     a_r = associator(t_xy_r, t_r_xyr_z, t_yz_r, t_r_x_yzr)
     e1 = tensor_morphisms(t_l_xyl_z, t_l_xyr_z, m_xy, np.eye(z.dim),
                           check=mutation is None)
-    m_big1 = m_iso(t_xy_r.result, z, tp_left=t_l_xyr_z, tp_right=t_r_xyr_z)
+    m_big1 = m_iso(t_xy_r.result, z)
     path1 = a_r @ m_big1 @ e1
     e2 = tensor_morphisms(t_l_x_yzl, t_l_x_yzr, np.eye(x.dim), m_yz)
-    m_big2 = m_iso(x, t_yz_r.result, tp_left=t_l_x_yzr, tp_right=t_r_x_yzr)
+    m_big2 = m_iso(x, t_yz_r.result)
     path2 = m_big2 @ e2 @ a_l
     defect = op_norm(path1 - path2)
     return _result(name, defect, _path_tol(base_tol, a_r, m_big1, e1), dims)
 
 
+@product_store()
 def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
                              base_tol: float = DEFAULT_TOL,
                              mutation: Optional[Mutation] = None) -> CheckResult:
@@ -206,25 +215,26 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     t_z_yx = tensor(kind, zs, t_yx.result)
     a_dual = associator(t_zy, t_zy_x, t_yx, t_z_yx)
     a_dual = _twist(a_dual, "assoc", mutation)
-    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx)
-    c_yz = conjugation(kind, y, z, tp=t_yz, tp_dual=t_zy)
+    c_xy = conjugation(kind, x, y)
+    c_yz = conjugation(kind, y, z)
     c_xy_mat = _twist(c_xy.matrix, "c", mutation)
     dual_xy = c_xy.target
     t_z_dxy = tensor(kind, zs, dual_xy)
     e_a = tensor_morphisms(t_z_yx, t_z_dxy, np.eye(zs.dim), c_xy_mat,
                            check=mutation is None)
-    c2 = conjugation(kind, t_xy.result, z, tp=t_xy_z, tp_dual=t_z_dxy)
+    c2 = conjugation(kind, t_xy.result, z)
     lhs = c2.matrix @ e_a @ a_dual
     dual_yz = c_yz.target
     t_dyz_x = tensor(kind, dual_yz, xs)
     e_b = tensor_morphisms(t_zy_x, t_dyz_x, c_yz.matrix, np.eye(xs.dim))
-    c3 = conjugation(kind, x, t_yz.result, tp=t_x_yz, tp_dual=t_dyz_x)
+    c3 = conjugation(kind, x, t_yz.result)
     rhs = a.T @ c3.matrix @ e_b
     defect = op_norm(lhs - rhs)
     return _result(name, defect, _path_tol(base_tol, c2.matrix, e_a, a_dual),
                    dims)
 
 
+@product_store()
 def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
                          base_tol: float = DEFAULT_TOL,
                          mutation: Optional[Mutation] = None) -> CheckResult:
@@ -240,14 +250,13 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
         return _degenerate(name, base_tol, dims)
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     t_xy = tensor(kind, x, y)
-    t_yx = tensor(kind, ys, xs)
-    c_xy = conjugation(kind, x, y, tp=t_xy, tp_dual=t_yx)
+    c_xy = conjugation(kind, x, y)
     c_xy_mat = _twist(c_xy.matrix, "c", mutation)
     xss, yss = dual_bimodule(xs), dual_bimodule(ys)
     t_dd = tensor(kind, xss, yss)
     d_x, d_y = double_dual_iso(x), double_dual_iso(y)
     dd_edge = tensor_morphisms(t_xy, t_dd, d_x.matrix, d_y.matrix)
-    c_dd = conjugation(kind, ys, xs, tp=t_yx, tp_dual=t_dd)
+    c_dd = conjugation(kind, ys, xs)
     d_xy = double_dual_iso(t_xy.result)
     lhs = c_dd.matrix @ dd_edge
     rhs = c_xy_mat.T @ d_xy.matrix
@@ -259,6 +268,7 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
                    dims)
 
 
+@product_store()
 def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
                            rng: np.random.Generator,
                            base_tol: float = DEFAULT_TOL,
@@ -311,7 +321,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     for kind in (KIND_LEFT, KIND_RIGHT):
         t_yx = tensor(kind, ys, xs)
-        c = conjugation(kind, x, y, tp=t_xy[kind], tp_dual=t_yx)
+        c = conjugation(kind, x, y)
         tgf = tensor_morphisms(t_yx, t_yx, g.T, f.T)
         worst = max(worst, op_norm(c.matrix @ tgf - fg[kind].T @ c.matrix))
     out.append(_result("naturality-c", worst,
@@ -342,7 +352,8 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     name and all values derive from seeded draws.
 
     The checks share one product store (see :mod:`bimodcat.store`) that is
-    opened here and closed when the call returns, also when a check raises.
+    opened here, joined by each check, and closed when the call returns,
+    also when a check raises.
     Each product, dual and bounded space is built once per call instead of
     once per check: a full 4-chain suite builds 52 of its 102 products, and
     32 bounded spaces.

@@ -1,12 +1,17 @@
 """A product store: each value built once while the store is open.
 
-:func:`product_store` opens a store for the duration of a ``with`` block.
-While it is open, :func:`stored` builds ``build(*args)`` once and returns
-the same object on every later call, so a product of a product's result is
-built once too.  Arguments are keyed by identity (``Bimodule`` compares by
-identity).  The arrays a build made are made read-only, since every caller
-shares them; the arguments' own arrays stay as given, also where the value
-holds them.  Outside a store every call builds.
+:func:`product_store` opens a store for the duration of a ``with`` block,
+or of a call when it decorates a function.  Opened while another store is
+open, it joins that store: a check called on its own keeps a store of its
+own, and inside a suite it shares the suite's.  While a store is open,
+:func:`stored` builds ``build(*args)`` once and returns the same object on
+every later call, so a product of a product's result is built once too.
+Functions take bimodules and fetch their products, duals and bounded
+spaces through :func:`stored`; none takes them as arguments.  Arguments
+are keyed by identity (``Bimodule`` compares by identity).  The arrays a
+build made are made read-only, since every caller shares them; the
+arguments' own arrays stay as given, also where the value holds them.
+Outside a store every call builds.
 
 The open store lives in a context variable, so it is visible to the calls
 made inside the ``with`` block and to no other thread.
@@ -21,13 +26,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-#: kept values of the innermost open store
+#: kept values of the open store
 _open: ContextVar[Optional[dict]] = ContextVar("product_store", default=None)
 
 
 @contextmanager
 def product_store():
-    """Keep every stored value until the block exits."""
+    """Keep every stored value until the block exits; join an open store."""
+    if _open.get() is not None:
+        yield
+        return
     token = _open.set({})
     try:
         yield

@@ -200,26 +200,20 @@ def _descend(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
     The check raises unless A maps the source's Gram null space into the
     target's, so that A descends.  With K an orthonormal basis of that null
     space, E Q = 1 - K K^H, so ||QA - (QA E) Q||_F is the Gram seminorm
-    ||Q_tgt A K||_F of its image, found without a kernel basis.  A true
-    kernel vector leaves a residual of order sqrt(machine epsilon times the
-    Gram norm), hence the loose 1e-6.
+    ||Q_tgt A K||_F of its image, found without a kernel basis.  Every
+    product's Gram is an orthogonal projection (the bounded basis is
+    HS-orthonormal, so sum_i f_i f_i^H = 1), hence ||Q|| = 1 and the
+    defect scales with ||A|| alone.  A true kernel vector leaves a residual
+    of order sqrt(machine epsilon), hence the loose 1e-6.
     """
     qa = tgt.quotient @ alg_map
     out = qa @ src.section
     if norm is not None and src.dim < src.alg_dim:
         defect = np.linalg.norm(qa - out @ src.quotient)
-        scale = (max(1.0, norm)
-                 * np.sqrt(_gram_scale(src) * _gram_scale(tgt)))
-        if defect > 1e-6 * scale:
+        if defect > 1e-6 * max(1.0, norm):
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
     return out
-
-
-def _gram_scale(tp: TensorProduct) -> float:
-    """max(1, ||Gram||): Q = Lambda^{1/2} V^H, so ||Q[0]||^2 is the top eigenvalue."""
-    top = np.vdot(tp.quotient[0], tp.quotient[0]).real if tp.dim else 0.0
-    return max(1.0, float(top))
 
 
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
@@ -425,8 +419,6 @@ def _standard_images(b_alg: MultiMatrixAlgebra, avecs: np.ndarray,
 
 
 def m_iso(x: Bimodule, y: Bimodule,
-          tp_left: Optional[TensorProduct] = None,
-          tp_right: Optional[TensorProduct] = None,
           right_rotation: Optional[np.ndarray] = None,
           left_rotation: Optional[np.ndarray] = None) -> np.ndarray:
     """The multiplicativity isomorphism m_{X,Y} : X ltimes Y -> X rtimes Y.
@@ -439,10 +431,7 @@ def m_iso(x: Bimodule, y: Bimodule,
     Optional unitary rotations recombine the frames, producing different
     but equivalent realizations (the result is provably independent).
     """
-    if tp_left is None:
-        tp_left = tensor_left(x, y)
-    if tp_right is None:
-        tp_right = tensor_right(x, y)
+    tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
     b_alg = x.right_algebra
     gframe = tp_left.bounded.frame_vectors()
     hframe = tp_right.bounded.frame_vectors()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import canonical_bimodule, dual_bimodule
+from bimodcat.bimodule import canonical_bimodule
 from bimodcat.bounded import (BoundedVector, left_bounded_basis,
                               left_bounded_space, left_inner,
                               left_projective_realization,
@@ -127,22 +127,21 @@ def test_inner_rejects_wrong_side():
 def test_star_bounded_covariance_and_inner_identity():
     rng = np.random.default_rng(7)
     x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    xs = dual_bimodule(x)
     a_alg, b_alg = x.left_algebra, x.right_algebra
     basis = right_bounded_basis(x)
     x1, x2 = basis[0], basis[1]
-    s1 = star_bounded(x1, dual=xs)
+    s1 = star_bounded(x1)
     assert s1.side == "left"
     assert s1.defect() < 1e-10
     # (a x b)-star = b* x-star a*
     a = a_alg.random_element(rng)
     b = b_alg.random_element(rng)
-    lhs = star_bounded(x1.module_action(a, b), dual=xs)
+    lhs = star_bounded(x1.module_action(a, b))
     # X* is a B-A bimodule: b* acts on the left, a* on the right
     rhs = s1.module_action(b.adjoint(), a.adjoint())
     assert op_norm(lhs.matrix - rhs.matrix) < 1e-9
     # [x', x]_B^* = _B[x-star, x'-star]
-    s2 = star_bounded(x2, dual=xs)
+    s2 = star_bounded(x2)
     lhs2 = right_inner(x2, x1).adjoint()
     rhs2 = left_inner(s1, s2)
     assert lhs2.allclose(rhs2, tol=1e-9)

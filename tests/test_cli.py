@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import os
 
@@ -8,6 +9,9 @@ from bimodcat.cli import main
 from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.linalg import psd_rank
 from bimodcat.tensor import tensor_left, tensor_right
+
+# the module, not the ``tensor`` function the package re-exports
+tensor_module = importlib.import_module("bimodcat.tensor")
 
 
 def _run(capsys, *argv):
@@ -42,6 +46,12 @@ def test_verify_suite_subset_and_unknown(capsys):
     code, _, err = _run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
     assert "unknown check families" in err
+    # a --suite that names no family is a usage error, not an empty run
+    for value in (",", "", " , "):
+        code, out, err = _run(capsys, "verify", "--suite", value)
+        assert code == 2
+        assert "--suite" in err
+        assert out == ""
 
 
 def test_verify_tol_flag_beats_env(capsys, monkeypatch):
@@ -133,6 +143,23 @@ def test_tensor_report(capsys):
         assert json.loads(out)["gramRank"] == {
             "ltimes": psd_rank(tensor_left(x, y).gram, scale=1.0),
             "rtimes": psd_rank(tensor_right(x, y).gram, scale=1.0)}
+
+
+def test_tensor_builds_each_product_once(capsys, monkeypatch):
+    # m takes the two products the report reads from the command's store
+    builds = []
+    build = tensor_module._tensor_product
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted)
+    code, _, _ = _run(capsys, "tensor", "--seed", "0")
+    assert code == 0
+    assert sorted(builds) == ["left", "right"]
+    # the command leaves no store open
+    x, y = generate(0, length=2).bimodules
+    assert tensor_left(x, y) is not tensor_left(x, y)
 
 
 def test_tensor_mismatched_chain(capsys, tmp_path):

@@ -255,6 +255,56 @@ def test_store_keeps_every_product():
     _assert_no_store(x, y)
 
 
+def _count_products(monkeypatch) -> list:
+    """Kinds of the products built from now on (each store miss is one)."""
+    builds = []
+    build = tensor_module._tensor_product
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted)
+    return builds
+
+
+@pytest.mark.parametrize("family, check, lead, arity", [
+    ("hexagon-left", check_involution_hexagon, (KIND_LEFT,), 3),
+    ("hexagon-right", check_involution_hexagon, (KIND_RIGHT,), 3),
+    ("duality-left", check_duality_square, (KIND_LEFT,), 2),
+    ("duality-right", check_duality_square, (KIND_RIGHT,), 2),
+    ("m-assoc", check_m_assoc, (), 3),
+    ("m-unit", check_m_unit, (), 1),
+])
+def test_check_on_its_own_builds_what_the_suite_builds(monkeypatch, family,
+                                                        check, lead, arity):
+    # a check called outside any store opens its own, so it builds each
+    # product once, as inside run_suite, and leaves no store open
+    spec = generate(0, limits=Limits(), length=3)
+    x, y, _ = spec.bimodules
+    builds = _count_products(monkeypatch)
+    assert exit_code(run_suite(spec, suite=[family])) == 0
+    in_suite = len(builds)
+    builds.clear()
+    assert check(*lead, *spec.bimodules[:arity]).passed
+    assert len(builds) == in_suite
+    if family == "hexagon-left":
+        assert in_suite == 14
+    _assert_no_store(x, y)
+
+
+def test_nested_store_joins_the_open_one():
+    rng = np.random.default_rng(3)
+    x, y, z = _chain(rng)
+    with product_store():
+        t_xy = tensor_left(x, y)
+        with product_store():
+            assert tensor_left(x, y) is t_xy
+            t_yz = tensor_left(y, z)
+        # the inner block kept its values in the outer store
+        assert tensor_left(y, z) is t_yz
+    _assert_no_store(x, y)
+
+
 def test_empty_instance_gives_empty_report():
     spec = InstanceSpec(seed=0, limits=Limits(), algebras=(), bimodules=())
     rep = run_suite(spec)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,12 @@ from bimodcat.bounded import star_bounded
 from bimodcat.involution import (conjugation, conjugation_mixed,
                                  conjugation_pair, transpose_on_product)
 from bimodcat.linalg import op_norm, random_unitary
+from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_iso, tensor,
                              tensor_left, tensor_morphisms, tensor_right)
+
+# the module, not the ``tensor`` function the package re-exports
+tensor_module = importlib.import_module("bimodcat.tensor")
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -48,16 +54,37 @@ def test_conjugation_both_kinds_unitary_morphisms():
         assert c.target.right_algebra.blocks == x.left_algebra.blocks
 
 
-def test_conjugation_takes_the_duals_from_tp_dual():
-    # the duals are tp_dual's factors; built afresh, they give the same bits
+def test_conjugation_takes_its_products_from_the_store():
+    # the source is the stored product of the stored duals; the duals are
+    # taken inside the store, since one built before it is another object
     rng = np.random.default_rng(8)
     x, y = _pair(rng)
-    xstar, ystar = dual_bimodule(x), dual_bimodule(y)
     for kind in KINDS:
-        tp_dual = tensor(kind, ystar, xstar)
-        c = conjugation(kind, x, y, tp=tensor(kind, x, y), tp_dual=tp_dual)
-        assert c.source is tp_dual.result
+        with product_store():
+            c = conjugation(kind, x, y)
+            tp_dual = tensor(kind, dual_bimodule(y), dual_bimodule(x))
+            assert c.source is tp_dual.result
+            assert c.target is dual_bimodule(tensor(kind, x, y).result)
         assert np.array_equal(c.matrix, conjugation(kind, x, y).matrix)
+
+
+def test_m_iso_builds_no_product_in_the_store(monkeypatch):
+    rng = np.random.default_rng(9)
+    x, y = _pair(rng)
+    builds = []
+    build = tensor_module._tensor_product
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted)
+    with product_store():
+        tensor_left(x, y)
+        tensor_right(x, y)
+        assert builds == [KIND_LEFT, KIND_RIGHT]
+        m = m_iso(x, y)
+        assert builds == [KIND_LEFT, KIND_RIGHT]
+    assert np.array_equal(m, m_iso(x, y))
 
 
 def test_conjugation_pair_matches_single_builds():
@@ -75,8 +102,7 @@ def test_mixed_defining_relation_on_spanning_tensors():
     xstar, ystar = dual_bimodule(x), dual_bimodule(y)
     tp_left = tensor_left(x, y)
     tp_dual = tensor_right(ystar, xstar)
-    c = conjugation_mixed(x, y, tp_left=tp_left, tp_dual=tp_dual,
-                          xstar=xstar, ystar=ystar)
+    c = conjugation_mixed(x, y)
     star_coeff = tp_dual.bounded.expand(np.conj(tp_left.bounded.vectors))
     for i in range(tp_left.bounded.size):
         coeff = np.eye(tp_left.bounded.size)[:, i]
@@ -110,15 +136,15 @@ def test_transpose_on_product_naturality():
     f = Morphism(x, x, random_morphism_matrix(x, x, rng))
     g = Morphism(y, y, random_morphism_matrix(y, y, rng))
     xstar, ystar = dual_bimodule(x), dual_bimodule(y)
-    tf = transpose(f, source_dual=xstar, target_dual=xstar)
-    tg = transpose(g, source_dual=ystar, target_dual=ystar)
+    tf = transpose(f)
+    tg = transpose(g)
     for kind in KINDS:
         tp = tensor(kind, x, y)
         tp_dual = tensor(kind, ystar, xstar)
-        c = conjugation(kind, x, y, tp=tp, tp_dual=tp_dual)
+        c = conjugation(kind, x, y)
         fg = Morphism(tp.result, tp.result,
                       tensor_morphisms(tp, tp, f.matrix, g.matrix))
-        conj_fg = transpose_on_product(kind, x, y, fg, c, c)
+        conj_fg = transpose_on_product(fg, c, c)
         expect = tensor_morphisms(tp_dual, tp_dual, tg.matrix, tf.matrix)
         assert op_norm(conj_fg.matrix - expect) < 1e-8 * max(
             1.0, op_norm(expect))

@@ -1,5 +1,4 @@
 import importlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from bimodcat.instances import generate
 from bimodcat.linalg import (RANK_EPS, crandn, op_norm, psd_eig, psd_inv_sqrt,
                              random_unitary)
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
-                             _gram_scale, _quotient_from_gram,
                              _standard_images, associator,
                              induced_map, left_unitor, m_iso, m_standard,
                              morphism_tensor, right_unitor, tensor, tensor_left,
@@ -186,13 +184,12 @@ def test_m_iso_unitary_morphism_and_realization_independent():
     x = _bim(rng, (2,), (1, 2), [[1, 1]])
     y = _bim(rng, (1, 2), (2,), [[1], [1]])
     tpl, tpr = tensor_left(x, y), tensor_right(x, y)
-    m = m_iso(x, y, tp_left=tpl, tp_right=tpr)
+    m = m_iso(x, y)
     assert op_norm(m.conj().T @ m - np.eye(m.shape[1])) < 1e-9
     assert Morphism(tpl.result, tpr.result, m).is_morphism()
     for seed in range(3):
         rng2 = np.random.default_rng(100 + seed)
-        m2 = m_iso(x, y, tp_left=tpl, tp_right=tpr,
-                   right_rotation=random_unitary(rng2, x.dim),
+        m2 = m_iso(x, y, right_rotation=random_unitary(rng2, x.dim),
                    left_rotation=random_unitary(rng2, y.dim))
         assert op_norm(m - m2) < 1e-9
 
@@ -290,25 +287,12 @@ def test_product_contractions_match_einsum(monkeypatch, seed):
         assert _rel_err(tp.gram, gram) <= 1e-12
         assert _rel_err(tp.result.left_units, left) <= 1e-12
         assert _rel_err(tp.result.right_units, right) <= 1e-12
-        # the well-definedness scale reads the top Gram eigenvalue off Q
-        scale = max(1.0, op_norm(tp.gram))
-        assert abs(_gram_scale(tp) - scale) <= 1e-12 * scale
         zero_rank += tp.dim == 0 < tp.alg_dim
         asymmetric += bool(second.size) and np.abs(
             second - second.transpose(0, 2, 1)).max() > 1e-6
     # r = 0 products and second-leg stacks a transpose would get wrong occur
     assert zero_rank or seed != 1
     assert asymmetric or seed != 2
-
-
-def test_gram_scale_reads_the_top_eigenvalue():
-    # the suite's Grams are projections (every kept eigenvalue is 1), so a
-    # spread spectrum checks that the scale reads the largest one
-    u = random_unitary(np.random.default_rng(0), 4)
-    gram = (u * np.array([0.5, 3.0, 0.0, 2.0])) @ u.conj().T
-    quotient = _quotient_from_gram(gram)[0]
-    assert abs(_gram_scale(SimpleNamespace(quotient=quotient, dim=3)) - 3.0) <= 1e-12
-    assert _gram_scale(SimpleNamespace(quotient=quotient[:0], dim=0)) == 1.0
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
