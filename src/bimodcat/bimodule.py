@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, amplify_algebra
-from .linalg import RANK_EPS, crandn, null_space_hermitian, op_norm
+from .linalg import crandn, null_space_hermitian, op_norm
 from .store import stored
 
 

@@ -9,6 +9,12 @@ product on them is the positive form W = sum_u R(b_u)^H R(b_u) over the
 matrix units of B (Hilbert-Schmidt inner product of the maps).
 The left-handed space Hom(L2(A) -> X) works mirror-image with the left
 action.  Inside an open product store each bounded space is built once.
+
+An orthonormal basis is a tight frame, S = sum_i f_i f_i^H = 1_X, so it is
+the frame of the projective realizations: S commutes with B and, being
+basis-free, with the unitaries commuting with B, so it is a scalar on each
+isotypic component C^k (x) C^m.  With L2(B) under its unnormalized block
+trace, S's trace there, the dimension of the bounded maps into it, is k m.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, dual_bimodule
-from .linalg import RANK_EPS, op_norm, psd_eig, psd_inv_sqrt, unit_inner
+from .linalg import RANK_EPS, op_norm, psd_eig, unit_inner
 from .store import stored
 
 
@@ -99,8 +105,6 @@ class BoundedBasis:
     bimodule: Bimodule
     form: np.ndarray      # (d, d) positive definite (unital action)
     vectors: np.ndarray   # (d, n) with n == d
-    eigenvalues: np.ndarray   # psd_eig(form), kept for the frame
-    eigenvectors: np.ndarray
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
@@ -132,22 +136,6 @@ class BoundedBasis:
         coeff = self.vectors.conj().T @ (self.form @ ev)
         return coeff[:, 0] if single else coeff
 
-    def frame_vectors(self) -> np.ndarray:
-        """Evaluation vectors of the tight-frame family g_i with sum g_i g_i^H = id.
-
-        Normalizes the basis by S^{-1/2} where S is the frame operator of the
-        bounded maps on X; S commutes with the one-sided action, so the
-        normalized family is again made of bounded vectors.
-        """
-        w, v = self.eigenvalues, self.eigenvectors
-        if w.size == 0:
-            return self.vectors
-        winv = (v * (1.0 / np.where(w > RANK_EPS * w[0], w, np.inf))) @ v.conj().T
-        units = self.action_units
-        # S = sum_w U_w W^+ U_w^H
-        s = np.tensordot(units @ winv, units.conj(), axes=([0, 2], [0, 2]))
-        return psd_inv_sqrt(s) @ self.vectors
-
 
 def right_bounded_space(x: Bimodule) -> BoundedBasis:
     """Orthonormal basis of XB(-1/2) = Hom(L2(B)_B, X_B)."""
@@ -166,7 +154,7 @@ def _bounded_space(x: Bimodule, side: str) -> BoundedBasis:
     if w.size and w[0] > 0 and w[-1] < RANK_EPS * w[0]:
         raise ValueError(f"{side} action is degenerate; bounded vectors do not span")
     vectors = v / np.sqrt(w)[None, :] if w.size else v
-    return BoundedBasis(side, x, form, vectors, w, v)
+    return BoundedBasis(side, x, form, vectors)
 
 
 def right_bounded_basis(x: Bimodule):
@@ -234,7 +222,11 @@ class ProjectiveRealization:
     """
 
     basis: BoundedBasis
-    frame: np.ndarray     # (d, n) evaluation vectors of the tight frame
+
+    @property
+    def frame(self) -> np.ndarray:
+        """(d, n) evaluation vectors of the tight frame: the orthonormal basis."""
+        return self.basis.vectors
 
     @property
     def size(self) -> int:
@@ -261,10 +253,8 @@ class ProjectiveRealization:
 
 
 def right_projective_realization(x: Bimodule) -> ProjectiveRealization:
-    sp = right_bounded_space(x)
-    return ProjectiveRealization(sp, sp.frame_vectors())
+    return ProjectiveRealization(right_bounded_space(x))
 
 
 def left_projective_realization(y: Bimodule) -> ProjectiveRealization:
-    sp = left_bounded_space(y)
-    return ProjectiveRealization(sp, sp.frame_vectors())
+    return ProjectiveRealization(left_bounded_space(y))

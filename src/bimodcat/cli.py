@@ -7,9 +7,10 @@ Subcommands::
     tensor   report dimensions / Gram ranks / multiplicities of both products
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 construction or usage
-error.  ``BIMODULE_TOL`` in the environment overrides the default tolerance;
-an explicit ``--tol`` flag wins over the environment.  A tolerance must be
-a finite number > 0.
+error, also a ``verify`` that runs no check.  ``--json`` writes a defect
+that is not finite as ``null``.  ``BIMODULE_TOL`` in the environment
+overrides the default tolerance; an explicit ``--tol`` flag wins over it.
+A tolerance must be a finite number > 0.
 """
 
 from __future__ import annotations
@@ -134,9 +135,18 @@ def cmd_verify(args) -> int:
         report["summary"]["total"] += len(violations)
         report["summary"]["maxDefect"] = float("inf")
     report["checks"].sort(key=lambda c: c["name"])
+    if not report["checks"]:
+        asked = f"--suite {args.suite}" if suite else "any check"
+        raise UsageError(f"no check ran: a chain of {len(spec.bimodules)} "
+                         f"bimodule(s) is too short for {asked}")
 
     if args.as_json:
-        _emit(json.dumps(report, sort_keys=True) + "\n", args.out)
+        entries = [(c, "defect") for c in report["checks"]]
+        for entry, key in entries + [(report["summary"], "maxDefect")]:
+            if not math.isfinite(entry[key]):
+                entry[key] = None       # strict JSON has no Infinity
+        _emit(json.dumps(report, sort_keys=True, allow_nan=False) + "\n",
+              args.out)
     else:
         lines = []
         for c in report["checks"]:
@@ -163,8 +173,8 @@ def cmd_gen(args) -> int:
             min_mult=args.min_mult)
     except ValueError as exc:
         raise UsageError(f"invalid limits: {exc}")
-    if args.length < 0:
-        raise UsageError("invalid length")
+    if args.length < 1:
+        raise UsageError(f"invalid --length {args.length}: must be >= 1")
     spec = instances.generate(args.seed, limits=limits, length=args.length)
     data = instances.save(spec).decode()
     _emit(data, args.out)

@@ -13,7 +13,8 @@ precomposing with the m of (Y*, X*).
 Each function takes the bimodules and fetches the products and duals it
 needs from ``tensor_left``, ``tensor_right`` and ``dual_bimodule``; inside
 an open product store (:mod:`bimodcat.store`) those are built once and
-shared with every other caller.
+shared with every other caller.  The single-kind conjugations open a
+store when none is open, so a call on its own builds each product once.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .bimodule import Bimodule, Morphism, dual_bimodule, transpose
 from .linalg import map_from_spanning
+from .store import product_store
 from .tensor import KIND_LEFT, KIND_RIGHT, m_iso, tensor_left, tensor_right
 
 
@@ -48,6 +50,7 @@ def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     return Morphism(tp_dual.result, dual_bimodule(tp_left.result), mat)
 
 
+@product_store()
 def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:
     """Single-kind conjugation c : (Y* kind X*) -> (X kind Y)*."""
     if kind == KIND_LEFT:
@@ -65,6 +68,7 @@ def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
+@product_store()
 def conjugation_pair(x: Bimodule, y: Bimodule) -> Tuple[Morphism, Morphism]:
     """Both single-kind conjugations (ltimes, rtimes)."""
     return conjugation(KIND_LEFT, x, y), conjugation(KIND_RIGHT, x, y)

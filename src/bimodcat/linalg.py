@@ -96,16 +96,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse square root on the range; pseudo-inverse below the rank threshold."""
-    w, v = psd_eig(m)
-    inv = np.zeros_like(w)
-    if w.size:
-        keep = w > RANK_EPS * max(w[0], 0.0) if w[0] > 0 else np.zeros_like(w, bool)
-        inv[keep] = 1.0 / np.sqrt(w[keep])
-    return (v * inv) @ v.conj().T
-
-
 def psd_rank(m: np.ndarray, scale: float = 0.0) -> int:
     """Numerical rank; ``scale`` sets an absolute eigenvalue floor."""
     w, _ = psd_eig(m)

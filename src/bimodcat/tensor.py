@@ -14,10 +14,11 @@ products [f_i, f_j]_B of the bounded basis and B_w is the left action on Y;
 for ``rtimes`` A_w is the right action on X and B_w holds the w-coordinates
 of _B[v_k, v_j].
 
-The quotient map Q satisfies Q^H Q = Gram on the positive part, so standard
-coordinates on the quotient are isometric, and the section E satisfies
-Q E = id.  A product keeps A and B, not the Gram.  An operator F (x) G on
-the algebraic space that preserves the Gram null space descends to
+The bounded basis is a tight frame (:mod:`bimodcat.bounded`), so each Gram
+is an orthogonal projection: the quotient map Q has Q Q^H = id and
+Q^H Q = Gram, so quotient coordinates are isometric, and the section is
+E = Q^H.  A product keeps A, B and Q.  An operator F (x) G on the
+algebraic space that preserves the Gram null space descends to
 Q (F (x) G) E on the quotient.  In particular the result bimodule acts by
 
 * ``Q (F_u (x) 1) E`` on the left, where F_u is the action of the u-th
@@ -45,7 +46,7 @@ from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Morphism, matrix_extension
 from .bounded import BoundedBasis, left_bounded_space, right_bounded_space
 from .linalg import RANK_EPS, map_from_spanning, op_norm, psd_eig, unit_inner
-from .store import stored
+from .store import product_store, stored
 
 KIND_LEFT = "left"     # ltimes
 KIND_RIGHT = "right"   # rtimes
@@ -64,8 +65,7 @@ class TensorProduct:
     right_factor: Bimodule
     bounded: BoundedBasis        # right-bounded of X (kind left) / left-bounded of Y
     legs: Tuple[np.ndarray, np.ndarray]   # Gram = sum_w A_w (x) B_w
-    quotient: np.ndarray         # Q : algebraic coords -> quotient coords
-    section: np.ndarray          # E : quotient -> algebraic, Q E = id
+    quotient: np.ndarray         # Q : algebraic -> quotient, Q Q^H = id
     result: Bimodule
 
     @property
@@ -74,7 +74,12 @@ class TensorProduct:
 
     @property
     def alg_dim(self) -> int:
-        return self.section.shape[0]
+        return self.quotient.shape[1]
+
+    @property
+    def section(self) -> np.ndarray:
+        """E = Q^H : quotient -> algebraic, Q E = id."""
+        return self.quotient.conj().T
 
     @property
     def gram(self) -> np.ndarray:
@@ -96,7 +101,8 @@ def _gram(legs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return gram.reshape(n1 * n2, n1 * n2)
 
 
-def _quotient_from_gram(gram: np.ndarray):
+def _quotient_from_gram(gram: np.ndarray) -> np.ndarray:
+    """Q = V^H for the eigenvectors V of the Gram's kept eigenvalues (all 1)."""
     w, v = psd_eig(gram)
     if w.size == 0 or w[0] == 0.0:
         keep = np.zeros(w.shape, dtype=bool)
@@ -104,11 +110,7 @@ def _quotient_from_gram(gram: np.ndarray):
         # absolute floor: the true Gram has integer trace (the product
         # dimension), so an all-noise Gram from a zero product must rank 0
         keep = w > RANK_EPS * max(w[0], 1.0)
-    vk = v[:, keep]
-    sw = np.sqrt(w[keep])
-    quotient = (vk * sw).conj().T          # Q = Lambda^{1/2} V^H
-    section = vk / sw[None, :]             # E = V Lambda^{-1/2}
-    return quotient, section
+    return v[:, keep].conj().T
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -168,14 +170,15 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
 
     ``legs`` holds the (W, n1, n1) and (W, n2, n2) stacks A and B;
     ``first`` (U, n1, n1) acts on the first algebraic leg, ``second``
-    (V, n2, n2) on the second; ``quotient`` is (r, n1*n2) and ``section``
-    (n1*n2, r).  Batch sizes stay explicit so that r = 0 works.
+    (V, n2, n2) on the second; ``quotient`` is (r, n1*n2) and E = Q^H.
+    Batch sizes stay explicit so that r = 0 works.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
     n1, n2 = legs[0].shape[1], legs[1].shape[1]
-    quotient, section = _quotient_from_gram(_gram(legs))
+    quotient = _quotient_from_gram(_gram(legs))
+    section = quotient.conj().T
     r = quotient.shape[0]
     # (F_u (x) 1) E: F_u on E with rows grouped by the first leg
     left = (first @ section.reshape(n1, n2 * r)).reshape(len(first), n1 * n2, r)
@@ -184,7 +187,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
         len(second), n1 * n2, r)
     result = Bimodule(x.left_algebra, y.right_algebra,
                       quotient @ left, quotient @ right)
-    return TensorProduct(kind, x, y, bb, legs, quotient, section, result)
+    return TensorProduct(kind, x, y, bb, legs, quotient, result)
 
 
 def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
@@ -384,12 +387,13 @@ def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
                              tgt.reshape(ni * nj * r, ni * n1 * nj * n2))
 
 
+@product_store()
 def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
     """The unitary ^I m ^J on extensions of the standard bimodule.
 
     Returns (matrix, tp_left, tp_right): the map from the ltimes to the
     rtimes product of ( ^I L2(B), L2(B) ^J ), via the entrywise unit
-    isomorphism and the extension identifications.
+    isomorphism and the extension identifications, in a product store.
     """
     l2 = standard_form(b).bimodule
     tp_l = tensor_left(l2, l2)
@@ -424,7 +428,7 @@ def m_iso(x: Bimodule, y: Bimodule,
     """The multiplicativity isomorphism m_{X,Y} : X ltimes Y -> X rtimes Y.
 
     Uses projective realizations u : X -> p ^I L2(B) and v : Y -> L2(B)^J q,
-    the tight frames of the bounded bases the two products already hold
+    whose tight frames are the bounded bases the two products already hold
     (right-bounded of X for ltimes, left-bounded of Y for rtimes); both
     sides are mapped into ^I L2(B) ^J by the entrywise multiplication
     formula and composed.
@@ -433,8 +437,8 @@ def m_iso(x: Bimodule, y: Bimodule,
     """
     tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
     b_alg = x.right_algebra
-    gframe = tp_left.bounded.frame_vectors()
-    hframe = tp_right.bounded.frame_vectors()
+    gframe = tp_left.bounded.vectors
+    hframe = tp_right.bounded.vectors
     if right_rotation is not None:
         gframe = gframe @ right_rotation
     if left_rotation is not None:

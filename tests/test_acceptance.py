@@ -11,13 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Morphism, canonical_bimodule, double_dual_iso,
-                               dual_bimodule, multiplicity_matrix,
-                               random_morphism_matrix, transpose)
+from bimodcat.algebra import standard_form
+from bimodcat.bimodule import (Morphism, double_dual_iso, dual_bimodule,
+                               multiplicity_matrix, random_morphism_matrix,
+                               transpose)
 from bimodcat.bounded import (left_bounded_basis, left_inner,
-                              right_bounded_basis, right_bounded_space,
-                              right_inner, star_bounded)
+                              right_bounded_basis, right_inner, star_bounded)
 from bimodcat.cli import main as cli_main
 from bimodcat.coherence import (check_duality_square, check_involution_hexagon,
                                 check_m_assoc, check_m_unit, check_pentagon,

@@ -1,10 +1,10 @@
 import copy
 import importlib
 import json
-import os
 
 import pytest
 
+from bimodcat import coherence
 from bimodcat.cli import main
 from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.linalg import psd_rank
@@ -37,7 +37,7 @@ def test_verify_json_byte_identical(capsys):
     assert rep["summary"]["passed"] == rep["summary"]["total"]
 
 
-def test_verify_suite_subset_and_unknown(capsys):
+def test_verify_suite_subset_and_unknown(capsys, tmp_path):
     code, out, _ = _run(capsys, "verify", "--seed", "1", "--json",
                         "--suite", "m-unit,triangle-left")
     assert code == 0
@@ -52,6 +52,19 @@ def test_verify_suite_subset_and_unknown(capsys):
         assert code == 2
         assert "--suite" in err
         assert out == ""
+    # so is a run in which no check applies to the chain
+    path = tmp_path / "pair.json"
+    path.write_bytes(save(generate(1, length=2)))
+    code, out, err = _run(capsys, "verify", "--instance", str(path), "--json",
+                          "--suite", "pentagon-left")
+    assert code == 2
+    assert "--suite pentagon-left" in err and "2 bimodule" in err
+    assert out == ""
+    path.write_bytes(save(generate(1, length=0)))
+    code, out, err = _run(capsys, "verify", "--instance", str(path))
+    assert code == 2
+    assert "0 bimodule" in err
+    assert out == ""
 
 
 def test_verify_tol_flag_beats_env(capsys, monkeypatch):
@@ -82,16 +95,43 @@ def test_verify_jobs_option_removed(capsys):
     assert exc.value.code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: {name}")
+
+
 def test_verify_corrupted_instance_fails(capsys, tmp_path):
     doc = to_document(generate(2))
     doc["bimodules"][1]["basis_unitary"][0][0] = [50.0, 0.0]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, _ = _run(capsys, "verify", "--instance", str(path), "--json")
-    assert code >= 1
-    rep = json.loads(out)
-    assert any(c["name"] == "instance-valid" and not c["passed"]
-               for c in rep["checks"])
+    assert code == 1
+    # the infinite defect of the violation is written as null
+    rep = json.loads(out, parse_constant=_reject_constant)
+    bad = [c for c in rep["checks"] if c["name"] == "instance-valid"]
+    assert bad and all(not c["passed"] and c["defect"] is None for c in bad)
+    assert rep["summary"]["maxDefect"] is None
+    assert rep["version"] == 2
+    # the text report still prints it as inf
+    code, out, _ = _run(capsys, "verify", "--instance", str(path))
+    assert code == 1
+    assert "defect=inf" in out and "max defect inf" in out
+
+
+def test_verify_raising_check_is_strict_json(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(coherence, "check_m_unit", boom)
+    code, out, _ = _run(capsys, "verify", "--seed", "0", "--json",
+                        "--suite", "m-unit,triangle-left")
+    assert code == 2
+    rep = json.loads(out, parse_constant=_reject_constant)
+    (raised,) = [c for c in rep["checks"] if c["error"]]
+    assert raised["name"] == "m-unit" and raised["defect"] is None
+    assert raised["error"] == "ValueError: boom"
+    assert rep["summary"]["maxDefect"] is None
+    assert rep["summary"]["errors"] == 1
 
 
 def test_verify_out_file(capsys, tmp_path):
@@ -124,6 +164,12 @@ def test_gen_invalid_limits(capsys):
     assert "invalid limits" in err
     code, _, err = _run(capsys, "gen", "--min-mult", "5", "--max-mult", "2")
     assert code == 2
+    # a chain must hold at least one bimodule
+    for length in ("0", "-1"):
+        code, out, err = _run(capsys, "gen", "--length", length)
+        assert code == 2
+        assert "--length" in err
+        assert out == ""
 
 
 def test_tensor_report(capsys):

@@ -14,9 +14,11 @@ from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_squar
                                 check_pentagon, check_triangle, exit_code,
                                 run_suite)
 from bimodcat.instances import InstanceSpec, Limits, generate
+from bimodcat.involution import conjugation, conjugation_pair
 from bimodcat.linalg import random_unitary
 from bimodcat.store import product_store
-from bimodcat.tensor import KIND_LEFT, KIND_RIGHT, tensor_left, tensor_right
+from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_standard, tensor_left,
+                             tensor_right)
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -289,6 +291,28 @@ def test_check_on_its_own_builds_what_the_suite_builds(monkeypatch, family,
     assert len(builds) == in_suite
     if family == "hexagon-left":
         assert in_suite == 14
+    _assert_no_store(x, y)
+
+
+@pytest.mark.parametrize("call, products", [
+    (lambda x, y: conjugation(KIND_LEFT, x, y), 3),
+    (lambda x, y: conjugation(KIND_RIGHT, x, y), 3),
+    (conjugation_pair, 4),
+    (lambda x, y: m_standard(MultiMatrixAlgebra((1, 2)), 2, 2), 4),
+], ids=["conjugation-left", "conjugation-right", "conjugation_pair",
+        "m_standard"])
+def test_library_call_on_its_own_builds_each_product_once(monkeypatch, call,
+                                                          products):
+    # a library call outside any store opens its own, so it builds what it
+    # builds inside an open store, and leaves no store open
+    x, y = generate(0, limits=Limits(), length=2).bimodules
+    builds = _count_products(monkeypatch)
+    call(x, y)
+    assert len(builds) == products
+    builds.clear()
+    with product_store():
+        call(x, y)
+    assert len(builds) == products
     _assert_no_store(x, y)
 
 

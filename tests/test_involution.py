@@ -6,7 +6,6 @@ import pytest
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import (Morphism, canonical_bimodule, dual_bimodule,
                                dual_vector, random_morphism_matrix, transpose)
-from bimodcat.bounded import star_bounded
 from bimodcat.involution import (conjugation, conjugation_mixed,
                                  conjugation_pair, transpose_on_product)
 from bimodcat.linalg import op_norm, random_unitary

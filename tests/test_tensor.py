@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Morphism, canonical_bimodule, matrix_extension,
+from bimodcat.bimodule import (Morphism, canonical_bimodule,
                                multiplicity_matrix, random_morphism_matrix)
-from bimodcat.bounded import (left_projective_realization,
-                              right_projective_realization)
+from bimodcat.bounded import (left_bounded_space, left_projective_realization,
+                              right_bounded_space, right_projective_realization)
 from bimodcat.coherence import run_suite
 from bimodcat.instances import generate
-from bimodcat.linalg import (RANK_EPS, crandn, op_norm, psd_eig, psd_inv_sqrt,
-                             random_unitary)
+from bimodcat.linalg import RANK_EPS, crandn, op_norm, psd_eig, random_unitary
+from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              _standard_images, associator,
                              induced_map, left_unitor, m_iso, m_standard,
@@ -195,15 +195,16 @@ def test_m_iso_unitary_morphism_and_realization_independent():
 
 
 def test_m_iso_frames_are_the_products_bounded_frames():
-    # m takes its tight frames from the bounded bases its products hold;
-    # they are the projective-realization frames, bit for bit
+    # the realization frames are the stored orthonormal bounded bases, the
+    # ones the products that m reads hold
     for seed in range(3):
         spec = generate(seed)
-        for x, y in zip(spec.bimodules, spec.bimodules[1:]):
-            assert np.array_equal(tensor_left(x, y).bounded.frame_vectors(),
-                                  right_projective_realization(x).frame)
-            assert np.array_equal(tensor_right(x, y).bounded.frame_vectors(),
-                                  left_projective_realization(y).frame)
+        with product_store():
+            for x in spec.bimodules:
+                assert (right_projective_realization(x).frame
+                        is right_bounded_space(x).vectors)
+                assert (left_projective_realization(x).frame
+                        is left_bounded_space(x).vectors)
 
 
 def test_m_iso_agrees_with_standard_on_square():
@@ -303,8 +304,9 @@ def test_kernel_free_checks_match_the_kernel(monkeypatch, seed):
     with_kernel = 0
     for tp in _suite_products(monkeypatch, seed):
         q, e, gram = tp.quotient, tp.section, tp.gram
-        # every Gram is an orthogonal projection
+        # every Gram is an orthogonal projection, so Q Q^H = 1 and E = Q^H
         assert op_norm(q @ q.conj().T - np.eye(tp.dim)) <= 1e-12
+        assert np.array_equal(e, q.conj().T)
         assert op_norm(gram @ gram - gram) <= 1e-12
         f, g = (crandn(rng, leg.shape[1], leg.shape[1]) for leg in tp.legs)
         norm = op_norm(f) * op_norm(g)
@@ -333,12 +335,14 @@ def test_frame_contractions_match_einsum(seed):
             want = np.einsum("wab,bi,aj->ijw", units.conj(), pr.frame.conj(), pr.frame)
             assert _rel_err(pr.projection_entries(), want) <= 1e-12
             w, v = psd_eig(bb.form)
-            # the frame reads the eigenpairs the bounded space kept
-            assert np.array_equal(bb.eigenvalues, w)
-            assert np.array_equal(bb.eigenvectors, v)
             winv = (v * (1.0 / np.where(w > RANK_EPS * w[0], w, np.inf))) @ v.conj().T
             s = np.einsum("wab,bc,wdc->ad", units, winv, units.conj())
-            assert _rel_err(bb.frame_vectors(), psd_inv_sqrt(s) @ bb.vectors) <= 1e-12
+            # the orthonormal bounded basis is a tight frame: S = 1, and so
+            # is the frame operator sum_i g_i g_i^H of the realization's frame
+            maps = pr.frame_maps()
+            assert _rel_err(s, np.eye(x.dim)) <= 1e-12
+            assert _rel_err(np.einsum("iaw,ibw->ab", maps, maps.conj()),
+                            np.eye(x.dim)) <= 1e-12
         mult, unitary = x.canonical
         plain = canonical_bimodule(x.left_algebra, x.right_algebra, mult)
         for got, units in ((x.left_units, plain.left_units),
