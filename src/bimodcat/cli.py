@@ -203,8 +203,8 @@ def cmd_tensor(args) -> int:
     info = {
         "dims": {"X": x.dim, "Y": y.dim,
                  "ltimes": tp_l.dim, "rtimes": tp_r.dim},
-        # the quotient keeps exactly the eigenvalues psd_rank(gram, scale=1.0)
-        # counts, so the Gram rank is the product dimension
+        # the sector basis has sum_l dim X p_l * dim p_l Y members, which is
+        # the Gram's rank, so the Gram rank is the product dimension
         "gramRank": {"ltimes": tp_l.dim, "rtimes": tp_r.dim},
         "multiplicities": {
             "X": multiplicity_matrix(x).tolist(),

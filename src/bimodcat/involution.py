@@ -43,7 +43,7 @@ def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     # plain conjugate of its value at the identity
     star_coeff = tp_dual.bounded.expand(np.conj(tp_left.bounded.vectors))
     qd = tp_dual.quotient.reshape(tp_dual.dim, dy, tp_dual.bounded.size)
-    src = np.einsum("rsm,mi->ris", qd, star_coeff).reshape(
+    src = np.swapaxes(qd @ star_coeff, 1, 2).reshape(
         tp_dual.dim, star_coeff.shape[1] * dy)
     tgt = tp_left.quotient.conj()
     mat = map_from_spanning(src, tgt)

@@ -104,6 +104,27 @@ def psd_rank(m: np.ndarray, scale: float = 0.0) -> int:
     return int(np.count_nonzero(w > RANK_EPS * max(w[0], scale)))
 
 
+def range_basis(proj: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the range of an orthogonal projection.
+
+    Takes k = round(tr P) steps of column-pivoted Gram-Schmidt on P's
+    columns: each step keeps the column with the largest residual, the
+    first on a tie, so the basis is fixed by P and not by an eigensolver's
+    pick inside a degenerate eigenspace.  A kept v is in the range, so
+    v^H P e_j = conj(v_j): column j's residual is P e_j - V conj(V[j]), and
+    its squared norm is P_jj - |V[j]|^2.
+    """
+    residual = proj.diagonal().real.copy()
+    basis = np.empty((proj.shape[0], int(round(residual.sum()))), dtype=complex)
+    for step in range(basis.shape[1]):
+        j = residual.argmax()
+        v = proj[:, j] - basis[:, :step] @ basis[j, :step].conj()
+        v /= np.sqrt(np.vdot(v, v).real)
+        residual -= v.real ** 2 + v.imag ** 2
+        basis[:, step] = v
+    return basis
+
+
 def null_space_hermitian(normal: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of a PSD normal matrix.
 

@@ -59,8 +59,9 @@ def stored(build: Callable, *args):
 
 def _read_only(value, args, own: set):
     """Make a value's arrays read-only, except ``own``; the ``args`` are skipped."""
-    for field in dataclasses.fields(value):
-        item = getattr(value, field.name)
+    items = value if isinstance(value, tuple) else (
+        getattr(value, field.name) for field in dataclasses.fields(value))
+    for item in items:
         for part in item if isinstance(item, tuple) else (item,):
             if isinstance(part, np.ndarray):
                 if id(part) not in own:

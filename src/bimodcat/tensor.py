@@ -6,20 +6,30 @@ Y (B-C):
 * ``kind="left"``  : completion of XB(-1/2) (x)_B Y        (the ltimes product)
 * ``kind="right"`` : completion of X (x)_B B(-1/2)Y        (the rtimes product)
 
-Each is realized as the Gram quotient of the algebraic tensor space spanned
-by (bounded basis) x (orthonormal basis), and both share one construction.
-The Gram is ``sum_w A_w (x) B_w`` over the matrix units w of the middle
-algebra B: for ``ltimes`` A_w holds the w-coordinates of the B-valued inner
-products [f_i, f_j]_B of the bounded basis and B_w is the left action on Y;
-for ``rtimes`` A_w is the right action on X and B_w holds the w-coordinates
-of _B[v_k, v_j].
+Each is realized as a quotient of the algebraic tensor space spanned by
+(bounded basis) x (orthonormal basis), and both share one construction.
+Its Gram is ``G = sum_w A_w (x) B_w`` over the matrix units w of the
+middle algebra B = (+)_l M_m: for ``ltimes`` A_w holds the w-coordinates
+of the B-valued inner products [f_i, f_j]_B of the bounded basis and B_w
+is the left action on Y; for ``rtimes`` A_w is the right action on X and
+B_w holds the w-coordinates of _B[v_k, v_j].
 
-The bounded basis is a tight frame (:mod:`bimodcat.bounded`), so each Gram
-is an orthogonal projection: the quotient map Q has Q Q^H = id and
-Q^H Q = Gram, so quotient coordinates are isometric, and the section is
-E = Q^H.  A product keeps A, B and Q.  An operator F (x) G on the
-algebraic space that preserves the Gram null space descends to
-Q (F (x) G) E on the quotient.  In particular the result bimodule acts by
+The quotient comes from the sectors, with no Gram matrix and no
+eigensolver.  For a minimal projection p of block l, [xi, xi']_B =
+<xi, xi'> p on X p, so X (x)_B Y is the orthogonal sum over l of
+X p (x) p Y.  With orthonormal bases x_a of X p and y_b of p Y, the
+family V of tensors x_a (x) y_b (the bounded leg in bounded-basis
+coefficients) is G-orthonormal and has as many members as the product
+has dimensions.  The bounded basis is a tight frame
+(:mod:`bimodcat.bounded`), so G is an orthogonal projection, and
+Q = (G V)^H has Q Q^H = id and Q^H Q = G: quotient coordinates are
+isometric, and the section is E = Q^H.  G V is summed from the m units
+of block l that are nonzero on its sector, and each factor's leg of that
+sum is built once per bimodule and kind in the product store; G itself
+is built only by the ``gram`` property, for the tests.  A product keeps
+A, B and Q.  An operator F (x) G on the algebraic space that preserves
+the Gram null space descends to Q (F (x) G) E on the quotient.  In
+particular the result bimodule acts by
 
 * ``Q (F_u (x) 1) E`` on the left, where F_u is the action of the u-th
   matrix unit on the first leg (for ``ltimes`` the bounded-basis
@@ -30,9 +40,9 @@ Q (F (x) G) E on the quotient.  In particular the result bimodule acts by
 
 These and the other multi-operand contractions run as pairwise batched
 matrix products (BLAS): numpy's ``einsum`` runs three operands as one
-unblocked loop over every index.  All structural isomorphisms (unitors, associators,
-extension identifications, the multiplicativity isomorphism m) are built
-on canonical spanning families and verified for consistency.
+unblocked loop over every index.  All structural isomorphisms (unitors,
+associators, extension identifications, the multiplicativity isomorphism
+m) are built on canonical spanning families and verified for consistency.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import numpy as np
 from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Morphism, matrix_extension
 from .bounded import BoundedBasis, left_bounded_space, right_bounded_space
-from .linalg import RANK_EPS, map_from_spanning, op_norm, psd_eig, unit_inner
+from .linalg import map_from_spanning, op_norm, range_basis, unit_inner
 from .store import product_store, stored
 
 KIND_LEFT = "left"     # ltimes
@@ -83,7 +93,7 @@ class TensorProduct:
 
     @property
     def gram(self) -> np.ndarray:
-        """The algebraic Gram matrix, rebuilt from the legs."""
+        """The algebraic Gram matrix, rebuilt from the legs; only tests read it."""
         return _gram(self.legs)
 
     def class_coords(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -101,16 +111,55 @@ def _gram(legs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return gram.reshape(n1 * n2, n1 * n2)
 
 
-def _quotient_from_gram(gram: np.ndarray) -> np.ndarray:
-    """Q = V^H for the eigenvectors V of the Gram's kept eigenvalues (all 1)."""
-    w, v = psd_eig(gram)
-    if w.size == 0 or w[0] == 0.0:
-        keep = np.zeros(w.shape, dtype=bool)
-    else:
-        # absolute floor: the true Gram has integer trace (the product
-        # dimension), so an all-noise Gram from a zero product must rank 0
-        keep = w > RANK_EPS * max(w[0], 1.0)
-    return v[:, keep].conj().T
+def _sector_units(alg: MultiMatrixAlgebra, kind: str):
+    """Per block of B: the index of its p, and of the units w nonzero on p's sector.
+
+    ltimes takes p = e_00 of each block, so w = e_i0; rtimes the last
+    diagonal unit e_dd, so w = e_di.  With one p shared by both kinds, the
+    two results would get equal action matrices and m would be the
+    identity.
+    """
+    for off, m in zip(alg.offsets, alg.blocks):
+        if kind == KIND_LEFT:
+            yield off, off + m * np.arange(m)
+        else:
+            last = off + (m - 1) * m
+            yield last + m - 1, last + np.arange(m)
+
+
+def _sector_legs(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
+    """Per block of B, x's leg of G V on its sector: a (m, n, k) stack over m units w.
+
+    The columns c_a are an orthonormal basis of X p (``side`` "right") or
+    p X.  On the bounded leg the stack holds A_w c_a in bounded-basis
+    coordinates, (U_w f_i)^H c_a; on the other leg it holds U_w c_a.
+    """
+    right = side == "right"
+    alg, units = ((x.right_algebra, x.right_units) if right
+                  else (x.left_algebra, x.left_units))
+    if right == (kind == KIND_LEFT):
+        bounded = (right_bounded_space if right else left_bounded_space)(x)
+        return tuple(unit_inner(units[w], bounded.vectors, range_basis(units[p]))
+                     for p, w in _sector_units(alg, kind))
+    return tuple(units[w] @ range_basis(units[p])
+                 for p, w in _sector_units(alg, kind))
+
+
+def _sector_quotient(firsts, seconds) -> np.ndarray:
+    """Q = (G V)^H for the sector family V, with G = sum_w A_w (x) B_w never formed.
+
+    ``firsts`` and ``seconds`` hold, per block of B, the two legs'
+    (m, n1, k) and (m, n2, j) stacks from :func:`_sector_legs`; V's columns
+    are the products of their sector bases, so that block of G V is
+    sum_w (A_w a) (x) (B_w b), one (m, n1*k)^T @ (m, n2*j) product.
+    """
+    cols = []
+    for ga, gb in zip(firsts, seconds):
+        (m, n1, k), (_, n2, j) = ga.shape, gb.shape
+        cols.append((ga.reshape(m, n1 * k).T @ gb.reshape(m, n2 * j))
+                    .reshape(n1, k, n2, j).transpose(0, 2, 1, 3)
+                    .reshape(n1 * n2, k * j))
+    return np.concatenate(cols, axis=1).conj().T
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -166,7 +215,7 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
 def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
                     legs: Tuple[np.ndarray, np.ndarray],
                     first: np.ndarray, second: np.ndarray) -> TensorProduct:
-    """Gram quotient of sum_w A_w (x) B_w; acts by Q (F_u (x) 1) E, Q (1 (x) R_u) E.
+    """Sector quotient of sum_w A_w (x) B_w; acts by Q (F_u (x) 1) E, Q (1 (x) R_u) E.
 
     ``legs`` holds the (W, n1, n1) and (W, n2, n2) stacks A and B;
     ``first`` (U, n1, n1) acts on the first algebraic leg, ``second``
@@ -177,7 +226,12 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
     n1, n2 = legs[0].shape[1], legs[1].shape[1]
-    quotient = _quotient_from_gram(_gram(legs))
+    quotient = _sector_quotient(stored(_sector_legs, x, "right", kind),
+                                stored(_sector_legs, y, "left", kind))
+    if kind == KIND_RIGHT:
+        # listed in reverse, so that m is not the identity where the middle
+        # blocks have size 1
+        quotient = np.ascontiguousarray(quotient[::-1])
     section = quotient.conj().T
     r = quotient.shape[0]
     # (F_u (x) 1) E: F_u on E with rows grouped by the first leg
@@ -312,16 +366,13 @@ def _associator_left(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
     r1 = tp_xy.dim
     qxy = tp_xy.quotient.reshape(r1, nx, tp_xy.right_factor.dim)
     # bounded vectors f_i (x) g_j of (X ly Y)C(-1/2): evaluation at 1_C
-    wev = np.einsum("ris,sj->rij", qxy, tp_yz.bounded.vectors)
-    coeff = tp_xy_z.bounded.expand(wev.reshape(r1, nx * ny)).reshape(
-        tp_xy_z.bounded.size, nx, ny)
+    wev = qxy @ tp_yz.bounded.vectors
+    coeff = tp_xy_z.bounded.expand(wev.reshape(r1, nx * ny))
     qsrc = tp_xy_z.quotient.reshape(tp_xy_z.dim, tp_xy_z.bounded.size, dz)
-    src = np.einsum("rtu,tij->riju", qsrc, coeff).reshape(
-        tp_xy_z.dim, nx * ny * dz)
-    qyz = tp_yz.quotient.reshape(tp_yz.dim, ny, dz)
+    src = (coeff.T @ qsrc).reshape(tp_xy_z.dim, nx * ny * dz)
+    qyz = tp_yz.quotient.reshape(tp_yz.dim, ny * dz)
     qtgt = tp_x_yz.quotient.reshape(tp_x_yz.dim, nx, tp_yz.dim)
-    tgt = np.einsum("riq,qju->riju", qtgt, qyz).reshape(
-        tp_x_yz.dim, nx * ny * dz)
+    tgt = (qtgt @ qyz).reshape(tp_x_yz.dim, nx * ny * dz)
     return map_from_spanning(src, tgt)
 
 
@@ -332,16 +383,13 @@ def _associator_right(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
     mz = tp_xy_z.bounded.size     # left bounded of Z
     qxy = tp_xy.quotient          # (r1, dx*my)
     qsrc = tp_xy_z.quotient.reshape(tp_xy_z.dim, tp_xy.dim, mz)
-    src = np.einsum("rqk,qm->rmk", qsrc, qxy).reshape(
-        tp_xy_z.dim, dx * my * mz)
+    src = (qxy.T @ qsrc).reshape(tp_xy_z.dim, dx * my * mz)
     # left bounded vectors v_j (x) w_k of B(-1/2)(Y rt Z): evaluation at 1_B
     qyz = tp_yz.quotient.reshape(tp_yz.dim, tp_yz.left_factor.dim, mz)
-    mev = np.einsum("rsk,sj->rjk", qyz, tp_xy.bounded.vectors)
+    mev = tp_xy.bounded.vectors.T @ qyz
     coeff = tp_x_yz.bounded.expand(mev.reshape(tp_yz.dim, my * mz))
     qtgt = tp_x_yz.quotient.reshape(tp_x_yz.dim, dx, tp_yz.dim)
-    tgt = np.einsum("rst,tjk->rsjk",
-                    qtgt, coeff.reshape(tp_x_yz.bounded.size, my, mz)).reshape(
-        tp_x_yz.dim, dx * my * mz)
+    tgt = (qtgt @ coeff).reshape(tp_x_yz.dim, dx * my * mz)
     return map_from_spanning(src, tgt)
 
 
@@ -374,11 +422,11 @@ def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
     if left:
         n1, n2 = bb.size, tp_xy.right_factor.dim
         qsrc = tp_ext.quotient.reshape(tp_ext.dim, ext.size, nj * n2)
-        src = np.einsum("rtm,tc->rcm", qsrc, coeff)
+        src = coeff.T @ qsrc
     else:
         n1, n2 = tp_xy.left_factor.dim, bb.size
         qsrc = tp_ext.quotient.reshape(tp_ext.dim, ni * n1, ext.size)
-        src = np.einsum("rsm,mc->rsc", qsrc, coeff)
+        src = qsrc @ coeff
     # target columns e_i (x) e_j (x) Q(e_a (x) e_b), in the order (i, a, j, b)
     r = tp_xy.dim
     tgt = np.kron(np.eye(ni * nj), tp_xy.quotient).reshape(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bimodcat.linalg import (fix_phases, map_from_spanning, op_norm, psd_eig,
-                             psd_rank, psd_sqrt, random_unitary, scale_tol,
-                             small_rotation)
+                             psd_rank, psd_sqrt, random_unitary, range_basis,
+                             scale_tol, small_rotation)
 
 
 def test_psd_eig_descending_and_clipped():
@@ -28,6 +28,31 @@ def test_psd_rank_with_kernel():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     assert psd_rank(a @ a.conj().T) == 3
+
+
+def _pivoted_gram_schmidt(proj, k):
+    """Loop reference: column norms recomputed at every step."""
+    cols, basis = proj.astype(complex), []
+    for _ in range(k):
+        norms = [np.linalg.norm(cols[:, j]) for j in range(cols.shape[1])]
+        v = cols[:, int(np.argmax(norms))] / max(norms)
+        basis.append(v)
+        cols = cols - np.outer(v, v.conj() @ cols)
+    return np.array(basis).T.reshape(len(proj), k)
+
+
+def test_range_basis_matches_pivoted_gram_schmidt():
+    rng = np.random.default_rng(6)
+    ties = np.diag([0.0, 1.0, 1.0, 0.0, 1.0])
+    for proj in [ties] + [(q @ q.conj().T) for q in
+                          (random_unitary(rng, 5)[:, :k] for k in range(6))]:
+        k = int(round(np.trace(proj).real))
+        basis = range_basis(proj)
+        assert basis.shape == (5, k)
+        assert op_norm(basis.conj().T @ basis - np.eye(k)) < 1e-12
+        assert op_norm(basis @ basis.conj().T - proj) < 1e-12
+        assert op_norm(basis - _pivoted_gram_schmidt(proj, k)) < 1e-12
+    assert np.array_equal(range_basis(ties), np.eye(5)[:, [1, 2, 4]])
 
 
 def test_random_unitary_and_small_rotation():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Morphism, canonical_bimodule,
+from bimodcat.bimodule import (Morphism, canonical_bimodule, dual_bimodule,
                                multiplicity_matrix, random_morphism_matrix)
 from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
 from bimodcat.coherence import run_suite
-from bimodcat.instances import generate
+from bimodcat.instances import Limits, generate
+from bimodcat.involution import conjugation_mixed
 from bimodcat.linalg import RANK_EPS, crandn, op_norm, psd_eig, random_unitary
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
@@ -237,8 +238,13 @@ def _rel_err(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
 
-def _suite_products(monkeypatch, seed):
-    """Every tensor product the coherence suite builds for a default-limit seed."""
+def _suite_products(monkeypatch, seed, limits=None):
+    """Every tensor product the coherence suite builds for a seed.
+
+    The suite must pass with no errors, so that a broken construction,
+    which the suite turns into an error result, cannot leave the products
+    unchecked.
+    """
     tensor_mod = importlib.import_module("bimodcat.tensor")
     real = tensor_mod.TensorProduct
     built = []
@@ -248,8 +254,11 @@ def _suite_products(monkeypatch, seed):
         return built[-1]
 
     monkeypatch.setattr(tensor_mod, "TensorProduct", record)
-    run_suite(generate(seed))
+    report = run_suite(generate(seed, limits))
     monkeypatch.undo()
+    failed = [c for c in report["checks"] if not c["passed"] or c["error"]]
+    assert not failed, failed
+    assert built
     return built
 
 
@@ -357,3 +366,152 @@ def test_frame_contractions_match_einsum(seed):
         want = np.einsum("iwx,wvu,jus->ijvxs", avecs.transpose(1, 0, 2), lunits,
                          cvecs.transpose(1, 0, 2)).reshape(3 * 2 * w, 4 * 5)
         assert _rel_err(_standard_images(b_alg, avecs, cvecs), want) <= 1e-12
+
+
+# -- the sector quotient against the Gram eigen-quotient ----------------------
+
+def _eigen_quotient(gram):
+    """Q = V^H for the Gram's eigenvectors above the rank floor.
+
+    The floor is absolute too: a true Gram has integer trace, the product
+    dimension, so an all-noise Gram of a zero product ranks 0.
+    """
+    w, v = psd_eig(gram)
+    if w.size == 0 or w[0] == 0.0:
+        return v[:, :0].conj().T
+    return v[:, w > RANK_EPS * max(w[0], 1.0)].conj().T
+
+
+def _predicted_dim(tp):
+    """Criterion 5's sum of (mu_X mu_Y)_kl n_k m_l."""
+    x, y = tp.left_factor, tp.right_factor
+    mu = multiplicity_matrix(x) @ multiplicity_matrix(y)
+    return int(np.asarray(x.left_algebra.blocks) @ mu
+               @ np.asarray(y.right_algebra.blocks))
+
+
+@pytest.mark.parametrize("seed, limits", [
+    *((seed, None) for seed in ORACLE_SEEDS),
+    *((seed, Limits(min_mult=1)) for seed in range(6))])
+def test_quotient_matches_the_gram_oracle(monkeypatch, seed, limits):
+    # the Frobenius norm bounds the operator norm and needs no SVD
+    for tp in _suite_products(monkeypatch, seed, limits):
+        q, gram = tp.quotient, tp.gram
+        assert np.linalg.norm(q @ q.conj().T - np.eye(tp.dim)) <= 1e-12
+        assert np.linalg.norm(q.conj().T @ q - gram) <= 1e-12
+        oracle = _eigen_quotient(gram)
+        assert tp.dim == oracle.shape[0] == _predicted_dim(tp)
+        # both quotients have the Gram's range as row space
+        turn = q @ oracle.conj().T
+        assert np.linalg.norm(turn @ turn.conj().T - np.eye(tp.dim)) <= 1e-12
+
+
+def test_m_is_not_the_identity():
+    # ltimes and rtimes cut their sectors with different minimal projections
+    # and rtimes lists its sector columns reversed; with one shared
+    # projection, m = 1 wherever the middle blocks have size 1
+    pairs = 0
+    for limits in (None, Limits(min_mult=1)):
+        for seed in range(10):
+            spec = generate(seed, limits)
+            with product_store():
+                for x, y in zip(spec.bimodules, spec.bimodules[1:]):
+                    if tensor_left(x, y).dim >= 2:
+                        m = m_iso(x, y)
+                        assert op_norm(m - np.eye(len(m))) >= 1.0, (seed, limits)
+                        pairs += 1
+    assert pairs == 49
+
+
+# -- the spanning families against their einsum subscripts --------------------
+
+def _spanning_families(monkeypatch, module, call, *args):
+    """(families, value) of ``call``: the (source, target) pairs it solves."""
+    families = []
+    real = module.map_from_spanning
+
+    def record(src, tgt):
+        families.append((src, tgt))
+        return real(src, tgt)
+
+    monkeypatch.setattr(module, "map_from_spanning", record)
+    value = call(*args)
+    monkeypatch.undo()
+    return families, value
+
+
+def _associator_oracle(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
+    r, rz, ryz, rt = tp_xy.dim, tp_xy_z.dim, tp_yz.dim, tp_x_yz.dim
+    if tp_xy.kind == KIND_LEFT:
+        nx, ny = tp_xy.bounded.size, tp_yz.bounded.size
+        dy, dz = tp_yz.left_factor.dim, tp_yz.right_factor.dim
+        wev = np.einsum("ris,sj->rij", tp_xy.quotient.reshape(r, nx, dy),
+                        tp_yz.bounded.vectors)
+        coeff = tp_xy_z.bounded.expand(wev.reshape(r, nx * ny)).reshape(
+            tp_xy_z.bounded.size, nx, ny)
+        src = np.einsum("rtu,tij->riju", tp_xy_z.quotient.reshape(
+            rz, tp_xy_z.bounded.size, dz), coeff)
+        tgt = np.einsum("riq,qju->riju", tp_x_yz.quotient.reshape(rt, nx, ryz),
+                        tp_yz.quotient.reshape(ryz, ny, dz))
+        return src.reshape(rz, nx * ny * dz), tgt.reshape(rt, nx * ny * dz)
+    dx, dy = tp_xy.left_factor.dim, tp_yz.left_factor.dim
+    my, mz = tp_xy.bounded.size, tp_xy_z.bounded.size
+    src = np.einsum("rqk,qm->rmk", tp_xy_z.quotient.reshape(rz, r, mz),
+                    tp_xy.quotient)
+    mev = np.einsum("rsk,sj->rjk", tp_yz.quotient.reshape(ryz, dy, mz),
+                    tp_xy.bounded.vectors)
+    coeff = tp_x_yz.bounded.expand(mev.reshape(ryz, my * mz))
+    tgt = np.einsum("rst,tjk->rsjk", tp_x_yz.quotient.reshape(rt, dx, ryz),
+                    coeff.reshape(tp_x_yz.bounded.size, my, mz))
+    return src.reshape(rz, dx * my * mz), tgt.reshape(rt, dx * my * mz)
+
+
+def _ext_source_oracle(tp_xy, tp_ext, ni, nj):
+    bb, ext = tp_xy.bounded, tp_ext.bounded
+    left = tp_xy.kind == KIND_LEFT
+    coeff = ext.expand(np.kron(np.eye(ni if left else nj), bb.vectors))
+    if left:
+        n1, n2 = bb.size, tp_xy.right_factor.dim
+        src = np.einsum("rtm,tc->rcm", tp_ext.quotient.reshape(
+            tp_ext.dim, ext.size, nj * n2), coeff)
+    else:
+        n1, n2 = tp_xy.left_factor.dim, bb.size
+        src = np.einsum("rsm,mc->rsc", tp_ext.quotient.reshape(
+            tp_ext.dim, ni * n1, ext.size), coeff)
+    return src.reshape(tp_ext.dim, ni * n1 * nj * n2)
+
+
+def _conjugation_source_oracle(x, y):
+    tp_left = tensor_left(x, y)
+    tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
+    star_coeff = tp_dual.bounded.expand(np.conj(tp_left.bounded.vectors))
+    qd = tp_dual.quotient.reshape(tp_dual.dim, y.dim, tp_dual.bounded.size)
+    return np.einsum("rsm,mi->ris", qd, star_coeff).reshape(
+        tp_dual.dim, star_coeff.shape[1] * y.dim)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_spanning_families_match_einsum(monkeypatch, seed):
+    tensor_mod = importlib.import_module("bimodcat.tensor")
+    involution_mod = importlib.import_module("bimodcat.involution")
+    x, y, z = generate(seed).bimodules[:3]
+    nonempty = 0
+    with product_store():
+        for kind in KINDS:
+            t_xy, t_yz = tensor(kind, x, y), tensor(kind, y, z)
+            tps = (t_xy, tensor(kind, t_xy.result, z), t_yz,
+                   tensor(kind, x, t_yz.result))
+            [(src, tgt)], _ = _spanning_families(monkeypatch, tensor_mod,
+                                                 associator, *tps)
+            want_src, want_tgt = _associator_oracle(*tps)
+            assert _rel_err(src, want_src) <= 1e-12
+            assert _rel_err(tgt, want_tgt) <= 1e-12
+            nonempty += src.size > 0
+            [(src, _)], (_, tp_ext, _) = _spanning_families(
+                monkeypatch, tensor_mod, tensor_matrix_extension_iso,
+                x, y, 2, 3, kind)
+            assert _rel_err(src, _ext_source_oracle(t_xy, tp_ext, 2, 3)) <= 1e-12
+        [(src, _)], _ = _spanning_families(monkeypatch, involution_mod,
+                                           conjugation_mixed, x, y)
+        assert _rel_err(src, _conjugation_source_oracle(x, y)) <= 1e-12
+    assert nonempty or seed != 0
