@@ -38,7 +38,12 @@ class InstanceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Bounds for the random draws."""
+    """Bounds for the random draws.
+
+    ``max_dim`` must be at least ``max_block**2``, the dimension of the
+    largest single sector (one block of each algebra, multiplicity one):
+    ``random_bimodule`` drops sectors until the cap holds, and keeps one.
+    """
 
     max_blocks: int = 2
     max_block: int = 2
@@ -52,6 +57,10 @@ class Limits:
                 raise ValueError(f"limit {name} must be >= 1")
         if not 0 <= self.min_mult <= self.max_mult:
             raise ValueError("min_mult must lie in [0, max_mult]")
+        if self.max_dim < self.max_block ** 2:
+            raise ValueError(
+                f"limit max_dim {self.max_dim} is below max_block**2 = "
+                f"{self.max_block ** 2}, the largest single sector")
 
 
 @dataclass(frozen=True)

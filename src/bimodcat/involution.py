@@ -7,7 +7,8 @@ The basic map is ``conjugation_mixed``: the unitary
 determined on spanning tensors by  eta-bar (x) x-star  |->  (x (x) eta)-bar
 for right bounded vectors x of X and vectors eta of Y.  Both one-kind
 versions derive from it through the multiplicativity isomorphism m:
-the rtimes one by inverting the transposed m of (X, Y), the ltimes one by
+the rtimes one by inverting the transposed m of (X, Y) (m is unitary, so
+that inverse is its conjugate), the ltimes one by
 precomposing with the m of (Y*, X*).
 
 Each function takes the bimodules and fetches the products and duals it
@@ -62,8 +63,9 @@ def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:
     if kind == KIND_RIGHT:
         c = conjugation_mixed(x, y)
         m = m_iso(x, y)
-        # c = (transpose m) o c_rtimes, so invert the transpose
-        mat = np.linalg.solve(m.T, c.matrix)
+        # c = (transpose m) o c_rtimes; m is unitary, so the inverse of
+        # its transpose is its plain conjugate
+        mat = m.conj() @ c.matrix
         return Morphism(c.source, dual_bimodule(tensor_right(x, y).result), mat)
     raise ValueError(f"unknown tensor kind {kind!r}")
 
@@ -83,5 +85,5 @@ def transpose_on_product(f: Morphism, c_src: Morphism,
     which equals (transpose of the second leg) kind (transpose of the first)
     by naturality when f is an elementary tensor of morphisms.
     """
-    mat = np.linalg.solve(c_src.matrix, transpose(f).matrix @ c_tgt.matrix)
+    mat = c_src.matrix.conj().T @ transpose(f).matrix @ c_tgt.matrix
     return Morphism(c_tgt.source, c_src.source, mat)

@@ -160,16 +160,29 @@ def small_rotation(rng: np.random.Generator, n: int, eps: float) -> np.ndarray:
 
 
 def map_from_spanning(src_cols: np.ndarray, tgt_cols: np.ndarray) -> np.ndarray:
-    """Linear map M with M @ src_cols == tgt_cols, columns spanning the source.
+    """Linear map M with M @ src_cols == tgt_cols, solved by the adjoint.
 
-    Raises ValueError when the columns are inconsistent (no linear map exists
-    within 1e-7 relative residual).
+    Precondition: ``src_cols`` has orthonormal rows, S S^H = 1, so that
+    M = T S^H with no pseudo-inverse.  It holds for every caller's family:
+    the family is a product's quotient Q applied to tensors of bounded
+    basis vectors and orthonormal basis vectors.  Bounded bases are tight
+    frames (:mod:`bimodcat.bounded`), so those tensors form a tight frame
+    F with F F^H = 1, and Q Q^H = 1 makes S S^H = Q F F^H Q^H = 1.
+
+    Raises ValueError when ||M S - T||_F > 1e-7 * max(1, ||T||_F / sqrt(k)),
+    k = min(T.shape): when the columns are not the graph of a linear map,
+    and when S's rows are not orthonormal, since then T S^H S != T.  This
+    rejects whatever a least-squares solve T S^+ would reject at 1e-7
+    times max(1, ||T||_2) in operator norm: the residual M S - T restricted
+    to the complement of S's row space is that solve's residual, the
+    Frobenius norm bounds the operator norm, and ||T||_F / sqrt(k) <= ||T||_2.
     """
     if src_cols.shape[0] == 0:
         return np.zeros((tgt_cols.shape[0], 0), dtype=complex)
-    m = tgt_cols @ np.linalg.pinv(src_cols, rcond=RANK_EPS)
-    scale = max(op_norm(tgt_cols), 1.0)
-    resid = op_norm(m @ src_cols - tgt_cols)
+    m = tgt_cols @ src_cols.conj().T
+    k = max(min(tgt_cols.shape), 1)
+    scale = max(np.linalg.norm(tgt_cols) / np.sqrt(k), 1.0)
+    resid = float(np.linalg.norm(m @ src_cols - tgt_cols))
     if resid > 1e-7 * scale:
         raise ValueError(
             f"spanning-family data does not define a linear map (residual {resid:.3e})")

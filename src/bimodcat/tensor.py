@@ -42,7 +42,11 @@ These and the other multi-operand contractions run as pairwise batched
 matrix products (BLAS): numpy's ``einsum`` runs three operands as one
 unblocked loop over every index.  All structural isomorphisms (unitors,
 associators, extension identifications, the multiplicativity isomorphism
-m) are built on canonical spanning families and verified for consistency.
+m) are built on canonical spanning families.  The associators and
+extension identifications solve theirs, a quotient's image of a tight
+frame and so with orthonormal rows, by the adjoint (``map_from_spanning``:
+M = T S^H), which raises when the residual shows that a family is not the
+graph of a linear map.
 """
 
 from __future__ import annotations

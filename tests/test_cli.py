@@ -256,6 +256,7 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
              ("$.seed", lambda doc: doc.update(seed=1.5)),
              ("$.seed", lambda doc: doc.update(seed=True)),
              ("$.limits.max_dim", lambda doc: doc["limits"].update(max_dim=40.9)),
+             ("$.limits", lambda doc: doc["limits"].update(max_dim=3)),
              ("$.algebras[0].blocks",
               lambda doc: doc["algebras"][0].update(blocks=[2.5])),
              ("$.morphisms[0].source",
@@ -375,3 +376,14 @@ def test_verify_max_dim_zero_is_usage_error(capsys):
     code, out, err = _run(capsys, "verify", "--max-dim", "0")
     assert code == 2
     assert "max_dim" in err
+
+
+def test_max_dim_below_the_largest_sector_is_usage_error(capsys):
+    # a sector of two size-2 blocks has 4 dimensions, over a cap of 1 to 3
+    for argv in (("verify", "--max-dim", "1"), ("tensor", "--max-dim", "1"),
+                 ("tensor", "--max-dim", "3"), ("gen", "--max-dim", "3"),
+                 ("gen", "--max-block", "3", "--max-dim", "8")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "max_dim" in err

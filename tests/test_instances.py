@@ -18,6 +18,10 @@ def test_limits_validation():
         Limits(min_mult=2, max_mult=1)
     with pytest.raises(ValueError):
         Limits(min_mult=-1)
+    # one sector of two blocks of size max_block has max_block**2 dimensions
+    for max_block, max_dim in ((2, 1), (2, 3), (3, 8)):
+        with pytest.raises(ValueError, match="max_dim"):
+            Limits(max_block=max_block, max_dim=max_dim)
 
 
 def test_generate_deterministic():
@@ -57,6 +61,12 @@ def test_limits_respected():
     b = random_algebra(rng2, lim2)
     x = random_bimodule(a, b, rng2, lim2)
     assert x.dim > 0
+    # the smallest cap allowed, max_block**2, holds on every draw
+    for max_block in (1, 2, 3):
+        lim3 = Limits(max_block=max_block, max_dim=max_block ** 2)
+        for seed in range(40):
+            assert all(x.dim <= lim3.max_dim
+                       for x in generate(seed, limits=lim3).bimodules)
 
 
 def test_save_load_round_trip_byte_identical():

@@ -113,7 +113,9 @@ def test_scale_tol_floor_and_growth():
 
 def test_map_from_spanning_consistency():
     rng = np.random.default_rng(5)
-    src = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    # a spanning family with orthonormal rows, as every caller passes
+    u = random_unitary(rng, 8)
+    src = u[:3]
     m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     got = map_from_spanning(src, m @ src)
     assert op_norm(got - m) < 1e-9 * max(1.0, op_norm(m))
@@ -122,3 +124,15 @@ def test_map_from_spanning_consistency():
     bad[:, 0] += 1.0
     with pytest.raises(ValueError):
         map_from_spanning(src, bad)
+    # so is a family whose rows are not orthonormal
+    gauss = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    with pytest.raises(ValueError):
+        map_from_spanning(gauss, m @ gauss)
+    # and a residual off the row space just above 1e-7 * max(1, ||T||_2) in
+    # operator norm, the bound a pseudo-inverse solve would reject
+    tgt = m @ src
+    direction = np.outer(random_unitary(rng, 4)[:, 0], u[3])
+    eps = 1.01e-7 * max(1.0, op_norm(tgt))
+    assert op_norm(eps * direction) > 1e-7 * max(1.0, op_norm(tgt + eps * direction))
+    with pytest.raises(ValueError):
+        map_from_spanning(src, tgt + eps * direction)

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -515,3 +516,31 @@ def test_spanning_families_match_einsum(monkeypatch, seed):
                                            conjugation_mixed, x, y)
         assert _rel_err(src, _conjugation_source_oracle(x, y)) <= 1e-12
     assert nonempty or seed != 0
+
+
+def test_spanning_families_have_orthonormal_rows(monkeypatch):
+    # map_from_spanning solves M = T S^H, which needs S S^H = 1 of every
+    # family the suite solves: check it on every call, with its caller
+    callers, worst = set(), 0.0
+    for name in ("bimodcat.tensor", "bimodcat.involution"):
+        module = importlib.import_module(name)
+        real = module.map_from_spanning
+
+        def record(src, tgt, real=real):
+            nonlocal worst
+            callers.add(sys._getframe(1).f_code.co_name)
+            gap = np.linalg.norm(src @ src.conj().T - np.eye(src.shape[0]))
+            worst = max(worst, gap)
+            return real(src, tgt)
+
+        monkeypatch.setattr(module, "map_from_spanning", record)
+    for seed, limits in [*((seed, None) for seed in ORACLE_SEEDS),
+                         *((seed, Limits(min_mult=1)) for seed in range(3))]:
+        report = run_suite(generate(seed, limits))
+        assert not [c for c in report["checks"] if c["error"]], seed
+    for blocks, ni, nj in [((1,), 1, 1), ((2,), 2, 1), ((1, 2), 2, 2),
+                           ((3, 1), 1, 3)]:
+        m_standard(MultiMatrixAlgebra(blocks), ni, nj)
+    assert worst <= 1e-12
+    assert callers == {"_associator_left", "_associator_right", "_ext_iso",
+                       "conjugation_mixed"}
