@@ -149,9 +149,13 @@ def _encode(arr: np.ndarray):
 
 
 def _decode(data, path: str) -> np.ndarray:
+    # a float cast would take "1.0" and true, also among numbers; a JSON
+    # boolean is a Python bool, a subclass of int, so types are compared exactly
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
+        leaves = np.asarray(data, dtype=object)
+        numbers = set(map(type, leaves.ravel())) <= {int, float}
+        arr = leaves.astype(float) if numbers else np.zeros(0)
+    except (TypeError, ValueError, OverflowError):
         arr = np.zeros(0)   # not numbers: fails the shape test below
     if arr.ndim < 1 or arr.shape[-1] != 2 or not np.isfinite(arr).all():
         raise InstanceFormatError(f"{path}: expected [re, im] pairs of numbers")

@@ -9,8 +9,8 @@ every later call, so a product of a product's result is built once too.
 Functions take bimodules and fetch their products, duals and bounded
 spaces through :func:`stored`; none takes them as arguments.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).  The arrays a
-build made are made read-only, since every caller shares them; the
-arguments' own arrays stay as given, also where the value holds them.
+build made are made read-only, since every caller shares them; no value
+holds one of its arguments' own arrays, and those stay as given.
 Outside a store every call builds.
 
 The open store lives in a context variable, so it is visible to the calls
@@ -51,20 +51,17 @@ def stored(build: Callable, *args):
     key = (build, *args)
     if key not in values:
         values[key] = build(*args)
-        own = {id(getattr(a, f.name)) for a in args
-               if dataclasses.is_dataclass(a) for f in dataclasses.fields(a)}
-        _read_only(values[key], args, own)
+        _read_only(values[key], args)
     return values[key]
 
 
-def _read_only(value, args, own: set):
-    """Make a value's arrays read-only, except ``own``; the ``args`` are skipped."""
-    items = value if isinstance(value, tuple) else (
-        getattr(value, field.name) for field in dataclasses.fields(value))
-    for item in items:
-        for part in item if isinstance(item, tuple) else (item,):
-            if isinstance(part, np.ndarray):
-                if id(part) not in own:
-                    part.setflags(write=False)
-            elif dataclasses.is_dataclass(part) and part not in args:
-                _read_only(part, args, own)
+def _read_only(value, args):
+    """Make a value's arrays read-only, in tuples and dataclasses but not ``args``."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item, args)
+    elif dataclasses.is_dataclass(value) and value not in args:
+        for field in dataclasses.fields(value):
+            _read_only(getattr(value, field.name), args)

@@ -17,28 +17,28 @@ B_w holds the w-coordinates of _B[v_k, v_j].
 The quotient comes from the sectors, with no Gram matrix and no
 eigensolver.  For a minimal projection p of block l, [xi, xi']_B =
 <xi, xi'> p on X p, so X (x)_B Y is the orthogonal sum over l of
-X p (x) p Y.  With orthonormal bases x_a of X p and y_b of p Y, the
-family V of tensors x_a (x) y_b (the bounded leg in bounded-basis
+X p (x) p Y.  With orthonormal bases c_a of X p and d_b of p Y, the
+family V of tensors c_a (x) d_b (the bounded leg in bounded-basis
 coefficients) is G-orthonormal and has as many members as the product
 has dimensions.  The bounded basis is a tight frame
 (:mod:`bimodcat.bounded`), so G is an orthogonal projection, and
 Q = (G V)^H has Q Q^H = id and Q^H Q = G: quotient coordinates are
 isometric, and the section is E = Q^H.  G V is summed from the m units
-of block l that are nonzero on its sector, and each factor's leg of that
-sum is built once per bimodule and kind in the product store; G itself
-is built only by the ``gram`` property, for the tests.  A product keeps
-A, B and Q.  An operator F (x) G on the algebraic space that preserves
-the Gram null space descends to Q (F (x) G) E on the quotient.  In
-particular the result bimodule acts by
+of block l that are nonzero on its sector; each factor's sector bases
+and its leg of that sum are built once per bimodule and kind in the
+product store.  A product keeps Q.  An operator F (x) G on the algebraic
+space that preserves the Gram null space descends to Q (F (x) G) E on
+the quotient.
 
-* ``Q (F_u (x) 1) E`` on the left, where F_u is the action of the u-th
-  matrix unit on the first leg (for ``ltimes`` the bounded-basis
-  coefficients of a . f_i, for ``rtimes`` the left action on X);
-* ``Q (1 (x) R_u) E`` on the right, where R_u acts on the second leg (for
-  ``ltimes`` the right action on Y, for ``rtimes`` the bounded-basis
-  coefficients of v_j . b).
+Since Q V = 1, the quotient coordinates are the members c_a (x) d_b
+themselves, and the result bimodule acts on them from the sector bases
+alone, with no algebraic-space operator: A maps X p into itself, so
+a . (c_a (x) d_b) = (c^H L_u c) c_a (x) d_b on the first index, and
+C acts by d^H R_v d on the second.  Both are the identity on the other
+index, and they equal Q (F_u (x) 1) E and Q (1 (x) R_v) E, which the
+tests keep as the oracle.
 
-These and the other multi-operand contractions run as pairwise batched
+The multi-operand contractions run as pairwise batched
 matrix products (BLAS): numpy's ``einsum`` runs three operands as one
 unblocked loop over every index.  All structural isomorphisms (unitors,
 associators, extension identifications, the multiplicativity isomorphism
@@ -78,7 +78,6 @@ class TensorProduct:
     left_factor: Bimodule
     right_factor: Bimodule
     bounded: BoundedBasis        # right-bounded of X (kind left) / left-bounded of Y
-    legs: Tuple[np.ndarray, np.ndarray]   # Gram = sum_w A_w (x) B_w
     quotient: np.ndarray         # Q : algebraic -> quotient, Q Q^H = id
     result: Bimodule
 
@@ -95,11 +94,6 @@ class TensorProduct:
         """E = Q^H : quotient -> algebraic, Q E = id."""
         return self.quotient.conj().T
 
-    @property
-    def gram(self) -> np.ndarray:
-        """The algebraic Gram matrix, rebuilt from the legs; only tests read it."""
-        return _gram(self.legs)
-
     def class_coords(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Quotient coordinates of an elementary tensor.
 
@@ -107,12 +101,6 @@ class TensorProduct:
         kind "right": ``first`` = vector in X, ``second`` = bounded-basis coefficients.
         """
         return self.quotient @ np.kron(first, second)
-
-
-def _gram(legs: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    gram = np.einsum("wij,wst->isjt", *legs)
-    n1, n2 = gram.shape[:2]
-    return gram.reshape(n1 * n2, n1 * n2)
 
 
 def _sector_units(alg: MultiMatrixAlgebra, kind: str):
@@ -131,22 +119,29 @@ def _sector_units(alg: MultiMatrixAlgebra, kind: str):
             yield last + m - 1, last + np.arange(m)
 
 
+def _sector_bases(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
+    """Per block of B, orthonormal columns spanning X p (``side`` "right") or p X."""
+    alg, units = ((x.right_algebra, x.right_units) if side == "right"
+                  else (x.left_algebra, x.left_units))
+    return tuple(range_basis(units[p]) for p, _ in _sector_units(alg, kind))
+
+
 def _sector_legs(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
     """Per block of B, x's leg of G V on its sector: a (m, n, k) stack over m units w.
 
-    The columns c_a are an orthonormal basis of X p (``side`` "right") or
+    The columns c_a are the sector basis of X p (``side`` "right") or
     p X.  On the bounded leg the stack holds A_w c_a in bounded-basis
     coordinates, (U_w f_i)^H c_a; on the other leg it holds U_w c_a.
     """
     right = side == "right"
     alg, units = ((x.right_algebra, x.right_units) if right
                   else (x.left_algebra, x.left_units))
+    pairs = zip(stored(_sector_bases, x, side, kind), _sector_units(alg, kind))
     if right == (kind == KIND_LEFT):
         bounded = (right_bounded_space if right else left_bounded_space)(x)
-        return tuple(unit_inner(units[w], bounded.vectors, range_basis(units[p]))
-                     for p, w in _sector_units(alg, kind))
-    return tuple(units[w] @ range_basis(units[p])
-                 for p, w in _sector_units(alg, kind))
+        return tuple(unit_inner(units[w], bounded.vectors, c)
+                     for c, (_, w) in pairs)
+    return tuple(units[w] @ c for c, (_, w) in pairs)
 
 
 def _sector_quotient(firsts, seconds) -> np.ndarray:
@@ -170,42 +165,26 @@ def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
     """X ltimes Y: completion of XB(-1/2) (x)_B Y.
 
     The algebraic space is (bounded basis of X) x (basis of Y).  The result
-    acts by Q (F_u (x) 1) E on the left, F_u the bounded-basis coefficients
-    of L_u f_i, and by Q (1 (x) R_u) E on the right, R_u the right action on Y.
-    Inside an open product store, each product is built once.
+    is the orthogonal sum over the blocks l of B of X p_l (x) p_l Y, with
+    p_l = e_00 of block l, in the sector bases c_l of X p_l and d_l of
+    p_l Y: A acts by c_l^H L_u c_l on the first index and C by
+    d_l^H R_v d_l on the second.  Inside an open product store, each
+    product is built once.
     """
-    return stored(_tensor_left, x, y)
-
-
-def _tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
-    bb = right_bounded_space(x)
-    # vec([f_i, f_j]_B)[w] = (R_w xi_i)^H xi_j
-    inner_vecs = unit_inner(x.right_units, bb.vectors, bb.vectors)
-    # F_u: bounded-basis coefficients of L_u xi_j
-    fstack = bb.expand(x.left_units @ bb.vectors)
-    return _tensor_product(KIND_LEFT, x, y, bb, (inner_vecs, y.left_units),
-                           fstack, y.right_units)
+    return stored(_tensor_product, KIND_LEFT, x, y)
 
 
 def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
     """X rtimes Y: completion of X (x)_B B(-1/2)Y.
 
     The algebraic space is (basis of X) x (bounded basis of Y).  The result
-    acts by Q (L_u (x) 1) E on the left, L_u the left action on X, and by
-    Q (1 (x) C_u) E on the right, C_u the bounded-basis coefficients of
-    R_u v_j.  Inside an open product store, each product is built once.
+    is the orthogonal sum over the blocks l of B of X p_l (x) p_l Y, with
+    p_l the last diagonal unit of block l, in the sector bases c_l of X p_l
+    and d_l of p_l Y, listed in reverse: A acts by c_l^H L_u c_l on the
+    first index and C by d_l^H R_v d_l on the second.  Inside an open
+    product store, each product is built once.
     """
-    return stored(_tensor_right, x, y)
-
-
-def _tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
-    bb = left_bounded_space(y)
-    # vec(_B[v_k, v_j])[w] = (L_w eta_j)^H eta_k  -> entry for pair (j, k)
-    inner_vecs = unit_inner(y.left_units, bb.vectors, bb.vectors)
-    # C_u: bounded-basis coefficients of R_u eta_j
-    cstack = bb.expand(y.right_units @ bb.vectors)
-    return _tensor_product(KIND_RIGHT, x, y, bb, (x.right_units, inner_vecs),
-                           x.left_units, cstack)
+    return stored(_tensor_product, KIND_RIGHT, x, y)
 
 
 def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -216,36 +195,38 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
-def _tensor_product(kind: str, x: Bimodule, y: Bimodule, bb: BoundedBasis,
-                    legs: Tuple[np.ndarray, np.ndarray],
-                    first: np.ndarray, second: np.ndarray) -> TensorProduct:
-    """Sector quotient of sum_w A_w (x) B_w; acts by Q (F_u (x) 1) E, Q (1 (x) R_u) E.
+def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
+    """The sector quotient Q and the result's actions in its member basis.
 
-    ``legs`` holds the (W, n1, n1) and (W, n2, n2) stacks A and B;
-    ``first`` (U, n1, n1) acts on the first algebraic leg, ``second``
-    (V, n2, n2) on the second; ``quotient`` is (r, n1*n2) and E = Q^H.
-    Batch sizes stay explicit so that r = 0 works.
+    Member (a, b) of block l is c_a (x) d_b, with c_a in X p_l and d_b in
+    p_l Y; ``quotient`` is (r, n1*n2) and lists the members block by block,
+    reversed for rtimes.  A acts on the index a alone, C on b alone.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
-    n1, n2 = legs[0].shape[1], legs[1].shape[1]
+    bb = right_bounded_space(x) if kind == KIND_LEFT else left_bounded_space(y)
     quotient = _sector_quotient(stored(_sector_legs, x, "right", kind),
                                 stored(_sector_legs, y, "left", kind))
+    cs = stored(_sector_bases, x, "right", kind)
+    ds = stored(_sector_bases, y, "left", kind)
+    # the members: pairs of first and second indices of one block
+    a, b = np.nonzero(_block_labels(cs)[:, None] == _block_labels(ds))
     if kind == KIND_RIGHT:
         # listed in reverse, so that m is not the identity where the middle
         # blocks have size 1
         quotient = np.ascontiguousarray(quotient[::-1])
-    section = quotient.conj().T
-    r = quotient.shape[0]
-    # (F_u (x) 1) E: F_u on E with rows grouped by the first leg
-    left = (first @ section.reshape(n1, n2 * r)).reshape(len(first), n1 * n2, r)
-    # (1 (x) R_u) E: R_u on each first-leg slice of E
-    right = (second[:, None] @ section.reshape(n1, n2, r)).reshape(
-        len(second), n1 * n2, r)
-    result = Bimodule(x.left_algebra, y.right_algebra,
-                      quotient @ left, quotient @ right)
-    return TensorProduct(kind, x, y, bb, legs, quotient, result)
+        a, b = a[::-1], b[::-1]
+    c, d = np.concatenate(cs, axis=1), np.concatenate(ds, axis=1)
+    left = (c.conj().T @ x.left_units @ c)[:, a[:, None], a] * (b[:, None] == b)
+    right = (d.conj().T @ y.right_units @ d)[:, b[:, None], b] * (a[:, None] == a)
+    result = Bimodule(x.left_algebra, y.right_algebra, left, right)
+    return TensorProduct(kind, x, y, bb, quotient, result)
+
+
+def _block_labels(bases: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """The block of each column of the concatenated sector bases."""
+    return np.repeat(np.arange(len(bases)), [c.shape[1] for c in bases])
 
 
 def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
@@ -486,7 +467,16 @@ def m_iso(x: Bimodule, y: Bimodule,
     formula and composed.
     Optional unitary rotations recombine the frames, producing different
     but equivalent realizations (the result is provably independent).
+    Without rotations, m is built once inside an open product store.
     """
+    if right_rotation is None and left_rotation is None:
+        return stored(_m_iso, x, y)
+    return _m_iso(x, y, right_rotation, left_rotation)
+
+
+def _m_iso(x: Bimodule, y: Bimodule,
+           right_rotation: Optional[np.ndarray] = None,
+           left_rotation: Optional[np.ndarray] = None) -> np.ndarray:
     tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
     b_alg = x.right_algebra
     gframe = tp_left.bounded.vectors

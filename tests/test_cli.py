@@ -9,6 +9,7 @@ from bimodcat.cli import main
 from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.linalg import psd_rank
 from bimodcat.tensor import tensor_left, tensor_right
+from test_tensor import _gram
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -187,8 +188,8 @@ def test_tensor_report(capsys):
         _, out, _ = _run(capsys, "tensor", "--seed", str(seed), "--json")
         x, y = generate(seed, length=2).bimodules
         assert json.loads(out)["gramRank"] == {
-            "ltimes": psd_rank(tensor_left(x, y).gram, scale=1.0),
-            "rtimes": psd_rank(tensor_right(x, y).gram, scale=1.0)}
+            "ltimes": psd_rank(_gram(tensor_left(x, y)), scale=1.0),
+            "rtimes": psd_rank(_gram(tensor_right(x, y)), scale=1.0)}
 
 
 def test_tensor_builds_each_product_once(capsys, monkeypatch):
@@ -267,6 +268,19 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
               lambda doc: doc["bimodules"][0].update(basis_unitary="x")),
              ("$.bimodules[0].basis_unitary",
               lambda doc: doc["bimodules"][0]["basis_unitary"].pop()),
+             # strings and booleans cast to float, also among numbers
+             ("$.bimodules[0].basis_unitary",
+              lambda doc: doc["bimodules"][0]["basis_unitary"][0].__setitem__(
+                  0, ["1.0", "0"])),
+             ("$.morphisms[0].matrix",
+              lambda doc: doc["morphisms"][0]["matrix"][0].__setitem__(
+                  0, [True, False])),
+             ("$.bimodules[0].basis_unitary",
+              lambda doc: doc["bimodules"][0]["basis_unitary"][0].__setitem__(
+                  0, [True, 0.5])),
+             ("$.bimodules[0].basis_unitary",
+              lambda doc: doc["bimodules"][0]["basis_unitary"][0].__setitem__(
+                  0, [10 ** 400, 0])),
              ("$.bimodules[0].left_action",
               lambda doc: doc["bimodules"].__setitem__(0, {
                   "left": 0, "right": 1, "left_action": "x",

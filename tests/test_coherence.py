@@ -16,7 +16,7 @@ from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_squar
 from bimodcat.instances import InstanceSpec, Limits, generate
 from bimodcat.involution import conjugation, conjugation_pair
 from bimodcat.linalg import random_unitary
-from bimodcat.store import product_store
+from bimodcat.store import product_store, stored
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_standard, tensor_left,
                              tensor_right)
 
@@ -185,13 +185,35 @@ def test_suite_builds_each_member_product_once(monkeypatch):
             return build(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(tensor_module, "_tensor_left", "product")
-    counted(tensor_module, "_tensor_right", "product")
+    counted(tensor_module, "_tensor_product", "product")
     counted(bounded_module, "_bounded_space", "bounded")
     spec = generate(0, limits=Limits())
     assert len(spec.bimodules) == 4
     assert exit_code(run_suite(spec)) == 0
     assert builds == {"product": 52, "bounded": 32}
+
+
+def test_suite_builds_m_once_per_pair(monkeypatch):
+    # a dense suite asks for m 21 times for 11 pairs (X, Y); each pair's m
+    # is built once and shared read-only
+    asked, builds = [], []
+    for name in ("bimodcat.coherence", "bimodcat.involution"):
+        module = importlib.import_module(name)
+
+        def ask(x, y, *rotations, real=module.m_iso):
+            asked.append((x, y))
+            return real(x, y, *rotations)
+        monkeypatch.setattr(module, "m_iso", ask)
+    build = tensor_module._m_iso
+
+    def counted(x, y):
+        builds.append(build(x, y))
+        return builds[-1]
+    monkeypatch.setattr(tensor_module, "_m_iso", counted)
+    assert exit_code(run_suite(generate(18, limits=Limits(min_mult=1)))) == 0
+    assert len(asked) == 21
+    assert len(builds) == len({(id(x), id(y)) for x, y in asked}) == 11
+    assert not any(m.flags.writeable for m in builds)
 
 
 def _assert_no_store(x, z):
@@ -243,11 +265,12 @@ def test_store_keeps_every_product():
         assert t_xy_z.bounded is right_bounded_space(t_xy.result)
         for tp in (t_xy, t_xy_z):
             assert not tp.quotient.flags.writeable
-            assert not tp.legs[0].flags.writeable
             assert not tp.result.left_units.flags.writeable
-            # the second leg is the right factor's own action stack
-            assert tp.legs[1] is tp.right_factor.left_units
-        # the factors' arrays stay as given, also where a product holds them
+            # so are the sector bases the product was built from
+            for basis in stored(tensor_module._sector_bases,
+                                tp.right_factor, "left", KIND_LEFT):
+                assert not basis.flags.writeable
+        # the factors' arrays stay as given
         for factor in (x, y, z):
             assert factor.left_units.flags.writeable
             assert factor.right_units.flags.writeable
