@@ -10,7 +10,8 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 construction or usage
 error, also a ``verify`` that runs no check.  ``--json`` writes a defect
 that is not finite as ``null``.  ``BIMODULE_TOL`` in the environment
 overrides the default tolerance; an explicit ``--tol`` flag wins over it.
-A tolerance must be a finite number > 0.
+A tolerance must be a finite number > 0 and < 1: a relative tolerance of
+1 or more passes a defect as large as the maps it compares.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the coherence check suite")
     common(p)
     p.add_argument("--tol", type=float, default=None,
-                   help="base tolerance (default from BIMODULE_TOL or 1e-9)")
+                   help="base tolerance, > 0 and < 1 (default from BIMODULE_TOL or 1e-9)")
     p.add_argument("--suite", default=None,
                    help="comma-separated subset of check families "
                         f"({', '.join(coherence.CHECK_FAMILIES)})")
@@ -88,8 +89,8 @@ def _resolve_tol(flag: Optional[float]) -> float:
             tol = float(env)
         except ValueError:
             raise UsageError(f"invalid BIMODULE_TOL {env!r}: not a number")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise UsageError(f"invalid {source} {tol!r}: must be finite and > 0")
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise UsageError(f"invalid {source} {tol!r}: must be finite, > 0 and < 1")
     return tol
 
 

@@ -26,27 +26,15 @@ Q = (G V)^H has Q Q^H = id and Q^H Q = G: quotient coordinates are
 isometric, and the section is E = Q^H.  G V is summed from the m units
 of block l that are nonzero on its sector; each factor's sector bases
 and its leg of that sum are built once per bimodule and kind in the
-product store.  A product keeps Q.  An operator F (x) G on the algebraic
-space that preserves the Gram null space descends to Q (F (x) G) E on
-the quotient.
+product store.  A product keeps Q.
 
 Since Q V = 1, the quotient coordinates are the members c_a (x) d_b
-themselves, and the result bimodule acts on them from the sector bases
-alone, with no algebraic-space operator: A maps X p into itself, so
-a . (c_a (x) d_b) = (c^H L_u c) c_a (x) d_b on the first index, and
-C acts by d^H R_v d on the second.  Both are the identity on the other
-index, and they equal Q (F_u (x) 1) E and Q (1 (x) R_v) E, which the
-tests keep as the oracle.
-
-The multi-operand contractions run as pairwise batched
-matrix products (BLAS): numpy's ``einsum`` runs three operands as one
-unblocked loop over every index.  All structural isomorphisms (unitors,
-associators, extension identifications, the multiplicativity isomorphism
-m) are built on canonical spanning families.  The associators and
-extension identifications solve theirs, a quotient's image of a tight
-frame and so with orthonormal rows, by the adjoint (``map_from_spanning``:
-M = T S^H), which raises when the residual shows that a family is not the
-graph of a linear map.
+themselves (:class:`Members`), so f (x) g, the unitors and the
+associator are read off the sector bases on elementary tensors; the
+tests keep their algebraic-space constructions as oracles.  The
+extension identifications solve a spanning family by the adjoint
+(``map_from_spanning``: M = T S^H), a quotient's image of a tight frame
+and so with orthonormal rows.
 """
 
 from __future__ import annotations
@@ -58,7 +46,7 @@ import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Morphism, matrix_extension
-from .bounded import BoundedBasis, left_bounded_space, right_bounded_space
+from .bounded import BoundedBasis, _acting, left_bounded_space, right_bounded_space
 from .linalg import map_from_spanning, op_norm, range_basis, unit_inner
 from .store import product_store, stored
 
@@ -71,6 +59,22 @@ class WellDefinednessError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
+class Members:
+    """A product's quotient basis: member i is c[:, a[i]] (x) d[:, b[i]].
+
+    ``c`` and ``d`` concatenate the sector bases of X p_l and p_l Y over
+    the blocks l of B.  Block l's members are every pair of its c and d
+    columns; ``blocks`` holds their indices on that grid and both slices.
+    """
+
+    c: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    blocks: Tuple[Tuple[np.ndarray, slice, slice], ...]
+
+
+@dataclass(frozen=True, eq=False)
 class TensorProduct:
     """A relative tensor product with its quotient bookkeeping."""
 
@@ -80,6 +84,7 @@ class TensorProduct:
     bounded: BoundedBasis        # right-bounded of X (kind left) / left-bounded of Y
     quotient: np.ndarray         # Q : algebraic -> quotient, Q Q^H = id
     result: Bimodule
+    members: Members             # the quotient basis, Q V = 1
 
     @property
     def dim(self) -> int:
@@ -121,8 +126,7 @@ def _sector_units(alg: MultiMatrixAlgebra, kind: str):
 
 def _sector_bases(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
     """Per block of B, orthonormal columns spanning X p (``side`` "right") or p X."""
-    alg, units = ((x.right_algebra, x.right_units) if side == "right"
-                  else (x.left_algebra, x.left_units))
+    alg, units = _acting(x, side)
     return tuple(range_basis(units[p]) for p, _ in _sector_units(alg, kind))
 
 
@@ -134,8 +138,7 @@ def _sector_legs(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
     coordinates, (U_w f_i)^H c_a; on the other leg it holds U_w c_a.
     """
     right = side == "right"
-    alg, units = ((x.right_algebra, x.right_units) if right
-                  else (x.left_algebra, x.left_units))
+    alg, units = _acting(x, side)
     pairs = zip(stored(_sector_bases, x, side, kind), _sector_units(alg, kind))
     if right == (kind == KIND_LEFT):
         bounded = (right_bounded_space if right else left_bounded_space)(x)
@@ -166,10 +169,8 @@ def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
 
     The algebraic space is (bounded basis of X) x (basis of Y).  The result
     is the orthogonal sum over the blocks l of B of X p_l (x) p_l Y, with
-    p_l = e_00 of block l, in the sector bases c_l of X p_l and d_l of
-    p_l Y: A acts by c_l^H L_u c_l on the first index and C by
-    d_l^H R_v d_l on the second.  Inside an open product store, each
-    product is built once.
+    p_l = e_00 of block l (:func:`_tensor_product`).  Inside an open
+    product store, each product is built once.
     """
     return stored(_tensor_product, KIND_LEFT, x, y)
 
@@ -179,10 +180,9 @@ def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
 
     The algebraic space is (basis of X) x (bounded basis of Y).  The result
     is the orthogonal sum over the blocks l of B of X p_l (x) p_l Y, with
-    p_l the last diagonal unit of block l, in the sector bases c_l of X p_l
-    and d_l of p_l Y, listed in reverse: A acts by c_l^H L_u c_l on the
-    first index and C by d_l^H R_v d_l on the second.  Inside an open
-    product store, each product is built once.
+    p_l the last diagonal unit of block l, listed in reverse
+    (:func:`_tensor_product`).  Inside an open product store, each product
+    is built once.
     """
     return stored(_tensor_product, KIND_RIGHT, x, y)
 
@@ -196,11 +196,12 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
 
 
 def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
-    """The sector quotient Q and the result's actions in its member basis.
+    """The sector quotient Q, its members and the result's actions on them.
 
     Member (a, b) of block l is c_a (x) d_b, with c_a in X p_l and d_b in
     p_l Y; ``quotient`` is (r, n1*n2) and lists the members block by block,
-    reversed for rtimes.  A acts on the index a alone, C on b alone.
+    reversed for rtimes.  A acts by c^H L_u c on the index a alone, C by
+    d^H R_v d on b alone: the cases L_u (x) 1 and 1 (x) R_v of f (x) g.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
@@ -210,49 +211,66 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
                                 stored(_sector_legs, y, "left", kind))
     cs = stored(_sector_bases, x, "right", kind)
     ds = stored(_sector_bases, y, "left", kind)
+    (lc, spans_c), (ld, spans_d) = _columns(cs), _columns(ds)
     # the members: pairs of first and second indices of one block
-    a, b = np.nonzero(_block_labels(cs)[:, None] == _block_labels(ds))
+    a, b = np.nonzero(lc[:, None] == ld)
     if kind == KIND_RIGHT:
         # listed in reverse, so that m is not the identity where the middle
         # blocks have size 1
         quotient = np.ascontiguousarray(quotient[::-1])
         a, b = a[::-1], b[::-1]
     c, d = np.concatenate(cs, axis=1), np.concatenate(ds, axis=1)
-    left = (c.conj().T @ x.left_units @ c)[:, a[:, None], a] * (b[:, None] == b)
-    right = (d.conj().T @ y.right_units @ d)[:, b[:, None], b] * (a[:, None] == a)
-    result = Bimodule(x.left_algebra, y.right_algebra, left, right)
-    return TensorProduct(kind, x, y, bb, quotient, result)
+    index = np.empty((c.shape[1], d.shape[1]), dtype=int)
+    index[a, b] = np.arange(a.size)
+    members = Members(c, d, a, b, tuple((index[sc, sd], sc, sd)
+                                        for sc, sd in zip(spans_c, spans_d)))
+    result = Bimodule(x.left_algebra, y.right_algebra,
+                      _member_map(members, members, x.left_units, None),
+                      _member_map(members, members, None, y.right_units))
+    return TensorProduct(kind, x, y, bb, quotient, result, members)
 
 
-def _block_labels(bases: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """The block of each column of the concatenated sector bases."""
-    return np.repeat(np.arange(len(bases)), [c.shape[1] for c in bases])
+def _columns(bases: Tuple[np.ndarray, ...]):
+    """The block of each concatenated column, and the column slice of each block."""
+    sizes = [c.shape[1] for c in bases]
+    return (np.repeat(np.arange(len(bases)), sizes),
+            [slice(sum(sizes[:k]), sum(sizes[:k + 1])) for k in range(len(sizes))])
+
+
+def _member_map(src: Members, tgt: Members, f, g) -> np.ndarray:
+    """f (x) g from ``src``'s members to ``tgt``'s; f and g may be stacks.
+
+    Entry (i', i) is (c'^H f c)[a'_i', a_i] (d'^H g d)[b'_i', b_i].  It
+    needs f c_a in the span of c' and g d_b in that of d', which holds for
+    a right-B-linear f and a left-B-linear g.  None is the identity of a
+    factor that ``src`` and ``tgt`` share.
+    """
+    fc = (tgt.a[:, None] == src.a) if f is None else (
+        tgt.c.conj().T @ f @ src.c)[..., tgt.a[:, None], src.a]
+    gd = (tgt.b[:, None] == src.b) if g is None else (
+        tgt.d.conj().T @ g @ src.d)[..., tgt.b[:, None], src.b]
+    return fc * gd
 
 
 def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
                 check: bool = True) -> np.ndarray:
-    """Q_tgt A E_src for a map A of algebraic coordinates (see :func:`_descend`)."""
-    return _descend(src, tgt, alg_map, op_norm(alg_map) if check else None)
+    """Q_tgt A E_src for a map A of algebraic coordinates.
 
-
-def _descend(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
-             norm: Optional[float]) -> np.ndarray:
-    """Q_tgt A E_src, checked unless the norm ||A|| is None.
-
-    The check raises unless A maps the source's Gram null space into the
-    target's, so that A descends.  With K an orthonormal basis of that null
-    space, E Q = 1 - K K^H, so ||QA - (QA E) Q||_F is the Gram seminorm
-    ||Q_tgt A K||_F of its image, found without a kernel basis.  Every
-    product's Gram is an orthogonal projection (the bounded basis is
-    HS-orthonormal, so sum_i f_i f_i^H = 1), hence ||Q|| = 1 and the
-    defect scales with ||A|| alone.  A true kernel vector leaves a residual
-    of order sqrt(machine epsilon), hence the loose 1e-6.
+    Unless ``check`` is false, it raises unless A maps the source's Gram
+    null space into the target's, so that A descends.  With K an
+    orthonormal basis of that null space, E Q = 1 - K K^H, so
+    ||QA - (QA E) Q||_F is the Gram seminorm ||Q_tgt A K||_F of its image,
+    found without a kernel basis.  Every product's Gram is an orthogonal
+    projection (the bounded basis is HS-orthonormal, so
+    sum_i f_i f_i^H = 1), hence ||Q|| = 1 and the defect scales with ||A||
+    alone.  A true kernel vector leaves a residual of order
+    sqrt(machine epsilon), hence the loose 1e-6.
     """
     qa = tgt.quotient @ alg_map
     out = qa @ src.section
-    if norm is not None and src.dim < src.alg_dim:
+    if check and src.dim < src.alg_dim:
         defect = np.linalg.norm(qa - out @ src.quotient)
-        if defect > 1e-6 * max(1.0, norm):
+        if defect > 1e-6 * max(1.0, op_norm(alg_map)):
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
     return out
@@ -263,20 +281,25 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
                      check: bool = True) -> np.ndarray:
     """Matrix of f (x) g between tensor quotients of the same kind.
 
-    ``f`` and ``g`` are raw matrices; for kind "left" f must be right-B-linear
-    and g left-B-linear (any bimodule morphism qualifies), mirrored for
-    kind "right".
+    ``f`` : X -> X' and ``g`` : Y -> Y' are raw matrices.  For both kinds
+    f must be right-B-linear and g left-B-linear (any bimodule morphism
+    qualifies): then f (x) g respects xi b (x) eta = xi (x) b eta.  Unless
+    ``check`` is false, WellDefinednessError names a leg m for which
+    ||m U_w - U'_w m||_F, stacked over every matrix unit w of B, exceeds
+    1e-6 max(1, ||m||_F); rounding leaves about machine epsilon ||m||.
     """
     if src.kind != tgt.kind:
         raise ValueError("source and target tensor kinds differ")
-    # the bounded leg maps through the bounded-basis coefficients
-    if src.kind == KIND_LEFT:
-        f = tgt.bounded.expand(f @ src.bounded.vectors)
-    else:
-        g = tgt.bounded.expand(g @ src.bounded.vectors)
-    # ||f (x) g|| = ||f|| ||g||: no SVD of the Kronecker product
-    return _descend(src, tgt, np.kron(f, g),
-                    op_norm(f) * op_norm(g) if check else None)
+    x, y, x2, y2 = src.left_factor, src.right_factor, tgt.left_factor, tgt.right_factor
+    legs = (("f", "right", f, x.right_units, x2.right_units),
+            ("g", "left", g, y.left_units, y2.left_units))
+    for name, side, m, units, target_units in legs if check else ():
+        defect = np.linalg.norm(m @ units - target_units @ m)
+        if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
+            raise WellDefinednessError(
+                f"{name} is not {side}-B-linear, so f (x) g does not descend "
+                f"to the tensor quotient (defect {defect:.3e})")
+    return _member_map(src.members, tgt.members, f, g)
 
 
 def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
@@ -289,30 +312,23 @@ def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
 # -- unit isomorphisms --------------------------------------------------------
 
 def left_unitor(tp: TensorProduct) -> np.ndarray:
-    """l : L2(A) (x) X -> X on the quotient; the left factor must be standard."""
-    return _unitor(tp, tp.right_factor.left_units, tp.kind == KIND_LEFT)
+    """l : L2(A) (x) X -> X on the quotient; the left factor must be standard.
+
+    l(c_a (x) d_b) = c_a . d_b = sum_w c_a[w] L_w d_b, for c_a in L2(A) p.
+    """
+    m = tp.members
+    return np.einsum("wi,wxi->xi", m.c[:, m.a],
+                     tp.right_factor.left_units @ m.d[:, m.b])
 
 
 def right_unitor(tp: TensorProduct) -> np.ndarray:
-    """r : X (x) L2(B) -> X on the quotient; the right factor must be standard."""
-    return _unitor(tp, tp.left_factor.right_units, tp.kind == KIND_RIGHT)
+    """r : X (x) L2(B) -> X on the quotient; the right factor must be standard.
 
-
-def _unitor(tp: TensorProduct, units: np.ndarray,
-            standard_bounded: bool) -> np.ndarray:
-    """A unitor of ``tp``, X's action of the standard factor's algebra in ``units``.
-
-    ``standard_bounded``: the standard factor is the bounded leg, which
-    leads for ltimes and trails for rtimes.
+    r(c_a (x) d_b) = c_a . d_b = sum_w d_b[w] R_w c_a, for d_b in p L2(B).
     """
-    if standard_bounded:
-        # bounded vectors of L2 are multiplications; evaluate them on X
-        legs = np.einsum("wi,wst->ist", tp.bounded.vectors, units)
-    else:
-        # bounded vectors of X applied to the basis of L2
-        legs = np.einsum("wab,bi->iaw", units, tp.bounded.vectors)
-    order = (1, 0, 2) if tp.kind == KIND_LEFT else (1, 2, 0)
-    return legs.transpose(order).reshape(units.shape[1], tp.alg_dim) @ tp.section
+    m = tp.members
+    return np.einsum("wi,wxi->xi", m.d[:, m.b],
+                     tp.left_factor.right_units @ m.c[:, m.a])
 
 
 def unit_isos(kind: str, x: Bimodule) -> Tuple[Morphism, Morphism]:
@@ -331,51 +347,33 @@ def associator(tp_xy: TensorProduct, tp_xy_z: TensorProduct,
                tp_yz: TensorProduct, tp_x_yz: TensorProduct) -> np.ndarray:
     """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z), all four products of one kind.
 
-    Built on the canonical spanning family of triple tensors of bounded
-    vectors and basis vectors, then solved as a linear map; the spanning
-    consistency check guards well-definedness.
+    Write the members of X (x) Y as c_a (x) d_b, of (X (x) Y) (x) Z as
+    e_alpha (x) z_gamma, of Y (x) Z as y_beta (x) z_gamma and of
+    X (x) (Y (x) Z) as c_a (x) h_rho; e is in the member coordinates of
+    X (x) Y and h in those of Y (x) Z.  So e_alpha (x) z_gamma is
+    sum_(a, b) e[(a, b), alpha] (c_a (x) d_b) (x) z_gamma, which maps to
+    the same sum of c_a (x) (d_b (x) z_gamma).  In Y (x) Z, d_b (x) z_gamma
+    is sum_beta <y_beta, d_b> y_beta (x) z_gamma, and c_a (x) w has the
+    coordinate <h_rho, w> on c_a (x) h_rho.  Blocks l of B and m of C meet
+    in one block of the matrix: rows (a, rho), columns (alpha, gamma).
     """
     kind = tp_xy.kind
     if {tp_xy_z.kind, tp_yz.kind, tp_x_yz.kind} != {kind}:
         raise ValueError("associator needs four tensor products of one kind")
-    if kind == KIND_LEFT:
-        return _associator_left(tp_xy, tp_xy_z, tp_yz, tp_x_yz)
-    return _associator_right(tp_xy, tp_xy_z, tp_yz, tp_x_yz)
-
-
-def _associator_left(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
-    z = tp_xy_z.right_factor
-    nx = tp_xy.bounded.size
-    ny = tp_yz.bounded.size
-    dz = z.dim
-    r1 = tp_xy.dim
-    qxy = tp_xy.quotient.reshape(r1, nx, tp_xy.right_factor.dim)
-    # bounded vectors f_i (x) g_j of (X ly Y)C(-1/2): evaluation at 1_C
-    wev = qxy @ tp_yz.bounded.vectors
-    coeff = tp_xy_z.bounded.expand(wev.reshape(r1, nx * ny))
-    qsrc = tp_xy_z.quotient.reshape(tp_xy_z.dim, tp_xy_z.bounded.size, dz)
-    src = (coeff.T @ qsrc).reshape(tp_xy_z.dim, nx * ny * dz)
-    qyz = tp_yz.quotient.reshape(tp_yz.dim, ny * dz)
-    qtgt = tp_x_yz.quotient.reshape(tp_x_yz.dim, nx, tp_yz.dim)
-    tgt = (qtgt @ qyz).reshape(tp_x_yz.dim, nx * ny * dz)
-    return map_from_spanning(src, tgt)
-
-
-def _associator_right(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
-    x = tp_xy.left_factor
-    dx = x.dim
-    my = tp_xy.bounded.size       # left bounded of Y
-    mz = tp_xy_z.bounded.size     # left bounded of Z
-    qxy = tp_xy.quotient          # (r1, dx*my)
-    qsrc = tp_xy_z.quotient.reshape(tp_xy_z.dim, tp_xy.dim, mz)
-    src = (qxy.T @ qsrc).reshape(tp_xy_z.dim, dx * my * mz)
-    # left bounded vectors v_j (x) w_k of B(-1/2)(Y rt Z): evaluation at 1_B
-    qyz = tp_yz.quotient.reshape(tp_yz.dim, tp_yz.left_factor.dim, mz)
-    mev = tp_xy.bounded.vectors.T @ qyz
-    coeff = tp_x_yz.bounded.expand(mev.reshape(tp_yz.dim, my * mz))
-    qtgt = tp_x_yz.quotient.reshape(tp_x_yz.dim, dx, tp_yz.dim)
-    tgt = (qtgt @ coeff).reshape(tp_x_yz.dim, dx * my * mz)
-    return map_from_spanning(src, tgt)
+    xy, xy_z, yz, x_yz = (tp.members for tp in (tp_xy, tp_xy_z, tp_yz, tp_x_yz))
+    overlap = yz.c.conj().T @ xy.d           # <y_beta, d_b> in Y
+    out = np.zeros((tp_x_yz.dim, tp_xy_z.dim), dtype=complex)
+    for (xy_ids, _, sd), (tgt_ids, _, sh) in zip(xy.blocks, x_yz.blocks):
+        # per index a, (alpha, beta): sum_b e[(a, b), alpha] <y_beta, d_b>
+        ey = (overlap[:, sd] @ xy_z.c[xy_ids]).transpose(0, 2, 1)
+        for (src_ids, se, _), (yz_ids, sy, _) in zip(xy_z.blocks, yz.blocks):
+            if tgt_ids.size and src_ids.size:   # then Y q != 0: no size is 0
+                h = x_yz.d[yz_ids][..., sh].conj()   # (beta, gamma, rho)
+                block = (ey[:, se, sy] @ h.reshape(len(h), -1)).reshape(
+                    len(tgt_ids), len(src_ids), *h.shape[1:])
+                out[tgt_ids.reshape(-1, 1), src_ids.ravel()] = block.transpose(
+                    0, 3, 1, 2).reshape(tgt_ids.size, src_ids.size)
+    return out
 
 
 # -- matrix-extension identification and the multiplicativity isomorphism ----

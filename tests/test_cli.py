@@ -358,18 +358,21 @@ def test_junk_in_any_field_exits_with_a_code(capsys, tmp_path):
 
 
 def test_invalid_env_tol_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("BIMODULE_TOL", "tight")
-    code, out, err = _run(capsys, "verify", "--seed", "0", "--suite", "m-unit")
-    assert code == 2
-    assert out == ""
-    assert "BIMODULE_TOL" in err
+    for tol in ("tight", "2"):
+        monkeypatch.setenv("BIMODULE_TOL", tol)
+        code, out, err = _run(capsys, "verify", "--seed", "0", "--suite", "m-unit")
+        assert code == 2, tol
+        assert out == ""
+        assert "BIMODULE_TOL" in err
 
 
 def test_negative_tol_is_usage_error(capsys):
-    code, out, err = _run(capsys, "verify", "--seed", "0", "--tol", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--tol" in err and "> 0" in err
+    # a relative tolerance of 1 or more cannot fail: it is rejected as well
+    for tol in ("-1", "1", "1e300"):
+        code, out, err = _run(capsys, "verify", "--seed", "0", "--tol", tol)
+        assert code == 2, tol
+        assert out == ""
+        assert "--tol" in err and "> 0" in err
 
 
 def test_nan_tol_is_usage_error(capsys):

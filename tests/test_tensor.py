@@ -12,8 +12,8 @@ from bimodcat.bounded import (left_bounded_space, left_projective_realization,
 from bimodcat.coherence import run_suite
 from bimodcat.instances import Limits, generate
 from bimodcat.involution import conjugation_mixed
-from bimodcat.linalg import (RANK_EPS, crandn, op_norm, psd_eig, random_unitary,
-                             unit_inner)
+from bimodcat.linalg import (RANK_EPS, crandn, map_from_spanning, op_norm,
+                             psd_eig, random_unitary, unit_inner)
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              _standard_images, associator,
@@ -527,12 +527,9 @@ def test_spanning_families_match_einsum(monkeypatch, seed):
             t_xy, t_yz = tensor(kind, x, y), tensor(kind, y, z)
             tps = (t_xy, tensor(kind, t_xy.result, z), t_yz,
                    tensor(kind, x, t_yz.result))
-            [(src, tgt)], _ = _spanning_families(monkeypatch, tensor_mod,
-                                                 associator, *tps)
-            want_src, want_tgt = _associator_oracle(*tps)
-            assert _rel_err(src, want_src) <= 1e-12
-            assert _rel_err(tgt, want_tgt) <= 1e-12
-            nonempty += src.size > 0
+            want = map_from_spanning(*_associator_oracle(*tps))
+            assert _rel_err(associator(*tps), want) <= 1e-12
+            nonempty += want.size > 0
             [(src, _)], (_, tp_ext, _) = _spanning_families(
                 monkeypatch, tensor_mod, tensor_matrix_extension_iso,
                 x, y, 2, 3, kind)
@@ -567,5 +564,104 @@ def test_spanning_families_have_orthonormal_rows(monkeypatch):
                            ((3, 1), 1, 3)]:
         m_standard(MultiMatrixAlgebra(blocks), ni, nj)
     assert worst <= 1e-12
-    assert callers == {"_associator_left", "_associator_right", "_ext_iso",
-                       "conjugation_mixed"}
+    assert callers == {"_ext_iso", "conjugation_mixed"}
+
+
+# -- the member-built maps against their algebraic-space constructions --------
+
+def _unitor_oracle(tp, left):
+    """A unitor as legs @ section: the algebraic space evaluated on the bimodule.
+
+    The standard factor is the bounded leg where it leads for ltimes or
+    trails for rtimes: its bounded vectors are multiplications, evaluated
+    on the bimodule.  Otherwise the bimodule's bounded vectors are applied
+    to the basis of L2.
+    """
+    units = tp.right_factor.left_units if left else tp.left_factor.right_units
+    if left == (tp.kind == KIND_LEFT):
+        legs = np.einsum("wi,wst->ist", tp.bounded.vectors, units)
+    else:
+        legs = np.einsum("wab,bi->iaw", units, tp.bounded.vectors)
+    order = (1, 0, 2) if tp.kind == KIND_LEFT else (1, 2, 0)
+    return legs.transpose(order).reshape(units.shape[1], tp.alg_dim) @ tp.section
+
+
+def _kron_oracle(src, tgt, f, g, check=True):
+    """f (x) g as the induced map of its Kronecker matrix, the bounded leg in coefficients."""
+    if src.kind == KIND_LEFT:
+        f = tgt.bounded.expand(f @ src.bounded.vectors)
+    else:
+        g = tgt.bounded.expand(g @ src.bounded.vectors)
+    return induced_map(src, tgt, np.kron(f, g), check)
+
+
+@pytest.mark.parametrize("seed, limits", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in ORACLE_SEEDS),
+    *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
+      for seed in range(3))])
+def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
+    # every associator, unitor and f (x) g the suite builds, and f (x) g of
+    # random bimodule endomorphisms on every product of canonical factors
+    coherence = importlib.import_module("bimodcat.coherence")
+    oracles = {"associator": lambda *tps: map_from_spanning(*_associator_oracle(*tps)),
+               "left_unitor": lambda tp: _unitor_oracle(tp, True),
+               "right_unitor": lambda tp: _unitor_oracle(tp, False),
+               "tensor_morphisms": _kron_oracle}
+    compared = dict.fromkeys(oracles, 0)
+    for name, oracle in oracles.items():
+        def spy(*args, real=getattr(coherence, name), oracle=oracle, name=name,
+                **kwargs):
+            got = real(*args, **kwargs)
+            assert _rel_err(got, oracle(*args, **kwargs)) <= 1e-12, name
+            compared[name] += 1
+            return got
+        monkeypatch.setattr(coherence, name, spy)
+    products = _suite_products(monkeypatch, seed, limits)
+    assert all(compared.values()), compared
+    rng = np.random.default_rng(seed)
+    endomorphisms = 0
+    for tp in products:
+        x, y = tp.left_factor, tp.right_factor
+        if x.canonical is None or y.canonical is None:
+            continue
+        f, g = random_morphism_matrix(x, x, rng), random_morphism_matrix(y, y, rng)
+        assert _rel_err(tensor_morphisms(tp, tp, f, g),
+                        _kron_oracle(tp, tp, f, g)) <= 1e-12
+        endomorphisms += 1
+    assert endomorphisms
+
+
+def test_tensor_morphisms_rejects_maps_that_keep_the_sectors():
+    # on C^2 (x) C^2 over M2, f = c c^H + 2 (1 - c c^H) keeps X p, the span
+    # of the member c, but is not right-B-linear; the Kronecker check
+    # rejects it on both kinds, and so does g built the same way on p Y
+    rng = np.random.default_rng(12)
+    row = _bim(rng, (1,), (2,), [[1]])
+    col = _bim(rng, (2,), (1,), [[1]])
+    for kind in KINDS:
+        tp = tensor(kind, row, col)
+        keep = [v @ v.conj().T + 2 * (np.eye(2) - v @ v.conj().T)
+                for v in (tp.members.c, tp.members.d)]
+        for f, g, leg in ((keep[0], np.eye(2), "f is not right-B-linear"),
+                          (np.eye(2), keep[1], "g is not left-B-linear")):
+            with pytest.raises(WellDefinednessError):
+                _kron_oracle(tp, tp, f, g)
+            with pytest.raises(WellDefinednessError, match=leg):
+                tensor_morphisms(tp, tp, f, g)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_tensor_morphisms_rejects_what_the_kronecker_check_rejects(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    rejected = 0
+    for tp in _suite_products(monkeypatch, seed):
+        dx, dy = tp.left_factor.dim, tp.right_factor.dim
+        for f, g in ((crandn(rng, dx, dx), np.eye(dy)),
+                     (np.eye(dx), crandn(rng, dy, dy))):
+            try:
+                _kron_oracle(tp, tp, f, g)
+            except WellDefinednessError:
+                rejected += 1
+                with pytest.raises(WellDefinednessError):
+                    tensor_morphisms(tp, tp, f, g)
+    assert rejected
