@@ -31,10 +31,9 @@ from .involution import conjugation, conjugation_mixed, conjugation_pair
 from .linalg import DEFAULT_TOL, RANK_EPS, op_norm, scale_tol
 from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct,
-                     WellDefinednessError, associator, induced_map,
-                     left_unitor, m_iso, m_standard, morphism_tensor,
-                     right_unitor, tensor, tensor_left,
-                     tensor_matrix_extension_iso, tensor_morphisms,
-                     tensor_right, unit_isos)
+                     WellDefinednessError, associator, left_unitor, m_iso,
+                     m_standard, morphism_tensor, right_unitor, tensor,
+                     tensor_left, tensor_matrix_extension_iso,
+                     tensor_morphisms, tensor_right, unit_isos)
 
 __version__ = "0.1.0"

@@ -245,6 +245,14 @@ def _multiplicities(value, rows: int, cols: int, path: str) -> np.ndarray:
     return np.array(value, dtype=int)
 
 
+def _within(value: int, limits: Limits, name: str, what: str, path: str):
+    """Reject ``value`` over the document's own ``limits.<name>``."""
+    bound = getattr(limits, name)
+    if value > bound:
+        raise InstanceFormatError(
+            f"{path}: {what} {value} is over limits.{name} = {bound}")
+
+
 def load(data) -> InstanceSpec:
     """Parse and validate an instance document (bytes, str or dict)."""
     spec, violations = load_lenient(data)
@@ -256,8 +264,10 @@ def load(data) -> InstanceSpec:
 def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
     """Like :func:`load`, but numeric axiom violations do not abort parsing.
 
-    Structural problems (bad JSON, missing fields, bad references) still
-    raise; violations of the bimodule axioms or the intertwiner relation are
+    Structural problems (bad JSON, missing fields, bad references, and
+    algebras, multiplicities or dimensions over the document's own
+    ``limits``, checked before any bimodule is built) still raise;
+    violations of the bimodule axioms or the intertwiner relation are
     returned as (message, defect) pairs, and the offending bimodule plus the
     rest of its chain (or the offending morphism) is dropped from the spec.
     """
@@ -293,6 +303,9 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
             algebras.append(MultiMatrixAlgebra(tuple(blocks)))
         except ValueError as exc:
             raise InstanceFormatError(f"$.algebras[{i}].blocks: {exc}") from exc
+        path = f"$.algebras[{i}].blocks"
+        _within(len(blocks), limits, "max_blocks", "block count", path)
+        _within(max(blocks), limits, "max_block", "block size", path)
 
     violations: List[Tuple[str, float]] = []
     bimodules = []
@@ -307,9 +320,13 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
             if "multiplicities" in b:
                 mult = _multiplicities(b["multiplicities"], len(la.blocks),
                                        len(ra.blocks), f"{path}.multiplicities")
+                dim = canonical_dim(la, ra, mult)
+                _within(int(mult.max()), limits, "max_mult", "multiplicity",
+                        f"{path}.multiplicities")
+                _within(dim, limits, "max_dim", "dimension",
+                        f"{path}.multiplicities")
                 u = (_decode(b["basis_unitary"], f"{path}.basis_unitary")
                      if "basis_unitary" in b else None)
-                dim = canonical_dim(la, ra, mult)
                 if u is not None and u.shape != (dim, dim):
                     raise InstanceFormatError(
                         f"{path}.basis_unitary: expected a {dim}x{dim} matrix")
@@ -324,6 +341,7 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
                         raise InstanceFormatError(
                             f"{path}.{key}: expected shape ({alg.dim}, {d}, {d}), "
                             f"got {arr.shape}")
+                _within(d, limits, "max_dim", "dimension", f"{path}.left_action")
                 x = Bimodule(la, ra, lu, ru)
                 x.validate()
         except InstanceFormatError:

@@ -4,12 +4,14 @@ The basic map is ``conjugation_mixed``: the unitary
 
     c_{X,Y} : Y* rtimes X*  ->  (X ltimes Y)*
 
-determined on spanning tensors by  eta-bar (x) x-star  |->  (x (x) eta)-bar
-for right bounded vectors x of X and vectors eta of Y.  Both one-kind
-versions derive from it through the multiplicativity isomorphism m:
-the rtimes one by inverting the transposed m of (X, Y) (m is unitary, so
-that inverse is its conjugate), the ltimes one by
-precomposing with the m of (Y*, X*).
+determined on elementary tensors by  eta-bar (x) xi-bar  |->  (xi (x) eta)-bar.
+Dual coordinates are conjugate coordinates, so a member of Y* rtimes X*
+is the conjugate of a tensor of sector vectors of X and Y, and c is the
+conjugate of a member map (:func:`bimodcat.tensor._member_map`) between
+the two products' members.  Both one-kind versions derive from it through
+the multiplicativity isomorphism m: the rtimes one by inverting the
+transposed m of (X, Y) (m is unitary, so that inverse is its conjugate),
+the ltimes one by precomposing with the m of (Y*, X*).
 
 Each function takes the bimodules and fetches the products and duals it
 needs from ``tensor_left``, ``tensor_right`` and ``dual_bimodule``; inside
@@ -22,32 +24,28 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from .bimodule import Bimodule, Morphism, dual_bimodule, transpose
-from .linalg import map_from_spanning
 from .store import product_store
-from .tensor import KIND_LEFT, KIND_RIGHT, m_iso, tensor_left, tensor_right
+from .tensor import (KIND_LEFT, KIND_RIGHT, Members, _member_map, _sector_swap,
+                     m_iso, tensor_left, tensor_right)
 
 
 def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     """c_{X,Y} : Y* rtimes X* -> (X ltimes Y)* on conjugate coordinates.
 
-    Solves the defining relation on a spanning family of the ltimes product
-    of (X, Y) and the rtimes product of (Y*, X*), and verifies consistency
-    (raises ValueError if the family is not the graph of a linear map).
+    A member eta-bar (x) xi-bar of Y* rtimes X* has eta in the sector
+    p Y and xi in X p of rtimes' projection p = e_(m-1, m-1); c sends it to
+    the conjugate of xi (x) eta, which is xi u* (x) u eta in the members of
+    X ltimes Y (:func:`bimodcat.tensor._sector_swap`).  So c is the
+    conjugate of R_X(u*) (x) L_Y(u) from the conjugated members.
     """
     tp_left = tensor_left(x, y)
     tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
-    dy = y.dim
-    # eval vector of the star of the i-th right bounded basis map is the
-    # plain conjugate of its value at the identity
-    star_coeff = tp_dual.bounded.expand(np.conj(tp_left.bounded.vectors))
-    qd = tp_dual.quotient.reshape(tp_dual.dim, dy, tp_dual.bounded.size)
-    src = np.swapaxes(qd @ star_coeff, 1, 2).reshape(
-        tp_dual.dim, star_coeff.shape[1] * dy)
-    tgt = tp_left.quotient.conj()
-    mat = map_from_spanning(src, tgt)
+    dual = tp_dual.members
+    plain = Members(dual.d.conj(), dual.c.conj(), dual.b, dual.a, ())
+    u, ustar = _sector_swap(x.right_algebra)
+    mat = _member_map(plain, tp_left.members, x.right_units[ustar].sum(axis=0),
+                      y.left_units[u].sum(axis=0)).conj()
     return Morphism(tp_dual.result, dual_bimodule(tp_left.result), mat)
 
 

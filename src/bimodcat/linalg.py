@@ -163,11 +163,11 @@ def map_from_spanning(src_cols: np.ndarray, tgt_cols: np.ndarray) -> np.ndarray:
     """Linear map M with M @ src_cols == tgt_cols, solved by the adjoint.
 
     Precondition: ``src_cols`` has orthonormal rows, S S^H = 1, so that
-    M = T S^H with no pseudo-inverse.  It holds for every caller's family:
-    the family is a product's quotient Q applied to tensors of bounded
-    basis vectors and orthonormal basis vectors.  Bounded bases are tight
-    frames (:mod:`bimodcat.bounded`), so those tensors form a tight frame
-    F with F F^H = 1, and Q Q^H = 1 makes S S^H = Q F F^H Q^H = 1.
+    M = T S^H with no pseudo-inverse.  It holds for the spanning families
+    of the algebraic tensor space: an isometry Q (Q Q^H = 1) applied to
+    tensors of bounded basis vectors and orthonormal basis vectors.
+    Bounded bases are tight frames (:mod:`bimodcat.bounded`), so those
+    tensors form a tight frame F with F F^H = 1, and S S^H = Q F F^H Q^H = 1.
 
     Raises ValueError when ||M S - T||_F > 1e-7 * max(1, ||T||_F / sqrt(k)),
     k = min(T.shape): when the columns are not the graph of a linear map,

@@ -6,48 +6,36 @@ Y (B-C):
 * ``kind="left"``  : completion of XB(-1/2) (x)_B Y        (the ltimes product)
 * ``kind="right"`` : completion of X (x)_B B(-1/2)Y        (the rtimes product)
 
-Each is realized as a quotient of the algebraic tensor space spanned by
-(bounded basis) x (orthonormal basis), and both share one construction.
-Its Gram is ``G = sum_w A_w (x) B_w`` over the matrix units w of the
-middle algebra B = (+)_l M_m: for ``ltimes`` A_w holds the w-coordinates
-of the B-valued inner products [f_i, f_j]_B of the bounded basis and B_w
-is the left action on Y; for ``rtimes`` A_w is the right action on X and
-B_w holds the w-coordinates of _B[v_k, v_j].
+Both are built from the sectors of B = (+)_l M_m.  For a minimal
+projection p of block l, [xi, xi']_B = <xi, xi'> p on X p, so X (x)_B Y is
+the orthogonal sum over l of X p (x) p Y.  With orthonormal bases c_a of
+X p and d_b of p Y, the tensors c_a (x) d_b are an orthonormal basis of
+the product: its members (:class:`Members`).  ltimes cuts block l with
+p = e_00 and rtimes with its last diagonal unit, and rtimes lists its
+members in reverse.  Each factor's sector bases are built once per
+bimodule and kind in the product store.
 
-The quotient comes from the sectors, with no Gram matrix and no
-eigensolver.  For a minimal projection p of block l, [xi, xi']_B =
-<xi, xi'> p on X p, so X (x)_B Y is the orthogonal sum over l of
-X p (x) p Y.  With orthonormal bases c_a of X p and d_b of p Y, the
-family V of tensors c_a (x) d_b (the bounded leg in bounded-basis
-coefficients) is G-orthonormal and has as many members as the product
-has dimensions.  The bounded basis is a tight frame
-(:mod:`bimodcat.bounded`), so G is an orthogonal projection, and
-Q = (G V)^H has Q Q^H = id and Q^H Q = G: quotient coordinates are
-isometric, and the section is E = Q^H.  G V is summed from the m units
-of block l that are nonzero on its sector; each factor's sector bases
-and its leg of that sum are built once per bimodule and kind in the
-product store.  A product keeps Q.
-
-Since Q V = 1, the quotient coordinates are the members c_a (x) d_b
-themselves (:class:`Members`), so f (x) g, the unitors and the
-associator are read off the sector bases on elementary tensors; the
-tests keep their algebraic-space constructions as oracles.  The
-extension identifications solve a spanning family by the adjoint
-(``map_from_spanning``: M = T S^H), a quotient's image of a tight frame
-and so with orthonormal rows.
+Every map between products is read off the members on elementary
+tensors.  One formula, :func:`_member_map`, sends c_a (x) d_b to
+f c_a (x) g d_b; its cases are the result actions, f (x) g, the
+multiplicativity map m, the extension identifications and, on conjugate
+members, the conjugation c of :mod:`bimodcat.involution`.  The unitors and
+the associator pair sector bases the same way.  No bounded-vector space,
+algebraic tensor space or spanning family is built; the tests keep those
+constructions as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Morphism, matrix_extension
-from .bounded import BoundedBasis, _acting, left_bounded_space, right_bounded_space
-from .linalg import map_from_spanning, op_norm, range_basis, unit_inner
+from .bounded import _acting
+from .linalg import range_basis
 from .store import product_store, stored
 
 KIND_LEFT = "left"     # ltimes
@@ -55,12 +43,12 @@ KIND_RIGHT = "right"   # rtimes
 
 
 class WellDefinednessError(ValueError):
-    """A map failed to respect the Gram null space of a tensor quotient."""
+    """A leg of f (x) g is not B-linear, so f (x) g does not descend to X (x)_B Y."""
 
 
 @dataclass(frozen=True, eq=False)
 class Members:
-    """A product's quotient basis: member i is c[:, a[i]] (x) d[:, b[i]].
+    """A product's orthonormal basis: member i is c[:, a[i]] (x) d[:, b[i]].
 
     ``c`` and ``d`` concatenate the sector bases of X p_l and p_l Y over
     the blocks l of B.  Block l's members are every pair of its c and d
@@ -76,15 +64,13 @@ class Members:
 
 @dataclass(frozen=True, eq=False)
 class TensorProduct:
-    """A relative tensor product with its quotient bookkeeping."""
+    """A relative tensor product: its factors, its members and the result bimodule."""
 
     kind: str
     left_factor: Bimodule
     right_factor: Bimodule
-    bounded: BoundedBasis        # right-bounded of X (kind left) / left-bounded of Y
-    quotient: np.ndarray         # Q : algebraic -> quotient, Q Q^H = id
     result: Bimodule
-    members: Members             # the quotient basis, Q V = 1
+    members: Members             # the result's coordinates
 
     @property
     def dim(self) -> int:
@@ -92,20 +78,8 @@ class TensorProduct:
 
     @property
     def alg_dim(self) -> int:
-        return self.quotient.shape[1]
-
-    @property
-    def section(self) -> np.ndarray:
-        """E = Q^H : quotient -> algebraic, Q E = id."""
-        return self.quotient.conj().T
-
-    def class_coords(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Quotient coordinates of an elementary tensor.
-
-        kind "left": ``first`` = bounded-basis coefficients, ``second`` = vector in Y.
-        kind "right": ``first`` = vector in X, ``second`` = bounded-basis coefficients.
-        """
-        return self.quotient @ np.kron(first, second)
+        """Dimension of the algebraic tensor space: a bounded basis has d members."""
+        return self.left_factor.dim * self.right_factor.dim
 
 
 def _sector_units(alg: MultiMatrixAlgebra, kind: str):
@@ -130,47 +104,12 @@ def _sector_bases(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
     return tuple(range_basis(units[p]) for p, _ in _sector_units(alg, kind))
 
 
-def _sector_legs(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
-    """Per block of B, x's leg of G V on its sector: a (m, n, k) stack over m units w.
-
-    The columns c_a are the sector basis of X p (``side`` "right") or
-    p X.  On the bounded leg the stack holds A_w c_a in bounded-basis
-    coordinates, (U_w f_i)^H c_a; on the other leg it holds U_w c_a.
-    """
-    right = side == "right"
-    alg, units = _acting(x, side)
-    pairs = zip(stored(_sector_bases, x, side, kind), _sector_units(alg, kind))
-    if right == (kind == KIND_LEFT):
-        bounded = (right_bounded_space if right else left_bounded_space)(x)
-        return tuple(unit_inner(units[w], bounded.vectors, c)
-                     for c, (_, w) in pairs)
-    return tuple(units[w] @ c for c, (_, w) in pairs)
-
-
-def _sector_quotient(firsts, seconds) -> np.ndarray:
-    """Q = (G V)^H for the sector family V, with G = sum_w A_w (x) B_w never formed.
-
-    ``firsts`` and ``seconds`` hold, per block of B, the two legs'
-    (m, n1, k) and (m, n2, j) stacks from :func:`_sector_legs`; V's columns
-    are the products of their sector bases, so that block of G V is
-    sum_w (A_w a) (x) (B_w b), one (m, n1*k)^T @ (m, n2*j) product.
-    """
-    cols = []
-    for ga, gb in zip(firsts, seconds):
-        (m, n1, k), (_, n2, j) = ga.shape, gb.shape
-        cols.append((ga.reshape(m, n1 * k).T @ gb.reshape(m, n2 * j))
-                    .reshape(n1, k, n2, j).transpose(0, 2, 1, 3)
-                    .reshape(n1 * n2, k * j))
-    return np.concatenate(cols, axis=1).conj().T
-
-
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
     """X ltimes Y: completion of XB(-1/2) (x)_B Y.
 
-    The algebraic space is (bounded basis of X) x (basis of Y).  The result
-    is the orthogonal sum over the blocks l of B of X p_l (x) p_l Y, with
-    p_l = e_00 of block l (:func:`_tensor_product`).  Inside an open
-    product store, each product is built once.
+    The result is the orthogonal sum over the blocks l of B of
+    X p_l (x) p_l Y, with p_l = e_00 of block l (:func:`_tensor_product`).
+    Inside an open product store, each product is built once.
     """
     return stored(_tensor_product, KIND_LEFT, x, y)
 
@@ -178,11 +117,10 @@ def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
 def tensor_right(x: Bimodule, y: Bimodule) -> TensorProduct:
     """X rtimes Y: completion of X (x)_B B(-1/2)Y.
 
-    The algebraic space is (basis of X) x (bounded basis of Y).  The result
-    is the orthogonal sum over the blocks l of B of X p_l (x) p_l Y, with
-    p_l the last diagonal unit of block l, listed in reverse
-    (:func:`_tensor_product`).  Inside an open product store, each product
-    is built once.
+    The result is the orthogonal sum over the blocks l of B of
+    X p_l (x) p_l Y, with p_l the last diagonal unit of block l, listed in
+    reverse (:func:`_tensor_product`).  Inside an open product store, each
+    product is built once.
     """
     return stored(_tensor_product, KIND_RIGHT, x, y)
 
@@ -196,19 +134,16 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
 
 
 def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
-    """The sector quotient Q, its members and the result's actions on them.
+    """The product's members and the result's actions on them.
 
     Member (a, b) of block l is c_a (x) d_b, with c_a in X p_l and d_b in
-    p_l Y; ``quotient`` is (r, n1*n2) and lists the members block by block,
-    reversed for rtimes.  A acts by c^H L_u c on the index a alone, C by
-    d^H R_v d on b alone: the cases L_u (x) 1 and 1 (x) R_v of f (x) g.
+    p_l Y, listed block by block, reversed for rtimes.  A acts by
+    c^H L_u c on the index a alone, C by d^H R_v d on b alone: the cases
+    L_u (x) 1 and 1 (x) R_v of f (x) g.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
-    bb = right_bounded_space(x) if kind == KIND_LEFT else left_bounded_space(y)
-    quotient = _sector_quotient(stored(_sector_legs, x, "right", kind),
-                                stored(_sector_legs, y, "left", kind))
     cs = stored(_sector_bases, x, "right", kind)
     ds = stored(_sector_bases, y, "left", kind)
     (lc, spans_c), (ld, spans_d) = _columns(cs), _columns(ds)
@@ -217,7 +152,6 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     if kind == KIND_RIGHT:
         # listed in reverse, so that m is not the identity where the middle
         # blocks have size 1
-        quotient = np.ascontiguousarray(quotient[::-1])
         a, b = a[::-1], b[::-1]
     c, d = np.concatenate(cs, axis=1), np.concatenate(ds, axis=1)
     index = np.empty((c.shape[1], d.shape[1]), dtype=int)
@@ -227,7 +161,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     result = Bimodule(x.left_algebra, y.right_algebra,
                       _member_map(members, members, x.left_units, None),
                       _member_map(members, members, None, y.right_units))
-    return TensorProduct(kind, x, y, bb, quotient, result, members)
+    return TensorProduct(kind, x, y, result, members)
 
 
 def _columns(bases: Tuple[np.ndarray, ...]):
@@ -252,34 +186,10 @@ def _member_map(src: Members, tgt: Members, f, g) -> np.ndarray:
     return fc * gd
 
 
-def induced_map(src: TensorProduct, tgt: TensorProduct, alg_map: np.ndarray,
-                check: bool = True) -> np.ndarray:
-    """Q_tgt A E_src for a map A of algebraic coordinates.
-
-    Unless ``check`` is false, it raises unless A maps the source's Gram
-    null space into the target's, so that A descends.  With K an
-    orthonormal basis of that null space, E Q = 1 - K K^H, so
-    ||QA - (QA E) Q||_F is the Gram seminorm ||Q_tgt A K||_F of its image,
-    found without a kernel basis.  Every product's Gram is an orthogonal
-    projection (the bounded basis is HS-orthonormal, so
-    sum_i f_i f_i^H = 1), hence ||Q|| = 1 and the defect scales with ||A||
-    alone.  A true kernel vector leaves a residual of order
-    sqrt(machine epsilon), hence the loose 1e-6.
-    """
-    qa = tgt.quotient @ alg_map
-    out = qa @ src.section
-    if check and src.dim < src.alg_dim:
-        defect = np.linalg.norm(qa - out @ src.quotient)
-        if defect > 1e-6 * max(1.0, op_norm(alg_map)):
-            raise WellDefinednessError(
-                f"map does not descend to the tensor quotient (defect {defect:.3e})")
-    return out
-
-
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
                      f: np.ndarray, g: np.ndarray,
                      check: bool = True) -> np.ndarray:
-    """Matrix of f (x) g between tensor quotients of the same kind.
+    """Matrix of f (x) g between tensor products of the same kind.
 
     ``f`` : X -> X' and ``g`` : Y -> Y' are raw matrices.  For both kinds
     f must be right-B-linear and g left-B-linear (any bimodule morphism
@@ -298,7 +208,7 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
         if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
             raise WellDefinednessError(
                 f"{name} is not {side}-B-linear, so f (x) g does not descend "
-                f"to the tensor quotient (defect {defect:.3e})")
+                f"to the tensor product (defect {defect:.3e})")
     return _member_map(src.members, tgt.members, f, g)
 
 
@@ -312,7 +222,7 @@ def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
 # -- unit isomorphisms --------------------------------------------------------
 
 def left_unitor(tp: TensorProduct) -> np.ndarray:
-    """l : L2(A) (x) X -> X on the quotient; the left factor must be standard.
+    """l : L2(A) (x) X -> X on the members; the left factor must be standard.
 
     l(c_a (x) d_b) = c_a . d_b = sum_w c_a[w] L_w d_b, for c_a in L2(A) p.
     """
@@ -322,7 +232,7 @@ def left_unitor(tp: TensorProduct) -> np.ndarray:
 
 
 def right_unitor(tp: TensorProduct) -> np.ndarray:
-    """r : X (x) L2(B) -> X on the quotient; the right factor must be standard.
+    """r : X (x) L2(B) -> X on the members; the right factor must be standard.
 
     r(c_a (x) d_b) = c_a . d_b = sum_w d_b[w] R_w c_a, for d_b in p L2(B).
     """
@@ -394,28 +304,21 @@ def tensor_matrix_extension_iso(x: Bimodule, y: Bimodule, ni: int, nj: int,
 
 def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
              ni: int, nj: int) -> np.ndarray:
-    """The extension identification, solved on a spanning family.
+    """The extension identification: the identity, from members to members.
 
-    The family pairs the bounded vectors (slot i, f_a) of ^I X (ltimes) or
-    (v_b, slot j) of Y^J (rtimes) with the other factor's basis vectors.
+    Coordinate (i, j, r) of ^I (X (x) Y) ^J, row-major, is the slot (i, j)
+    of member r = c_a (x) d_b, which is (e_i (x) c_a) (x) (d_b (x) e_j):
+    a member with first-leg basis 1_I (x) c, index i |c| + a, and
+    second-leg basis 1_J (x) d, index j |d| + b.
     """
-    bb, ext = tp_xy.bounded, tp_ext.bounded
-    left = tp_xy.kind == KIND_LEFT
-    coeff = ext.expand(np.kron(np.eye(ni if left else nj), bb.vectors))
-    if left:
-        n1, n2 = bb.size, tp_xy.right_factor.dim
-        qsrc = tp_ext.quotient.reshape(tp_ext.dim, ext.size, nj * n2)
-        src = coeff.T @ qsrc
-    else:
-        n1, n2 = tp_xy.left_factor.dim, bb.size
-        qsrc = tp_ext.quotient.reshape(tp_ext.dim, ni * n1, ext.size)
-        src = qsrc @ coeff
-    # target columns e_i (x) e_j (x) Q(e_a (x) e_b), in the order (i, a, j, b)
-    r = tp_xy.dim
-    tgt = np.kron(np.eye(ni * nj), tp_xy.quotient).reshape(
-        ni * nj * r, ni, nj, n1, n2).transpose(0, 1, 3, 2, 4)
-    return map_from_spanning(src.reshape(tp_ext.dim, ni * n1 * nj * n2),
-                             tgt.reshape(ni * nj * r, ni * n1 * nj * n2))
+    m, ext = tp_xy.members, tp_ext.members
+    shape = (ni, nj, m.a.size)
+    first = np.arange(ni)[:, None, None] * m.c.shape[1] + m.a
+    second = np.arange(nj)[None, :, None] * m.d.shape[1] + m.b
+    slots = Members(np.kron(np.eye(ni), m.c), np.kron(np.eye(nj), m.d),
+                    np.broadcast_to(first, shape).ravel(),
+                    np.broadcast_to(second, shape).ravel(), ())
+    return _member_map(ext, slots, np.eye(len(ext.c)), np.eye(len(ext.d)))
 
 
 @product_store()
@@ -436,63 +339,30 @@ def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
     return mr.conj().T @ ml, tpl_ext, tpr_ext
 
 
-def _standard_images(b_alg: MultiMatrixAlgebra, avecs: np.ndarray,
-                     cvecs: np.ndarray) -> np.ndarray:
-    """Images in ^I L2(B) ^J of spanning tensors, entry (i', j') = vec(a_i' c_j').
+def _sector_swap(alg: MultiMatrixAlgebra) -> Tuple[List[int], List[int]]:
+    """Unit indices of u = sum_l e_(0, m_l - 1) over the blocks of B, and of u*.
 
-    ``avecs``: (|B|, n, colsA) algebra vectors per frame row and first spanning
-    index; ``cvecs``: (|B|, m, colsC) per frame row and second spanning index.
-    Returns (n*m*|B|, colsA*colsC) with rows (i', j', w) and columns
-    (first, second), both row-major.
+    u carries rtimes' projection e_(m-1, m-1) of each block to ltimes'
+    e_00: X e_00 u = X e_(m-1, m-1) and u* e_00 Y = e_(m-1, m-1) Y.
     """
-    lunits = standard_form(b_alg).bimodule.left_units       # (w, v, u)
-    # vec(a c)[v] = sum_{w,u} a[w] L_w[v, u] c[u]
-    out = np.tensordot(np.tensordot(avecs, lunits, axes=(0, 0)), cvecs,
-                       axes=(3, 0))                          # (i, x, v, j, s)
-    n, ca, w, m, cc = out.shape
-    return out.transpose(0, 3, 2, 1, 4).reshape(n * m * w, ca * cc)
+    u = [off + m - 1 for off, m in zip(alg.offsets, alg.blocks)]
+    ustar = [off + (m - 1) * m for off, m in zip(alg.offsets, alg.blocks)]
+    return u, ustar
 
 
-def m_iso(x: Bimodule, y: Bimodule,
-          right_rotation: Optional[np.ndarray] = None,
-          left_rotation: Optional[np.ndarray] = None) -> np.ndarray:
+def m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:
     """The multiplicativity isomorphism m_{X,Y} : X ltimes Y -> X rtimes Y.
 
-    Uses projective realizations u : X -> p ^I L2(B) and v : Y -> L2(B)^J q,
-    whose tight frames are the bounded bases the two products already hold
-    (right-bounded of X for ltimes, left-bounded of Y for rtimes); both
-    sides are mapped into ^I L2(B) ^J by the entrywise multiplication
-    formula and composed.
-    Optional unitary rotations recombine the frames, producing different
-    but equivalent realizations (the result is provably independent).
-    Without rotations, m is built once inside an open product store.
+    Both products are X (x)_B Y, cut by different projections.  A member
+    c_a (x) d_b of X ltimes Y equals c_a u (x) u* d_b, since u u* = e_00
+    block by block (:func:`_sector_swap`), and c_a u lies in rtimes' X p,
+    u* d_b in its p Y: so m = R_X(u) (x) L_Y(u*) on members.  Built once
+    inside an open product store.
     """
-    if right_rotation is None and left_rotation is None:
-        return stored(_m_iso, x, y)
-    return _m_iso(x, y, right_rotation, left_rotation)
+    return stored(_m_iso, x, y)
 
 
-def _m_iso(x: Bimodule, y: Bimodule,
-           right_rotation: Optional[np.ndarray] = None,
-           left_rotation: Optional[np.ndarray] = None) -> np.ndarray:
-    tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
-    b_alg = x.right_algebra
-    gframe = tp_left.bounded.vectors
-    hframe = tp_right.bounded.vectors
-    if right_rotation is not None:
-        gframe = gframe @ right_rotation
-    if left_rotation is not None:
-        hframe = hframe @ left_rotation
-    # per matrix unit w of B, the rows g_i'^H R_w^H on X and h_j'^H L_w^H on Y
-    gh = (x.right_units @ gframe).conj().transpose(0, 2, 1)
-    hh = (y.left_units @ hframe).conj().transpose(0, 2, 1)
-    # ltimes side, spanning columns (i, s) = Q_left columns, xi_i the
-    # right-bounded basis of X:
-    #   a-part: vec(a_i') = g_i'^H xi_i ; c-part: vec(c_j') = h_j'^H e_s
-    big_l = _standard_images(b_alg, gh @ tp_left.bounded.vectors, hh)
-    m_l = big_l @ tp_left.section
-    # rtimes side, spanning columns (s, j), eta_j the left-bounded basis of Y:
-    #   b-part: vec(b_i') = g_i'^H e_s ; d-part: vec(d_j') = h_j'^H eta_j
-    big_r = _standard_images(b_alg, gh, hh @ tp_right.bounded.vectors)
-    m_r = big_r @ tp_right.section
-    return m_r.conj().T @ m_l
+def _m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:
+    u, ustar = _sector_swap(x.right_algebra)
+    return _member_map(tensor_left(x, y).members, tensor_right(x, y).members,
+                       x.right_units[u].sum(axis=0), y.left_units[ustar].sum(axis=0))

@@ -1,0 +1,165 @@
+"""The algebraic-space constructions of the paper, kept as test oracles.
+
+The library builds every product and structural map from the products'
+sector members.  These functions build them as the paper defines them:
+on the algebraic tensor space (bounded basis) x (basis) for ltimes and
+(basis) x (bounded basis) for rtimes, with its Gram matrix G, the
+quotient Q = (G V)^H onto the members V and the section E = Q^H, and
+spanning families of elementary tensors solved by ``map_from_spanning``.
+"""
+
+import numpy as np
+
+from bimodcat.algebra import standard_form
+from bimodcat.bimodule import dual_bimodule
+from bimodcat.bounded import left_bounded_space, right_bounded_space
+from bimodcat.linalg import op_norm, unit_inner
+from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, tensor_left,
+                             tensor_right)
+
+
+def bounded(tp):
+    """The bounded leg's basis: right-bounded of X (ltimes), left-bounded of Y."""
+    if tp.kind == KIND_LEFT:
+        return right_bounded_space(tp.left_factor)
+    return left_bounded_space(tp.right_factor)
+
+
+def gram(tp):
+    """The algebraic Gram sum_w A_w (x) B_w of a product, from its factors.
+
+    For ltimes A_w holds the w-coordinates of the inner products
+    [f_i, f_j]_B of the bounded basis and B_w is the left action on Y; for
+    rtimes A_w is the right action on X and B_w holds those of _B[v_k, v_j].
+    """
+    x, y, v = tp.left_factor, tp.right_factor, bounded(tp).vectors
+    if tp.kind == KIND_LEFT:
+        legs = unit_inner(x.right_units, v, v), y.left_units
+    else:
+        legs = x.right_units, unit_inner(y.left_units, v, v)
+    n = x.dim * y.dim
+    return np.einsum("wij,wst->isjt", *legs).reshape(n, n)
+
+
+def quotient(tp):
+    """Q = (G V)^H : algebraic -> member coordinates, Q Q^H = 1 and Q^H Q = G.
+
+    V's column i is member i in algebraic coordinates: the bounded leg in
+    bounded-basis coefficients.  G is an orthogonal projection and V is
+    G-orthonormal, so Q V = 1.
+    """
+    bb, m = bounded(tp), tp.members
+    first, second = m.c[:, m.a], m.d[:, m.b]
+    if tp.kind == KIND_LEFT:
+        first = bb.expand(first)
+    else:
+        second = bb.expand(second)
+    v = np.einsum("ir,sr->isr", first, second).reshape(
+        len(first) * len(second), m.a.size)
+    return (gram(tp) @ v).conj().T
+
+
+def induced_map(src, tgt, alg_map, check=True):
+    """Q_tgt A E_src for a map A of algebraic coordinates.
+
+    Unless ``check`` is false, it raises unless A maps the source's Gram
+    null space into the target's, so that A descends.  With K an
+    orthonormal basis of that null space, E Q = 1 - K K^H, so
+    ||QA - (QA E) Q||_F is the Gram seminorm ||Q_tgt A K||_F of its image.
+    ||Q|| = 1, so the defect scales with ||A|| alone; a true kernel vector
+    leaves a residual of order sqrt(machine epsilon), hence the loose 1e-6.
+    """
+    q_src = quotient(src)
+    qa = quotient(tgt) @ alg_map
+    out = qa @ q_src.conj().T
+    if check and src.dim < src.alg_dim:
+        defect = np.linalg.norm(qa - out @ q_src)
+        if defect > 1e-6 * max(1.0, op_norm(alg_map)):
+            raise WellDefinednessError(
+                f"map does not descend to the tensor quotient (defect {defect:.3e})")
+    return out
+
+
+def standard_images(b_alg, avecs, cvecs):
+    """Images in ^I L2(B) ^J of spanning tensors, entry (i', j') = vec(a_i' c_j').
+
+    ``avecs``: (|B|, n, colsA) algebra vectors per frame row and first spanning
+    index; ``cvecs``: (|B|, m, colsC) per frame row and second spanning index.
+    Returns (n*m*|B|, colsA*colsC) with rows (i', j', w) and columns
+    (first, second), both row-major.
+    """
+    lunits = standard_form(b_alg).bimodule.left_units       # (w, v, u)
+    # vec(a c)[v] = sum_{w,u} a[w] L_w[v, u] c[u]
+    out = np.tensordot(np.tensordot(avecs, lunits, axes=(0, 0)), cvecs,
+                       axes=(3, 0))                          # (i, x, v, j, s)
+    n, ca, w, m, cc = out.shape
+    return out.transpose(0, 3, 2, 1, 4).reshape(n * m * w, ca * cc)
+
+
+def m_realization(x, y, right_rotation=None, left_rotation=None):
+    """m_{X,Y} through projective realizations u : X -> p ^I L2(B), v : Y -> L2(B)^J q.
+
+    The tight frames are the bounded bases of the two products (right-bounded
+    of X for ltimes, left-bounded of Y for rtimes); both sides are mapped
+    into ^I L2(B) ^J by the entrywise multiplication formula and composed.
+    Unitary rotations recombine the frames into other realizations, and m
+    does not depend on them.
+    """
+    tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
+    b_alg = x.right_algebra
+    gframe, hframe = bounded(tp_left).vectors, bounded(tp_right).vectors
+    if right_rotation is not None:
+        gframe = gframe @ right_rotation
+    if left_rotation is not None:
+        hframe = hframe @ left_rotation
+    # per matrix unit w of B, the rows g_i'^H R_w^H on X and h_j'^H L_w^H on Y
+    gh = (x.right_units @ gframe).conj().transpose(0, 2, 1)
+    hh = (y.left_units @ hframe).conj().transpose(0, 2, 1)
+    # ltimes side, spanning columns (i, s), xi_i the right-bounded basis of X:
+    #   a-part: vec(a_i') = g_i'^H xi_i ; c-part: vec(c_j') = h_j'^H e_s
+    big_l = standard_images(b_alg, gh @ bounded(tp_left).vectors, hh)
+    m_l = big_l @ quotient(tp_left).conj().T
+    # rtimes side, spanning columns (s, j), eta_j the left-bounded basis of Y:
+    #   b-part: vec(b_i') = g_i'^H e_s ; d-part: vec(d_j') = h_j'^H eta_j
+    big_r = standard_images(b_alg, gh, hh @ bounded(tp_right).vectors)
+    m_r = big_r @ quotient(tp_right).conj().T
+    return m_r.conj().T @ m_l
+
+
+def ext_family(tp_xy, tp_ext, ni, nj):
+    """(source, target) spanning family of the extension identification.
+
+    The family pairs the bounded vectors (slot i, f_a) of ^I X (ltimes) or
+    (v_b, slot j) of Y^J (rtimes) with the other factor's basis vectors.
+    """
+    bb, ext = bounded(tp_xy), bounded(tp_ext)
+    left = tp_xy.kind == KIND_LEFT
+    coeff = ext.expand(np.kron(np.eye(ni if left else nj), bb.vectors))
+    if left:
+        n1, n2 = bb.size, tp_xy.right_factor.dim
+        src = coeff.T @ quotient(tp_ext).reshape(tp_ext.dim, ext.size, nj * n2)
+    else:
+        n1, n2 = tp_xy.left_factor.dim, bb.size
+        src = quotient(tp_ext).reshape(tp_ext.dim, ni * n1, ext.size) @ coeff
+    # target columns e_i (x) e_j (x) Q(e_a (x) e_b), in the order (i, a, j, b)
+    r = tp_xy.dim
+    tgt = np.kron(np.eye(ni * nj), quotient(tp_xy)).reshape(
+        ni * nj * r, ni, nj, n1, n2).transpose(0, 1, 3, 2, 4)
+    return (src.reshape(tp_ext.dim, ni * n1 * nj * n2),
+            tgt.reshape(ni * nj * r, ni * n1 * nj * n2))
+
+
+def conjugation_family(x, y):
+    """(source, target) spanning family of c_{X,Y} : Y* rtimes X* -> (X ltimes Y)*.
+
+    eta-bar (x) x-star maps to the conjugate of the class of x (x) eta, for
+    the right bounded basis vectors x of X and the basis vectors eta of Y;
+    the evaluation vector of x-star is the plain conjugate of x's.
+    """
+    tp_left = tensor_left(x, y)
+    tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
+    star_coeff = bounded(tp_dual).expand(np.conj(bounded(tp_left).vectors))
+    qd = quotient(tp_dual).reshape(tp_dual.dim, y.dim, bounded(tp_dual).size)
+    src = np.swapaxes(qd @ star_coeff, 1, 2).reshape(
+        tp_dual.dim, star_coeff.shape[1] * y.dim)
+    return src, quotient(tp_left).conj()

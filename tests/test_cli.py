@@ -2,14 +2,17 @@ import copy
 import importlib
 import json
 
+import numpy as np
 import pytest
 
 from bimodcat import coherence
+from bimodcat.algebra import MultiMatrixAlgebra
+from bimodcat.bimodule import canonical_bimodule
 from bimodcat.cli import main
 from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.linalg import psd_rank
 from bimodcat.tensor import tensor_left, tensor_right
-from test_tensor import _gram
+from oracles import gram
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -188,8 +191,8 @@ def test_tensor_report(capsys):
         _, out, _ = _run(capsys, "tensor", "--seed", str(seed), "--json")
         x, y = generate(seed, length=2).bimodules
         assert json.loads(out)["gramRank"] == {
-            "ltimes": psd_rank(_gram(tensor_left(x, y)), scale=1.0),
-            "rtimes": psd_rank(_gram(tensor_right(x, y)), scale=1.0)}
+            "ltimes": psd_rank(gram(tensor_left(x, y)), scale=1.0),
+            "rtimes": psd_rank(gram(tensor_right(x, y)), scale=1.0)}
 
 
 def test_tensor_builds_each_product_once(capsys, monkeypatch):
@@ -309,6 +312,23 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
     for field, corrupt in cases:
         err = verify(corrupt)
         assert err.startswith(f"bimodcat: {field}:"), err
+    # sizes over the document's own limits, rejected before any bimodule is
+    # built: bimodule 0 is a M2-(M2 + C) bimodule, dimension 4 per unit of
+    # its first multiplicity
+    for field, limit, corrupt in (
+            ("$.algebras[0].blocks", "max_block",
+             lambda doc: doc["algebras"][0].update(blocks=[3])),
+            ("$.algebras[0].blocks", "max_blocks",
+             lambda doc: doc["algebras"][0].update(blocks=[2, 1, 1])),
+            ("$.bimodules[0].multiplicities", "max_mult",
+             _first_bimodule([[5, 5]])),
+            ("$.bimodules[0].multiplicities", "max_dim",
+             _first_bimodule([[3, 0]], max_mult=3, max_dim=9)),
+            ("$.bimodules[0].left_action", "max_dim",
+             _first_bimodule([[3, 0]], explicit=True, max_dim=9))):
+        err = verify(corrupt)
+        assert err.startswith(f"bimodcat: {field}:"), err
+        assert f"limits.{limit}" in err, err
     # action stacks of the wrong shape: (dim A, d, d) with dim A = 4, d = 4
     every = slice(None)
     for field, shape, corrupt in (
@@ -322,6 +342,26 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
         err = verify(corrupt)
         assert err.startswith(
             f"bimodcat: $.bimodules[0].{field}: expected shape {shape}"), err
+
+
+def _first_bimodule(mult, explicit=False, **limits):
+    """Corrupter: bimodule 0 with multiplicities ``mult``, limits updated.
+
+    It is given by its multiplicities alone, or with ``explicit`` by the
+    action stacks of that canonical model.
+    """
+    def corrupt(doc):
+        doc["limits"].update(limits)
+        if explicit:
+            x = canonical_bimodule(MultiMatrixAlgebra((2,)),
+                                   MultiMatrixAlgebra((2, 1)), np.array(mult))
+            doc["bimodules"][0] = {
+                "left": 0, "right": 1, "left_action": _encode(x.left_units),
+                "right_action": _encode(x.right_units)}
+        else:
+            doc["bimodules"][0]["multiplicities"] = mult
+            del doc["bimodules"][0]["basis_unitary"]
+    return corrupt
 
 
 def _fields(node, path=()):

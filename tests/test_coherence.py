@@ -7,7 +7,6 @@ import pytest
 from bimodcat import coherence
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
 from bimodcat.bimodule import canonical_bimodule, dual_bimodule
-from bimodcat.bounded import right_bounded_space
 from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_square,
                                 check_involution_hexagon, check_m_assoc,
                                 check_m_unit, check_naturality_suite,
@@ -173,8 +172,8 @@ def test_naturality_subset_reports_construction_error():
 
 
 def test_suite_builds_each_member_product_once(monkeypatch):
-    # 102 products on a full 4-chain suite, 50 of them repeats; each bounded
-    # space is built once (66 builds on 32 bimodules when kept per product)
+    # 102 products on a full 4-chain suite, 50 of them repeats; no bounded
+    # space is built, since products and maps come from the sector bases
     builds = {"product": 0, "bounded": 0}
 
     def counted(module, name, kind):
@@ -190,7 +189,7 @@ def test_suite_builds_each_member_product_once(monkeypatch):
     spec = generate(0, limits=Limits())
     assert len(spec.bimodules) == 4
     assert exit_code(run_suite(spec)) == 0
-    assert builds == {"product": 52, "bounded": 32}
+    assert builds == {"product": 52, "bounded": 0}
 
 
 def test_suite_builds_m_once_per_pair(monkeypatch):
@@ -200,9 +199,9 @@ def test_suite_builds_m_once_per_pair(monkeypatch):
     for name in ("bimodcat.coherence", "bimodcat.involution"):
         module = importlib.import_module(name)
 
-        def ask(x, y, *rotations, real=module.m_iso):
+        def ask(x, y, real=module.m_iso):
             asked.append((x, y))
-            return real(x, y, *rotations)
+            return real(x, y)
         monkeypatch.setattr(module, "m_iso", ask)
     build = tensor_module._m_iso
 
@@ -262,9 +261,8 @@ def test_store_keeps_every_product():
         # a product of a product's result is kept too
         t_xy_z = tensor_left(t_xy.result, z)
         assert tensor_left(t_xy.result, z) is t_xy_z
-        assert t_xy_z.bounded is right_bounded_space(t_xy.result)
         for tp in (t_xy, t_xy_z):
-            assert not tp.quotient.flags.writeable
+            assert not tp.members.c.flags.writeable
             assert not tp.result.left_units.flags.writeable
             # so are the sector bases the product was built from
             for basis in stored(tensor_module._sector_bases,

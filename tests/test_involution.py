@@ -12,6 +12,7 @@ from bimodcat.linalg import op_norm, random_unitary
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_iso, tensor,
                              tensor_left, tensor_morphisms, tensor_right)
+from oracles import bounded, quotient
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -102,14 +103,15 @@ def test_mixed_defining_relation_on_spanning_tensors():
     tp_left = tensor_left(x, y)
     tp_dual = tensor_right(ystar, xstar)
     c = conjugation_mixed(x, y)
-    star_coeff = tp_dual.bounded.expand(np.conj(tp_left.bounded.vectors))
-    for i in range(tp_left.bounded.size):
-        coeff = np.eye(tp_left.bounded.size)[:, i]
+    frame = bounded(tp_left)
+    star_coeff = bounded(tp_dual).expand(np.conj(frame.vectors))
+    q_left, q_dual = quotient(tp_left), quotient(tp_dual)
+    for i in range(frame.size):
+        coeff = np.eye(frame.size)[:, i]
         for _ in range(3):
             eta = rng.standard_normal(y.dim) + 1j * rng.standard_normal(y.dim)
-            lhs = c.matrix @ tp_dual.class_coords(dual_vector(eta),
-                                                  star_coeff[:, i])
-            rhs = np.conj(tp_left.class_coords(coeff, eta))
+            lhs = c.matrix @ q_dual @ np.kron(dual_vector(eta), star_coeff[:, i])
+            rhs = np.conj(q_left @ np.kron(coeff, eta))
             assert np.linalg.norm(lhs - rhs) < 1e-9 * max(
                 1.0, np.linalg.norm(rhs))
 

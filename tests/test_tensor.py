@@ -4,23 +4,25 @@ import sys
 import numpy as np
 import pytest
 
+from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Morphism, canonical_bimodule, dual_bimodule,
+from bimodcat.bimodule import (Morphism, canonical_bimodule,
                                multiplicity_matrix, random_morphism_matrix)
 from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
 from bimodcat.coherence import run_suite
 from bimodcat.instances import Limits, generate
-from bimodcat.involution import conjugation_mixed
+from bimodcat.involution import conjugation_mixed, conjugation_pair
 from bimodcat.linalg import (RANK_EPS, crandn, map_from_spanning, op_norm,
-                             psd_eig, random_unitary, unit_inner)
+                             psd_eig, random_unitary)
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
-                             _standard_images, associator,
-                             induced_map, left_unitor, m_iso, m_standard,
+                             associator, left_unitor, m_iso, m_standard,
                              morphism_tensor, right_unitor, tensor, tensor_left,
                              tensor_matrix_extension_iso, tensor_morphisms,
                              tensor_right, unit_isos)
+from oracles import (bounded, conjugation_family, ext_family, gram,
+                     induced_map, m_realization, quotient, standard_images)
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -65,25 +67,9 @@ def test_multiplicity_matrices_multiply():
         assert tp.result.validate() < 1e-9
 
 
-def _gram(tp):
-    """The algebraic Gram sum_w A_w (x) B_w of a product, from its factors.
-
-    For ltimes A_w holds the w-coordinates of the inner products
-    [f_i, f_j]_B of the bounded basis and B_w is the left action on Y; for
-    rtimes A_w is the right action on X and B_w holds those of _B[v_k, v_j].
-    """
-    x, y, v = tp.left_factor, tp.right_factor, tp.bounded.vectors
-    if tp.kind == KIND_LEFT:
-        legs = unit_inner(x.right_units, v, v), y.left_units
-    else:
-        legs = x.right_units, unit_inner(y.left_units, v, v)
-    n = x.dim * y.dim
-    return np.einsum("wij,wst->isjt", *legs).reshape(n, n)
-
-
 def _kernel(tp):
     """Orthonormal basis of the Gram null space: the eigenvectors Q drops."""
-    return psd_eig(_gram(tp))[1][:, tp.dim:]
+    return psd_eig(gram(tp))[1][:, tp.dim:]
 
 
 def test_quotient_section_identities():
@@ -92,14 +78,13 @@ def test_quotient_section_identities():
     y = _bim(rng, (1, 2), (2,), [[1], [1]])
     for kind in KINDS:
         tp = tensor(kind, x, y)
-        assert op_norm(tp.quotient @ tp.section - np.eye(tp.dim)) < 1e-10
+        q, g = quotient(tp), gram(tp)
+        assert op_norm(q @ q.conj().T - np.eye(tp.dim)) < 1e-10
         # Q^H Q equals the Gram matrix on the positive part
-        recon = tp.quotient.conj().T @ tp.quotient
-        gram = _gram(tp)
-        assert op_norm(recon - gram) < 1e-9 * max(1.0, op_norm(gram))
+        assert op_norm(q.conj().T @ q - g) < 1e-9 * max(1.0, op_norm(g))
         kernel = _kernel(tp)
         if kernel.size:
-            assert op_norm(gram @ kernel) < 1e-7 * max(1.0, op_norm(gram))
+            assert op_norm(g @ kernel) < 1e-7 * max(1.0, op_norm(g))
 
 
 def test_unit_isos_are_unitary_morphisms():
@@ -207,10 +192,12 @@ def test_m_iso_unitary_morphism_and_realization_independent():
     m = m_iso(x, y)
     assert op_norm(m.conj().T @ m - np.eye(m.shape[1])) < 1e-9
     assert Morphism(tpl.result, tpr.result, m).is_morphism()
+    # the member map against realizations with rotated frames
+    assert op_norm(m - m_realization(x, y)) < 1e-9
     for seed in range(3):
         rng2 = np.random.default_rng(100 + seed)
-        m2 = m_iso(x, y, right_rotation=random_unitary(rng2, x.dim),
-                   left_rotation=random_unitary(rng2, y.dim))
+        m2 = m_realization(x, y, right_rotation=random_unitary(rng2, x.dim),
+                           left_rotation=random_unitary(rng2, y.dim))
         assert op_norm(m - m2) < 1e-9
 
 
@@ -283,28 +270,28 @@ def _suite_products(monkeypatch, seed, limits=None):
 
 def _einsum_oracle(tp):
     """(gram, left units, right units, second-leg stack) by einsum subscripts."""
-    x, y, bb = tp.left_factor, tp.right_factor, tp.bounded
-    r, v = tp.dim, bb.vectors
+    x, y, bb = tp.left_factor, tp.right_factor, bounded(tp)
+    r, v, q = tp.dim, bb.vectors, quotient(tp)
     proj = v.conj().T @ bb.form
     if tp.kind == KIND_LEFT:
         n, dy = bb.size, y.dim
         inner = np.einsum("wab,bi,aj->ijw", x.right_units.conj(), v.conj(), v)
-        gram = np.einsum("ijw,wst->isjt", inner, y.left_units).reshape(
+        g = np.einsum("ijw,wst->isjt", inner, y.left_units).reshape(
             n * dy, n * dy)
-        qr, er = tp.quotient.reshape(r, n, dy), tp.section.reshape(n, dy, r)
+        qr, er = q.reshape(r, n, dy), q.conj().T.reshape(n, dy, r)
         fstack = np.einsum("id,ude,ej->uij", proj, x.left_units, v)
         left = np.einsum("ris,uij,jsq->urq", qr, fstack, er)
         right = np.einsum("ris,ust,itq->urq", qr, y.right_units, er)
-        return gram, left, right, y.right_units
+        return g, left, right, y.right_units
     dx, m = x.dim, bb.size
     inner = np.einsum("wab,bj,ak->jkw", y.left_units.conj(), v.conj(), v)
-    gram = np.einsum("jkw,wst->sjtk", inner, x.right_units).reshape(
+    g = np.einsum("jkw,wst->sjtk", inner, x.right_units).reshape(
         dx * m, dx * m)
-    qr, er = tp.quotient.reshape(r, dx, m), tp.section.reshape(dx, m, r)
+    qr, er = q.reshape(r, dx, m), q.conj().T.reshape(dx, m, r)
     left = np.einsum("rsj,ust,tjq->urq", qr, x.left_units, er)
     cstack = np.einsum("id,ude,ej->uij", proj, y.right_units, v)
     right = np.einsum("rsj,uji,siq->urq", qr, cstack, er)
-    return gram, left, right, cstack
+    return g, left, right, cstack
 
 
 @pytest.mark.parametrize("seed, limits", [
@@ -317,8 +304,8 @@ def test_product_contractions_match_einsum(monkeypatch, seed, limits):
     products = _suite_products(monkeypatch, seed, limits)
     zero_rank = asymmetric = 0
     for tp in products:
-        gram, left, right, second = _einsum_oracle(tp)
-        assert _rel_err(_gram(tp), gram) <= 1e-12
+        want_gram, left, right, second = _einsum_oracle(tp)
+        assert _rel_err(gram(tp), want_gram) <= 1e-12
         assert _rel_err(tp.result.left_units, left) <= 1e-12
         assert _rel_err(tp.result.right_units, right) <= 1e-12
         zero_rank += tp.dim == 0 < tp.alg_dim
@@ -333,15 +320,15 @@ def test_product_contractions_match_einsum(monkeypatch, seed, limits):
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_kernel_free_checks_match_the_kernel(monkeypatch, seed):
     # induced maps test ||QA - (QA E) Q||_F, which is ||Q A K||_F since
-    # E Q = 1 - K K^H, and tensor_morphisms takes ||f (x) g|| = ||f|| ||g||
+    # E Q = 1 - K K^H, and ||f (x) g|| = ||f|| ||g||
     rng = np.random.default_rng(seed)
     with_kernel = 0
     for tp in _suite_products(monkeypatch, seed):
-        q, e, gram = tp.quotient, tp.section, _gram(tp)
+        q, g = quotient(tp), gram(tp)
+        e = q.conj().T
         # every Gram is an orthogonal projection, so Q Q^H = 1 and E = Q^H
-        assert op_norm(q @ q.conj().T - np.eye(tp.dim)) <= 1e-12
-        assert np.array_equal(e, q.conj().T)
-        assert op_norm(gram @ gram - gram) <= 1e-12
+        assert op_norm(q @ e - np.eye(tp.dim)) <= 1e-12
+        assert op_norm(g @ g - g) <= 1e-12
         # each leg has the dimension of its factor: the bounded basis has d members
         f, g = (crandn(rng, n, n) for n in (tp.left_factor.dim, tp.right_factor.dim))
         norm = op_norm(f) * op_norm(g)
@@ -391,7 +378,7 @@ def test_frame_contractions_match_einsum(seed):
         lunits = standard_form(b_alg).bimodule.left_units
         want = np.einsum("iwx,wvu,jus->ijvxs", avecs.transpose(1, 0, 2), lunits,
                          cvecs.transpose(1, 0, 2)).reshape(3 * 2 * w, 4 * 5)
-        assert _rel_err(_standard_images(b_alg, avecs, cvecs), want) <= 1e-12
+        assert _rel_err(standard_images(b_alg, avecs, cvecs), want) <= 1e-12
 
 
 # -- the sector quotient against the Gram eigen-quotient ----------------------
@@ -422,10 +409,11 @@ def _predicted_dim(tp):
 def test_quotient_matches_the_gram_oracle(monkeypatch, seed, limits):
     # the Frobenius norm bounds the operator norm and needs no SVD
     for tp in _suite_products(monkeypatch, seed, limits):
-        q, gram = tp.quotient, _gram(tp)
+        g = gram(tp)
+        q = quotient(tp)
         assert np.linalg.norm(q @ q.conj().T - np.eye(tp.dim)) <= 1e-12
-        assert np.linalg.norm(q.conj().T @ q - gram) <= 1e-12
-        oracle = _eigen_quotient(gram)
+        assert np.linalg.norm(q.conj().T @ q - g) <= 1e-12
+        oracle = _eigen_quotient(g)
         assert tp.dim == oracle.shape[0] == _predicted_dim(tp)
         # both quotients have the Gram's range as row space
         turn = q @ oracle.conj().T
@@ -449,122 +437,102 @@ def test_m_is_not_the_identity():
     assert pairs == 49
 
 
-# -- the spanning families against their einsum subscripts --------------------
-
-def _spanning_families(monkeypatch, module, call, *args):
-    """(families, value) of ``call``: the (source, target) pairs it solves."""
-    families = []
-    real = module.map_from_spanning
-
-    def record(src, tgt):
-        families.append((src, tgt))
-        return real(src, tgt)
-
-    monkeypatch.setattr(module, "map_from_spanning", record)
-    value = call(*args)
-    monkeypatch.undo()
-    return families, value
-
+# -- the member-built maps against the spanning solves ------------------------
 
 def _associator_oracle(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
+    """(source, target) spanning family of the associator."""
     r, rz, ryz, rt = tp_xy.dim, tp_xy_z.dim, tp_yz.dim, tp_x_yz.dim
+    q_xy, q_xy_z, q_yz, q_x_yz = map(quotient, (tp_xy, tp_xy_z, tp_yz, tp_x_yz))
     if tp_xy.kind == KIND_LEFT:
-        nx, ny = tp_xy.bounded.size, tp_yz.bounded.size
+        b_xy, b_yz, b_xy_z = bounded(tp_xy), bounded(tp_yz), bounded(tp_xy_z)
+        nx, ny = b_xy.size, b_yz.size
         dy, dz = tp_yz.left_factor.dim, tp_yz.right_factor.dim
-        wev = np.einsum("ris,sj->rij", tp_xy.quotient.reshape(r, nx, dy),
-                        tp_yz.bounded.vectors)
-        coeff = tp_xy_z.bounded.expand(wev.reshape(r, nx * ny)).reshape(
-            tp_xy_z.bounded.size, nx, ny)
-        src = np.einsum("rtu,tij->riju", tp_xy_z.quotient.reshape(
-            rz, tp_xy_z.bounded.size, dz), coeff)
-        tgt = np.einsum("riq,qju->riju", tp_x_yz.quotient.reshape(rt, nx, ryz),
-                        tp_yz.quotient.reshape(ryz, ny, dz))
+        wev = np.einsum("ris,sj->rij", q_xy.reshape(r, nx, dy), b_yz.vectors)
+        coeff = b_xy_z.expand(wev.reshape(r, nx * ny)).reshape(b_xy_z.size, nx, ny)
+        src = np.einsum("rtu,tij->riju", q_xy_z.reshape(rz, b_xy_z.size, dz), coeff)
+        tgt = np.einsum("riq,qju->riju", q_x_yz.reshape(rt, nx, ryz),
+                        q_yz.reshape(ryz, ny, dz))
         return src.reshape(rz, nx * ny * dz), tgt.reshape(rt, nx * ny * dz)
+    b_xy, b_xy_z, b_x_yz = bounded(tp_xy), bounded(tp_xy_z), bounded(tp_x_yz)
     dx, dy = tp_xy.left_factor.dim, tp_yz.left_factor.dim
-    my, mz = tp_xy.bounded.size, tp_xy_z.bounded.size
-    src = np.einsum("rqk,qm->rmk", tp_xy_z.quotient.reshape(rz, r, mz),
-                    tp_xy.quotient)
-    mev = np.einsum("rsk,sj->rjk", tp_yz.quotient.reshape(ryz, dy, mz),
-                    tp_xy.bounded.vectors)
-    coeff = tp_x_yz.bounded.expand(mev.reshape(ryz, my * mz))
-    tgt = np.einsum("rst,tjk->rsjk", tp_x_yz.quotient.reshape(rt, dx, ryz),
-                    coeff.reshape(tp_x_yz.bounded.size, my, mz))
+    my, mz = b_xy.size, b_xy_z.size
+    src = np.einsum("rqk,qm->rmk", q_xy_z.reshape(rz, r, mz), q_xy)
+    mev = np.einsum("rsk,sj->rjk", q_yz.reshape(ryz, dy, mz), b_xy.vectors)
+    coeff = b_x_yz.expand(mev.reshape(ryz, my * mz))
+    tgt = np.einsum("rst,tjk->rsjk", q_x_yz.reshape(rt, dx, ryz),
+                    coeff.reshape(b_x_yz.size, my, mz))
     return src.reshape(rz, dx * my * mz), tgt.reshape(rt, dx * my * mz)
 
 
-def _ext_source_oracle(tp_xy, tp_ext, ni, nj):
-    bb, ext = tp_xy.bounded, tp_ext.bounded
-    left = tp_xy.kind == KIND_LEFT
-    coeff = ext.expand(np.kron(np.eye(ni if left else nj), bb.vectors))
-    if left:
-        n1, n2 = bb.size, tp_xy.right_factor.dim
-        src = np.einsum("rtm,tc->rcm", tp_ext.quotient.reshape(
-            tp_ext.dim, ext.size, nj * n2), coeff)
-    else:
-        n1, n2 = tp_xy.left_factor.dim, bb.size
-        src = np.einsum("rsm,mc->rsc", tp_ext.quotient.reshape(
-            tp_ext.dim, ni * n1, ext.size), coeff)
-    return src.reshape(tp_ext.dim, ni * n1 * nj * n2)
+def _solve(family):
+    """map_from_spanning of a family, whose source must have orthonormal rows."""
+    src, tgt = family
+    assert np.linalg.norm(src @ src.conj().T - np.eye(len(src))) <= 1e-12
+    return map_from_spanning(src, tgt)
 
 
-def _conjugation_source_oracle(x, y):
-    tp_left = tensor_left(x, y)
-    tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
-    star_coeff = tp_dual.bounded.expand(np.conj(tp_left.bounded.vectors))
-    qd = tp_dual.quotient.reshape(tp_dual.dim, y.dim, tp_dual.bounded.size)
-    return np.einsum("rsm,mi->ris", qd, star_coeff).reshape(
-        tp_dual.dim, star_coeff.shape[1] * y.dim)
-
-
-@pytest.mark.parametrize("seed", ORACLE_SEEDS)
-def test_spanning_families_match_einsum(monkeypatch, seed):
-    tensor_mod = importlib.import_module("bimodcat.tensor")
-    involution_mod = importlib.import_module("bimodcat.involution")
-    x, y, z = generate(seed).bimodules[:3]
+@pytest.mark.parametrize("seed, limits", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in ORACLE_SEEDS),
+    *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
+      for seed in range(3))])
+def test_spanning_families_match_einsum(seed, limits):
+    # the member-built associator, extension identifications and c against
+    # the spanning solves of the algebraic-space constructions
+    x, y, z = generate(seed, limits).bimodules[:3]
     nonempty = 0
     with product_store():
         for kind in KINDS:
             t_xy, t_yz = tensor(kind, x, y), tensor(kind, y, z)
             tps = (t_xy, tensor(kind, t_xy.result, z), t_yz,
                    tensor(kind, x, t_yz.result))
-            want = map_from_spanning(*_associator_oracle(*tps))
+            want = _solve(_associator_oracle(*tps))
             assert _rel_err(associator(*tps), want) <= 1e-12
             nonempty += want.size > 0
-            [(src, _)], (_, tp_ext, _) = _spanning_families(
-                monkeypatch, tensor_mod, tensor_matrix_extension_iso,
-                x, y, 2, 3, kind)
-            assert _rel_err(src, _ext_source_oracle(t_xy, tp_ext, 2, 3)) <= 1e-12
-        [(src, _)], _ = _spanning_families(monkeypatch, involution_mod,
-                                           conjugation_mixed, x, y)
-        assert _rel_err(src, _conjugation_source_oracle(x, y)) <= 1e-12
+            for ni, nj in ((1, 1), (2, 3)):
+                got, tp_ext, _ = tensor_matrix_extension_iso(x, y, ni, nj, kind)
+                want = _solve(ext_family(t_xy, tp_ext, ni, nj))
+                assert _rel_err(got, want) <= 1e-12, (kind, ni, nj)
+        want = _solve(conjugation_family(x, y))
+        assert _rel_err(conjugation_mixed(x, y).matrix, want) <= 1e-12
     assert nonempty or seed != 0
 
 
-def test_spanning_families_have_orthonormal_rows(monkeypatch):
-    # map_from_spanning solves M = T S^H, which needs S S^H = 1 of every
-    # family the suite solves: check it on every call, with its caller
-    callers, worst = set(), 0.0
-    for name in ("bimodcat.tensor", "bimodcat.involution"):
-        module = importlib.import_module(name)
-        real = module.map_from_spanning
-
-        def record(src, tgt, real=real):
-            nonlocal worst
-            callers.add(sys._getframe(1).f_code.co_name)
-            gap = np.linalg.norm(src @ src.conj().T - np.eye(src.shape[0]))
-            worst = max(worst, gap)
-            return real(src, tgt)
-
-        monkeypatch.setattr(module, "map_from_spanning", record)
+def test_the_runtime_path_builds_no_algebraic_space(monkeypatch, capsys):
+    # no bounded space, quotient or spanning family: spy on every binding of
+    # the functions that build them in every bimodcat module
+    homes = {"map_from_spanning": importlib.import_module("bimodcat.linalg"),
+             "right_bounded_space": importlib.import_module("bimodcat.bounded"),
+             "left_bounded_space": importlib.import_module("bimodcat.bounded")}
+    calls, patched = [], set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "bimodcat":
+            continue
+        for name, home in homes.items():
+            real = getattr(home, name)
+            if getattr(module, name, None) is real:
+                def spy(*args, name=name, real=real):
+                    calls.append(name)
+                    return real(*args)
+                monkeypatch.setattr(module, name, spy)
+                patched.add((module_name, name))
+    assert {("bimodcat.linalg", "map_from_spanning"),
+            ("bimodcat.bounded", "right_bounded_space"),
+            ("bimodcat.bounded", "left_bounded_space")} <= patched
     for seed, limits in [*((seed, None) for seed in ORACLE_SEEDS),
                          *((seed, Limits(min_mult=1)) for seed in range(3))]:
         report = run_suite(generate(seed, limits))
         assert not [c for c in report["checks"] if c["error"]], seed
+    x, y = generate(0, length=2).bimodules
+    conjugation_pair(x, y)
     for blocks, ni, nj in [((1,), 1, 1), ((2,), 2, 1), ((1, 2), 2, 2),
                            ((3, 1), 1, 3)]:
         m_standard(MultiMatrixAlgebra(blocks), ni, nj)
-    assert worst <= 1e-12
-    assert callers == {"_ext_iso", "conjugation_mixed"}
+    assert cli.main(["tensor", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # the spies see a call
+    homes["right_bounded_space"].right_bounded_space(x)
+    assert calls == ["right_bounded_space"]
 
 
 # -- the member-built maps against their algebraic-space constructions --------
@@ -579,19 +547,20 @@ def _unitor_oracle(tp, left):
     """
     units = tp.right_factor.left_units if left else tp.left_factor.right_units
     if left == (tp.kind == KIND_LEFT):
-        legs = np.einsum("wi,wst->ist", tp.bounded.vectors, units)
+        legs = np.einsum("wi,wst->ist", bounded(tp).vectors, units)
     else:
-        legs = np.einsum("wab,bi->iaw", units, tp.bounded.vectors)
+        legs = np.einsum("wab,bi->iaw", units, bounded(tp).vectors)
     order = (1, 0, 2) if tp.kind == KIND_LEFT else (1, 2, 0)
-    return legs.transpose(order).reshape(units.shape[1], tp.alg_dim) @ tp.section
+    return (legs.transpose(order).reshape(units.shape[1], tp.alg_dim)
+            @ quotient(tp).conj().T)
 
 
 def _kron_oracle(src, tgt, f, g, check=True):
     """f (x) g as the induced map of its Kronecker matrix, the bounded leg in coefficients."""
     if src.kind == KIND_LEFT:
-        f = tgt.bounded.expand(f @ src.bounded.vectors)
+        f = bounded(tgt).expand(f @ bounded(src).vectors)
     else:
-        g = tgt.bounded.expand(g @ src.bounded.vectors)
+        g = bounded(tgt).expand(g @ bounded(src).vectors)
     return induced_map(src, tgt, np.kron(f, g), check)
 
 
@@ -600,22 +569,30 @@ def _kron_oracle(src, tgt, f, g, check=True):
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
       for seed in range(3))])
 def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
-    # every associator, unitor and f (x) g the suite builds, and f (x) g of
-    # random bimodule endomorphisms on every product of canonical factors
+    # every associator, unitor, f (x) g, m and c the suite builds, and
+    # f (x) g of random bimodule endomorphisms on every product of
+    # canonical factors
     coherence = importlib.import_module("bimodcat.coherence")
-    oracles = {"associator": lambda *tps: map_from_spanning(*_associator_oracle(*tps)),
-               "left_unitor": lambda tp: _unitor_oracle(tp, True),
-               "right_unitor": lambda tp: _unitor_oracle(tp, False),
-               "tensor_morphisms": _kron_oracle}
-    compared = dict.fromkeys(oracles, 0)
-    for name, oracle in oracles.items():
-        def spy(*args, real=getattr(coherence, name), oracle=oracle, name=name,
+    involution = importlib.import_module("bimodcat.involution")
+    oracles = {
+        (coherence, "associator"): lambda *tps: _solve(_associator_oracle(*tps)),
+        (coherence, "left_unitor"): lambda tp: _unitor_oracle(tp, True),
+        (coherence, "right_unitor"): lambda tp: _unitor_oracle(tp, False),
+        (coherence, "tensor_morphisms"): _kron_oracle,
+        (coherence, "m_iso"): m_realization,
+        (involution, "m_iso"): m_realization,
+        (involution, "conjugation_mixed"):
+            lambda x, y: _solve(conjugation_family(x, y))}
+    compared = dict.fromkeys((name for _, name in oracles), 0)
+    for (module, name), oracle in oracles.items():
+        def spy(*args, real=getattr(module, name), oracle=oracle, name=name,
                 **kwargs):
             got = real(*args, **kwargs)
-            assert _rel_err(got, oracle(*args, **kwargs)) <= 1e-12, name
+            matrix = getattr(got, "matrix", got)
+            assert _rel_err(matrix, oracle(*args, **kwargs)) <= 1e-12, name
             compared[name] += 1
             return got
-        monkeypatch.setattr(coherence, name, spy)
+        monkeypatch.setattr(module, name, spy)
     products = _suite_products(monkeypatch, seed, limits)
     assert all(compared.values()), compared
     rng = np.random.default_rng(seed)
