@@ -1,14 +1,22 @@
 """Bimodules over multi-matrix algebras, intertwiners, duals and matrix extensions.
 
-Actions are stored as their values on all matrix units of the acting
+Actions are two stacks of their values on all matrix units of the acting
 algebras: ``left_units[u]`` is the matrix of the left action of the u-th
 matrix unit of the left algebra, and likewise for ``right_units``.  By
 linearity this determines the action of every algebra element.
+
+A bimodule made from its stacks checks them at once.  Duals and the
+results of tensor products (:mod:`bimodcat.tensor`) know their dimension
+without their stacks and are made with a build of them instead
+(:meth:`Bimodule.deferred`): it runs on the first read of either stack,
+which checks the stacks and makes them read-only.  A result that is never
+a factor of another product, nor dualized, never builds its stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -22,36 +30,78 @@ class NotABimoduleError(ValueError):
     """Raised when action data fails the bimodule axioms at construction."""
 
 
-@dataclass(frozen=True, eq=False)
 class Bimodule:
-    """Hilbert space with commuting unital left and right algebra actions."""
+    """Hilbert space with commuting unital left and right algebra actions.
 
-    left_algebra: MultiMatrixAlgebra
-    right_algebra: MultiMatrixAlgebra
-    left_units: np.ndarray   # (dim left_algebra, d, d)
-    right_units: np.ndarray  # (dim right_algebra, d, d)
-    #: optional (multiplicity matrix, basis unitary) for canonical models
-    canonical: Optional[tuple] = field(default=None, compare=False)
+    ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
+    and unitality at once.  :meth:`deferred` takes the dimension and a build
+    of the stacks instead; the first read of either stack runs the build,
+    checks the stacks the same way and makes them read-only.  ``dim``, the
+    algebras and ``canonical`` never run it.
+    """
 
-    def __post_init__(self):
-        d = self.dim
-        if self.left_units.shape != (self.left_algebra.dim, d, d):
-            raise NotABimoduleError("left action has wrong shape")
-        if self.right_units.shape != (self.right_algebra.dim, d, d):
-            raise NotABimoduleError("right action has wrong shape")
-        # unitality is cheap and catches degenerate actions early; the
-        # Frobenius norm bounds the operator norm from above, without an SVD
-        scale = max(1.0, float(np.abs(self.left_units).max(initial=0.0)),
-                    float(np.abs(self.right_units).max(initial=0.0)))
-        for units, alg, side in ((self.left_units, self.left_algebra, "left"),
-                                 (self.right_units, self.right_algebra, "right")):
-            one = units[_diag_unit_indices(alg)].sum(axis=0)
-            if np.linalg.norm(one - np.eye(d)) > 1e-8 * scale:
-                raise NotABimoduleError(f"{side} action is not unital")
+    def __init__(self, left_algebra: MultiMatrixAlgebra,
+                 right_algebra: MultiMatrixAlgebra, left_units: np.ndarray,
+                 right_units: np.ndarray, canonical: Optional[tuple] = None):
+        self.left_algebra = left_algebra
+        self.right_algebra = right_algebra
+        self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
+        #: optional (multiplicity matrix, basis unitary) for canonical models
+        self.canonical = canonical
+        self._build = None
+        self._units = self._checked(left_units, right_units)
+
+    @classmethod
+    def deferred(cls, left_algebra: MultiMatrixAlgebra,
+                 right_algebra: MultiMatrixAlgebra, dim: int,
+                 build: Callable[[], Tuple[np.ndarray, np.ndarray]]
+                 ) -> "Bimodule":
+        """A bimodule of dimension ``dim`` whose stacks ``build()`` returns."""
+        x = cls.__new__(cls)
+        x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
+        x.canonical, x._build, x._units = None, build, None
+        return x
 
     @property
-    def dim(self) -> int:
-        return self.left_units.shape[1] if self.left_units.ndim == 3 else 0
+    def left_units(self) -> np.ndarray:
+        """(dim left_algebra, d, d): the left action of each matrix unit."""
+        return self._stacks()[0]
+
+    @property
+    def right_units(self) -> np.ndarray:
+        """(dim right_algebra, d, d): the right action of each matrix unit."""
+        return self._stacks()[1]
+
+    def _stacks(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._units is None:
+            units = self._checked(*self._build())
+            for stack in units:
+                stack.setflags(write=False)
+            self._units, self._build = units, None
+        return self._units
+
+    def _checked(self, left_units: np.ndarray, right_units: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacks, once their shapes and unitality hold."""
+        d = self.dim
+        sides = ((left_units, self.left_algebra, "left"),
+                 (right_units, self.right_algebra, "right"))
+        for units, alg, side in sides:
+            if units.shape != (alg.dim, d, d):
+                raise NotABimoduleError(f"{side} action has wrong shape")
+        # unitality is cheap and catches degenerate actions early; the
+        # Frobenius norm bounds the operator norm from above, without an
+        # SVD.  The bound is 1e-8 times the largest entry, floored at 1, so
+        # the stacks are scanned for that entry only past 1e-8
+        defects = [np.linalg.norm(units[_diag_unit_indices(alg)].sum(axis=0)
+                                  - np.eye(d)) for units, alg, _ in sides]
+        if max(defects) > 1e-8:
+            scale = max(1.0, float(np.abs(left_units).max(initial=0.0)),
+                        float(np.abs(right_units).max(initial=0.0)))
+            for defect, (_, _, side) in zip(defects, sides):
+                if defect > 1e-8 * scale:
+                    raise NotABimoduleError(f"{side} action is not unital")
+        return left_units, right_units
 
     def left_action(self, a: AlgebraElement) -> np.ndarray:
         return np.einsum("u,uij->ij", self.left_algebra.vec(a), self.left_units)
@@ -90,10 +140,12 @@ class Bimodule:
 _SIDES = ("left_units", "right_units")
 
 
-def _diag_unit_indices(alg: MultiMatrixAlgebra) -> List[int]:
-    idx = []
-    for off, n in zip(alg.offsets, alg.blocks):
-        idx.extend(off + p * n + p for p in range(n))
+@functools.cache
+def _diag_unit_indices(alg: MultiMatrixAlgebra) -> np.ndarray:
+    """Indices of the diagonal matrix units e_pp, block by block; read-only."""
+    idx = np.array([off + p * n + p for off, n in zip(alg.offsets, alg.blocks)
+                    for p in range(n)], dtype=np.intp)
+    idx.setflags(write=False)
     return idx
 
 
@@ -182,16 +234,14 @@ def dual_bimodule(x: Bimodule) -> Bimodule:
 
 
 def _dual_bimodule(x: Bimodule) -> Bimodule:
-    perm_r = x.right_algebra.adjoint_perm()
-    perm_l = x.left_algebra.adjoint_perm()
-    left_units = np.conj(x.right_units[perm_r])
-    right_units = np.conj(x.left_units[perm_l])
-    return Bimodule(
-        left_algebra=x.right_algebra,
-        right_algebra=x.left_algebra,
-        left_units=left_units,
-        right_units=right_units,
-    )
+    """X*, whose stacks are X's, conjugated and permuted, built on first read.
+
+    Its diagonal units act as X's conjugated, so it is unital when X is.
+    """
+    return Bimodule.deferred(
+        x.right_algebra, x.left_algebra, x.dim,
+        lambda: (np.conj(x.right_units[x.right_algebra.adjoint_perm()]),
+                 np.conj(x.left_units[x.left_algebra.adjoint_perm()])))
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:

@@ -315,6 +315,11 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
         right = _need_int(b, "right", path)
         if not (0 <= left < len(algebras)) or not (0 <= right < len(algebras)):
             raise InstanceFormatError(f"{path}: algebra reference out of range")
+        for key, ref, at in (("left", left, i), ("right", right, i + 1)):
+            if at >= len(algebras) or algebras[ref].blocks != algebras[at].blocks:
+                raise InstanceFormatError(
+                    f"{path}.{key}: algebra {ref} does not fit the algebra "
+                    f"chain, which needs algebra {at} there")
         la, ra = algebras[left], algebras[right]
         try:
             if "multiplicities" in b:
@@ -376,11 +381,7 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
             continue
         morphisms.append(mor)
 
-    try:
-        spec = InstanceSpec(seed=seed, limits=limits,
-                            algebras=tuple(algebras[:n_kept + 1]),
-                            bimodules=tuple(bimodules),
-                            morphisms=tuple(morphisms))
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
+    spec = InstanceSpec(seed=seed, limits=limits,
+                        algebras=tuple(algebras[:n_kept + 1]),
+                        bimodules=tuple(bimodules), morphisms=tuple(morphisms))
     return spec, violations

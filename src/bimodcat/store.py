@@ -9,9 +9,11 @@ every later call, so a product of a product's result is built once too.
 Functions take bimodules and fetch their products, duals and bounded
 spaces through :func:`stored`; none takes them as arguments.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).  The arrays a
-build made are made read-only, since every caller shares them; no value
-holds one of its arguments' own arrays, and those stay as given.
-Outside a store every call builds.
+build made are made read-only when it returns, since every caller shares
+them.  Bimodules are not looked into: a product's result and a dual build
+their action stacks on first read and make them read-only then
+(:meth:`bimodcat.bimodule.Bimodule.deferred`), and a bimodule given as an
+argument keeps its stacks as given.  Outside a store every call builds.
 
 The open store lives in a context variable, so it is visible to the calls
 made inside the ``with`` block and to no other thread.
@@ -51,17 +53,17 @@ def stored(build: Callable, *args):
     key = (build, *args)
     if key not in values:
         values[key] = build(*args)
-        _read_only(values[key], args)
+        _read_only(values[key])
     return values[key]
 
 
-def _read_only(value, args):
-    """Make a value's arrays read-only, in tuples and dataclasses but not ``args``."""
+def _read_only(value):
+    """Make a value's arrays read-only, in tuples and dataclasses."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, tuple):
         for item in value:
-            _read_only(item, args)
-    elif dataclasses.is_dataclass(value) and value not in args:
+            _read_only(item)
+    elif dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
-            _read_only(getattr(value, field.name), args)
+            _read_only(getattr(value, field.name))

@@ -15,6 +15,13 @@ p = e_00 and rtimes with its last diagonal unit, and rtimes lists its
 members in reverse.  Each factor's sector bases are built once per
 bimodule and kind in the product store.
 
+The result bimodule has the member count as its dimension.  Its action
+stacks are built on their first read only, when it is a factor of another
+product or dualized (:meth:`bimodcat.bimodule.Bimodule.deferred`); most
+results are neither.  Its unitality is checked without them: the result
+is unital exactly when the factors' sector bases are orthonormal, which
+:func:`_sector_bases` checks once per basis.
+
 Every map between products is read off the members on elementary
 tensors.  One formula, :func:`_member_map`, sends c_a (x) d_b to
 f c_a (x) g d_b; its cases are the result actions, f (x) g, the
@@ -33,7 +40,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
-from .bimodule import Bimodule, Morphism, matrix_extension
+from .bimodule import Bimodule, Morphism, NotABimoduleError, matrix_extension
 from .bounded import _acting
 from .linalg import range_basis
 from .store import product_store, stored
@@ -99,9 +106,23 @@ def _sector_units(alg: MultiMatrixAlgebra, kind: str):
 
 
 def _sector_bases(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
-    """Per block of B, orthonormal columns spanning X p (``side`` "right") or p X."""
+    """Per block of B, orthonormal columns spanning X p (``side`` "right") or p X.
+
+    A product's result is unital exactly when its factors' sector bases
+    are orthonormal, so NotABimoduleError is raised for a basis c with
+    ||c^H c - 1||_F > 1e-8: then X's action of p is not a projection.
+    """
     alg, units = _acting(x, side)
-    return tuple(range_basis(units[p]) for p, _ in _sector_units(alg, kind))
+    bases = []
+    for p, _ in _sector_units(alg, kind):
+        c = range_basis(units[p])
+        defect = np.linalg.norm(c.conj().T @ c - np.eye(c.shape[1]))
+        if defect > 1e-8:
+            raise NotABimoduleError(
+                f"{side} action of unit {p} is not a projection: its range "
+                f"basis is off orthonormal by {defect:.3e}")
+        bases.append(c)
+    return tuple(bases)
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -139,7 +160,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     Member (a, b) of block l is c_a (x) d_b, with c_a in X p_l and d_b in
     p_l Y, listed block by block, reversed for rtimes.  A acts by
     c^H L_u c on the index a alone, C by d^H R_v d on b alone: the cases
-    L_u (x) 1 and 1 (x) R_v of f (x) g.
+    L_u (x) 1 and 1 (x) R_v of f (x) g, built on the result's first read.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
@@ -158,9 +179,10 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     index[a, b] = np.arange(a.size)
     members = Members(c, d, a, b, tuple((index[sc, sd], sc, sd)
                                         for sc, sd in zip(spans_c, spans_d)))
-    result = Bimodule(x.left_algebra, y.right_algebra,
-                      _member_map(members, members, x.left_units, None),
-                      _member_map(members, members, None, y.right_units))
+    result = Bimodule.deferred(
+        x.left_algebra, y.right_algebra, a.size,
+        lambda: (_member_map(members, members, x.left_units, None),
+                 _member_map(members, members, None, y.right_units)))
     return TensorProduct(kind, x, y, result, members)
 
 

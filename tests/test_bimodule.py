@@ -60,6 +60,35 @@ def test_bad_actions_rejected():
     Bimodule(a, a, noisy, sf.right_units)
 
 
+def test_unitality_bound_scales_with_the_largest_entry():
+    # the unit defect is measured against 1e-8 times the largest entry of
+    # either stack, floored at 1; e_01 acting 1e3 times as strongly leaves
+    # the unit as it is and lifts the bound to 1e-5
+    a = MultiMatrixAlgebra((2,))
+    sf = standard_form(a).bimodule
+    shift = np.eye(a.dim) / 2          # Frobenius norm 1
+    for delta, unital in ((1e-6, True), (1e-4, False)):
+        units = sf.left_units.copy()
+        units[1] *= 1e3
+        units[0] += delta * shift
+        assert np.abs(units).max() == 1e3
+        if unital:
+            Bimodule(a, a, units, sf.right_units)
+        else:
+            with pytest.raises(NotABimoduleError, match="left action is not unital"):
+                Bimodule(a, a, units, sf.right_units)
+    # without the large entry, the same 1e-6 defect fails
+    units = sf.left_units.copy()
+    units[0] += 1e-6 * shift
+    with pytest.raises(NotABimoduleError, match="left action is not unital"):
+        Bimodule(a, a, units, sf.right_units)
+    # and the right stack lifts the bound of the left one too
+    units, right = sf.left_units.copy(), sf.right_units.copy()
+    units[0] += 1e-6 * shift
+    right[1] *= 1e3
+    Bimodule(a, a, units, right)
+
+
 def test_validate_reports_product_defect():
     a = MultiMatrixAlgebra((2,))
     sf = standard_form(a).bimodule

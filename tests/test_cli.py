@@ -214,13 +214,30 @@ def test_tensor_builds_each_product_once(capsys, monkeypatch):
 
 def test_tensor_mismatched_chain(capsys, tmp_path):
     doc = to_document(generate(0, length=2))
-    # break composability: point the second bimodule at the wrong left algebra
-    doc["algebras"].append({"blocks": [3]})
+    # break composability: point the second bimodule at an algebra within
+    # the limits (M2, against the chain's C) and drop what no longer fits
+    # it, so that only the chain can reject the document
+    assert doc["algebras"][1]["blocks"] == [1]
+    doc["algebras"].append({"blocks": [2]})
     doc["bimodules"][1]["left"] = len(doc["algebras"]) - 1
+    del doc["bimodules"][1]["basis_unitary"]
+    doc["morphisms"] = [m for m in doc["morphisms"]
+                        if 1 not in (m["source"], m["target"])]
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps(doc))
-    code, _, err = _run(capsys, "tensor", "--instance", str(path))
+    code, out, err = _run(capsys, "tensor", "--instance", str(path))
     assert code == 2
+    assert out == ""
+    assert "$.bimodules[1].left" in err
+    # a chain one algebra short names the right end of its last bimodule
+    doc = to_document(generate(0, length=2))
+    doc["algebras"].pop()
+    doc["bimodules"][1]["right"] = 1
+    del doc["bimodules"][1]["basis_unitary"]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "verify", "--instance", str(path))
+    assert code == 2
+    assert "$.bimodules[1].right" in err
 
 
 def test_missing_instance_file(capsys):

@@ -107,6 +107,22 @@ def test_run_suite_report_structure_and_determinism():
     assert exit_code(rep1) == 0
 
 
+@pytest.mark.parametrize("seed, limits", [(7, Limits()),
+                                           (3, Limits(min_mult=1))])
+def test_structural_checks_take_the_base_tolerance(seed, limits):
+    # a structural edge is a unitary and enters the tolerance as 1, so only
+    # the naturality squares' random f and g scale theirs
+    spec = generate(seed, limits=limits)
+    for base in (1e-9, 1e-7):
+        rep = run_suite(spec, tol=base)
+        assert rep["summary"]["passed"] == rep["summary"]["total"] == 14
+        for c in rep["checks"]:
+            if c["name"].startswith("naturality-"):
+                assert c["tol"] > base
+            else:
+                assert c["tol"] == base, c
+
+
 def test_run_suite_subset():
     spec = generate(8, limits=Limits())
     rep = run_suite(spec, suite=["m-unit", "triangle-left"])

@@ -6,7 +6,8 @@ import pytest
 
 from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Morphism, canonical_bimodule,
+from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
+                               canonical_bimodule, dual_bimodule,
                                multiplicity_matrix, random_morphism_matrix)
 from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
@@ -25,6 +26,10 @@ from oracles import (bounded, conjugation_family, ext_family, gram,
                      induced_map, m_realization, quotient, standard_images)
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
+
+# the modules, not the functions the package re-exports
+tensor_module = importlib.import_module("bimodcat.tensor")
+bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 
 def _bim(rng, a_blocks, b_blocks, mult):
@@ -642,3 +647,103 @@ def test_tensor_morphisms_rejects_what_the_kronecker_check_rejects(monkeypatch, 
                 with pytest.raises(WellDefinednessError):
                     tensor_morphisms(tp, tp, f, g)
     assert rejected
+
+
+# -- deferred action stacks ----------------------------------------------------
+
+@pytest.mark.parametrize("seed, limits", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in ORACLE_SEEDS),
+    *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
+      for seed in range(3))])
+def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
+    # each product's stacks are L_u (x) 1 and 1 (x) R_v on its members and
+    # each dual's are its original's, conjugated and permuted, bit for bit
+    duals = []
+    build_dual = bimodule_module._dual_bimodule
+
+    def record(x):
+        duals.append((x, build_dual(x)))
+        return duals[-1][1]
+    monkeypatch.setattr(bimodule_module, "_dual_bimodule", record)
+    for tp in _suite_products(monkeypatch, seed, limits):
+        m = tp.members
+        want = (tensor_module._member_map(m, m, tp.left_factor.left_units, None),
+                tensor_module._member_map(m, m, None, tp.right_factor.right_units))
+        for got, stack in zip((tp.result.left_units, tp.result.right_units), want):
+            assert np.array_equal(got, stack)
+            assert not got.flags.writeable
+    assert duals
+    for x, xs in duals:
+        assert xs.dim == x.dim
+        assert np.array_equal(xs.left_units, np.conj(
+            x.right_units[x.right_algebra.adjoint_perm()]))
+        assert np.array_equal(xs.right_units, np.conj(
+            x.left_units[x.left_algebra.adjoint_perm()]))
+
+
+def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
+    # a result's stacks are built when it is a factor or dualized, and most
+    # results are neither; each stack is a _member_map with an identity leg
+    products, stacks = [], []
+    build, member_map = tensor_module._tensor_product, tensor_module._member_map
+
+    def counted_product(*args):
+        products.append(build(*args))
+        return products[-1]
+
+    def counted_map(src, tgt, f, g):
+        if f is None or g is None:
+            stacks.append(src)
+        return member_map(src, tgt, f, g)
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted_product)
+    monkeypatch.setattr(tensor_module, "_member_map", counted_map)
+    report = run_suite(generate(18, limits=Limits(min_mult=1)))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    built = {id(members) for members in stacks}
+    assert len(stacks) == 2 * len(built)
+    assert 0 < len(built) < len(products)
+
+
+def test_a_p_unit_that_is_no_projection_is_rejected():
+    # the right action stays unital when h moves from e_00 to e_11, so the
+    # factor is accepted; its sector bases are not orthonormal, and a
+    # product's result would not be unital
+    rng = np.random.default_rng(0)
+    x, y = _bim(rng, (2,), (2,), [[1]]), _bim(rng, (2,), (2,), [[1]])
+    right = x.right_units.copy()
+    h = crandn(rng, x.dim, x.dim)
+    right[0] += 0.1 * (h + h.conj().T)
+    right[3] -= 0.1 * (h + h.conj().T)
+    bad = Bimodule(x.left_algebra, x.right_algebra, x.left_units, right)
+    for kind in KINDS:
+        with pytest.raises(NotABimoduleError, match="not a projection"):
+            tensor(kind, bad, y)
+
+
+def test_deferred_stacks_are_built_on_first_read_and_read_only(monkeypatch):
+    checked = []
+    check = Bimodule._checked
+
+    def counted(self, *stacks):
+        checked.append(self)
+        return check(self, *stacks)
+    rng = np.random.default_rng(4)
+    x = _bim(rng, (2,), (1, 2), [[1, 1]])
+    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    monkeypatch.setattr(Bimodule, "_checked", counted)
+    with product_store():
+        tp, xs = tensor_left(x, y), dual_bimodule(x)
+        # neither the store, dim nor a morphism's shape check builds them
+        assert tensor_left(x, y) is tp and dual_bimodule(x) is xs
+        assert (tp.dim, xs.dim) == (tp.members.a.size, x.dim)
+        Morphism(tp.result, tp.result, np.eye(tp.dim))
+        assert checked == []
+        stacks = [tp.result.left_units, tp.result.right_units,
+                  xs.left_units, xs.right_units]
+        assert checked == [tp.result, xs]
+        assert all(not s.flags.writeable for s in stacks)
+        assert tp.result.left_units is stacks[0]
+        assert checked == [tp.result, xs]
+        for factor in (x, y):
+            assert factor.left_units.flags.writeable
+            assert factor.right_units.flags.writeable
