@@ -92,15 +92,12 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     if x.dim == 0 or y.dim == 0:
         return _degenerate(name, base_tol, dims)
     l2 = standard_form(x.right_algebra).bimodule
-    t_xl = tensor(kind, x, l2)
-    t_ly = tensor(kind, l2, y)
-    t_xl_y = tensor(kind, t_xl.result, y)
-    t_x_ly = tensor(kind, x, t_ly.result)
     t_xy = tensor(kind, x, y)
-    a = associator(t_xl, t_xl_y, t_ly, t_x_ly)
-    e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor(t_xl), np.eye(y.dim))
-    e_l = tensor_morphisms(t_x_ly, t_xy, np.eye(x.dim), left_unitor(t_ly))
-    a = _twist(a, "assoc", mutation)
+    t_xl_y = tensor(kind, tensor(kind, x, l2).result, y)
+    t_x_ly = tensor(kind, x, tensor(kind, l2, y).result)
+    a = _twist(associator(kind, x, l2, y), "assoc", mutation)
+    e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor(kind, x), np.eye(y.dim))
+    e_l = tensor_morphisms(t_x_ly, t_xy, np.eye(x.dim), left_unitor(kind, y))
     e_r = _twist(e_r, "right-unit", mutation)
     e_l = _twist(e_l, "left-unit", mutation)
     defect = op_norm(e_l @ a - e_r)
@@ -116,29 +113,16 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     dims = (w.dim, x.dim, y.dim, z.dim)
     if 0 in dims:
         return _degenerate(name, base_tol, dims)
-    t_wx = tensor(kind, w, x)
-    t_xy = tensor(kind, x, y)
-    t_yz = tensor(kind, y, z)
-    t_wx_y = tensor(kind, t_wx.result, y)
-    t_w_xy = tensor(kind, w, t_xy.result)
-    t_xy_z = tensor(kind, t_xy.result, z)
-    t_x_yz = tensor(kind, x, t_yz.result)
-    t_wxy_z = tensor(kind, t_wx_y.result, z)      # ((WX)Y)Z
-    t_wxy2_z = tensor(kind, t_w_xy.result, z)     # (W(XY))Z
-    t_w_xyz = tensor(kind, w, t_xy_z.result)      # W((XY)Z)
-    t_w_x_yz = tensor(kind, w, t_x_yz.result)     # W(X(YZ))
-    t_wx_yz = tensor(kind, t_wx.result, t_yz.result)  # (WX)(YZ)
-    a_wxy = associator(t_wx, t_wx_y, t_xy, t_w_xy)
-    a_wxy = _twist(a_wxy, "assoc", mutation)
-    e1 = tensor_morphisms(t_wxy_z, t_wxy2_z, a_wxy, np.eye(z.dim),
-                          check=mutation is None)
-    a2 = associator(t_w_xy, t_wxy2_z, t_xy_z, t_w_xyz)
-    a_xyz = associator(t_xy, t_xy_z, t_yz, t_x_yz)
-    e3 = tensor_morphisms(t_w_xyz, t_w_x_yz, np.eye(w.dim), a_xyz)
-    long_path = e3 @ a2 @ e1
-    a4 = associator(t_wx_y, t_wxy_z, t_yz, t_wx_yz)
-    a5 = associator(t_wx, t_wx_yz, t_x_yz, t_w_x_yz)
-    short_path = a5 @ a4
+    wx, xy, yz = (tensor(kind, *p).result for p in ((w, x), (x, y), (y, z)))
+    a_wxy = _twist(associator(kind, w, x, y), "assoc", mutation)
+    e1 = tensor_morphisms(tensor(kind, tensor(kind, wx, y).result, z),
+                          tensor(kind, tensor(kind, w, xy).result, z),
+                          a_wxy, np.eye(z.dim), check=mutation is None)
+    e3 = tensor_morphisms(tensor(kind, w, tensor(kind, xy, z).result),
+                          tensor(kind, w, tensor(kind, x, yz).result),
+                          np.eye(w.dim), associator(kind, x, y, z))
+    long_path = e3 @ associator(kind, w, xy, z) @ e1
+    short_path = associator(kind, w, x, yz) @ associator(kind, wx, y, z)
     defect = op_norm(long_path - short_path)
     return _result(name, defect, _path_tol(base_tol), dims)
 
@@ -155,10 +139,9 @@ def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
     defects = []
     for pair, unitor, role in (((l2a, x), left_unitor, "left-unit"),
                                ((x, l2b), right_unitor, "right-unit")):
-        tl, tr = tensor_left(*pair), tensor_right(*pair)
         m = _twist(m_iso(*pair), "m", mutation)
-        unit = _twist(unitor(tr), role, mutation)
-        defects.append(op_norm(unit @ m - unitor(tl)))
+        unit = _twist(unitor(KIND_RIGHT, x), role, mutation)
+        defects.append(op_norm(unit @ m - unitor(KIND_LEFT, x)))
     return _result(name, max(defects), _path_tol(base_tol), (x.dim,))
 
 
@@ -171,28 +154,16 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
     dims = (x.dim, y.dim, z.dim)
     if 0 in dims:
         return _degenerate(name, base_tol, dims)
-    t_xy_l = tensor_left(x, y)
-    t_xy_r = tensor_right(x, y)
-    t_yz_l = tensor_left(y, z)
-    t_yz_r = tensor_right(y, z)
+    xy_l, xy_r = tensor_left(x, y).result, tensor_right(x, y).result
+    yz_l, yz_r = tensor_left(y, z).result, tensor_right(y, z).result
     m_xy = _twist(m_iso(x, y), "m", mutation)
-    m_yz = m_iso(y, z)
-    t_l_xyl_z = tensor_left(t_xy_l.result, z)
-    t_l_xyr_z = tensor_left(t_xy_r.result, z)
-    t_r_xyr_z = tensor_right(t_xy_r.result, z)
-    t_l_x_yzl = tensor_left(x, t_yz_l.result)
-    t_l_x_yzr = tensor_left(x, t_yz_r.result)
-    t_r_x_yzr = tensor_right(x, t_yz_r.result)
-    a_l = associator(t_xy_l, t_l_xyl_z, t_yz_l, t_l_x_yzl)
-    a_l = _twist(a_l, "assoc", mutation)
-    a_r = associator(t_xy_r, t_r_xyr_z, t_yz_r, t_r_x_yzr)
-    e1 = tensor_morphisms(t_l_xyl_z, t_l_xyr_z, m_xy, np.eye(z.dim),
-                          check=mutation is None)
-    m_big1 = m_iso(t_xy_r.result, z)
-    path1 = a_r @ m_big1 @ e1
-    e2 = tensor_morphisms(t_l_x_yzl, t_l_x_yzr, np.eye(x.dim), m_yz)
-    m_big2 = m_iso(x, t_yz_r.result)
-    path2 = m_big2 @ e2 @ a_l
+    a_l = _twist(associator(KIND_LEFT, x, y, z), "assoc", mutation)
+    e1 = tensor_morphisms(tensor_left(xy_l, z), tensor_left(xy_r, z), m_xy,
+                          np.eye(z.dim), check=mutation is None)
+    path1 = associator(KIND_RIGHT, x, y, z) @ m_iso(xy_r, z) @ e1
+    e2 = tensor_morphisms(tensor_left(x, yz_l), tensor_left(x, yz_r),
+                          np.eye(x.dim), m_iso(y, z))
+    path2 = m_iso(x, yz_r) @ e2 @ a_l
     defect = op_norm(path1 - path2)
     return _result(name, defect, _path_tol(base_tol), dims)
 
@@ -207,31 +178,19 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     if 0 in dims:
         return _degenerate(name, base_tol, dims)
     xs, ys, zs = dual_bimodule(x), dual_bimodule(y), dual_bimodule(z)
-    t_xy = tensor(kind, x, y)
-    t_yz = tensor(kind, y, z)
-    t_xy_z = tensor(kind, t_xy.result, z)
-    t_x_yz = tensor(kind, x, t_yz.result)
-    a = associator(t_xy, t_xy_z, t_yz, t_x_yz)
-    t_zy = tensor(kind, zs, ys)
-    t_yx = tensor(kind, ys, xs)
-    t_zy_x = tensor(kind, t_zy.result, xs)
-    t_z_yx = tensor(kind, zs, t_yx.result)
-    a_dual = associator(t_zy, t_zy_x, t_yx, t_z_yx)
-    a_dual = _twist(a_dual, "assoc", mutation)
-    c_xy = conjugation(kind, x, y)
-    c_yz = conjugation(kind, y, z)
+    a_dual = _twist(associator(kind, zs, ys, xs), "assoc", mutation)
+    c_xy, c_yz = conjugation(kind, x, y), conjugation(kind, y, z)
     c_xy_mat = _twist(c_xy.matrix, "c", mutation)
-    dual_xy = c_xy.target
-    t_z_dxy = tensor(kind, zs, dual_xy)
-    e_a = tensor_morphisms(t_z_yx, t_z_dxy, np.eye(zs.dim), c_xy_mat,
-                           check=mutation is None)
-    c2 = conjugation(kind, t_xy.result, z)
+    e_a = tensor_morphisms(tensor(kind, zs, tensor(kind, ys, xs).result),
+                           tensor(kind, zs, c_xy.target), np.eye(zs.dim),
+                           c_xy_mat, check=mutation is None)
+    c2 = conjugation(kind, tensor(kind, x, y).result, z)
     lhs = c2.matrix @ e_a @ a_dual
-    dual_yz = c_yz.target
-    t_dyz_x = tensor(kind, dual_yz, xs)
-    e_b = tensor_morphisms(t_zy_x, t_dyz_x, c_yz.matrix, np.eye(xs.dim))
-    c3 = conjugation(kind, x, t_yz.result)
-    rhs = a.T @ c3.matrix @ e_b
+    e_b = tensor_morphisms(tensor(kind, tensor(kind, zs, ys).result, xs),
+                           tensor(kind, c_yz.target, xs), c_yz.matrix,
+                           np.eye(xs.dim))
+    c3 = conjugation(kind, x, tensor(kind, y, z).result)
+    rhs = associator(kind, x, y, z).T @ c3.matrix @ e_b
     defect = op_norm(lhs - rhs)
     return _result(name, defect, _path_tol(base_tol), dims)
 
@@ -290,7 +249,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         for tp, unitor, f1, f2 in (
                 (tensor(kind, l2a, x), left_unitor, np.eye(l2a.dim), f),
                 (tensor(kind, x, l2b), right_unitor, f, np.eye(l2b.dim))):
-            u = unitor(tp)
+            u = unitor(kind, x)
             e = tensor_morphisms(tp, tp, f1, f2)
             worst = max(worst, op_norm(u @ e - f @ u))
     out.append(_result("naturality-unitors", worst,
@@ -303,7 +262,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         t_yz = tensor(kind, y, z)
         t_xy_z = tensor(kind, t_xy[kind].result, z)
         t_x_yz = tensor(kind, x, t_yz.result)
-        a = associator(t_xy[kind], t_xy_z, t_yz, t_x_yz)
+        a = associator(kind, x, y, z)
         fg[kind] = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
         lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg[kind], np.eye(z.dim))
         gz = tensor_morphisms(t_yz, t_yz, g, np.eye(z.dim))
@@ -356,9 +315,9 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     The checks share one product store (see :mod:`bimodcat.store`) that is
     opened here, joined by each check, and closed when the call returns,
     also when a check raises.
-    Each product, dual and bounded space is built once per call instead of
-    once per check: a full 4-chain suite builds 52 of its 102 products, and
-    32 bounded spaces.
+    Each product, dual and ``m`` is built once per call instead of once
+    per check: a full 4-chain suite asks the store for a product 206 times
+    and builds 50, and builds no bounded space.
     """
     bs = instance.bimodules
     results: List[CheckResult] = []

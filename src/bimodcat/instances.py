@@ -285,6 +285,9 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
         raise InstanceFormatError(
             f"unsupported version {version!r} (expected {FORMAT_VERSION})")
     seed = _need_int(doc, "seed", "$")
+    if seed < 0:
+        raise InstanceFormatError(
+            f"$.seed: expected a nonnegative integer, got {seed}")
     lim = _need(doc, "limits", "$")
     bounds = {key: _need_int(lim, key, "$.limits")
               for key in ("max_blocks", "max_block", "max_mult", "max_dim")}

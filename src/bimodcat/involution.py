@@ -1,33 +1,39 @@
 """Conjugation isomorphisms making the duals an involution on tensor products.
 
-The basic map is ``conjugation_mixed``: the unitary
+Each conjugation is the unitary determined on elementary tensors by
 
-    c_{X,Y} : Y* rtimes X*  ->  (X ltimes Y)*
+    eta-bar (x) xi-bar  |->  (xi (x) eta)-bar.
 
-determined on elementary tensors by  eta-bar (x) xi-bar  |->  (xi (x) eta)-bar.
-Dual coordinates are conjugate coordinates, so a member of Y* rtimes X*
-is the conjugate of a tensor of sector vectors of X and Y, and c is the
-conjugate of a member map (:func:`bimodcat.tensor._member_map`) between
-the two products' members.  Both one-kind versions derive from it through
-the multiplicativity isomorphism m: the rtimes one by inverting the
-transposed m of (X, Y) (m is unitary, so that inverse is its conjugate),
-the ltimes one by precomposing with the m of (Y*, X*).
+Dual coordinates are conjugate coordinates, so a member of Y* kind X*
+is the conjugate of a tensor of sector vectors of Y and X
+(:func:`_conjugated`), and c is read off the members
+(:func:`bimodcat.tensor._member_map`).  ``conjugation_mixed`` maps
+Y* rtimes X* -> (X ltimes Y)*, the paper's basic map, and swaps rtimes'
+sector projections for ltimes'.  ``conjugation`` maps Y* kind X* ->
+(X kind Y)* for one kind: a dual's sector bases are the conjugates of
+the original's, so its members are those of X kind Y, reordered, and c
+is a permutation matrix.  Neither uses the multiplicativity map m, so
+the relation between the two kinds through m is a check on m.
 
 Each function takes the bimodules and fetches the products and duals it
-needs from ``tensor_left``, ``tensor_right`` and ``dual_bimodule``; inside
-an open product store (:mod:`bimodcat.store`) those are built once and
-shared with every other caller.  The single-kind conjugations open a
-store when none is open, so a call on its own builds each product once.
+needs from ``tensor`` and ``dual_bimodule``; inside an open product store
+(:mod:`bimodcat.store`) those are built once and shared with every other
+caller.  ``conjugation`` opens a store when none is open, so a call on its
+own builds each product once.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .bimodule import Bimodule, Morphism, dual_bimodule, transpose
 from .store import product_store
-from .tensor import (KIND_LEFT, KIND_RIGHT, Members, _member_map, _sector_swap,
-                     m_iso, tensor_left, tensor_right)
+from .tensor import (Members, TensorProduct, _member_map, _sector_swap, tensor,
+                     tensor_left, tensor_right)
+
+
+def _conjugated(tp: TensorProduct) -> Members:
+    """The members eta-bar (x) xi-bar of Y* (x) X* as tensors xi (x) eta."""
+    m = tp.members
+    return Members(m.d.conj(), m.c.conj(), m.b, m.a, ())
 
 
 def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
@@ -41,37 +47,25 @@ def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     """
     tp_left = tensor_left(x, y)
     tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
-    dual = tp_dual.members
-    plain = Members(dual.d.conj(), dual.c.conj(), dual.b, dual.a, ())
     u, ustar = _sector_swap(x.right_algebra)
-    mat = _member_map(plain, tp_left.members, x.right_units[ustar].sum(axis=0),
+    mat = _member_map(_conjugated(tp_dual), tp_left.members,
+                      x.right_units[ustar].sum(axis=0),
                       y.left_units[u].sum(axis=0)).conj()
     return Morphism(tp_dual.result, dual_bimodule(tp_left.result), mat)
 
 
 @product_store()
 def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:
-    """Single-kind conjugation c : (Y* kind X*) -> (X kind Y)*."""
-    if kind == KIND_LEFT:
-        ystar, xstar = dual_bimodule(y), dual_bimodule(x)
-        c = conjugation_mixed(x, y)
-        m_dual = m_iso(ystar, xstar)
-        return Morphism(tensor_left(ystar, xstar).result, c.target,
-                        c.matrix @ m_dual)
-    if kind == KIND_RIGHT:
-        c = conjugation_mixed(x, y)
-        m = m_iso(x, y)
-        # c = (transpose m) o c_rtimes; m is unitary, so the inverse of
-        # its transpose is its plain conjugate
-        mat = m.conj() @ c.matrix
-        return Morphism(c.source, dual_bimodule(tensor_right(x, y).result), mat)
-    raise ValueError(f"unknown tensor kind {kind!r}")
+    """Single-kind conjugation c : (Y* kind X*) -> (X kind Y)*.
 
-
-@product_store()
-def conjugation_pair(x: Bimodule, y: Bimodule) -> Tuple[Morphism, Morphism]:
-    """Both single-kind conjugations (ltimes, rtimes)."""
-    return conjugation(KIND_LEFT, x, y), conjugation(KIND_RIGHT, x, y)
+    The sector bases of Y* and X* are the conjugates of those of Y and X
+    for the same projection, so the conjugated members of Y* kind X* are
+    members of X kind Y: c sends each to its own coordinate, which is real.
+    """
+    tp = tensor(kind, x, y)
+    tp_dual = tensor(kind, dual_bimodule(y), dual_bimodule(x))
+    mat = _member_map(_conjugated(tp_dual), tp.members, None, None)
+    return Morphism(tp_dual.result, dual_bimodule(tp.result), mat.astype(float))
 
 
 def transpose_on_product(f: Morphism, c_src: Morphism,

@@ -6,8 +6,9 @@ open, it joins that store: a check called on its own keeps a store of its
 own, and inside a suite it shares the suite's.  While a store is open,
 :func:`stored` builds ``build(*args)`` once and returns the same object on
 every later call, so a product of a product's result is built once too.
-Functions take bimodules and fetch their products, duals and bounded
-spaces through :func:`stored`; none takes them as arguments.  Arguments
+Functions take bimodules and fetch their products, duals and ``m`` maps
+through :func:`stored`; of the maps between products, only
+``tensor_morphisms`` takes products, the two it maps between.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).  The arrays a
 build made are made read-only when it returns, since every caller shares
 them.  Bimodules are not looked into: a product's result and a dual build

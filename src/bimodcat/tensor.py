@@ -27,9 +27,11 @@ tensors.  One formula, :func:`_member_map`, sends c_a (x) d_b to
 f c_a (x) g d_b; its cases are the result actions, f (x) g, the
 multiplicativity map m, the extension identifications and, on conjugate
 members, the conjugation c of :mod:`bimodcat.involution`.  The unitors and
-the associator pair sector bases the same way.  No bounded-vector space,
-algebraic tensor space or spanning family is built; the tests keep those
-constructions as oracles.
+the associator pair sector bases the same way.  They and m take a kind,
+where they have one, and bimodules, and fetch their products through
+:func:`tensor`; only :func:`tensor_morphisms` takes the two products it
+maps between.  No bounded-vector space, algebraic tensor space or
+spanning family is built; the tests keep those constructions as oracles.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
-from .bimodule import Bimodule, Morphism, NotABimoduleError, matrix_extension
+from .bimodule import Bimodule, NotABimoduleError, matrix_extension
 from .bounded import _acting
 from .linalg import range_basis
 from .store import product_store, stored
@@ -234,50 +236,32 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
     return _member_map(src.members, tgt.members, f, g)
 
 
-def morphism_tensor(src: TensorProduct, tgt: TensorProduct,
-                    f: Morphism, g: Morphism) -> Morphism:
-    """Bimodule-morphism wrapper around :func:`tensor_morphisms`."""
-    mat = tensor_morphisms(src, tgt, f.matrix, g.matrix)
-    return Morphism(src.result, tgt.result, mat)
-
-
 # -- unit isomorphisms --------------------------------------------------------
 
-def left_unitor(tp: TensorProduct) -> np.ndarray:
-    """l : L2(A) (x) X -> X on the members; the left factor must be standard.
+def left_unitor(kind: str, x: Bimodule) -> np.ndarray:
+    """l : L2(A) (x) X -> X on the members of the kind's product.
 
     l(c_a (x) d_b) = c_a . d_b = sum_w c_a[w] L_w d_b, for c_a in L2(A) p.
     """
+    tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
     m = tp.members
-    return np.einsum("wi,wxi->xi", m.c[:, m.a],
-                     tp.right_factor.left_units @ m.d[:, m.b])
+    return np.einsum("wi,wxi->xi", m.c[:, m.a], x.left_units @ m.d[:, m.b])
 
 
-def right_unitor(tp: TensorProduct) -> np.ndarray:
-    """r : X (x) L2(B) -> X on the members; the right factor must be standard.
+def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
+    """r : X (x) L2(B) -> X on the members of the kind's product.
 
     r(c_a (x) d_b) = c_a . d_b = sum_w d_b[w] R_w c_a, for d_b in p L2(B).
     """
+    tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
     m = tp.members
-    return np.einsum("wi,wxi->xi", m.d[:, m.b],
-                     tp.left_factor.right_units @ m.c[:, m.a])
-
-
-def unit_isos(kind: str, x: Bimodule) -> Tuple[Morphism, Morphism]:
-    """The two unit isomorphisms (l, r) for a bimodule, as morphisms."""
-    l2a = standard_form(x.left_algebra).bimodule
-    l2b = standard_form(x.right_algebra).bimodule
-    tpl = tensor(kind, l2a, x)
-    tpr = tensor(kind, x, l2b)
-    return (Morphism(tpl.result, x, left_unitor(tpl)),
-            Morphism(tpr.result, x, right_unitor(tpr)))
+    return np.einsum("wi,wxi->xi", m.d[:, m.b], x.right_units @ m.c[:, m.a])
 
 
 # -- associators --------------------------------------------------------------
 
-def associator(tp_xy: TensorProduct, tp_xy_z: TensorProduct,
-               tp_yz: TensorProduct, tp_x_yz: TensorProduct) -> np.ndarray:
-    """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z), all four products of one kind.
+def associator(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
+    """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z), all four products of the kind.
 
     Write the members of X (x) Y as c_a (x) d_b, of (X (x) Y) (x) Z as
     e_alpha (x) z_gamma, of Y (x) Z as y_beta (x) z_gamma and of
@@ -289,9 +273,9 @@ def associator(tp_xy: TensorProduct, tp_xy_z: TensorProduct,
     coordinate <h_rho, w> on c_a (x) h_rho.  Blocks l of B and m of C meet
     in one block of the matrix: rows (a, rho), columns (alpha, gamma).
     """
-    kind = tp_xy.kind
-    if {tp_xy_z.kind, tp_yz.kind, tp_x_yz.kind} != {kind}:
-        raise ValueError("associator needs four tensor products of one kind")
+    tp_xy, tp_yz = tensor(kind, x, y), tensor(kind, y, z)
+    tp_xy_z = tensor(kind, tp_xy.result, z)
+    tp_x_yz = tensor(kind, x, tp_yz.result)
     xy, xy_z, yz, x_yz = (tp.members for tp in (tp_xy, tp_xy_z, tp_yz, tp_x_yz))
     overlap = yz.c.conj().T @ xy.d           # <y_beta, d_b> in Y
     out = np.zeros((tp_x_yz.dim, tp_xy_z.dim), dtype=complex)
@@ -352,12 +336,10 @@ def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
     isomorphism and the extension identifications, in a product store.
     """
     l2 = standard_form(b).bimodule
-    tp_l = tensor_left(l2, l2)
-    tp_r = tensor_right(l2, l2)
     ext_l, tpl_ext, _ = tensor_matrix_extension_iso(l2, l2, ni, nj, KIND_LEFT)
     ext_r, tpr_ext, _ = tensor_matrix_extension_iso(l2, l2, ni, nj, KIND_RIGHT)
-    ml = np.kron(np.eye(ni * nj), left_unitor(tp_l)) @ ext_l
-    mr = np.kron(np.eye(ni * nj), left_unitor(tp_r)) @ ext_r
+    ml = np.kron(np.eye(ni * nj), left_unitor(KIND_LEFT, l2)) @ ext_l
+    mr = np.kron(np.eye(ni * nj), left_unitor(KIND_RIGHT, l2)) @ ext_r
     return mr.conj().T @ ml, tpl_ext, tpr_ext
 
 

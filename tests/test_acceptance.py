@@ -22,7 +22,7 @@ from bimodcat.coherence import (check_duality_square, check_involution_hexagon,
                                 check_m_assoc, check_m_unit, check_pentagon,
                                 check_triangle, run_suite)
 from bimodcat.instances import Limits, generate
-from bimodcat.involution import conjugation_pair
+from bimodcat.involution import conjugation
 from bimodcat.linalg import op_norm, random_unitary
 from bimodcat.tensor import KIND_LEFT, KIND_RIGHT, m_iso, tensor
 from oracles import m_realization
@@ -129,7 +129,8 @@ def test_criterion_4_involution_laws(verdict):
         failures += d > TOL
         # the two single-kind conjugations intertwine through m
         if x.dim and y.dim:
-            c_l, c_r = conjugation_pair(x, y)
+            c_l = conjugation(KIND_LEFT, x, y)
+            c_r = conjugation(KIND_RIGHT, x, y)
             m = m_iso(x, y)
             m_dual = m_iso(dual_bimodule(y), dual_bimodule(x))
             d = op_norm(c_r.matrix @ m_dual - np.linalg.solve(m.T, c_l.matrix))

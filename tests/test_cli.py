@@ -276,6 +276,7 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
               lambda doc: doc["limits"].update(min_mult=None)),
              ("$.seed", lambda doc: doc.update(seed=1.5)),
              ("$.seed", lambda doc: doc.update(seed=True)),
+             ("$.seed", lambda doc: doc.update(seed=-3)),
              ("$.limits.max_dim", lambda doc: doc["limits"].update(max_dim=40.9)),
              ("$.limits", lambda doc: doc["limits"].update(max_dim=3)),
              ("$.algebras[0].blocks",

@@ -13,11 +13,11 @@ from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_squar
                                 check_pentagon, check_triangle, exit_code,
                                 run_suite)
 from bimodcat.instances import InstanceSpec, Limits, generate
-from bimodcat.involution import conjugation, conjugation_pair
+from bimodcat.involution import conjugation
 from bimodcat.linalg import random_unitary
 from bimodcat.store import product_store, stored
-from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_standard, tensor_left,
-                             tensor_right)
+from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor,
+                             m_standard, right_unitor, tensor_left, tensor_right)
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -188,8 +188,9 @@ def test_naturality_subset_reports_construction_error():
 
 
 def test_suite_builds_each_member_product_once(monkeypatch):
-    # 102 products on a full 4-chain suite, 50 of them repeats; no bounded
-    # space is built, since products and maps come from the sector bases
+    # a full 4-chain suite asks the store for a product 206 times and
+    # builds 50; no bounded space is built, since products and maps come
+    # from the sector bases
     builds = {"product": 0, "bounded": 0}
 
     def counted(module, name, kind):
@@ -205,20 +206,18 @@ def test_suite_builds_each_member_product_once(monkeypatch):
     spec = generate(0, limits=Limits())
     assert len(spec.bimodules) == 4
     assert exit_code(run_suite(spec)) == 0
-    assert builds == {"product": 52, "bounded": 0}
+    assert builds == {"product": 50, "bounded": 0}
 
 
 def test_suite_builds_m_once_per_pair(monkeypatch):
-    # a dense suite asks for m 21 times for 11 pairs (X, Y); each pair's m
+    # a dense suite asks for m 7 times for 6 pairs (X, Y); each pair's m
     # is built once and shared read-only
     asked, builds = [], []
-    for name in ("bimodcat.coherence", "bimodcat.involution"):
-        module = importlib.import_module(name)
 
-        def ask(x, y, real=module.m_iso):
-            asked.append((x, y))
-            return real(x, y)
-        monkeypatch.setattr(module, "m_iso", ask)
+    def ask(x, y, real=coherence.m_iso):
+        asked.append((x, y))
+        return real(x, y)
+    monkeypatch.setattr(coherence, "m_iso", ask)
     build = tensor_module._m_iso
 
     def counted(x, y):
@@ -226,8 +225,8 @@ def test_suite_builds_m_once_per_pair(monkeypatch):
         return builds[-1]
     monkeypatch.setattr(tensor_module, "_m_iso", counted)
     assert exit_code(run_suite(generate(18, limits=Limits(min_mult=1)))) == 0
-    assert len(asked) == 21
-    assert len(builds) == len({(id(x), id(y)) for x, y in asked}) == 11
+    assert len(asked) == 7
+    assert len(builds) == len({(id(x), id(y)) for x, y in asked}) == 6
     assert not any(m.flags.writeable for m in builds)
 
 
@@ -327,28 +326,31 @@ def test_check_on_its_own_builds_what_the_suite_builds(monkeypatch, family,
     assert check(*lead, *spec.bimodules[:arity]).passed
     assert len(builds) == in_suite
     if family == "hexagon-left":
-        assert in_suite == 14
+        assert in_suite == 10
     _assert_no_store(x, y)
 
 
 @pytest.mark.parametrize("call, products", [
-    (lambda x, y: conjugation(KIND_LEFT, x, y), 3),
-    (lambda x, y: conjugation(KIND_RIGHT, x, y), 3),
-    (conjugation_pair, 4),
-    (lambda x, y: m_standard(MultiMatrixAlgebra((1, 2)), 2, 2), 4),
-], ids=["conjugation-left", "conjugation-right", "conjugation_pair",
-        "m_standard"])
+    (lambda x, y, z: conjugation(KIND_LEFT, x, y), 2),
+    (lambda x, y, z: conjugation(KIND_RIGHT, x, y), 2),
+    (lambda x, y, z: m_standard(MultiMatrixAlgebra((1, 2)), 2, 2), 4),
+    (lambda x, y, z: associator(KIND_LEFT, x, y, z), 4),
+    (lambda x, y, z: associator(KIND_RIGHT, x, y, z), 4),
+    (lambda x, y, z: left_unitor(KIND_LEFT, y), 1),
+    (lambda x, y, z: right_unitor(KIND_RIGHT, y), 1),
+], ids=["conjugation-left", "conjugation-right", "m_standard",
+        "associator-left", "associator-right", "left_unitor", "right_unitor"])
 def test_library_call_on_its_own_builds_each_product_once(monkeypatch, call,
                                                           products):
-    # a library call outside any store opens its own, so it builds what it
-    # builds inside an open store, and leaves no store open
-    x, y = generate(0, limits=Limits(), length=2).bimodules
+    # a library call outside any store builds each product it needs once,
+    # as inside an open store, and leaves no store open
+    x, y, z = generate(0, limits=Limits(), length=3).bimodules
     builds = _count_products(monkeypatch)
-    call(x, y)
+    call(x, y, z)
     assert len(builds) == products
     builds.clear()
     with product_store():
-        call(x, y)
+        call(x, y, z)
     assert len(builds) == products
     _assert_no_store(x, y)
 

@@ -6,8 +6,9 @@ import pytest
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import (Morphism, canonical_bimodule, dual_bimodule,
                                dual_vector, random_morphism_matrix, transpose)
+from bimodcat.instances import Limits, generate
 from bimodcat.involution import (conjugation, conjugation_mixed,
-                                 conjugation_pair, transpose_on_product)
+                                 transpose_on_product)
 from bimodcat.linalg import op_norm, random_unitary
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_iso, tensor,
@@ -87,14 +88,6 @@ def test_m_iso_builds_no_product_in_the_store(monkeypatch):
     assert np.array_equal(m, m_iso(x, y))
 
 
-def test_conjugation_pair_matches_single_builds():
-    rng = np.random.default_rng(2)
-    x, y = _pair(rng)
-    c_l, c_r = conjugation_pair(x, y)
-    assert op_norm(c_l.matrix - conjugation(KIND_LEFT, x, y).matrix) < 1e-10
-    assert op_norm(c_r.matrix - conjugation(KIND_RIGHT, x, y).matrix) < 1e-10
-
-
 def test_mixed_defining_relation_on_spanning_tensors():
     # c maps eta-bar (x) x-star to the conjugate of the class of x (x) eta
     rng = np.random.default_rng(3)
@@ -121,7 +114,7 @@ def test_theorem_intertwining_between_kinds():
     rng = np.random.default_rng(4)
     x, y = _pair(rng)
     xstar, ystar = dual_bimodule(x), dual_bimodule(y)
-    c_l, c_r = conjugation_pair(x, y)
+    c_l, c_r = conjugation(KIND_LEFT, x, y), conjugation(KIND_RIGHT, x, y)
     m_dual = m_iso(ystar, xstar)
     m = m_iso(x, y)
     lhs = c_r.matrix @ m_dual
@@ -168,3 +161,49 @@ def test_conjugation_rejects_unknown_kind():
     x, y = _pair(rng)
     with pytest.raises(ValueError):
         conjugation("middle", x, y)
+
+
+# -- c read off the members ---------------------------------------------------
+
+def _chains():
+    """Seeds 0-7 at the default limits, at min_mult 1 and with max_mult 2 too."""
+    return [generate(seed, limits) for limits in (
+        None, Limits(min_mult=1), Limits(min_mult=1, max_mult=2))
+        for seed in range(8)]
+
+
+def test_dual_sector_bases_are_the_conjugates_bit_for_bit():
+    # X*'s right action of p is X's left action of p, conjugated, and
+    # range_basis(conj P) is conj(range_basis(P))
+    for spec in _chains():
+        for x in spec.bimodules:
+            xs = dual_bimodule(x)
+            for kind in KINDS:
+                for side, other in (("left", "right"), ("right", "left")):
+                    got = tensor_module._sector_bases(xs, side, kind)
+                    want = tensor_module._sector_bases(x, other, kind)
+                    assert len(got) == len(want)
+                    for c, d in zip(got, want):
+                        assert np.array_equal(c, d.conj())
+
+
+def test_conjugation_is_the_permutation_derived_through_m():
+    # c is a 0/1 permutation matrix and equals its derivation from the mixed
+    # c: Y* ltimes X* -> Y* rtimes X* by m, then the mixed c; or the mixed
+    # c, then (X ltimes Y)* -> (X rtimes Y)* by the conjugate of m
+    compared = 0
+    for spec in _chains():
+        with product_store():
+            for x, y in zip(spec.bimodules, spec.bimodules[1:]):
+                mixed = conjugation_mixed(x, y).matrix
+                want = {KIND_LEFT: mixed @ m_iso(dual_bimodule(y), dual_bimodule(x)),
+                        KIND_RIGHT: m_iso(x, y).conj() @ mixed}
+                for kind in KINDS:
+                    got = conjugation(kind, x, y).matrix
+                    assert np.isin(got, (0.0, 1.0)).all()
+                    assert (got.sum(axis=0) == 1).all()
+                    assert (got.sum(axis=1) == 1).all()
+                    assert got.shape == want[kind].shape
+                    assert np.abs(got - want[kind]).max(initial=0.0) <= 1e-14
+                    compared += got.size > 1
+    assert compared

@@ -13,15 +13,15 @@ from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
 from bimodcat.coherence import run_suite
 from bimodcat.instances import Limits, generate
-from bimodcat.involution import conjugation_mixed, conjugation_pair
+from bimodcat.involution import conjugation, conjugation_mixed
 from bimodcat.linalg import (RANK_EPS, crandn, map_from_spanning, op_norm,
                              psd_eig, random_unitary)
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              associator, left_unitor, m_iso, m_standard,
-                             morphism_tensor, right_unitor, tensor, tensor_left,
+                             right_unitor, tensor, tensor_left,
                              tensor_matrix_extension_iso, tensor_morphisms,
-                             tensor_right, unit_isos)
+                             tensor_right)
 from oracles import (bounded, conjugation_family, ext_family, gram,
                      induced_map, m_realization, quotient, standard_images)
 
@@ -95,8 +95,11 @@ def test_quotient_section_identities():
 def test_unit_isos_are_unitary_morphisms():
     rng = np.random.default_rng(4)
     x = _bim(rng, (2,), (1, 2), [[2, 1]])
+    l2a = standard_form(x.left_algebra).bimodule
+    l2b = standard_form(x.right_algebra).bimodule
     for kind in KINDS:
-        l, r = unit_isos(kind, x)
+        l = Morphism(tensor(kind, l2a, x).result, x, left_unitor(kind, x))
+        r = Morphism(tensor(kind, x, l2b).result, x, right_unitor(kind, x))
         for f in (l, r):
             assert f.is_morphism()
             assert f.unitary_defect() < 1e-10
@@ -106,8 +109,7 @@ def test_unitors_agree_on_standard_square():
     b = MultiMatrixAlgebra((1, 2))
     l2 = standard_form(b).bimodule
     for kind in KINDS:
-        tp = tensor(kind, l2, l2)
-        assert op_norm(left_unitor(tp) - right_unitor(tp)) < 1e-10
+        assert op_norm(left_unitor(kind, l2) - right_unitor(kind, l2)) < 1e-10
 
 
 def test_associator_unitary_morphism():
@@ -116,11 +118,9 @@ def test_associator_unitary_morphism():
     y = _bim(rng, (1, 2), (2,), [[1], [1]])
     z = _bim(rng, (2,), (2,), [[1]])
     for kind in KINDS:
-        t_xy = tensor(kind, x, y)
-        t_yz = tensor(kind, y, z)
-        t_xy_z = tensor(kind, t_xy.result, z)
-        t_x_yz = tensor(kind, x, t_yz.result)
-        a = associator(t_xy, t_xy_z, t_yz, t_x_yz)
+        t_xy_z = tensor(kind, tensor(kind, x, y).result, z)
+        t_x_yz = tensor(kind, x, tensor(kind, y, z).result)
+        a = associator(kind, x, y, z)
         assert op_norm(a.conj().T @ a - np.eye(a.shape[1])) < 1e-9
         assert Morphism(t_xy_z.result, t_x_yz.result, a).is_morphism()
 
@@ -227,15 +227,15 @@ def test_m_iso_agrees_with_standard_on_square():
     assert op_norm(m_direct - m_std) < 1e-10
 
 
-def test_morphism_tensor_wrapper():
+def test_f_tensor_g_is_a_bimodule_morphism():
     rng = np.random.default_rng(10)
     x = _bim(rng, (2,), (2,), [[1]])
     y = _bim(rng, (2,), (1,), [[1]])
-    f = Morphism(x, x, random_morphism_matrix(x, x, rng))
-    g = Morphism(y, y, random_morphism_matrix(y, y, rng))
+    f = random_morphism_matrix(x, x, rng)
+    g = random_morphism_matrix(y, y, rng)
     for kind in KINDS:
         tp = tensor(kind, x, y)
-        fg = morphism_tensor(tp, tp, f, g)
+        fg = Morphism(tp.result, tp.result, tensor_morphisms(tp, tp, f, g))
         assert fg.is_morphism()
 
 
@@ -444,11 +444,14 @@ def test_m_is_not_the_identity():
 
 # -- the member-built maps against the spanning solves ------------------------
 
-def _associator_oracle(tp_xy, tp_xy_z, tp_yz, tp_x_yz):
+def _associator_oracle(kind, x, y, z):
     """(source, target) spanning family of the associator."""
+    tp_xy, tp_yz = tensor(kind, x, y), tensor(kind, y, z)
+    tp_xy_z = tensor(kind, tp_xy.result, z)
+    tp_x_yz = tensor(kind, x, tp_yz.result)
     r, rz, ryz, rt = tp_xy.dim, tp_xy_z.dim, tp_yz.dim, tp_x_yz.dim
     q_xy, q_xy_z, q_yz, q_x_yz = map(quotient, (tp_xy, tp_xy_z, tp_yz, tp_x_yz))
-    if tp_xy.kind == KIND_LEFT:
+    if kind == KIND_LEFT:
         b_xy, b_yz, b_xy_z = bounded(tp_xy), bounded(tp_yz), bounded(tp_xy_z)
         nx, ny = b_xy.size, b_yz.size
         dy, dz = tp_yz.left_factor.dim, tp_yz.right_factor.dim
@@ -487,15 +490,12 @@ def test_spanning_families_match_einsum(seed, limits):
     nonempty = 0
     with product_store():
         for kind in KINDS:
-            t_xy, t_yz = tensor(kind, x, y), tensor(kind, y, z)
-            tps = (t_xy, tensor(kind, t_xy.result, z), t_yz,
-                   tensor(kind, x, t_yz.result))
-            want = _solve(_associator_oracle(*tps))
-            assert _rel_err(associator(*tps), want) <= 1e-12
+            want = _solve(_associator_oracle(kind, x, y, z))
+            assert _rel_err(associator(kind, x, y, z), want) <= 1e-12
             nonempty += want.size > 0
             for ni, nj in ((1, 1), (2, 3)):
                 got, tp_ext, _ = tensor_matrix_extension_iso(x, y, ni, nj, kind)
-                want = _solve(ext_family(t_xy, tp_ext, ni, nj))
+                want = _solve(ext_family(tensor(kind, x, y), tp_ext, ni, nj))
                 assert _rel_err(got, want) <= 1e-12, (kind, ni, nj)
         want = _solve(conjugation_family(x, y))
         assert _rel_err(conjugation_mixed(x, y).matrix, want) <= 1e-12
@@ -528,7 +528,9 @@ def test_the_runtime_path_builds_no_algebraic_space(monkeypatch, capsys):
         report = run_suite(generate(seed, limits))
         assert not [c for c in report["checks"] if c["error"]], seed
     x, y = generate(0, length=2).bimodules
-    conjugation_pair(x, y)
+    for kind in KINDS:
+        conjugation(kind, x, y)
+    conjugation_mixed(x, y)
     for blocks, ni, nj in [((1,), 1, 1), ((2,), 2, 1), ((1, 2), 2, 2),
                            ((3, 1), 1, 3)]:
         m_standard(MultiMatrixAlgebra(blocks), ni, nj)
@@ -542,7 +544,7 @@ def test_the_runtime_path_builds_no_algebraic_space(monkeypatch, capsys):
 
 # -- the member-built maps against their algebraic-space constructions --------
 
-def _unitor_oracle(tp, left):
+def _unitor_oracle(kind, x, left):
     """A unitor as legs @ section: the algebraic space evaluated on the bimodule.
 
     The standard factor is the bounded leg where it leads for ltimes or
@@ -550,12 +552,16 @@ def _unitor_oracle(tp, left):
     on the bimodule.  Otherwise the bimodule's bounded vectors are applied
     to the basis of L2.
     """
-    units = tp.right_factor.left_units if left else tp.left_factor.right_units
-    if left == (tp.kind == KIND_LEFT):
+    if left:
+        tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
+    else:
+        tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
+    units = x.left_units if left else x.right_units
+    if left == (kind == KIND_LEFT):
         legs = np.einsum("wi,wst->ist", bounded(tp).vectors, units)
     else:
         legs = np.einsum("wab,bi->iaw", units, bounded(tp).vectors)
-    order = (1, 0, 2) if tp.kind == KIND_LEFT else (1, 2, 0)
+    order = (1, 0, 2) if kind == KIND_LEFT else (1, 2, 0)
     return (legs.transpose(order).reshape(units.shape[1], tp.alg_dim)
             @ quotient(tp).conj().T)
 
@@ -569,6 +575,18 @@ def _kron_oracle(src, tgt, f, g, check=True):
     return induced_map(src, tgt, np.kron(f, g), check)
 
 
+def _conjugation_oracle(kind, x, y):
+    """c of one kind from the mixed c's spanning solve and m's realization.
+
+    Y* ltimes X* -> Y* rtimes X* by m_{Y*,X*}, then the mixed c; or the
+    mixed c, then (X ltimes Y)* -> (X rtimes Y)* by the conjugate of m_{X,Y}.
+    """
+    mixed = _solve(conjugation_family(x, y))
+    if kind == KIND_LEFT:
+        return mixed @ m_realization(dual_bimodule(y), dual_bimodule(x))
+    return m_realization(x, y).conj() @ mixed
+
+
 @pytest.mark.parametrize("seed, limits", [
     *(pytest.param(seed, None, id=str(seed)) for seed in ORACLE_SEEDS),
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
@@ -576,28 +594,26 @@ def _kron_oracle(src, tgt, f, g, check=True):
 def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
     # every associator, unitor, f (x) g, m and c the suite builds, and
     # f (x) g of random bimodule endomorphisms on every product of
-    # canonical factors
+    # canonical factors; c against its derivation from the mixed
+    # conjugation through m
     coherence = importlib.import_module("bimodcat.coherence")
-    involution = importlib.import_module("bimodcat.involution")
     oracles = {
-        (coherence, "associator"): lambda *tps: _solve(_associator_oracle(*tps)),
-        (coherence, "left_unitor"): lambda tp: _unitor_oracle(tp, True),
-        (coherence, "right_unitor"): lambda tp: _unitor_oracle(tp, False),
-        (coherence, "tensor_morphisms"): _kron_oracle,
-        (coherence, "m_iso"): m_realization,
-        (involution, "m_iso"): m_realization,
-        (involution, "conjugation_mixed"):
-            lambda x, y: _solve(conjugation_family(x, y))}
-    compared = dict.fromkeys((name for _, name in oracles), 0)
-    for (module, name), oracle in oracles.items():
-        def spy(*args, real=getattr(module, name), oracle=oracle, name=name,
+        "associator": lambda *args: _solve(_associator_oracle(*args)),
+        "left_unitor": lambda kind, x: _unitor_oracle(kind, x, True),
+        "right_unitor": lambda kind, x: _unitor_oracle(kind, x, False),
+        "tensor_morphisms": _kron_oracle,
+        "m_iso": m_realization,
+        "conjugation": _conjugation_oracle}
+    compared = dict.fromkeys(oracles, 0)
+    for name, oracle in oracles.items():
+        def spy(*args, real=getattr(coherence, name), oracle=oracle, name=name,
                 **kwargs):
             got = real(*args, **kwargs)
             matrix = getattr(got, "matrix", got)
             assert _rel_err(matrix, oracle(*args, **kwargs)) <= 1e-12, name
             compared[name] += 1
             return got
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(coherence, name, spy)
     products = _suite_products(monkeypatch, seed, limits)
     assert all(compared.values()), compared
     rng = np.random.default_rng(seed)
