@@ -183,19 +183,6 @@ class NormalFunctional:
         return (self.density @ a).trace()
 
 
-def _unit_matrices(algebra: MultiMatrixAlgebra) -> Tuple[np.ndarray, np.ndarray]:
-    """Left and right multiplication by every matrix unit, on vectorized elements."""
-    d = algebra.dim
-    left, right = np.zeros((2, d, d, d), dtype=complex)
-    for u, (k, p, q) in enumerate(algebra.unit_positions()):
-        off, n = algebra.offsets[k], algebra.blocks[k]
-        e = np.zeros((n, n))
-        e[p, q] = 1.0
-        left[u, off:off + n * n, off:off + n * n] = np.kron(e, np.eye(n))
-        right[u, off:off + n * n, off:off + n * n] = np.kron(np.eye(n), e.T)
-    return left, right
-
-
 @dataclass(frozen=True, eq=False)
 class StandardFormData:
     """The standard bimodule L2(A) with its natural *-operation."""
@@ -221,16 +208,18 @@ class StandardFormData:
 def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
     """Regular representation of the algebra on itself with trace inner product.
 
-    Built once per block tuple and shared by every caller, so its action
-    arrays are read-only.
+    On vectorized elements, L2(A) is the canonical model with multiplicity
+    one on each diagonal sector: block k's n x n matrices are
+    C^n (x) C^1 (x) C^n, left multiplication acts on the row index and
+    right multiplication on the column index.  Built once per block tuple
+    and shared by every caller, so its action arrays are read-only.
     """
-    from .bimodule import Bimodule  # local import to avoid a cycle
+    from .bimodule import canonical_bimodule  # local import to avoid a cycle
 
-    units = _unit_matrices(algebra)
-    for u in units:
-        u.setflags(write=False)
-    bim = Bimodule(left_algebra=algebra, right_algebra=algebra,
-                   left_units=units[0], right_units=units[1])
+    bim = canonical_bimodule(algebra, algebra,
+                             np.eye(len(algebra.blocks), dtype=int))
+    bim.left_units.setflags(write=False)
+    bim.right_units.setflags(write=False)
     return StandardFormData(algebra=algebra, bimodule=bim)
 
 

@@ -7,10 +7,13 @@ linearity this determines the action of every algebra element.
 
 A bimodule made from its stacks checks them at once.  Duals and the
 results of tensor products (:mod:`bimodcat.tensor`) know their dimension
-without their stacks and are made with a build of them instead
-(:meth:`Bimodule.deferred`): it runs on the first read of either stack,
-which checks the stacks and makes them read-only.  A result that is never
-a factor of another product, nor dualized, never builds its stacks.
+and their sector bases without their stacks and are made with a build of
+the stacks instead (:meth:`Bimodule.deferred`): it runs on the first read
+of either stack, which checks the stacks and makes them read-only.  A
+product reads no stack of its factors' sector bases, so a result is built
+only when a map on a product checks that a leg is B-linear
+(:func:`bimodcat.tensor.tensor_morphisms`) or its stacks are read
+otherwise; most results never are.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ class Bimodule:
     """Hilbert space with commuting unital left and right algebra actions.
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
-    and unitality at once.  :meth:`deferred` takes the dimension and a build
-    of the stacks instead; the first read of either stack runs the build,
-    checks the stacks the same way and makes them read-only.  ``dim``, the
-    algebras and ``canonical`` never run it.
+    and unitality at once.  :meth:`deferred` takes the dimension, a build
+    of the stacks and a read-off of the sector bases instead; the first read
+    of either stack runs the build, checks the stacks the same way and makes
+    them read-only.  ``dim``, the algebras, ``canonical`` and ``sectors``
+    never run it.
     """
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
@@ -48,18 +52,22 @@ class Bimodule:
         self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
         #: optional (multiplicity matrix, basis unitary) for canonical models
         self.canonical = canonical
+        #: for a deferred bimodule, ``sectors(side, kind)`` gives its sector
+        #: bases (:func:`bimodcat.tensor._sector_bases`) without its stacks
+        self.sectors = None
         self._build = None
         self._units = self._checked(left_units, right_units)
 
     @classmethod
     def deferred(cls, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, dim: int,
-                 build: Callable[[], Tuple[np.ndarray, np.ndarray]]
+                 build: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                 sectors: Callable[[str, str], Tuple[np.ndarray, ...]]
                  ) -> "Bimodule":
         """A bimodule of dimension ``dim`` whose stacks ``build()`` returns."""
         x = cls.__new__(cls)
         x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
-        x.canonical, x._build, x._units = None, build, None
+        x.canonical, x.sectors, x._build, x._units = None, sectors, build, None
         return x
 
     @property
@@ -236,12 +244,19 @@ def dual_bimodule(x: Bimodule) -> Bimodule:
 def _dual_bimodule(x: Bimodule) -> Bimodule:
     """X*, whose stacks are X's, conjugated and permuted, built on first read.
 
-    Its diagonal units act as X's conjugated, so it is unital when X is.
+    Its diagonal units act as X's conjugated on the other side, so it is
+    unital when X is, and its sector bases are the conjugates of X's for
+    the other side.
     """
+    from .tensor import _sector_bases  # the tensor module imports this one
+
+    other = {"left": "right", "right": "left"}
     return Bimodule.deferred(
         x.right_algebra, x.left_algebra, x.dim,
         lambda: (np.conj(x.right_units[x.right_algebra.adjoint_perm()]),
-                 np.conj(x.left_units[x.left_algebra.adjoint_perm()])))
+                 np.conj(x.left_units[x.left_algebra.adjoint_perm()])),
+        lambda side, kind: tuple(np.conj(c) for c in stored(
+            _sector_bases, x, other[side], kind)))
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:
@@ -325,19 +340,27 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     for k, l in zip(*np.nonzero(mult)):
         nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
         sec = slice(sec.stop, sec.stop + nk * mu * ml)
-        # row p * n + q of the identity on C^(n*n) is the matrix unit e_pq
-        for u, e in enumerate(np.eye(nk * nk).reshape(-1, nk, nk)):
-            left_units[a.offsets[k] + u, sec, sec] = np.kron(e, np.eye(mu * ml))
-        for u, e in enumerate(np.eye(ml * ml).reshape(-1, ml, ml)):
-            right_units[b.offsets[l] + u, sec, sec] = np.kron(np.eye(nk * mu), e.T)
-    if basis_unitary is not None:
-        w = np.asarray(basis_unitary, dtype=complex)
+        size = sec.stop - sec.start
+        # unit u acts as e_u (x) 1 on the left and 1 (x) e_u^T on the right:
+        # entry (p s, q t) of e_u (x) 1 is e_u[p, q] 1[s, t]
+        left = np.einsum("upq,st->upsqt", _unit_grid(nk), np.eye(mu * ml))
+        right = np.einsum("st,uqp->usptq", np.eye(nk * mu), _unit_grid(ml))
+        left_units[a.offsets[k]:a.offsets[k] + nk * nk, sec, sec] = \
+            left.reshape(nk * nk, size, size)
+        right_units[b.offsets[l]:b.offsets[l] + ml * ml, sec, sec] = \
+            right.reshape(ml * ml, size, size)
+    w = None if basis_unitary is None else np.asarray(basis_unitary, dtype=complex)
+    if w is not None:
         if w.shape != (d, d):
             raise ValueError("basis unitary has wrong shape")
         left_units = w @ left_units @ w.conj().T
         right_units = w @ right_units @ w.conj().T
-    return Bimodule(a, b, left_units, right_units,
-                    canonical=(mult, basis_unitary))
+    return Bimodule(a, b, left_units, right_units, canonical=(mult, w))
+
+
+def _unit_grid(n: int) -> np.ndarray:
+    """(n * n, n, n): the matrix units e_pq of M_n, in row-major order."""
+    return np.eye(n * n).reshape(-1, n, n)
 
 
 def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,

@@ -179,7 +179,8 @@ def to_document(spec: InstanceSpec) -> dict:
         if x.canonical is not None:
             mult, u = x.canonical
             entry["multiplicities"] = np.asarray(mult).astype(int).tolist()
-            entry["basis_unitary"] = _encode(u)
+            if u is not None:   # the loader reads a model without one as is
+                entry["basis_unitary"] = _encode(u)
         else:
             entry["left_action"] = _encode(x.left_units)
             entry["right_action"] = _encode(x.right_units)

@@ -12,14 +12,15 @@ the orthogonal sum over l of X p (x) p Y.  With orthonormal bases c_a of
 X p and d_b of p Y, the tensors c_a (x) d_b are an orthonormal basis of
 the product: its members (:class:`Members`).  ltimes cuts block l with
 p = e_00 and rtimes with its last diagonal unit, and rtimes lists its
-members in reverse.  Each factor's sector bases are built once per
-bimodule and kind in the product store.
+members in reverse.  Each sector basis is built once per bimodule, side
+and kind in the product store, and is read off what fixes it
+(:func:`_sector_bases`), not off an action stack.
 
 The result bimodule has the member count as its dimension.  Its action
-stacks are built on their first read only, when it is a factor of another
-product or dualized (:meth:`bimodcat.bimodule.Bimodule.deferred`); most
-results are neither.  Its unitality is checked without them: the result
-is unital exactly when the factors' sector bases are orthonormal, which
+stacks are built on their first read only
+(:meth:`bimodcat.bimodule.Bimodule.deferred`), which most results never
+get.  Its unitality is checked without them: the result is unital
+exactly when the factors' sector bases are orthonormal, which
 :func:`_sector_bases` checks once per basis.
 
 Every map between products is read off the members on elementary
@@ -37,6 +38,7 @@ spanning family is built; the tests keep those constructions as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -91,39 +93,111 @@ class TensorProduct:
         return self.left_factor.dim * self.right_factor.dim
 
 
-def _sector_units(alg: MultiMatrixAlgebra, kind: str):
-    """Per block of B: the index of its p, and of the units w nonzero on p's sector.
+def _sector_position(n: int, kind: str) -> int:
+    """The diagonal position of p in a block of size n.
 
-    ltimes takes p = e_00 of each block, so w = e_i0; rtimes the last
-    diagonal unit e_dd, so w = e_di.  With one p shared by both kinds, the
-    two results would get equal action matrices and m would be the
-    identity.
+    ltimes takes p = e_00 of each block, rtimes the last diagonal unit
+    e_dd.  With one p shared by both kinds, the two results would get
+    equal action matrices and m would be the identity.
     """
-    for off, m in zip(alg.offsets, alg.blocks):
-        if kind == KIND_LEFT:
-            yield off, off + m * np.arange(m)
-        else:
-            last = off + (m - 1) * m
-            yield last + m - 1, last + np.arange(m)
+    return 0 if kind == KIND_LEFT else n - 1
 
 
 def _sector_bases(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
-    """Per block of B, orthonormal columns spanning X p (``side`` "right") or p X.
+    """Per block of the ``side`` algebra, orthonormal columns spanning X p or p X.
 
-    A product's result is unital exactly when its factors' sector bases
-    are orthonormal, so NotABimoduleError is raised for a basis c with
-    ||c^H c - 1||_F > 1e-8: then X's action of p is not a projection.
+    ``side`` "right" gives X p, "left" p X.  A product's result and a dual
+    read theirs off their factors or original (:attr:`Bimodule.sectors`),
+    a canonical model off its basis unitary.  Only a bimodule given by
+    its stacks runs pivoted Gram-Schmidt on the action P of p, and raises
+    NotABimoduleError when ||P - V V^H||_F > 1e-8: the Gram-Schmidt of a P
+    that is no projection still returns orthonormal columns.  Every basis
+    V must have ||V^H V - 1||_F <= 1e-8 too, or a product's result would
+    not be unital.
     """
-    alg, units = _acting(x, side)
-    bases = []
-    for p, _ in _sector_units(alg, kind):
-        c = range_basis(units[p])
+    if x.sectors is not None:
+        bases = x.sectors(side, kind)
+    elif x.canonical is not None:
+        bases = _canonical_sector_bases(x, side, kind)
+    else:
+        alg, units = _acting(x, side)
+        bases = []
+        for block, (off, n) in enumerate(zip(alg.offsets, alg.blocks)):
+            proj = units[off + _sector_position(n, kind) * (n + 1)]
+            bases.append(range_basis(proj))
+            defect = np.linalg.norm(proj - bases[-1] @ bases[-1].conj().T)
+            if defect > 1e-8:
+                raise NotABimoduleError(
+                    f"{side} action of the sector unit of block {block} is "
+                    f"not a projection: it is off V V^H by {defect:.3e}, "
+                    f"for V its range basis")
+    for block, c in enumerate(bases):
         defect = np.linalg.norm(c.conj().T @ c - np.eye(c.shape[1]))
         if defect > 1e-8:
             raise NotABimoduleError(
-                f"{side} action of unit {p} is not a projection: its range "
-                f"basis is off orthonormal by {defect:.3e}")
-        bases.append(c)
+                f"{side} action of the sector unit of block {block} is not a "
+                f"projection: its range basis is off orthonormal by "
+                f"{defect:.3e}")
+    return tuple(bases)
+
+
+def _canonical_sector_bases(x: Bimodule, side: str, kind: str
+                            ) -> Tuple[np.ndarray, ...]:
+    """A canonical model's sector bases: W's columns on the sector's coordinates.
+
+    Coordinate (i, s, j) of sector (k, l) is in X p for p at position j
+    of block l, and in p X for p at position i of block k; W is the basis
+    unitary, or the identity.  Without W, P is diagonal and pivoted
+    Gram-Schmidt on it returns these identity columns, in this order.
+    """
+    a, b = x.left_algebra, x.right_algebra
+    mult, w = x.canonical
+    alg = b if side == "right" else a
+    coords = [[] for _ in alg.blocks]
+    start = 0   # the nonzero sectors (k, l) follow each other row-major
+    for k, l in zip(*np.nonzero(mult)):
+        nk, mu, ml = a.blocks[k], int(mult[k, l]), b.blocks[l]
+        if side == "right":
+            j = start + _sector_position(ml, kind)
+            coords[l] += range(j, j + nk * mu * ml, ml)
+        else:
+            i = start + _sector_position(nk, kind) * mu * ml
+            coords[k] += range(i, i + mu * ml)
+        start += nk * mu * ml
+    basis = np.eye(x.dim, dtype=complex) if w is None else w
+    return tuple(basis[:, c] for c in coords)
+
+
+def _product_sector_bases(members: Members, x: Bimodule, y: Bimodule,
+                          side: str, kind: str) -> Tuple[np.ndarray, ...]:
+    """The sector bases of X (x) Y, from the members and the factors' bases.
+
+    On block l of B, the right action of q on the members c_a (x) d_b is
+    1 (x) d_l^H R^Y_q d_l, and R^Y_q = E E^H for Y's sector basis E of q,
+    which commutes with Y's left action.  So the range is spanned by
+    e_a (x) w, for a over X p_l's basis and w over the range of G G^H,
+    G = d_l^H E: a |d_l| x |d_l| Gram-Schmidt.  The left side mirrors
+    this with c_l and X's bases.
+    """
+    if side == "right":
+        leg, outer = members.d, stored(_sector_bases, y, "right", kind)
+        blocks = [(ids, sd) for ids, _, sd in members.blocks]
+    else:
+        leg, outer = members.c, stored(_sector_bases, x, "left", kind)
+        blocks = [(ids.T, sc) for ids, sc, _ in members.blocks]
+    bases = []
+    for e in outer:
+        g = leg.conj().T @ e
+        ws = [range_basis(g[span] @ g[span].conj().T) for _, span in blocks]
+        v = np.zeros((members.a.size, sum(len(ids) * w.shape[1] for (ids, _), w
+                                          in zip(blocks, ws))), dtype=complex)
+        col = 0
+        for (ids, _), w in zip(blocks, ws):
+            # member ids[a, b] gets w[b] in column (a, w's column)
+            n, k = len(ids), w.shape[1]
+            v[ids[..., None], col + k * np.arange(n)[:, None, None] + np.arange(k)] = w
+            col += n * k
+        bases.append(v)
     return tuple(bases)
 
 
@@ -184,7 +258,8 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     result = Bimodule.deferred(
         x.left_algebra, y.right_algebra, a.size,
         lambda: (_member_map(members, members, x.left_units, None),
-                 _member_map(members, members, None, y.right_units)))
+                 _member_map(members, members, None, y.right_units)),
+        partial(_product_sector_bases, members, x, y))
     return TensorProduct(kind, x, y, result, members)
 
 

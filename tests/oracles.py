@@ -163,3 +163,25 @@ def conjugation_family(x, y):
     src = np.swapaxes(qd @ star_coeff, 1, 2).reshape(
         tp_dual.dim, star_coeff.shape[1] * y.dim)
     return src, quotient(tp_left).conj()
+
+
+def canonical_units(a, b, mult):
+    """A canonical model's stacks with no basis unitary, one np.kron per unit.
+
+    On sector (k, l), C^n_k (x) C^mult[k, l] (x) C^m_l, the left unit
+    e_pq of block k acts as e_pq (x) 1 and the right unit e_pq of block l
+    as 1 (x) e_pq^T; the nonzero sectors follow each other row-major.
+    """
+    d = int(np.asarray(a.blocks) @ mult @ np.asarray(b.blocks))
+    left = np.zeros((a.dim, d, d), dtype=complex)
+    right = np.zeros((b.dim, d, d), dtype=complex)
+    start = 0
+    for k, l in zip(*np.nonzero(mult)):
+        nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
+        sec = slice(start, start + nk * mu * ml)
+        start = sec.stop
+        for u, e in enumerate(np.eye(nk * nk).reshape(-1, nk, nk)):
+            left[a.offsets[k] + u, sec, sec] = np.kron(e, np.eye(mu * ml))
+        for u, e in enumerate(np.eye(ml * ml).reshape(-1, ml, ml)):
+            right[b.offsets[l] + u, sec, sec] = np.kron(np.eye(nk * mu), e.T)
+    return left, right

@@ -7,7 +7,9 @@ from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
                                dual_bimodule, dual_vector, hom_basis,
                                matrix_extension, multiplicity_matrix,
                                random_morphism_matrix, transpose)
+from bimodcat.instances import Limits, generate
 from bimodcat.linalg import op_norm, random_unitary
+from oracles import canonical_units
 
 
 def _random_bim(rng, a, b, mult):
@@ -20,6 +22,27 @@ def test_standard_form_validates():
     for blocks in [(1,), (3,), (2, 2), (1, 2, 3)]:
         bim = standard_form(MultiMatrixAlgebra(blocks)).bimodule
         assert bim.validate() < 1e-12
+
+
+def test_canonical_stacks_are_the_per_unit_kronecker_products():
+    # 120 generated chains, in their basis unitaries and without, and L2
+    for limits in (None, Limits(min_mult=1), Limits(min_mult=1, max_mult=2)):
+        for seed in range(40):
+            for x in generate(seed, limits).bimodules:
+                mult, w = x.canonical
+                plain = canonical_bimodule(x.left_algebra, x.right_algebra, mult)
+                want = canonical_units(x.left_algebra, x.right_algebra, mult)
+                for got, units, unit in zip(
+                        (plain.left_units, plain.right_units),
+                        (x.left_units, x.right_units), want):
+                    assert np.array_equal(got, unit)
+                    assert np.array_equal(units, w @ unit @ w.conj().T)
+    for blocks in [(1,), (2,), (1, 2), (3, 1, 2), (2, 2)]:
+        a = MultiMatrixAlgebra(blocks)
+        l2 = standard_form(a).bimodule
+        want = canonical_units(a, a, np.eye(len(blocks), dtype=int))
+        assert np.array_equal(l2.left_units, want[0])
+        assert np.array_equal(l2.right_units, want[1])
 
 
 def test_canonical_dimension_count():

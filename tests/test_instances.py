@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from bimodcat import cli
+from bimodcat.algebra import MultiMatrixAlgebra
+from bimodcat.bimodule import canonical_bimodule
 from bimodcat.instances import (InstanceFormatError, InstanceSpec, Limits,
                                 generate, load, load_lenient, random_algebra,
                                 random_bimodule, save, to_document)
@@ -67,6 +70,30 @@ def test_limits_respected():
         for seed in range(40):
             assert all(x.dim <= lim3.max_dim
                        for x in generate(seed, limits=lim3).bimodules)
+
+
+def test_canonical_models_without_basis_unitaries_round_trip(tmp_path, capsys):
+    # the README's library example: the field is left out, as the loader
+    # allows, and the stacks and the verify report come back the same
+    a, b = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((1, 2))
+    spec = InstanceSpec(seed=0, limits=Limits(), algebras=(a, b, a),
+                        bimodules=(canonical_bimodule(a, b, np.array([[1, 1]])),
+                                   canonical_bimodule(b, a, np.array([[1], [1]]))))
+    blob = save(spec)
+    assert all("basis_unitary" not in x for x in json.loads(blob)["bimodules"])
+    loaded = load(blob)
+    assert save(loaded) == blob
+    for x, y in zip(spec.bimodules, loaded.bimodules):
+        assert np.array_equal(x.left_units, y.left_units)
+        assert np.array_equal(x.right_units, y.right_units)
+    reports = []
+    for name, blob in (("saved", blob), ("resaved", save(loaded))):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(blob)
+        assert cli.main(["verify", "--instance", str(path), "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["summary"]["total"] > 0
 
 
 def test_save_load_round_trip_byte_identical():

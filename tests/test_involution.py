@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from bimodcat.algebra import MultiMatrixAlgebra
+from bimodcat.algebra import MultiMatrixAlgebra, standard_form
 from bimodcat.bimodule import (Morphism, canonical_bimodule, dual_bimodule,
                                dual_vector, random_morphism_matrix, transpose)
 from bimodcat.instances import Limits, generate
@@ -185,6 +185,40 @@ def test_dual_sector_bases_are_the_conjugates_bit_for_bit():
                     assert len(got) == len(want)
                     for c, d in zip(got, want):
                         assert np.array_equal(c, d.conj())
+
+
+def test_read_off_sector_bases_span_the_sector_projections():
+    # every basis that is read off, not Gram-Schmidted on a stack, against
+    # the stacks: V^H V = 1 and V V^H = P for the action P of p
+    checked = set()
+    for spec in _chains():
+        with product_store():
+            x, y, z = spec.bimodules[:3]
+            l2 = standard_form(x.right_algebra).bimodule
+            serve = [x, l2, dual_bimodule(x)]
+            for kind in KINDS:
+                other = KIND_RIGHT if kind == KIND_LEFT else KIND_LEFT
+                xy = tensor(kind, x, y).result
+                serve += [xy, dual_bimodule(xy),
+                          tensor(other, xy, z).result,
+                          tensor(kind, x, tensor(kind, y, z).result).result,
+                          tensor(kind, l2, y).result]
+            for bim in serve:
+                for kind in KINDS:
+                    for side in ("left", "right"):
+                        alg, units = ((bim.left_algebra, bim.left_units)
+                                      if side == "left" else
+                                      (bim.right_algebra, bim.right_units))
+                        got = tensor_module._sector_bases(bim, side, kind)
+                        assert len(got) == len(alg.blocks)
+                        for v, off, n in zip(got, alg.offsets, alg.blocks):
+                            pos = 0 if kind == KIND_LEFT else n - 1
+                            proj = units[off + pos * (n + 1)]
+                            assert np.linalg.norm(
+                                v.conj().T @ v - np.eye(v.shape[1])) <= 1e-12
+                            assert np.linalg.norm(v @ v.conj().T - proj) <= 1e-12
+                            checked.add(v.shape[1] > 0)
+    assert checked == {False, True}
 
 
 def test_conjugation_is_the_permutation_derived_through_m():

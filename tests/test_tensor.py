@@ -734,6 +734,50 @@ def test_a_p_unit_that_is_no_projection_is_rejected():
     for kind in KINDS:
         with pytest.raises(NotABimoduleError, match="not a projection"):
             tensor(kind, bad, y)
+    # R(e_00) = R(e_11) = 1/2 is unital, and its pivoted Gram-Schmidt
+    # returns orthonormal coordinate vectors: only P = V V^H rejects it
+    m1, m2 = MultiMatrixAlgebra((1,)), MultiMatrixAlgebra((2,))
+    half = np.zeros((4, 4, 4), dtype=complex)
+    half[0] = half[3] = 0.5 * np.eye(4)
+    bad = Bimodule(m1, m2, np.eye(4, dtype=complex)[None], half)
+    with pytest.raises(NotABimoduleError, match="bimodule axioms"):
+        bad.validate()
+    for kind in KINDS:
+        with pytest.raises(NotABimoduleError, match="not a projection"):
+            tensor(kind, bad, standard_form(m2).bimodule)
+
+
+def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
+    # read off the factors, the original or the basis unitary: no result
+    # or dual builds its stacks for a sector basis, and Gram-Schmidt sees
+    # only compressions to one factor's sector
+    spec = generate(18, limits=Limits(min_mult=1))
+    depth, built, sizes = [0], [], []
+    bases, check, gram_schmidt = (tensor_module._sector_bases, Bimodule._checked,
+                                  tensor_module.range_basis)
+
+    def counted_bases(*args):
+        depth[0] += 1
+        try:
+            return bases(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_check(self, *stacks):
+        if depth[0]:
+            built.append(self)
+        return check(self, *stacks)
+
+    def counted_range(proj):
+        sizes.append(len(proj))
+        return gram_schmidt(proj)
+    monkeypatch.setattr(tensor_module, "_sector_bases", counted_bases)
+    monkeypatch.setattr(Bimodule, "_checked", counted_check)
+    monkeypatch.setattr(tensor_module, "range_basis", counted_range)
+    report = run_suite(spec)
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    assert built == []
+    assert sizes and max(sizes) <= max(x.dim for x in spec.bimodules)
 
 
 def test_deferred_stacks_are_built_on_first_read_and_read_only(monkeypatch):
