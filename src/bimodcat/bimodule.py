@@ -5,12 +5,16 @@ algebras: ``left_units[u]`` is the matrix of the left action of the u-th
 matrix unit of the left algebra, and likewise for ``right_units``.  By
 linearity this determines the action of every algebra element.
 
+Every sector basis is a selection of columns of the bimodule's
+:class:`Frame`.  Only a bimodule given by its stacks finds its frame from
+them, by pivoted Gram-Schmidt on each corner (:func:`_stack_frame`).
+
 A bimodule made from its stacks checks them at once.  Duals and the
 results of tensor products (:mod:`bimodcat.tensor`) know their dimension
-and their sector bases without their stacks and are made with a build of
-the stacks instead (:meth:`Bimodule.deferred`): it runs on the first read
-of either stack, which checks the stacks and makes them read-only.  A
-product reads no stack of its factors' sector bases, so a result is built
+and their frame without their stacks and are made with a build of the
+stacks instead (:meth:`Bimodule.deferred`): it runs on the first read of
+either stack, which checks the stacks and makes them read-only.  No frame
+reads the stacks of a product's result or a dual, so a result is built
 only when a map on a product checks that a leg is B-linear
 (:func:`bimodcat.tensor.tensor_morphisms`) or its stacks are read
 otherwise; most results never are.
@@ -20,12 +24,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, amplify_algebra
-from .linalg import crandn, null_space_hermitian, op_norm
+from .linalg import crandn, null_space_hermitian, op_norm, range_basis
 from .store import stored
 
 
@@ -33,15 +37,33 @@ class NotABimoduleError(ValueError):
     """Raised when action data fails the bimodule axioms at construction."""
 
 
+class Frame(NamedTuple):
+    """An orthonormal basis of X, column t in the corner L(e_pp) R(e_qq) X.
+
+    p = ``left[t]`` and q = ``right[t]`` index the diagonal matrix units in
+    :func:`_diag_unit_indices` order; ``w`` None is the identity.  A
+    canonical model's is its basis unitary, a product's its members and a
+    dual's its original's, conjugated, with the labels swapped.
+    """
+
+    w: Optional[np.ndarray]
+    left: np.ndarray
+    right: np.ndarray
+
+    def conj(self) -> "Frame":
+        """The dual's frame: W conjugated, the two labels swapped."""
+        return Frame(None if self.w is None else np.conj(self.w), self.right, self.left)
+
+
 class Bimodule:
     """Hilbert space with commuting unital left and right algebra actions.
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
     and unitality at once.  :meth:`deferred` takes the dimension, a build
-    of the stacks and a read-off of the sector bases instead; the first read
-    of either stack runs the build, checks the stacks the same way and makes
-    them read-only.  ``dim``, the algebras, ``canonical`` and ``sectors``
-    never run it.
+    of the stacks and a build of the frame instead; the first read of
+    either stack runs the stack build, checks the stacks the same way and
+    makes them read-only.  ``dim``, the algebras, ``canonical`` and
+    ``frame`` never run it.
     """
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
@@ -52,9 +74,8 @@ class Bimodule:
         self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
         #: optional (multiplicity matrix, basis unitary) for canonical models
         self.canonical = canonical
-        #: for a deferred bimodule, ``sectors(side, kind)`` gives its sector
-        #: bases (:func:`bimodcat.tensor._sector_bases`) without its stacks
-        self.sectors = None
+        #: a build of the frame; None finds it from the stacks
+        self._frame = None
         self._build = None
         self._units = self._checked(left_units, right_units)
 
@@ -62,13 +83,17 @@ class Bimodule:
     def deferred(cls, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, dim: int,
                  build: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                 sectors: Callable[[str, str], Tuple[np.ndarray, ...]]
-                 ) -> "Bimodule":
-        """A bimodule of dimension ``dim`` whose stacks ``build()`` returns."""
+                 frame: Callable[[], "Frame"]) -> "Bimodule":
+        """Dimension ``dim``, the stacks from ``build()``, the frame from ``frame()``."""
         x = cls.__new__(cls)
         x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
-        x.canonical, x.sectors, x._build, x._units = None, sectors, build, None
+        x.canonical, x._frame, x._build, x._units = None, frame, build, None
         return x
+
+    @property
+    def frame(self) -> Frame:
+        """The :class:`Frame`; found from given stacks once per product store."""
+        return stored(_stack_frame, self) if self._frame is None else self._frame()
 
     @property
     def left_units(self) -> np.ndarray:
@@ -155,6 +180,36 @@ def _diag_unit_indices(alg: MultiMatrixAlgebra) -> np.ndarray:
                     for p in range(n)], dtype=np.intp)
     idx.setflags(write=False)
     return idx
+
+
+def _stack_frame(x: Bimodule) -> Frame:
+    """The frame of a bimodule given by its stacks: V = range_basis(P) per corner.
+
+    Pivoted Gram-Schmidt on a corner P = L(e_pp) R(e_qq) that is no
+    projection, as when the actions do not commute, still returns
+    orthonormal columns: so ||P - V V^H||_F <= 1e-8 is required, and dim X
+    columns in all.
+    """
+    left = x.left_units[_diag_unit_indices(x.left_algebra)]
+    right = x.right_units[_diag_unit_indices(x.right_algebra)]
+    bases, corners = [], []
+    for p, lp in enumerate(left):
+        for q, rq in enumerate(right):
+            proj = lp @ rq
+            bases.append(range_basis(proj))
+            defect = np.linalg.norm(proj - bases[-1] @ bases[-1].conj().T)
+            if defect > 1e-8:
+                raise NotABimoduleError(
+                    f"corner L(e_pp) R(e_qq) at (p, q) = ({p}, {q}) is not a "
+                    f"projection: it is off V V^H by {defect:.3e}, for V its "
+                    f"range basis")
+            corners += [(p, q)] * bases[-1].shape[1]
+    if len(corners) != x.dim:
+        raise NotABimoduleError(
+            f"the corners L(e_pp) R(e_qq) have range bases of {len(corners)} "
+            f"columns in all, not {x.dim}: some corner is not a projection")
+    return Frame(np.concatenate(bases, axis=1),
+                 *np.array(corners, dtype=np.intp).reshape(-1, 2).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,18 +300,15 @@ def _dual_bimodule(x: Bimodule) -> Bimodule:
     """X*, whose stacks are X's, conjugated and permuted, built on first read.
 
     Its diagonal units act as X's conjugated on the other side, so it is
-    unital when X is, and its sector bases are the conjugates of X's for
-    the other side.
+    unital when X is, and its frame is X's, conjugated, with the two
+    labels swapped: its sector bases are the conjugates of X's for the
+    other side.
     """
-    from .tensor import _sector_bases  # the tensor module imports this one
-
-    other = {"left": "right", "right": "left"}
     return Bimodule.deferred(
         x.right_algebra, x.left_algebra, x.dim,
         lambda: (np.conj(x.right_units[x.right_algebra.adjoint_perm()]),
                  np.conj(x.left_units[x.left_algebra.adjoint_perm()])),
-        lambda side, kind: tuple(np.conj(c) for c in stored(
-            _sector_bases, x, other[side], kind)))
+        lambda: x.frame.conj())
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:
@@ -336,10 +388,16 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     d = canonical_dim(a, b, mult)
     left_units = np.zeros((a.dim, d, d), dtype=complex)
     right_units = np.zeros((b.dim, d, d), dtype=complex)
+    # coordinate (i, s, j) of sector (k, l) lies in the corner of the i-th
+    # diagonal unit of block k and the j-th of block l
+    first_left, first_right = np.cumsum((0,) + a.blocks), np.cumsum((0,) + b.blocks)
+    labels = np.empty((2, d), dtype=np.intp)
     sec = slice(0, 0)   # the nonzero sectors (k, l) follow each other row-major
     for k, l in zip(*np.nonzero(mult)):
         nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
         sec = slice(sec.stop, sec.stop + nk * mu * ml)
+        i, _, j = np.indices((nk, mu, ml)).reshape(3, -1)
+        labels[:, sec] = first_left[k] + i, first_right[l] + j
         size = sec.stop - sec.start
         # unit u acts as e_u (x) 1 on the left and 1 (x) e_u^T on the right:
         # entry (p s, q t) of e_u (x) 1 is e_u[p, q] 1[s, t]
@@ -355,7 +413,9 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
             raise ValueError("basis unitary has wrong shape")
         left_units = w @ left_units @ w.conj().T
         right_units = w @ right_units @ w.conj().T
-    return Bimodule(a, b, left_units, right_units, canonical=(mult, w))
+    x = Bimodule(a, b, left_units, right_units, canonical=(mult, w))
+    x._frame = functools.partial(Frame, w, *labels)
+    return x
 
 
 def _unit_grid(n: int) -> np.ndarray:

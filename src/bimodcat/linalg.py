@@ -112,10 +112,11 @@ def range_basis(proj: np.ndarray) -> np.ndarray:
     first on a tie, so the basis is fixed by P and not by an eigensolver's
     pick inside a degenerate eigenspace.  A kept v is in the range, so
     v^H P e_j = conj(v_j): column j's residual is P e_j - V conj(V[j]), and
-    its squared norm is P_jj - |V[j]|^2.
+    its squared norm is P_jj - |V[j]|^2.  k is clipped to [0, n].
     """
     residual = proj.diagonal().real.copy()
-    basis = np.empty((proj.shape[0], int(round(residual.sum()))), dtype=complex)
+    rank = int(np.clip(round(residual.sum()), 0, len(proj)))
+    basis = np.empty((len(proj), rank), dtype=complex)
     for step in range(basis.shape[1]):
         j = residual.argmax()
         v = proj[:, j] - basis[:, :step] @ basis[j, :step].conj()

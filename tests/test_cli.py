@@ -397,21 +397,30 @@ def _fields(node, path=()):
 
 
 def test_junk_in_any_field_exits_with_a_code(capsys, tmp_path):
-    # each field of a seeded document replaced in turn by each junk value
-    doc = to_document(generate(5, length=2))
-    fields = list(_fields(doc))
-    assert len(fields) > 30
+    # each field of a seeded document replaced in turn by each junk value,
+    # in its canonical form and with every bimodule given by its stacks
+    spec = generate(5, length=2)
+    doc = to_document(spec)
+    stacks = copy.deepcopy(doc)
+    for entry, x in zip(stacks["bimodules"], spec.bimodules):
+        del entry["multiplicities"], entry["basis_unitary"]
+        entry["left_action"] = _encode(x.left_units)
+        entry["right_action"] = _encode(x.right_units)
     path = tmp_path / "junk.json"
-    for field in fields:
-        for junk in ("x", 1.5, True, None, [], -1):
-            bad = copy.deepcopy(doc)
-            parent = bad
-            for key in field[:-1]:
-                parent = parent[key]
-            parent[field[-1]] = junk
-            path.write_text(json.dumps(bad))
-            code = main(["verify", "--instance", str(path), "--suite", "m-unit"])
-            assert code in (0, 1, 2), (field, junk)
+    for form in (doc, stacks):
+        fields = list(_fields(form))
+        assert len(fields) > 30
+        for field in fields:
+            for junk in ("x", 1.5, True, None, [], -1):
+                bad = copy.deepcopy(form)
+                parent = bad
+                for key in field[:-1]:
+                    parent = parent[key]
+                parent[field[-1]] = junk
+                path.write_text(json.dumps(bad))
+                code = main(["verify", "--instance", str(path),
+                             "--suite", "m-unit"])
+                assert code in (0, 1, 2), (field, junk)
     capsys.readouterr()
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Morphism, canonical_bimodule, dual_bimodule,
-                               dual_vector, random_morphism_matrix, transpose)
+from bimodcat.bimodule import (Bimodule, Morphism, _diag_unit_indices,
+                               canonical_bimodule, dual_bimodule, dual_vector,
+                               random_morphism_matrix, transpose)
 from bimodcat.instances import Limits, generate
 from bimodcat.involution import (conjugation, conjugation_mixed,
                                  transpose_on_product)
@@ -188,22 +189,35 @@ def test_dual_sector_bases_are_the_conjugates_bit_for_bit():
 
 
 def test_read_off_sector_bases_span_the_sector_projections():
-    # every basis that is read off, not Gram-Schmidted on a stack, against
-    # the stacks: V^H V = 1 and V V^H = P for the action P of p
+    # every basis selected from a frame, against the stacks: V^H V = 1 and
+    # V V^H = P for the action P of p; and each frame column is fixed by
+    # the diagonal units its labels name and sent to 0 by the others
     checked = set()
     for spec in _chains():
         with product_store():
             x, y, z = spec.bimodules[:3]
             l2 = standard_form(x.right_algebra).bimodule
-            serve = [x, l2, dual_bimodule(x)]
+            stacks = Bimodule(x.left_algebra, x.right_algebra,
+                              x.left_units.copy(), x.right_units.copy())
+            serve = [x, l2, dual_bimodule(x), stacks, dual_bimodule(stacks)]
             for kind in KINDS:
                 other = KIND_RIGHT if kind == KIND_LEFT else KIND_LEFT
                 xy = tensor(kind, x, y).result
                 serve += [xy, dual_bimodule(xy),
                           tensor(other, xy, z).result,
                           tensor(kind, x, tensor(kind, y, z).result).result,
-                          tensor(kind, l2, y).result]
+                          tensor(kind, l2, y).result,
+                          tensor(kind, stacks, y).result]
             for bim in serve:
+                frame = bim.frame
+                w = np.eye(bim.dim) if frame.w is None else frame.w
+                for alg, units, labels in (
+                        (bim.left_algebra, bim.left_units, frame.left),
+                        (bim.right_algebra, bim.right_units, frame.right)):
+                    diag = units[_diag_unit_indices(alg)]
+                    named = np.arange(len(diag))[:, None] == labels
+                    assert np.linalg.norm(
+                        diag @ w - named[:, None, :] * w) <= 1e-12
                 for kind in KINDS:
                     for side in ("left", "right"):
                         alg, units = ((bim.left_algebra, bim.left_units)

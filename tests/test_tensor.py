@@ -745,16 +745,38 @@ def test_a_p_unit_that_is_no_projection_is_rejected():
     for kind in KINDS:
         with pytest.raises(NotABimoduleError, match="not a projection"):
             tensor(kind, bad, standard_form(m2).bimodule)
+    # M_2 by its matrix units and M_1 + M_1 by (P, 1 - P), P = v v^H: both
+    # actions are unital and each unit a projection, but they do not
+    # commute, so the corner L(e_00) R(e^0) = e_00 P is no projection
+    v = np.array([1, 1j]) / np.sqrt(2)
+    p = np.outer(v, v.conj())
+    b = MultiMatrixAlgebra((1, 1))
+    bad = Bimodule(m2, b, np.eye(4, dtype=complex).reshape(4, 2, 2),
+                   np.stack([p, np.eye(2) - p]))
+    with pytest.raises(NotABimoduleError, match="bimodule axioms"):
+        bad.validate()
+    for kind in KINDS:
+        with pytest.raises(NotABimoduleError,
+                           match=r"\(0, 0\) is not a projection"):
+            tensor(kind, bad, standard_form(b).bimodule)
+    # R(e^0) = diag(-2, 1), R(e^1) = diag(3, 0) is unital, and the trace
+    # -1 of the first corner is no rank: Gram-Schmidt takes no step on it
+    right = np.stack([np.diag([-2, 1]), np.diag([3, 0])]).astype(complex)
+    bad = Bimodule(m1, b, np.eye(2, dtype=complex)[None], right)
+    for kind in KINDS:
+        with pytest.raises(NotABimoduleError,
+                           match=r"\(0, 0\) is not a projection"):
+            tensor(kind, bad, standard_form(b).bimodule)
 
 
 def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
-    # read off the factors, the original or the basis unitary: no result
-    # or dual builds its stacks for a sector basis, and Gram-Schmidt sees
-    # only compressions to one factor's sector
+    # selected from the frames of the canonical models, the factors or the
+    # original: no result or dual builds its stacks for a sector basis, and
+    # a suite on a canonical chain runs no Gram-Schmidt at all
     spec = generate(18, limits=Limits(min_mult=1))
-    depth, built, sizes = [0], [], []
+    depth, built, calls = [0], [], []
     bases, check, gram_schmidt = (tensor_module._sector_bases, Bimodule._checked,
-                                  tensor_module.range_basis)
+                                  bimodule_module.range_basis)
 
     def counted_bases(*args):
         depth[0] += 1
@@ -769,15 +791,15 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
         return check(self, *stacks)
 
     def counted_range(proj):
-        sizes.append(len(proj))
+        calls.append(proj)
         return gram_schmidt(proj)
     monkeypatch.setattr(tensor_module, "_sector_bases", counted_bases)
     monkeypatch.setattr(Bimodule, "_checked", counted_check)
-    monkeypatch.setattr(tensor_module, "range_basis", counted_range)
+    monkeypatch.setattr(bimodule_module, "range_basis", counted_range)
     report = run_suite(spec)
     assert report["summary"]["passed"] == report["summary"]["total"]
     assert built == []
-    assert sizes and max(sizes) <= max(x.dim for x in spec.bimodules)
+    assert calls == []
 
 
 def test_deferred_stacks_are_built_on_first_read_and_read_only(monkeypatch):
