@@ -5,9 +5,12 @@ algebras: ``left_units[u]`` is the matrix of the left action of the u-th
 matrix unit of the left algebra, and likewise for ``right_units``.  By
 linearity this determines the action of every algebra element.
 
-Every sector basis is a selection of columns of the bimodule's
-:class:`Frame`.  Only a bimodule given by its stacks finds its frame from
-them, by pivoted Gram-Schmidt on each corner (:func:`_stack_frame`).
+Every :class:`Frame` is adapted to the matrix units, so column s of each
+corner of a pair of blocks (k, l) is multiplicity index s.  Sector bases
+select frame columns; Hom(X, Y), multiplicities and random intertwiners,
+1 (x) T_kl (x) 1 by Schur, are read off the frames.  Only a bimodule
+given by its stacks finds its frame from them, by pivoted Gram-Schmidt
+once per pair of blocks (:func:`_stack_frame`).
 
 A bimodule made from its stacks checks them at once.  Duals and the
 results of tensor products (:mod:`bimodcat.tensor`) know their dimension
@@ -23,13 +26,14 @@ otherwise; most results never are.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .algebra import AlgebraElement, MultiMatrixAlgebra, amplify_algebra
-from .linalg import crandn, null_space_hermitian, op_norm, range_basis
+from .linalg import crandn, op_norm, range_basis
 from .store import stored
 
 
@@ -43,7 +47,11 @@ class Frame(NamedTuple):
     p = ``left[t]`` and q = ``right[t]`` index the diagonal matrix units in
     :func:`_diag_unit_indices` order; ``w`` None is the identity.  A
     canonical model's is its basis unitary, a product's its members and a
-    dual's its original's, conjugated, with the labels swapped.
+    dual's its original's, conjugated, with the labels swapped.  Every
+    frame is adapted to the matrix units: with p0 and q0 the first
+    diagonal units of blocks k and l, the s-th column of the corner
+    (p0 + i, q0 + j) is L(e_i0) R(e_0j) applied to the s-th of the corner
+    (p0, q0) (:func:`_corner_columns`).
     """
 
     w: Optional[np.ndarray]
@@ -60,9 +68,9 @@ class Bimodule:
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
     and unitality at once.  :meth:`deferred` takes the dimension, a build
-    of the stacks and a build of the frame instead; the first read of
-    either stack runs the stack build, checks the stacks the same way and
-    makes them read-only.  ``dim``, the algebras, ``canonical`` and
+    of the stacks and the frame, or a build of it, instead; the first read
+    of either stack runs the stack build, checks the stacks the same way
+    and makes them read-only.  ``dim``, the algebras, ``canonical`` and
     ``frame`` never run it.
     """
 
@@ -74,7 +82,7 @@ class Bimodule:
         self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
         #: optional (multiplicity matrix, basis unitary) for canonical models
         self.canonical = canonical
-        #: a build of the frame; None finds it from the stacks
+        #: the frame or a build of it; None finds it from the stacks
         self._frame = None
         self._build = None
         self._units = self._checked(left_units, right_units)
@@ -83,8 +91,8 @@ class Bimodule:
     def deferred(cls, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, dim: int,
                  build: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                 frame: Callable[[], "Frame"]) -> "Bimodule":
-        """Dimension ``dim``, the stacks from ``build()``, the frame from ``frame()``."""
+                 frame: Union["Frame", Callable[[], "Frame"]]) -> "Bimodule":
+        """Dimension ``dim``, the stacks from ``build()``; ``frame`` or ``frame()``."""
         x = cls.__new__(cls)
         x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
         x.canonical, x._frame, x._build, x._units = None, frame, build, None
@@ -92,8 +100,12 @@ class Bimodule:
 
     @property
     def frame(self) -> Frame:
-        """The :class:`Frame`; found from given stacks once per product store."""
-        return stored(_stack_frame, self) if self._frame is None else self._frame()
+        """The :class:`Frame`; from given stacks once per product store, else built once."""
+        if self._frame is None:
+            return stored(_stack_frame, self)
+        if callable(self._frame):
+            self._frame = self._frame()
+        return self._frame
 
     @property
     def left_units(self) -> np.ndarray:
@@ -182,21 +194,37 @@ def _diag_unit_indices(alg: MultiMatrixAlgebra) -> np.ndarray:
     return idx
 
 
-def _stack_frame(x: Bimodule) -> Frame:
-    """The frame of a bimodule given by its stacks: V = range_basis(P) per corner.
+def _diag_positions(alg: MultiMatrixAlgebra) -> Tuple[np.ndarray, np.ndarray]:
+    """Per diagonal unit e_pp, in :func:`_diag_unit_indices` order, its block and p."""
+    blocks = np.repeat(np.arange(len(alg.blocks)), alg.blocks)
+    return blocks, np.arange(len(blocks)) - np.cumsum((0,) + alg.blocks)[blocks]
 
-    Pivoted Gram-Schmidt on a corner P = L(e_pp) R(e_qq) that is no
-    projection, as when the actions do not commute, still returns
-    orthonormal columns: so ||P - V V^H||_F <= 1e-8 is required, and dim X
-    columns in all.
+
+def _stack_frame(x: Bimodule) -> Frame:
+    """The frame of a bimodule given by its stacks, adapted to the matrix units.
+
+    On each pair of blocks (k, l), V = range_basis(P) on the first corner
+    P = L(e_00) R(e_00); the corner (i, j) gets L(e_i0) R(e_0j) V.  Either
+    is off an orthonormal basis of its corner L(e_ii) R(e_jj) when that is
+    no projection, as when the actions do not commute: so every corner
+    must have ||P - V V^H||_F <= 1e-8, and there must be dim X columns in
+    all.  The corners follow each other row-major over the diagonal units.
     """
-    left = x.left_units[_diag_unit_indices(x.left_algebra)]
-    right = x.right_units[_diag_unit_indices(x.right_algebra)]
+    a, b = x.left_algebra, x.right_algebra
+    left, right = x.left_units, x.right_units
+    diag_l, diag_r = _diag_unit_indices(a), _diag_unit_indices(b)
+    first = {}      # (k, l) -> the range basis of the pair's first corner
     bases, corners = [], []
-    for p, lp in enumerate(left):
-        for q, rq in enumerate(right):
-            proj = lp @ rq
-            bases.append(range_basis(proj))
+    for p, (k, i) in enumerate(zip(*_diag_positions(a))):
+        for q, (l, j) in enumerate(zip(*_diag_positions(b))):
+            proj = left[diag_l[p]] @ right[diag_r[q]]
+            if i == j == 0:
+                first[k, l] = range_basis(proj)
+                bases.append(first[k, l])
+            else:
+                # e_i0 of block k and e_0j of block l
+                bases.append(left[a.offsets[k] + i * a.blocks[k]]
+                             @ (right[b.offsets[l] + j] @ first[k, l]))
             defect = np.linalg.norm(proj - bases[-1] @ bases[-1].conj().T)
             if defect > 1e-8:
                 raise NotABimoduleError(
@@ -256,34 +284,44 @@ class Morphism:
         return max(d1, d2)
 
 
-def _check_same_algebras(x: Bimodule, y: Bimodule):
-    if (x.left_algebra.blocks != y.left_algebra.blocks
-            or x.right_algebra.blocks != y.right_algebra.blocks):
-        raise ValueError("bimodules have different acting algebras")
-
-
 def hom_basis(x: Bimodule, y: Bimodule) -> List[Morphism]:
-    """Orthonormal basis of Hom(X, Y) via the intertwiner null space.
+    """Orthonormal basis of Hom(X, Y), read off the two frames.
 
-    Vectorizes candidate maps T (dY x dX, row-major) and finds the joint
-    kernel of all unit-wise intertwiner equations by eigendecomposing the
-    accumulated normal matrix.
+    Per pair of blocks that both populate, row-major, each matrix unit e_st
+    of M(mu_Y x mu_X), over sqrt(n_k m_l), on every corner of the pair
+    (:func:`_hom_pairs`).
     """
-    _check_same_algebras(x, y)
-    dx, dy = x.dim, y.dim
-    n = dx * dy
-    if n == 0:
-        return []
-    normal = np.zeros((n, n), dtype=complex)
-    scale = 0.0
-    idx = np.eye(dx, dtype=complex), np.eye(dy, dtype=complex)
-    for side in _SIDES:
-        for su, tu in zip(getattr(x, side), getattr(y, side)):
-            k = np.kron(idx[1], su.T) - np.kron(tu, idx[0])
-            normal += k.conj().T @ k
-            scale += max(op_norm(su), op_norm(tu)) ** 2
-    kernel = null_space_hermitian(normal, scale=max(scale, 1.0))
-    return [Morphism(x, y, kernel[:, j].reshape(dy, dx)) for j in range(kernel.shape[1])]
+    out = []
+    for cy, cx in _hom_pairs(x, y):
+        n, m, mu_y = cy.shape
+        for s, t in np.ndindex(mu_y, cx.shape[2]):
+            e = np.zeros((y.dim, x.dim), dtype=complex)
+            e[cy[..., s], cx[..., t]] = 1.0 / np.sqrt(n * m)
+            out.append(Morphism(x, y, _in_frames(x, y, e)))
+    return out
+
+
+def _hom_pairs(x: Bimodule, y: Bimodule) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per pair of blocks that X and Y both populate, row-major: Y's and X's corner columns.
+
+    By Schur a bimodule map is 1 (x) T_kl (x) 1 on the pair (k, l): in
+    adapted frames, the mu_Y x mu_X matrix T_kl on every corner (i, j),
+    rows ``cy[i, j]`` and columns ``cx[i, j]``.
+    """
+    if (x.left_algebra.blocks, x.right_algebra.blocks) != (
+            y.left_algebra.blocks, y.right_algebra.blocks):
+        raise ValueError("bimodules have different acting algebras")
+    return [(cy, cx) for cx, cy in zip(_corner_columns(x), _corner_columns(y))
+            if cx.shape[2] and cy.shape[2]]
+
+
+def _in_frames(x: Bimodule, y: Bimodule, t: np.ndarray) -> np.ndarray:
+    """W_Y t W_X^H: a map X -> Y given in frame coordinates, in the bimodules' own."""
+    if x.frame.w is not None:
+        t = t @ x.frame.w.conj().T
+    if y.frame.w is not None:
+        t = y.frame.w @ t
+    return t
 
 
 def dual_bimodule(x: Bimodule) -> Bimodule:
@@ -414,7 +452,7 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
         left_units = w @ left_units @ w.conj().T
         right_units = w @ right_units @ w.conj().T
     x = Bimodule(a, b, left_units, right_units, canonical=(mult, w))
-    x._frame = functools.partial(Frame, w, *labels)
+    x._frame = Frame(w, *labels)
     return x
 
 
@@ -429,69 +467,38 @@ def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     return int(np.asarray(a.blocks) @ np.asarray(mult) @ np.asarray(b.blocks))
 
 
-def multiplicity_matrix(x: Bimodule) -> np.ndarray:
-    """Multiplicity matrix of a bimodule, recovered from sector dimensions.
+def _corner_columns(x: Bimodule) -> List[np.ndarray]:
+    """Per pair of blocks (k, l), row-major, the frame columns of its corners.
 
-    Works for any valid bimodule: the (k, l) multiplicity is
-    dim(z_k X z_l) / (n_k m_l) for the central projections z_k, z_l.
+    ``cols[i, j, s]`` is the s-th frame column labelled (p0 + i, q0 + j),
+    for p0 and q0 the first diagonal units of blocks k and l: in an
+    adapted frame, multiplicity index s of the corner (i, j).
     """
-    a, b = x.left_algebra, x.right_algebra
-    mult = np.zeros((len(a.blocks), len(b.blocks)), dtype=int)
-    diag_l = _diag_unit_indices(a)
-    diag_r = _diag_unit_indices(b)
-    pos_l = 0
-    for k, nk in enumerate(a.blocks):
-        zk = x.left_units[diag_l[pos_l:pos_l + nk]].sum(axis=0)
-        pos_l += nk
-        pos_r = 0
-        for l, ml in enumerate(b.blocks):
-            zl = x.right_units[diag_r[pos_r:pos_r + ml]].sum(axis=0)
-            pos_r += ml
-            sector_dim = float(np.real(np.trace(zk @ zl)))
-            mu = sector_dim / (nk * ml)
-            if abs(mu - round(mu)) > 1e-6:
-                raise ValueError(f"non-integral multiplicity {mu} in sector ({k},{l})")
-            mult[k, l] = int(round(mu))
-    return mult
+    a, b, frame = x.left_algebra, x.right_algebra, x.frame
+    (block_l, p), (block_r, q) = _diag_positions(a), _diag_positions(b)
+    k, l = block_l[frame.left], block_r[frame.right]
+    # lexsort is stable: within a corner the columns keep their frame order
+    order = np.lexsort((q[frame.right], p[frame.left], l, k))
+    sizes = np.bincount(k * len(b.blocks) + l, minlength=len(a.blocks) * len(b.blocks))
+    return [run.reshape(n, m, -1) for run, (n, m) in zip(
+        np.split(order, np.cumsum(sizes)[:-1]), itertools.product(a.blocks, b.blocks))]
+
+
+def multiplicity_matrix(x: Bimodule) -> np.ndarray:
+    """Multiplicity matrix: per pair of blocks, the frame columns of its first corner."""
+    return np.array([cols.shape[2] for cols in _corner_columns(x)], dtype=int).reshape(
+        len(x.left_algebra.blocks), len(x.right_algebra.blocks))
 
 
 def random_morphism_matrix(x: Bimodule, y: Bimodule,
                            rng: np.random.Generator) -> np.ndarray:
     """Random intertwiner X -> Y; zero when Hom(X, Y) is trivial.
 
-    Uses the canonical-model structure when both bimodules carry it (fast
-    path); otherwise falls back to the generic null-space solver.
+    On each pair of blocks that both populate, row-major, a complex
+    Gaussian mu_Y x mu_X matrix T_kl on every corner of the pair in frame
+    coordinates (:func:`_hom_pairs`).
     """
-    fast = _canonical_hom_sample(x, y, rng)
-    if fast is not None:
-        return fast
-    basis = hom_basis(x, y)
-    if not basis:
-        return np.zeros((y.dim, x.dim), dtype=complex)
-    coeff = crandn(rng, len(basis))
-    return sum(c * m.matrix for c, m in zip(coeff, basis))
-
-
-def _canonical_hom_sample(x: Bimodule, y: Bimodule, rng) -> Optional[np.ndarray]:
-    if x.canonical is None or y.canonical is None:
-        return None
-    _check_same_algebras(x, y)
-    mx, wx = x.canonical
-    my, wy = y.canonical
-    a, b = x.left_algebra, x.right_algebra
     t = np.zeros((y.dim, x.dim), dtype=complex)
-    offx = offy = 0
-    for k, nk in enumerate(a.blocks):
-        for l, ml in enumerate(b.blocks):
-            sx, sy = nk * int(mx[k, l]) * ml, nk * int(my[k, l]) * ml
-            if sx and sy:
-                c = crandn(rng, int(my[k, l]), int(mx[k, l]))
-                blk = np.kron(np.kron(np.eye(nk), c), np.eye(ml))
-                t[offy:offy + sy, offx:offx + sx] = blk
-            offx += sx
-            offy += sy
-    if wx is not None:
-        t = t @ np.asarray(wx).conj().T
-    if wy is not None:
-        t = np.asarray(wy) @ t
-    return t
+    for cy, cx in _hom_pairs(x, y):
+        t[cy[..., None], cx[..., None, :]] = crandn(rng, cy.shape[2], cx.shape[2])
+    return _in_frames(x, y, t)

@@ -230,7 +230,7 @@ def cmd_tensor(args) -> int:
             f"m unitarity defect      = {m_defect:.3e}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
-    return 0 if m_defect <= max(tol, 1e-9) * 10 else 1
+    return 0 if m_defect <= 10 * tol else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

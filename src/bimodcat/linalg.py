@@ -126,22 +126,6 @@ def range_basis(proj: np.ndarray) -> np.ndarray:
     return basis
 
 
-def null_space_hermitian(normal: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of a PSD normal matrix.
-
-    ``normal`` is typically sum_u K_u^H K_u for a stack of constraint maps K_u;
-    ``scale`` overrides the largest eigenvalue as the rank reference.
-    """
-    if normal.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, v = np.linalg.eigh(hermitize(normal))
-    ref = scale if scale is not None else max(float(w[-1]), 0.0)
-    if ref == 0.0:
-        return fix_phases(np.eye(normal.shape[0], dtype=complex))
-    keep = w < RANK_EPS * ref
-    return fix_phases(v[:, keep])
-
-
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian, deterministic phases."""
     if n == 0:

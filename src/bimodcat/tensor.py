@@ -195,7 +195,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
         x.left_algebra, y.right_algebra, a.size,
         lambda: (_member_map(members, members, x.left_units, None),
                  _member_map(members, members, None, y.right_units)),
-        lambda: frame)
+        frame)
     return TensorProduct(kind, x, y, result, members)
 
 

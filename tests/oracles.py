@@ -6,14 +6,17 @@ on the algebraic tensor space (bounded basis) x (basis) for ltimes and
 (basis) x (bounded basis) for rtimes, with its Gram matrix G, the
 quotient Q = (G V)^H onto the members V and the section E = Q^H, and
 spanning families of elementary tensors solved by ``map_from_spanning``.
+The library reads Hom(X, Y) and multiplicity matrices off the frames;
+:func:`hom_null_space` and :func:`multiplicity_traces` find them from the
+action stacks alone.
 """
 
 import numpy as np
 
 from bimodcat.algebra import standard_form
-from bimodcat.bimodule import dual_bimodule
+from bimodcat.bimodule import Morphism, dual_bimodule
 from bimodcat.bounded import left_bounded_space, right_bounded_space
-from bimodcat.linalg import op_norm, unit_inner
+from bimodcat.linalg import RANK_EPS, fix_phases, hermitize, op_norm, unit_inner
 from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, tensor_left,
                              tensor_right)
 
@@ -185,3 +188,45 @@ def canonical_units(a, b, mult):
         for u, e in enumerate(np.eye(ml * ml).reshape(-1, ml, ml)):
             right[b.offsets[l] + u, sec, sec] = np.kron(np.eye(nk * mu), e.T)
     return left, right
+
+
+def hom_null_space(x, y):
+    """Orthonormal basis of Hom(X, Y) as the joint kernel of the intertwiner equations.
+
+    Vectorizes candidate maps T (dY x dX, row-major), accumulates the
+    normal matrix sum_u K_u^H K_u of T U_u - U'_u T over every matrix unit
+    of both sides and keeps the eigenvectors below RANK_EPS times the
+    sum of the squared unit norms.
+    """
+    dx, dy = x.dim, y.dim
+    n = dx * dy
+    if n == 0:
+        return []
+    normal = np.zeros((n, n), dtype=complex)
+    scale = 0.0
+    for side in ("left_units", "right_units"):
+        for su, tu in zip(getattr(x, side), getattr(y, side)):
+            k = np.kron(np.eye(dy), su.T) - np.kron(tu, np.eye(dx))
+            normal += k.conj().T @ k
+            scale += max(op_norm(su), op_norm(tu)) ** 2
+    w, v = np.linalg.eigh(hermitize(normal))
+    kernel = fix_phases(v[:, w < RANK_EPS * max(scale, 1.0)])
+    return [Morphism(x, y, kernel[:, j].reshape(dy, dx))
+            for j in range(kernel.shape[1])]
+
+
+def multiplicity_traces(x):
+    """Multiplicity matrix from sector dimensions: tr(z_k z_l) / (n_k m_l).
+
+    z_k and z_l are the central projections of the blocks: the sums of the
+    actions of their diagonal units.
+    """
+    z_left, z_right = ([units[off + np.arange(n) * (n + 1)].sum(axis=0)
+                        for off, n in zip(alg.offsets, alg.blocks)]
+                       for units, alg in ((x.left_units, x.left_algebra),
+                                          (x.right_units, x.right_algebra)))
+    mu = np.array([[np.trace(zk @ zl).real / (nk * ml)
+                    for zl, ml in zip(z_right, x.right_algebra.blocks)]
+                   for zk, nk in zip(z_left, x.left_algebra.blocks)])
+    assert np.abs(mu - np.round(mu)).max(initial=0.0) <= 1e-6, mu
+    return np.round(mu).astype(int).reshape(len(z_left), len(z_right))

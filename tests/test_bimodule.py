@@ -7,9 +7,13 @@ from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
                                dual_bimodule, dual_vector, hom_basis,
                                matrix_extension, multiplicity_matrix,
                                random_morphism_matrix, transpose)
-from bimodcat.instances import Limits, generate
-from bimodcat.linalg import op_norm, random_unitary
-from oracles import canonical_units
+from bimodcat.coherence import run_suite
+from bimodcat.instances import (InstanceSpec, Limits, generate, load,
+                                random_bimodule, save)
+from bimodcat.linalg import crandn, op_norm, random_unitary
+from bimodcat.store import product_store
+from bimodcat.tensor import tensor_left, tensor_right
+from oracles import canonical_units, hom_null_space, multiplicity_traces
 
 
 def _random_bim(rng, a, b, mult):
@@ -213,15 +217,122 @@ def test_matrix_extension():
     assert ext.validate() < 1e-10
 
 
+def _explicit(x):
+    """X given by copies of its stacks, so that its frame is found from them."""
+    return Bimodule(x.left_algebra, x.right_algebra, x.left_units.copy(),
+                    x.right_units.copy())
+
+
+def _hom_inputs():
+    """Pairs (X, Y) over the same algebras, seeds 0-3 at two limits.
+
+    Canonical models, X given by its stacks, their duals, a canonical
+    model with other multiplicities, and X ltimes Y against X rtimes Y.
+    """
+    pairs = []
+    for limits in (None, Limits(min_mult=1)):
+        for seed in range(4):
+            x, y = generate(seed, limits).bimodules[:2]
+            rng = np.random.default_rng(seed)
+            other = random_bimodule(x.left_algebra, x.right_algebra, rng,
+                                    Limits(max_mult=2, max_dim=12))
+            stacks = _explicit(x)
+            xs, ss = dual_bimodule(x), dual_bimodule(stacks)
+            pairs += [(x, x), (x, stacks), (stacks, stacks), (other, x),
+                      (stacks, other), (xs, ss), (ss, xs),
+                      (tensor_left(x, y).result, tensor_right(x, y).result),
+                      (tensor_right(stacks, y).result,
+                       tensor_right(stacks, y).result)]
+    return pairs
+
+
+def test_hom_basis_is_the_null_space_oracle():
+    # read off the frames: as many maps as the oracle finds, orthonormal in
+    # the Hilbert-Schmidt inner product, each an intertwiner, spanning the
+    # same space
+    counts = set()
+    for x, y in _hom_inputs():
+        got, want = hom_basis(x, y), hom_null_space(x, y)
+        assert np.array_equal(multiplicity_matrix(x), multiplicity_traces(x))
+        assert len(got) == len(want) == (
+            multiplicity_matrix(x) * multiplicity_matrix(y)).sum()
+        counts.add(len(got))
+        if not got:
+            continue
+        g = np.stack([f.matrix.ravel() for f in got], axis=1)
+        o = np.stack([f.matrix.ravel() for f in want], axis=1)
+        assert np.linalg.norm(g.conj().T @ g - np.eye(len(got))) <= 1e-12
+        assert np.linalg.norm(g @ g.conj().T - o @ o.conj().T) <= 1e-12
+        assert max(f.intertwiner_defect() for f in got) <= 1e-12
+    assert 0 in counts and max(counts) > 1
+
+
 def test_random_morphism_matches_hom_basis_span():
+    # a random intertwiner lies in the oracle's Hom(X, Y), also for stacks,
+    # duals and product results
     rng = np.random.default_rng(7)
-    a = MultiMatrixAlgebra((2,))
-    b = MultiMatrixAlgebra((2,))
-    x = _random_bim(rng, a, b, np.array([[2]]))
-    basis = hom_basis(x, x)
-    m = random_morphism_matrix(x, x, rng)
-    assert Morphism(x, x, m).is_morphism()
-    # m lies in the span of the hom basis
-    flat = np.stack([f.matrix.ravel() for f in basis], axis=1)
-    coeff, *_ = np.linalg.lstsq(flat, m.ravel(), rcond=None)
-    assert np.linalg.norm(flat @ coeff - m.ravel()) < 1e-9 * max(1.0, op_norm(m))
+    for x, y in _hom_inputs():
+        m = random_morphism_matrix(x, y, rng)
+        assert Morphism(x, y, m).intertwiner_defect() <= 1e-12 * max(1.0, op_norm(m))
+        want = hom_null_space(x, y)
+        if not want:
+            assert not m.any()
+            continue
+        o = np.stack([f.matrix.ravel() for f in want], axis=1)
+        assert np.linalg.norm(m.ravel() - o @ (o.conj().T @ m.ravel())) \
+            <= 1e-12 * max(1.0, np.linalg.norm(m))
+
+
+def test_random_morphism_draws_one_block_per_pair_of_blocks():
+    # crandn(mu_Y, mu_X) per pair of blocks that both populate, row-major,
+    # placed as 1 (x) T (x) 1 in the canonical coordinates (i, s, j)
+    a, b = MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((1, 2))
+    x = canonical_bimodule(a, b, np.array([[1, 2], [0, 1]]))
+    y = canonical_bimodule(a, b, np.array([[2, 1], [1, 0]]))
+    got = random_morphism_matrix(x, y, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    blocks = []
+    for k, l, (mx, my) in [(0, 0, (1, 2)), (0, 1, (2, 1))]:
+        n, m = a.blocks[k], b.blocks[l]
+        blocks.append(np.kron(np.kron(np.eye(n), crandn(rng, my, mx)), np.eye(m)))
+    want = np.zeros((y.dim, x.dim), dtype=complex)
+    # X's sectors (0, 0), (0, 1), (1, 1) have sizes 2, 8, 2; Y's (0, 0),
+    # (0, 1), (1, 0) have sizes 4, 4, 1
+    want[0:4, 0:2], want[4:8, 2:10] = blocks
+    assert np.array_equal(got, want)
+
+
+def test_a_suite_on_explicit_stacks_runs_no_eigensolver(monkeypatch):
+    # the naturality draws read Hom off the frames, which the stacks give
+    # by Gram-Schmidt: no eigh runs, and every check passes
+    spec = generate(0, Limits(min_mult=1, max_mult=2))
+    chain = tuple(_explicit(x) for x in spec.bimodules)
+    spec = load(save(InstanceSpec(
+        spec.seed, spec.limits, spec.algebras, chain,
+        tuple(Morphism(chain[i], chain[i], f.matrix)
+              for i, f in enumerate(spec.morphisms)))))
+    assert all(x.canonical is None for x in spec.bimodules)
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    report = run_suite(spec)
+    assert report["summary"]["passed"] == report["summary"]["total"] > 0
+    assert calls == []
+    # the spy sees the oracle's call
+    hom_null_space(spec.bimodules[0], spec.bimodules[0])
+    assert len(calls) == 1
+
+
+def test_a_deferred_frame_is_built_once():
+    # a dual's frame is its original's, conjugated, on its first read only;
+    # a frame from stacks is found once per product store
+    x = generate(0).bimodules[0]
+    for original in (x, _explicit(x)):
+        with product_store():
+            xs = dual_bimodule(original)
+            assert xs.frame is xs.frame
+            assert original.frame is original.frame
+            assert np.array_equal(xs.frame.left, original.frame.right)

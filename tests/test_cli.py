@@ -7,7 +7,7 @@ import pytest
 
 from bimodcat import coherence
 from bimodcat.algebra import MultiMatrixAlgebra
-from bimodcat.bimodule import canonical_bimodule
+from bimodcat.bimodule import Bimodule, canonical_bimodule
 from bimodcat.cli import main
 from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.linalg import psd_rank
@@ -196,20 +196,42 @@ def test_tensor_report(capsys):
 
 
 def test_tensor_builds_each_product_once(capsys, monkeypatch):
-    # m takes the two products the report reads from the command's store
-    builds = []
-    build = tensor_module._tensor_product
+    # m takes the two products the report reads from the command's store,
+    # and the multiplicities are counted off the frames: no result or dual
+    # builds its stacks
+    builds, stacks = [], []
+    build, check = tensor_module._tensor_product, Bimodule._checked
 
     def counted(*args):
         builds.append(args[0])
         return build(*args)
+
+    def counted_check(self, *units):
+        if self._build is not None:
+            stacks.append(self)
+        return check(self, *units)
     monkeypatch.setattr(tensor_module, "_tensor_product", counted)
-    code, _, _ = _run(capsys, "tensor", "--seed", "0")
-    assert code == 0
-    assert sorted(builds) == ["left", "right"]
+    monkeypatch.setattr(Bimodule, "_checked", counted_check)
+    for seed in range(5):
+        builds.clear()
+        code, _, _ = _run(capsys, "tensor", "--seed", str(seed))
+        assert code == 0
+        assert sorted(builds) == ["left", "right"]
+    assert stacks == []
     # the command leaves no store open
     x, y = generate(0, length=2).bimodules
     assert tensor_left(x, y) is not tensor_left(x, y)
+
+
+def test_tensor_tol_bounds_the_m_defect(capsys):
+    # the exit test is 10 tol for every --tol, 1e-8 at the default: seed 3's
+    # m defect (about 1e-15) passes the default and fails --tol 1e-17
+    code, out, _ = _run(capsys, "tensor", "--seed", "3", "--json")
+    assert code == 0
+    assert 1e-16 < json.loads(out)["mUnitaryDefect"] < 1e-8
+    code, out, _ = _run(capsys, "tensor", "--seed", "3", "--tol", "1e-17")
+    assert code == 1
+    assert "m unitarity defect" in out
 
 
 def test_tensor_mismatched_chain(capsys, tmp_path):

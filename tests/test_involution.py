@@ -16,8 +16,9 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_iso, tensor,
                              tensor_left, tensor_morphisms, tensor_right)
 from oracles import bounded, quotient
 
-# the module, not the ``tensor`` function the package re-exports
+# the modules, not the functions the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
+bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -190,9 +191,12 @@ def test_dual_sector_bases_are_the_conjugates_bit_for_bit():
 
 def test_read_off_sector_bases_span_the_sector_projections():
     # every basis selected from a frame, against the stacks: V^H V = 1 and
-    # V V^H = P for the action P of p; and each frame column is fixed by
-    # the diagonal units its labels name and sent to 0 by the others
+    # V V^H = P for the action P of p; each frame column is fixed by the
+    # diagonal units its labels name and sent to 0 by the others; and every
+    # frame is adapted: on each pair of blocks (k, l), the columns of the
+    # corner (i, j) are L(e_i0) R(e_0j) applied to those of the corner (0, 0)
     checked = set()
+    adapted = 0
     for spec in _chains():
         with product_store():
             x, y, z = spec.bimodules[:3]
@@ -207,7 +211,8 @@ def test_read_off_sector_bases_span_the_sector_projections():
                           tensor(other, xy, z).result,
                           tensor(kind, x, tensor(kind, y, z).result).result,
                           tensor(kind, l2, y).result,
-                          tensor(kind, stacks, y).result]
+                          tensor(kind, stacks, y).result,
+                          tensor(kind, dual_bimodule(y), dual_bimodule(x)).result]
             for bim in serve:
                 frame = bim.frame
                 w = np.eye(bim.dim) if frame.w is None else frame.w
@@ -218,6 +223,16 @@ def test_read_off_sector_bases_span_the_sector_projections():
                     named = np.arange(len(diag))[:, None] == labels
                     assert np.linalg.norm(
                         diag @ w - named[:, None, :] * w) <= 1e-12
+                a, b = bim.left_algebra, bim.right_algebra
+                for (k, l), cols in zip(
+                        np.ndindex(len(a.blocks), len(b.blocks)),
+                        bimodule_module._corner_columns(bim)):
+                    first = w[:, cols[0, 0]]
+                    for i, j in np.ndindex(cols.shape[:2]):
+                        moved = (bim.left_units[a.offsets[k] + i * a.blocks[k]]
+                                 @ bim.right_units[b.offsets[l] + j] @ first)
+                        assert np.linalg.norm(w[:, cols[i, j]] - moved) <= 1e-12
+                        adapted += cols.size > 0 and (i, j) != (0, 0)
                 for kind in KINDS:
                     for side in ("left", "right"):
                         alg, units = ((bim.left_algebra, bim.left_units)
@@ -233,6 +248,7 @@ def test_read_off_sector_bases_span_the_sector_projections():
                             assert np.linalg.norm(v @ v.conj().T - proj) <= 1e-12
                             checked.add(v.shape[1] > 0)
     assert checked == {False, True}
+    assert adapted
 
 
 def test_conjugation_is_the_permutation_derived_through_m():

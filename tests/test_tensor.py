@@ -23,7 +23,8 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              tensor_matrix_extension_iso, tensor_morphisms,
                              tensor_right)
 from oracles import (bounded, conjugation_family, ext_family, gram,
-                     induced_map, m_realization, quotient, standard_images)
+                     induced_map, m_realization, multiplicity_traces, quotient,
+                     standard_images)
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -70,6 +71,23 @@ def test_multiplicity_matrices_multiply():
         tp = tensor(kind, x, y)
         assert np.array_equal(multiplicity_matrix(tp.result), pred)
         assert tp.result.validate() < 1e-9
+    # criterion 5's prediction, counted off the frame labels, is the trace
+    # oracle's on the stacks: for products, nested products, their duals
+    # and factors given by their stacks
+    for limits in (None, Limits(min_mult=1), Limits(min_mult=1, max_mult=2)):
+        for seed in range(6):
+            x, y, z = generate(seed, limits).bimodules[:3]
+            stacks = Bimodule(x.left_algebra, x.right_algebra,
+                              x.left_units.copy(), x.right_units.copy())
+            pred = multiplicity_matrix(x) @ multiplicity_matrix(y)
+            for kind in KINDS:
+                xy = tensor(kind, x, y).result
+                for bim, want in (
+                        (xy, pred), (tensor(kind, stacks, y).result, pred),
+                        (dual_bimodule(xy), pred.T),
+                        (tensor(kind, xy, z).result, pred @ multiplicity_matrix(z))):
+                    assert np.array_equal(multiplicity_matrix(bim), want)
+                    assert np.array_equal(multiplicity_traces(bim), want)
 
 
 def _kernel(tp):
