@@ -6,11 +6,11 @@ matrix unit of the left algebra, and likewise for ``right_units``.  By
 linearity this determines the action of every algebra element.
 
 Every :class:`Frame` is adapted to the matrix units, so column s of each
-corner of a pair of blocks (k, l) is multiplicity index s.  Sector bases
-select frame columns; Hom(X, Y), multiplicities and random intertwiners,
-1 (x) T_kl (x) 1 by Schur, are read off the frames.  Only a bimodule
-given by its stacks finds its frame from them, by pivoted Gram-Schmidt
-once per pair of blocks (:func:`_stack_frame`).
+corner of a pair of blocks (k, l) is multiplicity index s.  A product's
+members are pairs of frame columns; Hom(X, Y), multiplicities and random
+intertwiners, 1 (x) T_kl (x) 1 by Schur, are read off the frames.  Only
+a bimodule given by its stacks finds its frame from them, by pivoted
+Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
 
 A bimodule made from its stacks checks them at once.  Duals and the
 results of tensor products (:mod:`bimodcat.tensor`) know their dimension
@@ -46,8 +46,9 @@ class Frame(NamedTuple):
 
     p = ``left[t]`` and q = ``right[t]`` index the diagonal matrix units in
     :func:`_diag_unit_indices` order; ``w`` None is the identity.  A
-    canonical model's is its basis unitary, a product's its members and a
-    dual's its original's, conjugated, with the labels swapped.  Every
+    canonical model's is its basis unitary; a product's result's is the
+    identity on its members, pairs of its factors' frame columns; a dual's
+    is its original's, conjugated, with the labels swapped.  Every
     frame is adapted to the matrix units: with p0 and q0 the first
     diagonal units of blocks k and l, the s-th column of the corner
     (p0 + i, q0 + j) is L(e_i0) R(e_0j) applied to the s-th of the corner
@@ -207,8 +208,10 @@ def _stack_frame(x: Bimodule) -> Frame:
     P = L(e_00) R(e_00); the corner (i, j) gets L(e_i0) R(e_0j) V.  Either
     is off an orthonormal basis of its corner L(e_ii) R(e_jj) when that is
     no projection, as when the actions do not commute: so every corner
-    must have ||P - V V^H||_F <= 1e-8, and there must be dim X columns in
-    all.  The corners follow each other row-major over the diagonal units.
+    must have ||P - V V^H||_F <= 1e-8, there must be dim X columns in all
+    and the frame W must have ||W^H W - 1||_F <= 1e-8, or a product's
+    result would not be unital.  The corners follow each other row-major
+    over the diagonal units.
     """
     a, b = x.left_algebra, x.right_algebra
     left, right = x.left_units, x.right_units
@@ -236,8 +239,13 @@ def _stack_frame(x: Bimodule) -> Frame:
         raise NotABimoduleError(
             f"the corners L(e_pp) R(e_qq) have range bases of {len(corners)} "
             f"columns in all, not {x.dim}: some corner is not a projection")
-    return Frame(np.concatenate(bases, axis=1),
-                 *np.array(corners, dtype=np.intp).reshape(-1, 2).T)
+    w = np.concatenate(bases, axis=1)
+    defect = np.linalg.norm(w.conj().T @ w - np.eye(x.dim))
+    if defect > 1e-8:
+        raise NotABimoduleError(
+            f"the corners' range bases are off orthonormal by {defect:.3e}: "
+            f"some corner L(e_pp) R(e_qq) is not a projection")
+    return Frame(w, *np.array(corners, dtype=np.intp).reshape(-1, 2).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +257,7 @@ class Morphism:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _same_algebras(self.source, self.target)
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise ValueError(
                 f"morphism matrix shape {self.matrix.shape} does not match "
@@ -308,11 +317,16 @@ def _hom_pairs(x: Bimodule, y: Bimodule) -> List[Tuple[np.ndarray, np.ndarray]]:
     adapted frames, the mu_Y x mu_X matrix T_kl on every corner (i, j),
     rows ``cy[i, j]`` and columns ``cx[i, j]``.
     """
+    _same_algebras(x, y)
+    return [(cy, cx) for cx, cy in zip(_corner_columns(x), _corner_columns(y))
+            if cx.shape[2] and cy.shape[2]]
+
+
+def _same_algebras(x: Bimodule, y: Bimodule) -> None:
+    """Raise unless X and Y act by the same two algebras."""
     if (x.left_algebra.blocks, x.right_algebra.blocks) != (
             y.left_algebra.blocks, y.right_algebra.blocks):
         raise ValueError("bimodules have different acting algebras")
-    return [(cy, cx) for cx, cy in zip(_corner_columns(x), _corner_columns(y))
-            if cx.shape[2] and cy.shape[2]]
 
 
 def _in_frames(x: Bimodule, y: Bimodule, t: np.ndarray) -> np.ndarray:
@@ -339,8 +353,8 @@ def _dual_bimodule(x: Bimodule) -> Bimodule:
 
     Its diagonal units act as X's conjugated on the other side, so it is
     unital when X is, and its frame is X's, conjugated, with the two
-    labels swapped: its sector bases are the conjugates of X's for the
-    other side.
+    labels swapped: its frame columns for a side are the conjugates of
+    X's for the other side.
     """
     return Bimodule.deferred(
         x.right_algebra, x.left_algebra, x.dim,

@@ -3,7 +3,7 @@
 Each check builds the two composite paths around a diagram as explicit
 matrices and reports the operator norm of their difference, together with a
 scale-aware tolerance: the base times the product of max(1, ||e||) over the
-edges e of the longer path, floored (:func:`bimodcat.linalg.scale_tol`).
+edges e of the longer path (:func:`bimodcat.linalg.scale_tol`).
 The structural edges are unitaries, of norm 1, and enter as 1 without an
 SVD, so only the naturality squares' random endomorphisms f and g scale a
 tolerance.  Zero-dimensional inputs yield "degenerate-pass" results.

@@ -236,13 +236,23 @@ def _need_list(doc: dict, key: str, path: str) -> list:
     return value
 
 
-def _multiplicities(value, rows: int, cols: int, path: str) -> np.ndarray:
-    """A rows x cols matrix of nonnegative integers, as nested lists."""
+def _multiplicities(value, a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
+                    limits: Limits, path: str) -> np.ndarray:
+    """A matrix of nonnegative integers, as nested lists, within ``limits``.
+
+    The largest entry and the dimension sum_kl n_k mu_kl m_l are checked on
+    Python ints, before numpy's int64 could overflow.
+    """
+    rows, cols = len(a.blocks), len(b.blocks)
     if not (isinstance(value, list) and len(value) == rows and all(
             isinstance(row, list) and len(row) == cols
             and all(_is_int(m) and m >= 0 for m in row) for row in value)):
         raise InstanceFormatError(
             f"{path}: expected a {rows}x{cols} matrix of nonnegative integers")
+    _within(max(map(max, value)), limits, "max_mult", "multiplicity", path)
+    _within(sum(n * mu * m for n, row in zip(a.blocks, value)
+                for mu, m in zip(row, b.blocks)),
+            limits, "max_dim", "dimension", path)
     return np.array(value, dtype=int)
 
 
@@ -275,7 +285,7 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     else:
         doc = data
@@ -327,13 +337,9 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
         la, ra = algebras[left], algebras[right]
         try:
             if "multiplicities" in b:
-                mult = _multiplicities(b["multiplicities"], len(la.blocks),
-                                       len(ra.blocks), f"{path}.multiplicities")
+                mult = _multiplicities(b["multiplicities"], la, ra, limits,
+                                       f"{path}.multiplicities")
                 dim = canonical_dim(la, ra, mult)
-                _within(int(mult.max()), limits, "max_mult", "multiplicity",
-                        f"{path}.multiplicities")
-                _within(dim, limits, "max_dim", "dimension",
-                        f"{path}.multiplicities")
                 u = (_decode(b["basis_unitary"], f"{path}.basis_unitary")
                      if "basis_unitary" in b else None)
                 if u is not None and u.shape != (dim, dim):
@@ -375,8 +381,8 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
         mat = _decode(_need(m, "matrix", path), f"{path}.matrix")
         try:
             mor = Morphism(bimodules[src], bimodules[tgt], mat)
-        except ValueError as exc:
-            raise InstanceFormatError(f"{path}.matrix: {exc}") from exc
+        except ValueError as exc:   # other acting algebras or the wrong shape
+            raise InstanceFormatError(f"{path}: {exc}") from exc
         if not mor.is_morphism():
             violations.append(
                 (f"{path}: matrix is not an intertwiner "

@@ -16,9 +16,6 @@ RANK_EPS = 1e-10
 #: base relative tolerance for numerical identity checks
 DEFAULT_TOL = 1e-9
 
-#: absolute floor for tolerances
-TOL_FLOOR = 1e-12
-
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard complex Gaussian array."""
@@ -36,12 +33,12 @@ def scale_tol(*norms: float, base: float = DEFAULT_TOL) -> float:
     """Scale-aware tolerance: base times the product of the given norms.
 
     Each factor enters as max(1, norm) so that contractive maps do not
-    shrink the tolerance; the result is floored at ``TOL_FLOOR``.
+    shrink the tolerance below ``base``.
     """
     t = base
     for n in norms:
         t *= max(1.0, n)
-    return max(t, TOL_FLOOR)
+    return t
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:

@@ -8,27 +8,27 @@ Y (B-C):
 
 Both are built from the sectors of B = (+)_l M_m.  For a minimal
 projection p of block l, [xi, xi']_B = <xi, xi'> p on X p, so X (x)_B Y is
-the orthogonal sum over l of X p (x) p Y.  With orthonormal bases c_a of
-X p and d_b of p Y, the tensors c_a (x) d_b are an orthonormal basis of
-the product: its members (:class:`Members`).  ltimes cuts block l with
+the orthogonal sum over l of X p (x) p Y.  The columns c_a of X's frame
+(:class:`bimodcat.bimodule.Frame`) labelled p on the right and d_b of Y's
+labelled p on the left (:func:`_sector_columns`) are orthonormal bases of
+X p and p Y, so the tensors c_a (x) d_b, each a pair (a, b) of frame
+columns, are an orthonormal basis of the product: its members
+(:class:`Members`) and the result's frame.  ltimes cuts block l with
 p = e_00 and rtimes with its last diagonal unit, and rtimes lists its
-members in reverse.  Each sector basis selects columns of a frame
-(:class:`bimodcat.bimodule.Frame`) and is kept in the product store
-(:func:`_sector_bases`); the members are the result's frame.
+members in reverse.
 
 The result bimodule has the member count as its dimension.  Its action
 stacks are built on their first read only
 (:meth:`bimodcat.bimodule.Bimodule.deferred`), which most results never
-get.  Its unitality is checked without them: the result is unital
-exactly when the factors' sector bases are orthonormal, which
-:func:`_sector_bases` checks once per basis.
+get.  It is unital without a check: the factors' frames are orthonormal
+(:func:`bimodcat.bimodule._stack_frame` checks those found numerically).
 
-Every map between products is read off the members on elementary
-tensors.  One formula, :func:`_member_map`, sends c_a (x) d_b to
+Every map between products is read off the pairs of frame columns and the
+factors' frames.  One formula, :func:`_member_map`, sends c_a (x) d_b to
 f c_a (x) g d_b; its cases are the result actions, f (x) g, the
 multiplicativity map m, the extension identifications and, on conjugate
 members, the conjugation c of :mod:`bimodcat.involution`.  The unitors and
-the associator pair sector bases the same way.  They and m take a kind,
+the associator pair frame columns the same way.  They and m take a kind,
 where they have one, and bimodules, and fetch their products through
 :func:`tensor`; only :func:`tensor_morphisms` takes the two products it
 maps between.  No bounded-vector space, algebraic tensor space or
@@ -38,12 +38,12 @@ spanning family is built; the tests keep those constructions as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
-from .bimodule import Bimodule, Frame, NotABimoduleError, matrix_extension
+from .bimodule import Bimodule, Frame, matrix_extension
 from .store import product_store, stored
 
 KIND_LEFT = "left"     # ltimes
@@ -54,31 +54,38 @@ class WellDefinednessError(ValueError):
     """A leg of f (x) g is not B-linear, so f (x) g does not descend to X (x)_B Y."""
 
 
-@dataclass(frozen=True, eq=False)
-class Members:
-    """A product's orthonormal basis: member i is c[:, a[i]] (x) d[:, b[i]].
+class Members(NamedTuple):
+    """A product's orthonormal basis: member i is wx[:, a[i]] (x) wy[:, b[i]].
 
-    ``c`` and ``d`` concatenate the sector bases of X p_l and p_l Y over
-    the blocks l of B.  Block l's members are every pair of its c and d
-    columns; ``blocks`` holds their indices on that grid and both slices.
+    ``a`` and ``b`` index the frame columns of X and Y; ``wx`` and ``wy``
+    are their frames' W, None for the identity.
     """
 
-    c: np.ndarray
-    d: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    blocks: Tuple[Tuple[np.ndarray, slice, slice], ...]
+    wx: Optional[np.ndarray]
+    wy: Optional[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class TensorProduct:
-    """A relative tensor product: its factors, its members and the result bimodule."""
+    """A relative tensor product: its factors, its members and the result bimodule.
+
+    Member i is the pair (a[i], b[i]) of frame columns of the two factors.
+    """
 
     kind: str
     left_factor: Bimodule
     right_factor: Bimodule
     result: Bimodule
-    members: Members             # the result's coordinates
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def members(self) -> Members:
+        """The result's coordinates; no stored field holds a factor's frame."""
+        return Members(self.a, self.b, self.left_factor.frame.w,
+                       self.right_factor.frame.w)
 
     @property
     def dim(self) -> int:
@@ -90,44 +97,18 @@ class TensorProduct:
         return self.left_factor.dim * self.right_factor.dim
 
 
-def _sector_position(n: int, kind: str) -> int:
-    """The diagonal position of p in a block of size n.
+def _sector_columns(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
+    """Per block of the ``side`` algebra, the indices of the frame columns labelled p.
 
     ltimes takes p = e_00 of each block, rtimes the last diagonal unit
     e_dd.  With one p shared by both kinds, the two results would get
     equal action matrices and m would be the identity.
     """
-    return 0 if kind == KIND_LEFT else n - 1
-
-
-def _sector_columns(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
-    """Per block of the ``side`` algebra, the indices of the frame columns labelled p."""
     alg = x.left_algebra if side == "left" else x.right_algebra
     labels = getattr(x.frame, side)   # Frame.left or Frame.right
     first = np.cumsum((0,) + alg.blocks)   # each block's first diagonal unit
-    return tuple(np.flatnonzero(labels == first[k] + _sector_position(n, kind))
+    return tuple(np.flatnonzero(labels == first[k] + (0 if kind == KIND_LEFT else n - 1))
                  for k, n in enumerate(alg.blocks))
-
-
-def _sector_bases(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
-    """Per block of the ``side`` algebra, orthonormal columns spanning X p or p X.
-
-    ``side`` "right" gives X p, "left" p X: the frame columns labelled p
-    on ``side`` (:func:`_sector_columns`).  Every basis V must have
-    ||V^H V - 1||_F <= 1e-8, or a product's result would not be unital: a
-    frame from explicit stacks is orthonormal only up to its corners.
-    """
-    w = x.frame.w
-    w = np.eye(x.dim, dtype=complex) if w is None else w
-    bases = tuple(w[:, cols] for cols in stored(_sector_columns, x, side, kind))
-    for block, c in enumerate(bases):
-        defect = np.linalg.norm(c.conj().T @ c - np.eye(c.shape[1]))
-        if defect > 1e-8:
-            raise NotABimoduleError(
-                f"{side} action of the sector unit of block {block} is not a "
-                f"projection: its range basis is off orthonormal by "
-                f"{defect:.3e}")
-    return bases
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -163,62 +144,66 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
 def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     """The product's members and the result's actions on them.
 
-    Member (a, b) of block l is c_a (x) d_b, with c_a in X p_l and d_b in
-    p_l Y, listed block by block, reversed for rtimes.  A acts by
-    c^H L_u c on the index a alone, C by d^H R_v d on b alone: the cases
-    L_u (x) 1 and 1 (x) R_v of f (x) g, built on the result's first read.
-    With no store open it opens one for its build, so that a factor given
-    by its stacks finds its frame once.
+    Member (a, b) of block l pairs X's frame column a labelled p_l on the
+    right with Y's column b labelled p_l on the left, listed block by
+    block, then by a, then by b, reversed for rtimes.  A acts by
+    W_X^H L_u W_X on the index a alone, C by W_Y^H R_v W_Y on b alone: the
+    cases L_u (x) 1 and 1 (x) R_v of f (x) g, built on the result's first
+    read.  With no store open it opens one for its build, so that a factor
+    given by its stacks finds its frame once.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
-    cs = stored(_sector_bases, x, "right", kind)
-    ds = stored(_sector_bases, y, "left", kind)
-    (lc, spans_c), (ld, spans_d) = _columns(cs), _columns(ds)
-    # the members: pairs of first and second indices of one block
-    a, b = np.nonzero(lc[:, None] == ld)
+    pairs = [(np.repeat(cx, cy.size), np.tile(cy, cx.size)) for cx, cy in zip(
+        stored(_sector_columns, x, "right", kind),
+        stored(_sector_columns, y, "left", kind))]
+    a, b = (np.concatenate(cols) for cols in zip(*pairs))
     if kind == KIND_RIGHT:
         # listed in reverse, so that m is not the identity where the middle
         # blocks have size 1
         a, b = a[::-1], b[::-1]
-    c, d = np.concatenate(cs, axis=1), np.concatenate(ds, axis=1)
-    index = np.empty((c.shape[1], d.shape[1]), dtype=int)
-    index[a, b] = np.arange(a.size)
-    members = Members(c, d, a, b, tuple((index[sc, sd], sc, sd)
-                                        for sc, sd in zip(spans_c, spans_d)))
+    members = Members(a, b, x.frame.w, y.frame.w)
     # member (a, b) lies in the corner of c_a's left label and d_b's right one
-    cols_x = np.concatenate(stored(_sector_columns, x, "right", kind))
-    cols_y = np.concatenate(stored(_sector_columns, y, "left", kind))
-    frame = Frame(None, x.frame.left[cols_x][a], y.frame.right[cols_y][b])
     result = Bimodule.deferred(
         x.left_algebra, y.right_algebra, a.size,
         lambda: (_member_map(members, members, x.left_units, None),
                  _member_map(members, members, None, y.right_units)),
-        frame)
-    return TensorProduct(kind, x, y, result, members)
-
-
-def _columns(bases: Tuple[np.ndarray, ...]):
-    """The block of each concatenated column, and the column slice of each block."""
-    sizes = [c.shape[1] for c in bases]
-    return (np.repeat(np.arange(len(bases)), sizes),
-            [slice(sum(sizes[:k]), sum(sizes[:k + 1])) for k in range(len(sizes))])
+        Frame(None, x.frame.left[a], y.frame.right[b]))
+    return TensorProduct(kind, x, y, result, a, b)
 
 
 def _member_map(src: Members, tgt: Members, f, g) -> np.ndarray:
     """f (x) g from ``src``'s members to ``tgt``'s; f and g may be stacks.
 
-    Entry (i', i) is (c'^H f c)[a'_i', a_i] (d'^H g d)[b'_i', b_i].  It
-    needs f c_a in the span of c' and g d_b in that of d', which holds for
-    a right-B-linear f and a left-B-linear g.  None is the identity of a
-    factor that ``src`` and ``tgt`` share.
+    Entry (i', i) is (W_X'^H f W_X)[a'_i', a_i] (W_Y'^H g W_Y)[b'_i', b_i].
+    It needs f c_a in the span of the target's first columns and g d_b in
+    that of its second, which holds for a right-B-linear f and a
+    left-B-linear g.  None is the identity of a factor that ``src`` and
+    ``tgt`` share.
     """
-    fc = (tgt.a[:, None] == src.a) if f is None else (
-        tgt.c.conj().T @ f @ src.c)[..., tgt.a[:, None], src.a]
-    gd = (tgt.b[:, None] == src.b) if g is None else (
-        tgt.d.conj().T @ g @ src.d)[..., tgt.b[:, None], src.b]
-    return fc * gd
+    legs = (_leg(f, src.wx, tgt.wx, src.a, tgt.a),
+            _leg(g, src.wy, tgt.wy, src.b, tgt.b))
+    # in place on the leg of the product's shape and type: one r x r array less
+    small, big = sorted(legs, key=lambda leg: (leg.ndim, leg.dtype != bool))
+    big *= small
+    return big
+
+
+def _leg(f, w, w2, i, i2) -> np.ndarray:
+    """(W2^H f W)[i2, i]; a W that is None is the identity, so that side is a gather.
+
+    An f that is None is the mask i2 == i of a shared factor.  Only a
+    factor that is no product's result has a W, of that factor's dimension.
+    """
+    if f is None:
+        return i2[:, None] == i
+    f = np.asarray(f, dtype=complex)   # so that the product fits in place
+    if w2 is not None:
+        f = w2.conj().T @ f
+    if w is not None:
+        f = f @ w
+    return f[..., i2[:, None], i]
 
 
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
@@ -252,21 +237,23 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
 def left_unitor(kind: str, x: Bimodule) -> np.ndarray:
     """l : L2(A) (x) X -> X on the members of the kind's product.
 
-    l(c_a (x) d_b) = c_a . d_b = sum_w c_a[w] L_w d_b, for c_a in L2(A) p.
+    L2(A)'s frame is the identity, so c_a is the matrix unit e_a of A and
+    l(c_a (x) d_b) = e_a . d_b = L_a W_X[:, b].
     """
-    tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
-    m = tp.members
-    return np.einsum("wi,wxi->xi", m.c[:, m.a], x.left_units @ m.d[:, m.b])
+    m = tensor(kind, standard_form(x.left_algebra).bimodule, x).members
+    moved = x.left_units if m.wy is None else x.left_units @ m.wy
+    return moved[m.a, :, m.b].T
 
 
 def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
     """r : X (x) L2(B) -> X on the members of the kind's product.
 
-    r(c_a (x) d_b) = c_a . d_b = sum_w d_b[w] R_w c_a, for d_b in p L2(B).
+    L2(B)'s frame is the identity, so d_b is the matrix unit e_b of B and
+    r(c_a (x) d_b) = c_a . e_b = R_b W_X[:, a].
     """
-    tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
-    m = tp.members
-    return np.einsum("wi,wxi->xi", m.d[:, m.b], x.right_units @ m.c[:, m.a])
+    m = tensor(kind, x, standard_form(x.right_algebra).bimodule).members
+    moved = x.right_units if m.wx is None else x.right_units @ m.wx
+    return moved[m.b, :, m.a].T
 
 
 # -- associators --------------------------------------------------------------
@@ -274,32 +261,24 @@ def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
 def associator(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
     """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z), all four products of the kind.
 
-    Write the members of X (x) Y as c_a (x) d_b, of (X (x) Y) (x) Z as
-    e_alpha (x) z_gamma, of Y (x) Z as y_beta (x) z_gamma and of
-    X (x) (Y (x) Z) as c_a (x) h_rho; e is in the member coordinates of
-    X (x) Y and h in those of Y (x) Z.  So e_alpha (x) z_gamma is
-    sum_(a, b) e[(a, b), alpha] (c_a (x) d_b) (x) z_gamma, which maps to
-    the same sum of c_a (x) (d_b (x) z_gamma).  In Y (x) Z, d_b (x) z_gamma
-    is sum_beta <y_beta, d_b> y_beta (x) z_gamma, and c_a (x) w has the
-    coordinate <h_rho, w> on c_a (x) h_rho.  Blocks l of B and m of C meet
-    in one block of the matrix: rows (a, rho), columns (alpha, gamma).
+    Every member of either side is a triple of frame columns of X, Y and Z:
+    (c_a (x) d_b) (x) z_c and c_a (x) (y_beta (x) z_c).  On both sides the
+    X column is labelled p on the right and the Z column q on the left, for
+    the kind's sector units p of B and q of C, and the Y column lies in
+    the corner of p and q.  So a sends (c_a (x) d_b) (x) z_c to
+    c_a (x) (d_b (x) z_c), and a[t, s] is zero unless the X and Z columns
+    of t and s agree; there it is <y_beta, d_b> = (W_Y^H W_Y)[beta, b].
     """
     tp_xy, tp_yz = tensor(kind, x, y), tensor(kind, y, z)
-    tp_xy_z = tensor(kind, tp_xy.result, z)
-    tp_x_yz = tensor(kind, x, tp_yz.result)
-    xy, xy_z, yz, x_yz = (tp.members for tp in (tp_xy, tp_xy_z, tp_yz, tp_x_yz))
-    overlap = yz.c.conj().T @ xy.d           # <y_beta, d_b> in Y
-    out = np.zeros((tp_x_yz.dim, tp_xy_z.dim), dtype=complex)
-    for (xy_ids, _, sd), (tgt_ids, _, sh) in zip(xy.blocks, x_yz.blocks):
-        # per index a, (alpha, beta): sum_b e[(a, b), alpha] <y_beta, d_b>
-        ey = (overlap[:, sd] @ xy_z.c[xy_ids]).transpose(0, 2, 1)
-        for (src_ids, se, _), (yz_ids, sy, _) in zip(xy_z.blocks, yz.blocks):
-            if tgt_ids.size and src_ids.size:   # then Y q != 0: no size is 0
-                h = x_yz.d[yz_ids][..., sh].conj()   # (beta, gamma, rho)
-                block = (ey[:, se, sy] @ h.reshape(len(h), -1)).reshape(
-                    len(tgt_ids), len(src_ids), *h.shape[1:])
-                out[tgt_ids.reshape(-1, 1), src_ids.ravel()] = block.transpose(
-                    0, 3, 1, 2).reshape(tgt_ids.size, src_ids.size)
+    src = tensor(kind, tp_xy.result, z)
+    tgt = tensor(kind, x, tp_yz.result)
+    # the X, Y and Z columns of each member
+    xa, yb, zc = tp_xy.a[src.a], tp_xy.b[src.a], src.b
+    xa2, yb2, zc2 = tgt.a, tp_yz.a[tgt.b], tp_yz.b[tgt.b]
+    t, s = np.nonzero((xa2[:, None] == xa) & (zc2[:, None] == zc))
+    w = y.frame.w
+    out = np.zeros((tgt.dim, src.dim), dtype=complex)
+    out[t, s] = (yb2[t] == yb[s]) if w is None else (w.conj().T @ w)[yb2[t], yb[s]]
     return out
 
 
@@ -325,17 +304,17 @@ def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
 
     Coordinate (i, j, r) of ^I (X (x) Y) ^J, row-major, is the slot (i, j)
     of member r = c_a (x) d_b, which is (e_i (x) c_a) (x) (d_b (x) e_j):
-    a member with first-leg basis 1_I (x) c, index i |c| + a, and
-    second-leg basis 1_J (x) d, index j |d| + b.
+    column i dim X + a of the frame 1_I (x) W_X and column j dim Y + b of
+    1_J (x) W_Y.
     """
     m, ext = tp_xy.members, tp_ext.members
-    shape = (ni, nj, m.a.size)
-    first = np.arange(ni)[:, None, None] * m.c.shape[1] + m.a
-    second = np.arange(nj)[None, :, None] * m.d.shape[1] + m.b
-    slots = Members(np.kron(np.eye(ni), m.c), np.kron(np.eye(nj), m.d),
-                    np.broadcast_to(first, shape).ravel(),
-                    np.broadcast_to(second, shape).ravel(), ())
-    return _member_map(ext, slots, np.eye(len(ext.c)), np.eye(len(ext.d)))
+    i, j, r = np.indices((ni, nj, m.a.size)).reshape(3, -1)
+    slots = Members(i * tp_xy.left_factor.dim + m.a[r],
+                    j * tp_xy.right_factor.dim + m.b[r],
+                    *(None if w is None else np.kron(np.eye(n), w)
+                      for n, w in ((ni, m.wx), (nj, m.wy))))
+    return _member_map(ext, slots, np.eye(tp_ext.left_factor.dim),
+                       np.eye(tp_ext.right_factor.dim))
 
 
 @product_store()

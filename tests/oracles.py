@@ -17,8 +17,8 @@ from bimodcat.algebra import standard_form
 from bimodcat.bimodule import Morphism, dual_bimodule
 from bimodcat.bounded import left_bounded_space, right_bounded_space
 from bimodcat.linalg import RANK_EPS, fix_phases, hermitize, op_norm, unit_inner
-from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, tensor_left,
-                             tensor_right)
+from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, _sector_columns,
+                             tensor_left, tensor_right)
 
 
 def bounded(tp):
@@ -26,6 +26,16 @@ def bounded(tp):
     if tp.kind == KIND_LEFT:
         return right_bounded_space(tp.left_factor)
     return left_bounded_space(tp.right_factor)
+
+
+def sector_bases(x, side, kind):
+    """Per block of the ``side`` algebra, X p or p X: the frame columns selected.
+
+    ``side`` "right" gives X p, "left" p X, for the kind's sector unit p;
+    the columns are those :func:`bimodcat.tensor._sector_columns` selects.
+    """
+    w = np.eye(x.dim, dtype=complex) if x.frame.w is None else x.frame.w
+    return tuple(w[:, cols] for cols in _sector_columns(x, side, kind))
 
 
 def gram(tp):
@@ -52,7 +62,9 @@ def quotient(tp):
     G-orthonormal, so Q V = 1.
     """
     bb, m = bounded(tp), tp.members
-    first, second = m.c[:, m.a], m.d[:, m.b]
+    first, second = (np.eye(factor.dim)[:, cols] if w is None else w[:, cols]
+                     for factor, w, cols in ((tp.left_factor, m.wx, m.a),
+                                             (tp.right_factor, m.wy, m.b)))
     if tp.kind == KIND_LEFT:
         first = bb.expand(first)
     else:

@@ -84,6 +84,16 @@ def test_verify_tol_flag_beats_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_verify_honours_a_tol_below_1e_12(capsys):
+    # no floor raises --tol: at 1e-20 every defect of about 1e-15 fails
+    code, out, _ = _run(capsys, "verify", "--seed", "0", "--tol", "1e-20", "--json")
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["tolerance"] == 1e-20
+    assert rep["checks"] and all(c["tol"] == 1e-20 for c in rep["checks"])
+    assert rep["summary"]["passed"] == 0
+
+
 def test_verify_env_tol_used(capsys, monkeypatch):
     monkeypatch.setenv("BIMODULE_TOL", "1e-6")
     code, out, _ = _run(capsys, "verify", "--seed", "0", "--json",
@@ -369,6 +379,35 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
         err = verify(corrupt)
         assert err.startswith(f"bimodcat: {field}:"), err
         assert f"limits.{limit}" in err, err
+    # a morphism from bimodule 0 to bimodule 1, which act by other algebras,
+    # with a matrix of the right shape
+    doc = to_document(generate(0))
+    dims = [generate(0).bimodules[i].dim for i in (0, 1)]
+    doc["morphisms"].append({"source": 0, "target": 1,
+                             "matrix": _encode(np.zeros(dims[::-1]))})
+    err = verify(lambda d: d.update(doc))
+    assert err.startswith(f"bimodcat: $.morphisms[{len(doc['morphisms']) - 1}]:"), err
+    assert "different acting algebras" in err, err
+    # a multiplicity past int64, and one within max_mult whose dimension
+    # 2 * 2**62 would wrap to -2**63 in int64 (blocks (2, 2) and (1))
+    err = verify(_first_bimodule([[2 ** 64, 0]]))
+    assert err.startswith("bimodcat: $.bimodules[0].multiplicities:"), err
+    assert "limits.max_mult" in err, err
+    huge = {"version": 1, "seed": 0,
+            "limits": {"max_blocks": 2, "max_block": 2, "max_mult": 2 ** 62,
+                       "max_dim": 40},
+            "algebras": [{"blocks": [2, 2]}, {"blocks": [1]}],
+            "bimodules": [{"left": 0, "right": 1,
+                           "multiplicities": [[2 ** 62], [0]]}]}
+    err = verify(lambda d: (d.clear(), d.update(huge)))
+    assert err.startswith("bimodcat: $.bimodules[0].multiplicities:"), err
+    assert "limits.max_dim" in err, err
+    # a document nested too deeply for the JSON parser is no valid JSON
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = _run(capsys, "verify", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("bimodcat: not valid JSON"), err
     # action stacks of the wrong shape: (dim A, d, d) with dim A = 4, d = 4
     every = slice(None)
     for field, shape, corrupt in (

@@ -277,16 +277,19 @@ def test_store_keeps_every_product():
         t_xy_z = tensor_left(t_xy.result, z)
         assert tensor_left(t_xy.result, z) is t_xy_z
         for tp in (t_xy, t_xy_z):
-            assert not tp.members.c.flags.writeable
+            assert not tp.members.a.flags.writeable
             assert not tp.result.left_units.flags.writeable
-            # so are the sector bases the product was built from
-            for basis in stored(tensor_module._sector_bases,
-                                tp.right_factor, "left", KIND_LEFT):
-                assert not basis.flags.writeable
-        # the factors' arrays stay as given
+            # so are the sector columns the product was built from
+            for cols in stored(tensor_module._sector_columns,
+                               tp.right_factor, "left", KIND_LEFT):
+                assert not cols.flags.writeable
+        # the factors' arrays stay as given, the basis unitary a canonical
+        # model keeps as its frame among them
         for factor in (x, y, z):
             assert factor.left_units.flags.writeable
             assert factor.right_units.flags.writeable
+            assert factor.canonical[1].flags.writeable
+            assert factor.frame.w is factor.canonical[1]
         xs, ys = dual_bimodule(x), dual_bimodule(y)
         assert dual_bimodule(x) is xs
         assert tensor_right(ys, xs) is tensor_right(ys, xs)

@@ -24,7 +24,7 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              tensor_right)
 from oracles import (bounded, conjugation_family, ext_family, gram,
                      induced_map, m_realization, multiplicity_traces, quotient,
-                     standard_images)
+                     sector_bases, standard_images)
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -657,7 +657,8 @@ def test_tensor_morphisms_rejects_maps_that_keep_the_sectors():
     for kind in KINDS:
         tp = tensor(kind, row, col)
         keep = [v @ v.conj().T + 2 * (np.eye(2) - v @ v.conj().T)
-                for v in (tp.members.c, tp.members.d)]
+                for v in (np.concatenate(sector_bases(row, "right", kind), axis=1),
+                          np.concatenate(sector_bases(col, "left", kind), axis=1))]
         for f, g, leg in ((keep[0], np.eye(2), "f is not right-B-linear"),
                           (np.eye(2), keep[1], "g is not left-B-linear")):
             with pytest.raises(WellDefinednessError):
@@ -789,11 +790,11 @@ def test_a_p_unit_that_is_no_projection_is_rejected():
 
 def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
     # selected from the frames of the canonical models, the factors or the
-    # original: no result or dual builds its stacks for a sector basis, and
-    # a suite on a canonical chain runs no Gram-Schmidt at all
+    # original: no result or dual builds its stacks for a sector basis's
+    # frame columns, and a suite on a canonical chain runs no Gram-Schmidt
     spec = generate(18, limits=Limits(min_mult=1))
     depth, built, calls = [0], [], []
-    bases, check, gram_schmidt = (tensor_module._sector_bases, Bimodule._checked,
+    bases, check, gram_schmidt = (tensor_module._sector_columns, Bimodule._checked,
                                   bimodule_module.range_basis)
 
     def counted_bases(*args):
@@ -811,7 +812,7 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
     def counted_range(proj):
         calls.append(proj)
         return gram_schmidt(proj)
-    monkeypatch.setattr(tensor_module, "_sector_bases", counted_bases)
+    monkeypatch.setattr(tensor_module, "_sector_columns", counted_bases)
     monkeypatch.setattr(Bimodule, "_checked", counted_check)
     monkeypatch.setattr(bimodule_module, "range_basis", counted_range)
     report = run_suite(spec)
