@@ -77,12 +77,12 @@ class Bimodule:
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, left_units: np.ndarray,
-                 right_units: np.ndarray, canonical: Optional[tuple] = None):
+                 right_units: np.ndarray):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
-        #: optional (multiplicity matrix, basis unitary) for canonical models
-        self.canonical = canonical
+        #: (multiplicity matrix, basis unitary) of a canonical model, else None
+        self.canonical = None
         #: the frame or a build of it; None finds it from the stacks
         self._frame = None
         self._build = None
@@ -465,8 +465,8 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
             raise ValueError("basis unitary has wrong shape")
         left_units = w @ left_units @ w.conj().T
         right_units = w @ right_units @ w.conj().T
-    x = Bimodule(a, b, left_units, right_units, canonical=(mult, w))
-    x._frame = Frame(w, *labels)
+    x = Bimodule(a, b, left_units, right_units)
+    x.canonical, x._frame = (mult, w), Frame(w, *labels)
     return x
 
 

@@ -8,9 +8,17 @@ The structural edges are unitaries, of norm 1, and enter as 1 without an
 SVD, so only the naturality squares' random endomorphisms f and g scale a
 tolerance.  Zero-dimensional inputs yield "degenerate-pass" results.
 
+An edge that whiskers a map by a factor it leaves unchanged, f (x) 1 or
+1 (x) g, passes None for that identity leg to
+:func:`bimodcat.tensor.tensor_morphisms`, which reads it off the members
+as an index mask.
+
 Every check accepts a ``mutation`` hook ``(role, rng, eps)`` that replaces
 the named structural edge e by R e for a random unitary R within eps of the
-identity — the sensitivity harness for the diagrams.
+identity — the sensitivity harness for the diagrams.  The twisted edge is
+the edge as drawn: where the role's map is whiskered, as a_WXY (x) 1 in
+the pentagon, the whiskered map is twisted, so no leg handed to
+``tensor_morphisms`` is twisted.
 
 Each check runs in a product store (see :mod:`bimodcat.store`): its own
 when called alone, the suite's inside :func:`run_suite`.  So a check
@@ -96,8 +104,8 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     t_xl_y = tensor(kind, tensor(kind, x, l2).result, y)
     t_x_ly = tensor(kind, x, tensor(kind, l2, y).result)
     a = _twist(associator(kind, x, l2, y), "assoc", mutation)
-    e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor(kind, x), np.eye(y.dim))
-    e_l = tensor_morphisms(t_x_ly, t_xy, np.eye(x.dim), left_unitor(kind, y))
+    e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor(kind, x), None)
+    e_l = tensor_morphisms(t_x_ly, t_xy, None, left_unitor(kind, y))
     e_r = _twist(e_r, "right-unit", mutation)
     e_l = _twist(e_l, "left-unit", mutation)
     defect = op_norm(e_l @ a - e_r)
@@ -114,13 +122,13 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     if 0 in dims:
         return _degenerate(name, base_tol, dims)
     wx, xy, yz = (tensor(kind, *p).result for p in ((w, x), (x, y), (y, z)))
-    a_wxy = _twist(associator(kind, w, x, y), "assoc", mutation)
     e1 = tensor_morphisms(tensor(kind, tensor(kind, wx, y).result, z),
                           tensor(kind, tensor(kind, w, xy).result, z),
-                          a_wxy, np.eye(z.dim), check=mutation is None)
+                          associator(kind, w, x, y), None)
+    e1 = _twist(e1, "assoc", mutation)
     e3 = tensor_morphisms(tensor(kind, w, tensor(kind, xy, z).result),
                           tensor(kind, w, tensor(kind, x, yz).result),
-                          np.eye(w.dim), associator(kind, x, y, z))
+                          None, associator(kind, x, y, z))
     long_path = e3 @ associator(kind, w, xy, z) @ e1
     short_path = associator(kind, w, x, yz) @ associator(kind, wx, y, z)
     defect = op_norm(long_path - short_path)
@@ -156,13 +164,13 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
         return _degenerate(name, base_tol, dims)
     xy_l, xy_r = tensor_left(x, y).result, tensor_right(x, y).result
     yz_l, yz_r = tensor_left(y, z).result, tensor_right(y, z).result
-    m_xy = _twist(m_iso(x, y), "m", mutation)
     a_l = _twist(associator(KIND_LEFT, x, y, z), "assoc", mutation)
-    e1 = tensor_morphisms(tensor_left(xy_l, z), tensor_left(xy_r, z), m_xy,
-                          np.eye(z.dim), check=mutation is None)
+    e1 = tensor_morphisms(tensor_left(xy_l, z), tensor_left(xy_r, z),
+                          m_iso(x, y), None)
+    e1 = _twist(e1, "m", mutation)
     path1 = associator(KIND_RIGHT, x, y, z) @ m_iso(xy_r, z) @ e1
     e2 = tensor_morphisms(tensor_left(x, yz_l), tensor_left(x, yz_r),
-                          np.eye(x.dim), m_iso(y, z))
+                          None, m_iso(y, z))
     path2 = m_iso(x, yz_r) @ e2 @ a_l
     defect = op_norm(path1 - path2)
     return _result(name, defect, _path_tol(base_tol), dims)
@@ -180,15 +188,13 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     xs, ys, zs = dual_bimodule(x), dual_bimodule(y), dual_bimodule(z)
     a_dual = _twist(associator(kind, zs, ys, xs), "assoc", mutation)
     c_xy, c_yz = conjugation(kind, x, y), conjugation(kind, y, z)
-    c_xy_mat = _twist(c_xy.matrix, "c", mutation)
     e_a = tensor_morphisms(tensor(kind, zs, tensor(kind, ys, xs).result),
-                           tensor(kind, zs, c_xy.target), np.eye(zs.dim),
-                           c_xy_mat, check=mutation is None)
+                           tensor(kind, zs, c_xy.target), None, c_xy.matrix)
+    e_a = _twist(e_a, "c", mutation)
     c2 = conjugation(kind, tensor(kind, x, y).result, z)
     lhs = c2.matrix @ e_a @ a_dual
     e_b = tensor_morphisms(tensor(kind, tensor(kind, zs, ys).result, xs),
-                           tensor(kind, c_yz.target, xs), c_yz.matrix,
-                           np.eye(xs.dim))
+                           tensor(kind, c_yz.target, xs), c_yz.matrix, None)
     c3 = conjugation(kind, x, tensor(kind, y, z).result)
     rhs = associator(kind, x, y, z).T @ c3.matrix @ e_b
     defect = op_norm(lhs - rhs)
@@ -247,8 +253,8 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     worst = 0.0
     for kind in (KIND_LEFT, KIND_RIGHT):
         for tp, unitor, f1, f2 in (
-                (tensor(kind, l2a, x), left_unitor, np.eye(l2a.dim), f),
-                (tensor(kind, x, l2b), right_unitor, f, np.eye(l2b.dim))):
+                (tensor(kind, l2a, x), left_unitor, None, f),
+                (tensor(kind, x, l2b), right_unitor, f, None)):
             u = unitor(kind, x)
             e = tensor_morphisms(tp, tp, f1, f2)
             worst = max(worst, op_norm(u @ e - f @ u))
@@ -264,8 +270,8 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         t_x_yz = tensor(kind, x, t_yz.result)
         a = associator(kind, x, y, z)
         fg[kind] = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
-        lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg[kind], np.eye(z.dim))
-        gz = tensor_morphisms(t_yz, t_yz, g, np.eye(z.dim))
+        lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg[kind], None)
+        gz = tensor_morphisms(t_yz, t_yz, g, None)
         rhs = tensor_morphisms(t_x_yz, t_x_yz, f, gz) @ a
         worst = max(worst, op_norm(lhs - rhs))
     out.append(_result("naturality-assoc", worst,

@@ -24,7 +24,7 @@ own builds each product once.
 
 from __future__ import annotations
 
-from .bimodule import Bimodule, Morphism, dual_bimodule, transpose
+from .bimodule import Bimodule, Morphism, dual_bimodule
 from .store import product_store
 from .tensor import (Members, TensorProduct, _member_map, _sector_swap, tensor,
                      tensor_left, tensor_right)
@@ -70,15 +70,3 @@ def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:
     mat = _member_map(_conjugated(tp_dual, tp), tp.members, None, None)
     return Morphism(tp_dual.result, dual_bimodule(tp.result), mat.astype(float))
 
-
-def transpose_on_product(f: Morphism, c_src: Morphism,
-                         c_tgt: Morphism) -> Morphism:
-    """Conjugate a morphism f : X kind Y -> X' kind Y' through the c maps.
-
-    Here c_src = c_{X,Y} and c_tgt = c_{X',Y'}.
-    Returns c_src^{-1} o (transpose f) o c_tgt : Y'* kind X'* -> Y* kind X*,
-    which equals (transpose of the second leg) kind (transpose of the first)
-    by naturality when f is an elementary tensor of morphisms.
-    """
-    mat = c_src.matrix.conj().T @ transpose(f).matrix @ c_tgt.matrix
-    return Morphism(c_tgt.source, c_src.source, mat)

@@ -93,14 +93,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_rank(m: np.ndarray, scale: float = 0.0) -> int:
-    """Numerical rank; ``scale`` sets an absolute eigenvalue floor."""
-    w, _ = psd_eig(m)
-    if w.size == 0 or w[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(w > RANK_EPS * max(w[0], scale)))
-
-
 def range_basis(proj: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the range of an orthogonal projection.
 

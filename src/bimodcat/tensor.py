@@ -207,29 +207,37 @@ def _leg(f, w, w2, i, i2) -> np.ndarray:
 
 
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
-                     f: np.ndarray, g: np.ndarray,
-                     check: bool = True) -> np.ndarray:
+                     f: Optional[np.ndarray], g: Optional[np.ndarray]) -> np.ndarray:
     """Matrix of f (x) g between tensor products of the same kind.
 
-    ``f`` : X -> X' and ``g`` : Y -> Y' are raw matrices.  For both kinds
-    f must be right-B-linear and g left-B-linear (any bimodule morphism
-    qualifies): then f (x) g respects xi b (x) eta = xi (x) b eta.  Unless
-    ``check`` is false, WellDefinednessError names a leg m for which
+    ``f`` : X -> X' and ``g`` : Y -> Y' are raw matrices, or None for the
+    identity of a factor that ``src`` and ``tgt`` share, read off the
+    members as an index mask: the whiskerings f (x) 1 and 1 (x) g.  A None
+    leg on factors that differ raises ValueError naming it.  For both
+    kinds f must be right-B-linear and g left-B-linear (any bimodule
+    morphism qualifies): then f (x) g respects xi b (x) eta = xi (x) b eta.
+    WellDefinednessError names a given leg m for which
     ||m U_w - U'_w m||_F, stacked over every matrix unit w of B, exceeds
     1e-6 max(1, ||m||_F); rounding leaves about machine epsilon ||m||.
     """
     if src.kind != tgt.kind:
         raise ValueError("source and target tensor kinds differ")
-    x, y, x2, y2 = src.left_factor, src.right_factor, tgt.left_factor, tgt.right_factor
-    legs = (("f", "right", f, x.right_units, x2.right_units),
-            ("g", "left", g, y.left_units, y2.left_units))
-    for name, side, m, units, target_units in legs if check else ():
-        defect = np.linalg.norm(m @ units - target_units @ m)
+    legs = (("f", "right", f, src.left_factor, tgt.left_factor),
+            ("g", "left", g, src.right_factor, tgt.right_factor))
+    for name, side, m, factor, factor2 in legs:
+        if m is None and factor is not factor2:
+            raise ValueError(f"{name} is None, but the two products do not "
+                             f"share that factor")
+        if m is None:
+            continue
+        units = f"{side}_units"
+        defect = np.linalg.norm(m @ getattr(factor, units) - getattr(factor2, units) @ m)
         if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
             raise WellDefinednessError(
                 f"{name} is not {side}-B-linear, so f (x) g does not descend "
                 f"to the tensor product (defect {defect:.3e})")
-    return _member_map(src.members, tgt.members, f, g)
+    # two None legs give the boolean mask of the identity
+    return _member_map(src.members, tgt.members, f, g).astype(complex, copy=False)
 
 
 # -- unit isomorphisms --------------------------------------------------------
@@ -262,12 +270,8 @@ def associator(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
     """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z), all four products of the kind.
 
     Every member of either side is a triple of frame columns of X, Y and Z:
-    (c_a (x) d_b) (x) z_c and c_a (x) (y_beta (x) z_c).  On both sides the
-    X column is labelled p on the right and the Z column q on the left, for
-    the kind's sector units p of B and q of C, and the Y column lies in
-    the corner of p and q.  So a sends (c_a (x) d_b) (x) z_c to
-    c_a (x) (d_b (x) z_c), and a[t, s] is zero unless the X and Z columns
-    of t and s agree; there it is <y_beta, d_b> = (W_Y^H W_Y)[beta, b].
+    (c_a (x) d_b) (x) z_c and c_a (x) (d_b (x) z_c).  a sends each triple
+    to itself, so it is a 0/1 permutation and reads no frame.
     """
     tp_xy, tp_yz = tensor(kind, x, y), tensor(kind, y, z)
     src = tensor(kind, tp_xy.result, z)
@@ -275,11 +279,8 @@ def associator(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
     # the X, Y and Z columns of each member
     xa, yb, zc = tp_xy.a[src.a], tp_xy.b[src.a], src.b
     xa2, yb2, zc2 = tgt.a, tp_yz.a[tgt.b], tp_yz.b[tgt.b]
-    t, s = np.nonzero((xa2[:, None] == xa) & (zc2[:, None] == zc))
-    w = y.frame.w
-    out = np.zeros((tgt.dim, src.dim), dtype=complex)
-    out[t, s] = (yb2[t] == yb[s]) if w is None else (w.conj().T @ w)[yb2[t], yb[s]]
-    return out
+    same = (xa2[:, None] == xa) & (yb2[:, None] == yb) & (zc2[:, None] == zc)
+    return same.astype(complex)
 
 
 # -- matrix-extension identification and the multiplicativity isomorphism ----

@@ -14,9 +14,10 @@ action stacks alone.
 import numpy as np
 
 from bimodcat.algebra import standard_form
-from bimodcat.bimodule import Morphism, dual_bimodule
+from bimodcat.bimodule import Morphism, dual_bimodule, transpose
 from bimodcat.bounded import left_bounded_space, right_bounded_space
-from bimodcat.linalg import RANK_EPS, fix_phases, hermitize, op_norm, unit_inner
+from bimodcat.linalg import (RANK_EPS, fix_phases, hermitize, op_norm, psd_eig,
+                             unit_inner)
 from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, _sector_columns,
                              tensor_left, tensor_right)
 
@@ -74,11 +75,11 @@ def quotient(tp):
     return (gram(tp) @ v).conj().T
 
 
-def induced_map(src, tgt, alg_map, check=True):
+def induced_map(src, tgt, alg_map):
     """Q_tgt A E_src for a map A of algebraic coordinates.
 
-    Unless ``check`` is false, it raises unless A maps the source's Gram
-    null space into the target's, so that A descends.  With K an
+    It raises unless A maps the source's Gram null space into the
+    target's, so that A descends.  With K an
     orthonormal basis of that null space, E Q = 1 - K K^H, so
     ||QA - (QA E) Q||_F is the Gram seminorm ||Q_tgt A K||_F of its image.
     ||Q|| = 1, so the defect scales with ||A|| alone; a true kernel vector
@@ -87,7 +88,7 @@ def induced_map(src, tgt, alg_map, check=True):
     q_src = quotient(src)
     qa = quotient(tgt) @ alg_map
     out = qa @ q_src.conj().T
-    if check and src.dim < src.alg_dim:
+    if src.dim < src.alg_dim:
         defect = np.linalg.norm(qa - out @ q_src)
         if defect > 1e-6 * max(1.0, op_norm(alg_map)):
             raise WellDefinednessError(
@@ -242,3 +243,23 @@ def multiplicity_traces(x):
                    for zk, nk in zip(z_left, x.left_algebra.blocks)])
     assert np.abs(mu - np.round(mu)).max(initial=0.0) <= 1e-6, mu
     return np.round(mu).astype(int).reshape(len(z_left), len(z_right))
+
+
+def psd_rank(m, scale=0.0):
+    """Numerical rank; ``scale`` sets an absolute eigenvalue floor."""
+    w, _ = psd_eig(m)
+    if w.size == 0 or w[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(w > RANK_EPS * max(w[0], scale)))
+
+
+def transpose_on_product(f, c_src, c_tgt):
+    """Conjugate a morphism f : X kind Y -> X' kind Y' through the c maps.
+
+    Here c_src = c_{X,Y} and c_tgt = c_{X',Y'}.
+    Returns c_src^{-1} o (transpose f) o c_tgt : Y'* kind X'* -> Y* kind X*,
+    which equals (transpose of the second leg) kind (transpose of the first)
+    by naturality when f is an elementary tensor of morphisms.
+    """
+    mat = c_src.matrix.conj().T @ transpose(f).matrix @ c_tgt.matrix
+    return Morphism(c_tgt.source, c_src.source, mat)

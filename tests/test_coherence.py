@@ -91,6 +91,21 @@ def test_mutation_breaks_checks():
     assert r.passed
 
 
+def test_a_twisted_whiskered_edge_fails_its_check():
+    # the pentagon's a_WXY (x) 1, m-assoc's m_XY (x) 1 and the hexagon's
+    # 1 (x) c_XY are twisted as drawn, after whiskering: no leg handed to
+    # tensor_morphisms is twisted, so none fails its B-linearity check
+    rng = np.random.default_rng(3)
+    x, y, z = _chain(rng)
+    for check, role in (
+            (lambda m: check_pentagon(KIND_LEFT, z, x, y, z, mutation=m), "assoc"),
+            (lambda m: check_m_assoc(x, y, z, mutation=m), "m"),
+            (lambda m: check_involution_hexagon(KIND_LEFT, x, y, z, mutation=m),
+             "c")):
+        r = check((role, np.random.default_rng(99), 1e-3))
+        assert not r.passed and r.defect > r.tol and not r.error
+
+
 def test_run_suite_report_structure_and_determinism():
     spec = generate(7, limits=Limits())
     rep1 = run_suite(spec)

@@ -8,13 +8,12 @@ from bimodcat.bimodule import (Bimodule, Morphism, _diag_unit_indices,
                                canonical_bimodule, dual_bimodule, dual_vector,
                                random_morphism_matrix, transpose)
 from bimodcat.instances import Limits, generate
-from bimodcat.involution import (conjugation, conjugation_mixed,
-                                 transpose_on_product)
+from bimodcat.involution import conjugation, conjugation_mixed
 from bimodcat.linalg import op_norm, random_unitary
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_iso, tensor,
                              tensor_left, tensor_morphisms, tensor_right)
-from oracles import bounded, quotient, sector_bases
+from oracles import bounded, quotient, sector_bases, transpose_on_product
 
 # the modules, not the functions the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")

@@ -262,6 +262,21 @@ def test_f_tensor_g_is_a_bimodule_morphism():
 ORACLE_SEEDS = range(6)
 
 
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_associator_is_a_permutation(seed):
+    # a sends each triple of frame columns to itself: 0/1 entries, one 1
+    # per row and per column
+    chain = generate(seed).bimodules
+    sizes = 0
+    for kind in KINDS:
+        for x, y, z in zip(chain, chain[1:], chain[2:]):
+            a = associator(kind, x, y, z)
+            assert np.isin(a, (0, 1)).all()
+            assert (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all()
+            sizes += a.size
+    assert sizes
+
+
 def _rel_err(got, want):
     assert got.shape == want.shape
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
@@ -584,13 +599,18 @@ def _unitor_oracle(kind, x, left):
             @ quotient(tp).conj().T)
 
 
-def _kron_oracle(src, tgt, f, g, check=True):
-    """f (x) g as the induced map of its Kronecker matrix, the bounded leg in coefficients."""
+def _kron_oracle(src, tgt, f, g):
+    """f (x) g as the induced map of its Kronecker matrix, the bounded leg in coefficients.
+
+    A leg that is None is the identity of the factor the two products share.
+    """
+    f = np.eye(src.left_factor.dim) if f is None else f
+    g = np.eye(src.right_factor.dim) if g is None else g
     if src.kind == KIND_LEFT:
         f = bounded(tgt).expand(f @ bounded(src).vectors)
     else:
         g = bounded(tgt).expand(g @ bounded(src).vectors)
-    return induced_map(src, tgt, np.kron(f, g), check)
+    return induced_map(src, tgt, np.kron(f, g))
 
 
 def _conjugation_oracle(kind, x, y):
@@ -645,6 +665,29 @@ def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
                         _kron_oracle(tp, tp, f, g)) <= 1e-12
         endomorphisms += 1
     assert endomorphisms
+
+
+def test_a_none_leg_is_the_identity_of_a_shared_factor():
+    # None reads the identity of a shared factor off the members; on two
+    # products that do not share the factor it is a ValueError naming the
+    # leg, not a failed B-linearity check
+    rng = np.random.default_rng(13)
+    x, x2 = _bim(rng, (2,), (2,), [[1]]), _bim(rng, (2,), (2,), [[1]])
+    y, y2 = _bim(rng, (2,), (1, 1), [[1, 1]]), _bim(rng, (2,), (1, 1), [[1, 1]])
+    f, g = random_morphism_matrix(x, x, rng), random_morphism_matrix(y, y, rng)
+    for kind in KINDS:
+        tp = tensor(kind, x, y)
+        assert _rel_err(tensor_morphisms(tp, tp, None, g),
+                        tensor_morphisms(tp, tp, np.eye(x.dim), g)) <= 1e-12
+        assert _rel_err(tensor_morphisms(tp, tp, f, None),
+                        tensor_morphisms(tp, tp, f, np.eye(y.dim))) <= 1e-12
+        ident = tensor_morphisms(tp, tp, None, None)
+        assert ident.dtype == complex and np.array_equal(ident, np.eye(tp.dim))
+        for tgt, legs, name in ((tensor(kind, x2, y), (None, g), "f"),
+                                (tensor(kind, x, y2), (f, None), "g")):
+            with pytest.raises(ValueError, match=f"^{name} is None") as err:
+                tensor_morphisms(tp, tgt, *legs)
+            assert err.type is ValueError
 
 
 def test_tensor_morphisms_rejects_maps_that_keep_the_sectors():
@@ -718,25 +761,25 @@ def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
 
 def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
     # a result's stacks are built when it is a factor or dualized, and most
-    # results are neither; each stack is a _member_map with an identity leg
-    products, stacks = [], []
-    build, member_map = tensor_module._tensor_product, tensor_module._member_map
+    # results are neither; a result builds them once, on the first read
+    products, builds = [], []
+    build = tensor_module._tensor_product
 
     def counted_product(*args):
-        products.append(build(*args))
-        return products[-1]
+        tp = build(*args)
+        stacks = tp.result._build
 
-    def counted_map(src, tgt, f, g):
-        if f is None or g is None:
-            stacks.append(src)
-        return member_map(src, tgt, f, g)
+        def counted_stacks():
+            builds.append(tp)
+            return stacks()
+        tp.result._build = counted_stacks
+        products.append(tp)
+        return tp
     monkeypatch.setattr(tensor_module, "_tensor_product", counted_product)
-    monkeypatch.setattr(tensor_module, "_member_map", counted_map)
     report = run_suite(generate(18, limits=Limits(min_mult=1)))
     assert report["summary"]["passed"] == report["summary"]["total"]
-    built = {id(members) for members in stacks}
-    assert len(stacks) == 2 * len(built)
-    assert 0 < len(built) < len(products)
+    assert len({id(tp) for tp in builds}) == len(builds)
+    assert 0 < len(builds) < len(products)
 
 
 def test_a_p_unit_that_is_no_projection_is_rejected():
