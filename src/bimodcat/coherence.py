@@ -1,12 +1,12 @@
 """Executable coherence diagrams: defect norms for every structural identity.
 
 Each check builds the two composite paths around a diagram as explicit
-matrices and reports the operator norm of their difference, together with a
-scale-aware tolerance: the base times the product of max(1, ||e||) over the
-edges e of the longer path (:func:`bimodcat.linalg.scale_tol`).
-The structural edges are unitaries, of norm 1, and enter as 1 without an
-SVD, so only the naturality squares' random endomorphisms f and g scale a
-tolerance.  Zero-dimensional inputs yield "degenerate-pass" results.
+matrices and reports the operator norm of their difference against one
+tolerance rule: the base times max(1, ||e||) for each edge e that is not a
+unitary (:func:`bimodcat.linalg.scale_tol`).  Every structural edge is a
+unitary, so a structural check's tolerance is the base itself; only the
+naturality squares scale theirs, by their random endomorphisms f and g.
+Zero-dimensional inputs yield "degenerate-pass" results.
 
 An edge that whiskers a map by a factor it leaves unchanged, f (x) 1 or
 1 (x) g, passes None for that identity leg to
@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import standard_form
-from .bimodule import Bimodule, double_dual_iso, dual_bimodule, transpose
+from .bimodule import Bimodule, double_dual_iso, dual_bimodule
 from .instances import InstanceSpec, random_morphism
 from .involution import conjugation
 from .linalg import DEFAULT_TOL, op_norm, scale_tol, small_rotation
@@ -76,18 +76,10 @@ def _twist(mat: np.ndarray, role: str, mutation: Optional[Mutation]) -> np.ndarr
 
 def _result(name: str, defect: float, tol: float,
             dims: Sequence[int]) -> CheckResult:
+    """The outcome on inputs of dimensions ``dims``; degenerate if one is 0."""
     return CheckResult(name=name, defect=float(defect), tol=float(tol),
-                       passed=bool(defect <= tol), dims=tuple(int(d) for d in dims))
-
-
-def _degenerate(name: str, tol: float, dims: Sequence[int]) -> CheckResult:
-    return CheckResult(name=name, defect=0.0, tol=float(tol), passed=True,
-                       dims=tuple(int(d) for d in dims), degenerate=True)
-
-
-def _path_tol(base: float, *random_edges: np.ndarray) -> float:
-    """The tolerance of a path whose edges not given are unitaries."""
-    return scale_tol(*[op_norm(e) for e in random_edges], base=base)
+                       passed=bool(defect <= tol), degenerate=0 in dims,
+                       dims=tuple(int(d) for d in dims))
 
 
 @product_store()
@@ -98,7 +90,7 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     name = f"triangle-{kind}"
     dims = (x.dim, y.dim)
     if x.dim == 0 or y.dim == 0:
-        return _degenerate(name, base_tol, dims)
+        return _result(name, 0.0, base_tol, dims)
     l2 = standard_form(x.right_algebra).bimodule
     t_xy = tensor(kind, x, y)
     t_xl_y = tensor(kind, tensor(kind, x, l2).result, y)
@@ -109,7 +101,7 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     e_r = _twist(e_r, "right-unit", mutation)
     e_l = _twist(e_l, "left-unit", mutation)
     defect = op_norm(e_l @ a - e_r)
-    return _result(name, defect, _path_tol(base_tol), dims)
+    return _result(name, defect, base_tol, dims)
 
 
 @product_store()
@@ -120,7 +112,7 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     name = f"pentagon-{kind}"
     dims = (w.dim, x.dim, y.dim, z.dim)
     if 0 in dims:
-        return _degenerate(name, base_tol, dims)
+        return _result(name, 0.0, base_tol, dims)
     wx, xy, yz = (tensor(kind, *p).result for p in ((w, x), (x, y), (y, z)))
     e1 = tensor_morphisms(tensor(kind, tensor(kind, wx, y).result, z),
                           tensor(kind, tensor(kind, w, xy).result, z),
@@ -132,7 +124,7 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     long_path = e3 @ associator(kind, w, xy, z) @ e1
     short_path = associator(kind, w, x, yz) @ associator(kind, wx, y, z)
     defect = op_norm(long_path - short_path)
-    return _result(name, defect, _path_tol(base_tol), dims)
+    return _result(name, defect, base_tol, dims)
 
 
 @product_store()
@@ -141,7 +133,7 @@ def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
     """Both unit triangles for m: l o m = l and r o m = r across the kinds."""
     name = "m-unit"
     if x.dim == 0:
-        return _degenerate(name, base_tol, (x.dim,))
+        return _result(name, 0.0, base_tol, (x.dim,))
     l2a = standard_form(x.left_algebra).bimodule
     l2b = standard_form(x.right_algebra).bimodule
     defects = []
@@ -150,7 +142,7 @@ def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
         m = _twist(m_iso(*pair), "m", mutation)
         unit = _twist(unitor(KIND_RIGHT, x), role, mutation)
         defects.append(op_norm(unit @ m - unitor(KIND_LEFT, x)))
-    return _result(name, max(defects), _path_tol(base_tol), (x.dim,))
+    return _result(name, max(defects), base_tol, (x.dim,))
 
 
 @product_store()
@@ -161,7 +153,7 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
     name = "m-assoc"
     dims = (x.dim, y.dim, z.dim)
     if 0 in dims:
-        return _degenerate(name, base_tol, dims)
+        return _result(name, 0.0, base_tol, dims)
     xy_l, xy_r = tensor_left(x, y).result, tensor_right(x, y).result
     yz_l, yz_r = tensor_left(y, z).result, tensor_right(y, z).result
     a_l = _twist(associator(KIND_LEFT, x, y, z), "assoc", mutation)
@@ -173,7 +165,7 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
                           None, m_iso(y, z))
     path2 = m_iso(x, yz_r) @ e2 @ a_l
     defect = op_norm(path1 - path2)
-    return _result(name, defect, _path_tol(base_tol), dims)
+    return _result(name, defect, base_tol, dims)
 
 
 @product_store()
@@ -184,7 +176,7 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     name = f"hexagon-{kind}"
     dims = (x.dim, y.dim, z.dim)
     if 0 in dims:
-        return _degenerate(name, base_tol, dims)
+        return _result(name, 0.0, base_tol, dims)
     xs, ys, zs = dual_bimodule(x), dual_bimodule(y), dual_bimodule(z)
     a_dual = _twist(associator(kind, zs, ys, xs), "assoc", mutation)
     c_xy, c_yz = conjugation(kind, x, y), conjugation(kind, y, z)
@@ -198,40 +190,30 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     c3 = conjugation(kind, x, tensor(kind, y, z).result)
     rhs = associator(kind, x, y, z).T @ c3.matrix @ e_b
     defect = op_norm(lhs - rhs)
-    return _result(name, defect, _path_tol(base_tol), dims)
+    return _result(name, defect, base_tol, dims)
 
 
 @product_store()
 def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
                          base_tol: float = DEFAULT_TOL,
                          mutation: Optional[Mutation] = None) -> CheckResult:
-    """c_{Y*,X*} o (d_X (x) d_Y) = (transpose c_{X,Y}) o d_{X(x)Y}.
+    """c_{Y*,X*} o (d_X (x) d_Y) = transpose c_{X,Y} on X (x) Y.
 
-    The double-dual identifications d are the canonical ones fixed by the
-    conjugate-coordinate model (identity matrices); the companion identity
-    transpose(d_X) = d_{X*}^{-1} is folded into the same defect.
+    The right-hand path's edge d_{X(x)Y} is the canonical double-dual
+    identification of the conjugate-coordinate model, an identity matrix,
+    so the right path is the transpose of c_{X,Y} itself.
     """
     name = f"duality-{kind}"
     dims = (x.dim, y.dim)
     if 0 in dims:
-        return _degenerate(name, base_tol, dims)
+        return _result(name, 0.0, base_tol, dims)
     xs, ys = dual_bimodule(x), dual_bimodule(y)
-    t_xy = tensor(kind, x, y)
-    c_xy = conjugation(kind, x, y)
-    c_xy_mat = _twist(c_xy.matrix, "c", mutation)
-    xss, yss = dual_bimodule(xs), dual_bimodule(ys)
-    t_dd = tensor(kind, xss, yss)
-    d_x, d_y = double_dual_iso(x), double_dual_iso(y)
-    dd_edge = tensor_morphisms(t_xy, t_dd, d_x.matrix, d_y.matrix)
-    c_dd = conjugation(kind, ys, xs)
-    d_xy = double_dual_iso(t_xy.result)
-    lhs = c_dd.matrix @ dd_edge
-    rhs = c_xy_mat.T @ d_xy.matrix
-    d1 = op_norm(lhs - rhs)
-    d2 = op_norm(transpose(d_x).matrix -
-                 np.linalg.inv(double_dual_iso(xs).matrix))
-    defect = max(d1, d2)
-    return _result(name, defect, _path_tol(base_tol), dims)
+    c_xy = _twist(conjugation(kind, x, y).matrix, "c", mutation)
+    dd_edge = tensor_morphisms(
+        tensor(kind, x, y), tensor(kind, dual_bimodule(xs), dual_bimodule(ys)),
+        double_dual_iso(x).matrix, double_dual_iso(y).matrix)
+    lhs = conjugation(kind, ys, xs).matrix @ dd_edge
+    return _result(name, op_norm(lhs - c_xy.T), base_tol, dims)
 
 
 @product_store()
@@ -244,9 +226,11 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     out: List[CheckResult] = []
     dims = (x.dim, y.dim, z.dim)
     if 0 in dims:
-        return [_degenerate(n, base_tol, dims) for n in NATURALITY_FAMILIES]
+        return [_result(n, 0.0, base_tol, dims) for n in NATURALITY_FAMILIES]
     f = random_morphism(x, x, rng).matrix
     g = random_morphism(y, y, rng).matrix
+    tol_f = scale_tol(op_norm(f), base=base_tol)    # the unitor squares draw f
+    tol_fg = scale_tol(op_norm(g), base=tol_f)      # the others f and g
     l2a = standard_form(x.left_algebra).bimodule
     l2b = standard_form(x.right_algebra).bimodule
 
@@ -258,8 +242,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
             u = unitor(kind, x)
             e = tensor_morphisms(tp, tp, f1, f2)
             worst = max(worst, op_norm(u @ e - f @ u))
-    out.append(_result("naturality-unitors", worst,
-                       _path_tol(base_tol, f), dims))
+    out.append(_result("naturality-unitors", worst, tol_f, dims))
 
     t_xy = {kind: tensor(kind, x, y) for kind in (KIND_LEFT, KIND_RIGHT)}
     fg = {}     # f (x) g on X (x) Y, per kind: shared by the next three squares
@@ -274,14 +257,12 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         gz = tensor_morphisms(t_yz, t_yz, g, None)
         rhs = tensor_morphisms(t_x_yz, t_x_yz, f, gz) @ a
         worst = max(worst, op_norm(lhs - rhs))
-    out.append(_result("naturality-assoc", worst,
-                       _path_tol(base_tol, f, g), dims))
+    out.append(_result("naturality-assoc", worst, tol_fg, dims))
 
     m = _twist(m_iso(x, y), "m", mutation)
     lhs = m @ fg[KIND_LEFT]
     rhs = fg[KIND_RIGHT] @ m
-    out.append(_result("naturality-m", op_norm(lhs - rhs),
-                       _path_tol(base_tol, f, g), dims))
+    out.append(_result("naturality-m", op_norm(lhs - rhs), tol_fg, dims))
 
     worst = 0.0
     xs, ys = dual_bimodule(x), dual_bimodule(y)
@@ -290,8 +271,7 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         c = conjugation(kind, x, y)
         tgf = tensor_morphisms(t_yx, t_yx, g.T, f.T)
         worst = max(worst, op_norm(c.matrix @ tgf - fg[kind].T @ c.matrix))
-    out.append(_result("naturality-c", worst,
-                       _path_tol(base_tol, f, g), dims))
+    out.append(_result("naturality-c", worst, tol_fg, dims))
     return out
 
 
@@ -314,6 +294,9 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
               mutation: Optional[Mutation] = None) -> dict:
     """Run the applicable checks on an instance and assemble a report.
 
+    ``suite`` names the families to report, all when None; a check runs
+    only if it reports one of them and the chain is long enough for it.
+
     Construction failures are captured per-check (the suite continues);
     the report is deterministic for a fixed instance: checks are sorted by
     name and all values derive from seeded draws.
@@ -326,44 +309,39 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     and builds 50, and builds no bounded space.
     """
     bs = instance.bimodules
+    wanted = set(CHECK_FAMILIES if suite is None else suite)
     results: List[CheckResult] = []
 
-    def want(name: str) -> bool:
-        return suite is None or name in suite
-
     def run(name: str, arity: int, check: Callable[..., object], *lead):
-        """Append check(*lead, *bs[:arity]), or an error result if it raises."""
-        if len(bs) < arity:
+        """Append check(*lead, *bs[:arity])'s wanted results, or an error
+        result under ``name`` if it raises."""
+        families = NATURALITY_FAMILIES if name == "naturality" else (name,)
+        if len(bs) < arity or wanted.isdisjoint(families):
             return
         try:
             out = check(*lead, *bs[:arity], base_tol=tol, mutation=mutation)
         except Exception as exc:  # noqa: BLE001 — suite must keep going
-            out = CheckResult(name=name, defect=float("inf"), tol=0.0,
-                              passed=False, error=f"{type(exc).__name__}: {exc}")
-        results.extend(out if isinstance(out, list) else [out])
+            results.append(CheckResult(
+                name=name, defect=float("inf"), tol=0.0, passed=False,
+                error=f"{type(exc).__name__}: {exc}"))
+            return
+        results.extend(r for r in (out if isinstance(out, list) else [out])
+                       if r.name in wanted)
 
     def naturality(x, y, z, **kw) -> List[CheckResult]:
         rng = np.random.default_rng(instance.seed + 1)
-        return [r for r in check_naturality_suite(x, y, z, rng, **kw)
-                if want(r.name)]
+        return check_naturality_suite(x, y, z, rng, **kw)
 
     with product_store():
         for kind in (KIND_LEFT, KIND_RIGHT):
-            if want(f"triangle-{kind}"):
-                run(f"triangle-{kind}", 2, check_triangle, kind)
-            if want(f"pentagon-{kind}"):
-                run(f"pentagon-{kind}", 4, check_pentagon, kind)
-        if want("m-unit"):
-            run("m-unit", 1, check_m_unit)
-        if want("m-assoc"):
-            run("m-assoc", 3, check_m_assoc)
+            run(f"triangle-{kind}", 2, check_triangle, kind)
+            run(f"pentagon-{kind}", 4, check_pentagon, kind)
+        run("m-unit", 1, check_m_unit)
+        run("m-assoc", 3, check_m_assoc)
         for kind in (KIND_LEFT, KIND_RIGHT):
-            if want(f"hexagon-{kind}"):
-                run(f"hexagon-{kind}", 3, check_involution_hexagon, kind)
-            if want(f"duality-{kind}"):
-                run(f"duality-{kind}", 2, check_duality_square, kind)
-        if any(want(n) for n in NATURALITY_FAMILIES):
-            run("naturality", 3, naturality)
+            run(f"hexagon-{kind}", 3, check_involution_hexagon, kind)
+            run(f"duality-{kind}", 2, check_duality_square, kind)
+        run("naturality", 3, naturality)
     results.sort(key=lambda r: r.name)
     defects = [r.defect for r in results]
     errors = sum(1 for r in results if r.error)

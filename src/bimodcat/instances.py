@@ -241,7 +241,9 @@ def _multiplicities(value, a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     """A matrix of nonnegative integers, as nested lists, within ``limits``.
 
     The largest entry and the dimension sum_kl n_k mu_kl m_l are checked on
-    Python ints, before numpy's int64 could overflow.
+    Python ints, before numpy's int64 could overflow: against the limits,
+    and the dimension, which bounds every entry, against the largest
+    array size.
     """
     rows, cols = len(a.blocks), len(b.blocks)
     if not (isinstance(value, list) and len(value) == rows and all(
@@ -249,10 +251,13 @@ def _multiplicities(value, a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
             and all(_is_int(m) and m >= 0 for m in row) for row in value)):
         raise InstanceFormatError(
             f"{path}: expected a {rows}x{cols} matrix of nonnegative integers")
+    dim = sum(n * mu * m for n, row in zip(a.blocks, value)
+              for mu, m in zip(row, b.blocks))
     _within(max(map(max, value)), limits, "max_mult", "multiplicity", path)
-    _within(sum(n * mu * m for n, row in zip(a.blocks, value)
-                for mu, m in zip(row, b.blocks)),
-            limits, "max_dim", "dimension", path)
+    _within(dim, limits, "max_dim", "dimension", path)
+    if dim > np.iinfo(np.intp).max:
+        raise InstanceFormatError(
+            f"{path}: dimension {dim} is over the largest array size")
     return np.array(value, dtype=int)
 
 

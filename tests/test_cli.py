@@ -12,6 +12,7 @@ from bimodcat.cli import main
 from bimodcat.instances import _encode, generate, save, to_document
 from bimodcat.tensor import tensor_left, tensor_right
 from oracles import gram, psd_rank
+from stacks import given_by_stacks
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -402,6 +403,14 @@ def test_malformed_instance_fields_exit_2(capsys, tmp_path):
     err = verify(lambda d: (d.clear(), d.update(huge)))
     assert err.startswith("bimodcat: $.bimodules[0].multiplicities:"), err
     assert "limits.max_dim" in err, err
+    # within limits of 2**64 and 2**70, a multiplicity past int64, and one
+    # whose dimension 2**64 would wrap to 0 in int64
+    huge["limits"].update(max_mult=2 ** 64, max_dim=2 ** 70)
+    for mult in ([[2 ** 64], [0]], [[2 ** 62], [2 ** 62]]):
+        huge["bimodules"][0]["multiplicities"] = mult
+        err = verify(lambda d: (d.clear(), d.update(huge)))
+        assert err.startswith("bimodcat: $.bimodules[0].multiplicities:"), err
+        assert "largest array size" in err, err
     # a document nested too deeply for the JSON parser is no valid JSON
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
@@ -461,14 +470,8 @@ def test_junk_in_any_field_exits_with_a_code(capsys, tmp_path):
     # each field of a seeded document replaced in turn by each junk value,
     # in its canonical form and with every bimodule given by its stacks
     spec = generate(5, length=2)
-    doc = to_document(spec)
-    stacks = copy.deepcopy(doc)
-    for entry, x in zip(stacks["bimodules"], spec.bimodules):
-        del entry["multiplicities"], entry["basis_unitary"]
-        entry["left_action"] = _encode(x.left_units)
-        entry["right_action"] = _encode(x.right_units)
     path = tmp_path / "junk.json"
-    for form in (doc, stacks):
+    for form in (to_document(spec), given_by_stacks(spec)):
         fields = list(_fields(form))
         assert len(fields) > 30
         for field in fields:

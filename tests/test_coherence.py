@@ -22,6 +22,7 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor,
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
 bounded_module = importlib.import_module("bimodcat.bounded")
+bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -106,6 +107,21 @@ def test_a_twisted_whiskered_edge_fails_its_check():
         assert not r.passed and r.defect > r.tol and not r.error
 
 
+def test_duality_square_builds_only_the_duals_it_draws(monkeypatch):
+    # X*, Y*, X**, Y**, (X (x) Y)* and (Y* (x) X*)*: the square's right
+    # edge d_{X (x) Y} is an identity, so neither (X (x) Y)** nor X*** is built
+    builds = []
+    build = bimodule_module._dual_bimodule
+
+    def counted(x):
+        builds.append(x)
+        return build(x)
+    monkeypatch.setattr(bimodule_module, "_dual_bimodule", counted)
+    x, y = generate(0).bimodules[:2]
+    assert check_duality_square(KIND_LEFT, x, y).passed
+    assert len(builds) == 6
+
+
 def test_run_suite_report_structure_and_determinism():
     spec = generate(7, limits=Limits())
     rep1 = run_suite(spec)
@@ -140,9 +156,10 @@ def test_structural_checks_take_the_base_tolerance(seed, limits):
 
 def test_run_suite_subset():
     spec = generate(8, limits=Limits())
-    rep = run_suite(spec, suite=["m-unit", "triangle-left"])
-    names = {c["name"] for c in rep["checks"]}
-    assert names == {"m-unit", "triangle-left"}
+    for suite in (["m-unit", "triangle-left"],
+                  ["naturality-c", "hexagon-right", "m-assoc"]):
+        rep = run_suite(spec, suite=suite)
+        assert [c["name"] for c in rep["checks"]] == sorted(suite)
 
 
 def test_run_suite_mutation_failures_and_exit_codes():

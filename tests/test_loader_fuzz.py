@@ -14,23 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bimodcat.cli import main
-from bimodcat.instances import _encode, generate, to_document
-
-
-def _given_by_stacks(spec):
-    """``spec``'s document with every bimodule given by its action stacks."""
-    doc = to_document(spec)
-    for entry, x in zip(doc["bimodules"], spec.bimodules):
-        del entry["multiplicities"], entry["basis_unitary"]
-        entry["left_action"] = _encode(x.left_units)
-        entry["right_action"] = _encode(x.right_units)
-    return doc
+from bimodcat.instances import generate, to_document
+from stacks import given_by_stacks
 
 
 #: canonical documents of three chain lengths, and one given by its stacks
 DOCUMENTS = [*(to_document(generate(seed, length=length))
                for seed, length in ((0, 2), (3, 3), (5, 4))),
-             _given_by_stacks(generate(5, length=2))]
+             given_by_stacks(generate(5, length=2))]
 
 #: wrong types, NaN and infinities, nesting, and negative or small integers
 JUNK = st.recursive(
