@@ -2,15 +2,17 @@
 
 An algebra is a direct sum of full complex matrix blocks.  Its regular
 (standard) representation lives on the algebra itself with the trace inner
-product; elements are vectorized block-by-block in row-major order, and that
-flattening convention is shared by every module in the package.
+product; elements are vectorized block-by-block in row-major order.
+:class:`MultiMatrixAlgebra` owns that numbering of the matrix units and the
+labels 0, 1, ... of the diagonal units (:meth:`MultiMatrixAlgebra.unit`,
+:attr:`MultiMatrixAlgebra.diagonal`); no other module does the arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +21,18 @@ from .linalg import RANK_EPS, crandn, hermitize, psd_eig, psd_sqrt
 
 class NotPositiveError(ValueError):
     """Raised when a density matrix fails positivity."""
+
+
+class DiagonalUnits(NamedTuple):
+    """An algebra's diagonal units e_pp by label: block, p and unit index.
+
+    Block k's labels run from ``first[k]`` to ``first[k + 1] - 1``.
+    """
+
+    block: np.ndarray
+    pos: np.ndarray
+    unit: np.ndarray
+    first: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,29 +57,38 @@ class MultiMatrixAlgebra:
         return sum(n * n for n in self.blocks)
 
     @property
+    @functools.cache
     def offsets(self) -> Tuple[int, ...]:
-        off, s = [], 0
-        for n in self.blocks:
-            off.append(s)
-            s += n * n
-        return tuple(off)
+        """The unit index of each block's e_00."""
+        return tuple(np.cumsum([0] + [n * n for n in self.blocks[:-1]]).tolist())
+
+    def unit(self, k, p, q) -> np.ndarray:
+        """Index of the matrix unit e_pq of block k; broadcasts over arrays."""
+        return np.asarray(self.offsets)[k] + p * np.asarray(self.blocks)[k] + q
+
+    @property
+    @functools.cache
+    def diagonal(self) -> DiagonalUnits:
+        """The table of the diagonal units, built once per block tuple; read-only."""
+        first = np.cumsum((0,) + self.blocks)
+        block = np.repeat(np.arange(len(self.blocks)), self.blocks)
+        pos = np.arange(first[-1]) - first[block]
+        table = DiagonalUnits(block, pos, self.unit(block, pos, pos), first)
+        for column in table:
+            column.setflags(write=False)
+        return table
 
     def unit_positions(self) -> List[Tuple[int, int, int]]:
         """(block, row, col) for each matrix unit, in vectorization order."""
-        out = []
-        for k, n in enumerate(self.blocks):
-            for p in range(n):
-                for q in range(n):
-                    out.append((k, p, q))
-        return out
+        return [(k, p, q) for k, n in enumerate(self.blocks)
+                for p, q in np.ndindex(n, n)]
 
+    @functools.cache
     def adjoint_perm(self) -> np.ndarray:
-        """Index permutation sending each matrix unit to its adjoint."""
-        perm = np.empty(self.dim, dtype=np.intp)
-        for k, off, n in zip(range(len(self.blocks)), self.offsets, self.blocks):
-            for p in range(n):
-                for q in range(n):
-                    perm[off + p * n + q] = off + q * n + p
+        """Index permutation sending each matrix unit to its adjoint; read-only."""
+        k, p, q = np.array(self.unit_positions(), dtype=np.intp).T
+        perm = self.unit(k, q, p)
+        perm.setflags(write=False)
         return perm
 
     # -- element constructors -------------------------------------------------
@@ -86,11 +109,8 @@ class MultiMatrixAlgebra:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got {v.shape}")
-        out, pos = [], 0
-        for n in self.blocks:
-            out.append(v[pos:pos + n * n].reshape(n, n))
-            pos += n * n
-        return self.element(out)
+        return self.element([b.reshape(n, n) for b, n in
+                             zip(np.split(v, self.offsets[1:]), self.blocks)])
 
     def random_element(self, rng: np.random.Generator) -> "AlgebraElement":
         return self.element([crandn(rng, n, n) for n in self.blocks])
@@ -249,12 +269,6 @@ def amplify_algebra(algebra: MultiMatrixAlgebra, n: int) -> MultiMatrixAlgebra:
 def amplified_element(algebra: MultiMatrixAlgebra, n: int,
                       entries: Sequence[Sequence[AlgebraElement]]) -> AlgebraElement:
     """Assemble an n x n matrix over A into the flattened M_n(A) element."""
-    big = amplify_algebra(algebra, n)
-    blocks = []
-    for k, nk in enumerate(algebra.blocks):
-        m = np.zeros((n * nk, n * nk), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                m[i * nk:(i + 1) * nk, j * nk:(j + 1) * nk] = entries[i][j].data[k]
-        blocks.append(m)
-    return big.element(blocks)
+    return amplify_algebra(algebra, n).element(
+        [np.block([[entries[i][j].data[k] for j in range(n)] for i in range(n)])
+         for k in range(len(algebra.blocks))])

@@ -25,7 +25,6 @@ otherwise; most results never are.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
@@ -44,15 +43,16 @@ class NotABimoduleError(ValueError):
 class Frame(NamedTuple):
     """An orthonormal basis of X, column t in the corner L(e_pp) R(e_qq) X.
 
-    p = ``left[t]`` and q = ``right[t]`` index the diagonal matrix units in
-    :func:`_diag_unit_indices` order; ``w`` None is the identity.  A
-    canonical model's is its basis unitary; a product's result's is the
-    identity on its members, pairs of its factors' frame columns; a dual's
-    is its original's, conjugated, with the labels swapped.  Every
-    frame is adapted to the matrix units: with p0 and q0 the first
-    diagonal units of blocks k and l, the s-th column of the corner
-    (p0 + i, q0 + j) is L(e_i0) R(e_0j) applied to the s-th of the corner
-    (p0, q0) (:func:`_corner_columns`).
+    p = ``left[t]`` and q = ``right[t]`` label diagonal matrix units: they
+    index the rows of the acting algebras' tables
+    (:attr:`bimodcat.algebra.MultiMatrixAlgebra.diagonal`).  ``w`` None is
+    the identity.  A canonical model's is its basis unitary; a product's
+    result's is the identity on its members, pairs of its factors' frame
+    columns; a dual's is its original's, conjugated, with the labels
+    swapped.  Every frame is adapted to the matrix units: with p0 and q0
+    the first diagonal units of blocks k and l, the s-th column of the
+    corner (p0 + i, q0 + j) is L(e_i0) R(e_0j) applied to the s-th of the
+    corner (p0, q0) (:func:`_corner_columns`).
     """
 
     w: Optional[np.ndarray]
@@ -139,7 +139,7 @@ class Bimodule:
         # Frobenius norm bounds the operator norm from above, without an
         # SVD.  The bound is 1e-8 times the largest entry, floored at 1, so
         # the stacks are scanned for that entry only past 1e-8
-        defects = [np.linalg.norm(units[_diag_unit_indices(alg)].sum(axis=0)
+        defects = [np.linalg.norm(units[alg.diagonal.unit].sum(axis=0)
                                   - np.eye(d)) for units, alg, _ in sides]
         if max(defects) > 1e-8:
             scale = max(1.0, float(np.abs(left_units).max(initial=0.0)),
@@ -166,12 +166,9 @@ class Bimodule:
                 # adjoint compatibility: action(x*) = action(x)^H
                 worst = max(worst, op_norm(units[perm[u]] - units[u].conj().T))
                 for v, (k2, r, s) in enumerate(pos):
-                    if k != k2:
-                        prod = np.zeros_like(units[0])
-                    else:
-                        # e_pq e_rs = delta_qr e_ps
-                        idx = alg.offsets[k] + p * alg.blocks[k] + s
-                        prod = units[idx] if q == r else np.zeros_like(units[0])
+                    # e_pq e_rs = delta_qr e_ps within a block, else 0
+                    prod = (units[alg.unit(k, p, s)] if (k, q) == (k2, r)
+                            else np.zeros_like(units[0]))
                     lhs = units[v] @ units[u] if anti else units[u] @ units[v]
                     worst = max(worst, op_norm(lhs - prod))
         for lu in self.left_units:
@@ -184,21 +181,6 @@ class Bimodule:
 
 #: the two action stacks of a bimodule, in the order every two-sided loop takes
 _SIDES = ("left_units", "right_units")
-
-
-@functools.cache
-def _diag_unit_indices(alg: MultiMatrixAlgebra) -> np.ndarray:
-    """Indices of the diagonal matrix units e_pp, block by block; read-only."""
-    idx = np.array([off + p * n + p for off, n in zip(alg.offsets, alg.blocks)
-                    for p in range(n)], dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
-
-
-def _diag_positions(alg: MultiMatrixAlgebra) -> Tuple[np.ndarray, np.ndarray]:
-    """Per diagonal unit e_pp, in :func:`_diag_unit_indices` order, its block and p."""
-    blocks = np.repeat(np.arange(len(alg.blocks)), alg.blocks)
-    return blocks, np.arange(len(blocks)) - np.cumsum((0,) + alg.blocks)[blocks]
 
 
 def _stack_frame(x: Bimodule) -> Frame:
@@ -215,19 +197,19 @@ def _stack_frame(x: Bimodule) -> Frame:
     """
     a, b = x.left_algebra, x.right_algebra
     left, right = x.left_units, x.right_units
-    diag_l, diag_r = _diag_unit_indices(a), _diag_unit_indices(b)
+    da, db = a.diagonal, b.diagonal
     first = {}      # (k, l) -> the range basis of the pair's first corner
     bases, corners = [], []
-    for p, (k, i) in enumerate(zip(*_diag_positions(a))):
-        for q, (l, j) in enumerate(zip(*_diag_positions(b))):
-            proj = left[diag_l[p]] @ right[diag_r[q]]
+    for p, (k, i) in enumerate(zip(da.block, da.pos)):
+        for q, (l, j) in enumerate(zip(db.block, db.pos)):
+            proj = left[da.unit[p]] @ right[db.unit[q]]
             if i == j == 0:
                 first[k, l] = range_basis(proj)
                 bases.append(first[k, l])
             else:
                 # e_i0 of block k and e_0j of block l
-                bases.append(left[a.offsets[k] + i * a.blocks[k]]
-                             @ (right[b.offsets[l] + j] @ first[k, l]))
+                bases.append(left[a.unit(k, i, 0)]
+                             @ (right[b.unit(l, 0, j)] @ first[k, l]))
             defect = np.linalg.norm(proj - bases[-1] @ bases[-1].conj().T)
             if defect > 1e-8:
                 raise NotABimoduleError(
@@ -394,16 +376,15 @@ def matrix_extension(x: Bimodule, ni: int, nj: int) -> Bimodule:
         raise ValueError("extension orders must be >= 1")
     # the outer unit e_ij acts on the slots of its own side: on the left it
     # sends row j to row i, on the right slot i feeds slot j
-    dext = ni * nj * x.dim
-    big_l, left_units = _extended_units(x.left_algebra, x.left_units, ni, dext,
+    big_l, left_units = _extended_units(x.left_algebra, x.left_units, ni,
                                         lambda e: np.kron(e, np.eye(nj)))
     big_r, right_units = _extended_units(x.right_algebra, x.right_units, nj,
-                                         dext, lambda e: np.kron(np.eye(ni), e.T))
+                                         lambda e: np.kron(np.eye(ni), e.T))
     return Bimodule(big_l, big_r, left_units, right_units)
 
 
 def _extended_units(alg: MultiMatrixAlgebra, units: np.ndarray, n: int,
-                    dext: int, slots: Callable[[np.ndarray], np.ndarray]
+                    slots: Callable[[np.ndarray], np.ndarray]
                     ) -> Tuple[MultiMatrixAlgebra, np.ndarray]:
     """M_n(alg) and the actions of its matrix units e_ij (x) e_pq.
 
@@ -411,15 +392,13 @@ def _extended_units(alg: MultiMatrixAlgebra, units: np.ndarray, n: int,
     outer slots; the unit acts as ``slots(e_ij) (x) units[e_pq]``.
     """
     big = amplify_algebra(alg, n)
-    out = np.zeros((big.dim, dext, dext), dtype=complex)
-    for u, (k, pp, qq) in enumerate(big.unit_positions()):
-        nk = alg.blocks[k]
-        i, p = divmod(pp, nk)
-        j, q = divmod(qq, nk)
-        eo = np.zeros((n, n))
-        eo[i, j] = 1.0
-        out[u] = np.kron(slots(eo), units[alg.offsets[k] + p * nk + q])
-    return big, out
+    k, pp, qq = np.array(big.unit_positions()).T
+    nk = np.take(alg.blocks, k)
+    (i, p), (j, q) = np.divmod(pp, nk), np.divmod(qq, nk)
+    outer = np.zeros((big.dim, n, n))
+    outer[np.arange(big.dim), i, j] = 1.0
+    return big, np.array([np.kron(slots(e), units[u])
+                          for e, u in zip(outer, alg.unit(k, p, q))], dtype=complex)
 
 
 def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -440,25 +419,21 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     d = canonical_dim(a, b, mult)
     left_units = np.zeros((a.dim, d, d), dtype=complex)
     right_units = np.zeros((b.dim, d, d), dtype=complex)
-    # coordinate (i, s, j) of sector (k, l) lies in the corner of the i-th
-    # diagonal unit of block k and the j-th of block l
-    first_left, first_right = np.cumsum((0,) + a.blocks), np.cumsum((0,) + b.blocks)
     labels = np.empty((2, d), dtype=np.intp)
-    sec = slice(0, 0)   # the nonzero sectors (k, l) follow each other row-major
+    start = 0   # the nonzero sectors (k, l) follow each other row-major
     for k, l in zip(*np.nonzero(mult)):
         nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
-        sec = slice(sec.stop, sec.stop + nk * mu * ml)
+        # coordinate c of (i, s, j) lies in the corner of the i-th diagonal
+        # unit of block k and the j-th of block l
         i, _, j = np.indices((nk, mu, ml)).reshape(3, -1)
-        labels[:, sec] = first_left[k] + i, first_right[l] + j
-        size = sec.stop - sec.start
-        # unit u acts as e_u (x) 1 on the left and 1 (x) e_u^T on the right:
-        # entry (p s, q t) of e_u (x) 1 is e_u[p, q] 1[s, t]
-        left = np.einsum("upq,st->upsqt", _unit_grid(nk), np.eye(mu * ml))
-        right = np.einsum("st,uqp->usptq", np.eye(nk * mu), _unit_grid(ml))
-        left_units[a.offsets[k]:a.offsets[k] + nk * nk, sec, sec] = \
-            left.reshape(nk * nk, size, size)
-        right_units[b.offsets[l]:b.offsets[l] + ml * ml, sec, sec] = \
-            right.reshape(ml * ml, size, size)
+        c = start + np.arange(i.size)
+        labels[:, c] = a.diagonal.first[k] + i, b.diagonal.first[l] + j
+        # on the left e_pi of block k sends (i, s, j) to (p, s, j), on the
+        # right e_jq of block l sends it to (i, s, q)
+        p, q = np.arange(nk)[:, None], np.arange(ml)[:, None]
+        left_units[a.unit(k, p, i), c + (p - i) * mu * ml, c] = 1.0
+        right_units[b.unit(l, j, q), c + q - j, c] = 1.0
+        start += i.size
     w = None if basis_unitary is None else np.asarray(basis_unitary, dtype=complex)
     if w is not None:
         if w.shape != (d, d):
@@ -468,11 +443,6 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     x = Bimodule(a, b, left_units, right_units)
     x.canonical, x._frame = (mult, w), Frame(w, *labels)
     return x
-
-
-def _unit_grid(n: int) -> np.ndarray:
-    """(n * n, n, n): the matrix units e_pq of M_n, in row-major order."""
-    return np.eye(n * n).reshape(-1, n, n)
 
 
 def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -489,10 +459,9 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
     adapted frame, multiplicity index s of the corner (i, j).
     """
     a, b, frame = x.left_algebra, x.right_algebra, x.frame
-    (block_l, p), (block_r, q) = _diag_positions(a), _diag_positions(b)
-    k, l = block_l[frame.left], block_r[frame.right]
-    # lexsort is stable: within a corner the columns keep their frame order
-    order = np.lexsort((q[frame.right], p[frame.left], l, k))
+    k, l = a.diagonal.block[frame.left], b.diagonal.block[frame.right]
+    # labels rise with p in a block; lexsort is stable: frame order in a corner
+    order = np.lexsort((frame.right, frame.left, l, k))
     sizes = np.bincount(k * len(b.blocks) + l, minlength=len(a.blocks) * len(b.blocks))
     return [run.reshape(n, m, -1) for run, (n, m) in zip(
         np.split(order, np.cumsum(sizes)[:-1]), itertools.product(a.blocks, b.blocks))]

@@ -23,8 +23,8 @@ def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def op_norm(m: np.ndarray) -> float:
-    """Operator (spectral) norm; 0 for empty matrices."""
-    if m.size == 0:
+    """Operator (spectral) norm; 0 for an empty or all-zero matrix, without an SVD."""
+    if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
 

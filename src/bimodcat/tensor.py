@@ -37,8 +37,9 @@ spanning family is built; the tests keep those constructions as oracles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -106,9 +107,9 @@ def _sector_columns(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]
     """
     alg = x.left_algebra if side == "left" else x.right_algebra
     labels = getattr(x.frame, side)   # Frame.left or Frame.right
-    first = np.cumsum((0,) + alg.blocks)   # each block's first diagonal unit
-    return tuple(np.flatnonzero(labels == first[k] + (0 if kind == KIND_LEFT else n - 1))
-                 for k, n in enumerate(alg.blocks))
+    first = alg.diagonal.first        # each block's first label, then the count
+    cut = first[:-1] if kind == KIND_LEFT else first[1:] - 1
+    return tuple(np.flatnonzero(labels == p) for p in cut)
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -334,15 +335,15 @@ def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
     return mr.conj().T @ ml, tpl_ext, tpr_ext
 
 
-def _sector_swap(alg: MultiMatrixAlgebra) -> Tuple[List[int], List[int]]:
+@functools.cache
+def _sector_swap(alg: MultiMatrixAlgebra) -> Tuple[np.ndarray, np.ndarray]:
     """Unit indices of u = sum_l e_(0, m_l - 1) over the blocks of B, and of u*.
 
-    u carries rtimes' projection e_(m-1, m-1) of each block to ltimes'
-    e_00: X e_00 u = X e_(m-1, m-1) and u* e_00 Y = e_(m-1, m-1) Y.
+    u carries rtimes' projection e_(m-1, m-1) of each block to ltimes' e_00:
+    X e_00 u = X e_(m-1, m-1), u* e_00 Y = e_(m-1, m-1) Y; built once, read only.
     """
-    u = [off + m - 1 for off, m in zip(alg.offsets, alg.blocks)]
-    ustar = [off + (m - 1) * m for off, m in zip(alg.offsets, alg.blocks)]
-    return u, ustar
+    k, last = np.arange(len(alg.blocks)), np.subtract(alg.blocks, 1)
+    return alg.unit(k, 0, last), alg.unit(k, last, 0)
 
 
 def m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:

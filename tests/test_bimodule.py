@@ -10,16 +10,11 @@ from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
 from bimodcat.coherence import run_suite
 from bimodcat.instances import (InstanceSpec, Limits, generate, load,
                                 random_bimodule, save)
-from bimodcat.linalg import crandn, op_norm, random_unitary
+from bimodcat.linalg import crandn, op_norm
 from bimodcat.store import product_store
 from bimodcat.tensor import tensor_left, tensor_right
 from oracles import canonical_units, hom_null_space, multiplicity_traces
-
-
-def _random_bim(rng, a, b, mult):
-    d = sum(n * int(np.asarray(mult)[k, l]) * m
-            for k, n in enumerate(a.blocks) for l, m in enumerate(b.blocks))
-    return canonical_bimodule(a, b, mult, basis_unitary=random_unitary(rng, d))
+from random_bims import random_bim
 
 
 def test_standard_form_validates():
@@ -64,7 +59,7 @@ def test_canonical_random_basis_multiplicity_recovery():
     a = MultiMatrixAlgebra((2, 1))
     b = MultiMatrixAlgebra((2,))
     mult = np.array([[2], [1]])
-    x = _random_bim(rng, a, b, mult)
+    x = random_bim(rng, a.blocks, b.blocks, mult)
     assert x.validate() < 1e-10
     assert np.array_equal(multiplicity_matrix(x), mult)
 
@@ -134,8 +129,8 @@ def test_hom_basis_schur():
     b = MultiMatrixAlgebra((1, 2))
     l2 = standard_form(b).bimodule
     assert len(hom_basis(l2, l2)) == len(b.blocks)
-    x = _random_bim(rng, a, b, np.array([[1, 1]]))
-    y = _random_bim(rng, a, b, np.array([[2, 0]]))
+    x = random_bim(rng, a.blocks, b.blocks, np.array([[1, 1]]))
+    y = random_bim(rng, a.blocks, b.blocks, np.array([[2, 0]]))
     # hom dim = sum over sectors of products of multiplicities
     assert len(hom_basis(x, y)) == 1 * 2 + 1 * 0
     for f in hom_basis(x, y):
@@ -146,7 +141,7 @@ def test_morphism_compose_adjoint():
     rng = np.random.default_rng(2)
     a = MultiMatrixAlgebra((2,))
     b = MultiMatrixAlgebra((2, 1))
-    x = _random_bim(rng, a, b, np.array([[1, 2]]))
+    x = random_bim(rng, a.blocks, b.blocks, np.array([[1, 2]]))
     f = Morphism(x, x, random_morphism_matrix(x, x, rng))
     g = Morphism(x, x, random_morphism_matrix(x, x, rng))
     assert f.is_morphism() and g.is_morphism()
@@ -159,7 +154,7 @@ def test_dual_bimodule_axioms_and_flip():
     rng = np.random.default_rng(3)
     a = MultiMatrixAlgebra((2, 1))
     b = MultiMatrixAlgebra((2,))
-    x = _random_bim(rng, a, b, np.array([[1], [1]]))
+    x = random_bim(rng, a.blocks, b.blocks, np.array([[1], [1]]))
     xs = dual_bimodule(x)
     assert xs.left_algebra.blocks == b.blocks
     assert xs.right_algebra.blocks == a.blocks
@@ -181,7 +176,7 @@ def test_double_dual_is_identity_data():
     rng = np.random.default_rng(4)
     a = MultiMatrixAlgebra((2,))
     b = MultiMatrixAlgebra((1, 1))
-    x = _random_bim(rng, a, b, np.array([[1, 1]]))
+    x = random_bim(rng, a.blocks, b.blocks, np.array([[1, 1]]))
     xss = dual_bimodule(dual_bimodule(x))
     assert np.allclose(xss.left_units, x.left_units)
     assert np.allclose(xss.right_units, x.right_units)
@@ -194,7 +189,7 @@ def test_transpose_contravariant():
     rng = np.random.default_rng(5)
     a = MultiMatrixAlgebra((2,))
     b = MultiMatrixAlgebra((2,))
-    x = _random_bim(rng, a, b, np.array([[2]]))
+    x = random_bim(rng, a.blocks, b.blocks, np.array([[2]]))
     f = Morphism(x, x, random_morphism_matrix(x, x, rng))
     g = Morphism(x, x, random_morphism_matrix(x, x, rng))
     tf, tg = transpose(f), transpose(g)
@@ -209,7 +204,7 @@ def test_matrix_extension():
     rng = np.random.default_rng(6)
     a = MultiMatrixAlgebra((2,))
     b = MultiMatrixAlgebra((1, 2))
-    x = _random_bim(rng, a, b, np.array([[1, 1]]))
+    x = random_bim(rng, a.blocks, b.blocks, np.array([[1, 1]]))
     ext = matrix_extension(x, 2, 3)
     assert ext.dim == 2 * 3 * x.dim
     assert ext.left_algebra.blocks == (4,)

@@ -1,36 +1,27 @@
 import numpy as np
 import pytest
 
-from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import canonical_bimodule
+from bimodcat.algebra import standard_form
 from bimodcat.bounded import (BoundedVector, left_bounded_basis,
                               left_bounded_space, left_inner,
                               left_projective_realization,
                               right_bounded_basis, right_bounded_space,
                               right_inner, right_projective_realization,
                               star_bounded)
-from bimodcat.linalg import op_norm, random_unitary
-
-
-def _bim(rng, a_blocks, b_blocks, mult):
-    a = MultiMatrixAlgebra(a_blocks)
-    b = MultiMatrixAlgebra(b_blocks)
-    mult = np.asarray(mult)
-    d = sum(n * int(mult[k, l]) * m
-            for k, n in enumerate(a.blocks) for l, m in enumerate(b.blocks))
-    return canonical_bimodule(a, b, mult, basis_unitary=random_unitary(rng, d))
+from bimodcat.linalg import op_norm
+from random_bims import random_bim
 
 
 def test_bounded_basis_dimension_equals_module_dimension():
     rng = np.random.default_rng(0)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
     assert right_bounded_space(x).size == x.dim
     assert left_bounded_space(x).size == x.dim
 
 
 def test_bounded_vectors_are_intertwiners_and_orthonormal():
     rng = np.random.default_rng(1)
-    x = _bim(rng, (2, 1), (2,), [[1], [2]])
+    x = random_bim(rng, (2, 1), (2,), [[1], [2]])
     for basis in (right_bounded_basis(x), left_bounded_basis(x)):
         for g in basis:
             assert g.defect() < 1e-12
@@ -41,7 +32,7 @@ def test_bounded_vectors_are_intertwiners_and_orthonormal():
 
 def test_module_action_is_one_sided_linear():
     rng = np.random.default_rng(2)
-    x = _bim(rng, (2,), (2,), [[2]])
+    x = random_bim(rng, (2,), (2,), [[2]])
     b_alg = x.right_algebra
     g = right_bounded_basis(x)[0]
     b = b_alg.random_element(rng)
@@ -56,7 +47,7 @@ def test_module_action_is_one_sided_linear():
 
 def test_frame_identity_and_projective_realization():
     rng = np.random.default_rng(3)
-    x = _bim(rng, (2,), (1, 2), [[2, 1]])
+    x = random_bim(rng, (2,), (1, 2), [[2, 1]])
     # right side: u u* has blocks L(p_ij); left side: blocks R(p_ij)
     for pr, action in ((right_projective_realization(x), "left"),
                        (left_projective_realization(x), "right")):
@@ -82,7 +73,7 @@ def test_frame_identity_and_projective_realization():
 
 def test_right_inner_covariance():
     rng = np.random.default_rng(4)
-    x = _bim(rng, (2,), (2, 1), [[1, 1]])
+    x = random_bim(rng, (2,), (2, 1), [[1, 1]])
     b_alg = x.right_algebra
     basis = right_bounded_basis(x)
     g, h = basis[0], basis[1]
@@ -101,7 +92,7 @@ def test_right_inner_covariance():
 
 def test_left_inner_covariance():
     rng = np.random.default_rng(5)
-    x = _bim(rng, (2, 1), (2,), [[1], [1]])
+    x = random_bim(rng, (2, 1), (2,), [[1], [1]])
     a_alg = x.left_algebra
     basis = left_bounded_basis(x)
     f, h = basis[0], basis[1]
@@ -115,7 +106,7 @@ def test_left_inner_covariance():
 
 def test_inner_rejects_wrong_side():
     rng = np.random.default_rng(6)
-    x = _bim(rng, (2,), (2,), [[1]])
+    x = random_bim(rng, (2,), (2,), [[1]])
     g = right_bounded_basis(x)[0]
     f = left_bounded_basis(x)[0]
     with pytest.raises(ValueError):
@@ -126,7 +117,7 @@ def test_inner_rejects_wrong_side():
 
 def test_star_bounded_covariance_and_inner_identity():
     rng = np.random.default_rng(7)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
     a_alg, b_alg = x.left_algebra, x.right_algebra
     basis = right_bounded_basis(x)
     x1, x2 = basis[0], basis[1]
@@ -149,7 +140,7 @@ def test_star_bounded_covariance_and_inner_identity():
 
 def test_bounded_vector_shape_checked():
     rng = np.random.default_rng(8)
-    x = _bim(rng, (2,), (2,), [[1]])
+    x = random_bim(rng, (2,), (2,), [[1]])
     with pytest.raises(ValueError):
         BoundedVector("right", x, np.zeros((x.dim, 3)))
     with pytest.raises(ValueError):

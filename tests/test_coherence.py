@@ -6,7 +6,7 @@ import pytest
 
 from bimodcat import coherence
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import canonical_bimodule, dual_bimodule
+from bimodcat.bimodule import dual_bimodule
 from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_square,
                                 check_involution_hexagon, check_m_assoc,
                                 check_m_unit, check_naturality_suite,
@@ -14,10 +14,10 @@ from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_squar
                                 run_suite)
 from bimodcat.instances import InstanceSpec, Limits, generate
 from bimodcat.involution import conjugation
-from bimodcat.linalg import random_unitary
 from bimodcat.store import product_store, stored
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor,
                              m_standard, right_unitor, tensor_left, tensor_right)
+from random_bims import random_bim
 
 # the module, not the ``tensor`` function the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -27,21 +27,12 @@ bimodule_module = importlib.import_module("bimodcat.bimodule")
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
 
-def _bim(rng, a_blocks, b_blocks, mult):
-    a = MultiMatrixAlgebra(a_blocks)
-    b = MultiMatrixAlgebra(b_blocks)
-    mult = np.asarray(mult)
-    d = sum(n * int(mult[k, l]) * m
-            for k, n in enumerate(a.blocks) for l, m in enumerate(b.blocks))
-    return canonical_bimodule(a, b, mult, basis_unitary=random_unitary(rng, d))
-
-
 def _chain(rng):
     a = MultiMatrixAlgebra((2,))
     b = MultiMatrixAlgebra((1, 2))
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
-    z = _bim(rng, (2,), (2,), [[1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
+    z = random_bim(rng, (2,), (2,), [[1]])
     return x, y, z
 
 
@@ -67,14 +58,56 @@ def test_pentagon_passes():
         assert r.defect <= r.tol
 
 
+def _chain_with_empty(rng, empty=None):
+    """Four composable bimodules; the ``empty``-th, if any, has dimension 0."""
+    blocks = ((2,), (1, 2), (2,), (1, 2), (2,))
+    return [random_bim(rng, a, b, np.full((len(a), len(b)), int(i != empty)))
+            for i, (a, b) in enumerate(zip(blocks, blocks[1:]))]
+
+
+#: per family, the number of bimodules its checks take and a run of them
+EVERY_CHECK = {
+    "triangle": (2, lambda bs: [check_triangle(k, *bs) for k in KINDS]),
+    "pentagon": (4, lambda bs: [check_pentagon(k, *bs) for k in KINDS]),
+    "m-unit": (1, lambda bs: [check_m_unit(*bs)]),
+    "m-assoc": (3, lambda bs: [check_m_assoc(*bs)]),
+    "hexagon": (3, lambda bs: [check_involution_hexagon(k, *bs) for k in KINDS]),
+    "duality": (2, lambda bs: [check_duality_square(k, *bs) for k in KINDS]),
+    "naturality": (3, lambda bs: check_naturality_suite(
+        *bs, np.random.default_rng(3))),
+}
+
+#: the bimodules, by position, that each naturality square draws
+NATURALITY_DRAWS = {"naturality-unitors": (0,), "naturality-assoc": (0, 1, 2),
+                    "naturality-m": (0, 1), "naturality-c": (0, 1)}
+
+
 def test_degenerate_zero_dimension():
-    rng = np.random.default_rng(2)
-    zero = _bim(rng, (1,), (2,), [[0]])
-    other = _bim(rng, (2,), (2,), [[1]])
-    assert zero.dim == 0
-    r = check_triangle(KIND_LEFT, zero, _bim(rng, (2,), (2,), [[1]]))
-    assert r.degenerate and r.passed and r.defect == 0.0
-    assert check_m_unit(zero).degenerate
+    # every check, with the empty bimodule in each position it takes
+    for family, (arity, run) in EVERY_CHECK.items():
+        for empty in range(arity):
+            bs = _chain_with_empty(np.random.default_rng(2), empty)[:arity]
+            assert [x.dim == 0 for x in bs] == [i == empty for i in range(arity)]
+            for r in run(bs):
+                assert r.degenerate and r.passed and r.dims[empty] == 0, (r, empty)
+                # a diagram that draws the empty bimodule compares empty maps
+                if empty in NATURALITY_DRAWS.get(r.name, range(arity)):
+                    assert r.defect == 0.0, (r, empty)
+                if family != "naturality":
+                    assert r.tol == 1e-9, (r, empty)
+
+
+def test_an_empty_z_leaves_the_squares_that_do_not_draw_it():
+    rng = np.random.default_rng(4)
+    x, y, z, _ = _chain_with_empty(rng)
+    empty_z = random_bim(rng, (2,), (1, 2), [[0, 0]])
+    assert z.left_algebra == empty_z.left_algebra and empty_z.dim == 0
+    full, empty = ({r.name: r for r in check_naturality_suite(
+        x, y, third, np.random.default_rng(5))} for third in (z, empty_z))
+    for name in ("naturality-unitors", "naturality-m", "naturality-c"):
+        assert full[name].defect > 0.0 and full[name].tol > 1e-9
+        assert (empty[name].defect, empty[name].tol) == (
+            full[name].defect, full[name].tol)
 
 
 def test_mutation_breaks_checks():
@@ -175,8 +208,8 @@ def test_guarded_errors_reported():
     # chain whose middle algebras do not match: tensor construction raises,
     # the suite keeps going and records an error result
     rng = np.random.default_rng(10)
-    x = _bim(rng, (2,), (2,), [[1]])
-    y = _bim(rng, (1,), (2,), [[1]])   # left algebra mismatch with x's right
+    x = random_bim(rng, (2,), (2,), [[1]])
+    y = random_bim(rng, (1,), (2,), [[1]])   # left algebra mismatch with x's right
     spec = InstanceSpec.__new__(InstanceSpec)
     object.__setattr__(spec, "seed", 0)
     object.__setattr__(spec, "limits", Limits())
@@ -196,9 +229,9 @@ def test_guarded_errors_reported():
 def _mismatched_spec():
     """A 3-chain whose second bimodule's left algebra is not the first's right."""
     rng = np.random.default_rng(11)
-    x = _bim(rng, (2,), (2,), [[1]])
-    y = _bim(rng, (1,), (2,), [[1]])   # left algebra mismatch with x's right
-    z = _bim(rng, (2,), (2,), [[1]])
+    x = random_bim(rng, (2,), (2,), [[1]])
+    y = random_bim(rng, (1,), (2,), [[1]])   # left algebra mismatch with x's right
+    z = random_bim(rng, (2,), (2,), [[1]])
     spec = InstanceSpec.__new__(InstanceSpec)
     object.__setattr__(spec, "seed", 0)
     object.__setattr__(spec, "limits", Limits())

@@ -3,17 +3,17 @@ import importlib
 import numpy as np
 import pytest
 
-from bimodcat.algebra import MultiMatrixAlgebra, standard_form
-from bimodcat.bimodule import (Bimodule, Morphism, _diag_unit_indices,
-                               canonical_bimodule, dual_bimodule, dual_vector,
+from bimodcat.algebra import standard_form
+from bimodcat.bimodule import (Bimodule, Morphism, dual_bimodule, dual_vector,
                                random_morphism_matrix, transpose)
 from bimodcat.instances import Limits, generate
 from bimodcat.involution import conjugation, conjugation_mixed
-from bimodcat.linalg import op_norm, random_unitary
+from bimodcat.linalg import op_norm
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, m_iso, tensor,
                              tensor_left, tensor_morphisms, tensor_right)
 from oracles import bounded, quotient, sector_bases, transpose_on_product
+from random_bims import random_bim
 
 # the modules, not the functions the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
@@ -22,18 +22,9 @@ bimodule_module = importlib.import_module("bimodcat.bimodule")
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
 
-def _bim(rng, a_blocks, b_blocks, mult):
-    a = MultiMatrixAlgebra(a_blocks)
-    b = MultiMatrixAlgebra(b_blocks)
-    mult = np.asarray(mult)
-    d = sum(n * int(mult[k, l]) * m
-            for k, n in enumerate(a.blocks) for l, m in enumerate(b.blocks))
-    return canonical_bimodule(a, b, mult, basis_unitary=random_unitary(rng, d))
-
-
 def _pair(rng):
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
     return x, y
 
 
@@ -126,8 +117,8 @@ def test_theorem_intertwining_between_kinds():
 def test_transpose_on_product_naturality():
     # on f (x) g the conjugated morphism is (transpose g) (x) (transpose f)
     rng = np.random.default_rng(5)
-    x = _bim(rng, (2,), (2,), [[2]])
-    y = _bim(rng, (2,), (1, 1), [[1, 1]])
+    x = random_bim(rng, (2,), (2,), [[2]])
+    y = random_bim(rng, (2,), (1, 1), [[1, 1]])
     f = Morphism(x, x, random_morphism_matrix(x, x, rng))
     g = Morphism(y, y, random_morphism_matrix(y, y, rng))
     xstar, ystar = dual_bimodule(x), dual_bimodule(y)
@@ -148,8 +139,8 @@ def test_transpose_on_product_naturality():
 
 def test_one_dimensional_case_is_scalar_phase():
     rng = np.random.default_rng(6)
-    row = _bim(rng, (1,), (2,), [[1]])
-    col = _bim(rng, (2,), (1,), [[1]])
+    row = random_bim(rng, (1,), (2,), [[1]])
+    col = random_bim(rng, (2,), (1,), [[1]])
     for kind in KINDS:
         c = conjugation(kind, row, col)
         assert c.matrix.shape == (1, 1)
@@ -218,7 +209,7 @@ def test_read_off_sector_bases_span_the_sector_projections():
                 for alg, units, labels in (
                         (bim.left_algebra, bim.left_units, frame.left),
                         (bim.right_algebra, bim.right_units, frame.right)):
-                    diag = units[_diag_unit_indices(alg)]
+                    diag = units[alg.diagonal.unit]
                     named = np.arange(len(diag))[:, None] == labels
                     assert np.linalg.norm(
                         diag @ w - named[:, None, :] * w) <= 1e-12

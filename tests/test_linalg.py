@@ -137,3 +137,11 @@ def test_map_from_spanning_consistency():
     assert op_norm(eps * direction) > 1e-7 * max(1.0, op_norm(tgt + eps * direction))
     with pytest.raises(ValueError):
         map_from_spanning(src, tgt + eps * direction)
+
+
+def test_op_norm_of_a_zero_matrix_takes_no_svd(monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    for shape in ((3, 3), (2, 5), (0, 0), (4, 0)):
+        assert op_norm(np.zeros(shape, dtype=complex)) == 0.0

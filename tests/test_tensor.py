@@ -25,6 +25,7 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
 from oracles import (bounded, conjugation_family, ext_family, gram,
                      induced_map, m_realization, multiplicity_traces, quotient,
                      sector_bases, standard_images)
+from random_bims import random_bim
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -33,19 +34,10 @@ tensor_module = importlib.import_module("bimodcat.tensor")
 bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 
-def _bim(rng, a_blocks, b_blocks, mult):
-    a = MultiMatrixAlgebra(a_blocks)
-    b = MultiMatrixAlgebra(b_blocks)
-    mult = np.asarray(mult)
-    d = sum(n * int(mult[k, l]) * m
-            for k, n in enumerate(a.blocks) for l, m in enumerate(b.blocks))
-    return canonical_bimodule(a, b, mult, basis_unitary=random_unitary(rng, d))
-
-
 def test_middle_algebra_mismatch():
     rng = np.random.default_rng(0)
-    x = _bim(rng, (2,), (2,), [[1]])
-    y = _bim(rng, (3,), (2,), [[1]])
+    x = random_bim(rng, (2,), (2,), [[1]])
+    y = random_bim(rng, (3,), (2,), [[1]])
     for kind in KINDS:
         with pytest.raises(ValueError):
             tensor(kind, x, y)
@@ -54,8 +46,8 @@ def test_middle_algebra_mismatch():
 def test_row_times_column_is_one_dimensional():
     # C^2 as a C-M2 bimodule tensored with C^2 as M2-C: one-dimensional result
     rng = np.random.default_rng(1)
-    row = _bim(rng, (1,), (2,), [[1]])
-    col = _bim(rng, (2,), (1,), [[1]])
+    row = random_bim(rng, (1,), (2,), [[1]])
+    col = random_bim(rng, (2,), (1,), [[1]])
     for kind in KINDS:
         tp = tensor(kind, row, col)
         assert tp.dim == 1
@@ -64,8 +56,8 @@ def test_row_times_column_is_one_dimensional():
 
 def test_multiplicity_matrices_multiply():
     rng = np.random.default_rng(2)
-    x = _bim(rng, (2, 1), (1, 2), [[1, 1], [0, 2]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    x = random_bim(rng, (2, 1), (1, 2), [[1, 1], [0, 2]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
     pred = multiplicity_matrix(x) @ multiplicity_matrix(y)
     for kind in KINDS:
         tp = tensor(kind, x, y)
@@ -97,8 +89,8 @@ def _kernel(tp):
 
 def test_quotient_section_identities():
     rng = np.random.default_rng(3)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
     for kind in KINDS:
         tp = tensor(kind, x, y)
         q, g = quotient(tp), gram(tp)
@@ -112,7 +104,7 @@ def test_quotient_section_identities():
 
 def test_unit_isos_are_unitary_morphisms():
     rng = np.random.default_rng(4)
-    x = _bim(rng, (2,), (1, 2), [[2, 1]])
+    x = random_bim(rng, (2,), (1, 2), [[2, 1]])
     l2a = standard_form(x.left_algebra).bimodule
     l2b = standard_form(x.right_algebra).bimodule
     for kind in KINDS:
@@ -132,9 +124,9 @@ def test_unitors_agree_on_standard_square():
 
 def test_associator_unitary_morphism():
     rng = np.random.default_rng(5)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
-    z = _bim(rng, (2,), (2,), [[1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
+    z = random_bim(rng, (2,), (2,), [[1]])
     for kind in KINDS:
         t_xy_z = tensor(kind, tensor(kind, x, y).result, z)
         t_x_yz = tensor(kind, x, tensor(kind, y, z).result)
@@ -145,8 +137,8 @@ def test_associator_unitary_morphism():
 
 def test_tensor_morphisms_functorial():
     rng = np.random.default_rng(6)
-    x = _bim(rng, (2,), (2,), [[2]])
-    y = _bim(rng, (2,), (1, 1), [[1, 1]])
+    x = random_bim(rng, (2,), (2,), [[2]])
+    y = random_bim(rng, (2,), (1, 1), [[1, 1]])
     f1 = random_morphism_matrix(x, x, rng)
     f2 = random_morphism_matrix(x, x, rng)
     g = random_morphism_matrix(y, y, rng)
@@ -163,8 +155,8 @@ def test_tensor_morphisms_functorial():
 
 def test_induced_map_rejects_kernel_violation():
     rng = np.random.default_rng(7)
-    row = _bim(rng, (1,), (2,), [[1]])
-    col = _bim(rng, (2,), (1,), [[1]])
+    row = random_bim(rng, (1,), (2,), [[1]])
+    col = random_bim(rng, (2,), (1,), [[1]])
     tp = tensor_left(row, col)
     assert _kernel(tp).shape[1] > 0
     bad = random_unitary(rng, tp.alg_dim)   # generic map ignores the kernel
@@ -174,8 +166,8 @@ def test_induced_map_rejects_kernel_violation():
 
 def test_matrix_extension_iso():
     rng = np.random.default_rng(8)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
     for kind in KINDS:
         mat, tp_ext, ext_res = tensor_matrix_extension_iso(x, y, 2, 2, kind)
         assert op_norm(mat.conj().T @ mat - np.eye(mat.shape[1])) < 1e-9
@@ -187,8 +179,8 @@ def test_zero_multiplicity_product_is_zero_dimensional():
     # the product multiplicity is exactly zero: the Gram matrix is pure
     # rounding noise and must rank to 0, not 1
     rng = np.random.default_rng(11)
-    x = _bim(rng, (1,), (2, 1), [[0, 1]])
-    y = _bim(rng, (2, 1), (1,), [[1], [0]])
+    x = random_bim(rng, (1,), (2, 1), [[0, 1]])
+    y = random_bim(rng, (2, 1), (1,), [[1], [0]])
     assert (multiplicity_matrix(x) @ multiplicity_matrix(y)).sum() == 0
     for kind in KINDS:
         tp = tensor(kind, x, y)
@@ -209,8 +201,8 @@ def test_m_standard_unitary_and_scalar_case():
 
 def test_m_iso_unitary_morphism_and_realization_independent():
     rng = np.random.default_rng(9)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
     tpl, tpr = tensor_left(x, y), tensor_right(x, y)
     m = m_iso(x, y)
     assert op_norm(m.conj().T @ m - np.eye(m.shape[1])) < 1e-9
@@ -247,8 +239,8 @@ def test_m_iso_agrees_with_standard_on_square():
 
 def test_f_tensor_g_is_a_bimodule_morphism():
     rng = np.random.default_rng(10)
-    x = _bim(rng, (2,), (2,), [[1]])
-    y = _bim(rng, (2,), (1,), [[1]])
+    x = random_bim(rng, (2,), (2,), [[1]])
+    y = random_bim(rng, (2,), (1,), [[1]])
     f = random_morphism_matrix(x, x, rng)
     g = random_morphism_matrix(y, y, rng)
     for kind in KINDS:
@@ -672,8 +664,9 @@ def test_a_none_leg_is_the_identity_of_a_shared_factor():
     # products that do not share the factor it is a ValueError naming the
     # leg, not a failed B-linearity check
     rng = np.random.default_rng(13)
-    x, x2 = _bim(rng, (2,), (2,), [[1]]), _bim(rng, (2,), (2,), [[1]])
-    y, y2 = _bim(rng, (2,), (1, 1), [[1, 1]]), _bim(rng, (2,), (1, 1), [[1, 1]])
+    x, x2 = random_bim(rng, (2,), (2,), [[1]]), random_bim(rng, (2,), (2,), [[1]])
+    y, y2 = (random_bim(rng, (2,), (1, 1), [[1, 1]]),
+             random_bim(rng, (2,), (1, 1), [[1, 1]]))
     f, g = random_morphism_matrix(x, x, rng), random_morphism_matrix(y, y, rng)
     for kind in KINDS:
         tp = tensor(kind, x, y)
@@ -695,8 +688,8 @@ def test_tensor_morphisms_rejects_maps_that_keep_the_sectors():
     # of the member c, but is not right-B-linear; the Kronecker check
     # rejects it on both kinds, and so does g built the same way on p Y
     rng = np.random.default_rng(12)
-    row = _bim(rng, (1,), (2,), [[1]])
-    col = _bim(rng, (2,), (1,), [[1]])
+    row = random_bim(rng, (1,), (2,), [[1]])
+    col = random_bim(rng, (2,), (1,), [[1]])
     for kind in KINDS:
         tp = tensor(kind, row, col)
         keep = [v @ v.conj().T + 2 * (np.eye(2) - v @ v.conj().T)
@@ -787,7 +780,7 @@ def test_a_p_unit_that_is_no_projection_is_rejected():
     # factor is accepted; its sector bases are not orthonormal, and a
     # product's result would not be unital
     rng = np.random.default_rng(0)
-    x, y = _bim(rng, (2,), (2,), [[1]]), _bim(rng, (2,), (2,), [[1]])
+    x, y = random_bim(rng, (2,), (2,), [[1]]), random_bim(rng, (2,), (2,), [[1]])
     right = x.right_units.copy()
     h = crandn(rng, x.dim, x.dim)
     right[0] += 0.1 * (h + h.conj().T)
@@ -872,8 +865,8 @@ def test_deferred_stacks_are_built_on_first_read_and_read_only(monkeypatch):
         checked.append(self)
         return check(self, *stacks)
     rng = np.random.default_rng(4)
-    x = _bim(rng, (2,), (1, 2), [[1, 1]])
-    y = _bim(rng, (1, 2), (2,), [[1], [1]])
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
     monkeypatch.setattr(Bimodule, "_checked", counted)
     with product_store():
         tp, xs = tensor_left(x, y), dual_bimodule(x)
