@@ -10,7 +10,8 @@ corner of a pair of blocks (k, l) is multiplicity index s.  A product's
 members are pairs of frame columns; Hom(X, Y), multiplicities and random
 intertwiners, 1 (x) T_kl (x) 1 by Schur, are read off the frames.  Only
 a bimodule given by its stacks finds its frame from them, by pivoted
-Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
+Gram-Schmidt once per pair of blocks (:func:`_stack_frame`), on the
+frame's first read.
 
 A bimodule made from its stacks checks them at once.  Duals and the
 results of tensor products (:mod:`bimodcat.tensor`) know their dimension
@@ -20,14 +21,16 @@ either stack, which checks the stacks and makes them read-only.  No frame
 reads the stacks of a product's result or a dual, so a result is built
 only when a map on a product checks that a leg is B-linear
 (:func:`bimodcat.tensor.tensor_morphisms`) or its stacks are read
-otherwise; most results never are.
+otherwise; most results never are.  Every bimodule keeps its frame and
+its stacks once it has them, inside a product store or not.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,11 +71,11 @@ class Bimodule:
     """Hilbert space with commuting unital left and right algebra actions.
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
-    and unitality at once.  :meth:`deferred` takes the dimension, a build
-    of the stacks and the frame, or a build of it, instead; the first read
-    of either stack runs the stack build, checks the stacks the same way
-    and makes them read-only.  ``dim``, the algebras, ``canonical`` and
-    ``frame`` never run it.
+    and unitality at once and keeps them as given.  :meth:`deferred` takes
+    the dimension, a build of the stacks and the frame instead; the first
+    read of either stack runs the build, checks the stacks the same way,
+    makes them read-only and keeps them.  ``dim``, the algebras,
+    ``canonical`` and ``frame`` never run it.
     """
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
@@ -83,48 +86,42 @@ class Bimodule:
         self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
         #: (multiplicity matrix, basis unitary) of a canonical model, else None
         self.canonical = None
-        #: the frame or a build of it; None finds it from the stacks
-        self._frame = None
-        self._build = None
-        self._units = self._checked(left_units, right_units)
+        self._stacks = self._checked(left_units, right_units)
 
     @classmethod
     def deferred(cls, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, dim: int,
                  build: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                 frame: Union["Frame", Callable[[], "Frame"]]) -> "Bimodule":
-        """Dimension ``dim``, the stacks from ``build()``; ``frame`` or ``frame()``."""
+                 frame: "Frame") -> "Bimodule":
+        """Dimension ``dim`` and ``frame``; the stacks from ``build()`` on first read."""
         x = cls.__new__(cls)
         x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
-        x.canonical, x._frame, x._build, x._units = None, frame, build, None
+        x.canonical, x.frame, x._build = None, frame, build
         return x
 
-    @property
+    @functools.cached_property
     def frame(self) -> Frame:
-        """The :class:`Frame`; from given stacks once per product store, else built once."""
-        if self._frame is None:
-            return stored(_stack_frame, self)
-        if callable(self._frame):
-            self._frame = self._frame()
-        return self._frame
+        """The :class:`Frame`: given, or found from the stacks on first read and kept."""
+        return _stack_frame(self)
 
     @property
     def left_units(self) -> np.ndarray:
         """(dim left_algebra, d, d): the left action of each matrix unit."""
-        return self._stacks()[0]
+        return self._stacks[0]
 
     @property
     def right_units(self) -> np.ndarray:
         """(dim right_algebra, d, d): the right action of each matrix unit."""
-        return self._stacks()[1]
+        return self._stacks[1]
 
+    @functools.cached_property
     def _stacks(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._units is None:
-            units = self._checked(*self._build())
-            for stack in units:
-                stack.setflags(write=False)
-            self._units, self._build = units, None
-        return self._units
+        """A deferred bimodule's stacks: built, checked and made read-only once."""
+        units = self._checked(*self._build())
+        for stack in units:
+            stack.setflags(write=False)
+        del self._build
+        return units
 
     def _checked(self, left_units: np.ndarray, right_units: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
@@ -227,7 +224,10 @@ def _stack_frame(x: Bimodule) -> Frame:
         raise NotABimoduleError(
             f"the corners' range bases are off orthonormal by {defect:.3e}: "
             f"some corner L(e_pp) R(e_qq) is not a projection")
-    return Frame(w, *np.array(corners, dtype=np.intp).reshape(-1, 2).T)
+    frame = Frame(w, *np.array(corners, dtype=np.intp).reshape(-1, 2).T)
+    for arr in frame:   # kept on the bimodule and shared by every reader
+        arr.setflags(write=False)
+    return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +342,7 @@ def _dual_bimodule(x: Bimodule) -> Bimodule:
         x.right_algebra, x.left_algebra, x.dim,
         lambda: (np.conj(x.right_units[x.right_algebra.adjoint_perm()]),
                  np.conj(x.left_units[x.left_algebra.adjoint_perm()])),
-        lambda: x.frame.conj())
+        x.frame.conj())
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:
@@ -441,7 +441,7 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
         left_units = w @ left_units @ w.conj().T
         right_units = w @ right_units @ w.conj().T
     x = Bimodule(a, b, left_units, right_units)
-    x.canonical, x._frame = (mult, w), Frame(w, *labels)
+    x.canonical, x.frame = (mult, w), Frame(w, *labels)
     return x
 
 

@@ -129,12 +129,11 @@ def cmd_verify(args) -> int:
     spec, violations = _load_or_generate(args)
     report = coherence.run_suite(spec, tol=tol, suite=suite)
     for msg, defect in violations:
-        report["checks"].insert(0, {
-            "name": "instance-valid", "defect": float(defect), "tol": tol,
-            "passed": False, "dims": [], "degenerate": False, "error": msg})
-    if violations:
-        report["summary"]["total"] += len(violations)
-        report["summary"]["maxDefect"] = float("inf")
+        report["checks"].insert(0, coherence.CheckResult(
+            "instance-valid", float(defect), tol, False, error=msg).as_dict())
+    report["summary"]["total"] += len(violations)
+    report["summary"]["maxDefect"] = max(
+        (c["defect"] for c in report["checks"]), default=0.0)
     report["checks"].sort(key=lambda c: c["name"])
     if not report["checks"]:
         asked = f"--suite {args.suite}" if suite else "any check"

@@ -19,7 +19,7 @@ The file format is JSON with complex numbers as ``[re, im]`` pairs::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -188,11 +188,7 @@ def to_document(spec: InstanceSpec) -> dict:
     return {
         "version": FORMAT_VERSION,
         "seed": int(spec.seed),
-        "limits": {"max_blocks": spec.limits.max_blocks,
-                   "max_block": spec.limits.max_block,
-                   "max_mult": spec.limits.max_mult,
-                   "max_dim": spec.limits.max_dim,
-                   "min_mult": spec.limits.min_mult},
+        "limits": asdict(spec.limits),
         "algebras": [{"blocks": list(a.blocks)} for a in spec.algebras],
         "bimodules": bimods,
         "morphisms": [{"source": _chain_index(spec, m.source),

@@ -18,14 +18,13 @@ the relation between the two kinds through m is a check on m.
 Each function takes the bimodules and fetches the products and duals it
 needs from ``tensor`` and ``dual_bimodule``; inside an open product store
 (:mod:`bimodcat.store`) those are built once and shared with every other
-caller.  ``conjugation`` opens a store when none is open, so a call on its
-own builds each product once.
+caller.  Outside a store each call builds its own, and a factor keeps
+its frame either way (:class:`bimodcat.bimodule.Bimodule`).
 """
 
 from __future__ import annotations
 
 from .bimodule import Bimodule, Morphism, dual_bimodule
-from .store import product_store
 from .tensor import (Members, TensorProduct, _member_map, _sector_swap, tensor,
                      tensor_left, tensor_right)
 
@@ -57,7 +56,6 @@ def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     return Morphism(tp_dual.result, dual_bimodule(tp_left.result), mat)
 
 
-@product_store()
 def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:
     """Single-kind conjugation c : (Y* kind X*) -> (X kind Y)*.
 

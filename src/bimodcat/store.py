@@ -11,10 +11,10 @@ through :func:`stored`; of the maps between products, only
 ``tensor_morphisms`` takes products, the two it maps between.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).  The arrays a
 build made are made read-only when it returns, since every caller shares
-them.  Bimodules are not looked into: a product's result and a dual build
-their action stacks on first read and make them read-only then
-(:meth:`bimodcat.bimodule.Bimodule.deferred`), and a bimodule given as an
-argument keeps its stacks as given.  Outside a store every call builds.
+them.  Bimodules are not looked into: each keeps its own frame and action
+stacks once it has them (:class:`bimodcat.bimodule.Bimodule`), so no store
+holds them; a bimodule given as an argument keeps its stacks as given.
+Outside a store every call builds.
 
 The open store lives in a context variable, so it is visible to the calls
 made inside the ``with`` block and to no other thread.

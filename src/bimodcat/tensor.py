@@ -141,7 +141,6 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
-@product_store()
 def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     """The product's members and the result's actions on them.
 
@@ -150,8 +149,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     block, then by a, then by b, reversed for rtimes.  A acts by
     W_X^H L_u W_X on the index a alone, C by W_Y^H R_v W_Y on b alone: the
     cases L_u (x) 1 and 1 (x) R_v of f (x) g, built on the result's first
-    read.  With no store open it opens one for its build, so that a factor
-    given by its stacks finds its frame once.
+    read.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from bimodcat.store import product_store
 from bimodcat.tensor import tensor_left, tensor_right
 from oracles import canonical_units, hom_null_space, multiplicity_traces
 from random_bims import random_bim
+
+# the module, whose globals its functions read
+bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 
 def test_standard_form_validates():
@@ -322,8 +327,8 @@ def test_a_suite_on_explicit_stacks_runs_no_eigensolver(monkeypatch):
 
 
 def test_a_deferred_frame_is_built_once():
-    # a dual's frame is its original's, conjugated, on its first read only;
-    # a frame from stacks is found once per product store
+    # a dual's frame is its original's, conjugated, made with the dual; a
+    # frame from stacks is found on its first read and kept
     x = generate(0).bimodules[0]
     for original in (x, _explicit(x)):
         with product_store():
@@ -331,3 +336,27 @@ def test_a_deferred_frame_is_built_once():
             assert xs.frame is xs.frame
             assert original.frame is original.frame
             assert np.array_equal(xs.frame.left, original.frame.right)
+
+
+def test_a_stack_frame_is_found_once_in_and_out_of_stores(monkeypatch):
+    # the frame of a bimodule given by its stacks is kept on the bimodule:
+    # read in two product stores, through a product and a dual, and outside
+    # any store, range_basis runs once per pair of blocks in all
+    x = _explicit(generate(1, Limits(min_mult=1)).bimodules[1])
+    calls, range_basis = [], bimodule_module.range_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return range_basis(*args, **kwargs)
+    monkeypatch.setattr(bimodule_module, "range_basis", counted)
+    frames = []
+    for _ in range(2):
+        with product_store():
+            frames.append(x.frame)
+            dual_bimodule(x)
+            tensor_left(x, standard_form(x.right_algebra).bimodule)
+    frames.append(x.frame)
+    assert len(calls) == len(x.left_algebra.blocks) * len(x.right_algebra.blocks)
+    assert all(frame is frames[0] for frame in frames)
+    for arr in frames[0]:
+        assert not arr.flags.writeable

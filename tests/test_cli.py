@@ -9,7 +9,8 @@ from bimodcat import coherence
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import Bimodule, canonical_bimodule
 from bimodcat.cli import main
-from bimodcat.instances import _encode, generate, save, to_document
+from bimodcat.instances import (_encode, generate, load_lenient, save,
+                                to_document)
 from bimodcat.tensor import tensor_left, tensor_right
 from oracles import gram, psd_rank
 from stacks import given_by_stacks
@@ -133,6 +134,32 @@ def test_verify_corrupted_instance_fails(capsys, tmp_path):
     assert "defect=inf" in out and "max defect inf" in out
 
 
+def test_a_morphism_that_is_no_intertwiner_is_reported(capsys, tmp_path):
+    # gen --seed 1 with morphism 0's matrix a random real one of its shape:
+    # verify drops the morphism and reports it with its finite defect,
+    # which maxDefect counts; tensor refuses the document
+    doc = to_document(generate(1))
+    rows, cols = np.shape(doc["morphisms"][0]["matrix"])[:2]
+    matrix = np.random.default_rng(0).standard_normal((rows, cols))
+    doc["morphisms"][0]["matrix"] = _encode(matrix)
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(doc))
+    spec, violations = load_lenient(path.read_bytes())
+    assert [msg.split(":")[0] for msg, _ in violations] == ["$.morphisms[0]"]
+    assert len(spec.morphisms) == len(generate(1).morphisms) - 1
+    code, out, _ = _run(capsys, "verify", "--instance", str(path), "--json")
+    assert code == 1
+    rep = json.loads(out, parse_constant=_reject_constant)
+    (bad,) = [c for c in rep["checks"] if c["name"] == "instance-valid"]
+    assert bad["error"].startswith("$.morphisms[0]: matrix is not an intertwiner")
+    assert bad["defect"] == violations[0][1] > 1e-8
+    assert all(c["passed"] for c in rep["checks"] if c is not bad)
+    assert rep["summary"]["maxDefect"] == max(c["defect"] for c in rep["checks"])
+    code, out, err = _run(capsys, "tensor", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("bimodcat: $.morphisms[0]: matrix is not an intertwiner"), err
+
+
 def test_verify_raising_check_is_strict_json(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")
@@ -218,7 +245,8 @@ def test_tensor_builds_each_product_once(capsys, monkeypatch):
         return build(*args)
 
     def counted_check(self, *units):
-        if self._build is not None:
+        # only a deferred bimodule holds a build, until its stacks are made
+        if "_build" in vars(self):
             stacks.append(self)
         return check(self, *units)
     monkeypatch.setattr(tensor_module, "_tensor_product", counted)
@@ -271,6 +299,15 @@ def test_tensor_mismatched_chain(capsys, tmp_path):
     code, _, err = _run(capsys, "verify", "--instance", str(path))
     assert code == 2
     assert "$.bimodules[1].right" in err
+
+
+def test_tensor_needs_two_bimodules(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    code, _, _ = _run(capsys, "gen", "--length", "1", "--out", str(path))
+    assert code == 0
+    code, out, err = _run(capsys, "tensor", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert "need at least two bimodules in the chain" in err
 
 
 def test_missing_instance_file(capsys):
