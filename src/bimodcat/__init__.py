@@ -27,13 +27,13 @@ from .coherence import (CheckResult, check_duality_square,
 from .instances import (InstanceFormatError, InstanceSpec, Limits, generate,
                         load, random_algebra, random_bimodule, random_morphism,
                         save)
-from .involution import conjugation, conjugation_mixed
+from .involution import conjugation, conjugation_mixed, conjugation_perm
 from .linalg import DEFAULT_TOL, RANK_EPS, op_norm, scale_tol
 from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct,
-                     WellDefinednessError, associator, left_unitor, m_iso,
-                     m_standard, right_unitor, tensor, tensor_left,
-                     tensor_matrix_extension_iso, tensor_morphisms,
-                     tensor_right)
+                     WellDefinednessError, associator, associator_perm,
+                     left_unitor, m_iso, m_standard, right_unitor, tensor,
+                     tensor_left, tensor_matrix_extension_iso,
+                     tensor_morphisms, tensor_right, whisker)
 
 __version__ = "0.1.0"

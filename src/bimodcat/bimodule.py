@@ -19,10 +19,12 @@ and their frame without their stacks and are made with a build of the
 stacks instead (:meth:`Bimodule.deferred`): it runs on the first read of
 either stack, which checks the stacks and makes them read-only.  No frame
 reads the stacks of a product's result or a dual, so a result is built
-only when a map on a product checks that a leg is B-linear
+only when a map on a product checks that a dense leg is B-linear
 (:func:`bimodcat.tensor.tensor_morphisms`) or its stacks are read
-otherwise; most results never are.  Every bimodule keeps its frame and
-its stacks once it has them, inside a product store or not.
+otherwise; a permutation leg is checked on the frames' labels
+(:func:`bimodcat.tensor.whisker`), and most results are never read.
+Every bimodule keeps its frame and its stacks once it has them, inside a
+product store or not.
 """
 
 from __future__ import annotations
@@ -246,13 +248,17 @@ class Morphism:
                 f"({self.target.dim}, {self.source.dim})")
 
     def intertwiner_defect(self) -> float:
-        """Worst defect of T L_a - L'_a T and T R_b - R'_b T over matrix units."""
+        """Worst defect of T L_a - L'_a T and T R_b - R'_b T over matrix units.
+
+        One stacked product per side and one batched norm, skipped when the
+        stacked defect is exactly zero.
+        """
         t = self.matrix
         worst = 0.0
         for side in _SIDES:
-            for u, u2 in zip(getattr(self.source, side),
-                             getattr(self.target, side)):
-                worst = max(worst, op_norm(t @ u - u2 @ t))
+            d = t @ getattr(self.source, side) - getattr(self.target, side) @ t
+            if d.any():
+                worst = max(worst, float(np.linalg.norm(d, 2, axis=(1, 2)).max()))
         return worst
 
     def is_morphism(self, tol: float = 1e-8) -> bool:
@@ -465,6 +471,20 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
     sizes = np.bincount(k * len(b.blocks) + l, minlength=len(a.blocks) * len(b.blocks))
     return [run.reshape(n, m, -1) for run, (n, m) in zip(
         np.split(order, np.cumsum(sizes)[:-1]), itertools.product(a.blocks, b.blocks))]
+
+
+def corner_base(x: Bimodule, side: str) -> np.ndarray:
+    """Per frame column, its column in the first row or column of its pair's corners.
+
+    Column t, multiplicity index s of the corner (i, j) of a pair of
+    blocks, goes to multiplicity index s of the corner (0, j) for
+    ``side="left"`` and of (i, 0) for ``side="right"``, the column that
+    the ``side`` action's matrix units carry it to and back from.
+    """
+    base = np.empty(x.dim, dtype=np.intp)
+    for cols in _corner_columns(x):
+        base[cols] = cols[:1] if side == "left" else cols[:, :1]
+    return base
 
 
 def multiplicity_matrix(x: Bimodule) -> np.ndarray:

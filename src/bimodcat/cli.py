@@ -128,9 +128,10 @@ def cmd_verify(args) -> int:
             raise UsageError(f"unknown check families: {', '.join(unknown)}")
     spec, violations = _load_or_generate(args)
     report = coherence.run_suite(spec, tol=tol, suite=suite)
-    for msg, defect in violations:
-        report["checks"].insert(0, coherence.CheckResult(
-            "instance-valid", float(defect), tol, False, error=msg).as_dict())
+    # ahead of the checks in document order, which the stable sort keeps
+    report["checks"][:0] = [coherence.CheckResult(
+        "instance-valid", float(defect), tol, False, error=msg).as_dict()
+        for msg, defect in violations]
     report["summary"]["total"] += len(violations)
     report["summary"]["maxDefect"] = max(
         (c["defect"] for c in report["checks"]), default=0.0)

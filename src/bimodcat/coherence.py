@@ -10,16 +10,31 @@ An input of dimension 0 takes the same path, on empty matrices: a
 diagram that draws it reads 0, and the result is marked degenerate.
 
 An edge that whiskers a map by a factor it leaves unchanged, f (x) 1 or
-1 (x) g, passes None for that identity leg to
-:func:`bimodcat.tensor.tensor_morphisms`, which reads it off the members
-as an index mask.
+1 (x) g, passes None for that identity leg, which is read off the members.
+
+The edges that permute frame columns stay index arrays (``perm[j]`` is the
+target member of source member j; :mod:`bimodcat.tensor`): the
+associator a (:func:`bimodcat.tensor.associator_perm`), the conjugation c
+(:func:`bimodcat.involution.conjugation_perm`), the double-dual edge
+d_X (x) d_Y, which is the identity of frame columns since X**'s frame is
+X's, and their whiskerings (:func:`bimodcat.tensor.whisker`).  A path
+composes them by indexing, and a dense edge by a gather of its columns
+or a scatter of its rows, bit for bit its product with the 0/1 matrix.
+So the pentagon, the hexagon and the duality square compare two index
+arrays and read 0.0 without a norm when they are equal; only unequal
+arrays are made dense, so a wrong permutation reports its true defect.
+m, the unitors and the naturality squares' f and g carry the frames and
+the actions and stay dense matrices, through
+:func:`bimodcat.tensor.tensor_morphisms`; a path that draws one is dense
+from that edge on.
 
 Every check accepts a ``mutation`` hook ``(role, rng, eps)`` that replaces
 the named structural edge e by R e for a random unitary R within eps of the
-identity — the sensitivity harness for the diagrams.  The twisted edge is
-the edge as drawn: where the role's map is whiskered, as a_WXY (x) 1 in
+identity — the sensitivity harness for the diagrams.  A twisted index
+array is the dense R[:, perm], so its path goes dense.  The twisted edge
+is the edge as drawn: where the role's map is whiskered, as a_WXY (x) 1 in
 the pentagon, the whiskered map is twisted, so no leg handed to
-``tensor_morphisms`` is twisted.
+``whisker`` or ``tensor_morphisms`` is twisted.
 
 Each check runs in a product store (see :mod:`bimodcat.store`): its own
 when called alone, the suite's inside :func:`run_suite`.  So a check
@@ -34,14 +49,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import standard_form
-from .bimodule import Bimodule, double_dual_iso, dual_bimodule
+from .bimodule import Bimodule, dual_bimodule
 from .instances import InstanceSpec, random_morphism
-from .involution import conjugation
-from .linalg import DEFAULT_TOL, op_norm, scale_tol, small_rotation
+from .involution import conjugation_perm
+from .linalg import (DEFAULT_TOL, op_norm, permutation_matrix, scale_tol,
+                     small_rotation)
 from .store import product_store
-from .tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor, m_iso,
-                     right_unitor, tensor, tensor_left, tensor_morphisms,
-                     tensor_right)
+from .tensor import (KIND_LEFT, KIND_RIGHT, associator_perm, left_unitor,
+                     m_iso, right_unitor, tensor, tensor_left,
+                     tensor_morphisms, tensor_right, whisker)
 
 #: (edge role, rng, epsilon) — twist the named edge by a random eps-rotation
 Mutation = Tuple[str, np.random.Generator, float]
@@ -68,11 +84,53 @@ class CheckResult:
                 "degenerate": self.degenerate, "error": self.error}
 
 
-def _twist(mat: np.ndarray, role: str, mutation: Optional[Mutation]) -> np.ndarray:
+def _twist(edge: np.ndarray, role: str, mutation: Optional[Mutation]) -> np.ndarray:
+    """R e for the mutated role; an index array e gives the dense R[:, e]."""
     if mutation is not None and mutation[0] == role:
         _, rng, eps = mutation
-        return small_rotation(rng, mat.shape[0], eps) @ mat
-    return mat
+        rot = small_rotation(rng, edge.shape[0], eps)
+        return rot[:, edge] if edge.ndim == 1 else rot @ edge
+    return edge
+
+
+def _path(*edges: np.ndarray) -> np.ndarray:
+    """edges[0] o edges[1] o ..., folded from the left as ``@`` is.
+
+    An index array p is the 0/1 matrix P with P[p[j], j] = 1: two compose
+    by indexing, M P gathers M's columns by p and P M scatters M's rows to
+    p, bit for bit the products.  The result is an index array while every
+    edge is one.
+    """
+    out = edges[0]
+    for e in edges[1:]:
+        if out.ndim == 2 and e.ndim == 2:
+            out = out @ e
+        elif out.ndim == 2:
+            out = out[:, e]
+        elif e.ndim == 1:
+            out = out[e]
+        else:
+            rows = np.empty_like(e)
+            rows[out] = e
+            out = rows
+    return out
+
+
+def _transpose(edge: np.ndarray) -> np.ndarray:
+    """The transpose; of an index array, its inverse."""
+    if edge.ndim == 2:
+        return edge.T
+    inverse = np.empty_like(edge)
+    inverse[edge] = np.arange(edge.size)
+    return inverse
+
+
+def _defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """op_norm(lhs - rhs); 0.0 without a norm for two equal index arrays."""
+    if lhs.ndim == rhs.ndim == 1 and np.array_equal(lhs, rhs):
+        return 0.0
+    lhs, rhs = (permutation_matrix(e) if e.ndim == 1 else e for e in (lhs, rhs))
+    return op_norm(lhs - rhs)
 
 
 def _result(name: str, defect: float, tol: float,
@@ -93,12 +151,12 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     t_xy = tensor(kind, x, y)
     t_xl_y = tensor(kind, tensor(kind, x, l2).result, y)
     t_x_ly = tensor(kind, x, tensor(kind, l2, y).result)
-    a = _twist(associator(kind, x, l2, y), "assoc", mutation)
+    a = _twist(associator_perm(kind, x, l2, y), "assoc", mutation)
     e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor(kind, x), None)
     e_l = tensor_morphisms(t_x_ly, t_xy, None, left_unitor(kind, y))
     e_r = _twist(e_r, "right-unit", mutation)
     e_l = _twist(e_l, "left-unit", mutation)
-    defect = op_norm(e_l @ a - e_r)
+    defect = _defect(_path(e_l, a), e_r)
     return _result(name, defect, base_tol, (x.dim, y.dim))
 
 
@@ -109,16 +167,17 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     """The two five-edge reassociation paths on W (x) X (x) Y (x) Z agree."""
     name = f"pentagon-{kind}"
     wx, xy, yz = (tensor(kind, *p).result for p in ((w, x), (x, y), (y, z)))
-    e1 = tensor_morphisms(tensor(kind, tensor(kind, wx, y).result, z),
-                          tensor(kind, tensor(kind, w, xy).result, z),
-                          associator(kind, w, x, y), None)
+    e1 = whisker(tensor(kind, tensor(kind, wx, y).result, z),
+                 tensor(kind, tensor(kind, w, xy).result, z),
+                 associator_perm(kind, w, x, y), None)
     e1 = _twist(e1, "assoc", mutation)
-    e3 = tensor_morphisms(tensor(kind, w, tensor(kind, xy, z).result),
-                          tensor(kind, w, tensor(kind, x, yz).result),
-                          None, associator(kind, x, y, z))
-    long_path = e3 @ associator(kind, w, xy, z) @ e1
-    short_path = associator(kind, w, x, yz) @ associator(kind, wx, y, z)
-    defect = op_norm(long_path - short_path)
+    e3 = whisker(tensor(kind, w, tensor(kind, xy, z).result),
+                 tensor(kind, w, tensor(kind, x, yz).result),
+                 None, associator_perm(kind, x, y, z))
+    long_path = _path(e3, associator_perm(kind, w, xy, z), e1)
+    short_path = _path(associator_perm(kind, w, x, yz),
+                       associator_perm(kind, wx, y, z))
+    defect = _defect(long_path, short_path)
     return _result(name, defect, base_tol, (w.dim, x.dim, y.dim, z.dim))
 
 
@@ -146,15 +205,15 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
     name = "m-assoc"
     xy_l, xy_r = tensor_left(x, y).result, tensor_right(x, y).result
     yz_l, yz_r = tensor_left(y, z).result, tensor_right(y, z).result
-    a_l = _twist(associator(KIND_LEFT, x, y, z), "assoc", mutation)
+    a_l = _twist(associator_perm(KIND_LEFT, x, y, z), "assoc", mutation)
     e1 = tensor_morphisms(tensor_left(xy_l, z), tensor_left(xy_r, z),
                           m_iso(x, y), None)
     e1 = _twist(e1, "m", mutation)
-    path1 = associator(KIND_RIGHT, x, y, z) @ m_iso(xy_r, z) @ e1
+    path1 = _path(associator_perm(KIND_RIGHT, x, y, z), m_iso(xy_r, z), e1)
     e2 = tensor_morphisms(tensor_left(x, yz_l), tensor_left(x, yz_r),
                           None, m_iso(y, z))
-    path2 = m_iso(x, yz_r) @ e2 @ a_l
-    defect = op_norm(path1 - path2)
+    path2 = _path(m_iso(x, yz_r), e2, a_l)
+    defect = _defect(path1, path2)
     return _result(name, defect, base_tol, (x.dim, y.dim, z.dim))
 
 
@@ -165,18 +224,20 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     """Anti-multiplicativity of the dual: c respects reassociation."""
     name = f"hexagon-{kind}"
     xs, ys, zs = dual_bimodule(x), dual_bimodule(y), dual_bimodule(z)
-    a_dual = _twist(associator(kind, zs, ys, xs), "assoc", mutation)
-    c_xy, c_yz = conjugation(kind, x, y), conjugation(kind, y, z)
-    e_a = tensor_morphisms(tensor(kind, zs, tensor(kind, ys, xs).result),
-                           tensor(kind, zs, c_xy.target), None, c_xy.matrix)
+    xy, yz = tensor(kind, x, y).result, tensor(kind, y, z).result
+    a_dual = _twist(associator_perm(kind, zs, ys, xs), "assoc", mutation)
+    # c_XY : Y* (x) X* -> (X (x) Y)*, whiskered by Z* on the left
+    e_a = whisker(tensor(kind, zs, tensor(kind, ys, xs).result),
+                  tensor(kind, zs, dual_bimodule(xy)), None,
+                  conjugation_perm(kind, x, y))
     e_a = _twist(e_a, "c", mutation)
-    c2 = conjugation(kind, tensor(kind, x, y).result, z)
-    lhs = c2.matrix @ e_a @ a_dual
-    e_b = tensor_morphisms(tensor(kind, tensor(kind, zs, ys).result, xs),
-                           tensor(kind, c_yz.target, xs), c_yz.matrix, None)
-    c3 = conjugation(kind, x, tensor(kind, y, z).result)
-    rhs = associator(kind, x, y, z).T @ c3.matrix @ e_b
-    defect = op_norm(lhs - rhs)
+    lhs = _path(conjugation_perm(kind, xy, z), e_a, a_dual)
+    e_b = whisker(tensor(kind, tensor(kind, zs, ys).result, xs),
+                  tensor(kind, dual_bimodule(yz), xs),
+                  conjugation_perm(kind, y, z), None)
+    rhs = _path(_transpose(associator_perm(kind, x, y, z)),
+                conjugation_perm(kind, x, yz), e_b)
+    defect = _defect(lhs, rhs)
     return _result(name, defect, base_tol, (x.dim, y.dim, z.dim))
 
 
@@ -188,16 +249,20 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
 
     The right-hand path's edge d_{X(x)Y} is the canonical double-dual
     identification of the conjugate-coordinate model, an identity matrix,
-    so the right path is the transpose of c_{X,Y} itself.
+    so the right path is the transpose of c_{X,Y} itself.  d_X is the
+    identity of frame columns too, since X**'s frame is X's: so
+    d_X (x) d_Y is read in frame coordinates, as an index array, and
+    neither (X (x) Y)* nor (Y* (x) X*)* is built.
     """
     name = f"duality-{kind}"
     xs, ys = dual_bimodule(x), dual_bimodule(y)
-    c_xy = _twist(conjugation(kind, x, y).matrix, "c", mutation)
-    dd_edge = tensor_morphisms(
+    c_xy = _twist(conjugation_perm(kind, x, y), "c", mutation)
+    dd_edge = whisker(
         tensor(kind, x, y), tensor(kind, dual_bimodule(xs), dual_bimodule(ys)),
-        double_dual_iso(x).matrix, double_dual_iso(y).matrix)
-    lhs = conjugation(kind, ys, xs).matrix @ dd_edge
-    return _result(name, op_norm(lhs - c_xy.T), base_tol, (x.dim, y.dim))
+        np.arange(x.dim), np.arange(y.dim))
+    lhs = _path(conjugation_perm(kind, ys, xs), dd_edge)
+    return _result(name, _defect(lhs, _transpose(c_xy)), base_tol,
+                   (x.dim, y.dim))
 
 
 @product_store()
@@ -233,11 +298,11 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         t_yz = tensor(kind, y, z)
         t_xy_z = tensor(kind, t_xy[kind].result, z)
         t_x_yz = tensor(kind, x, t_yz.result)
-        a = associator(kind, x, y, z)
+        a = associator_perm(kind, x, y, z)
         fg[kind] = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
-        lhs = a @ tensor_morphisms(t_xy_z, t_xy_z, fg[kind], None)
+        lhs = _path(a, tensor_morphisms(t_xy_z, t_xy_z, fg[kind], None))
         gz = tensor_morphisms(t_yz, t_yz, g, None)
-        rhs = tensor_morphisms(t_x_yz, t_x_yz, f, gz) @ a
+        rhs = _path(tensor_morphisms(t_x_yz, t_x_yz, f, gz), a)
         worst = max(worst, op_norm(lhs - rhs))
     out.append(_result("naturality-assoc", worst, tol_fg, dims))
 
@@ -250,9 +315,9 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     for kind in (KIND_LEFT, KIND_RIGHT):
         t_yx = tensor(kind, ys, xs)
-        c = conjugation(kind, x, y)
+        c = conjugation_perm(kind, x, y)
         tgf = tensor_morphisms(t_yx, t_yx, g.T, f.T)
-        worst = max(worst, op_norm(c.matrix @ tgf - fg[kind].T @ c.matrix))
+        worst = max(worst, op_norm(_path(c, tgf) - _path(fg[kind].T, c)))
     out.append(_result("naturality-c", worst, tol_fg, dims))
     return out
 

@@ -385,10 +385,9 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
         except ValueError as exc:   # other acting algebras or the wrong shape
             raise InstanceFormatError(f"{path}: {exc}") from exc
         if not mor.is_morphism():
-            violations.append(
-                (f"{path}: matrix is not an intertwiner "
-                 f"(defect {mor.intertwiner_defect():.3e})",
-                 mor.intertwiner_defect()))
+            defect = mor.intertwiner_defect()
+            violations.append((f"{path}: matrix is not an intertwiner "
+                               f"(defect {defect:.3e})", defect))
             continue
         morphisms.append(mor)
 

@@ -29,6 +29,17 @@ def op_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def permutation_matrix(perm: np.ndarray, dtype=complex) -> np.ndarray:
+    """The 0/1 matrix P of an index array: P[perm[j], j] = 1.
+
+    So P M scatters M's rows to ``perm`` and M P gathers M's columns by
+    it, bit for bit the products with P.
+    """
+    p = np.zeros((perm.size, perm.size), dtype=dtype)
+    p[perm, np.arange(perm.size)] = 1
+    return p
+
+
 def scale_tol(*norms: float, base: float = DEFAULT_TOL) -> float:
     """Scale-aware tolerance: base times the product of the given norms.
 

@@ -8,7 +8,8 @@ own, and inside a suite it shares the suite's.  While a store is open,
 every later call, so a product of a product's result is built once too.
 Functions take bimodules and fetch their products, duals and ``m`` maps
 through :func:`stored`; of the maps between products, only
-``tensor_morphisms`` takes products, the two it maps between.  Arguments
+``tensor_morphisms`` and ``whisker`` take products, the two they map
+between.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).  The arrays a
 build made are made read-only when it returns, since every caller shares
 them.  Bimodules are not looked into: each keeps its own frame and action

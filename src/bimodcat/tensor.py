@@ -27,12 +27,26 @@ Every map between products is read off the pairs of frame columns and the
 factors' frames.  One formula, :func:`_member_map`, sends c_a (x) d_b to
 f c_a (x) g d_b; its cases are the result actions, f (x) g, the
 multiplicativity map m, the extension identifications and, on conjugate
-members, the conjugation c of :mod:`bimodcat.involution`.  The unitors and
-the associator pair frame columns the same way.  They and m take a kind,
-where they have one, and bimodules, and fetch their products through
-:func:`tensor`; only :func:`tensor_morphisms` takes the two products it
-maps between.  No bounded-vector space, algebraic tensor space or
-spanning family is built; the tests keep those constructions as oracles.
+members, the mixed conjugation of :mod:`bimodcat.involution`.  The unitors
+pair frame columns the same way.
+
+Maps that send frame columns to frame columns stay index arrays: ``perm[j]``
+is the target member of source member j, the 0/1 matrix P with
+P[perm[j], j] = 1 (:func:`bimodcat.linalg.permutation_matrix`).  Each
+product keeps a lookup table of its members (:attr:`TensorProduct.index`),
+so the associator is two lookups of triples of frame columns
+(:func:`associator_perm`), and f (x) g of permutation legs in frame
+coordinates is a gather through the target's table (:func:`whisker`).  A
+permutation leg is B-linear when it keeps the frame labels of its side and
+commutes with :func:`bimodcat.bimodule.corner_base`: in adapted frames the
+matrix units of that side act by the same 0/1 maps between corners, so
+this label test is the B-linearity test, and it reads no action stack.
+
+The maps take a kind, where they have one, and bimodules, and fetch their
+products through :func:`tensor`; only :func:`tensor_morphisms` and
+:func:`whisker` take the two products they map between.  No bounded-vector
+space, algebraic tensor space or spanning family is built; the tests keep
+those constructions as oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +58,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
-from .bimodule import Bimodule, Frame, matrix_extension
+from .bimodule import Bimodule, Frame, corner_base, matrix_extension
+from .linalg import permutation_matrix
 from .store import product_store, stored
 
 KIND_LEFT = "left"     # ltimes
@@ -91,6 +106,18 @@ class TensorProduct:
     @property
     def dim(self) -> int:
         return self.result.dim
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """(dim X, dim Y) table of the members: index[a[i], b[i]] = i, else -1.
+
+        Built on first read and kept, read-only.
+        """
+        table = np.full((self.left_factor.dim, self.right_factor.dim), -1,
+                        dtype=np.intp)
+        table[self.a, self.b] = np.arange(self.a.size)
+        table.setflags(write=False)
+        return table
 
     @property
     def alg_dim(self) -> int:
@@ -205,6 +232,30 @@ def _leg(f, w, w2, i, i2) -> np.ndarray:
     return f[..., i2[:, None], i]
 
 
+def _given_legs(src: TensorProduct, tgt: TensorProduct, f, g):
+    """(name, side, leg, factor, factor') of each leg of f (x) g that is not None.
+
+    For both kinds f must be right-B-linear and g left-B-linear.  A None
+    leg is the identity of a factor that ``src`` and ``tgt`` share; on
+    factors that differ it raises ValueError naming it.
+    """
+    if src.kind != tgt.kind:
+        raise ValueError("source and target tensor kinds differ")
+    legs = (("f", "right", f, src.left_factor, tgt.left_factor),
+            ("g", "left", g, src.right_factor, tgt.right_factor))
+    for name, side, m, factor, factor2 in legs:
+        if m is None and factor is not factor2:
+            raise ValueError(f"{name} is None, but the two products do not "
+                             f"share that factor")
+    return [leg for leg in legs if leg[2] is not None]
+
+
+def _not_b_linear(name: str, side: str, detail: str) -> WellDefinednessError:
+    return WellDefinednessError(
+        f"{name} is not {side}-B-linear, so f (x) g does not descend to the "
+        f"tensor product ({detail})")
+
+
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
                      f: Optional[np.ndarray], g: Optional[np.ndarray]) -> np.ndarray:
     """Matrix of f (x) g between tensor products of the same kind.
@@ -218,25 +269,51 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
     WellDefinednessError names a given leg m for which
     ||m U_w - U'_w m||_F, stacked over every matrix unit w of B, exceeds
     1e-6 max(1, ||m||_F); rounding leaves about machine epsilon ||m||.
+    Legs that are permutations of frame columns go to :func:`whisker`.
     """
-    if src.kind != tgt.kind:
-        raise ValueError("source and target tensor kinds differ")
-    legs = (("f", "right", f, src.left_factor, tgt.left_factor),
-            ("g", "left", g, src.right_factor, tgt.right_factor))
-    for name, side, m, factor, factor2 in legs:
-        if m is None and factor is not factor2:
-            raise ValueError(f"{name} is None, but the two products do not "
-                             f"share that factor")
-        if m is None:
-            continue
+    for name, side, m, factor, factor2 in _given_legs(src, tgt, f, g):
         units = f"{side}_units"
         defect = np.linalg.norm(m @ getattr(factor, units) - getattr(factor2, units) @ m)
         if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
-            raise WellDefinednessError(
-                f"{name} is not {side}-B-linear, so f (x) g does not descend "
-                f"to the tensor product (defect {defect:.3e})")
+            raise _not_b_linear(name, side, f"defect {defect:.3e}")
     # two None legs give the boolean mask of the identity
     return _member_map(src.members, tgt.members, f, g).astype(complex, copy=False)
+
+
+def whisker(src: TensorProduct, tgt: TensorProduct,
+            f: Optional[np.ndarray], g: Optional[np.ndarray]) -> np.ndarray:
+    """f (x) g between products of the same kind, for permutation legs: an index array.
+
+    ``f`` sends frame column j of X to column f[j] of X', ``g`` likewise
+    for Y; None is the identity of a shared factor, as in
+    :func:`tensor_morphisms`.  Member (a, b) goes to the member (f[a], g[b])
+    of ``tgt``, a gather through its table (:attr:`TensorProduct.index`).
+    A leg is B-linear on its side when it keeps the frame labels of that
+    side and commutes with :func:`bimodcat.bimodule.corner_base`; in adapted
+    frames that is m U_w = U'_w m for every matrix unit w, and
+    WellDefinednessError names a leg that fails it.  No stack is read.
+    """
+    for name, side, perm, factor, factor2 in _given_legs(src, tgt, f, g):
+        if not _permutes_corners(perm, factor, factor2, side):
+            raise _not_b_linear(name, side, "it moves frame labels or corners")
+    a = src.a if f is None else f[src.a]
+    b = src.b if g is None else g[src.b]
+    return tgt.index[a, b]
+
+
+def _permutes_corners(perm: np.ndarray, x: Bimodule, x2: Bimodule,
+                      side: str) -> bool:
+    """Whether column j -> column perm[j] of X' commutes with ``side``'s matrix units.
+
+    It must keep each column's ``side`` label and send the first-row (or
+    first-column) column of each column's corners to that of its image.
+    """
+    labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
+    if perm.shape != (x.dim,) or x2.dim != x.dim or not np.array_equal(
+            labels2[perm], labels):
+        return False
+    base, base2 = (stored(corner_base, y, side) for y in (x, x2))
+    return np.array_equal(base2[perm], perm[base])
 
 
 # -- unit isomorphisms --------------------------------------------------------
@@ -266,20 +343,24 @@ def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
 # -- associators --------------------------------------------------------------
 
 def associator(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
-    """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z), all four products of the kind.
+    """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z) as a 0/1 matrix (:func:`associator_perm`)."""
+    return permutation_matrix(associator_perm(kind, x, y, z))
+
+
+def associator_perm(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
+    """a : (X (x) Y) (x) Z  ->  X (x) (Y (x) Z) as an index array, all four products of the kind.
 
     Every member of either side is a triple of frame columns of X, Y and Z:
     (c_a (x) d_b) (x) z_c and c_a (x) (d_b (x) z_c).  a sends each triple
-    to itself, so it is a 0/1 permutation and reads no frame.
+    to itself, so it is a permutation, looked up in the tables of Y (x) Z
+    and X (x) (Y (x) Z), and reads no frame.
     """
     tp_xy, tp_yz = tensor(kind, x, y), tensor(kind, y, z)
     src = tensor(kind, tp_xy.result, z)
     tgt = tensor(kind, x, tp_yz.result)
-    # the X, Y and Z columns of each member
+    # the X, Y and Z columns of each source member
     xa, yb, zc = tp_xy.a[src.a], tp_xy.b[src.a], src.b
-    xa2, yb2, zc2 = tgt.a, tp_yz.a[tgt.b], tp_yz.b[tgt.b]
-    same = (xa2[:, None] == xa) & (yb2[:, None] == yb) & (zc2[:, None] == zc)
-    return same.astype(complex)
+    return tgt.index[xa, tp_yz.index[yb, zc]]
 
 
 # -- matrix-extension identification and the multiplicativity isomorphism ----

@@ -160,6 +160,23 @@ def test_a_morphism_that_is_no_intertwiner_is_reported(capsys, tmp_path):
     assert err.startswith("bimodcat: $.morphisms[0]: matrix is not an intertwiner"), err
 
 
+def test_instance_violations_are_listed_in_document_order(capsys, tmp_path):
+    # gen --seed 1 with morphisms 0 and 1 random real matrices: both are
+    # dropped and reported, morphism 0 first
+    doc = to_document(generate(1))
+    rng = np.random.default_rng(0)
+    for m in doc["morphisms"][:2]:
+        m["matrix"] = _encode(rng.standard_normal(np.shape(m["matrix"])[:2]))
+    path = tmp_path / "morphisms.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "verify", "--instance", str(path), "--json")
+    assert code == 1
+    rep = json.loads(out, parse_constant=_reject_constant)
+    bad = [c["error"].split(":")[0] for c in rep["checks"]
+           if c["name"] == "instance-valid"]
+    assert bad == ["$.morphisms[0]", "$.morphisms[1]"]
+
+
 def test_verify_raising_check_is_strict_json(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("boom")

@@ -141,8 +141,10 @@ def test_a_twisted_whiskered_edge_fails_its_check():
 
 
 def test_duality_square_builds_only_the_duals_it_draws(monkeypatch):
-    # X*, Y*, X**, Y**, (X (x) Y)* and (Y* (x) X*)*: the square's right
-    # edge d_{X (x) Y} is an identity, so neither (X (x) Y)** nor X*** is built
+    # X*, Y*, X** and Y**: the square's right edge d_{X (x) Y} is an
+    # identity, so neither (X (x) Y)** nor X*** is built, and c is an index
+    # array, so neither (X (x) Y)* nor (Y* (x) X*)*, the targets of its
+    # Morphism, is built
     builds = []
     build = bimodule_module._dual_bimodule
 
@@ -152,7 +154,53 @@ def test_duality_square_builds_only_the_duals_it_draws(monkeypatch):
     monkeypatch.setattr(bimodule_module, "_dual_bimodule", counted)
     x, y = generate(0).bimodules[:2]
     assert check_duality_square(KIND_LEFT, x, y).passed
-    assert len(builds) == 6
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("family, check, lead, arity", [
+    (f"{name}-{kind}", check, (kind,), arity) for kind in KINDS
+    for name, check, arity in (("pentagon", check_pentagon, 4),
+                               ("hexagon", check_involution_hexagon, 3),
+                               ("duality", check_duality_square, 2))])
+def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
+                                                          check, lead, arity):
+    # on gen --min-mult 1 --max-mult 2 --seed 4 (r up to 864) an unmutated
+    # pentagon, hexagon or duality square compares two index arrays: no
+    # op_norm, no 0/1 matrix, no f (x) g by members and no action stack
+    spec = generate(4, limits=Limits(min_mult=1, max_mult=2))
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("op_norm", "permutation_matrix", "tensor_morphisms"):
+        spy(coherence, name)
+    spy(tensor_module, "_member_map")
+    spy(bimodule_module.Bimodule, "_checked")
+    result = check(*lead, *spec.bimodules[:arity])
+    assert (result.passed, result.defect) == (True, 0.0)
+    assert calls == []
+
+
+def test_a_suite_builds_ten_deferred_stacks(monkeypatch):
+    # on gen --min-mult 1 --seed 18, the products' results and the duals
+    # whose stacks a suite builds: those that a dense leg's B-linearity
+    # test, m or a unitor reads; a permutation leg reads none
+    built = []
+    check = bimodule_module.Bimodule._checked
+
+    def counted(self, *stacks):
+        if "_build" in vars(self):
+            built.append(self)
+        return check(self, *stacks)
+    monkeypatch.setattr(bimodule_module.Bimodule, "_checked", counted)
+    assert exit_code(run_suite(generate(18, limits=Limits(min_mult=1)))) == 0
+    assert len(built) == len({id(x) for x in built}) == 10
 
 
 def test_run_suite_report_structure_and_determinism():

@@ -7,7 +7,7 @@ from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import canonical_bimodule
 from bimodcat.instances import (InstanceFormatError, InstanceSpec, Limits,
-                                generate, load, load_lenient, random_algebra,
+                                _encode, generate, load, load_lenient, random_algebra,
                                 random_bimodule, save, to_document)
 
 
@@ -157,18 +157,20 @@ def test_load_lenient_truncates_broken_chain():
 
 
 def test_load_lenient_skips_bad_morphism():
+    # morphism 2 of gen --seed 3 is an endomorphism of a bimodule of
+    # dimension 4; a random real matrix of its shape is no intertwiner
     doc = to_document(generate(3))
-    assert doc["morphisms"]
-    m0 = doc["morphisms"][0]
-    m0["matrix"] = [[[1.0, 0.0] for _ in row] for row in m0["matrix"]]
+    m2 = doc["morphisms"][2]
+    rows, cols = np.shape(m2["matrix"])[:2]
+    assert rows > 1
+    m2["matrix"] = _encode(np.random.default_rng(0).standard_normal((rows, cols)))
     spec, violations = load_lenient(json.dumps(doc))
-    n_good = len(to_document(generate(3))["morphisms"]) - 1
-    if violations:
-        assert len(spec.morphisms) == n_good
-        assert "intertwiner" in violations[0][0]
-    else:
-        # the all-ones matrix happened to intertwine; nothing dropped
-        assert len(spec.morphisms) == n_good + 1
+    kept = generate(3).morphisms[:2]
+    assert len(spec.morphisms) == len(kept)
+    assert all(np.array_equal(m.matrix, k.matrix) for m, k in zip(spec.morphisms, kept))
+    ((msg, defect),) = violations
+    assert msg == f"$.morphisms[2]: matrix is not an intertwiner (defect {defect:.3e})"
+    assert defect > 1e-8
 
 
 def test_chain_consistency_enforced():

@@ -7,7 +7,7 @@ import pytest
 from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
 from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
-                               canonical_bimodule, dual_bimodule,
+                               _in_frames, canonical_bimodule, dual_bimodule,
                                multiplicity_matrix, random_morphism_matrix)
 from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
@@ -15,13 +15,13 @@ from bimodcat.coherence import run_suite
 from bimodcat.instances import Limits, generate
 from bimodcat.involution import conjugation, conjugation_mixed
 from bimodcat.linalg import (RANK_EPS, crandn, map_from_spanning, op_norm,
-                             psd_eig, random_unitary)
+                             permutation_matrix, psd_eig, random_unitary)
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
-                             associator, left_unitor, m_iso, m_standard,
-                             right_unitor, tensor, tensor_left,
+                             associator, associator_perm, left_unitor, m_iso,
+                             m_standard, right_unitor, tensor, tensor_left,
                              tensor_matrix_extension_iso, tensor_morphisms,
-                             tensor_right)
+                             tensor_right, whisker)
 from oracles import (bounded, conjugation_family, ext_family, gram,
                      induced_map, m_realization, multiplicity_traces, quotient,
                      sector_bases, standard_images)
@@ -605,6 +605,14 @@ def _kron_oracle(src, tgt, f, g):
     return induced_map(src, tgt, np.kron(f, g))
 
 
+def _whisker_oracle(src, tgt, f, g):
+    """The Kronecker oracle of whisker's permutation legs, made raw: W' P W^H."""
+    legs = [None if p is None else _in_frames(x, x2, permutation_matrix(p))
+            for p, x, x2 in ((f, src.left_factor, tgt.left_factor),
+                             (g, src.right_factor, tgt.right_factor))]
+    return _kron_oracle(src, tgt, *legs)
+
+
 def _conjugation_oracle(kind, x, y):
     """c of one kind from the mixed c's spanning solve and m's realization.
 
@@ -622,24 +630,26 @@ def _conjugation_oracle(kind, x, y):
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
       for seed in range(3))])
 def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
-    # every associator, unitor, f (x) g, m and c the suite builds, and
-    # f (x) g of random bimodule endomorphisms on every product of
-    # canonical factors; c against its derivation from the mixed
-    # conjugation through m
+    # every associator, unitor, f (x) g, whiskered permutation, m and c the
+    # suite builds, and f (x) g of random bimodule endomorphisms on every
+    # product of canonical factors; c against its derivation from the
+    # mixed conjugation through m.  An index array is compared as its 0/1
+    # matrix
     coherence = importlib.import_module("bimodcat.coherence")
     oracles = {
-        "associator": lambda *args: _solve(_associator_oracle(*args)),
+        "associator_perm": lambda *args: _solve(_associator_oracle(*args)),
         "left_unitor": lambda kind, x: _unitor_oracle(kind, x, True),
         "right_unitor": lambda kind, x: _unitor_oracle(kind, x, False),
         "tensor_morphisms": _kron_oracle,
+        "whisker": _whisker_oracle,
         "m_iso": m_realization,
-        "conjugation": _conjugation_oracle}
+        "conjugation_perm": _conjugation_oracle}
     compared = dict.fromkeys(oracles, 0)
     for name, oracle in oracles.items():
         def spy(*args, real=getattr(coherence, name), oracle=oracle, name=name,
                 **kwargs):
             got = real(*args, **kwargs)
-            matrix = getattr(got, "matrix", got)
+            matrix = permutation_matrix(got) if got.ndim == 1 else got
             assert _rel_err(matrix, oracle(*args, **kwargs)) <= 1e-12, name
             compared[name] += 1
             return got
@@ -681,6 +691,52 @@ def test_a_none_leg_is_the_identity_of_a_shared_factor():
             with pytest.raises(ValueError, match=f"^{name} is None") as err:
                 tensor_morphisms(tp, tgt, *legs)
             assert err.type is ValueError
+
+
+@pytest.mark.parametrize("seed, limits", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in range(10)),
+    *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
+      for seed in range(4))])
+def test_the_label_test_is_the_stack_test_on_permutation_legs(seed, limits):
+    # a, its transpose and a shuffled a, whiskered by L2 on either side:
+    # whisker's label test accepts a permutation leg exactly when
+    # tensor_morphisms' stack test accepts its 0/1 matrix, and then the
+    # gather is that matrix of f (x) g, bit for bit
+    chain = generate(seed, limits=limits).bimodules
+    rng = np.random.default_rng(seed)
+    verdicts = {"a": [], "a^T": [], "shuffled": []}
+    for kind in KINDS:
+        for x, y, z in zip(chain, chain[1:], chain[2:]):
+            a = associator_perm(kind, x, y, z)
+            inverse = np.argsort(a)
+            xy_z = tensor(kind, tensor(kind, x, y).result, z).result
+            x_yz = tensor(kind, x, tensor(kind, y, z).result).result
+            l2a = standard_form(x.left_algebra).bimodule
+            l2c = standard_form(z.right_algebra).bimodule
+            for name, perm, src, tgt in (("a", a, xy_z, x_yz),
+                                         ("a^T", inverse, x_yz, xy_z),
+                                         ("shuffled", a[rng.permutation(a.size)],
+                                          xy_z, x_yz)):
+                for pair, legs in ((lambda m: (m, l2c), lambda p: (p, None)),
+                                   (lambda m: (l2a, m), lambda p: (None, p))):
+                    tp, tp2 = tensor(kind, *pair(src)), tensor(kind, *pair(tgt))
+                    dense = [None if p is None else permutation_matrix(p)
+                             for p in legs(perm)]
+                    try:
+                        want = tensor_morphisms(tp, tp2, *dense)
+                    except WellDefinednessError:
+                        want = None
+                    try:
+                        got = permutation_matrix(whisker(tp, tp2, *legs(perm)))
+                    except WellDefinednessError:
+                        got = None
+                    assert (got is None) == (want is None), (kind, name)
+                    assert got is None or np.array_equal(got, want)
+                    verdicts[name].append(got is not None)
+    assert all(verdicts["a"]) and all(verdicts["a^T"])
+    if limits is not None:
+        # each min-mult 1 chain has a shuffle that both tests reject
+        assert not all(verdicts["shuffled"])
 
 
 def test_tensor_morphisms_rejects_maps_that_keep_the_sectors():
