@@ -57,26 +57,18 @@ class MultiMatrixAlgebra:
         return sum(n * n for n in self.blocks)
 
     @property
-    @functools.cache
     def offsets(self) -> Tuple[int, ...]:
         """The unit index of each block's e_00."""
-        return tuple(np.cumsum([0] + [n * n for n in self.blocks[:-1]]).tolist())
+        return _offsets(self.blocks)
 
     def unit(self, k, p, q) -> np.ndarray:
         """Index of the matrix unit e_pq of block k; broadcasts over arrays."""
         return np.asarray(self.offsets)[k] + p * np.asarray(self.blocks)[k] + q
 
     @property
-    @functools.cache
     def diagonal(self) -> DiagonalUnits:
         """The table of the diagonal units, built once per block tuple; read-only."""
-        first = np.cumsum((0,) + self.blocks)
-        block = np.repeat(np.arange(len(self.blocks)), self.blocks)
-        pos = np.arange(first[-1]) - first[block]
-        table = DiagonalUnits(block, pos, self.unit(block, pos, pos), first)
-        for column in table:
-            column.setflags(write=False)
-        return table
+        return _diagonal(self.blocks)
 
     def unit_positions(self) -> List[Tuple[int, int, int]]:
         """(block, row, col) for each matrix unit, in vectorization order."""
@@ -121,6 +113,27 @@ class MultiMatrixAlgebra:
 
     def __repr__(self):
         return "MultiMatrixAlgebra(" + "+".join(f"M{n}" for n in self.blocks) + ")"
+
+
+# The tables are cached on the block tuple, not on the algebra: a lookup
+# then hashes a tuple of ints, and every algebra with those blocks shares
+# one table.
+
+@functools.cache
+def _offsets(blocks: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(np.cumsum([0] + [n * n for n in blocks[:-1]]).tolist())
+
+
+@functools.cache
+def _diagonal(blocks: Tuple[int, ...]) -> DiagonalUnits:
+    first = np.cumsum((0,) + blocks)
+    block = np.repeat(np.arange(len(blocks)), blocks)
+    pos = np.arange(first[-1]) - first[block]
+    table = DiagonalUnits(block, pos,
+                          MultiMatrixAlgebra(blocks).unit(block, pos, pos), first)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,8 +65,15 @@ class Frame(NamedTuple):
     right: np.ndarray
 
     def conj(self) -> "Frame":
-        """The dual's frame: W conjugated, the two labels swapped."""
-        return Frame(None if self.w is None else np.conj(self.w), self.right, self.left)
+        """The dual's frame: W conjugated, read-only, the two labels swapped.
+
+        The labels are this frame's own arrays, as they are.
+        """
+        if self.w is None:
+            return Frame(None, self.right, self.left)
+        w = np.conj(self.w)
+        w.setflags(write=False)
+        return Frame(w, self.right, self.left)
 
 
 class Bimodule:
@@ -250,15 +257,14 @@ class Morphism:
     def intertwiner_defect(self) -> float:
         """Worst defect of T L_a - L'_a T and T R_b - R'_b T over matrix units.
 
-        One stacked product per side and one batched norm, skipped when the
-        stacked defect is exactly zero.
+        One stacked product per side and one batched norm (:func:`op_norm`
+        of the stack), skipped when the stacked defect is exactly zero.
         """
         t = self.matrix
         worst = 0.0
         for side in _SIDES:
-            d = t @ getattr(self.source, side) - getattr(self.target, side) @ t
-            if d.any():
-                worst = max(worst, float(np.linalg.norm(d, 2, axis=(1, 2)).max()))
+            worst = max(worst, op_norm(t @ getattr(self.source, side)
+                                       - getattr(self.target, side) @ t))
         return worst
 
     def is_morphism(self, tol: float = 1e-8) -> bool:
@@ -468,9 +474,10 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
     k, l = a.diagonal.block[frame.left], b.diagonal.block[frame.right]
     # labels rise with p in a block; lexsort is stable: frame order in a corner
     order = np.lexsort((frame.right, frame.left, l, k))
-    sizes = np.bincount(k * len(b.blocks) + l, minlength=len(a.blocks) * len(b.blocks))
-    return [run.reshape(n, m, -1) for run, (n, m) in zip(
-        np.split(order, np.cumsum(sizes)[:-1]), itertools.product(a.blocks, b.blocks))]
+    ends = np.bincount(k * len(b.blocks) + l,
+                       minlength=len(a.blocks) * len(b.blocks)).cumsum().tolist()
+    return [order[start:end].reshape(n, m, -1) for start, end, (n, m) in zip(
+        [0] + ends, ends, itertools.product(a.blocks, b.blocks))]
 
 
 def corner_base(x: Bimodule, side: str) -> np.ndarray:

@@ -154,6 +154,8 @@ def _bounded_space(x: Bimodule, side: str) -> BoundedBasis:
     if w.size and w[0] > 0 and w[-1] < RANK_EPS * w[0]:
         raise ValueError(f"{side} action is degenerate; bounded vectors do not span")
     vectors = v / np.sqrt(w)[None, :] if w.size else v
+    form.setflags(write=False)     # shared by every caller in a store
+    vectors.setflags(write=False)
     return BoundedBasis(side, x, form, vectors)
 
 

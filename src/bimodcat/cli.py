@@ -17,6 +17,7 @@ A tolerance must be a finite number > 0 and < 1: a relative tolerance of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +33,9 @@ from .store import product_store
 from .tensor import m_iso, tensor_left, tensor_right
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bimodcat",
         description="Finite-dimensional bimodule tensor calculus toolkit")

@@ -1,9 +1,11 @@
 """Executable coherence diagrams: defect norms for every structural identity.
 
-Each check builds the two composite paths around a diagram as explicit
-matrices and reports the operator norm of their difference against one
-tolerance rule: the base times max(1, ||e||) for each edge e that is not a
-unitary (:func:`bimodcat.linalg.scale_tol`).  Every structural edge is a
+Each check builds the two composite paths around a diagram: as index
+arrays while every edge permutes frame columns, as matrices from the
+first dense edge on.  It reports the operator norm of their difference,
+0.0 for two equal index arrays, against one tolerance rule: the base
+times max(1, ||e||) for each edge e that is not a unitary
+(:func:`bimodcat.linalg.scale_tol`).  Every structural edge is a
 unitary, so a structural check's tolerance is the base itself; only the
 naturality squares scale theirs, by their random endomorphisms f and g.
 An input of dimension 0 takes the same path, on empty matrices: a

@@ -10,11 +10,18 @@ Functions take bimodules and fetch their products, duals and ``m`` maps
 through :func:`stored`; of the maps between products, only
 ``tensor_morphisms`` and ``whisker`` take products, the two they map
 between.  Arguments
-are keyed by identity (``Bimodule`` compares by identity).  The arrays a
-build made are made read-only when it returns, since every caller shares
-them.  Bimodules are not looked into: each keeps its own frame and action
-stacks once it has them (:class:`bimodcat.bimodule.Bimodule`), so no store
-holds them; a bimodule given as an argument keeps its stacks as given.
+are keyed by identity (``Bimodule`` compares by identity).
+
+Every caller shares what a build made, so it is read-only.  A build that
+returns an array or a tuple of arrays has them made read-only here when
+it returns.  A build that returns an object seals the arrays it makes
+itself, inside a store or not: a product's members and its result's frame
+labels (:func:`bimodcat.tensor._tensor_product`), a dual's conjugated
+frame (:meth:`bimodcat.bimodule.Frame.conj`), a bounded space's form and
+vectors.  Nothing else is looked into: a bimodule keeps its own frame and
+action stacks once it has them (:class:`bimodcat.bimodule.Bimodule`), so
+no store holds them, and a bimodule given as an argument keeps its arrays
+as given.
 Outside a store every call builds.
 
 The open store lives in a context variable, so it is visible to the calls
@@ -23,7 +30,6 @@ made inside the ``with`` block and to no other thread.
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Optional
@@ -54,18 +60,8 @@ def stored(build: Callable, *args):
         return build(*args)
     key = (build, *args)
     if key not in values:
-        values[key] = build(*args)
-        _read_only(values[key])
+        value = values[key] = build(*args)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
     return values[key]
-
-
-def _read_only(value):
-    """Make a value's arrays read-only, in tuples and dataclasses."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, tuple):
-        for item in value:
-            _read_only(item)
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            _read_only(getattr(value, field.name))

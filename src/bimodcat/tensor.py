@@ -136,7 +136,7 @@ def _sector_columns(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]
     labels = getattr(x.frame, side)   # Frame.left or Frame.right
     first = alg.diagonal.first        # each block's first label, then the count
     cut = first[:-1] if kind == KIND_LEFT else first[1:] - 1
-    return tuple(np.flatnonzero(labels == p) for p in cut)
+    return tuple((labels == p).nonzero()[0] for p in cut)
 
 
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
@@ -176,14 +176,16 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     block, then by a, then by b, reversed for rtimes.  A acts by
     W_X^H L_u W_X on the index a alone, C by W_Y^H R_v W_Y on b alone: the
     cases L_u (x) 1 and 1 (x) R_v of f (x) g, built on the result's first
-    read.
+    read.  The members and the result's frame labels are made read-only,
+    inside a product store or not: a write into them would corrupt every
+    later product of the result.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
-    pairs = [(np.repeat(cx, cy.size), np.tile(cy, cx.size)) for cx, cy in zip(
-        stored(_sector_columns, x, "right", kind),
-        stored(_sector_columns, y, "left", kind))]
+    pairs = [(cx.repeat(cy.size), cy[None, :].repeat(cx.size, 0).ravel())
+             for cx, cy in zip(stored(_sector_columns, x, "right", kind),
+                               stored(_sector_columns, y, "left", kind))]
     a, b = (np.concatenate(cols) for cols in zip(*pairs))
     if kind == KIND_RIGHT:
         # listed in reverse, so that m is not the identity where the middle
@@ -191,11 +193,14 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
         a, b = a[::-1], b[::-1]
     members = Members(a, b, x.frame.w, y.frame.w)
     # member (a, b) lies in the corner of c_a's left label and d_b's right one
+    frame = Frame(None, x.frame.left[a], y.frame.right[b])
+    for arr in (a, b, frame.left, frame.right):
+        arr.setflags(write=False)
     result = Bimodule.deferred(
         x.left_algebra, y.right_algebra, a.size,
         lambda: (_member_map(members, members, x.left_units, None),
                  _member_map(members, members, None, y.right_units)),
-        Frame(None, x.frame.left[a], y.frame.right[b]))
+        frame)
     return TensorProduct(kind, x, y, result, a, b)
 
 

@@ -15,6 +15,18 @@ def test_dims_and_offsets():
     assert len(a.unit_positions()) == a.dim
 
 
+def test_equal_block_tuples_share_one_read_only_table():
+    a, b = MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((2, 1))
+    assert a is not b
+    assert a.diagonal is b.diagonal
+    assert a.offsets is b.offsets
+    for column in a.diagonal:
+        assert not column.flags.writeable
+    assert np.array_equal(a.diagonal.unit, [0, 3, 4])
+    assert np.array_equal(a.diagonal.first, [0, 2, 3])
+    assert MultiMatrixAlgebra((1, 2)).diagonal is not a.diagonal
+
+
 def test_invalid_blocks():
     with pytest.raises(ValueError):
         MultiMatrixAlgebra(())

@@ -142,6 +142,20 @@ def test_hom_basis_schur():
         assert f.intertwiner_defect() < 1e-9
 
 
+def test_intertwiner_defect_is_the_batched_spectral_norm():
+    # the worst of ||T U_w - U'_w T|| over both sides' matrix units, bit for
+    # bit np.linalg.norm(., 2) of each; 0 for an intertwiner's exact zeros
+    rng = np.random.default_rng(4)
+    x = random_bim(rng, (2,), (1, 2), np.array([[1, 2]]))
+    y = random_bim(rng, (2,), (1, 2), np.array([[2, 1]]))
+    for t in (crandn(rng, y.dim, x.dim), np.zeros((y.dim, x.dim))):
+        want = max(np.linalg.norm(t @ getattr(x, side)[u]
+                                  - getattr(y, side)[u] @ t, 2)
+                   for side in ("left_units", "right_units")
+                   for u in range(getattr(x, side).shape[0]))
+        assert Morphism(x, y, t).intertwiner_defect() == want
+
+
 def test_morphism_compose_adjoint():
     rng = np.random.default_rng(2)
     a = MultiMatrixAlgebra((2,))

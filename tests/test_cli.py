@@ -1,11 +1,14 @@
 import copy
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from bimodcat import coherence
+from bimodcat import cli, coherence
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import Bimodule, canonical_bimodule
 from bimodcat.cli import main
@@ -40,6 +43,27 @@ def test_verify_json_byte_identical(capsys):
     rep = json.loads(out1)
     assert rep["seed"] == 42
     assert rep["summary"]["passed"] == rep["summary"]["total"]
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys,
+                                                             monkeypatch):
+    # the parser and the algebra tables are kept for the process; each call
+    # gives the bytes and exit code of a fresh ``python -m bimodcat``
+    monkeypatch.delenv("BIMODULE_TOL", raising=False)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv in (["verify", "--seed", "3", "--suite", "m-unit", "--json"],
+                 ["verify", "--seed", "3", "--json"],
+                 ["verify", "--seed", "3"],
+                 ["verify", "--seed", "3", "--tol", "1e-3"],
+                 ["verify", "--suite", ","],
+                 ["verify", "--seed", "3", "--json"]):
+        code, out, _ = _run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "bimodcat", *argv],
+                               capture_output=True, env=env, check=False)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_verify_suite_subset_and_unknown(capsys, tmp_path):

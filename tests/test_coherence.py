@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from bimodcat import coherence
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
 from bimodcat.bimodule import dual_bimodule
+from bimodcat.bounded import right_bounded_space
 from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_square,
                                 check_involution_hexagon, check_m_assoc,
                                 check_m_unit, check_naturality_suite,
@@ -407,6 +409,31 @@ def test_store_keeps_every_product():
         assert dual_bimodule(x) is xs
         assert tensor_right(ys, xs) is tensor_right(ys, xs)
     _assert_no_store(x, y)
+
+
+@pytest.mark.parametrize("in_store", [True, False], ids=["store", "no-store"])
+def test_a_build_seals_the_arrays_it_makes(in_store):
+    # a write into a result's labels would corrupt every later product of
+    # it, so a product's members and labels and a dual's frame are read-only
+    # where they are made, inside a store or not
+    x, y, _ = _chain(np.random.default_rng(2))
+    with product_store() if in_store else contextlib.nullcontext():
+        for tp in (tensor_left(x, y), tensor_right(x, y)):
+            frame = tp.result.frame
+            for arr in (tp.a, tp.b, frame.left, frame.right):
+                assert not arr.flags.writeable
+            # and so for a product of a product's result
+            tp2 = tensor_left(tp.result, dual_bimodule(tp.result))
+            assert not tp2.result.frame.left.flags.writeable
+        xs = dual_bimodule(x)
+        assert not xs.frame.w.flags.writeable
+        space = right_bounded_space(x)
+        assert not (space.form.flags.writeable or space.vectors.flags.writeable)
+        # a dual's labels are its original's own arrays, as given
+        assert xs.frame.left is x.frame.right
+        assert xs.frame.right is x.frame.left
+    for arr in x.frame:
+        assert arr.flags.writeable
 
 
 def _count_products(monkeypatch) -> list:

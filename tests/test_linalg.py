@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bimodcat.linalg import (fix_phases, map_from_spanning, op_norm, psd_eig,
-                             psd_sqrt, random_unitary, range_basis, scale_tol,
-                             small_rotation)
+from bimodcat.linalg import (crandn, fix_phases, map_from_spanning, op_norm,
+                             psd_eig, psd_sqrt, random_unitary, range_basis,
+                             scale_tol, small_rotation)
 from oracles import psd_rank
 
 
@@ -140,8 +140,28 @@ def test_map_from_spanning_consistency():
 
 
 def test_op_norm_of_a_zero_matrix_takes_no_svd(monkeypatch):
-    def no_norm(*args, **kwargs):
-        raise AssertionError("np.linalg.norm called")
-    monkeypatch.setattr(np.linalg, "norm", no_norm)
-    for shape in ((3, 3), (2, 5), (0, 0), (4, 0)):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for shape in ((3, 3), (2, 5), (0, 0), (4, 0), (3, 2, 2), (0, 3, 3)):
         assert op_norm(np.zeros(shape, dtype=complex)) == 0.0
+
+
+def test_op_norm_is_numpys_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    square = crandn(rng, 4, 4)
+    low_rank = crandn(rng, 4, 2) @ crandn(rng, 2, 4)    # rank 2
+    zero = np.zeros((4, 4), dtype=complex)
+    for m in (square, crandn(rng, 5, 3), square.real, low_rank,
+              crandn(rng, 5, 1) @ crandn(rng, 1, 3), zero,
+              np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0))):
+        got = op_norm(m)
+        assert type(got) is float and got == np.linalg.norm(m, 2)
+    # a stack: the largest of its matrices' norms, the batched norm that
+    # Morphism.intertwiner_defect takes
+    for stack in (crandn(rng, 3, 4, 4), np.stack([low_rank, zero, square]),
+                  np.stack([zero, low_rank]), np.zeros((3, 2, 2)),
+                  np.zeros((0, 3, 3)), np.zeros((2, 0, 0))):
+        want = np.linalg.norm(stack, 2, axis=(1, 2)).max(initial=0.0)
+        assert op_norm(stack) == want
