@@ -34,6 +34,6 @@ from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct,
                      WellDefinednessError, associator, associator_perm,
                      left_unitor, m_iso, m_standard, right_unitor, tensor,
                      tensor_left, tensor_matrix_extension_iso,
-                     tensor_morphisms, tensor_right, whisker)
+                     tensor_morphisms, tensor_right)
 
 __version__ = "0.1.0"

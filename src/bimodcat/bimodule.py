@@ -18,11 +18,11 @@ results of tensor products (:mod:`bimodcat.tensor`) know their dimension
 and their frame without their stacks and are made with a build of the
 stacks instead (:meth:`Bimodule.deferred`): it runs on the first read of
 either stack, which checks the stacks and makes them read-only.  No frame
-reads the stacks of a product's result or a dual, so a result is built
-only when a map on a product checks that a dense leg is B-linear
-(:func:`bimodcat.tensor.tensor_morphisms`) or its stacks are read
-otherwise; a permutation leg is checked on the frames' labels
-(:func:`bimodcat.tensor.whisker`), and most results are never read.
+reads the stacks of a product's result or a dual, and f (x) g checks its
+legs' B-linearity on the frames' labels
+(:func:`bimodcat.tensor.tensor_morphisms`), so a result's stacks are
+built only when a map reads them, as m of a result does; most results
+are never read.
 Every bimodule keeps its frame and its stacks once it has them, inside a
 product store or not.
 """

@@ -19,16 +19,16 @@ target member of source member j; :mod:`bimodcat.tensor`): the
 associator a (:func:`bimodcat.tensor.associator_perm`), the conjugation c
 (:func:`bimodcat.involution.conjugation_perm`), the double-dual edge
 d_X (x) d_Y, which is the identity of frame columns since X**'s frame is
-X's, and their whiskerings (:func:`bimodcat.tensor.whisker`).  A path
-composes them by indexing, and a dense edge by a gather of its columns
-or a scatter of its rows, bit for bit its product with the 0/1 matrix.
+X's, and their whiskerings, :func:`bimodcat.tensor.tensor_morphisms` of
+index legs.  A path composes them by indexing, and a dense edge by a
+gather of its columns or a scatter of its rows, bit for bit its product
+with the 0/1 matrix.
 So the pentagon, the hexagon and the duality square compare two index
 arrays and read 0.0 without a norm when they are equal; only unequal
 arrays are made dense, so a wrong permutation reports its true defect.
 m, the unitors and the naturality squares' f and g carry the frames and
-the actions and stay dense matrices, through
-:func:`bimodcat.tensor.tensor_morphisms`; a path that draws one is dense
-from that edge on.
+the actions and stay dense matrices, and so does f (x) g of a dense leg;
+a path that draws one is dense from that edge on.
 
 Every check accepts a ``mutation`` hook ``(role, rng, eps)`` that replaces
 the named structural edge e by R e for a random unitary R within eps of the
@@ -36,7 +36,7 @@ identity — the sensitivity harness for the diagrams.  A twisted index
 array is the dense R[:, perm], so its path goes dense.  The twisted edge
 is the edge as drawn: where the role's map is whiskered, as a_WXY (x) 1 in
 the pentagon, the whiskered map is twisted, so no leg handed to
-``whisker`` or ``tensor_morphisms`` is twisted.
+``tensor_morphisms`` is twisted.
 
 Each check runs in a product store (see :mod:`bimodcat.store`): its own
 when called alone, the suite's inside :func:`run_suite`.  So a check
@@ -59,7 +59,7 @@ from .linalg import (DEFAULT_TOL, op_norm, permutation_matrix, scale_tol,
 from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, associator_perm, left_unitor,
                      m_iso, right_unitor, tensor, tensor_left,
-                     tensor_morphisms, tensor_right, whisker)
+                     tensor_morphisms, tensor_right)
 
 #: (edge role, rng, epsilon) — twist the named edge by a random eps-rotation
 Mutation = Tuple[str, np.random.Generator, float]
@@ -169,13 +169,13 @@ def check_pentagon(kind: str, w: Bimodule, x: Bimodule, y: Bimodule,
     """The two five-edge reassociation paths on W (x) X (x) Y (x) Z agree."""
     name = f"pentagon-{kind}"
     wx, xy, yz = (tensor(kind, *p).result for p in ((w, x), (x, y), (y, z)))
-    e1 = whisker(tensor(kind, tensor(kind, wx, y).result, z),
-                 tensor(kind, tensor(kind, w, xy).result, z),
-                 associator_perm(kind, w, x, y), None)
+    e1 = tensor_morphisms(tensor(kind, tensor(kind, wx, y).result, z),
+                          tensor(kind, tensor(kind, w, xy).result, z),
+                          associator_perm(kind, w, x, y), None)
     e1 = _twist(e1, "assoc", mutation)
-    e3 = whisker(tensor(kind, w, tensor(kind, xy, z).result),
-                 tensor(kind, w, tensor(kind, x, yz).result),
-                 None, associator_perm(kind, x, y, z))
+    e3 = tensor_morphisms(tensor(kind, w, tensor(kind, xy, z).result),
+                          tensor(kind, w, tensor(kind, x, yz).result),
+                          None, associator_perm(kind, x, y, z))
     long_path = _path(e3, associator_perm(kind, w, xy, z), e1)
     short_path = _path(associator_perm(kind, w, x, yz),
                        associator_perm(kind, wx, y, z))
@@ -229,14 +229,14 @@ def check_involution_hexagon(kind: str, x: Bimodule, y: Bimodule, z: Bimodule,
     xy, yz = tensor(kind, x, y).result, tensor(kind, y, z).result
     a_dual = _twist(associator_perm(kind, zs, ys, xs), "assoc", mutation)
     # c_XY : Y* (x) X* -> (X (x) Y)*, whiskered by Z* on the left
-    e_a = whisker(tensor(kind, zs, tensor(kind, ys, xs).result),
-                  tensor(kind, zs, dual_bimodule(xy)), None,
-                  conjugation_perm(kind, x, y))
+    e_a = tensor_morphisms(tensor(kind, zs, tensor(kind, ys, xs).result),
+                           tensor(kind, zs, dual_bimodule(xy)), None,
+                           conjugation_perm(kind, x, y))
     e_a = _twist(e_a, "c", mutation)
     lhs = _path(conjugation_perm(kind, xy, z), e_a, a_dual)
-    e_b = whisker(tensor(kind, tensor(kind, zs, ys).result, xs),
-                  tensor(kind, dual_bimodule(yz), xs),
-                  conjugation_perm(kind, y, z), None)
+    e_b = tensor_morphisms(tensor(kind, tensor(kind, zs, ys).result, xs),
+                           tensor(kind, dual_bimodule(yz), xs),
+                           conjugation_perm(kind, y, z), None)
     rhs = _path(_transpose(associator_perm(kind, x, y, z)),
                 conjugation_perm(kind, x, yz), e_b)
     defect = _defect(lhs, rhs)
@@ -259,7 +259,7 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
     name = f"duality-{kind}"
     xs, ys = dual_bimodule(x), dual_bimodule(y)
     c_xy = _twist(conjugation_perm(kind, x, y), "c", mutation)
-    dd_edge = whisker(
+    dd_edge = tensor_morphisms(
         tensor(kind, x, y), tensor(kind, dual_bimodule(xs), dual_bimodule(ys)),
         np.arange(x.dim), np.arange(y.dim))
     lhs = _path(conjugation_perm(kind, ys, xs), dd_edge)

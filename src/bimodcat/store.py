@@ -8,8 +8,7 @@ own, and inside a suite it shares the suite's.  While a store is open,
 every later call, so a product of a product's result is built once too.
 Functions take bimodules and fetch their products, duals and ``m`` maps
 through :func:`stored`; of the maps between products, only
-``tensor_morphisms`` and ``whisker`` take products, the two they map
-between.  Arguments
+``tensor_morphisms`` takes products, the two it maps between.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).
 
 Every caller shares what a build made, so it is read-only.  A build that

@@ -35,18 +35,19 @@ is the target member of source member j, the 0/1 matrix P with
 P[perm[j], j] = 1 (:func:`bimodcat.linalg.permutation_matrix`).  Each
 product keeps a lookup table of its members (:attr:`TensorProduct.index`),
 so the associator is two lookups of triples of frame columns
-(:func:`associator_perm`), and f (x) g of permutation legs in frame
-coordinates is a gather through the target's table (:func:`whisker`).  A
-permutation leg is B-linear when it keeps the frame labels of its side and
-commutes with :func:`bimodcat.bimodule.corner_base`: in adapted frames the
-matrix units of that side act by the same 0/1 maps between corners, so
-this label test is the B-linearity test, and it reads no action stack.
+(:func:`associator_perm`).
+
+f (x) g of 2-cells has one entry point, :func:`tensor_morphisms`, for
+index and dense legs.  In adapted frames the matrix units of a side act
+by the same 0/1 maps between corners
+(:func:`bimodcat.bimodule.corner_base`), so one rule on the frames tests
+both forms of leg for B-linearity, and it reads no action stack.
 
 The maps take a kind, where they have one, and bimodules, and fetch their
-products through :func:`tensor`; only :func:`tensor_morphisms` and
-:func:`whisker` take the two products they map between.  No bounded-vector
-space, algebraic tensor space or spanning family is built; the tests keep
-those constructions as oracles.
+products through :func:`tensor`; only :func:`tensor_morphisms` takes the
+two products it maps between.  No bounded-vector space, algebraic tensor
+space or spanning family is built; the tests keep those constructions as
+oracles.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ class TensorProduct:
     a: np.ndarray
     b: np.ndarray
 
-    @property
+    @functools.cached_property
     def members(self) -> Members:
-        """The result's coordinates; no stored field holds a factor's frame."""
+        """The result's coordinates, kept; no stored field holds a factor's frame."""
         return Members(self.a, self.b, self.left_factor.frame.w,
                        self.right_factor.frame.w)
 
@@ -222,37 +223,20 @@ def _member_map(src: Members, tgt: Members, f, g) -> np.ndarray:
 
 
 def _leg(f, w, w2, i, i2) -> np.ndarray:
-    """(W2^H f W)[i2, i]; a W that is None is the identity, so that side is a gather.
-
-    An f that is None is the mask i2 == i of a shared factor.  Only a
-    factor that is no product's result has a W, of that factor's dimension.
-    """
+    """(W2^H f W)[i2, i]; an f that is None is the mask i2 == i of a shared factor."""
     if f is None:
         return i2[:, None] == i
-    f = np.asarray(f, dtype=complex)   # so that the product fits in place
+    return _frame_coords(f, w, w2)[..., i2[:, None], i]
+
+
+def _frame_coords(f, w, w2) -> np.ndarray:
+    """W2^H f W, complex; a W that is None, as a product's result's, is the identity."""
+    f = np.asarray(f, dtype=complex)   # so that a product fits in place
     if w2 is not None:
         f = w2.conj().T @ f
     if w is not None:
         f = f @ w
-    return f[..., i2[:, None], i]
-
-
-def _given_legs(src: TensorProduct, tgt: TensorProduct, f, g):
-    """(name, side, leg, factor, factor') of each leg of f (x) g that is not None.
-
-    For both kinds f must be right-B-linear and g left-B-linear.  A None
-    leg is the identity of a factor that ``src`` and ``tgt`` share; on
-    factors that differ it raises ValueError naming it.
-    """
-    if src.kind != tgt.kind:
-        raise ValueError("source and target tensor kinds differ")
-    legs = (("f", "right", f, src.left_factor, tgt.left_factor),
-            ("g", "left", g, src.right_factor, tgt.right_factor))
-    for name, side, m, factor, factor2 in legs:
-        if m is None and factor is not factor2:
-            raise ValueError(f"{name} is None, but the two products do not "
-                             f"share that factor")
-    return [leg for leg in legs if leg[2] is not None]
+    return f
 
 
 def _not_b_linear(name: str, side: str, detail: str) -> WellDefinednessError:
@@ -261,64 +245,71 @@ def _not_b_linear(name: str, side: str, detail: str) -> WellDefinednessError:
         f"tensor product ({detail})")
 
 
+def _frame_leg(name: str, side: str, m, x: Bimodule, x2: Bimodule):
+    """Leg ``m`` : X -> X' in frame coordinates, checked B-linear on ``side``.
+
+    None (X' must be X) and an index array stay as they are; a raw matrix
+    becomes F = W'^H m W.  The units carry each column to and from its
+    base (:func:`bimodcat.bimodule.corner_base`) by fixed 0/1 maps, so F
+    must be F[base', base] between columns of equal ``side`` labels and 0
+    between unequal ones, to 1e-6 max(1, ||m||_F) in the Frobenius norm;
+    an index array must keep labels and bases exactly.
+    """
+    if m is None:
+        if x is not x2:
+            raise ValueError(f"{name} is None, but the two products do not "
+                             f"share that factor")
+        return None
+    m = np.asarray(m)
+    if m.shape not in ((x.dim,), (x2.dim, x.dim)):
+        raise ValueError(f"{name} has shape {m.shape}, not ({x.dim},) or "
+                         f"({x2.dim}, {x.dim})")
+    if m.ndim == 1 and not np.issubdtype(m.dtype, np.integer):
+        raise ValueError(f"{name} is an index array of dtype {m.dtype}")
+    if m.ndim == 1 and not ((0 <= m) & (m < x2.dim)).all():
+        raise ValueError(f"{name} has an index outside 0..{x2.dim - 1}")
+    labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
+    base, base2 = (stored(corner_base, y, side) for y in (x, x2))
+    if m.ndim == 1:
+        if x2.dim != x.dim or not (np.array_equal(labels2[m], labels)
+                                   and np.array_equal(base2[m], m[base])):
+            raise _not_b_linear(name, side, "it moves frame labels or corners")
+        return m
+    frame = _frame_coords(m, x.frame.w, x2.frame.w)
+    defect = np.linalg.norm(
+        frame - (labels2[:, None] == labels) * frame[base2[:, None], base])
+    if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
+        raise _not_b_linear(name, side, f"defect {defect:.3e}")
+    return frame
+
+
 def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
                      f: Optional[np.ndarray], g: Optional[np.ndarray]) -> np.ndarray:
-    """Matrix of f (x) g between tensor products of the same kind.
+    """f (x) g between tensor products of the same kind.
 
-    ``f`` : X -> X' and ``g`` : Y -> Y' are raw matrices, or None for the
-    identity of a factor that ``src`` and ``tgt`` share, read off the
-    members as an index mask: the whiskerings f (x) 1 and 1 (x) g.  A None
-    leg on factors that differ raises ValueError naming it.  For both
-    kinds f must be right-B-linear and g left-B-linear (any bimodule
-    morphism qualifies): then f (x) g respects xi b (x) eta = xi (x) b eta.
-    WellDefinednessError names a given leg m for which
-    ||m U_w - U'_w m||_F, stacked over every matrix unit w of B, exceeds
-    1e-6 max(1, ||m||_F); rounding leaves about machine epsilon ||m||.
-    Legs that are permutations of frame columns go to :func:`whisker`.
+    ``f`` : X -> X' and ``g`` : Y -> Y' are each None, the identity of a
+    factor that ``src`` and ``tgt`` share, an index array of frame columns
+    or a raw matrix; ValueError names a malformed leg.  f must be
+    right-B-linear and g left-B-linear (:func:`_frame_leg`;
+    WellDefinednessError names a leg that is not).
+    Index legs give an index array, a gather through ``tgt.index``; a
+    dense leg gives a matrix, with an index leg as its 0/1 matrix, and so
+    do two None legs, the identity.
     """
-    for name, side, m, factor, factor2 in _given_legs(src, tgt, f, g):
-        units = f"{side}_units"
-        defect = np.linalg.norm(m @ getattr(factor, units) - getattr(factor2, units) @ m)
-        if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
-            raise _not_b_linear(name, side, f"defect {defect:.3e}")
+    if src.kind != tgt.kind:
+        raise ValueError("source and target tensor kinds differ")
+    legs = [_frame_leg("f", "right", f, src.left_factor, tgt.left_factor),
+            _frame_leg("g", "left", g, src.right_factor, tgt.right_factor)]
+    if {leg.ndim for leg in legs if leg is not None} == {1}:
+        a = src.a if legs[0] is None else legs[0][src.a]
+        b = src.b if legs[1] is None else legs[1][src.b]
+        return tgt.index[a, b]
+    legs = [permutation_matrix(leg) if leg is not None and leg.ndim == 1 else leg
+            for leg in legs]
     # two None legs give the boolean mask of the identity
-    return _member_map(src.members, tgt.members, f, g).astype(complex, copy=False)
-
-
-def whisker(src: TensorProduct, tgt: TensorProduct,
-            f: Optional[np.ndarray], g: Optional[np.ndarray]) -> np.ndarray:
-    """f (x) g between products of the same kind, for permutation legs: an index array.
-
-    ``f`` sends frame column j of X to column f[j] of X', ``g`` likewise
-    for Y; None is the identity of a shared factor, as in
-    :func:`tensor_morphisms`.  Member (a, b) goes to the member (f[a], g[b])
-    of ``tgt``, a gather through its table (:attr:`TensorProduct.index`).
-    A leg is B-linear on its side when it keeps the frame labels of that
-    side and commutes with :func:`bimodcat.bimodule.corner_base`; in adapted
-    frames that is m U_w = U'_w m for every matrix unit w, and
-    WellDefinednessError names a leg that fails it.  No stack is read.
-    """
-    for name, side, perm, factor, factor2 in _given_legs(src, tgt, f, g):
-        if not _permutes_corners(perm, factor, factor2, side):
-            raise _not_b_linear(name, side, "it moves frame labels or corners")
-    a = src.a if f is None else f[src.a]
-    b = src.b if g is None else g[src.b]
-    return tgt.index[a, b]
-
-
-def _permutes_corners(perm: np.ndarray, x: Bimodule, x2: Bimodule,
-                      side: str) -> bool:
-    """Whether column j -> column perm[j] of X' commutes with ``side``'s matrix units.
-
-    It must keep each column's ``side`` label and send the first-row (or
-    first-column) column of each column's corners to that of its image.
-    """
-    labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
-    if perm.shape != (x.dim,) or x2.dim != x.dim or not np.array_equal(
-            labels2[perm], labels):
-        return False
-    base, base2 = (stored(corner_base, y, side) for y in (x, x2))
-    return np.array_equal(base2[perm], perm[base])
+    return _member_map(Members(src.a, src.b, None, None),
+                       Members(tgt.a, tgt.b, None, None),
+                       *legs).astype(complex, copy=False)
 
 
 # -- unit isomorphisms --------------------------------------------------------

@@ -6,8 +6,9 @@ on the algebraic tensor space (bounded basis) x (basis) for ltimes and
 (basis) x (bounded basis) for rtimes, with its Gram matrix G, the
 quotient Q = (G V)^H onto the members V and the section E = Q^H, and
 spanning families of elementary tensors solved by ``map_from_spanning``.
-The library reads Hom(X, Y) and multiplicity matrices off the frames;
-:func:`hom_null_space` and :func:`multiplicity_traces` find them from the
+The library reads Hom(X, Y), multiplicity matrices and the B-linearity of
+f (x) g's legs off the frames; :func:`hom_null_space`,
+:func:`multiplicity_traces` and :func:`stack_b_linear` find them from the
 action stacks alone.
 """
 
@@ -94,6 +95,18 @@ def induced_map(src, tgt, alg_map):
             raise WellDefinednessError(
                 f"map does not descend to the tensor quotient (defect {defect:.3e})")
     return out
+
+
+def stack_b_linear(m, x, x2, side):
+    """The stack test of B-linearity for a raw leg m : X -> X' of f (x) g.
+
+    m passes when ||m U_w - U'_w m||_F, stacked over every matrix unit w of
+    the ``side`` algebra, is at most 1e-6 max(1, ||m||_F); rounding leaves
+    about machine epsilon ||m||.  It reads both bimodules' action stacks.
+    """
+    units = f"{side}_units"
+    defect = np.linalg.norm(m @ getattr(x, units) - getattr(x2, units) @ m)
+    return defect <= 1e-6 * max(1.0, np.linalg.norm(m))
 
 
 def standard_images(b_alg, avecs, cvecs):

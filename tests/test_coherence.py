@@ -167,8 +167,9 @@ def test_duality_square_builds_only_the_duals_it_draws(monkeypatch):
 def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
                                                           check, lead, arity):
     # on gen --min-mult 1 --max-mult 2 --seed 4 (r up to 864) an unmutated
-    # pentagon, hexagon or duality square compares two index arrays: no
-    # op_norm, no 0/1 matrix, no f (x) g by members and no action stack
+    # pentagon, hexagon or duality square compares two index arrays: its
+    # whiskerings are f (x) g of index legs, so there is no op_norm, no 0/1
+    # matrix, no f (x) g by members and no action stack
     spec = generate(4, limits=Limits(min_mult=1, max_mult=2))
     calls = []
 
@@ -180,29 +181,41 @@ def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("op_norm", "permutation_matrix", "tensor_morphisms"):
-        spy(coherence, name)
-    spy(tensor_module, "_member_map")
-    spy(bimodule_module.Bimodule, "_checked")
+    for module, name in ((coherence, "op_norm"),
+                         (coherence, "permutation_matrix"),
+                         (tensor_module, "permutation_matrix"),
+                         (tensor_module, "_member_map"),
+                         (bimodule_module.Bimodule, "_checked")):
+        spy(module, name)
     result = check(*lead, *spec.bimodules[:arity])
     assert (result.passed, result.defect) == (True, 0.0)
     assert calls == []
 
 
-def test_a_suite_builds_ten_deferred_stacks(monkeypatch):
+def test_a_suite_builds_two_deferred_stacks(monkeypatch):
     # on gen --min-mult 1 --seed 18, the products' results and the duals
-    # whose stacks a suite builds: those that a dense leg's B-linearity
-    # test, m or a unitor reads; a permutation leg reads none
-    built = []
-    check = bimodule_module.Bimodule._checked
+    # whose stacks a suite builds: f (x) g reads the frames, not the
+    # stacks, so only m-assoc's m_{X (x) Y, Z} and m_{X, Y (x) Z} read
+    # any, the right stacks of X rtimes Y and the left ones of Y rtimes Z
+    spec = generate(18, limits=Limits(min_mult=1))
+    built, products = [], {}
+    check, build = bimodule_module.Bimodule._checked, tensor_module._tensor_product
 
     def counted(self, *stacks):
         if "_build" in vars(self):
             built.append(self)
         return check(self, *stacks)
+
+    def recorded(kind, x, y):
+        tp = build(kind, x, y)
+        products[id(tp.result)] = (kind, x, y)
+        return tp
     monkeypatch.setattr(bimodule_module.Bimodule, "_checked", counted)
-    assert exit_code(run_suite(generate(18, limits=Limits(min_mult=1)))) == 0
-    assert len(built) == len({id(x) for x in built}) == 10
+    monkeypatch.setattr(tensor_module, "_tensor_product", recorded)
+    assert exit_code(run_suite(spec)) == 0
+    x, y, z = spec.bimodules[:3]
+    assert [products.get(id(b)) for b in built] == [(KIND_RIGHT, x, y),
+                                                     (KIND_RIGHT, y, z)]
 
 
 def test_run_suite_report_structure_and_determinism():
@@ -392,7 +405,10 @@ def test_store_keeps_every_product():
         t_xy_z = tensor_left(t_xy.result, z)
         assert tensor_left(t_xy.result, z) is t_xy_z
         for tp in (t_xy, t_xy_z):
+            # the members are made once and kept, their indices read-only
+            assert tp.members is tp.members
             assert not tp.members.a.flags.writeable
+            assert not tp.members.b.flags.writeable
             assert not tp.result.left_units.flags.writeable
             # so are the sector columns the product was built from
             for cols in stored(tensor_module._sector_columns,

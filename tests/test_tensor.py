@@ -21,10 +21,10 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              associator, associator_perm, left_unitor, m_iso,
                              m_standard, right_unitor, tensor, tensor_left,
                              tensor_matrix_extension_iso, tensor_morphisms,
-                             tensor_right, whisker)
+                             tensor_right)
 from oracles import (bounded, conjugation_family, ext_family, gram,
                      induced_map, m_realization, multiplicity_traces, quotient,
-                     sector_bases, standard_images)
+                     sector_bases, stack_b_linear, standard_images)
 from random_bims import random_bim
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
@@ -605,10 +605,11 @@ def _kron_oracle(src, tgt, f, g):
     return induced_map(src, tgt, np.kron(f, g))
 
 
-def _whisker_oracle(src, tgt, f, g):
-    """The Kronecker oracle of whisker's permutation legs, made raw: W' P W^H."""
-    legs = [None if p is None else _in_frames(x, x2, permutation_matrix(p))
-            for p, x, x2 in ((f, src.left_factor, tgt.left_factor),
+def _morphisms_oracle(src, tgt, f, g):
+    """The Kronecker oracle of f (x) g, an index leg as its raw 0/1 matrix W' P W^H."""
+    legs = [_in_frames(x, x2, permutation_matrix(m))
+            if m is not None and m.ndim == 1 else m
+            for m, x, x2 in ((f, src.left_factor, tgt.left_factor),
                              (g, src.right_factor, tgt.right_factor))]
     return _kron_oracle(src, tgt, *legs)
 
@@ -630,7 +631,7 @@ def _conjugation_oracle(kind, x, y):
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
       for seed in range(3))])
 def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
-    # every associator, unitor, f (x) g, whiskered permutation, m and c the
+    # every associator, unitor, f (x) g of index or dense legs, m and c the
     # suite builds, and f (x) g of random bimodule endomorphisms on every
     # product of canonical factors; c against its derivation from the
     # mixed conjugation through m.  An index array is compared as its 0/1
@@ -640,11 +641,11 @@ def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
         "associator_perm": lambda *args: _solve(_associator_oracle(*args)),
         "left_unitor": lambda kind, x: _unitor_oracle(kind, x, True),
         "right_unitor": lambda kind, x: _unitor_oracle(kind, x, False),
-        "tensor_morphisms": _kron_oracle,
-        "whisker": _whisker_oracle,
+        "tensor_morphisms": _morphisms_oracle,
         "m_iso": m_realization,
         "conjugation_perm": _conjugation_oracle}
     compared = dict.fromkeys(oracles, 0)
+    forms = set()
     for name, oracle in oracles.items():
         def spy(*args, real=getattr(coherence, name), oracle=oracle, name=name,
                 **kwargs):
@@ -652,10 +653,13 @@ def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
             matrix = permutation_matrix(got) if got.ndim == 1 else got
             assert _rel_err(matrix, oracle(*args, **kwargs)) <= 1e-12, name
             compared[name] += 1
+            forms.add((name, got.ndim))
             return got
         monkeypatch.setattr(coherence, name, spy)
     products = _suite_products(monkeypatch, seed, limits)
     assert all(compared.values()), compared
+    # f (x) g of index legs (the whiskered a and c) and of dense ones
+    assert {("tensor_morphisms", 1), ("tensor_morphisms", 2)} <= forms
     rng = np.random.default_rng(seed)
     endomorphisms = 0
     for tp in products:
@@ -693,15 +697,23 @@ def test_a_none_leg_is_the_identity_of_a_shared_factor():
             assert err.type is ValueError
 
 
+def _accepted(build, *args):
+    """build(*args), or None if it raises WellDefinednessError."""
+    try:
+        return build(*args)
+    except WellDefinednessError:
+        return None
+
+
 @pytest.mark.parametrize("seed, limits", [
     *(pytest.param(seed, None, id=str(seed)) for seed in range(10)),
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
       for seed in range(4))])
 def test_the_label_test_is_the_stack_test_on_permutation_legs(seed, limits):
     # a, its transpose and a shuffled a, whiskered by L2 on either side:
-    # whisker's label test accepts a permutation leg exactly when
-    # tensor_morphisms' stack test accepts its 0/1 matrix, and then the
-    # gather is that matrix of f (x) g, bit for bit
+    # tensor_morphisms accepts a permutation leg exactly when the stack
+    # test accepts its 0/1 matrix, and then f (x) g of the index leg is
+    # f (x) g of that matrix, bit for bit
     chain = generate(seed, limits=limits).bimodules
     rng = np.random.default_rng(seed)
     verdicts = {"a": [], "a^T": [], "shuffled": []}
@@ -717,22 +729,20 @@ def test_the_label_test_is_the_stack_test_on_permutation_legs(seed, limits):
                                          ("a^T", inverse, x_yz, xy_z),
                                          ("shuffled", a[rng.permutation(a.size)],
                                           xy_z, x_yz)):
-                for pair, legs in ((lambda m: (m, l2c), lambda p: (p, None)),
-                                   (lambda m: (l2a, m), lambda p: (None, p))):
+                # a product's result has no frame W: its 0/1 matrix is raw
+                matrix = permutation_matrix(perm)
+                for pair, legs, side in (
+                        (lambda m: (m, l2c), lambda p: (p, None), "right"),
+                        (lambda m: (l2a, m), lambda p: (None, p), "left")):
                     tp, tp2 = tensor(kind, *pair(src)), tensor(kind, *pair(tgt))
-                    dense = [None if p is None else permutation_matrix(p)
-                             for p in legs(perm)]
-                    try:
-                        want = tensor_morphisms(tp, tp2, *dense)
-                    except WellDefinednessError:
-                        want = None
-                    try:
-                        got = permutation_matrix(whisker(tp, tp2, *legs(perm)))
-                    except WellDefinednessError:
-                        got = None
-                    assert (got is None) == (want is None), (kind, name)
-                    assert got is None or np.array_equal(got, want)
-                    verdicts[name].append(got is not None)
+                    want = stack_b_linear(matrix, src, tgt, side)
+                    got, dense = (_accepted(tensor_morphisms, tp, tp2, *legs(m))
+                                  for m in (perm, matrix))
+                    assert (got is not None) == (dense is not None) == want, (
+                        kind, name)
+                    assert got is None or np.array_equal(
+                        permutation_matrix(got), dense)
+                    verdicts[name].append(want)
     assert all(verdicts["a"]) and all(verdicts["a^T"])
     if limits is not None:
         # each min-mult 1 chain has a shuffle that both tests reject
@@ -774,6 +784,106 @@ def test_tensor_morphisms_rejects_what_the_kronecker_check_rejects(monkeypatch, 
                 with pytest.raises(WellDefinednessError):
                     tensor_morphisms(tp, tp, f, g)
     assert rejected
+
+
+def _frame_verdict(side, m, x, x2):
+    """Whether tensor_morphisms' frame rule accepts the raw leg m : X -> X'."""
+    name = "f" if side == "right" else "g"
+    return _accepted(tensor_module._frame_leg, name, side, m, x, x2) is not None
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_the_frame_rule_is_the_stack_test_on_a_suites_dense_legs(monkeypatch,
+                                                                 seed):
+    # every dense leg the suite hands to tensor_morphisms: the unitors, m,
+    # the naturality squares' f and g, f (x) g and g (x) 1
+    coherence = importlib.import_module("bimodcat.coherence")
+    real, legs = coherence.tensor_morphisms, []
+
+    def spy(src, tgt, f, g):
+        for m, side, x, x2 in ((f, "right", src.left_factor, tgt.left_factor),
+                               (g, "left", src.right_factor, tgt.right_factor)):
+            if m is not None and m.ndim == 2:
+                legs.append((side, m, x, x2))
+        return real(src, tgt, f, g)
+    monkeypatch.setattr(coherence, "tensor_morphisms", spy)
+    report = run_suite(generate(seed))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    # 4 unitors, 2 m and 2 x 2 unitor squares' f, then per kind f and g,
+    # f (x) g, g, f and g (x) 1, and g^T and f^T
+    assert len(legs) == 4 + 2 + 4 + 2 * (2 + 1 + 1 + 2 + 2)
+    for side, m, x, x2 in legs:
+        assert _frame_verdict(side, m, x, x2)
+        assert stack_b_linear(m, x, x2, side)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_the_frame_rule_is_the_stack_test_on_random_legs(monkeypatch, seed):
+    # random matrices, random bimodule endomorphisms and endomorphisms
+    # moved off by a relative 1e-9, 1e-4 or 1e-2 on both legs of every
+    # product a suite builds; between relative 1e-7 and 1e-5 the two
+    # Frobenius defects, which differ by a factor of about 2, can straddle
+    # the common 1e-6 threshold
+    rng = np.random.default_rng(seed)
+    verdicts = set()
+    for tp in _suite_products(monkeypatch, seed):
+        for side, x in (("right", tp.left_factor), ("left", tp.right_factor)):
+            f = random_morphism_matrix(x, x, rng)
+            h = crandn(rng, x.dim, x.dim)
+            nudge = h * (np.linalg.norm(f) / max(np.linalg.norm(h), 1e-300))
+            for m in (h, f, *(f + eps * nudge for eps in (1e-9, 1e-4, 1e-2))):
+                want = stack_b_linear(m, x, x, side)
+                assert _frame_verdict(side, m, x, x) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_a_malformed_leg_is_a_value_error():
+    # a dense leg that does not map X to X' and an index array that is not
+    # one column of X' per column of X name the leg, before any B-linearity
+    # test
+    rng = np.random.default_rng(2)
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
+    dx, dy = x.dim, y.dim
+    for kind in KINDS:
+        tp = tensor(kind, x, y)
+        for legs, match in (
+                ((np.eye(dx + 1), None), r"^f has shape \(7, 7\)"),
+                ((np.eye(dx)[:, :-1], None), r"^f has shape \(6, 5\)"),
+                ((None, np.arange(dy - 1)), r"^g has shape \(5,\)"),
+                ((np.arange(dx, dtype=float), None), "^f is an index array of "
+                                                      "dtype float64"),
+                ((None, np.zeros(dy, dtype=bool)), "^g is an index array of "
+                                                    "dtype bool"),
+                ((np.arange(dx) - 1, None), r"^f has an index outside 0\.\.5"),
+                ((None, np.arange(dy) + 1), r"^g has an index outside 0\.\.5")):
+            with pytest.raises(ValueError, match=match) as err:
+                tensor_morphisms(tp, tp, *legs)
+            assert err.type is ValueError
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(seed):
+    # a whiskered by L2(C) beside a random endomorphism of L2(C), and the
+    # mirror image: the index leg is its 0/1 matrix, raw on a product's
+    # result, bit for bit
+    x, y, z = generate(seed, limits=Limits(min_mult=1)).bimodules[:3]
+    rng = np.random.default_rng(seed)
+    l2a = standard_form(x.left_algebra).bimodule
+    l2c = standard_form(z.right_algebra).bimodule
+    h, k = (random_morphism_matrix(l2, l2, rng) for l2 in (l2a, l2c))
+    for kind in KINDS:
+        a = associator_perm(kind, x, y, z)
+        xy_z = tensor(kind, tensor(kind, x, y).result, z).result
+        x_yz = tensor(kind, x, tensor(kind, y, z).result).result
+        for pair, legs in ((lambda m: (m, l2c), lambda p: (p, k)),
+                           (lambda m: (l2a, m), lambda p: (h, p))):
+            tp, tp2 = tensor(kind, *pair(xy_z)), tensor(kind, *pair(x_yz))
+            got = tensor_morphisms(tp, tp2, *legs(a))
+            assert got.ndim == 2 and got.dtype == complex
+            assert np.array_equal(
+                got, tensor_morphisms(tp, tp2, *legs(permutation_matrix(a))))
 
 
 # -- deferred action stacks ----------------------------------------------------
