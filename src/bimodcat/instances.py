@@ -14,6 +14,11 @@ The file format is JSON with complex numbers as ``[re, im]`` pairs::
                    | {"left": i, "right": j,
                       "left_action": [...], "right_action": [...]}],
      "morphisms": [{"source": k, "target": k, "matrix": [[[re,im]...]]}]}
+
+An empty array, one with a zero-length axis, is written as nested lists
+without the axes after that one: a 0x0 matrix as ``[]``, the stack of a
+0-dimensional bimodule as one ``[]`` per unit.  The loader gives it back
+the shape its field must have.
 """
 
 from __future__ import annotations
@@ -148,16 +153,24 @@ def _encode(arr: np.ndarray):
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _decode(data, path: str) -> np.ndarray:
+def _decode(data, path: str, empty: Tuple[int, ...]) -> np.ndarray:
+    """The complex array of ``data``; ``empty`` is the field's shape if it is empty.
+
+    Empty data whose axes agree with ``empty`` is that array: it was
+    written without the axes after its zero-length one.
+    """
     # a float cast would take "1.0" and true, also among numbers; a JSON
     # boolean is a Python bool, a subclass of int, so types are compared exactly
     try:
         leaves = np.asarray(data, dtype=object)
         numbers = set(map(type, leaves.ravel())) <= {int, float}
-        arr = leaves.astype(float) if numbers else np.zeros(0)
+        arr = leaves.astype(float) if numbers else None
     except (TypeError, ValueError, OverflowError):
-        arr = np.zeros(0)   # not numbers: fails the shape test below
-    if arr.ndim < 1 or arr.shape[-1] != 2 or not np.isfinite(arr).all():
+        arr = None   # not numbers: fails the shape test below
+    if arr is not None and arr.size == 0 and arr.shape == empty[:arr.ndim]:
+        return np.zeros(empty, dtype=complex)
+    if (arr is None or arr.ndim < 1 or arr.shape[-1] != 2
+            or not np.isfinite(arr).all()):
         raise InstanceFormatError(f"{path}: expected [re, im] pairs of numbers")
     out = np.empty(arr.shape[:-1], dtype=complex)
     out.real = arr[..., 0]
@@ -341,15 +354,17 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
                 mult = _multiplicities(b["multiplicities"], la, ra, limits,
                                        f"{path}.multiplicities")
                 dim = canonical_dim(la, ra, mult)
-                u = (_decode(b["basis_unitary"], f"{path}.basis_unitary")
+                u = (_decode(b["basis_unitary"], f"{path}.basis_unitary", (dim, dim))
                      if "basis_unitary" in b else None)
                 if u is not None and u.shape != (dim, dim):
                     raise InstanceFormatError(
                         f"{path}.basis_unitary: expected a {dim}x{dim} matrix")
                 x = canonical_bimodule(la, ra, mult, basis_unitary=u)
             else:
-                lu = _decode(_need(b, "left_action", path), f"{path}.left_action")
-                ru = _decode(_need(b, "right_action", path), f"{path}.right_action")
+                # an empty stack of alg.dim units is that of dimension 0
+                lu, ru = (_decode(_need(b, key, path), f"{path}.{key}",
+                                  (alg.dim, 0, 0))
+                          for key, alg in (("left_action", la), ("right_action", ra)))
                 d = lu.shape[-1] if lu.ndim else 0
                 for key, arr, alg in (("left_action", lu, la),
                                       ("right_action", ru, ra)):
@@ -379,7 +394,8 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
             raise InstanceFormatError(f"{path}: bimodule reference out of range")
         if src >= n_kept or tgt >= n_kept:
             continue   # endpoint fell with the truncated chain
-        mat = _decode(_need(m, "matrix", path), f"{path}.matrix")
+        mat = _decode(_need(m, "matrix", path), f"{path}.matrix",
+                      (bimodules[tgt].dim, bimodules[src].dim))
         try:
             mor = Morphism(bimodules[src], bimodules[tgt], mat)
         except ValueError as exc:   # other acting algebras or the wrong shape

@@ -8,14 +8,13 @@ Dual coordinates are conjugate coordinates, so a member of Y* kind X*
 is the conjugate of a tensor of frame columns of Y and X, and c is read
 off the members.  ``conjugation_mixed`` maps Y* rtimes X* ->
 (X ltimes Y)*, the paper's basic map, and swaps rtimes' sector
-projections for ltimes' (:func:`_conjugated`,
-:func:`bimodcat.tensor._member_map`).  ``conjugation`` maps Y* kind X* ->
-(X kind Y)* for one kind: a dual's frame is the conjugate of the
-original's, so its members are those of X kind Y, reordered, and c is a
-permutation.  :func:`conjugation_perm` gives it as an index array, one
-gather through the member table of X kind Y
-(:attr:`bimodcat.tensor.TensorProduct.index`), and builds no dual of a
-product's result; ``conjugation`` gives the Morphism, its 0/1 matrix
+projections for ltimes' (:func:`bimodcat.tensor._member_map`).
+``conjugation`` maps Y* kind X* -> (X kind Y)* for one kind: a dual's
+frame is the conjugate of the original's, so its members are those of
+X kind Y, reordered, and c is a permutation.  :func:`conjugation_perm`
+gives it as an index array, one gather through the member table of
+X kind Y (:attr:`bimodcat.tensor.TensorProduct.index`), and builds no
+dual of a product's result; ``conjugation`` gives the Morphism, its 0/1 matrix
 made from that array.  Neither uses the multiplicativity map m, so the
 relation between the two kinds through m is a check on m.
 
@@ -34,17 +33,8 @@ import numpy as np
 
 from .bimodule import Bimodule, Morphism, dual_bimodule
 from .linalg import permutation_matrix
-from .tensor import (Members, TensorProduct, _member_map, _sector_swap, tensor,
-                     tensor_left, tensor_right)
-
-
-def _conjugated(tp_dual: TensorProduct, tp: TensorProduct) -> Members:
-    """The members eta-bar (x) xi-bar of Y* (x) X* as tensors xi (x) eta of X (x) Y.
-
-    A dual's frame is its original's, conjugated, so xi and eta are the
-    columns b and a of X's and Y's frames.
-    """
-    return tp.members._replace(a=tp_dual.b, b=tp_dual.a)
+from .tensor import (TensorProduct, _frame_coords, _member_map, _sector_swap,
+                     tensor, tensor_left, tensor_right)
 
 
 def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
@@ -54,14 +44,16 @@ def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     p Y and xi in X p of rtimes' projection p = e_(m-1, m-1); c sends it to
     the conjugate of xi (x) eta, which is xi u* (x) u eta in the members of
     X ltimes Y (:func:`bimodcat.tensor._sector_swap`).  So c is the
-    conjugate of R_X(u*) (x) L_Y(u) from the conjugated members.
+    conjugate of R_X(u*) (x) L_Y(u) from the conjugated members: a dual's
+    frame is its original's, conjugated, so the member (b, a) of
+    Y* rtimes X* is the tensor c_a (x) d_b of frame columns of X and Y.
     """
     tp_left = tensor_left(x, y)
     tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
     u, ustar = _sector_swap(x.right_algebra)
-    mat = _member_map(_conjugated(tp_dual, tp_left), tp_left.members,
-                      x.right_units[ustar].sum(axis=0),
-                      y.left_units[u].sum(axis=0)).conj()
+    f = _frame_coords(x.right_units[ustar].sum(axis=0), x.frame.w, x.frame.w)
+    g = _frame_coords(y.left_units[u].sum(axis=0), y.frame.w, y.frame.w)
+    mat = _member_map(f, g, tp_dual.b, tp_dual.a, tp_left.a, tp_left.b).conj()
     return Morphism(tp_dual.result, dual_bimodule(tp_left.result), mat)
 
 

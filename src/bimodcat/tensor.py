@@ -12,10 +12,11 @@ the orthogonal sum over l of X p (x) p Y.  The columns c_a of X's frame
 (:class:`bimodcat.bimodule.Frame`) labelled p on the right and d_b of Y's
 labelled p on the left (:func:`_sector_columns`) are orthonormal bases of
 X p and p Y, so the tensors c_a (x) d_b, each a pair (a, b) of frame
-columns, are an orthonormal basis of the product: its members
-(:class:`Members`) and the result's frame.  ltimes cuts block l with
-p = e_00 and rtimes with its last diagonal unit, and rtimes lists its
-members in reverse.
+columns, are an orthonormal basis of the product and the result's frame.
+A product keeps its members as two index arrays, ``tp.a`` and ``tp.b``;
+the frames stay with the factors.  ltimes cuts block l with p = e_00 and
+rtimes with its last diagonal unit, and rtimes lists its members in
+reverse.
 
 The result bimodule has the member count as its dimension.  Its action
 stacks are built on their first read only
@@ -23,12 +24,13 @@ stacks are built on their first read only
 get.  It is unital without a check: the factors' frames are orthonormal
 (:func:`bimodcat.bimodule._stack_frame` checks those found numerically).
 
-Every map between products is read off the pairs of frame columns and the
-factors' frames.  One formula, :func:`_member_map`, sends c_a (x) d_b to
-f c_a (x) g d_b; its cases are the result actions, f (x) g, the
-multiplicativity map m, the extension identifications and, on conjugate
-members, the mixed conjugation of :mod:`bimodcat.involution`.  The unitors
-pair frame columns the same way.
+Every map between products is read off the pairs of frame columns.  One
+formula, :func:`_member_map`, sends c_a (x) d_b to f c_a (x) g d_b, with
+f and g in frame coordinates (:func:`_frame_coords`, the one place a
+factor's frame enters such a map); its cases are the result actions,
+f (x) g, the multiplicativity map m, the extension identifications and,
+on conjugate members, the mixed conjugation of
+:mod:`bimodcat.involution`.  The unitors pair frame columns the same way.
 
 Maps that send frame columns to frame columns stay index arrays: ``perm[j]``
 is the target member of source member j, the 0/1 matrix P with
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,24 +73,12 @@ class WellDefinednessError(ValueError):
     """A leg of f (x) g is not B-linear, so f (x) g does not descend to X (x)_B Y."""
 
 
-class Members(NamedTuple):
-    """A product's orthonormal basis: member i is wx[:, a[i]] (x) wy[:, b[i]].
-
-    ``a`` and ``b`` index the frame columns of X and Y; ``wx`` and ``wy``
-    are their frames' W, None for the identity.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    wx: Optional[np.ndarray]
-    wy: Optional[np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class TensorProduct:
     """A relative tensor product: its factors, its members and the result bimodule.
 
-    Member i is the pair (a[i], b[i]) of frame columns of the two factors.
+    Member i is the pair (a[i], b[i]) of frame columns of the two factors,
+    c_a[i] (x) d_b[i]; ``a`` and ``b`` are read-only.
     """
 
     kind: str
@@ -97,12 +87,6 @@ class TensorProduct:
     result: Bimodule
     a: np.ndarray
     b: np.ndarray
-
-    @functools.cached_property
-    def members(self) -> Members:
-        """The result's coordinates, kept; no stored field holds a factor's frame."""
-        return Members(self.a, self.b, self.left_factor.frame.w,
-                       self.right_factor.frame.w)
 
     @property
     def dim(self) -> int:
@@ -192,41 +176,38 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
         # listed in reverse, so that m is not the identity where the middle
         # blocks have size 1
         a, b = a[::-1], b[::-1]
-    members = Members(a, b, x.frame.w, y.frame.w)
     # member (a, b) lies in the corner of c_a's left label and d_b's right one
     frame = Frame(None, x.frame.left[a], y.frame.right[b])
     for arr in (a, b, frame.left, frame.right):
         arr.setflags(write=False)
     result = Bimodule.deferred(
         x.left_algebra, y.right_algebra, a.size,
-        lambda: (_member_map(members, members, x.left_units, None),
-                 _member_map(members, members, None, y.right_units)),
+        lambda: (_member_map(_frame_coords(x.left_units, x.frame.w, x.frame.w),
+                             None, a, b, a, b),
+                 _member_map(None, _frame_coords(y.right_units, y.frame.w, y.frame.w),
+                             a, b, a, b)),
         frame)
     return TensorProduct(kind, x, y, result, a, b)
 
 
-def _member_map(src: Members, tgt: Members, f, g) -> np.ndarray:
-    """f (x) g from ``src``'s members to ``tgt``'s; f and g may be stacks.
+def _member_map(f, g, a, b, a2, b2) -> np.ndarray:
+    """f (x) g from the members (a, b) to the members (a2, b2).
 
-    Entry (i', i) is (W_X'^H f W_X)[a'_i', a_i] (W_Y'^H g W_Y)[b'_i', b_i].
-    It needs f c_a in the span of the target's first columns and g d_b in
-    that of its second, which holds for a right-B-linear f and a
-    left-B-linear g.  None is the identity of a factor that ``src`` and
-    ``tgt`` share.
+    f and g are in frame coordinates: a dense leg is complex
+    (:func:`_frame_coords`) and may be a stack.  Entry (i', i) is
+    f[a2[i'], a[i]] g[b2[i'], b[i]].  It needs f c_a in the span of the
+    target's first columns and g d_b in that of its second, which holds for
+    a right-B-linear f and a left-B-linear g.  None is the identity of a
+    factor that the two products share, the mask a2[:, None] == a, and an
+    index array p is its 0/1 matrix, the mask a2[:, None] == p[a].
     """
-    legs = (_leg(f, src.wx, tgt.wx, src.a, tgt.a),
-            _leg(g, src.wy, tgt.wy, src.b, tgt.b))
+    legs = [i2[:, None] == (i if m is None else m[i])
+            if m is None or m.ndim == 1 else m[..., i2[:, None], i]
+            for m, i, i2 in ((f, a, a2), (g, b, b2))]
     # in place on the leg of the product's shape and type: one r x r array less
     small, big = sorted(legs, key=lambda leg: (leg.ndim, leg.dtype != bool))
     big *= small
     return big
-
-
-def _leg(f, w, w2, i, i2) -> np.ndarray:
-    """(W2^H f W)[i2, i]; an f that is None is the mask i2 == i of a shared factor."""
-    if f is None:
-        return i2[:, None] == i
-    return _frame_coords(f, w, w2)[..., i2[:, None], i]
 
 
 def _frame_coords(f, w, w2) -> np.ndarray:
@@ -293,8 +274,8 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
     right-B-linear and g left-B-linear (:func:`_frame_leg`;
     WellDefinednessError names a leg that is not).
     Index legs give an index array, a gather through ``tgt.index``; a
-    dense leg gives a matrix, with an index leg as its 0/1 matrix, and so
-    do two None legs, the identity.
+    dense leg gives a matrix (:func:`_member_map`), with an index leg as its
+    0/1 matrix, and so do two None legs, the identity.
     """
     if src.kind != tgt.kind:
         raise ValueError("source and target tensor kinds differ")
@@ -304,12 +285,8 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
         a = src.a if legs[0] is None else legs[0][src.a]
         b = src.b if legs[1] is None else legs[1][src.b]
         return tgt.index[a, b]
-    legs = [permutation_matrix(leg) if leg is not None and leg.ndim == 1 else leg
-            for leg in legs]
     # two None legs give the boolean mask of the identity
-    return _member_map(Members(src.a, src.b, None, None),
-                       Members(tgt.a, tgt.b, None, None),
-                       *legs).astype(complex, copy=False)
+    return _member_map(*legs, src.a, src.b, tgt.a, tgt.b).astype(complex, copy=False)
 
 
 # -- unit isomorphisms --------------------------------------------------------
@@ -320,9 +297,9 @@ def left_unitor(kind: str, x: Bimodule) -> np.ndarray:
     L2(A)'s frame is the identity, so c_a is the matrix unit e_a of A and
     l(c_a (x) d_b) = e_a . d_b = L_a W_X[:, b].
     """
-    m = tensor(kind, standard_form(x.left_algebra).bimodule, x).members
-    moved = x.left_units if m.wy is None else x.left_units @ m.wy
-    return moved[m.a, :, m.b].T
+    tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
+    moved = x.left_units if x.frame.w is None else x.left_units @ x.frame.w
+    return moved[tp.a, :, tp.b].T
 
 
 def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
@@ -331,9 +308,9 @@ def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
     L2(B)'s frame is the identity, so d_b is the matrix unit e_b of B and
     r(c_a (x) d_b) = c_a . e_b = R_b W_X[:, a].
     """
-    m = tensor(kind, x, standard_form(x.right_algebra).bimodule).members
-    moved = x.right_units if m.wx is None else x.right_units @ m.wx
-    return moved[m.b, :, m.a].T
+    tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
+    moved = x.right_units if x.frame.w is None else x.right_units @ x.frame.w
+    return moved[tp.b, :, tp.a].T
 
 
 # -- associators --------------------------------------------------------------
@@ -384,14 +361,14 @@ def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
     column i dim X + a of the frame 1_I (x) W_X and column j dim Y + b of
     1_J (x) W_Y.
     """
-    m, ext = tp_xy.members, tp_ext.members
-    i, j, r = np.indices((ni, nj, m.a.size)).reshape(3, -1)
-    slots = Members(i * tp_xy.left_factor.dim + m.a[r],
-                    j * tp_xy.right_factor.dim + m.b[r],
-                    *(None if w is None else np.kron(np.eye(n), w)
-                      for n, w in ((ni, m.wx), (nj, m.wy))))
-    return _member_map(ext, slots, np.eye(tp_ext.left_factor.dim),
-                       np.eye(tp_ext.right_factor.dim))
+    i, j, r = np.indices((ni, nj, tp_xy.a.size)).reshape(3, -1)
+    f, g = (_frame_coords(np.eye(ext.dim), ext.frame.w,
+                          None if x.frame.w is None else np.kron(np.eye(n), x.frame.w))
+            for n, x, ext in ((ni, tp_xy.left_factor, tp_ext.left_factor),
+                              (nj, tp_xy.right_factor, tp_ext.right_factor)))
+    return _member_map(f, g, tp_ext.a, tp_ext.b,
+                       i * tp_xy.left_factor.dim + tp_xy.a[r],
+                       j * tp_xy.right_factor.dim + tp_xy.b[r])
 
 
 @product_store()
@@ -435,5 +412,7 @@ def m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:
 
 def _m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:
     u, ustar = _sector_swap(x.right_algebra)
-    return _member_map(tensor_left(x, y).members, tensor_right(x, y).members,
-                       x.right_units[u].sum(axis=0), y.left_units[ustar].sum(axis=0))
+    f = _frame_coords(x.right_units[u].sum(axis=0), x.frame.w, x.frame.w)
+    g = _frame_coords(y.left_units[ustar].sum(axis=0), y.frame.w, y.frame.w)
+    tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
+    return _member_map(f, g, tp_left.a, tp_left.b, tp_right.a, tp_right.b)

@@ -63,16 +63,17 @@ def quotient(tp):
     bounded-basis coefficients.  G is an orthogonal projection and V is
     G-orthonormal, so Q V = 1.
     """
-    bb, m = bounded(tp), tp.members
-    first, second = (np.eye(factor.dim)[:, cols] if w is None else w[:, cols]
-                     for factor, w, cols in ((tp.left_factor, m.wx, m.a),
-                                             (tp.right_factor, m.wy, m.b)))
+    bb = bounded(tp)
+    first, second = (np.eye(factor.dim)[:, cols] if factor.frame.w is None
+                     else factor.frame.w[:, cols]
+                     for factor, cols in ((tp.left_factor, tp.a),
+                                          (tp.right_factor, tp.b)))
     if tp.kind == KIND_LEFT:
         first = bb.expand(first)
     else:
         second = bb.expand(second)
     v = np.einsum("ir,sr->isr", first, second).reshape(
-        len(first) * len(second), m.a.size)
+        len(first) * len(second), tp.a.size)
     return (gram(tp) @ v).conj().T
 
 

@@ -405,10 +405,9 @@ def test_store_keeps_every_product():
         t_xy_z = tensor_left(t_xy.result, z)
         assert tensor_left(t_xy.result, z) is t_xy_z
         for tp in (t_xy, t_xy_z):
-            # the members are made once and kept, their indices read-only
-            assert tp.members is tp.members
-            assert not tp.members.a.flags.writeable
-            assert not tp.members.b.flags.writeable
+            # the members' indices are read-only
+            assert not tp.a.flags.writeable
+            assert not tp.b.flags.writeable
             assert not tp.result.left_units.flags.writeable
             # so are the sector columns the product was built from
             for cols in stored(tensor_module._sector_columns,

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra
-from bimodcat.bimodule import canonical_bimodule
+from bimodcat.bimodule import Bimodule, Morphism, canonical_bimodule
 from bimodcat.instances import (InstanceFormatError, InstanceSpec, Limits,
                                 _encode, generate, load, load_lenient, random_algebra,
                                 random_bimodule, save, to_document)
@@ -94,6 +95,65 @@ def test_canonical_models_without_basis_unitaries_round_trip(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["summary"]["total"] > 0
+
+
+def _zero_dimensional_chain(by_stacks):
+    """A chain whose middle bimodule has dimension 0, with a 0x0 endomorphism.
+
+    Its basis unitary is the 0x0 matrix; ``by_stacks`` gives it by its action
+    stacks instead, one empty matrix per unit.  The first bimodule, of
+    dimension 6, has a basis unitary and an endomorphism too.
+    """
+    a, b = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((1, 2))
+    first = canonical_bimodule(a, b, np.array([[1, 1]]), basis_unitary=np.eye(6))
+    empty = canonical_bimodule(b, a, np.zeros((2, 1), dtype=int),
+                               basis_unitary=np.eye(0))
+    if by_stacks:
+        empty = Bimodule(b, a, empty.left_units, empty.right_units)
+    return InstanceSpec(
+        seed=0, limits=Limits(), algebras=(a, b, a, b),
+        bimodules=(first, empty, canonical_bimodule(a, b, np.array([[1, 1]]))),
+        morphisms=(Morphism(empty, empty, np.zeros((0, 0))),
+                   Morphism(first, first, np.eye(6))))
+
+
+@pytest.mark.parametrize("by_stacks", [False, True], ids=["unitary", "stacks"])
+def test_a_zero_dimensional_bimodule_round_trips(by_stacks, tmp_path, capsys):
+    # an empty array is written without its [re, im] axis: the 0x0 basis
+    # unitary and matrix as [], the stacks as one [] per unit
+    blob = save(_zero_dimensional_chain(by_stacks))
+    entry = json.loads(blob)["bimodules"][1]
+    if by_stacks:
+        assert entry["left_action"] == [[]] * 5
+        assert entry["right_action"] == [[]] * 4
+    else:
+        assert entry["basis_unitary"] == []
+    assert json.loads(blob)["morphisms"][0]["matrix"] == []
+    loaded = load(blob)
+    assert save(loaded) == blob
+    assert loaded.bimodules[1].dim == 0
+    assert loaded.morphisms[0].matrix.shape == (0, 0)
+    path = tmp_path / "zero.json"
+    path.write_bytes(blob)
+    assert cli.main(["verify", "--instance", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total"] > 0
+
+
+@pytest.mark.parametrize("by_stacks, section, index, key, value", [
+    (False, "bimodules", 0, "basis_unitary", []),
+    (False, "bimodules", 1, "basis_unitary", [[]]),
+    (False, "bimodules", 1, "basis_unitary", "x"),
+    (True, "bimodules", 1, "right_action", [[]] * 5),
+    (False, "morphisms", 0, "matrix", [[]]),
+    (False, "morphisms", 1, "matrix", []),
+], ids=["unitary-6", "unitary-0-axes", "unitary-0-junk", "stack-0-units",
+        "matrix-0-axes", "matrix-6"])
+def test_empty_data_must_fit_the_fields_shape(by_stacks, section, index, key, value):
+    doc = to_document(_zero_dimensional_chain(by_stacks))
+    doc[section][index][key] = value
+    with pytest.raises(InstanceFormatError,
+                       match=re.escape(f"$.{section}[{index}].{key}: expected")):
+        load(json.dumps(doc))
 
 
 def test_save_load_round_trip_byte_identical():

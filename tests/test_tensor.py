@@ -467,6 +467,33 @@ def test_m_is_not_the_identity():
     assert pairs == 49
 
 
+def test_m_is_the_reversal_and_the_unitors_are_frames_times_0_1_matrices():
+    # in frame coordinates m is the anti-diagonal reversal J of the members,
+    # and W^H l and W^H r are 0/1 matrices: m and the unitors reindex frame
+    # columns
+    shapes = [*((seed, None) for seed in range(20)),
+              *((seed, Limits(min_mult=1)) for seed in range(10)),
+              *((seed, Limits(min_mult=1, max_mult=2)) for seed in (0, 3, 4, 9))]
+    pairs = unitors = 0
+    for seed, limits in shapes:
+        spec = generate(seed, limits)
+        with product_store():
+            for x, y in zip(spec.bimodules, spec.bimodules[1:]):
+                m = m_iso(x, y)
+                assert np.abs(m - np.eye(len(m))[::-1]).max(initial=0) <= 1e-12
+                pairs += 1
+            for x in spec.bimodules:
+                w = np.eye(x.dim) if x.frame.w is None else x.frame.w
+                for kind in KINDS:
+                    for unitor in (left_unitor, right_unitor):
+                        frame = w.conj().T @ unitor(kind, x)
+                        assert np.abs(frame - np.round(frame.real)).max(
+                            initial=0) <= 1e-12, (seed, limits, kind, unitor)
+                        assert set(np.round(frame.real).ravel()) <= {0, 1}
+                        unitors += 1
+    assert (pairs, unitors) == (102, 544)
+
+
 # -- the member-built maps against the spanning solves ------------------------
 
 def _associator_oracle(kind, x, y, z):
@@ -864,10 +891,13 @@ def test_a_malformed_leg_is_a_value_error():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(seed):
+def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(monkeypatch, seed):
     # a whiskered by L2(C) beside a random endomorphism of L2(C), and the
     # mirror image: the index leg is its 0/1 matrix, raw on a product's
-    # result, bit for bit
+    # result, bit for bit, taken as a mask without building that matrix
+    def no_matrix(*args):
+        raise AssertionError("tensor_morphisms built a 0/1 matrix")
+    monkeypatch.setattr(tensor_module, "permutation_matrix", no_matrix)
     x, y, z = generate(seed, limits=Limits(min_mult=1)).bimodules[:3]
     rng = np.random.default_rng(seed)
     l2a = standard_form(x.left_algebra).bimodule
@@ -893,8 +923,10 @@ def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(seed):
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
       for seed in range(3))])
 def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
-    # each product's stacks are L_u (x) 1 and 1 (x) R_v on its members and
-    # each dual's are its original's, conjugated and permuted, bit for bit
+    # each product's stacks are L_u (x) 1 and 1 (x) R_v on its members: the
+    # stack W^H L_u W of X gathered at a, times the mask b' == b of Y's
+    # identity, and the mirror image; each dual's are its original's,
+    # conjugated and permuted, bit for bit
     duals = []
     build_dual = bimodule_module._dual_bimodule
 
@@ -903,9 +935,14 @@ def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
         return duals[-1][1]
     monkeypatch.setattr(bimodule_module, "_dual_bimodule", record)
     for tp in _suite_products(monkeypatch, seed, limits):
-        m = tp.members
-        want = (tensor_module._member_map(m, m, tp.left_factor.left_units, None),
-                tensor_module._member_map(m, m, None, tp.right_factor.right_units))
+        want = []
+        for units, w, i, j in ((tp.left_factor.left_units, tp.left_factor.frame.w,
+                                tp.a, tp.b),
+                               (tp.right_factor.right_units, tp.right_factor.frame.w,
+                                tp.b, tp.a)):
+            units = np.asarray(units, dtype=complex)
+            frame = units if w is None else w.conj().T @ units @ w
+            want.append(frame[:, i[:, None], i] * (j[:, None] == j))
         for got, stack in zip((tp.result.left_units, tp.result.right_units), want):
             assert np.array_equal(got, stack)
             assert not got.flags.writeable
@@ -1038,7 +1075,7 @@ def test_deferred_stacks_are_built_on_first_read_and_read_only(monkeypatch):
         tp, xs = tensor_left(x, y), dual_bimodule(x)
         # neither the store, dim nor a morphism's shape check builds them
         assert tensor_left(x, y) is tp and dual_bimodule(x) is xs
-        assert (tp.dim, xs.dim) == (tp.members.a.size, x.dim)
+        assert (tp.dim, xs.dim) == (tp.a.size, x.dim)
         Morphism(tp.result, tp.result, np.eye(tp.dim))
         assert checked == []
         stacks = [tp.result.left_units, tp.result.right_units,
