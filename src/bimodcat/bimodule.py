@@ -260,16 +260,28 @@ class Morphism:
         One stacked product per side and one batched norm (:func:`op_norm`
         of the stack), skipped when the stacked defect is exactly zero.
         """
+        return max(op_norm(d) for d in self._defects())
+
+    def _defects(self) -> List[np.ndarray]:
+        """The stacked T L_a - L'_a T and T R_b - R'_b T over matrix units."""
         t = self.matrix
-        worst = 0.0
-        for side in _SIDES:
-            worst = max(worst, op_norm(t @ getattr(self.source, side)
-                                       - getattr(self.target, side) @ t))
-        return worst
+        return [t @ getattr(self.source, side) - getattr(self.target, side) @ t
+                for side in _SIDES]
 
     def is_morphism(self, tol: float = 1e-8) -> bool:
-        scale = max(1.0, op_norm(self.matrix))
-        return self.intertwiner_defect() <= tol * scale
+        """Whether the intertwiner defect is at most tol max(1, ||T||).
+
+        The Frobenius norm of a stacked defect bounds the operator norm of
+        each of its matrices, and the scale is at least 1: so when both
+        stacks' Frobenius norms are at most ``tol`` the answer is yes
+        without an SVD.  Otherwise the exact rule decides, from the same
+        defects, with :func:`op_norm` of them and of T.
+        """
+        defects = self._defects()
+        if max(np.linalg.norm(d) for d in defects) <= tol:
+            return True
+        return (max(op_norm(d) for d in defects)
+                <= tol * max(1.0, op_norm(self.matrix)))
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other."""
@@ -309,10 +321,13 @@ def _hom_pairs(x: Bimodule, y: Bimodule) -> List[Tuple[np.ndarray, np.ndarray]]:
 
     By Schur a bimodule map is 1 (x) T_kl (x) 1 on the pair (k, l): in
     adapted frames, the mu_Y x mu_X matrix T_kl on every corner (i, j),
-    rows ``cy[i, j]`` and columns ``cx[i, j]``.
+    rows ``cy[i, j]`` and columns ``cx[i, j]``.  An endomorphism's two
+    bimodules share one table.
     """
     _same_algebras(x, y)
-    return [(cy, cx) for cx, cy in zip(_corner_columns(x), _corner_columns(y))
+    cols_x = _corner_columns(x)
+    cols_y = cols_x if y is x else _corner_columns(y)
+    return [(cy, cx) for cx, cy in zip(cols_x, cols_y)
             if cx.shape[2] and cy.shape[2]]
 
 
@@ -422,6 +437,10 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     C^{n_k} (x) C^{mult[k,l]} (x) C^{m_l}; the left algebra acts on the first
     leg, the right algebra on the last leg by row-vector multiplication.
     An optional unitary change of basis is applied to avoid axis-aligned data.
+
+    The 0/1 entries of both stacks and the frame labels are set for all
+    coordinates of all nonzero sectors at once, then moved by the basis
+    unitary W as W U W^H.
     """
     mult = np.asarray(mult, dtype=int)
     if mult.shape != (len(a.blocks), len(b.blocks)):
@@ -429,23 +448,28 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     if (mult < 0).any():
         raise ValueError("multiplicities must be nonnegative")
     d = canonical_dim(a, b, mult)
+    # the nonzero sectors (k, l) follow each other row-major, and in each
+    # the coordinates (i, s, j) of C^n_k (x) C^mu (x) C^m_l, row-major
+    k, l = np.nonzero(mult)
+    nk, ml = np.take(a.blocks, k), np.take(b.blocks, l)
+    stride = mult[k, l] * ml        # from (i, s, j) to (i + 1, s, j)
+    size = nk * stride
+    sector = np.repeat(np.arange(k.size), size)
+    c = np.arange(d)
+    i, sj = np.divmod(c - (size.cumsum() - size)[sector], stride[sector])
+    k, l, nk, ml, stride = (v[sector] for v in (k, l, nk, ml, stride))
+    j = sj % ml
+    # coordinate c lies in the corner of the i-th diagonal unit of block k
+    # and the j-th of block l
+    labels = a.diagonal.first[k] + i, b.diagonal.first[l] + j
     left_units = np.zeros((a.dim, d, d), dtype=complex)
     right_units = np.zeros((b.dim, d, d), dtype=complex)
-    labels = np.empty((2, d), dtype=np.intp)
-    start = 0   # the nonzero sectors (k, l) follow each other row-major
-    for k, l in zip(*np.nonzero(mult)):
-        nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
-        # coordinate c of (i, s, j) lies in the corner of the i-th diagonal
-        # unit of block k and the j-th of block l
-        i, _, j = np.indices((nk, mu, ml)).reshape(3, -1)
-        c = start + np.arange(i.size)
-        labels[:, c] = a.diagonal.first[k] + i, b.diagonal.first[l] + j
-        # on the left e_pi of block k sends (i, s, j) to (p, s, j), on the
-        # right e_jq of block l sends it to (i, s, q)
-        p, q = np.arange(nk)[:, None], np.arange(ml)[:, None]
-        left_units[a.unit(k, p, i), c + (p - i) * mu * ml, c] = 1.0
-        right_units[b.unit(l, j, q), c + q - j, c] = 1.0
-        start += i.size
+    # on the left e_pi of block k sends (i, s, j) to (p, s, j), p < n_k; on
+    # the right e_jq of block l sends it to (i, s, q), q < m_l
+    t, p = _spread(nk)
+    left_units[a.unit(k[t], p, i[t]), t + (p - i[t]) * stride[t], t] = 1.0
+    t, q = _spread(ml)
+    right_units[b.unit(l[t], j[t], q), t + q - j[t], t] = 1.0
     w = None if basis_unitary is None else np.asarray(basis_unitary, dtype=complex)
     if w is not None:
         if w.shape != (d, d):
@@ -455,6 +479,12 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     x = Bimodule(a, b, left_units, right_units)
     x.canonical, x.frame = (mult, w), Frame(w, *labels)
     return x
+
+
+def _spread(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each index t repeated n[t] times, and beside it 0, 1, ..., n[t] - 1."""
+    t = np.repeat(np.arange(n.size), n)
+    return t, np.arange(t.size) - np.repeat(n.cumsum() - n, n)
 
 
 def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,

@@ -6,8 +6,9 @@ open, it joins that store: a check called on its own keeps a store of its
 own, and inside a suite it shares the suite's.  While a store is open,
 :func:`stored` builds ``build(*args)`` once and returns the same object on
 every later call, so a product of a product's result is built once too.
-Functions take bimodules and fetch their products, duals and ``m`` maps
-through :func:`stored`; of the maps between products, only
+Functions take bimodules and fetch their products, duals, ``m`` maps,
+associators and unitors through :func:`stored`, which keeps each of them
+per key; of the maps between products, only
 ``tensor_morphisms`` takes products, the two it maps between.  Arguments
 are keyed by identity (``Bimodule`` compares by identity).
 
@@ -22,6 +23,12 @@ action stacks once it has them (:class:`bimodcat.bimodule.Bimodule`), so
 no store holds them, and a bimodule given as an argument keeps its arrays
 as given.
 Outside a store every call builds.
+
+An array cannot be a key, so :func:`stored_for` keeps a value per
+read-only array, by identity, and keeps the array with it: the
+frame-coordinate form of a dense leg of f (x) g that has passed its
+B-linearity test, per (leg, source factor, target factor, side)
+(:func:`bimodcat.tensor._frame_leg`).  A writable array is never kept.
 
 The open store lives in a context variable, so it is visible to the calls
 made inside the ``with`` block and to no other thread.
@@ -64,3 +71,22 @@ def stored(build: Callable, *args):
             if isinstance(item, np.ndarray):
                 item.setflags(write=False)
     return values[key]
+
+
+def stored_for(m: np.ndarray, build: Callable, *args):
+    """``build(m, *args)``, built once per open store for a read-only array ``m``.
+
+    ``m`` is keyed by its identity and kept beside the value, so no other
+    array takes its id while the store is open; the value, an array, is
+    made read-only.  A writable ``m`` may change between two calls, so it
+    builds on every call, as does every call outside a store.
+    """
+    values = _open.get()
+    if values is None or m.flags.writeable:
+        return build(m, *args)
+    key = (build, id(m), *args)
+    if key not in values:
+        value = build(m, *args)
+        value.setflags(write=False)
+        values[key] = m, value
+    return values[key][1]

@@ -43,13 +43,16 @@ f (x) g of 2-cells has one entry point, :func:`tensor_morphisms`, for
 index and dense legs.  In adapted frames the matrix units of a side act
 by the same 0/1 maps between corners
 (:func:`bimodcat.bimodule.corner_base`), so one rule on the frames tests
-both forms of leg for B-linearity, and it reads no action stack.
+both forms of leg for B-linearity, and it reads no action stack.  Inside
+a product store a read-only dense leg is tested once per pair of factors
+and side (:func:`_frame_leg`).
 
 The maps take a kind, where they have one, and bimodules, and fetch their
 products through :func:`tensor`; only :func:`tensor_morphisms` takes the
-two products it maps between.  No bounded-vector space, algebraic tensor
-space or spanning family is built; the tests keep those constructions as
-oracles.
+two products it maps between.  The unitors, the associator and m are
+built once per open product store.  No bounded-vector space, algebraic
+tensor space or spanning family is built; the tests keep those
+constructions as oracles.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 from .algebra import MultiMatrixAlgebra, standard_form
 from .bimodule import Bimodule, Frame, corner_base, matrix_extension
 from .linalg import permutation_matrix
-from .store import product_store, stored
+from .store import product_store, stored, stored_for
 
 KIND_LEFT = "left"     # ltimes
 KIND_RIGHT = "right"   # rtimes
@@ -234,7 +237,10 @@ def _frame_leg(name: str, side: str, m, x: Bimodule, x2: Bimodule):
     base (:func:`bimodcat.bimodule.corner_base`) by fixed 0/1 maps, so F
     must be F[base', base] between columns of equal ``side`` labels and 0
     between unequal ones, to 1e-6 max(1, ||m||_F) in the Frobenius norm;
-    an index array must keep labels and bases exactly.
+    an index array must keep labels and bases exactly.  Inside a product
+    store a read-only raw matrix is tested once per (leg, X, X', side) and
+    its F kept (:func:`bimodcat.store.stored_for`); a writable one may
+    change between calls, so it is tested on every call.
     """
     if m is None:
         if x is not x2:
@@ -245,17 +251,25 @@ def _frame_leg(name: str, side: str, m, x: Bimodule, x2: Bimodule):
     if m.shape not in ((x.dim,), (x2.dim, x.dim)):
         raise ValueError(f"{name} has shape {m.shape}, not ({x.dim},) or "
                          f"({x2.dim}, {x.dim})")
-    if m.ndim == 1 and not np.issubdtype(m.dtype, np.integer):
+    if m.ndim == 2:
+        return stored_for(m, _dense_frame_leg, name, side, x, x2)
+    if not np.issubdtype(m.dtype, np.integer):
         raise ValueError(f"{name} is an index array of dtype {m.dtype}")
-    if m.ndim == 1 and not ((0 <= m) & (m < x2.dim)).all():
+    if not ((0 <= m) & (m < x2.dim)).all():
         raise ValueError(f"{name} has an index outside 0..{x2.dim - 1}")
     labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
     base, base2 = (stored(corner_base, y, side) for y in (x, x2))
-    if m.ndim == 1:
-        if x2.dim != x.dim or not (np.array_equal(labels2[m], labels)
-                                   and np.array_equal(base2[m], m[base])):
-            raise _not_b_linear(name, side, "it moves frame labels or corners")
-        return m
+    if x2.dim != x.dim or not (np.array_equal(labels2[m], labels)
+                               and np.array_equal(base2[m], m[base])):
+        raise _not_b_linear(name, side, "it moves frame labels or corners")
+    return m
+
+
+def _dense_frame_leg(m: np.ndarray, name: str, side: str, x: Bimodule,
+                     x2: Bimodule) -> np.ndarray:
+    """Raw matrix leg ``m`` in frame coordinates, once B-linear (:func:`_frame_leg`)."""
+    labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
+    base, base2 = (stored(corner_base, y, side) for y in (x, x2))
     frame = _frame_coords(m, x.frame.w, x2.frame.w)
     defect = np.linalg.norm(
         frame - (labels2[:, None] == labels) * frame[base2[:, None], base])
@@ -295,22 +309,34 @@ def left_unitor(kind: str, x: Bimodule) -> np.ndarray:
     """l : L2(A) (x) X -> X on the members of the kind's product.
 
     L2(A)'s frame is the identity, so c_a is the matrix unit e_a of A and
-    l(c_a (x) d_b) = e_a . d_b = L_a W_X[:, b].
+    l(c_a (x) d_b) = e_a . d_b = L_a W_X[:, b].  Built once inside an
+    open product store.
     """
-    tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
-    moved = x.left_units if x.frame.w is None else x.left_units @ x.frame.w
-    return moved[tp.a, :, tp.b].T
+    return stored(_unitor, kind, x, "left")
 
 
 def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
     """r : X (x) L2(B) -> X on the members of the kind's product.
 
     L2(B)'s frame is the identity, so d_b is the matrix unit e_b of B and
-    r(c_a (x) d_b) = c_a . e_b = R_b W_X[:, a].
+    r(c_a (x) d_b) = c_a . e_b = R_b W_X[:, a].  Built once inside an
+    open product store.
     """
-    tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
-    moved = x.right_units if x.frame.w is None else x.right_units @ x.frame.w
-    return moved[tp.b, :, tp.a].T
+    return stored(_unitor, kind, x, "right")
+
+
+def _unitor(kind: str, x: Bimodule, side: str) -> np.ndarray:
+    """The ``side`` unitor: each unit of L2 acting on X's frame columns on ``side``."""
+    if side == "left":
+        tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
+        units, cols = tp.a, tp.b
+    else:
+        tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
+        units, cols = tp.b, tp.a
+    moved = getattr(x, f"{side}_units")
+    if x.frame.w is not None:
+        moved = moved @ x.frame.w
+    return moved[units, :, cols].T
 
 
 # -- associators --------------------------------------------------------------
@@ -326,8 +352,13 @@ def associator_perm(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndar
     Every member of either side is a triple of frame columns of X, Y and Z:
     (c_a (x) d_b) (x) z_c and c_a (x) (d_b (x) z_c).  a sends each triple
     to itself, so it is a permutation, looked up in the tables of Y (x) Z
-    and X (x) (Y (x) Z), and reads no frame.
+    and X (x) (Y (x) Z), and reads no frame.  Built once inside an open
+    product store.
     """
+    return stored(_associator_perm, kind, x, y, z)
+
+
+def _associator_perm(kind: str, x: Bimodule, y: Bimodule, z: Bimodule) -> np.ndarray:
     tp_xy, tp_yz = tensor(kind, x, y), tensor(kind, y, z)
     src = tensor(kind, tp_xy.result, z)
     tgt = tensor(kind, x, tp_yz.result)

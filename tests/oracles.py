@@ -217,6 +217,32 @@ def canonical_units(a, b, mult):
     return left, right
 
 
+def canonical_sector_loop(a, b, mult):
+    """A canonical model's stacks with no basis unitary and its frame labels, sector by sector.
+
+    One pass per nonzero sector (k, l), row-major: coordinate (i, s, j)
+    of C^n_k (x) C^mult[k, l] (x) C^m_l is labelled by the i-th diagonal
+    unit of block k and the j-th of block l; the left unit e_pi of block k
+    sends it to (p, s, j), the right unit e_jq of block l to (i, s, q).
+    Returns (left stack, right stack, (left labels, right labels)).
+    """
+    d = int(np.asarray(a.blocks) @ mult @ np.asarray(b.blocks))
+    left = np.zeros((a.dim, d, d), dtype=complex)
+    right = np.zeros((b.dim, d, d), dtype=complex)
+    labels = np.empty((2, d), dtype=np.intp)
+    start = 0
+    for k, l in zip(*np.nonzero(mult)):
+        nk, ml, mu = a.blocks[k], b.blocks[l], int(mult[k, l])
+        i, _, j = np.indices((nk, mu, ml)).reshape(3, -1)
+        c = start + np.arange(i.size)
+        labels[:, c] = a.diagonal.first[k] + i, b.diagonal.first[l] + j
+        p, q = np.arange(nk)[:, None], np.arange(ml)[:, None]
+        left[a.unit(k, p, i), c + (p - i) * mu * ml, c] = 1.0
+        right[b.unit(l, j, q), c + q - j, c] = 1.0
+        start += i.size
+    return left, right, tuple(labels)
+
+
 def hom_null_space(x, y):
     """Orthonormal basis of Hom(X, Y) as the joint kernel of the intertwiner equations.
 

@@ -16,10 +16,15 @@ from bimodcat.instances import InstanceSpec, _encode, load, to_document
 
 
 def given_by_stacks(spec: InstanceSpec) -> dict:
-    """``spec``'s document with every bimodule given by its action stacks."""
+    """``spec``'s document with every bimodule given by its action stacks.
+
+    A canonical model saved without a basis unitary and a bimodule that
+    is already given by its stacks have no such key to drop.
+    """
     doc = to_document(spec)
     for entry, x in zip(doc["bimodules"], spec.bimodules):
-        del entry["multiplicities"], entry["basis_unitary"]
+        entry.pop("multiplicities", None)
+        entry.pop("basis_unitary", None)
         entry["left_action"] = _encode(x.left_units)
         entry["right_action"] = _encode(x.right_units)
     return doc

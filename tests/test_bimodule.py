@@ -15,7 +15,8 @@ from bimodcat.instances import (InstanceSpec, Limits, generate, load,
 from bimodcat.linalg import crandn, op_norm
 from bimodcat.store import product_store
 from bimodcat.tensor import tensor_left, tensor_right
-from oracles import canonical_units, hom_null_space, multiplicity_traces
+from oracles import (canonical_sector_loop, canonical_units, hom_null_space,
+                     multiplicity_traces)
 from random_bims import random_bim
 
 # the module, whose globals its functions read
@@ -47,6 +48,46 @@ def test_canonical_stacks_are_the_per_unit_kronecker_products():
         want = canonical_units(a, a, np.eye(len(blocks), dtype=int))
         assert np.array_equal(l2.left_units, want[0])
         assert np.array_equal(l2.right_units, want[1])
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_canonical_pass_is_the_sector_loop_bit_for_bit():
+    # the stacks, moved by the basis unitary, and the frame labels of the
+    # one-pass build against the per-sector loop: generated chains at three
+    # limits and the L2 of each of their algebras, a multiplicity matrix
+    # with zero rows and columns, and a model of dimension 0
+    models, algebras = [], set()
+    for limits in (None, Limits(min_mult=1), Limits(min_mult=1, max_mult=2)):
+        for seed in range(30):
+            spec = generate(seed, limits)
+            models += [(x.left_algebra, x.right_algebra, *x.canonical)
+                       for x in spec.bimodules]
+            algebras.update(spec.algebras)
+    # every algebra of at most 2 blocks of size at most 2, the default
+    # limits', and three larger ones
+    assert len(algebras) == 6
+    algebras.update(MultiMatrixAlgebra(blocks)
+                    for blocks in ((3,), (1, 2, 3), (2, 2, 2)))
+    models += [(a, a, np.eye(len(a.blocks), dtype=int), None)
+               for a in sorted(algebras, key=lambda a: a.blocks)]
+    a, b = MultiMatrixAlgebra((2, 1, 3)), MultiMatrixAlgebra((1, 2))
+    rng = np.random.default_rng(11)
+    mult = np.array([[0, 0], [2, 0], [1, 3]])
+    models += [(a, b, mult, random_bim(rng, a.blocks, b.blocks, mult).canonical[1]),
+               (a, b, np.zeros((3, 2), dtype=int), None)]
+    for a, b, mult, w in models:
+        x = canonical_bimodule(a, b, mult, basis_unitary=w)
+        left, right, labels = canonical_sector_loop(a, b, mult)
+        if w is not None:
+            left, right = (w @ units @ w.conj().T for units in (left, right))
+        assert _same_bytes(x.left_units, left)
+        assert _same_bytes(x.right_units, right)
+        assert _same_bytes(x.frame.left, labels[0])
+        assert _same_bytes(x.frame.right, labels[1])
+    assert x.dim == 0 and x.left_units.shape == (a.dim, 0, 0)
 
 
 def test_canonical_dimension_count():
@@ -154,6 +195,42 @@ def test_intertwiner_defect_is_the_batched_spectral_norm():
                    for side in ("left_units", "right_units")
                    for u in range(getattr(x, side).shape[0]))
         assert Morphism(x, y, t).intertwiner_defect() == want
+
+
+def test_is_morphism_is_the_exact_rule():
+    # random endomorphisms moved off by a relative 1e-10 to 1e-6, with
+    # ||T|| below, near and above 1, against defect <= tol max(1, ||T||)
+    # in operator norms
+    rng = np.random.default_rng(21)
+    verdicts = set()
+    for seed in range(4):
+        for x in generate(seed, Limits(min_mult=1)).bimodules[:2]:
+            t = random_morphism_matrix(x, x, rng)
+            h = crandn(rng, x.dim, x.dim)
+            h *= np.linalg.norm(t) / np.linalg.norm(h)
+            for rel in 10.0 ** np.arange(-10, -5.75, 0.25):
+                for scale in (1e-3, 1.0, 1e3):
+                    f = Morphism(x, x, scale * (t + rel * h))
+                    want = (f.intertwiner_defect()
+                            <= 1e-8 * max(1.0, op_norm(f.matrix)))
+                    assert f.is_morphism() == want, (seed, rel, scale)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_is_morphism_takes_no_svd_when_the_frobenius_bound_decides(monkeypatch):
+    # an intertwiner's defects are rounding, far below tol in the Frobenius
+    # norm: no op_norm of the defects or of T, also for the three
+    # endomorphisms a dense document loads
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    spec = generate(4, Limits(min_mult=1))
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for f in spec.morphisms:
+        assert f.is_morphism()
+        assert Morphism(f.source, f.target, 1e3 * f.matrix).is_morphism()
+    assert len(load(save(spec)).morphisms) == 3
 
 
 def test_morphism_compose_adjoint():
@@ -314,6 +391,26 @@ def test_random_morphism_draws_one_block_per_pair_of_blocks():
     # (0, 1), (1, 0) have sizes 4, 4, 1
     want[0:4, 0:2], want[4:8, 2:10] = blocks
     assert np.array_equal(got, want)
+
+
+def test_an_endomorphism_draw_reads_the_corner_table_once(monkeypatch):
+    # X -> X reads X's corner columns once, X -> Y each side's; the draws
+    # are the same, in the same order, as those of a copy of X
+    reads = []
+    real = bimodule_module._corner_columns
+
+    def counted(x):
+        reads.append(x)
+        return real(x)
+    monkeypatch.setattr(bimodule_module, "_corner_columns", counted)
+    rng = np.random.default_rng(5)
+    x = random_bim(rng, (2, 1), (1, 2), np.array([[1, 2], [0, 1]]))
+    twin = canonical_bimodule(x.left_algebra, x.right_algebra, *x.canonical)
+    got = random_morphism_matrix(x, x, np.random.default_rng(8))
+    assert reads == [x]
+    assert np.array_equal(got, random_morphism_matrix(x, twin,
+                                                      np.random.default_rng(8)))
+    assert reads == [x, x, twin]
 
 
 def test_a_suite_on_explicit_stacks_runs_no_eigensolver(monkeypatch):

@@ -12,8 +12,8 @@ from bimodcat import cli, coherence
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import Bimodule, canonical_bimodule
 from bimodcat.cli import main
-from bimodcat.instances import (_encode, generate, load_lenient, save,
-                                to_document)
+from bimodcat.instances import (InstanceSpec, Limits, _encode, generate,
+                                load_lenient, save, to_document)
 from bimodcat.tensor import tensor_left, tensor_right
 from oracles import gram, psd_rank
 from stacks import given_by_stacks
@@ -564,6 +564,27 @@ def test_junk_in_any_field_exits_with_a_code(capsys, tmp_path):
                              "--suite", "m-unit"])
                 assert code in (0, 1, 2), (field, junk)
     capsys.readouterr()
+
+
+def test_stack_form_drops_only_the_keys_an_entry_has(capsys, tmp_path):
+    # a canonical model saved without a basis unitary has no
+    # "basis_unitary" key, and a bimodule already given by its stacks no
+    # "multiplicities": each rewrites to its stacks, and the stack form
+    # rewrites to itself and verifies, exit 0 with a strict-JSON report
+    a, b = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((1, 2))
+    x = canonical_bimodule(a, b, np.array([[1, 1]]))
+    y = canonical_bimodule(b, a, np.array([[1], [2]]))
+    spec = InstanceSpec(seed=0, limits=Limits(), algebras=(a, b, a),
+                        bimodules=(x, y), morphisms=())
+    assert "basis_unitary" not in to_document(spec)["bimodules"][0]
+    doc = given_by_stacks(spec)
+    assert given_by_stacks(load_lenient(json.dumps(doc))[0]) == doc
+    path = tmp_path / "stacks.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "verify", "--instance", str(path), "--json")
+    assert code == 0
+    report = json.loads(out, parse_constant=lambda c: pytest.fail(c))
+    assert report["summary"]["passed"] == report["summary"]["total"] > 0
 
 
 def test_invalid_env_tol_is_usage_error(capsys, monkeypatch):

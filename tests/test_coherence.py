@@ -192,6 +192,32 @@ def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [0, 5, 18])
+def test_a_suite_builds_each_structural_map_and_leg_test_once(monkeypatch,
+                                                              seed):
+    # on gen --min-mult 1: 14 distinct associators of the 20 the checks
+    # ask for, 6 unitors of 12, and 16 B-linearity tests of the 26 dense
+    # legs handed to f (x) g (the naturality squares' f is handed six
+    # times and five other legs twice each)
+    builds = {}
+    for name in ("_associator_perm", "_unitor", "_dense_frame_leg"):
+        def counted(*args, real=getattr(tensor_module, name), name=name):
+            builds[name] = builds.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(tensor_module, name, counted)
+    asked = {}
+    for name in ("associator_perm", "left_unitor", "right_unitor"):
+        def spy(*args, real=getattr(coherence, name), name=name):
+            asked[name] = asked.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(coherence, name, spy)
+    report = run_suite(generate(seed, Limits(min_mult=1)))
+    assert report["summary"]["passed"] == report["summary"]["total"]
+    assert asked == {"associator_perm": 20, "left_unitor": 6, "right_unitor": 6}
+    assert builds == {"_associator_perm": 14, "_unitor": 6,
+                      "_dense_frame_leg": 16}
+
+
 def test_a_suite_builds_two_deferred_stacks(monkeypatch):
     # on gen --min-mult 1 --seed 18, the products' results and the duals
     # whose stacks a suite builds: f (x) g reads the frames, not the
@@ -316,7 +342,7 @@ def test_naturality_subset_reports_construction_error():
 
 
 def test_suite_builds_each_member_product_once(monkeypatch):
-    # a full 4-chain suite asks the store for a product 206 times and
+    # a full 4-chain suite asks the store for a product 176 times and
     # builds 50; no bounded space is built, since products and maps come
     # from the sector bases
     builds = {"product": 0, "bounded": 0}

@@ -865,6 +865,47 @@ def test_the_frame_rule_is_the_stack_test_on_random_legs(monkeypatch, seed):
     assert verdicts == {True, False}
 
 
+def test_a_read_only_dense_leg_is_tested_once_per_store(monkeypatch):
+    # the B-linearity test of a raw matrix leg: once per store for a
+    # read-only leg, on every call for a writable one, which may change
+    # between calls, and on every call outside a store
+    tested = []
+
+    def counted(m, *args):
+        tested.append(m)
+        return real(m, *args)
+    real = tensor_module._dense_frame_leg
+    monkeypatch.setattr(tensor_module, "_dense_frame_leg", counted)
+    x, y = generate(3, Limits(min_mult=1), length=2).bimodules
+    l2 = standard_form(x.left_algebra).bimodule
+    f = random_morphism_matrix(x, x, np.random.default_rng(0))
+    sealed = f.copy()
+    sealed.setflags(write=False)
+    with product_store():
+        products = (tensor_left(x, y), tensor_right(x, y))
+        for leg, want in ((f, 6), (sealed, 1)):
+            tested.clear()
+            got = [tensor_morphisms(tp, tp, leg, None)
+                   for _ in range(3) for tp in products]
+            assert len(tested) == want
+            assert all(np.array_equal(g, h) for g, h in zip(got, got[2:]))
+        # the other side is another test, once
+        tested.clear()
+        tp = tensor_left(l2, x)
+        for _ in range(2):
+            tensor_morphisms(tp, tp, None, sealed)
+        assert len(tested) == 1
+        # a write into the writable leg is seen on the next call
+        before = tensor_morphisms(products[0], products[0], f, None)
+        f *= 2
+        assert np.array_equal(
+            tensor_morphisms(products[0], products[0], f, None), 2 * before)
+    tested.clear()
+    for _ in range(2):
+        tensor_morphisms(tensor_left(x, y), tensor_left(x, y), sealed, None)
+    assert len(tested) == 2
+
+
 def test_a_malformed_leg_is_a_value_error():
     # a dense leg that does not map X to X' and an index array that is not
     # one column of X' per column of X name the leg, before any B-linearity
