@@ -8,21 +8,13 @@ linearity this determines the action of every algebra element.
 Every :class:`Frame` is adapted to the matrix units, so column s of each
 corner of a pair of blocks (k, l) is multiplicity index s.  A product's
 members are pairs of frame columns; Hom(X, Y), multiplicities and random
-intertwiners, 1 (x) T_kl (x) 1 by Schur, are read off the frames.  Only
-a bimodule given by its stacks finds its frame from them, by pivoted
-Gram-Schmidt once per pair of blocks (:func:`_stack_frame`), on the
-frame's first read.
-
-A bimodule made from its stacks checks them at once.  Duals and the
-results of tensor products (:mod:`bimodcat.tensor`) know their dimension
-and their frame without their stacks and are made with a build of the
-stacks instead (:meth:`Bimodule.deferred`): it runs on the first read of
-either stack, which checks the stacks and makes them read-only.  No frame
-reads the stacks of a product's result or a dual, and f (x) g checks its
-legs' B-linearity on the frames' labels
-(:func:`bimodcat.tensor.tensor_morphisms`), so a result's stacks are
-built only when a map reads them, as m of a result does; most results
-are never read.
+intertwiners, 1 (x) T_kl (x) 1 by Schur, are read off the frames.  Each
+matrix unit acts by a fixed 0/1 map between corners, so a bimodule whose
+frame the library knows reads its stacks off it (:func:`_frame_stacks`):
+a canonical model at once, a product's result (:mod:`bimodcat.tensor`),
+a dual or a matrix extension on their first read.  Only a bimodule given
+by its stacks keeps them as given and finds its frame from them, by
+pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
 Every bimodule keeps its frame and its stacks once it has them, inside a
 product store or not.
 """
@@ -32,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,13 +43,10 @@ class Frame(NamedTuple):
     p = ``left[t]`` and q = ``right[t]`` label diagonal matrix units: they
     index the rows of the acting algebras' tables
     (:attr:`bimodcat.algebra.MultiMatrixAlgebra.diagonal`).  ``w`` None is
-    the identity.  A canonical model's is its basis unitary; a product's
-    result's is the identity on its members, pairs of its factors' frame
-    columns; a dual's is its original's, conjugated, with the labels
-    swapped.  Every frame is adapted to the matrix units: with p0 and q0
-    the first diagonal units of blocks k and l, the s-th column of the
-    corner (p0 + i, q0 + j) is L(e_i0) R(e_0j) applied to the s-th of the
-    corner (p0, q0) (:func:`_corner_columns`).
+    the identity, as a product's result's.  Every frame is adapted to the
+    matrix units: with p0 and q0 the first diagonal units of blocks k and
+    l, the s-th column of the corner (p0 + i, q0 + j) is L(e_i0) R(e_0j)
+    applied to the s-th of the corner (p0, q0) (:func:`_corner_columns`).
     """
 
     w: Optional[np.ndarray]
@@ -81,10 +70,8 @@ class Bimodule:
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
     and unitality at once and keeps them as given.  :meth:`deferred` takes
-    the dimension, a build of the stacks and the frame instead; the first
-    read of either stack runs the build, checks the stacks the same way,
-    makes them read-only and keeps them.  ``dim``, the algebras,
-    ``canonical`` and ``frame`` never run it.
+    the dimension and the frame: the first read of either stack reads both
+    off the frame, checks them the same way and keeps them, read-only.
     """
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
@@ -100,12 +87,11 @@ class Bimodule:
     @classmethod
     def deferred(cls, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, dim: int,
-                 build: Callable[[], Tuple[np.ndarray, np.ndarray]],
                  frame: "Frame") -> "Bimodule":
-        """Dimension ``dim`` and ``frame``; the stacks from ``build()`` on first read."""
+        """Dimension ``dim`` and ``frame``; the stacks read off it on first read."""
         x = cls.__new__(cls)
         x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
-        x.canonical, x.frame, x._build = None, frame, build
+        x.canonical, x.frame = None, frame
         return x
 
     @functools.cached_property
@@ -125,11 +111,10 @@ class Bimodule:
 
     @functools.cached_property
     def _stacks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """A deferred bimodule's stacks: built, checked and made read-only once."""
-        units = self._checked(*self._build())
+        """A deferred bimodule's stacks: read off its frame, checked, read-only, once."""
+        units = self._checked(*_frame_stacks(self))
         for stack in units:
             stack.setflags(write=False)
-        del self._build
         return units
 
     def _checked(self, left_units: np.ndarray, right_units: np.ndarray
@@ -358,18 +343,11 @@ def dual_bimodule(x: Bimodule) -> Bimodule:
 
 
 def _dual_bimodule(x: Bimodule) -> Bimodule:
-    """X*, whose stacks are X's, conjugated and permuted, built on first read.
+    """X*, framed by X's frame, conjugated, with the two labels swapped.
 
-    Its diagonal units act as X's conjugated on the other side, so it is
-    unital when X is, and its frame is X's, conjugated, with the two
-    labels swapped: its frame columns for a side are the conjugates of
-    X's for the other side.
+    b acts on xi* as (xi b*)*: X*'s left unit e_pq is X's right e_qp, conjugated.
     """
-    return Bimodule.deferred(
-        x.right_algebra, x.left_algebra, x.dim,
-        lambda: (np.conj(x.right_units[x.right_algebra.adjoint_perm()]),
-                 np.conj(x.left_units[x.left_algebra.adjoint_perm()])),
-        x.frame.conj())
+    return Bimodule.deferred(x.right_algebra, x.left_algebra, x.dim, x.frame.conj())
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:
@@ -397,35 +375,22 @@ def matrix_extension(x: Bimodule, ni: int, nj: int) -> Bimodule:
 
     Coordinates are ordered (outer row, outer column, X-coordinate),
     row-major; the acting algebras are the matrix extensions of the
-    originals with the shared blockwise flattening.
+    originals with the shared blockwise flattening.  Its frame is 1 (x) W_X,
+    column (i, j, t) labelled i n_k + p and j m_l + q for t's labels p, q.
     """
     if ni < 1 or nj < 1:
         raise ValueError("extension orders must be >= 1")
-    # the outer unit e_ij acts on the slots of its own side: on the left it
-    # sends row j to row i, on the right slot i feeds slot j
-    big_l, left_units = _extended_units(x.left_algebra, x.left_units, ni,
-                                        lambda e: np.kron(e, np.eye(nj)))
-    big_r, right_units = _extended_units(x.right_algebra, x.right_units, nj,
-                                         lambda e: np.kron(np.eye(ni), e.T))
-    return Bimodule(big_l, big_r, left_units, right_units)
-
-
-def _extended_units(alg: MultiMatrixAlgebra, units: np.ndarray, n: int,
-                    slots: Callable[[np.ndarray], np.ndarray]
-                    ) -> Tuple[MultiMatrixAlgebra, np.ndarray]:
-    """M_n(alg) and the actions of its matrix units e_ij (x) e_pq.
-
-    ``slots`` maps the n x n outer unit e_ij to its action on the ni x nj
-    outer slots; the unit acts as ``slots(e_ij) (x) units[e_pq]``.
-    """
-    big = amplify_algebra(alg, n)
-    k, pp, qq = np.array(big.unit_positions()).T
-    nk = np.take(alg.blocks, k)
-    (i, p), (j, q) = np.divmod(pp, nk), np.divmod(qq, nk)
-    outer = np.zeros((big.dim, n, n))
-    outer[np.arange(big.dim), i, j] = 1.0
-    return big, np.array([np.kron(slots(e), units[u])
-                          for e, u in zip(outer, alg.unit(k, p, q))], dtype=complex)
+    i, j, t = np.indices((ni, nj, x.dim)).reshape(3, -1)
+    labels = []
+    for alg, n, outer, own in ((x.left_algebra, ni, i, x.frame.left[t]),
+                               (x.right_algebra, nj, j, x.frame.right[t])):
+        k = alg.diagonal.block[own]
+        labels.append(n * alg.diagonal.first[k] + outer * np.take(alg.blocks, k)
+                      + alg.diagonal.pos[own])
+    w = None if x.frame.w is None else np.kron(np.eye(ni * nj), x.frame.w)
+    return Bimodule.deferred(amplify_algebra(x.left_algebra, ni),
+                             amplify_algebra(x.right_algebra, nj),
+                             ni * nj * x.dim, Frame(w, *labels))
 
 
 def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -438,9 +403,9 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     leg, the right algebra on the last leg by row-vector multiplication.
     An optional unitary change of basis is applied to avoid axis-aligned data.
 
-    The 0/1 entries of both stacks and the frame labels are set for all
-    coordinates of all nonzero sectors at once, then moved by the basis
-    unitary W as W U W^H.
+    The frame labels are set for all coordinates of all nonzero sectors
+    at once; the stacks are read off the frame (:func:`_frame_stacks`) at
+    once and checked, so a basis unitary that is not unitary fails here.
     """
     mult = np.asarray(mult, dtype=int)
     if mult.shape != (len(a.blocks), len(b.blocks)):
@@ -455,36 +420,63 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     stride = mult[k, l] * ml        # from (i, s, j) to (i + 1, s, j)
     size = nk * stride
     sector = np.repeat(np.arange(k.size), size)
-    c = np.arange(d)
-    i, sj = np.divmod(c - (size.cumsum() - size)[sector], stride[sector])
-    k, l, nk, ml, stride = (v[sector] for v in (k, l, nk, ml, stride))
-    j = sj % ml
+    i, sj = np.divmod(np.arange(d) - (size.cumsum() - size)[sector],
+                      stride[sector])
     # coordinate c lies in the corner of the i-th diagonal unit of block k
     # and the j-th of block l
-    labels = a.diagonal.first[k] + i, b.diagonal.first[l] + j
-    left_units = np.zeros((a.dim, d, d), dtype=complex)
-    right_units = np.zeros((b.dim, d, d), dtype=complex)
-    # on the left e_pi of block k sends (i, s, j) to (p, s, j), p < n_k; on
-    # the right e_jq of block l sends it to (i, s, q), q < m_l
-    t, p = _spread(nk)
-    left_units[a.unit(k[t], p, i[t]), t + (p - i[t]) * stride[t], t] = 1.0
-    t, q = _spread(ml)
-    right_units[b.unit(l[t], j[t], q), t + q - j[t], t] = 1.0
+    labels = (a.diagonal.first[k[sector]] + i,
+              b.diagonal.first[l[sector]] + sj % ml[sector])
     w = None if basis_unitary is None else np.asarray(basis_unitary, dtype=complex)
-    if w is not None:
-        if w.shape != (d, d):
-            raise ValueError("basis unitary has wrong shape")
-        left_units = w @ left_units @ w.conj().T
-        right_units = w @ right_units @ w.conj().T
-    x = Bimodule(a, b, left_units, right_units)
-    x.canonical, x.frame = (mult, w), Frame(w, *labels)
+    if w is not None and w.shape != (d, d):
+        raise ValueError("basis unitary has wrong shape")
+    x = Bimodule.deferred(a, b, d, Frame(w, *labels))
+    x.canonical = mult, w
+    x._stacks = x._checked(*_frame_stacks(x))   # as given: a W not unitary fails
     return x
 
 
-def _spread(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each index t repeated n[t] times, and beside it 0, 1, ..., n[t] - 1."""
-    t = np.repeat(np.arange(n.size), n)
-    return t, np.arange(t.size) - np.repeat(n.cumsum() - n, n)
+def _frame_stacks(x: Bimodule) -> Tuple[np.ndarray, np.ndarray]:
+    """Both action stacks of X, read off its adapted frame as W U W^H.
+
+    In frame coordinates a unit carries the s-th column of a corner, in
+    frame order, to the s-th of the corner one label away
+    (:func:`_unit_moves`): U is 0/1, read off a table of the columns keyed
+    by corner and s, for all columns at once.
+    """
+    a, b, frame, d = x.left_algebra, x.right_algebra, x.frame, x.dim
+    per_row = b.matrix_dim      # corners per left label
+    corner = frame.left * per_row + frame.right
+    order = corner.argsort(kind="stable")
+    ranked = corner[order]
+    cols = np.arange(d)
+    key = np.empty(d, dtype=np.intp)
+    key[order] = cols - ranked.searchsorted(ranked)     # s
+    key = key * (a.matrix_dim * per_row) + corner
+    table = np.empty(key.max(initial=-1) + 1, dtype=np.intp)
+    table[key] = cols
+    stacks = []
+    for side, alg, step in (("left", a, per_row), ("right", b, 1)):
+        unit, labels = _unit_moves(alg, side), getattr(frame, side)
+        t, p = (unit[labels] >= 0).nonzero()
+        src = labels[t]
+        units = np.zeros((alg.dim, d, d), dtype=complex)
+        units[unit[src, p], table[key[t] + (p - alg.diagonal.pos[src]) * step], t] = 1
+        if frame.w is not None:
+            units = frame.w @ units @ frame.w.conj().T
+        stacks.append(units)
+    return stacks[0], stacks[1]
+
+
+@functools.cache
+def _unit_moves(alg: MultiMatrixAlgebra, side: str) -> np.ndarray:
+    """Per label, row i of block k, and p < max n_k: the index of the unit e_pi
+    (left) or e_ip (right) that moves row i to p, -1 for p >= n_k; read-only."""
+    k, i = alg.diagonal.block[:, None], alg.diagonal.pos[:, None]
+    p = np.arange(max(alg.blocks))
+    unit = np.where(p < np.take(alg.blocks, k),
+                    alg.unit(k, p, i) if side == "left" else alg.unit(k, i, p), -1)
+    unit.setflags(write=False)
+    return unit
 
 
 def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,

@@ -123,12 +123,10 @@ def cmd_verify(args) -> int:
     suite = None
     if args.suite is not None:
         suite = [s.strip() for s in args.suite.split(",") if s.strip()]
-        if not suite:
-            raise UsageError(f"invalid --suite {args.suite!r}: "
-                             "names no check family")
-        unknown = [s for s in suite if s not in coherence.CHECK_FAMILIES]
-        if unknown:
-            raise UsageError(f"unknown check families: {', '.join(unknown)}")
+        try:    # the library's own check, before the instance is loaded
+            coherence._wanted(suite)
+        except ValueError as exc:
+            raise UsageError(f"invalid --suite {args.suite!r}: {exc}")
     spec, violations = _load_or_generate(args)
     report = coherence.run_suite(spec, tol=tol, suite=suite)
     # ahead of the checks in document order, which the stable sort keeps

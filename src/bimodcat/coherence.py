@@ -352,6 +352,7 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
 
     ``suite`` names the families to report, all when None; a check runs
     only if it reports one of them and the chain is long enough for it.
+    ValueError names unknown families, or an empty suite (:func:`_wanted`).
 
     Construction failures are captured per-check (the suite continues);
     the report is deterministic for a fixed instance: checks are sorted by
@@ -366,7 +367,7 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     Each sealed dense leg of f (x) g is tested B-linear once per call.
     """
     bs = instance.bimodules
-    wanted = set(CHECK_FAMILIES if suite is None else suite)
+    wanted = _wanted(suite)
     results: List[CheckResult] = []
 
     def run(name: str, arity: int, check: Callable[..., object], *lead):
@@ -417,9 +418,19 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
     return report
 
 
+def _wanted(suite: Optional[Sequence[str]]) -> set:
+    """The families ``suite`` names, all when None; ValueError if any is unknown or none."""
+    wanted = set(CHECK_FAMILIES if suite is None else suite)
+    unknown = ", ".join(sorted(wanted.difference(CHECK_FAMILIES)))
+    if unknown or not wanted:
+        raise ValueError(f"unknown check families: {unknown}" if unknown
+                         else "names no check family")
+    return wanted
+
+
 def exit_code(report: dict) -> int:
-    """0 = all pass, 1 = some check failed, 2 = construction error."""
-    if report["summary"]["errors"]:
+    """0 = all pass, 1 = some check failed, 2 = construction error or no check ran."""
+    if report["summary"]["errors"] or not report["summary"]["total"]:
         return 2
     if report["summary"]["passed"] < report["summary"]["total"]:
         return 1

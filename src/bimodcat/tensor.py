@@ -18,19 +18,18 @@ the frames stay with the factors.  ltimes cuts block l with p = e_00 and
 rtimes with its last diagonal unit, and rtimes lists its members in
 reverse.
 
-The result bimodule has the member count as its dimension.  Its action
-stacks are built on their first read only
-(:meth:`bimodcat.bimodule.Bimodule.deferred`), which most results never
-get.  It is unital without a check: the factors' frames are orthonormal
-(:func:`bimodcat.bimodule._stack_frame` checks those found numerically).
+The result has the member count as its dimension and the identity on
+its members as its frame, and reads its 0/1 action stacks off that frame
+on their first read only (:meth:`bimodcat.bimodule.Bimodule.deferred`),
+which most results never get.
 
 Every map between products is read off the pairs of frame columns.  One
 formula, :func:`_member_map`, sends c_a (x) d_b to f c_a (x) g d_b, with
 f and g in frame coordinates (:func:`_frame_coords`, the one place a
-factor's frame enters such a map); its cases are the result actions,
-f (x) g, the multiplicativity map m, the extension identifications and,
-on conjugate members, the mixed conjugation of
-:mod:`bimodcat.involution`.  The unitors pair frame columns the same way.
+factor's frame enters such a map); its cases are f (x) g, the
+multiplicativity map m and, on conjugate members, the mixed conjugation
+of :mod:`bimodcat.involution`.  The unitors pair frame columns the same
+way, and the extension identifications are permutations of members.
 
 Maps that send frame columns to frame columns stay index arrays: ``perm[j]``
 is the target member of source member j, the 0/1 matrix P with
@@ -157,16 +156,14 @@ def tensor(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
 
 
 def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
-    """The product's members and the result's actions on them.
+    """The product's members and the result, framed by them.
 
     Member (a, b) of block l pairs X's frame column a labelled p_l on the
     right with Y's column b labelled p_l on the left, listed block by
-    block, then by a, then by b, reversed for rtimes.  A acts by
-    W_X^H L_u W_X on the index a alone, C by W_Y^H R_v W_Y on b alone: the
-    cases L_u (x) 1 and 1 (x) R_v of f (x) g, built on the result's first
-    read.  The members and the result's frame labels are made read-only,
-    inside a product store or not: a write into them would corrupt every
-    later product of the result.
+    block, then by a, then by b, reversed for rtimes.  A moves a alone and
+    C b alone, so the frame is adapted.  The members and the result's
+    frame labels are made read-only, inside a product store or not: a
+    write into them would corrupt every later product of the result.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
@@ -183,13 +180,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     frame = Frame(None, x.frame.left[a], y.frame.right[b])
     for arr in (a, b, frame.left, frame.right):
         arr.setflags(write=False)
-    result = Bimodule.deferred(
-        x.left_algebra, y.right_algebra, a.size,
-        lambda: (_member_map(_frame_coords(x.left_units, x.frame.w, x.frame.w),
-                             None, a, b, a, b),
-                 _member_map(None, _frame_coords(y.right_units, y.frame.w, y.frame.w),
-                             a, b, a, b)),
-        frame)
+    result = Bimodule.deferred(x.left_algebra, y.right_algebra, a.size, frame)
     return TensorProduct(kind, x, y, result, a, b)
 
 
@@ -197,7 +188,7 @@ def _member_map(f, g, a, b, a2, b2) -> np.ndarray:
     """f (x) g from the members (a, b) to the members (a2, b2).
 
     f and g are in frame coordinates: a dense leg is complex
-    (:func:`_frame_coords`) and may be a stack.  Entry (i', i) is
+    (:func:`_frame_coords`).  Entry (i', i) is
     f[a2[i'], a[i]] g[b2[i'], b[i]].  It needs f c_a in the span of the
     target's first columns and g d_b in that of its second, which holds for
     a right-B-linear f and a left-B-linear g.  None is the identity of a
@@ -375,31 +366,19 @@ def tensor_matrix_extension_iso(x: Bimodule, y: Bimodule, ni: int, nj: int,
 
     Returns (matrix, tp_ext, ext_result) where tp_ext is the tensor product
     of the extended factors and ext_result the Hilbert-Schmidt extension of
-    X (x) Y that the matrix maps onto.
+    X (x) Y that the matrix maps onto.  The matrix is a permutation of
+    members: coordinate (i, j, r) of ext_result, row-major, is the slot
+    (i, j) of member r = c_a (x) d_b, which is (e_i (x) c_a) (x) (d_b (x) e_j),
+    the member of frame columns i dim X + a of 1_I (x) W_X and j dim Y + b
+    of 1_J (x) W_Y, the extensions' frames
+    (:func:`bimodcat.bimodule.matrix_extension`).
     """
     tp_xy = tensor(kind, x, y)
     tp_ext = tensor(kind, matrix_extension(x, ni, 1), matrix_extension(y, 1, nj))
-    ext_result = matrix_extension(tp_xy.result, ni, nj)
-    return _ext_iso(tp_xy, tp_ext, ni, nj), tp_ext, ext_result
-
-
-def _ext_iso(tp_xy: TensorProduct, tp_ext: TensorProduct,
-             ni: int, nj: int) -> np.ndarray:
-    """The extension identification: the identity, from members to members.
-
-    Coordinate (i, j, r) of ^I (X (x) Y) ^J, row-major, is the slot (i, j)
-    of member r = c_a (x) d_b, which is (e_i (x) c_a) (x) (d_b (x) e_j):
-    column i dim X + a of the frame 1_I (x) W_X and column j dim Y + b of
-    1_J (x) W_Y.
-    """
     i, j, r = np.indices((ni, nj, tp_xy.a.size)).reshape(3, -1)
-    f, g = (_frame_coords(np.eye(ext.dim), ext.frame.w,
-                          None if x.frame.w is None else np.kron(np.eye(n), x.frame.w))
-            for n, x, ext in ((ni, tp_xy.left_factor, tp_ext.left_factor),
-                              (nj, tp_xy.right_factor, tp_ext.right_factor)))
-    return _member_map(f, g, tp_ext.a, tp_ext.b,
-                       i * tp_xy.left_factor.dim + tp_xy.a[r],
-                       j * tp_xy.right_factor.dim + tp_xy.b[r])
+    members = tp_ext.index[i * x.dim + tp_xy.a[r], j * y.dim + tp_xy.b[r]]
+    return (permutation_matrix(members).T, tp_ext,
+            matrix_extension(tp_xy.result, ni, nj))
 
 
 @product_store()

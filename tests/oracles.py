@@ -243,6 +243,53 @@ def canonical_sector_loop(a, b, mult):
     return left, right, tuple(labels)
 
 
+def member_stacks(tp):
+    """A product's result stacks from its factors' stacks, L_u (x) 1 and 1 (x) R_v.
+
+    The left stack is W_X^H L_u W_X of X gathered at the members' first
+    columns, times the mask b' == b of Y's identity; the right stack is the
+    mirror image.  Rounding of W^H W leaves them off 0/1 by about 1e-15.
+    """
+    out = []
+    for units, w, i, j in ((tp.left_factor.left_units, tp.left_factor.frame.w,
+                            tp.a, tp.b),
+                           (tp.right_factor.right_units, tp.right_factor.frame.w,
+                            tp.b, tp.a)):
+        units = np.asarray(units, dtype=complex)
+        frame = units if w is None else w.conj().T @ units @ w
+        out.append(frame[:, i[:, None], i] * (j[:, None] == j))
+    return tuple(out)
+
+
+def dual_stacks(x):
+    """X*'s stacks from X's: b acts on xi* as (xi b*)*, conjugated and permuted."""
+    return (np.conj(x.right_units[x.right_algebra.adjoint_perm()]),
+            np.conj(x.left_units[x.left_algebra.adjoint_perm()]))
+
+
+def kronecker_extension(x, ni, nj):
+    """The stacks of ^I X ^J, one np.kron per matrix unit of M_ni(A) and M_nj(B).
+
+    The unit e_ij (x) e_pq acts as e_ij (x) 1_nj (x) L(e_pq) on the left
+    and as 1_ni (x) e_ij^T (x) R(e_pq) on the right.
+    """
+    out = []
+    for alg, units, n, slots in (
+            (x.left_algebra, x.left_units, ni, lambda e: np.kron(e, np.eye(nj))),
+            (x.right_algebra, x.right_units, nj,
+             lambda e: np.kron(np.eye(ni), e.T))):
+        stack = []
+        for k, nk in enumerate(alg.blocks):
+            for pp, qq in np.ndindex(n * nk, n * nk):
+                (i, p), (j, q) = divmod(pp, nk), divmod(qq, nk)
+                outer = np.zeros((n, n))
+                outer[i, j] = 1.0
+                stack.append(np.kron(slots(outer), units[alg.unit(k, p, q)]))
+        d = ni * nj * x.dim
+        out.append(np.array(stack, dtype=complex).reshape(len(stack), d, d))
+    return tuple(out)
+
+
 def hom_null_space(x, y):
     """Orthonormal basis of Hom(X, Y) as the joint kernel of the intertwiner equations.
 

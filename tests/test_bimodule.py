@@ -15,8 +15,8 @@ from bimodcat.instances import (InstanceSpec, Limits, generate, load,
 from bimodcat.linalg import crandn, op_norm
 from bimodcat.store import product_store
 from bimodcat.tensor import tensor_left, tensor_right
-from oracles import (canonical_sector_loop, canonical_units, hom_null_space,
-                     multiplicity_traces)
+from oracles import (canonical_sector_loop, canonical_units, dual_stacks,
+                     hom_null_space, kronecker_extension, multiplicity_traces)
 from random_bims import random_bim
 
 # the module, whose globals its functions read
@@ -435,6 +435,61 @@ def test_a_suite_on_explicit_stacks_runs_no_eigensolver(monkeypatch):
     # the spy sees the oracle's call
     hom_null_space(spec.bimodules[0], spec.bimodules[0])
     assert len(calls) == 1
+
+
+def _framed_inputs():
+    """Bimodules whose frames the library knows, with a zero row and dimension 0.
+
+    Chain bimodules of seeds 0-3 at two limits and the ltimes result of
+    each chain's first two; a model whose multiplicity matrix has a zero
+    row and column, in a random basis; and a model of dimension 0.
+    """
+    inputs = []
+    for limits in (None, Limits(min_mult=1)):
+        for seed in range(4):
+            x, y = generate(seed, limits).bimodules[:2]
+            inputs += [x, tensor_left(x, y).result]
+    a, b = MultiMatrixAlgebra((2, 1, 3)), MultiMatrixAlgebra((1, 2))
+    mult = np.array([[0, 0], [2, 0], [1, 3]])
+    inputs.append(random_bim(np.random.default_rng(11), a.blocks, b.blocks, mult))
+    inputs.append(canonical_bimodule(a, b, np.zeros((3, 2), dtype=int)))
+    return inputs
+
+
+def _stacks(x):
+    return x.left_units, x.right_units
+
+
+def test_duals_and_extensions_read_their_stacks_off_the_frames(monkeypatch):
+    # a dual's stacks are its original's, conjugated and permuted: equal in
+    # value for a canonical or a result original, within 1e-12 for one
+    # given by its stacks; an extension's are the Kronecker products of its
+    # original's within 1e-14 (measured 2.2e-16), and its frame, 1 (x) W,
+    # is made without pivoted Gram-Schmidt
+    calls, range_basis = [], bimodule_module.range_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return range_basis(*args, **kwargs)
+    monkeypatch.setattr(bimodule_module, "range_basis", counted)
+    inputs = _framed_inputs()
+    assert inputs[-1].dim == 0
+    for x in inputs:
+        for got, want in zip(_stacks(dual_bimodule(x)), dual_stacks(x)):
+            assert np.array_equal(got, want)
+        for ni, nj in ((1, 1), (2, 1), (1, 2), (2, 3)):
+            ext = matrix_extension(x, ni, nj)
+            assert np.array_equal(multiplicity_matrix(ext),
+                                  multiplicity_matrix(x))
+            for got, want in zip(_stacks(ext), kronecker_extension(x, ni, nj)):
+                assert np.abs(got - want).max(initial=0.0) <= 1e-14
+                assert not got.flags.writeable
+    assert calls == []
+    for x in inputs[:-2:2]:
+        explicit = _explicit(x)
+        for got, want in zip(_stacks(dual_bimodule(explicit)),
+                             dual_stacks(explicit)):
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12
 
 
 def test_a_deferred_frame_is_built_once():

@@ -10,7 +10,7 @@ import pytest
 
 from bimodcat import cli, coherence
 from bimodcat.algebra import MultiMatrixAlgebra
-from bimodcat.bimodule import Bimodule, canonical_bimodule
+from bimodcat.bimodule import canonical_bimodule
 from bimodcat.cli import main
 from bimodcat.instances import (InstanceSpec, Limits, _encode, generate,
                                 load_lenient, save, to_document)
@@ -18,8 +18,9 @@ from bimodcat.tensor import tensor_left, tensor_right
 from oracles import gram, psd_rank
 from stacks import given_by_stacks
 
-# the module, not the ``tensor`` function the package re-exports
+# the modules, not the functions the package re-exports
 tensor_module = importlib.import_module("bimodcat.tensor")
+bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 
 def _run(capsys, *argv):
@@ -274,24 +275,63 @@ def test_tensor_report(capsys):
             "rtimes": psd_rank(gram(tensor_right(x, y)), scale=1.0)}
 
 
+def test_tensor_on_the_stack_form_reports_the_canonical_form(capsys, tmp_path):
+    # given by its stacks, a chain's frames come from pivoted Gram-Schmidt,
+    # and so do its products' results' multiplicities; they report what
+    # the canonical form reports
+    path = tmp_path / "pair.json"
+    for seed in range(5):
+        spec = generate(seed, length=2)
+        reports = []
+        for doc in (to_document(spec), given_by_stacks(spec)):
+            path.write_text(json.dumps(doc))
+            code, out, _ = _run(capsys, "tensor", "--instance", str(path),
+                                "--json")
+            assert code == 0
+            reports.append(json.loads(out, parse_constant=pytest.fail))
+        for key in ("dims", "gramRank", "multiplicities"):
+            assert reports[0][key] == reports[1][key], (seed, key)
+
+
+def test_verify_checks_the_suite_with_the_library_before_loading(capsys,
+                                                                 monkeypatch,
+                                                                 tmp_path):
+    # an unknown family is reported by the library's own check, and
+    # before the instance is read: a document that does not exist is not
+    # reached
+    asked, wanted = [], coherence._wanted
+
+    def spy(suite):
+        asked.append(list(suite))
+        return wanted(suite)
+    monkeypatch.setattr(coherence, "_wanted", spy)
+    code, out, err = _run(capsys, "verify", "--instance",
+                          str(tmp_path / "missing.json"),
+                          "--suite", "m-unit,triangle")
+    assert code == 2 and out == ""
+    assert "unknown check families: triangle" in err
+    assert asked == [["m-unit", "triangle"]]
+
+
 def test_tensor_builds_each_product_once(capsys, monkeypatch):
     # m takes the two products the report reads from the command's store,
     # and the multiplicities are counted off the frames: no result or dual
     # builds its stacks
     builds, stacks = [], []
-    build, check = tensor_module._tensor_product, Bimodule._checked
+    build, frame_stacks = tensor_module._tensor_product, bimodule_module._frame_stacks
 
     def counted(*args):
         builds.append(args[0])
         return build(*args)
 
-    def counted_check(self, *units):
-        # only a deferred bimodule holds a build, until its stacks are made
-        if "_build" in vars(self):
-            stacks.append(self)
-        return check(self, *units)
+    def counted_stacks(x):
+        # a bimodule without a canonical model reads its stacks off its
+        # frame only on a first read
+        if x.canonical is None:
+            stacks.append(x)
+        return frame_stacks(x)
     monkeypatch.setattr(tensor_module, "_tensor_product", counted)
-    monkeypatch.setattr(Bimodule, "_checked", counted_check)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted_stacks)
     for seed in range(5):
         builds.clear()
         code, _, _ = _run(capsys, "tensor", "--seed", str(seed))

@@ -225,23 +225,48 @@ def test_a_suite_builds_two_deferred_stacks(monkeypatch):
     # any, the right stacks of X rtimes Y and the left ones of Y rtimes Z
     spec = generate(18, limits=Limits(min_mult=1))
     built, products = [], {}
-    check, build = bimodule_module.Bimodule._checked, tensor_module._tensor_product
+    frame_stacks, build = bimodule_module._frame_stacks, tensor_module._tensor_product
 
-    def counted(self, *stacks):
-        if "_build" in vars(self):
-            built.append(self)
-        return check(self, *stacks)
+    def counted(x):
+        # a bimodule without a canonical model reads its stacks off its
+        # frame only on a first read
+        if x.canonical is None:
+            built.append(x)
+        return frame_stacks(x)
 
     def recorded(kind, x, y):
         tp = build(kind, x, y)
         products[id(tp.result)] = (kind, x, y)
         return tp
-    monkeypatch.setattr(bimodule_module.Bimodule, "_checked", counted)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
     monkeypatch.setattr(tensor_module, "_tensor_product", recorded)
     assert exit_code(run_suite(spec)) == 0
     x, y, z = spec.bimodules[:3]
     assert [products.get(id(b)) for b in built] == [(KIND_RIGHT, x, y),
                                                      (KIND_RIGHT, y, z)]
+
+
+def test_run_suite_rejects_a_suite_of_unknown_families():
+    # the library checks the names itself: an unknown family or an empty
+    # suite is an error naming the names, not a report of no check
+    spec = generate(0)
+    for suite, names in ((["triangle"], "triangle"),
+                         (["m-unit", "pentagon", "hexagon-left", "x"],
+                          "pentagon, x")):
+        with pytest.raises(ValueError,
+                           match=f"unknown check families: {names}$"):
+            run_suite(spec, suite=suite)
+    with pytest.raises(ValueError, match="names no check family"):
+        run_suite(spec, suite=[])
+
+
+def test_a_report_with_no_check_exits_2():
+    # a chain of one bimodule is too short for a pentagon: no check runs,
+    # and a report that counts none is not a pass
+    report = run_suite(generate(0, length=1), suite=["pentagon-left"])
+    assert report["summary"]["total"] == 0
+    assert exit_code(report) == 2
+    assert exit_code(run_suite(generate(0, length=1), suite=["m-unit"])) == 0
 
 
 def test_run_suite_report_structure_and_determinism():
@@ -556,7 +581,8 @@ def test_empty_instance_gives_empty_report():
     spec = InstanceSpec(seed=0, limits=Limits(), algebras=(), bimodules=())
     rep = run_suite(spec)
     assert rep["checks"] == []
-    assert exit_code(rep) == 0
+    # a report that counts no check is not a pass
+    assert exit_code(rep) == 2
 
 
 def test_check_result_as_dict():

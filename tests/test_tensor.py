@@ -22,9 +22,10 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              m_standard, right_unitor, tensor, tensor_left,
                              tensor_matrix_extension_iso, tensor_morphisms,
                              tensor_right)
-from oracles import (bounded, conjugation_family, ext_family, gram,
-                     induced_map, m_realization, multiplicity_traces, quotient,
-                     sector_bases, stack_b_linear, standard_images)
+from oracles import (bounded, conjugation_family, dual_stacks, ext_family,
+                     gram, induced_map, m_realization, member_stacks,
+                     multiplicity_traces, quotient, sector_bases,
+                     stack_b_linear, standard_images)
 from random_bims import random_bim
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
@@ -959,15 +960,21 @@ def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(monkeypatch, seed):
 
 # -- deferred action stacks ----------------------------------------------------
 
+def _is_0_1(stack):
+    """Whether every entry of ``stack`` is exactly 0 or 1, with no imaginary part."""
+    return not stack.imag.any() and np.isin(stack.real, (0.0, 1.0)).all()
+
+
 @pytest.mark.parametrize("seed, limits", [
     *(pytest.param(seed, None, id=str(seed)) for seed in ORACLE_SEEDS),
     *(pytest.param(seed, Limits(min_mult=1), id=f"min-mult-1-{seed}")
       for seed in range(3))])
 def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
-    # each product's stacks are L_u (x) 1 and 1 (x) R_v on its members: the
-    # stack W^H L_u W of X gathered at a, times the mask b' == b of Y's
-    # identity, and the mirror image; each dual's are its original's,
-    # conjugated and permuted, bit for bit
+    # each product's stacks are read off its frame, the identity on its
+    # members: exactly 0/1, and within 1e-14 of L_u (x) 1 and 1 (x) R_v
+    # from the factors' stacks, which carry the rounding of W^H W (measured
+    # <= 3.0e-15); each dual's equal its original's, conjugated and
+    # permuted, for a canonical or a result original
     duals = []
     build_dual = bimodule_module._dual_bimodule
 
@@ -976,46 +983,50 @@ def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
         return duals[-1][1]
     monkeypatch.setattr(bimodule_module, "_dual_bimodule", record)
     for tp in _suite_products(monkeypatch, seed, limits):
-        want = []
-        for units, w, i, j in ((tp.left_factor.left_units, tp.left_factor.frame.w,
-                                tp.a, tp.b),
-                               (tp.right_factor.right_units, tp.right_factor.frame.w,
-                                tp.b, tp.a)):
-            units = np.asarray(units, dtype=complex)
-            frame = units if w is None else w.conj().T @ units @ w
-            want.append(frame[:, i[:, None], i] * (j[:, None] == j))
-        for got, stack in zip((tp.result.left_units, tp.result.right_units), want):
-            assert np.array_equal(got, stack)
+        for got, want in zip((tp.result.left_units, tp.result.right_units),
+                             member_stacks(tp)):
+            assert _is_0_1(got)
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14
             assert not got.flags.writeable
     assert duals
     for x, xs in duals:
         assert xs.dim == x.dim
-        assert np.array_equal(xs.left_units, np.conj(
-            x.right_units[x.right_algebra.adjoint_perm()]))
-        assert np.array_equal(xs.right_units, np.conj(
-            x.left_units[x.left_algebra.adjoint_perm()]))
+        for got, want in zip((xs.left_units, xs.right_units), dual_stacks(x)):
+            assert np.array_equal(got, want)
+
+
+def _deferred_builds(monkeypatch):
+    """The bimodules whose stacks are read off their frames on a first read.
+
+    Every such build is a call of the one builder on a bimodule without a
+    canonical model: a product's result, a dual or a matrix extension.
+    """
+    builds, real = [], bimodule_module._frame_stacks
+
+    def counted(x):
+        if x.canonical is None:
+            builds.append(x)
+        return real(x)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    return builds
 
 
 def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
-    # a result's stacks are built when it is a factor or dualized, and most
-    # results are neither; a result builds them once, on the first read
-    products, builds = [], []
+    # a result's stacks are built when a map reads them, and most results
+    # are never read; a result builds them once, on the first read
+    products = []
     build = tensor_module._tensor_product
 
     def counted_product(*args):
-        tp = build(*args)
-        stacks = tp.result._build
-
-        def counted_stacks():
-            builds.append(tp)
-            return stacks()
-        tp.result._build = counted_stacks
-        products.append(tp)
-        return tp
+        products.append(build(*args))
+        return products[-1]
     monkeypatch.setattr(tensor_module, "_tensor_product", counted_product)
+    builds = _deferred_builds(monkeypatch)
     report = run_suite(generate(18, limits=Limits(min_mult=1)))
     assert report["summary"]["passed"] == report["summary"]["total"]
-    assert len({id(tp) for tp in builds}) == len(builds)
+    assert len({id(x) for x in builds}) == len(builds)
+    results = {id(tp.result) for tp in products}
+    assert all(id(x) in results for x in builds)
     assert 0 < len(builds) < len(products)
 
 
