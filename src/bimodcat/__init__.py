@@ -32,8 +32,9 @@ from .linalg import DEFAULT_TOL, RANK_EPS, op_norm, scale_tol
 from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, TensorProduct,
                      WellDefinednessError, associator, associator_perm,
-                     left_unitor, m_iso, m_standard, right_unitor, tensor,
-                     tensor_left, tensor_matrix_extension_iso,
-                     tensor_morphisms, tensor_right)
+                     left_unitor, left_unitor_perm, m_iso, m_perm, m_standard,
+                     right_unitor, right_unitor_perm, tensor, tensor_left,
+                     tensor_matrix_extension_iso, tensor_morphisms,
+                     tensor_right)
 
 __version__ = "0.1.0"

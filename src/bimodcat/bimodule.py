@@ -9,12 +9,12 @@ Every :class:`Frame` is adapted to the matrix units, so column s of each
 corner of a pair of blocks (k, l) is multiplicity index s.  A product's
 members are pairs of frame columns; Hom(X, Y), multiplicities and random
 intertwiners, 1 (x) T_kl (x) 1 by Schur, are read off the frames.  Each
-matrix unit acts by a fixed 0/1 map between corners, so a bimodule whose
-frame the library knows reads its stacks off it (:func:`_frame_stacks`):
-a canonical model at once, a product's result (:mod:`bimodcat.tensor`),
-a dual or a matrix extension on their first read.  Only a bimodule given
-by its stacks keeps them as given and finds its frame from them, by
-pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
+matrix unit carries frame columns to frame columns (:func:`moved_columns`):
+m and the unitors are read off these moves, and so are the stacks of a
+canonical model at once, of a product's result, a dual or a matrix
+extension on their first read (:func:`_frame_stacks`).  Only a bimodule
+given by its stacks keeps them as given and finds its frame from them,
+by pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
 Every bimodule keeps its frame and its stacks once it has them, inside a
 product store or not.
 """
@@ -108,6 +108,23 @@ class Bimodule:
     def right_units(self) -> np.ndarray:
         """(dim right_algebra, d, d): the right action of each matrix unit."""
         return self._stacks[1]
+
+    @functools.cached_property
+    def _column_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Column t's key s * (corners) + its corner, s its rank there, and table[key] = t."""
+        per_row = self.right_algebra.matrix_dim      # corners per left label
+        corner = self.frame.left * per_row + self.frame.right
+        order = corner.argsort(kind="stable")
+        ranked = corner[order]
+        cols = np.arange(self.dim)
+        key = np.empty(self.dim, dtype=np.intp)
+        key[order] = cols - ranked.searchsorted(ranked)     # s
+        key = key * (self.left_algebra.matrix_dim * per_row) + corner
+        table = np.empty(key.max(initial=-1) + 1, dtype=np.intp)
+        table[key] = cols
+        for arr in (key, table):
+            arr.setflags(write=False)
+        return key, table
 
     @functools.cached_property
     def _stacks(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -436,47 +453,34 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
 
 
 def _frame_stacks(x: Bimodule) -> Tuple[np.ndarray, np.ndarray]:
-    """Both action stacks of X, read off its adapted frame as W U W^H.
-
-    In frame coordinates a unit carries the s-th column of a corner, in
-    frame order, to the s-th of the corner one label away
-    (:func:`_unit_moves`): U is 0/1, read off a table of the columns keyed
-    by corner and s, for all columns at once.
-    """
+    """Both action stacks of X, W U W^H with U 0/1, read off its frame (:func:`moved_columns`)."""
     a, b, frame, d = x.left_algebra, x.right_algebra, x.frame, x.dim
-    per_row = b.matrix_dim      # corners per left label
-    corner = frame.left * per_row + frame.right
-    order = corner.argsort(kind="stable")
-    ranked = corner[order]
-    cols = np.arange(d)
-    key = np.empty(d, dtype=np.intp)
-    key[order] = cols - ranked.searchsorted(ranked)     # s
-    key = key * (a.matrix_dim * per_row) + corner
-    table = np.empty(key.max(initial=-1) + 1, dtype=np.intp)
-    table[key] = cols
     stacks = []
-    for side, alg, step in (("left", a, per_row), ("right", b, 1)):
-        unit, labels = _unit_moves(alg, side), getattr(frame, side)
-        t, p = (unit[labels] >= 0).nonzero()
-        src = labels[t]
+    for side, alg in (("left", a), ("right", b)):
+        diag, labels = alg.diagonal, getattr(frame, side)
+        # column t, of label i, and each label p of its block: e_pi (left) or
+        # e_ip (right), e_pp's or e_ii's unit index moved by i - p, carries t to p
+        t, p = (diag.block[labels][:, None] == diag.block).nonzero()
+        i = labels[t]
+        unit = diag.unit[p] + (i - p) if side == "left" else diag.unit[i] - (i - p)
         units = np.zeros((alg.dim, d, d), dtype=complex)
-        units[unit[src, p], table[key[t] + (p - alg.diagonal.pos[src]) * step], t] = 1
+        units[unit, moved_columns(x, side, t, p), t] = 1
         if frame.w is not None:
             units = frame.w @ units @ frame.w.conj().T
         stacks.append(units)
     return stacks[0], stacks[1]
 
 
-@functools.cache
-def _unit_moves(alg: MultiMatrixAlgebra, side: str) -> np.ndarray:
-    """Per label, row i of block k, and p < max n_k: the index of the unit e_pi
-    (left) or e_ip (right) that moves row i to p, -1 for p >= n_k; read-only."""
-    k, i = alg.diagonal.block[:, None], alg.diagonal.pos[:, None]
-    p = np.arange(max(alg.blocks))
-    unit = np.where(p < np.take(alg.blocks, k),
-                    alg.unit(k, p, i) if side == "left" else alg.unit(k, i, p), -1)
-    unit.setflags(write=False)
-    return unit
+def moved_columns(x: Bimodule, side: str, cols: np.ndarray,
+                  labels: np.ndarray) -> np.ndarray:
+    """The frame columns that units of the ``side`` algebra carry ``cols`` to, at ``labels``.
+
+    In an adapted frame e_pq (left) or e_qp (right) carries the s-th column
+    of a corner of ``side`` label q to the s-th of the corner of label p.
+    """
+    key, table = x._column_table
+    step = x.right_algebra.matrix_dim if side == "left" else 1
+    return table[key[cols] + (labels - getattr(x.frame, side)[cols]) * step]
 
 
 def canonical_dim(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -505,15 +509,12 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
 def corner_base(x: Bimodule, side: str) -> np.ndarray:
     """Per frame column, its column in the first row or column of its pair's corners.
 
-    Column t, multiplicity index s of the corner (i, j) of a pair of
-    blocks, goes to multiplicity index s of the corner (0, j) for
-    ``side="left"`` and of (i, 0) for ``side="right"``, the column that
+    Multiplicity index s of the corner (i, j) goes to s of (0, j) for
+    ``side="left"`` and of (i, 0) for ``side="right"``: the column that
     the ``side`` action's matrix units carry it to and back from.
     """
-    base = np.empty(x.dim, dtype=np.intp)
-    for cols in _corner_columns(x):
-        base[cols] = cols[:1] if side == "left" else cols[:, :1]
-    return base
+    diag, labels = getattr(x, f"{side}_algebra").diagonal, getattr(x.frame, side)
+    return moved_columns(x, side, np.arange(x.dim), diag.first[diag.block[labels]])
 
 
 def multiplicity_matrix(x: Bimodule) -> np.ndarray:

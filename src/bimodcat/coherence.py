@@ -14,21 +14,18 @@ diagram that draws it reads 0, and the result is marked degenerate.
 An edge that whiskers a map by a factor it leaves unchanged, f (x) 1 or
 1 (x) g, passes None for that identity leg, which is read off the members.
 
-The edges that permute frame columns stay index arrays (``perm[j]`` is the
-target member of source member j; :mod:`bimodcat.tensor`): the
-associator a (:func:`bimodcat.tensor.associator_perm`), the conjugation c
-(:func:`bimodcat.involution.conjugation_perm`), the double-dual edge
-d_X (x) d_Y, which is the identity of frame columns since X**'s frame is
+Every structural edge permutes frame columns, so it is an index array
+(``perm[j]`` is the target member of source member j; :mod:`bimodcat.tensor`):
+a, c, m, the unitors (into the target's frame columns), the double-dual
+edge d_X (x) d_Y, the identity of frame columns since X**'s frame is
 X's, and their whiskerings, :func:`bimodcat.tensor.tensor_morphisms` of
 index legs.  A path composes them by indexing, and a dense edge by a
 gather of its columns or a scatter of its rows, bit for bit its product
-with the 0/1 matrix.
-So the pentagon, the hexagon and the duality square compare two index
-arrays and read 0.0 without a norm when they are equal; only unequal
+with the 0/1 matrix.  So every diagram but naturality compares two
+index arrays and reads 0.0 without a norm when they are equal; unequal
 arrays are made dense, so a wrong permutation reports its true defect.
-m, the unitors and the naturality squares' f and g carry the frames and
-the actions and stay dense matrices, and so does f (x) g of a dense leg;
-a path that draws one is dense from that edge on.
+The naturality squares' f and g, and f (x) g of them, are dense, and only
+the unitors' square takes a raw unitor, W_X[:, perm].
 
 Every check accepts a ``mutation`` hook ``(role, rng, eps)`` that replaces
 the named structural edge e by R e for a random unitary R within eps of the
@@ -58,8 +55,9 @@ from .linalg import (DEFAULT_TOL, op_norm, permutation_matrix, scale_tol,
                      small_rotation)
 from .store import product_store
 from .tensor import (KIND_LEFT, KIND_RIGHT, associator_perm, left_unitor,
-                     m_iso, right_unitor, tensor, tensor_left,
-                     tensor_morphisms, tensor_right)
+                     left_unitor_perm, m_perm, right_unitor,
+                     right_unitor_perm, tensor, tensor_left, tensor_morphisms,
+                     tensor_right)
 
 #: (edge role, rng, epsilon) — twist the named edge by a random eps-rotation
 Mutation = Tuple[str, np.random.Generator, float]
@@ -154,8 +152,8 @@ def check_triangle(kind: str, x: Bimodule, y: Bimodule,
     t_xl_y = tensor(kind, tensor(kind, x, l2).result, y)
     t_x_ly = tensor(kind, x, tensor(kind, l2, y).result)
     a = _twist(associator_perm(kind, x, l2, y), "assoc", mutation)
-    e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor(kind, x), None)
-    e_l = tensor_morphisms(t_x_ly, t_xy, None, left_unitor(kind, y))
+    e_r = tensor_morphisms(t_xl_y, t_xy, right_unitor_perm(kind, x), None)
+    e_l = tensor_morphisms(t_x_ly, t_xy, None, left_unitor_perm(kind, y))
     e_r = _twist(e_r, "right-unit", mutation)
     e_l = _twist(e_l, "left-unit", mutation)
     defect = _defect(_path(e_l, a), e_r)
@@ -191,11 +189,11 @@ def check_m_unit(x: Bimodule, base_tol: float = DEFAULT_TOL,
     l2a = standard_form(x.left_algebra).bimodule
     l2b = standard_form(x.right_algebra).bimodule
     defects = []
-    for pair, unitor, role in (((l2a, x), left_unitor, "left-unit"),
-                               ((x, l2b), right_unitor, "right-unit")):
-        m = _twist(m_iso(*pair), "m", mutation)
+    for pair, unitor, role in (((l2a, x), left_unitor_perm, "left-unit"),
+                               ((x, l2b), right_unitor_perm, "right-unit")):
+        m = _twist(m_perm(*pair), "m", mutation)
         unit = _twist(unitor(KIND_RIGHT, x), role, mutation)
-        defects.append(op_norm(unit @ m - unitor(KIND_LEFT, x)))
+        defects.append(_defect(_path(unit, m), unitor(KIND_LEFT, x)))
     return _result(name, max(defects), base_tol, (x.dim,))
 
 
@@ -209,12 +207,12 @@ def check_m_assoc(x: Bimodule, y: Bimodule, z: Bimodule,
     yz_l, yz_r = tensor_left(y, z).result, tensor_right(y, z).result
     a_l = _twist(associator_perm(KIND_LEFT, x, y, z), "assoc", mutation)
     e1 = tensor_morphisms(tensor_left(xy_l, z), tensor_left(xy_r, z),
-                          m_iso(x, y), None)
+                          m_perm(x, y), None)
     e1 = _twist(e1, "m", mutation)
-    path1 = _path(associator_perm(KIND_RIGHT, x, y, z), m_iso(xy_r, z), e1)
+    path1 = _path(associator_perm(KIND_RIGHT, x, y, z), m_perm(xy_r, z), e1)
     e2 = tensor_morphisms(tensor_left(x, yz_l), tensor_left(x, yz_r),
-                          None, m_iso(y, z))
-    path2 = _path(m_iso(x, yz_r), e2, a_l)
+                          None, m_perm(y, z))
+    path2 = _path(m_perm(x, yz_r), e2, a_l)
     defect = _defect(path1, path2)
     return _result(name, defect, base_tol, (x.dim, y.dim, z.dim))
 
@@ -315,9 +313,9 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
         worst = max(worst, op_norm(lhs - rhs))
     out.append(_result("naturality-assoc", worst, tol_fg, dims))
 
-    m = _twist(m_iso(x, y), "m", mutation)
-    lhs = m @ fg[KIND_LEFT]
-    rhs = fg[KIND_RIGHT] @ m
+    m = _twist(m_perm(x, y), "m", mutation)
+    lhs = _path(m, fg[KIND_LEFT])
+    rhs = _path(fg[KIND_RIGHT], m)
     out.append(_result("naturality-m", op_norm(lhs - rhs), tol_fg, dims))
 
     worst = 0.0
@@ -350,8 +348,8 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
               mutation: Optional[Mutation] = None) -> dict:
     """Run the applicable checks on an instance and assemble a report.
 
-    ``suite`` names the families to report, all when None; a check runs
-    only if it reports one of them and the chain is long enough for it.
+    ``suite`` names the families to report, all when None, one if a str;
+    a check runs only if it reports one and the chain is long enough for it.
     ValueError names unknown families, or an empty suite (:func:`_wanted`).
 
     Construction failures are captured per-check (the suite continues);
@@ -419,8 +417,9 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
 
 
 def _wanted(suite: Optional[Sequence[str]]) -> set:
-    """The families ``suite`` names, all when None; ValueError if any is unknown or none."""
-    wanted = set(CHECK_FAMILIES if suite is None else suite)
+    """Families ``suite`` names: all for None, one for a str; ValueError if unknown or none."""
+    wanted = set(CHECK_FAMILIES if suite is None
+                 else [suite] if isinstance(suite, str) else suite)
     unknown = ", ".join(sorted(wanted.difference(CHECK_FAMILIES)))
     if unknown or not wanted:
         raise ValueError(f"unknown check families: {unknown}" if unknown

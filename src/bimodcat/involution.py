@@ -7,8 +7,8 @@ Each conjugation is the unitary determined on elementary tensors by
 Dual coordinates are conjugate coordinates, so a member of Y* kind X*
 is the conjugate of a tensor of frame columns of Y and X, and c is read
 off the members.  ``conjugation_mixed`` maps Y* rtimes X* ->
-(X ltimes Y)*, the paper's basic map, and swaps rtimes' sector
-projections for ltimes' (:func:`bimodcat.tensor._member_map`).
+(X ltimes Y)*, the paper's basic map, and moves frame columns from
+rtimes' sector projections to ltimes' (:func:`bimodcat.bimodule.corner_base`).
 ``conjugation`` maps Y* kind X* -> (X kind Y)* for one kind: a dual's
 frame is the conjugate of the original's, so its members are those of
 X kind Y, reordered, and c is a permutation.  :func:`conjugation_perm`
@@ -31,10 +31,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .bimodule import Bimodule, Morphism, dual_bimodule
+from .bimodule import Bimodule, Morphism, corner_base, dual_bimodule
 from .linalg import permutation_matrix
-from .tensor import (TensorProduct, _frame_coords, _member_map, _sector_swap,
-                     tensor, tensor_left, tensor_right)
+from .tensor import TensorProduct, tensor, tensor_left, tensor_right
 
 
 def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
@@ -43,18 +42,16 @@ def conjugation_mixed(x: Bimodule, y: Bimodule) -> Morphism:
     A member eta-bar (x) xi-bar of Y* rtimes X* has eta in the sector
     p Y and xi in X p of rtimes' projection p = e_(m-1, m-1); c sends it to
     the conjugate of xi (x) eta, which is xi u* (x) u eta in the members of
-    X ltimes Y (:func:`bimodcat.tensor._sector_swap`).  So c is the
-    conjugate of R_X(u*) (x) L_Y(u) from the conjugated members: a dual's
-    frame is its original's, conjugated, so the member (b, a) of
-    Y* rtimes X* is the tensor c_a (x) d_b of frame columns of X and Y.
+    X ltimes Y, for u = sum_l e_(0, m_l - 1).  A dual's frame columns are
+    its original's, conjugated, and u* and u move X's and Y's to frame
+    columns (:func:`bimodcat.bimodule.corner_base`): c is a 0/1 matrix.
     """
     tp_left = tensor_left(x, y)
     tp_dual = tensor_right(dual_bimodule(y), dual_bimodule(x))
-    u, ustar = _sector_swap(x.right_algebra)
-    f = _frame_coords(x.right_units[ustar].sum(axis=0), x.frame.w, x.frame.w)
-    g = _frame_coords(y.left_units[u].sum(axis=0), y.frame.w, y.frame.w)
-    mat = _member_map(f, g, tp_dual.b, tp_dual.a, tp_left.a, tp_left.b).conj()
-    return Morphism(tp_dual.result, dual_bimodule(tp_left.result), mat)
+    perm = tp_left.index[corner_base(x, "right")[tp_dual.b],
+                         corner_base(y, "left")[tp_dual.a]]
+    return Morphism(tp_dual.result, dual_bimodule(tp_left.result),
+                    permutation_matrix(perm))
 
 
 def conjugation(kind: str, x: Bimodule, y: Bimodule) -> Morphism:

@@ -21,37 +21,31 @@ reverse.
 The result has the member count as its dimension and the identity on
 its members as its frame, and reads its 0/1 action stacks off that frame
 on their first read only (:meth:`bimodcat.bimodule.Bimodule.deferred`),
-which most results never get.
+which no check of a suite makes.
 
-Every map between products is read off the pairs of frame columns.  One
-formula, :func:`_member_map`, sends c_a (x) d_b to f c_a (x) g d_b, with
-f and g in frame coordinates (:func:`_frame_coords`, the one place a
-factor's frame enters such a map); its cases are f (x) g, the
-multiplicativity map m and, on conjugate members, the mixed conjugation
-of :mod:`bimodcat.involution`.  The unitors pair frame columns the same
-way, and the extension identifications are permutations of members.
-
-Maps that send frame columns to frame columns stay index arrays: ``perm[j]``
-is the target member of source member j, the 0/1 matrix P with
-P[perm[j], j] = 1 (:func:`bimodcat.linalg.permutation_matrix`).  Each
-product keeps a lookup table of its members (:attr:`TensorProduct.index`),
-so the associator is two lookups of triples of frame columns
-(:func:`associator_perm`).
+Maps that send frame columns to frame columns are index arrays:
+``perm[j]`` is the target member of source member j, the 0/1 matrix P
+with P[perm[j], j] = 1 (:func:`bimodcat.linalg.permutation_matrix`),
+looked up in the products' member tables (:attr:`TensorProduct.index`).
+So are the associator, a triple of frame columns sent to itself
+(:func:`associator_perm`), the extension identifications, and m and the
+unitors, whose matrix units carry frame columns to frame columns
+(:func:`bimodcat.bimodule.moved_columns`).  :func:`m_iso`,
+:func:`left_unitor` and :func:`right_unitor` give their raw matrices.
 
 f (x) g of 2-cells has one entry point, :func:`tensor_morphisms`, for
-index and dense legs.  In adapted frames the matrix units of a side act
-by the same 0/1 maps between corners
-(:func:`bimodcat.bimodule.corner_base`), so one rule on the frames tests
-both forms of leg for B-linearity, and it reads no action stack.  Inside
-a product store a read-only dense leg is tested once per pair of factors
-and side (:func:`_frame_leg`).
+index and dense legs; of a dense leg it is a matrix (:func:`_member_map`).
+In adapted frames the matrix units of a side act by the same 0/1 maps
+between corners (:func:`bimodcat.bimodule.corner_base`), so one rule on
+the frames tests both forms of leg for B-linearity, and it reads no
+action stack.  Inside a product store a read-only dense leg is tested
+once per pair of factors and side (:func:`_frame_leg`).
 
 The maps take a kind, where they have one, and bimodules, and fetch their
 products through :func:`tensor`; only :func:`tensor_morphisms` takes the
-two products it maps between.  The unitors, the associator and m are
-built once per open product store.  No bounded-vector space, algebraic
-tensor space or spanning family is built; the tests keep those
-constructions as oracles.
+two products it maps between.  The index arrays are built once per open
+product store.  No bounded-vector space, algebraic tensor space or
+spanning family is built; the tests keep those constructions as oracles.
 """
 
 from __future__ import annotations
@@ -63,7 +57,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, standard_form
-from .bimodule import Bimodule, Frame, corner_base, matrix_extension
+from .bimodule import (Bimodule, Frame, corner_base, matrix_extension,
+                       moved_columns)
 from .linalg import permutation_matrix
 from .store import product_store, stored, stored_for
 
@@ -188,7 +183,7 @@ def _member_map(f, g, a, b, a2, b2) -> np.ndarray:
     """f (x) g from the members (a, b) to the members (a2, b2).
 
     f and g are in frame coordinates: a dense leg is complex
-    (:func:`_frame_coords`).  Entry (i', i) is
+    (:func:`_dense_frame_leg`).  Entry (i', i) is
     f[a2[i'], a[i]] g[b2[i'], b[i]].  It needs f c_a in the span of the
     target's first columns and g d_b in that of its second, which holds for
     a right-B-linear f and a left-B-linear g.  None is the identity of a
@@ -202,16 +197,6 @@ def _member_map(f, g, a, b, a2, b2) -> np.ndarray:
     small, big = sorted(legs, key=lambda leg: (leg.ndim, leg.dtype != bool))
     big *= small
     return big
-
-
-def _frame_coords(f, w, w2) -> np.ndarray:
-    """W2^H f W, complex; a W that is None, as a product's result's, is the identity."""
-    f = np.asarray(f, dtype=complex)   # so that a product fits in place
-    if w2 is not None:
-        f = w2.conj().T @ f
-    if w is not None:
-        f = f @ w
-    return f
 
 
 def _not_b_linear(name: str, side: str, detail: str) -> WellDefinednessError:
@@ -261,7 +246,13 @@ def _dense_frame_leg(m: np.ndarray, name: str, side: str, x: Bimodule,
     """Raw matrix leg ``m`` in frame coordinates, once B-linear (:func:`_frame_leg`)."""
     labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
     base, base2 = (stored(corner_base, y, side) for y in (x, x2))
-    frame = _frame_coords(m, x.frame.w, x2.frame.w)
+    # W'^H m W, complex so that a product fits in place; a W that is None,
+    # as a product's result's, is the identity
+    frame = np.asarray(m, dtype=complex)
+    if x2.frame.w is not None:
+        frame = x2.frame.w.conj().T @ frame
+    if x.frame.w is not None:
+        frame = frame @ x.frame.w
     defect = np.linalg.norm(
         frame - (labels2[:, None] == labels) * frame[base2[:, None], base])
     if defect > 1e-6 * max(1.0, np.linalg.norm(m)):
@@ -297,37 +288,43 @@ def tensor_morphisms(src: TensorProduct, tgt: TensorProduct,
 # -- unit isomorphisms --------------------------------------------------------
 
 def left_unitor(kind: str, x: Bimodule) -> np.ndarray:
-    """l : L2(A) (x) X -> X on the members of the kind's product.
-
-    L2(A)'s frame is the identity, so c_a is the matrix unit e_a of A and
-    l(c_a (x) d_b) = e_a . d_b = L_a W_X[:, b].  Built once inside an
-    open product store.
-    """
-    return stored(_unitor, kind, x, "left")
+    """l : L2(A) (x) X -> X on the members of the kind's product, W_X[:, perm]."""
+    return _frame_columns(x, left_unitor_perm(kind, x))
 
 
 def right_unitor(kind: str, x: Bimodule) -> np.ndarray:
-    """r : X (x) L2(B) -> X on the members of the kind's product.
+    """r : X (x) L2(B) -> X on the members of the kind's product, W_X[:, perm]."""
+    return _frame_columns(x, right_unitor_perm(kind, x))
 
-    L2(B)'s frame is the identity, so d_b is the matrix unit e_b of B and
-    r(c_a (x) d_b) = c_a . e_b = R_b W_X[:, a].  Built once inside an
-    open product store.
+
+def left_unitor_perm(kind: str, x: Bimodule) -> np.ndarray:
+    """l as an index array: member (e_pq, b) goes to X's frame column L(e_pq) d_b.
+
+    L2(A)'s column e_pq is labelled p, q, so l moves d_b to the left label
+    p (:func:`bimodcat.bimodule.moved_columns`) and r moves c_a to the
+    right label q.  Built once inside an open product store.
     """
-    return stored(_unitor, kind, x, "right")
+    return stored(_unitor_perm, kind, x, "left")
 
 
-def _unitor(kind: str, x: Bimodule, side: str) -> np.ndarray:
-    """The ``side`` unitor: each unit of L2 acting on X's frame columns on ``side``."""
+def right_unitor_perm(kind: str, x: Bimodule) -> np.ndarray:
+    """r as an index array: member (a, e_pq) goes to X's frame column c_a R(e_pq)."""
+    return stored(_unitor_perm, kind, x, "right")
+
+
+def _unitor_perm(kind: str, x: Bimodule, side: str) -> np.ndarray:
+    l2 = standard_form(getattr(x, f"{side}_algebra")).bimodule
     if side == "left":
-        tp = tensor(kind, standard_form(x.left_algebra).bimodule, x)
-        units, cols = tp.a, tp.b
-    else:
-        tp = tensor(kind, x, standard_form(x.right_algebra).bimodule)
-        units, cols = tp.b, tp.a
-    moved = getattr(x, f"{side}_units")
-    if x.frame.w is not None:
-        moved = moved @ x.frame.w
-    return moved[units, :, cols].T
+        tp = tensor(kind, l2, x)
+        return moved_columns(x, side, tp.b, l2.frame.left[tp.a])
+    tp = tensor(kind, x, l2)
+    return moved_columns(x, side, tp.a, l2.frame.right[tp.b])
+
+
+def _frame_columns(x: Bimodule, perm: np.ndarray) -> np.ndarray:
+    """W_X[:, perm], complex: the raw map of an index array into X's frame columns."""
+    w = np.eye(x.dim, dtype=complex) if x.frame.w is None else x.frame.w
+    return w[:, perm]
 
 
 # -- associators --------------------------------------------------------------
@@ -397,32 +394,35 @@ def m_standard(b: MultiMatrixAlgebra, ni: int, nj: int):
     return mr.conj().T @ ml, tpl_ext, tpr_ext
 
 
-@functools.cache
-def _sector_swap(alg: MultiMatrixAlgebra) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit indices of u = sum_l e_(0, m_l - 1) over the blocks of B, and of u*.
-
-    u carries rtimes' projection e_(m-1, m-1) of each block to ltimes' e_00:
-    X e_00 u = X e_(m-1, m-1), u* e_00 Y = e_(m-1, m-1) Y; built once, read only.
-    """
-    k, last = np.arange(len(alg.blocks)), np.subtract(alg.blocks, 1)
-    return alg.unit(k, 0, last), alg.unit(k, last, 0)
-
-
 def m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:
-    """The multiplicativity isomorphism m_{X,Y} : X ltimes Y -> X rtimes Y.
+    """The multiplicativity isomorphism m_{X,Y} as a 0/1 matrix (:func:`m_perm`)."""
+    return permutation_matrix(m_perm(x, y))
 
-    Both products are X (x)_B Y, cut by different projections.  A member
-    c_a (x) d_b of X ltimes Y equals c_a u (x) u* d_b, since u u* = e_00
-    block by block (:func:`_sector_swap`), and c_a u lies in rtimes' X p,
-    u* d_b in its p Y: so m = R_X(u) (x) L_Y(u*) on members.  Built once
-    inside an open product store.
+
+def m_perm(x: Bimodule, y: Bimodule) -> np.ndarray:
+    """m_{X,Y} : X ltimes Y -> X rtimes Y as an index array.
+
+    Both products are X (x)_B Y, cut by different projections.  With
+    u = sum_l e_(0, m_l - 1), u u* = e_00 block by block, so a member
+    c_a (x) d_b of X ltimes Y equals c_a u (x) u* d_b, and c_a u lies in
+    rtimes' X p, u* d_b in its p Y: m = R_X(u) (x) L_Y(u*).  u and u*
+    carry frame columns to frame columns, so m is the inverse of one
+    lookup in X ltimes Y's table (:func:`bimodcat.bimodule.corner_base`).
+    On every input tested m is the member reversal, derived here, not
+    assumed: u and u* keep the frame order of the columns they move, as
+    every frame the library builds lists the corners of a pair of blocks
+    alike, and rtimes lists its members in reverse.  Built once inside an
+    open product store.
     """
-    return stored(_m_iso, x, y)
+    return stored(_m_perm, x, y)
 
 
-def _m_iso(x: Bimodule, y: Bimodule) -> np.ndarray:
-    u, ustar = _sector_swap(x.right_algebra)
-    f = _frame_coords(x.right_units[u].sum(axis=0), x.frame.w, x.frame.w)
-    g = _frame_coords(y.left_units[ustar].sum(axis=0), y.frame.w, y.frame.w)
-    tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
-    return _member_map(f, g, tp_left.a, tp_left.b, tp_right.a, tp_right.b)
+def _m_perm(x: Bimodule, y: Bimodule) -> np.ndarray:
+    # m^-1 = R_X(u*) (x) L_Y(u) moves the columns of a member of X rtimes Y
+    # to their bases, the first labels of their blocks, as in X ltimes Y
+    tp = tensor_right(x, y)
+    back = tensor_left(x, y).index[corner_base(x, "right")[tp.a],
+                                   corner_base(y, "left")[tp.b]]
+    perm = np.empty_like(back)
+    perm[back] = np.arange(back.size)
+    return perm

@@ -9,7 +9,9 @@ spanning families of elementary tensors solved by ``map_from_spanning``.
 The library reads Hom(X, Y), multiplicity matrices and the B-linearity of
 f (x) g's legs off the frames; :func:`hom_null_space`,
 :func:`multiplicity_traces` and :func:`stack_b_linear` find them from the
-action stacks alone.
+action stacks alone.  It reads m and the unitors off the frame columns as
+index arrays; :func:`m_stacks` and :func:`unitor_stacks` build them as
+dense matrices from the factors' action stacks.
 """
 
 import numpy as np
@@ -19,8 +21,8 @@ from bimodcat.bimodule import Morphism, dual_bimodule, transpose
 from bimodcat.bounded import left_bounded_space, right_bounded_space
 from bimodcat.linalg import (RANK_EPS, fix_phases, hermitize, op_norm, psd_eig,
                              unit_inner)
-from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, _sector_columns,
-                             tensor_left, tensor_right)
+from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, _member_map,
+                             _sector_columns, tensor, tensor_left, tensor_right)
 
 
 def bounded(tp):
@@ -108,6 +110,44 @@ def stack_b_linear(m, x, x2, side):
     units = f"{side}_units"
     defect = np.linalg.norm(m @ getattr(x, units) - getattr(x2, units) @ m)
     return defect <= 1e-6 * max(1.0, np.linalg.norm(m))
+
+
+def m_stacks(x, y):
+    """m_{X,Y} : X ltimes Y -> X rtimes Y as R_X(u) (x) L_Y(u*) on the members.
+
+    u = sum_l e_(0, m_l - 1) over the blocks of B; R_X(u) and L_Y(u*) are
+    sums of X's right and Y's left action stacks, taken in frame
+    coordinates W^H R W.
+    """
+    alg = x.right_algebra
+    k, last = np.arange(len(alg.blocks)), np.subtract(alg.blocks, 1)
+    f, g = (units[alg.unit(*idx)].sum(axis=0)
+            for units, idx in ((x.right_units, (k, 0, last)),
+                               (y.left_units, (k, last, 0))))
+    f, g = (m if z.frame.w is None else z.frame.w.conj().T @ m @ z.frame.w
+            for m, z in ((f, x), (g, y)))
+    tp_left, tp_right = tensor_left(x, y), tensor_right(x, y)
+    return _member_map(np.asarray(f, dtype=complex), np.asarray(g, dtype=complex),
+                       tp_left.a, tp_left.b, tp_right.a, tp_right.b)
+
+
+def unitor_stacks(kind, x, side):
+    """The ``side`` unitor from X's action stack: L(e_a) W_X[:, b] or R(e_b) W_X[:, a].
+
+    Member (a, b) pairs a unit of L2 with a frame column of X; L2's frame
+    is the identity, so its column is the unit's index.
+    """
+    l2 = standard_form(getattr(x, f"{side}_algebra")).bimodule
+    if side == "left":
+        tp = tensor(kind, l2, x)
+        units, cols = tp.a, tp.b
+    else:
+        tp = tensor(kind, x, l2)
+        units, cols = tp.b, tp.a
+    moved = getattr(x, f"{side}_units")
+    if x.frame.w is not None:
+        moved = moved @ x.frame.w
+    return moved[units, :, cols].T
 
 
 def standard_images(b_alg, avecs, cvecs):

@@ -343,9 +343,18 @@ def test_tensor_builds_each_product_once(capsys, monkeypatch):
     assert tensor_left(x, y) is not tensor_left(x, y)
 
 
-def test_tensor_tol_bounds_the_m_defect(capsys):
-    # the exit test is 10 tol for every --tol, 1e-8 at the default: seed 3's
-    # m defect (about 1e-15) passes the default and fails --tol 1e-17
+def test_tensor_tol_bounds_the_m_defect(capsys, monkeypatch):
+    # m is a 0/1 matrix, so its defect reads 0.0 for every --tol.  The exit
+    # test is 10 tol for every --tol, 1e-8 at the default: an m scaled by
+    # 1 + 1e-15 (defect about 2e-15) passes the default and fails
+    # --tol 1e-17
+    for tol in ("1e-8", "1e-17"):
+        code, out, _ = _run(capsys, "tensor", "--seed", "3", "--json",
+                            "--tol", tol)
+        assert code == 0
+        assert json.loads(out)["mUnitaryDefect"] == 0.0
+    real = cli.m_iso
+    monkeypatch.setattr(cli, "m_iso", lambda x, y: real(x, y) * (1 + 1e-15))
     code, out, _ = _run(capsys, "tensor", "--seed", "3", "--json")
     assert code == 0
     assert 1e-16 < json.loads(out)["mUnitaryDefect"] < 1e-8

@@ -163,14 +163,21 @@ def test_duality_square_builds_only_the_duals_it_draws(monkeypatch):
     (f"{name}-{kind}", check, (kind,), arity) for kind in KINDS
     for name, check, arity in (("pentagon", check_pentagon, 4),
                                ("hexagon", check_involution_hexagon, 3),
-                               ("duality", check_duality_square, 2))])
+                               ("duality", check_duality_square, 2))] + [
+    ("triangle-left", check_triangle, (KIND_LEFT,), 2),
+    ("triangle-right", check_triangle, (KIND_RIGHT,), 2),
+    ("m-unit", check_m_unit, (), 1), ("m-assoc", check_m_assoc, (), 3)])
 def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
                                                           check, lead, arity):
     # on gen --min-mult 1 --max-mult 2 --seed 4 (r up to 864) an unmutated
-    # pentagon, hexagon or duality square compares two index arrays: its
-    # whiskerings are f (x) g of index legs, so there is no op_norm, no 0/1
-    # matrix, no f (x) g by members and no action stack
+    # pentagon, hexagon, duality square, triangle, m-unit or m-assoc
+    # compares two index arrays: its whiskerings are f (x) g of index legs,
+    # and m and the unitors are index arrays, so there is no op_norm, no
+    # 0/1 matrix, no f (x) g by members and no action stack
     spec = generate(4, limits=Limits(min_mult=1, max_mult=2))
+    for x in spec.bimodules:
+        # L2 is a canonical model, built once per block tuple
+        standard_form(x.left_algebra), standard_form(x.right_algebra)
     calls = []
 
     def spy(module, name):
@@ -196,54 +203,66 @@ def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
 def test_a_suite_builds_each_structural_map_and_leg_test_once(monkeypatch,
                                                               seed):
     # on gen --min-mult 1: 14 distinct associators of the 20 the checks
-    # ask for, 6 unitors of 12, and 16 B-linearity tests of the 26 dense
-    # legs handed to f (x) g (the naturality squares' f is handed six
-    # times and five other legs twice each)
+    # ask for; 6 unitor index arrays, for the 8 the triangles and m-unit
+    # ask for and the 4 raw unitors of the naturality square; 6 m index
+    # arrays of 7; and 10 B-linearity tests of the 20 dense legs handed to
+    # f (x) g (the naturality squares' f is handed six times and g, f (x) g
+    # and g (x) 1 twice each); the unitors and m are index legs
     builds = {}
-    for name in ("_associator_perm", "_unitor", "_dense_frame_leg"):
+    for name in ("_associator_perm", "_unitor_perm", "_m_perm",
+                 "_dense_frame_leg"):
         def counted(*args, real=getattr(tensor_module, name), name=name):
             builds[name] = builds.get(name, 0) + 1
             return real(*args)
         monkeypatch.setattr(tensor_module, name, counted)
     asked = {}
-    for name in ("associator_perm", "left_unitor", "right_unitor"):
+    for name in ("associator_perm", "left_unitor_perm", "right_unitor_perm",
+                 "left_unitor", "right_unitor", "m_perm"):
         def spy(*args, real=getattr(coherence, name), name=name):
             asked[name] = asked.get(name, 0) + 1
             return real(*args)
         monkeypatch.setattr(coherence, name, spy)
     report = run_suite(generate(seed, Limits(min_mult=1)))
     assert report["summary"]["passed"] == report["summary"]["total"]
-    assert asked == {"associator_perm": 20, "left_unitor": 6, "right_unitor": 6}
-    assert builds == {"_associator_perm": 14, "_unitor": 6,
-                      "_dense_frame_leg": 16}
+    assert asked == {"associator_perm": 20, "left_unitor_perm": 4,
+                     "right_unitor_perm": 4, "left_unitor": 2,
+                     "right_unitor": 2, "m_perm": 7}
+    assert builds == {"_associator_perm": 14, "_unitor_perm": 6, "_m_perm": 6,
+                      "_dense_frame_leg": 10}
 
 
-def test_a_suite_builds_two_deferred_stacks(monkeypatch):
-    # on gen --min-mult 1 --seed 18, the products' results and the duals
-    # whose stacks a suite builds: f (x) g reads the frames, not the
-    # stacks, so only m-assoc's m_{X (x) Y, Z} and m_{X, Y (x) Z} read
-    # any, the right stacks of X rtimes Y and the left ones of Y rtimes Z
-    spec = generate(18, limits=Limits(min_mult=1))
-    built, products = [], {}
-    frame_stacks, build = bimodule_module._frame_stacks, tensor_module._tensor_product
+@pytest.mark.parametrize("limits, seed", [
+    (Limits(min_mult=1), 18),
+    (Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3, max_dim=200), 1)],
+    ids=["min-mult-1-18", "big"])
+def test_a_suite_builds_no_deferred_stack(monkeypatch, limits, seed):
+    # the stacks of products' results, duals and matrix extensions are read
+    # off their frames on a first read, and no check reads one: f (x) g
+    # reads the frames, and m and the unitors are index arrays read off
+    # the frame columns (bimodcat.bimodule.moved_columns).  "big" has dims
+    # 53/51/40/20, and m-assoc on it composes r = 1,411 paths
+    built = []
+    frame_stacks = bimodule_module._frame_stacks
 
     def counted(x):
-        # a bimodule without a canonical model reads its stacks off its
-        # frame only on a first read
+        # a canonical model reads its stacks off its frame when built
         if x.canonical is None:
             built.append(x)
         return frame_stacks(x)
-
-    def recorded(kind, x, y):
-        tp = build(kind, x, y)
-        products[id(tp.result)] = (kind, x, y)
-        return tp
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
-    monkeypatch.setattr(tensor_module, "_tensor_product", recorded)
-    assert exit_code(run_suite(spec)) == 0
-    x, y, z = spec.bimodules[:3]
-    assert [products.get(id(b)) for b in built] == [(KIND_RIGHT, x, y),
-                                                     (KIND_RIGHT, y, z)]
+    spec = generate(seed, limits=limits)
+    report = run_suite(spec)
+    assert exit_code(report) == 0
+    assert report["summary"]["total"] == 14
+    assert built == []
+
+
+def test_a_str_suite_is_one_family_name():
+    # a str names one family, not one family per character
+    spec = generate(0)
+    assert run_suite(spec, suite="m-unit") == run_suite(spec, suite=["m-unit"])
+    with pytest.raises(ValueError, match="unknown check families: m-units$"):
+        run_suite(spec, suite="m-units")
 
 
 def test_run_suite_rejects_a_suite_of_unknown_families():
@@ -393,16 +412,16 @@ def test_suite_builds_m_once_per_pair(monkeypatch):
     # is built once and shared read-only
     asked, builds = [], []
 
-    def ask(x, y, real=coherence.m_iso):
+    def ask(x, y, real=coherence.m_perm):
         asked.append((x, y))
         return real(x, y)
-    monkeypatch.setattr(coherence, "m_iso", ask)
-    build = tensor_module._m_iso
+    monkeypatch.setattr(coherence, "m_perm", ask)
+    build = tensor_module._m_perm
 
     def counted(x, y):
         builds.append(build(x, y))
         return builds[-1]
-    monkeypatch.setattr(tensor_module, "_m_iso", counted)
+    monkeypatch.setattr(tensor_module, "_m_perm", counted)
     assert exit_code(run_suite(generate(18, limits=Limits(min_mult=1)))) == 0
     assert len(asked) == 7
     assert len(builds) == len({(id(x), id(y)) for x, y in asked}) == 6

@@ -1,4 +1,5 @@
 import importlib
+import json
 import sys
 
 import numpy as np
@@ -8,25 +9,28 @@ from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra, standard_form
 from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
                                _in_frames, canonical_bimodule, dual_bimodule,
-                               multiplicity_matrix, random_morphism_matrix)
+                               matrix_extension, multiplicity_matrix,
+                               random_morphism_matrix)
 from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
 from bimodcat.coherence import run_suite
-from bimodcat.instances import Limits, generate
+from bimodcat.instances import Limits, generate, load
 from bimodcat.involution import conjugation, conjugation_mixed
 from bimodcat.linalg import (RANK_EPS, crandn, map_from_spanning, op_norm,
                              permutation_matrix, psd_eig, random_unitary)
 from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
-                             associator, associator_perm, left_unitor, m_iso,
-                             m_standard, right_unitor, tensor, tensor_left,
-                             tensor_matrix_extension_iso, tensor_morphisms,
-                             tensor_right)
+                             associator, associator_perm, left_unitor,
+                             left_unitor_perm, m_iso, m_perm, m_standard,
+                             right_unitor, right_unitor_perm, tensor,
+                             tensor_left, tensor_matrix_extension_iso,
+                             tensor_morphisms, tensor_right)
 from oracles import (bounded, conjugation_family, dual_stacks, ext_family,
-                     gram, induced_map, m_realization, member_stacks,
+                     gram, induced_map, m_realization, m_stacks, member_stacks,
                      multiplicity_traces, quotient, sector_bases,
-                     stack_b_linear, standard_images)
+                     stack_b_linear, standard_images, unitor_stacks)
 from random_bims import random_bim
+from stacks import given_by_stacks
 
 KINDS = (KIND_LEFT, KIND_RIGHT)
 
@@ -495,6 +499,65 @@ def test_m_is_the_reversal_and_the_unitors_are_frames_times_0_1_matrices():
     assert (pairs, unitors) == (102, 544)
 
 
+def _index_map_chains(spec):
+    """Chains of the bimodules m and the unitors take, from an instance.
+
+    Canonical models; the same given by their stacks, framed by
+    Gram-Schmidt; their duals, in reverse; their matrix extensions, of
+    orders 1 and 2 in turn; and per kind, a chain whose first or second
+    bimodule is a product's result.
+    """
+    bs = spec.bimodules
+    orders = [1 + i % 2 for i in range(len(bs) + 1)]
+    chains = [bs, load(json.dumps(given_by_stacks(spec))).bimodules,
+              [dual_bimodule(x) for x in reversed(bs)],
+              [matrix_extension(x, ni, nj)
+               for x, ni, nj in zip(bs, orders, orders[1:])]]
+    for kind in KINDS:
+        chains += [[tensor(kind, bs[0], bs[1]).result, *bs[2:]],
+                   [bs[0], tensor(kind, bs[1], bs[2]).result, *bs[3:]]]
+    return chains
+
+
+@pytest.mark.parametrize("seed, limits", [
+    (0, None), (3, None), (56, None), (1, Limits(min_mult=1)),
+    (3, Limits(min_mult=1, max_mult=2)), (4, Limits(min_mult=1, max_mult=2))])
+def test_index_maps_match_the_stack_oracles(seed, limits):
+    # m's 0/1 matrix and the raw unitors W_X[:, perm] against the dense maps
+    # built from the factors' action stacks, on every kind of bimodule
+    # whose frame the library knows or finds; and each raw m, l and r a
+    # unitary bimodule map against its factors' actions, the raw-coordinate
+    # content that the triangle, m-unit and m-assoc lose as index identities
+    ms = unitors = 0
+    with product_store():
+        for chain in _index_map_chains(generate(seed, limits)):
+            for x, y in zip(chain, chain[1:]):
+                m = m_iso(x, y)
+                assert np.array_equal(m, permutation_matrix(m_perm(x, y)))
+                assert np.abs(m - m_stacks(x, y)).max(initial=0.0) <= 1e-12
+                f = Morphism(tensor_left(x, y).result, tensor_right(x, y).result, m)
+                assert f.is_morphism(1e-12) and f.unitary_defect() <= 1e-12
+                ms += 1
+            for x in chain:
+                l2a = standard_form(x.left_algebra).bimodule
+                l2b = standard_form(x.right_algebra).bimodule
+                for kind in KINDS:
+                    for side, unitor, perm, tp in (
+                            ("left", left_unitor, left_unitor_perm,
+                             tensor(kind, l2a, x)),
+                            ("right", right_unitor, right_unitor_perm,
+                             tensor(kind, x, l2b))):
+                        raw = _frame(x)[:, perm(kind, x)]
+                        assert np.array_equal(raw, unitor(kind, x))
+                        assert np.abs(raw - unitor_stacks(kind, x, side)).max(
+                            initial=0.0) <= 1e-12
+                        f = Morphism(tp.result, x, raw)
+                        assert f.is_morphism(1e-12)
+                        assert f.unitary_defect() <= 1e-12
+                        unitors += 1
+    assert ms and unitors
+
+
 # -- the member-built maps against the spanning solves ------------------------
 
 def _associator_oracle(kind, x, y, z):
@@ -642,6 +705,11 @@ def _morphisms_oracle(src, tgt, f, g):
     return _kron_oracle(src, tgt, *legs)
 
 
+def _frame(x):
+    """X's frame W, the identity where it is None."""
+    return np.eye(x.dim) if x.frame.w is None else x.frame.w
+
+
 def _conjugation_oracle(kind, x, y):
     """c of one kind from the mixed c's spanning solve and m's realization.
 
@@ -663,14 +731,15 @@ def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
     # suite builds, and f (x) g of random bimodule endomorphisms on every
     # product of canonical factors; c against its derivation from the
     # mixed conjugation through m.  An index array is compared as its 0/1
-    # matrix
+    # matrix, a unitor's, into X's frame columns, as W_X[:, perm]
     coherence = importlib.import_module("bimodcat.coherence")
     oracles = {
         "associator_perm": lambda *args: _solve(_associator_oracle(*args)),
-        "left_unitor": lambda kind, x: _unitor_oracle(kind, x, True),
-        "right_unitor": lambda kind, x: _unitor_oracle(kind, x, False),
+        **{f"{side}_unitor{form}": (lambda kind, x, left=side == "left":
+                                    _unitor_oracle(kind, x, left))
+           for side in ("left", "right") for form in ("", "_perm")},
         "tensor_morphisms": _morphisms_oracle,
-        "m_iso": m_realization,
+        "m_perm": m_realization,
         "conjugation_perm": _conjugation_oracle}
     compared = dict.fromkeys(oracles, 0)
     forms = set()
@@ -678,7 +747,12 @@ def test_member_maps_match_the_algebraic_oracles(monkeypatch, seed, limits):
         def spy(*args, real=getattr(coherence, name), oracle=oracle, name=name,
                 **kwargs):
             got = real(*args, **kwargs)
-            matrix = permutation_matrix(got) if got.ndim == 1 else got
+            if got.ndim == 2:
+                matrix = got
+            elif name.endswith("unitor_perm"):
+                matrix = _frame(args[1])[:, got]
+            else:
+                matrix = permutation_matrix(got)
             assert _rel_err(matrix, oracle(*args, **kwargs)) <= 1e-12, name
             compared[name] += 1
             forms.add((name, got.ndim))
@@ -823,8 +897,8 @@ def _frame_verdict(side, m, x, x2):
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_the_frame_rule_is_the_stack_test_on_a_suites_dense_legs(monkeypatch,
                                                                  seed):
-    # every dense leg the suite hands to tensor_morphisms: the unitors, m,
-    # the naturality squares' f and g, f (x) g and g (x) 1
+    # every dense leg the suite hands to tensor_morphisms: the naturality
+    # squares' f and g, f (x) g and g (x) 1; the unitors and m are index legs
     coherence = importlib.import_module("bimodcat.coherence")
     real, legs = coherence.tensor_morphisms, []
 
@@ -837,9 +911,9 @@ def test_the_frame_rule_is_the_stack_test_on_a_suites_dense_legs(monkeypatch,
     monkeypatch.setattr(coherence, "tensor_morphisms", spy)
     report = run_suite(generate(seed))
     assert report["summary"]["passed"] == report["summary"]["total"]
-    # 4 unitors, 2 m and 2 x 2 unitor squares' f, then per kind f and g,
-    # f (x) g, g, f and g (x) 1, and g^T and f^T
-    assert len(legs) == 4 + 2 + 4 + 2 * (2 + 1 + 1 + 2 + 2)
+    # 2 x 2 unitor squares' f, then per kind f and g, f (x) g, g, f and
+    # g (x) 1, and g^T and f^T
+    assert len(legs) == 4 + 2 * (2 + 1 + 1 + 2 + 2)
     for side, m, x, x2 in legs:
         assert _frame_verdict(side, m, x, x2)
         assert stack_b_linear(m, x, x2, side)
@@ -1012,8 +1086,9 @@ def _deferred_builds(monkeypatch):
 
 
 def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
-    # a result's stacks are built when a map reads them, and most results
-    # are never read; a result builds them once, on the first read
+    # a result's stacks are built when something reads them, and no check
+    # of a suite does; a read after the suite builds them once, on the
+    # first read
     products = []
     build = tensor_module._tensor_product
 
@@ -1024,10 +1099,11 @@ def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
     builds = _deferred_builds(monkeypatch)
     report = run_suite(generate(18, limits=Limits(min_mult=1)))
     assert report["summary"]["passed"] == report["summary"]["total"]
-    assert len({id(x) for x in builds}) == len(builds)
-    results = {id(tp.result) for tp in products}
-    assert all(id(x) in results for x in builds)
-    assert 0 < len(builds) < len(products)
+    assert 0 == len(builds) < len(products)
+    for tp in products:
+        stacks = tp.result.left_units, tp.result.right_units
+        assert tp.result.left_units is stacks[0]
+    assert [id(x) for x in builds] == [id(tp.result) for tp in products]
 
 
 def test_a_p_unit_that_is_no_projection_is_rejected():
