@@ -245,14 +245,15 @@ def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
     one on each diagonal sector: block k's n x n matrices are
     C^n (x) C^1 (x) C^n, left multiplication acts on the row index and
     right multiplication on the column index.  Built once per block tuple
-    and shared by every caller, so its action arrays are read-only.
+    and shared by every caller, so its frame labels, which every product
+    with L2(A) reads, are read-only.
     """
     from .bimodule import canonical_bimodule  # local import to avoid a cycle
 
     bim = canonical_bimodule(algebra, algebra,
                              np.eye(len(algebra.blocks), dtype=int))
-    bim.left_units.setflags(write=False)
-    bim.right_units.setflags(write=False)
+    for labels in bim.frame[1:]:
+        labels.setflags(write=False)
     return StandardFormData(algebra=algebra, bimodule=bim)
 
 

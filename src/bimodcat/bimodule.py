@@ -1,22 +1,15 @@
 """Bimodules over multi-matrix algebras, intertwiners, duals and matrix extensions.
 
-Actions are two stacks of their values on all matrix units of the acting
-algebras: ``left_units[u]`` is the matrix of the left action of the u-th
-matrix unit of the left algebra, and likewise for ``right_units``.  By
-linearity this determines the action of every algebra element.
-
-Every :class:`Frame` is adapted to the matrix units, so column s of each
-corner of a pair of blocks (k, l) is multiplicity index s.  A product's
-members are pairs of frame columns; Hom(X, Y), multiplicities and random
-intertwiners, 1 (x) T_kl (x) 1 by Schur, are read off the frames.  Each
-matrix unit carries frame columns to frame columns (:func:`moved_columns`):
-m and the unitors are read off these moves, and so are the stacks of a
-canonical model at once, of a product's result, a dual or a matrix
-extension on their first read (:func:`_frame_stacks`).  Only a bimodule
+A bimodule is its :class:`Frame`, adapted to the matrix units: column s of
+each corner of a pair of blocks (k, l) is multiplicity index s, and each
+matrix unit carries frame columns to frame columns (:func:`moved_columns`).
+Hom(X, Y), multiplicities, random intertwiners (1 (x) T_kl (x) 1 by
+Schur), a product's members, m and the unitors are read off the frames.
+The action stacks, ``left_units[u]`` the matrix of the u-th matrix unit of
+the left algebra and likewise ``right_units``, are a view that each read
+builds afresh off the frame (:func:`_frame_stacks`).  Only a bimodule
 given by its stacks keeps them as given and finds its frame from them,
 by pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
-Every bimodule keeps its frame and its stacks once it has them, inside a
-product store or not.
 """
 
 from __future__ import annotations
@@ -69,9 +62,9 @@ class Bimodule:
     """Hilbert space with commuting unital left and right algebra actions.
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
-    and unitality at once and keeps them as given.  :meth:`deferred` takes
-    the dimension and the frame: the first read of either stack reads both
-    off the frame, checks them the same way and keeps them, read-only.
+    and unitality at once and keeps them as given.  :meth:`from_frame` takes
+    the dimension and the frame, and every read of a stack reads it off
+    that frame afresh.
     """
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
@@ -82,16 +75,16 @@ class Bimodule:
         self.dim = left_units.shape[1] if left_units.ndim == 3 else 0
         #: (multiplicity matrix, basis unitary) of a canonical model, else None
         self.canonical = None
-        self._stacks = self._checked(left_units, right_units)
+        self._given = self._checked(left_units, right_units)
 
     @classmethod
-    def deferred(cls, left_algebra: MultiMatrixAlgebra,
-                 right_algebra: MultiMatrixAlgebra, dim: int,
-                 frame: "Frame") -> "Bimodule":
-        """Dimension ``dim`` and ``frame``; the stacks read off it on first read."""
+    def from_frame(cls, left_algebra: MultiMatrixAlgebra,
+                   right_algebra: MultiMatrixAlgebra, dim: int,
+                   frame: "Frame") -> "Bimodule":
+        """Dimension ``dim`` and ``frame``, which fixes both actions."""
         x = cls.__new__(cls)
         x.left_algebra, x.right_algebra, x.dim = left_algebra, right_algebra, dim
-        x.canonical, x.frame = None, frame
+        x.canonical, x._given, x.frame = None, None, frame
         return x
 
     @functools.cached_property
@@ -102,12 +95,16 @@ class Bimodule:
     @property
     def left_units(self) -> np.ndarray:
         """(dim left_algebra, d, d): the left action of each matrix unit."""
-        return self._stacks[0]
+        return self._units()[0]
 
     @property
     def right_units(self) -> np.ndarray:
         """(dim right_algebra, d, d): the right action of each matrix unit."""
-        return self._stacks[1]
+        return self._units()[1]
+
+    def _units(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Both stacks: as given, or read off the frame afresh."""
+        return self._given if self._given is not None else _frame_stacks(self)
 
     @functools.cached_property
     def _column_table(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -126,23 +123,17 @@ class Bimodule:
             arr.setflags(write=False)
         return key, table
 
-    @functools.cached_property
-    def _stacks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """A deferred bimodule's stacks: read off its frame, checked, read-only, once."""
-        units = self._checked(*_frame_stacks(self))
-        for stack in units:
-            stack.setflags(write=False)
-        return units
-
     def _checked(self, left_units: np.ndarray, right_units: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """The stacks, once their shapes and unitality hold."""
+        """The given stacks, once their shapes, entries and unitality hold."""
         d = self.dim
         sides = ((left_units, self.left_algebra, "left"),
                  (right_units, self.right_algebra, "right"))
         for units, alg, side in sides:
             if units.shape != (alg.dim, d, d):
                 raise NotABimoduleError(f"{side} action has wrong shape")
+            if not np.isfinite(units).all():
+                raise NotABimoduleError(f"{side} action has non-finite entries")
         # unitality is cheap and catches degenerate actions early; the
         # Frobenius norm bounds the operator norm from above, without an
         # SVD.  The bound is 1e-8 times the largest entry, floored at 1, so
@@ -166,8 +157,9 @@ class Bimodule:
     def validate(self, tol: float = 1e-8) -> float:
         """Full bimodule-axiom check; returns the worst defect found."""
         worst = 0.0
-        for units, alg, anti in ((self.left_units, self.left_algebra, False),
-                                 (self.right_units, self.right_algebra, True)):
+        left, right = self._units()
+        for units, alg, anti in ((left, self.left_algebra, False),
+                                 (right, self.right_algebra, True)):
             pos = alg.unit_positions()
             perm = alg.adjoint_perm()
             for u, (k, p, q) in enumerate(pos):
@@ -179,16 +171,12 @@ class Bimodule:
                             else np.zeros_like(units[0]))
                     lhs = units[v] @ units[u] if anti else units[u] @ units[v]
                     worst = max(worst, op_norm(lhs - prod))
-        for lu in self.left_units:
-            for ru in self.right_units:
+        for lu in left:
+            for ru in right:
                 worst = max(worst, op_norm(lu @ ru - ru @ lu))
         if worst > tol:
             raise NotABimoduleError(f"bimodule axioms violated (defect {worst:.3e})")
         return worst
-
-
-#: the two action stacks of a bimodule, in the order every two-sided loop takes
-_SIDES = ("left_units", "right_units")
 
 
 def _stack_frame(x: Bimodule) -> Frame:
@@ -204,7 +192,7 @@ def _stack_frame(x: Bimodule) -> Frame:
     over the diagonal units.
     """
     a, b = x.left_algebra, x.right_algebra
-    left, right = x.left_units, x.right_units
+    left, right = x._units()
     da, db = a.diagonal, b.diagonal
     first = {}      # (k, l) -> the range basis of the pair's first corner
     bases, corners = [], []
@@ -265,10 +253,13 @@ class Morphism:
         return max(op_norm(d) for d in self._defects())
 
     def _defects(self) -> List[np.ndarray]:
-        """The stacked T L_a - L'_a T and T R_b - R'_b T over matrix units."""
-        t = self.matrix
-        return [t @ getattr(self.source, side) - getattr(self.target, side) @ t
-                for side in _SIDES]
+        """The stacked T L_a - L'_a T and T R_b - R'_b T over matrix units.
+
+        Each endpoint's stacks are read once, an endomorphism's once in all.
+        """
+        t, source = self.matrix, self.source._units()
+        target = source if self.target is self.source else self.target._units()
+        return [t @ s - u @ t for s, u in zip(source, target)]
 
     def is_morphism(self, tol: float = 1e-8) -> bool:
         """Whether the intertwiner defect is at most tol max(1, ||T||).
@@ -364,7 +355,7 @@ def _dual_bimodule(x: Bimodule) -> Bimodule:
 
     b acts on xi* as (xi b*)*: X*'s left unit e_pq is X's right e_qp, conjugated.
     """
-    return Bimodule.deferred(x.right_algebra, x.left_algebra, x.dim, x.frame.conj())
+    return Bimodule.from_frame(x.right_algebra, x.left_algebra, x.dim, x.frame.conj())
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:
@@ -405,9 +396,9 @@ def matrix_extension(x: Bimodule, ni: int, nj: int) -> Bimodule:
         labels.append(n * alg.diagonal.first[k] + outer * np.take(alg.blocks, k)
                       + alg.diagonal.pos[own])
     w = None if x.frame.w is None else np.kron(np.eye(ni * nj), x.frame.w)
-    return Bimodule.deferred(amplify_algebra(x.left_algebra, ni),
-                             amplify_algebra(x.right_algebra, nj),
-                             ni * nj * x.dim, Frame(w, *labels))
+    return Bimodule.from_frame(amplify_algebra(x.left_algebra, ni),
+                               amplify_algebra(x.right_algebra, nj),
+                               ni * nj * x.dim, Frame(w, *labels))
 
 
 def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -421,8 +412,9 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     An optional unitary change of basis is applied to avoid axis-aligned data.
 
     The frame labels are set for all coordinates of all nonzero sectors
-    at once; the stacks are read off the frame (:func:`_frame_stacks`) at
-    once and checked, so a basis unitary that is not unitary fails here.
+    at once.  A basis unitary W must have finite entries and
+    ||W^H W - 1||_F <= 1e-8: the unitality test of the stacks W U W^H,
+    up to rounding, which are read off the frame only when read.
     """
     mult = np.asarray(mult, dtype=int)
     if mult.shape != (len(a.blocks), len(b.blocks)):
@@ -444,11 +436,16 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     labels = (a.diagonal.first[k[sector]] + i,
               b.diagonal.first[l[sector]] + sj % ml[sector])
     w = None if basis_unitary is None else np.asarray(basis_unitary, dtype=complex)
-    if w is not None and w.shape != (d, d):
-        raise ValueError("basis unitary has wrong shape")
-    x = Bimodule.deferred(a, b, d, Frame(w, *labels))
+    if w is not None:
+        if w.shape != (d, d):
+            raise ValueError("basis unitary has wrong shape")
+        defect = (np.linalg.norm(w.conj().T @ w - np.eye(d))
+                  if np.isfinite(w).all() else np.inf)
+        if not defect <= 1e-8:
+            raise NotABimoduleError(
+                f"basis unitary is not unitary: ||W^H W - 1||_F = {defect:.3e}")
+    x = Bimodule.from_frame(a, b, d, Frame(w, *labels))
     x.canonical = mult, w
-    x._stacks = x._checked(*_frame_stacks(x))   # as given: a W not unitary fails
     return x
 
 

@@ -20,7 +20,7 @@ trace, S's trace there, the dimension of the bounded maps into it, is k m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -32,13 +32,6 @@ from .store import stored
 
 class ExtractionError(ValueError):
     """An operator on L2 claimed to be a multiplication failed verification."""
-
-
-def _acting(x: Bimodule, side: str) -> Tuple[MultiMatrixAlgebra, np.ndarray]:
-    """(algebra, matrix-unit actions) of the ``side`` action on x."""
-    if side == "right":
-        return x.right_algebra, x.right_units
-    return x.left_algebra, x.left_units
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +50,7 @@ class BoundedVector:
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
-        return _acting(self.bimodule, self.side)[0]
+        return getattr(self.bimodule, f"{self.side}_algebra")
 
     @property
     def eval_vector(self) -> np.ndarray:
@@ -66,8 +59,8 @@ class BoundedVector:
 
     def defect(self) -> float:
         """One-sided intertwiner defect over matrix units."""
-        alg, units = _acting(self.bimodule, self.side)
-        std_units = _acting(standard_form(alg).bimodule, self.side)[1]
+        units = getattr(self.bimodule, f"{self.side}_units")
+        std_units = getattr(standard_form(self.algebra).bimodule, f"{self.side}_units")
         worst = 0.0
         for u, su in zip(units, std_units):
             worst = max(worst, op_norm(self.matrix @ su - u @ self.matrix))
@@ -108,7 +101,7 @@ class BoundedBasis:
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
-        return _acting(self.bimodule, self.side)[0]
+        return getattr(self.bimodule, f"{self.side}_algebra")
 
     @property
     def size(self) -> int:
@@ -116,7 +109,7 @@ class BoundedBasis:
 
     @property
     def action_units(self) -> np.ndarray:
-        return _acting(self.bimodule, self.side)[1]
+        return getattr(self.bimodule, f"{self.side}_units")
 
     def map_for(self, eval_vector: np.ndarray) -> np.ndarray:
         """Full matrix L2 -> X of the bounded vector with the given value at 1."""
@@ -148,7 +141,7 @@ def left_bounded_space(x: Bimodule) -> BoundedBasis:
 
 
 def _bounded_space(x: Bimodule, side: str) -> BoundedBasis:
-    units = _acting(x, side)[1]
+    units = getattr(x, f"{side}_units")
     form = np.einsum("wca,wcb->ab", units.conj(), units)
     w, v = psd_eig(form)
     if w.size and w[0] > 0 and w[-1] < RANK_EPS * w[0]:

@@ -18,8 +18,8 @@ it returns.  A build that returns an object seals the arrays it makes
 itself, inside a store or not: a product's members and its result's frame
 labels (:func:`bimodcat.tensor._tensor_product`), a dual's conjugated
 frame (:meth:`bimodcat.bimodule.Frame.conj`), a bounded space's form and
-vectors.  Nothing else is looked into: a bimodule keeps its own frame and
-action stacks once it has them, read-only when read off the frame
+vectors.  Nothing else is looked into: a bimodule keeps its own frame
+once it has it, and no action stacks but those it was given
 (:class:`bimodcat.bimodule.Bimodule`), so no store holds them, and a
 bimodule given as an argument keeps its arrays as given.
 Outside a store every call builds.

@@ -19,9 +19,9 @@ rtimes with its last diagonal unit, and rtimes lists its members in
 reverse.
 
 The result has the member count as its dimension and the identity on
-its members as its frame, and reads its 0/1 action stacks off that frame
-on their first read only (:meth:`bimodcat.bimodule.Bimodule.deferred`),
-which no check of a suite makes.
+its members as its frame (:meth:`bimodcat.bimodule.Bimodule.from_frame`):
+its 0/1 action stacks are read off that frame only when something reads
+them, which no check of a suite, ``generate`` or ``tensor`` does.
 
 Maps that send frame columns to frame columns are index arrays:
 ``perm[j]`` is the target member of source member j, the 0/1 matrix P
@@ -175,7 +175,7 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     frame = Frame(None, x.frame.left[a], y.frame.right[b])
     for arr in (a, b, frame.left, frame.right):
         arr.setflags(write=False)
-    result = Bimodule.deferred(x.left_algebra, y.right_algebra, a.size, frame)
+    result = Bimodule.from_frame(x.left_algebra, y.right_algebra, a.size, frame)
     return TensorProduct(kind, x, y, result, a, b)
 
 

@@ -87,10 +87,10 @@ def test_standard_form_is_bimodule():
 def test_standard_form_is_built_once_and_read_only():
     sf = standard_form(MultiMatrixAlgebra((1, 2)))
     assert standard_form(MultiMatrixAlgebra((1, 2))) is sf
-    with pytest.raises(ValueError):
-        sf.bimodule.left_units[0, 0, 0] = 2.0
-    with pytest.raises(ValueError):
-        sf.bimodule.right_units[0, 0, 0] = 2.0
+    # every product with L2 reads its frame labels
+    for labels in (sf.bimodule.frame.left, sf.bimodule.frame.right):
+        with pytest.raises(ValueError):
+            labels[0] = 1
 
 
 def test_sharp_is_star():

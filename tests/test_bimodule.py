@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,32 @@ def test_bad_actions_rejected():
     noisy = sf.left_units.copy()
     noisy[0] += 1e-12
     Bimodule(a, a, noisy, sf.right_units)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0], ids=["nan", "inf", "two"])
+def test_a_basis_unitary_that_is_not_unitary_is_rejected(bad):
+    # ||W^H W - 1||_F <= 1e-8 is checked on W itself, with no warning, also
+    # for a non-finite entry, which the stacks W U W^H would carry on
+    a = MultiMatrixAlgebra((2,))
+    w = np.eye(a.dim, dtype=complex)
+    w[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotABimoduleError, match="basis unitary is not unitary"):
+            canonical_bimodule(a, a, [[1]], basis_unitary=w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_given_stacks_with_a_non_finite_entry_are_rejected(side, bad):
+    # an off-diagonal unit's entry leaves unitality finite, and validate's
+    # SVD would not converge on it: the given stacks are checked entrywise
+    a = MultiMatrixAlgebra((2,))
+    sf = standard_form(a).bimodule
+    units = {"left": sf.left_units, "right": sf.right_units}
+    units[side][1, 0, 1] = bad
+    with pytest.raises(NotABimoduleError, match=f"{side} action has non-finite"):
+        Bimodule(a, a, units["left"], units["right"])
 
 
 def test_unitality_bound_scales_with_the_largest_entry():
@@ -483,7 +510,6 @@ def test_duals_and_extensions_read_their_stacks_off_the_frames(monkeypatch):
                                   multiplicity_matrix(x))
             for got, want in zip(_stacks(ext), kronecker_extension(x, ni, nj)):
                 assert np.abs(got - want).max(initial=0.0) <= 1e-14
-                assert not got.flags.writeable
     assert calls == []
     for x in inputs[:-2:2]:
         explicit = _explicit(x)

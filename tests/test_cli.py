@@ -315,8 +315,8 @@ def test_verify_checks_the_suite_with_the_library_before_loading(capsys,
 
 def test_tensor_builds_each_product_once(capsys, monkeypatch):
     # m takes the two products the report reads from the command's store,
-    # and the multiplicities are counted off the frames: no result or dual
-    # builds its stacks
+    # and the multiplicities are counted off the frames: no bimodule, chain
+    # bimodule, result or dual, builds its stacks
     builds, stacks = [], []
     build, frame_stacks = tensor_module._tensor_product, bimodule_module._frame_stacks
 
@@ -325,10 +325,7 @@ def test_tensor_builds_each_product_once(capsys, monkeypatch):
         return build(*args)
 
     def counted_stacks(x):
-        # a bimodule without a canonical model reads its stacks off its
-        # frame only on a first read
-        if x.canonical is None:
-            stacks.append(x)
+        stacks.append(x)
         return frame_stacks(x)
     monkeypatch.setattr(tensor_module, "_tensor_product", counted)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted_stacks)

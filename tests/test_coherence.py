@@ -175,9 +175,6 @@ def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
     # and m and the unitors are index arrays, so there is no op_norm, no
     # 0/1 matrix, no f (x) g by members and no action stack
     spec = generate(4, limits=Limits(min_mult=1, max_mult=2))
-    for x in spec.bimodules:
-        # L2 is a canonical model, built once per block tuple
-        standard_form(x.left_algebra), standard_form(x.right_algebra)
     calls = []
 
     def spy(module, name):
@@ -192,7 +189,7 @@ def test_permutation_checks_take_no_norm_and_no_dense_map(monkeypatch, family,
                          (coherence, "permutation_matrix"),
                          (tensor_module, "permutation_matrix"),
                          (tensor_module, "_member_map"),
-                         (bimodule_module.Bimodule, "_checked")):
+                         (bimodule_module, "_frame_stacks")):
         spy(module, name)
     result = check(*lead, *spec.bimodules[:arity])
     assert (result.passed, result.defect) == (True, 0.0)
@@ -236,18 +233,16 @@ def test_a_suite_builds_each_structural_map_and_leg_test_once(monkeypatch,
     (Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3, max_dim=200), 1)],
     ids=["min-mult-1-18", "big"])
 def test_a_suite_builds_no_deferred_stack(monkeypatch, limits, seed):
-    # the stacks of products' results, duals and matrix extensions are read
-    # off their frames on a first read, and no check reads one: f (x) g
-    # reads the frames, and m and the unitors are index arrays read off
-    # the frame columns (bimodcat.bimodule.moved_columns).  "big" has dims
-    # 53/51/40/20, and m-assoc on it composes r = 1,411 paths
+    # every stack is read off a frame when read, and neither generate nor a
+    # check reads one: f (x) g reads the frames, and m and the unitors are
+    # index arrays read off the frame columns
+    # (bimodcat.bimodule.moved_columns).  "big" has dims 53/51/40/20, and
+    # m-assoc on it composes r = 1,411 paths
     built = []
     frame_stacks = bimodule_module._frame_stacks
 
     def counted(x):
-        # a canonical model reads its stacks off its frame when built
-        if x.canonical is None:
-            built.append(x)
+        built.append(x)
         return frame_stacks(x)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
     spec = generate(seed, limits=limits)
@@ -478,16 +473,17 @@ def test_store_keeps_every_product():
             # the members' indices are read-only
             assert not tp.a.flags.writeable
             assert not tp.b.flags.writeable
-            assert not tp.result.left_units.flags.writeable
+            # the result keeps no stack: each read builds one afresh
+            stack = tp.result.left_units
+            assert np.array_equal(tp.result.left_units, stack)
+            assert tp.result.left_units is not stack
             # so are the sector columns the product was built from
             for cols in stored(tensor_module._sector_columns,
                                tp.right_factor, "left", KIND_LEFT):
                 assert not cols.flags.writeable
-        # the factors' arrays stay as given, the basis unitary a canonical
-        # model keeps as its frame among them
+        # the basis unitary a canonical model keeps as its frame stays as
+        # given
         for factor in (x, y, z):
-            assert factor.left_units.flags.writeable
-            assert factor.right_units.flags.writeable
             assert factor.canonical[1].flags.writeable
             assert factor.frame.w is factor.canonical[1]
         xs, ys = dual_bimodule(x), dual_bimodule(y)

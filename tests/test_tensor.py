@@ -14,7 +14,7 @@ from bimodcat.bimodule import (Bimodule, Morphism, NotABimoduleError,
 from bimodcat.bounded import (left_bounded_space, left_projective_realization,
                               right_bounded_space, right_projective_realization)
 from bimodcat.coherence import run_suite
-from bimodcat.instances import Limits, generate, load
+from bimodcat.instances import Limits, generate, load, save
 from bimodcat.involution import conjugation, conjugation_mixed
 from bimodcat.linalg import (RANK_EPS, crandn, map_from_spanning, op_norm,
                              permutation_matrix, psd_eig, random_unitary)
@@ -1032,7 +1032,7 @@ def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(monkeypatch, seed):
                 got, tensor_morphisms(tp, tp2, *legs(permutation_matrix(a))))
 
 
-# -- deferred action stacks ----------------------------------------------------
+# -- action stacks read off the frames --------------------------------------------
 
 def _is_0_1(stack):
     """Whether every entry of ``stack`` is exactly 0 or 1, with no imaginary part."""
@@ -1061,7 +1061,6 @@ def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
                              member_stacks(tp)):
             assert _is_0_1(got)
             assert np.abs(got - want).max(initial=0.0) <= 1e-14
-            assert not got.flags.writeable
     assert duals
     for x, xs in duals:
         assert xs.dim == x.dim
@@ -1069,17 +1068,12 @@ def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
             assert np.array_equal(got, want)
 
 
-def _deferred_builds(monkeypatch):
-    """The bimodules whose stacks are read off their frames on a first read.
-
-    Every such build is a call of the one builder on a bimodule without a
-    canonical model: a product's result, a dual or a matrix extension.
-    """
+def _stack_builds(monkeypatch):
+    """The bimodules whose stacks the one builder reads off their frames."""
     builds, real = [], bimodule_module._frame_stacks
 
     def counted(x):
-        if x.canonical is None:
-            builds.append(x)
+        builds.append(x)
         return real(x)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
     return builds
@@ -1087,8 +1081,7 @@ def _deferred_builds(monkeypatch):
 
 def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
     # a result's stacks are built when something reads them, and no check
-    # of a suite does; a read after the suite builds them once, on the
-    # first read
+    # of a suite does; after the suite, every read builds them once more
     products = []
     build = tensor_module._tensor_product
 
@@ -1096,14 +1089,40 @@ def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
         products.append(build(*args))
         return products[-1]
     monkeypatch.setattr(tensor_module, "_tensor_product", counted_product)
-    builds = _deferred_builds(monkeypatch)
+    builds = _stack_builds(monkeypatch)
     report = run_suite(generate(18, limits=Limits(min_mult=1)))
     assert report["summary"]["passed"] == report["summary"]["total"]
     assert 0 == len(builds) < len(products)
     for tp in products:
-        stacks = tp.result.left_units, tp.result.right_units
-        assert tp.result.left_units is stacks[0]
-    assert [id(x) for x in builds] == [id(tp.result) for tp in products]
+        tp.result.left_units, tp.result.left_units
+    assert [id(x) for x in builds] == [id(tp.result) for tp in products
+                                       for _ in range(2)]
+
+
+def test_a_suite_on_a_stack_form_builds_no_stack(monkeypatch):
+    # gen --min-mult 1 --seed 18 given by its action stacks: the loader
+    # checks the given stacks, and neither it nor a suite reads a stack
+    # off a frame, of a chain bimodule, a result or a dual
+    doc = json.dumps(given_by_stacks(generate(18, limits=Limits(min_mult=1))))
+    builds = _stack_builds(monkeypatch)
+    spec = load(doc)
+    assert all(x.canonical is None for x in spec.bimodules)
+    report = run_suite(spec)
+    assert report["summary"]["passed"] == report["summary"]["total"] == 14
+    assert builds == []
+
+
+def test_loading_k_endomorphisms_builds_k_stack_pairs(monkeypatch):
+    # the intertwiner test of an endomorphism reads its bimodule's stacks
+    # once, for source and target; the chain itself builds none
+    for seed, limits in ((0, None), (18, Limits(min_mult=1))):
+        spec = generate(seed, limits)
+        doc = save(spec)
+        builds = _stack_builds(monkeypatch)
+        loaded = load(doc)
+        assert len(loaded.morphisms) == len(spec.morphisms) == 3
+        assert [id(x) for x in builds] == [id(m.source) for m in loaded.morphisms]
+        monkeypatch.undo()
 
 
 def test_a_p_unit_that_is_no_projection_is_rejected():
@@ -1161,8 +1180,9 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
     # frame columns, and a suite on a canonical chain runs no Gram-Schmidt
     spec = generate(18, limits=Limits(min_mult=1))
     depth, built, calls = [0], [], []
-    bases, check, gram_schmidt = (tensor_module._sector_columns, Bimodule._checked,
-                                  bimodule_module.range_basis)
+    bases, frame_stacks, gram_schmidt = (tensor_module._sector_columns,
+                                         bimodule_module._frame_stacks,
+                                         bimodule_module.range_basis)
 
     def counted_bases(*args):
         depth[0] += 1
@@ -1171,16 +1191,16 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_check(self, *stacks):
+    def counted_stacks(x):
         if depth[0]:
-            built.append(self)
-        return check(self, *stacks)
+            built.append(x)
+        return frame_stacks(x)
 
     def counted_range(proj):
         calls.append(proj)
         return gram_schmidt(proj)
     monkeypatch.setattr(tensor_module, "_sector_columns", counted_bases)
-    monkeypatch.setattr(Bimodule, "_checked", counted_check)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted_stacks)
     monkeypatch.setattr(bimodule_module, "range_basis", counted_range)
     report = run_suite(spec)
     assert report["summary"]["passed"] == report["summary"]["total"]
@@ -1188,30 +1208,31 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
     assert calls == []
 
 
-def test_deferred_stacks_are_built_on_first_read_and_read_only(monkeypatch):
-    checked = []
-    check = Bimodule._checked
-
-    def counted(self, *stacks):
-        checked.append(self)
-        return check(self, *stacks)
+def test_frame_stacks_are_built_afresh_on_every_read(monkeypatch):
     rng = np.random.default_rng(4)
     x = random_bim(rng, (2,), (1, 2), [[1, 1]])
     y = random_bim(rng, (1, 2), (2,), [[1], [1]])
-    monkeypatch.setattr(Bimodule, "_checked", counted)
+    builds = _stack_builds(monkeypatch)
     with product_store():
         tp, xs = tensor_left(x, y), dual_bimodule(x)
         # neither the store, dim nor a morphism's shape check builds them
         assert tensor_left(x, y) is tp and dual_bimodule(x) is xs
         assert (tp.dim, xs.dim) == (tp.a.size, x.dim)
         Morphism(tp.result, tp.result, np.eye(tp.dim))
-        assert checked == []
-        stacks = [tp.result.left_units, tp.result.right_units,
-                  xs.left_units, xs.right_units]
-        assert checked == [tp.result, xs]
-        assert all(not s.flags.writeable for s in stacks)
-        assert tp.result.left_units is stacks[0]
-        assert checked == [tp.result, xs]
-        for factor in (x, y):
-            assert factor.left_units.flags.writeable
-            assert factor.right_units.flags.writeable
+        assert builds == []
+        # two reads are equal and not the same array, and a write into one
+        # leaves the next read as it was
+        for bim in (x, tp.result, xs):
+            for side in ("left_units", "right_units"):
+                first = getattr(bim, side)
+                want = first.copy()
+                first[...] = 7.0
+                again = getattr(bim, side)
+                assert again is not first
+                assert np.array_equal(again, want)
+        assert [id(b) for b in builds] == [id(b) for b in (x, tp.result, xs)
+                                           for _ in range(4)]
+    # a bimodule given by its stacks returns them as given
+    left, right = x.left_units, x.right_units
+    given = Bimodule(x.left_algebra, x.right_algebra, left, right)
+    assert given.left_units is left and given.right_units is right
