@@ -6,16 +6,15 @@ matrix unit carries frame columns to frame columns (:func:`moved_columns`).
 Hom(X, Y), multiplicities, random intertwiners (1 (x) T_kl (x) 1 by
 Schur), a product's members, m and the unitors are read off the frames.
 The action stacks, ``left_units[u]`` the matrix of the u-th matrix unit of
-the left algebra and likewise ``right_units``, are a view that each read
-builds afresh off the frame (:func:`_frame_stacks`).  Only a bimodule
-given by its stacks keeps them as given and finds its frame from them,
-by pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
+the left algebra and likewise ``right_units``, are a view: each read
+builds its one side afresh off the frame (:func:`_frame_stacks`).  Only a
+bimodule given by its stacks keeps them as given and finds its frame from
+them, by pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -63,8 +62,8 @@ class Bimodule:
 
     ``Bimodule(A, B, left_units, right_units)`` checks the two stacks' shapes
     and unitality at once and keeps them as given.  :meth:`from_frame` takes
-    the dimension and the frame, and every read of a stack reads it off
-    that frame afresh.
+    the dimension and the frame, and every read of a stack reads that one
+    stack off the frame afresh.
     """
 
     def __init__(self, left_algebra: MultiMatrixAlgebra,
@@ -95,29 +94,27 @@ class Bimodule:
     @property
     def left_units(self) -> np.ndarray:
         """(dim left_algebra, d, d): the left action of each matrix unit."""
-        return self._units()[0]
+        return self._given[0] if self._given is not None else _frame_stacks(self, "left")
 
     @property
     def right_units(self) -> np.ndarray:
         """(dim right_algebra, d, d): the right action of each matrix unit."""
-        return self._units()[1]
-
-    def _units(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Both stacks: as given, or read off the frame afresh."""
-        return self._given if self._given is not None else _frame_stacks(self)
+        return self._given[1] if self._given is not None else _frame_stacks(self, "right")
 
     @functools.cached_property
     def _column_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Column t's key s * (corners) + its corner, s its rank there, and table[key] = t."""
         per_row = self.right_algebra.matrix_dim      # corners per left label
+        size = self.left_algebra.matrix_dim * per_row
         corner = self.frame.left * per_row + self.frame.right
         order = corner.argsort(kind="stable")
         ranked = corner[order]
         cols = np.arange(self.dim)
         key = np.empty(self.dim, dtype=np.intp)
         key[order] = cols - ranked.searchsorted(ranked)     # s
-        key = key * (self.left_algebra.matrix_dim * per_row) + corner
-        table = np.empty(key.max(initial=-1) + 1, dtype=np.intp)
+        key = key * size + corner
+        # whole runs of all corners, so that the table reshapes to [s, p, q]
+        table = np.empty((key.max(initial=-1) // size + 1) * size, dtype=np.intp)
         table[key] = cols
         for arr in (key, table):
             arr.setflags(write=False)
@@ -157,7 +154,7 @@ class Bimodule:
     def validate(self, tol: float = 1e-8) -> float:
         """Full bimodule-axiom check; returns the worst defect found."""
         worst = 0.0
-        left, right = self._units()
+        left, right = self.left_units, self.right_units
         for units, alg, anti in ((left, self.left_algebra, False),
                                  (right, self.right_algebra, True)):
             pos = alg.unit_positions()
@@ -192,7 +189,7 @@ def _stack_frame(x: Bimodule) -> Frame:
     over the diagonal units.
     """
     a, b = x.left_algebra, x.right_algebra
-    left, right = x._units()
+    left, right = x._given
     da, db = a.diagonal, b.diagonal
     first = {}      # (k, l) -> the range basis of the pair's first corner
     bases, corners = [], []
@@ -257,9 +254,12 @@ class Morphism:
 
         Each endpoint's stacks are read once, an endomorphism's once in all.
         """
-        t, source = self.matrix, self.source._units()
-        target = source if self.target is self.source else self.target._units()
-        return [t @ s - u @ t for s, u in zip(source, target)]
+        t, defects = self.matrix, []
+        for side in ("left_units", "right_units"):
+            s = getattr(self.source, side)
+            u = s if self.target is self.source else getattr(self.target, side)
+            defects.append(t @ s - u @ t)
+        return defects
 
     def is_morphism(self, tol: float = 1e-8) -> bool:
         """Whether the intertwiner defect is at most tol max(1, ||T||).
@@ -449,23 +449,20 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     return x
 
 
-def _frame_stacks(x: Bimodule) -> Tuple[np.ndarray, np.ndarray]:
-    """Both action stacks of X, W U W^H with U 0/1, read off its frame (:func:`moved_columns`)."""
-    a, b, frame, d = x.left_algebra, x.right_algebra, x.frame, x.dim
-    stacks = []
-    for side, alg in (("left", a), ("right", b)):
-        diag, labels = alg.diagonal, getattr(frame, side)
-        # column t, of label i, and each label p of its block: e_pi (left) or
-        # e_ip (right), e_pp's or e_ii's unit index moved by i - p, carries t to p
-        t, p = (diag.block[labels][:, None] == diag.block).nonzero()
-        i = labels[t]
-        unit = diag.unit[p] + (i - p) if side == "left" else diag.unit[i] - (i - p)
-        units = np.zeros((alg.dim, d, d), dtype=complex)
-        units[unit, moved_columns(x, side, t, p), t] = 1
-        if frame.w is not None:
-            units = frame.w @ units @ frame.w.conj().T
-        stacks.append(units)
-    return stacks[0], stacks[1]
+def _frame_stacks(x: Bimodule, side: str) -> np.ndarray:
+    """X's ``side`` action stack W U W^H, U 0/1, read off the frame (:func:`moved_columns`)."""
+    alg, frame, d = getattr(x, f"{side}_algebra"), x.frame, x.dim
+    diag, labels = alg.diagonal, getattr(frame, side)
+    # column t, of label i, and each label p of its block: e_pi (left) or
+    # e_ip (right), e_pp's or e_ii's unit index moved by i - p, carries t to p
+    t, p = (diag.block[labels][:, None] == diag.block).nonzero()
+    i = labels[t]
+    unit = diag.unit[p] + (i - p) if side == "left" else diag.unit[i] - (i - p)
+    units = np.zeros((alg.dim, d, d), dtype=complex)
+    units[unit, moved_columns(x, side, t, p), t] = 1
+    if frame.w is not None:
+        units = frame.w @ units @ frame.w.conj().T
+    return units
 
 
 def moved_columns(x: Bimodule, side: str, cols: np.ndarray,
@@ -491,16 +488,17 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
 
     ``cols[i, j, s]`` is the s-th frame column labelled (p0 + i, q0 + j),
     for p0 and q0 the first diagonal units of blocks k and l: in an
-    adapted frame, multiplicity index s of the corner (i, j).
+    adapted frame, multiplicity index s of the corner (i, j), read off
+    :attr:`Bimodule._column_table` as :func:`moved_columns` reads it.
     """
-    a, b, frame = x.left_algebra, x.right_algebra, x.frame
-    k, l = a.diagonal.block[frame.left], b.diagonal.block[frame.right]
-    # labels rise with p in a block; lexsort is stable: frame order in a corner
-    order = np.lexsort((frame.right, frame.left, l, k))
-    ends = np.bincount(k * len(b.blocks) + l,
-                       minlength=len(a.blocks) * len(b.blocks)).cumsum().tolist()
-    return [order[start:end].reshape(n, m, -1) for start, end, (n, m) in zip(
-        [0] + ends, ends, itertools.product(a.blocks, b.blocks))]
+    a, b = x.left_algebra, x.right_algebra
+    key, table = x._column_table
+    n_a, n_b = a.matrix_dim, b.matrix_dim
+    mult = np.bincount(key % (n_a * n_b), minlength=n_a * n_b).reshape(n_a, n_b)
+    table = table.reshape(-1, n_a, n_b).transpose(1, 2, 0)      # [p, q, s]
+    return [table[p0:p0 + n, q0:q0 + m, :mult[p0, q0]]
+            for p0, n in zip(a.diagonal.first, a.blocks)
+            for q0, m in zip(b.diagonal.first, b.blocks)]
 
 
 def corner_base(x: Bimodule, side: str) -> np.ndarray:

@@ -8,7 +8,9 @@ therefore parameterized by these evaluation vectors; the relevant inner
 product on them is the positive form W = sum_u R(b_u)^H R(b_u) over the
 matrix units of B (Hilbert-Schmidt inner product of the maps).
 The left-handed space Hom(L2(A) -> X) works mirror-image with the left
-action.  Inside an open product store each bounded space is built once.
+action.  A bounded space reads its side's action stack once, for its form,
+and keeps it for its vectors' full matrices (``action_units``).  Inside an
+open product store each bounded space is built once.
 
 An orthonormal basis is a tight frame, S = sum_i f_i f_i^H = 1_X, so it is
 the frame of the projective realizations: S commutes with B and, being
@@ -91,13 +93,14 @@ class BoundedBasis:
 
     ``vectors[:, i]`` are the evaluation vectors of a Hilbert-Schmidt
     orthonormal basis; ``form`` is the positive matrix W representing the
-    HS inner product on evaluation vectors.
+    HS inner product on evaluation vectors, built from ``action_units``.
     """
 
     side: str
     bimodule: Bimodule
-    form: np.ndarray      # (d, d) positive definite (unital action)
-    vectors: np.ndarray   # (d, n) with n == d
+    form: np.ndarray          # (d, d) positive definite (unital action)
+    vectors: np.ndarray       # (d, n) with n == d
+    action_units: np.ndarray  # (dim algebra, d, d): the side's stack
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
@@ -106,10 +109,6 @@ class BoundedBasis:
     @property
     def size(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def action_units(self) -> np.ndarray:
-        return getattr(self.bimodule, f"{self.side}_units")
 
     def map_for(self, eval_vector: np.ndarray) -> np.ndarray:
         """Full matrix L2 -> X of the bounded vector with the given value at 1."""
@@ -141,15 +140,16 @@ def left_bounded_space(x: Bimodule) -> BoundedBasis:
 
 
 def _bounded_space(x: Bimodule, side: str) -> BoundedBasis:
-    units = getattr(x, f"{side}_units")
+    # a view, so that sealing it leaves a given stack as its owner gave it
+    units = getattr(x, f"{side}_units").view()
     form = np.einsum("wca,wcb->ab", units.conj(), units)
     w, v = psd_eig(form)
     if w.size and w[0] > 0 and w[-1] < RANK_EPS * w[0]:
         raise ValueError(f"{side} action is degenerate; bounded vectors do not span")
     vectors = v / np.sqrt(w)[None, :] if w.size else v
-    form.setflags(write=False)     # shared by every caller in a store
-    vectors.setflags(write=False)
-    return BoundedBasis(side, x, form, vectors)
+    for arr in (form, vectors, units):     # shared by every caller in a store
+        arr.setflags(write=False)
+    return BoundedBasis(side, x, form, vectors, units)
 
 
 def right_bounded_basis(x: Bimodule):

@@ -375,6 +375,7 @@ def load_lenient(data) -> Tuple[InstanceSpec, List[Tuple[str, float]]]:
                 _within(d, limits, "max_dim", "dimension", f"{path}.left_action")
                 x = Bimodule(la, ra, lu, ru)
                 x.validate()
+                x.frame     # stacks whose frame is not found are a violation too
         except InstanceFormatError:
             raise
         except Exception as exc:

@@ -1,7 +1,11 @@
+import importlib
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from bimodcat.algebra import standard_form
+from bimodcat.bimodule import Bimodule
 from bimodcat.bounded import (BoundedVector, left_bounded_basis,
                               left_bounded_space, left_inner,
                               left_projective_realization,
@@ -10,6 +14,8 @@ from bimodcat.bounded import (BoundedVector, left_bounded_basis,
                               star_bounded)
 from bimodcat.linalg import op_norm
 from random_bims import random_bim
+
+bimodule_module = importlib.import_module("bimodcat.bimodule")
 
 
 def test_bounded_basis_dimension_equals_module_dimension():
@@ -145,3 +151,39 @@ def test_bounded_vector_shape_checked():
         BoundedVector("right", x, np.zeros((x.dim, 3)))
     with pytest.raises(ValueError):
         BoundedVector("up", x, np.zeros((x.dim, x.right_algebra.dim)))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_bounded_basis_builds_one_stack_of_its_side(monkeypatch, side):
+    # the space reads X's stack of its side once, for its form, and every
+    # vector's full matrix reads the kept stack: no other stack is built
+    rng = np.random.default_rng(1)
+    x = random_bim(rng, (2, 1), (2,), [[1], [2]])
+    builds, real = [], bimodule_module._frame_stacks
+
+    def counted(y, s):
+        builds.append((y, s))
+        return real(y, s)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    basis = {"right": right_bounded_basis, "left": left_bounded_basis}[side](x)
+    assert len(basis) == x.dim
+    assert [(id(y), s) for y, s in builds] == [(id(x), side)]
+
+
+def test_a_bounded_basis_keeps_its_stack_read_only():
+    # the kept stack is the bimodule's, sealed like the form and the
+    # vectors; for given stacks the basis seals a view, not the given array
+    rng = np.random.default_rng(1)
+    x = random_bim(rng, (2, 1), (2,), [[1], [2]])
+    given = Bimodule(x.left_algebra, x.right_algebra, x.left_units, x.right_units)
+    for bim in (x, given):
+        for sp in (right_bounded_space(bim), left_bounded_space(bim)):
+            units = sp.action_units
+            assert sp.action_units is units
+            assert np.array_equal(units, getattr(bim, f"{sp.side}_units"))
+            with pytest.raises(ValueError, match="read-only"):
+                units[0, 0, 0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                sp.action_units = units.copy()
+    for side in ("left", "right"):
+        assert getattr(given, f"{side}_units").flags.writeable

@@ -324,9 +324,9 @@ def test_tensor_builds_each_product_once(capsys, monkeypatch):
         builds.append(args[0])
         return build(*args)
 
-    def counted_stacks(x):
-        stacks.append(x)
-        return frame_stacks(x)
+    def counted_stacks(x, side):
+        stacks.append((x, side))
+        return frame_stacks(x, side)
     monkeypatch.setattr(tensor_module, "_tensor_product", counted)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted_stacks)
     for seed in range(5):

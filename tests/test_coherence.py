@@ -241,9 +241,9 @@ def test_a_suite_builds_no_deferred_stack(monkeypatch, limits, seed):
     built = []
     frame_stacks = bimodule_module._frame_stacks
 
-    def counted(x):
-        built.append(x)
-        return frame_stacks(x)
+    def counted(x, side):
+        built.append((x, side))
+        return frame_stacks(x, side)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
     spec = generate(seed, limits=limits)
     report = run_suite(spec)

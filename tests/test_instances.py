@@ -7,9 +7,11 @@ import pytest
 from bimodcat import cli
 from bimodcat.algebra import MultiMatrixAlgebra
 from bimodcat.bimodule import Bimodule, Morphism, canonical_bimodule
+from bimodcat.linalg import crandn
 from bimodcat.instances import (InstanceFormatError, InstanceSpec, Limits,
                                 _encode, generate, load, load_lenient, random_algebra,
                                 random_bimodule, save, to_document)
+from stacks import given_by_stacks
 
 
 def test_limits_validation():
@@ -214,6 +216,41 @@ def test_load_lenient_truncates_broken_chain():
     assert len(spec.bimodules) == 1   # chain cut at the broken link
     with pytest.raises(InstanceFormatError):
         load(json.dumps(doc))
+
+
+def test_stacks_whose_frame_cannot_be_found_are_a_violation(tmp_path, capsys):
+    # "big" cut to its first bimodule (dim 53) and its endomorphism, given
+    # by its stacks, the right stack's first two diagonal units moved by +-H
+    # with ||H||_2 = 4e-9: the unit sums and the adjoints hold, and validate
+    # passes, but no corner's range basis spans it to 1e-8.  The loader
+    # names the bimodule and cuts the chain there, and verify reports one
+    # instance-valid entry with exit 1
+    limits = Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3, max_dim=200)
+    big = generate(1, limits)
+    x = big.bimodules[0]
+    doc = given_by_stacks(InstanceSpec(seed=1, limits=limits, algebras=big.algebras[:2],
+                                       bimodules=(x,), morphisms=big.morphisms[:1]))
+    assert x.dim == 53
+    right, unit = x.right_units, x.right_algebra.diagonal.unit
+    h = crandn(np.random.default_rng(0), x.dim, x.dim)
+    h = h + h.conj().T
+    h *= 4e-9 / np.linalg.norm(h, 2)
+    right[unit[0]] += h
+    right[unit[1]] -= h
+    doc["bimodules"][0]["right_action"] = _encode(right)
+    blob = json.dumps(doc)
+    with pytest.raises(InstanceFormatError) as err:
+        load(blob)
+    msg = str(err.value)
+    # validate ran first and passed: the frame's corner test fails
+    assert re.match(r"\$\.bimodules\[0\]: corner .* is not a projection", msg)
+    path = tmp_path / "perturbed.json"
+    path.write_text(blob)
+    assert cli.main(["verify", "--instance", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["error"]) for c in report["checks"]] == [
+        ("instance-valid", msg)]
+    assert report["summary"]["errors"] == 0
 
 
 def test_load_lenient_skips_bad_morphism():

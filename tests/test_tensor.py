@@ -1069,12 +1069,12 @@ def test_deferred_stacks_are_the_eager_stacks(monkeypatch, seed, limits):
 
 
 def _stack_builds(monkeypatch):
-    """The bimodules whose stacks the one builder reads off their frames."""
+    """The (bimodule, side) of each stack the one builder reads off a frame."""
     builds, real = [], bimodule_module._frame_stacks
 
-    def counted(x):
-        builds.append(x)
-        return real(x)
+    def counted(x, side):
+        builds.append((x, side))
+        return real(x, side)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
     return builds
 
@@ -1095,8 +1095,8 @@ def test_a_suite_builds_fewer_stacks_than_products(monkeypatch):
     assert 0 == len(builds) < len(products)
     for tp in products:
         tp.result.left_units, tp.result.left_units
-    assert [id(x) for x in builds] == [id(tp.result) for tp in products
-                                       for _ in range(2)]
+    assert [(id(x), side) for x, side in builds] == [
+        (id(tp.result), "left") for tp in products for _ in range(2)]
 
 
 def test_a_suite_on_a_stack_form_builds_no_stack(monkeypatch):
@@ -1114,14 +1114,17 @@ def test_a_suite_on_a_stack_form_builds_no_stack(monkeypatch):
 
 def test_loading_k_endomorphisms_builds_k_stack_pairs(monkeypatch):
     # the intertwiner test of an endomorphism reads its bimodule's stacks
-    # once, for source and target; the chain itself builds none
+    # once, for source and target: k stacks per side; the chain itself
+    # builds none
     for seed, limits in ((0, None), (18, Limits(min_mult=1))):
         spec = generate(seed, limits)
         doc = save(spec)
         builds = _stack_builds(monkeypatch)
         loaded = load(doc)
         assert len(loaded.morphisms) == len(spec.morphisms) == 3
-        assert [id(x) for x in builds] == [id(m.source) for m in loaded.morphisms]
+        assert [(id(x), side) for x, side in builds] == [
+            (id(m.source), side) for m in loaded.morphisms
+            for side in ("left", "right")]
         monkeypatch.undo()
 
 
@@ -1191,10 +1194,10 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_stacks(x):
+    def counted_stacks(x, side):
         if depth[0]:
-            built.append(x)
-        return frame_stacks(x)
+            built.append((x, side))
+        return frame_stacks(x, side)
 
     def counted_range(proj):
         calls.append(proj)
@@ -1221,18 +1224,42 @@ def test_frame_stacks_are_built_afresh_on_every_read(monkeypatch):
         Morphism(tp.result, tp.result, np.eye(tp.dim))
         assert builds == []
         # two reads are equal and not the same array, and a write into one
-        # leaves the next read as it was
+        # leaves the next read as it was; each read builds its own side
         for bim in (x, tp.result, xs):
-            for side in ("left_units", "right_units"):
-                first = getattr(bim, side)
+            for side in ("left", "right"):
+                first = getattr(bim, f"{side}_units")
                 want = first.copy()
                 first[...] = 7.0
-                again = getattr(bim, side)
+                again = getattr(bim, f"{side}_units")
                 assert again is not first
                 assert np.array_equal(again, want)
-        assert [id(b) for b in builds] == [id(b) for b in (x, tp.result, xs)
-                                           for _ in range(4)]
+        assert [(id(b), side) for b, side in builds] == [
+            (id(b), side) for b in (x, tp.result, xs)
+            for side in ("left", "left", "right", "right")]
     # a bimodule given by its stacks returns them as given
     left, right = x.left_units, x.right_units
     given = Bimodule(x.left_algebra, x.right_algebra, left, right)
     assert given.left_units is left and given.right_units is right
+
+
+def test_each_action_read_builds_one_stack_of_its_own_side(monkeypatch):
+    # left_units, right_units, left_action and right_action on a canonical
+    # model, both products' results, a dual, a matrix extension and L2(A):
+    # each read builds its own side's stack once and the other side's not
+    rng = np.random.default_rng(4)
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
+    bims = (x, tensor_left(x, y).result, tensor_right(x, y).result,
+            dual_bimodule(x), matrix_extension(x, 2, 1),
+            standard_form(x.left_algebra).bimodule)
+    builds = _stack_builds(monkeypatch)
+    for bim in bims:
+        a = bim.left_algebra.random_element(rng)
+        b = bim.right_algebra.random_element(rng)
+        for side, read in (("left", lambda: bim.left_units),
+                           ("right", lambda: bim.right_units),
+                           ("left", lambda: bim.left_action(a)),
+                           ("right", lambda: bim.right_action(b))):
+            builds.clear()
+            read()
+            assert [(id(z), s) for z, s in builds] == [(id(bim), side)]
