@@ -236,6 +236,15 @@ class StandardFormData:
         """Permutation P with sharp(v) = P conj(v)."""
         return self.algebra.adjoint_perm()
 
+    def units(self, side: str) -> np.ndarray:
+        """L2(A)'s ``side`` action stack, built once per algebra and side; read-only.
+
+        The bounded-vector layer reads it for every inner product and
+        module action (:mod:`bimodcat.bounded`); the bimodule's own
+        ``left_units`` and ``right_units`` still build afresh on every read.
+        """
+        return _standard_units(self.algebra, side)
+
 
 @functools.cache
 def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
@@ -255,6 +264,13 @@ def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
     for labels in bim.frame[1:]:
         labels.setflags(write=False)
     return StandardFormData(algebra=algebra, bimodule=bim)
+
+
+@functools.cache
+def _standard_units(algebra: MultiMatrixAlgebra, side: str) -> np.ndarray:
+    units = getattr(standard_form(algebra).bimodule, f"{side}_units")
+    units.setflags(write=False)
+    return units
 
 
 def gns_vector(phi: NormalFunctional) -> np.ndarray:

@@ -5,6 +5,13 @@ each corner of a pair of blocks (k, l) is multiplicity index s, and each
 matrix unit carries frame columns to frame columns (:func:`moved_columns`).
 Hom(X, Y), multiplicities, random intertwiners (1 (x) T_kl (x) 1 by
 Schur), a product's members, m and the unitors are read off the frames.
+A bimodule with a frame of its own, a canonical model, a matrix extension
+or one given by its stacks, moves its columns through a table of the
+columns by corner and rank (:attr:`Bimodule._column_table`).  A derived
+bimodule, a dual or a product's result, keeps no such table: it reads
+moved columns and corner bases (:func:`corner_base`) off the bimodule it
+came from, its ``origin`` (:class:`_DualOf`, and
+:class:`bimodcat.tensor._ProductOf` for a result).
 The action stacks, ``left_units[u]`` the matrix of the u-th matrix unit of
 the left algebra and likewise ``right_units``, are a view: each read
 builds its one side afresh off the frame (:func:`_frame_stacks`).  Only a
@@ -66,6 +73,10 @@ class Bimodule:
     stack off the frame afresh.
     """
 
+    #: what a dual or a product's result reads its moves off, set where it
+    #: is made; None, the class default, for a frame of its own
+    origin = None
+
     def __init__(self, left_algebra: MultiMatrixAlgebra,
                  right_algebra: MultiMatrixAlgebra, left_units: np.ndarray,
                  right_units: np.ndarray):
@@ -103,7 +114,12 @@ class Bimodule:
 
     @functools.cached_property
     def _column_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Column t's key s * (corners) + its corner, s its rank there, and table[key] = t."""
+        """Column t's key s * (corners) + its corner, s its rank there, and table[key] = t.
+
+        Built on first read and kept, for a bimodule with a frame of its
+        own; a dual or a product's result reads its moved columns off its
+        ``origin`` and has no table.
+        """
         per_row = self.right_algebra.matrix_dim      # corners per left label
         size = self.left_algebra.matrix_dim * per_row
         corner = self.frame.left * per_row + self.frame.right
@@ -353,9 +369,30 @@ def dual_bimodule(x: Bimodule) -> Bimodule:
 def _dual_bimodule(x: Bimodule) -> Bimodule:
     """X*, framed by X's frame, conjugated, with the two labels swapped.
 
-    b acts on xi* as (xi b*)*: X*'s left unit e_pq is X's right e_qp, conjugated.
+    b acts on xi* as (xi b*)*: X*'s left unit e_pq is X's right e_qp,
+    conjugated.  X** is framed by X's own frame arrays: conj(conj(W)) is W
+    bit for bit.
     """
-    return Bimodule.from_frame(x.right_algebra, x.left_algebra, x.dim, x.frame.conj())
+    frame = x.origin.x.frame if isinstance(x.origin, _DualOf) else x.frame.conj()
+    xs = Bimodule.from_frame(x.right_algebra, x.left_algebra, x.dim, frame)
+    xs.origin = _DualOf(x)
+    return xs
+
+
+_OTHER_SIDE = {"left": "right", "right": "left"}
+
+
+class _DualOf(NamedTuple):
+    """A dual X*'s origin: side s of X* is side ``other(s)`` of X, column for column."""
+
+    x: Bimodule
+
+    def moved_columns(self, side: str, cols: np.ndarray,
+                      labels: np.ndarray) -> np.ndarray:
+        return moved_columns(self.x, _OTHER_SIDE[side], cols, labels)
+
+    def corner_base(self, side: str) -> np.ndarray:
+        return corner_base(self.x, _OTHER_SIDE[side])
 
 
 def dual_vector(xi: np.ndarray) -> np.ndarray:
@@ -471,7 +508,10 @@ def moved_columns(x: Bimodule, side: str, cols: np.ndarray,
 
     In an adapted frame e_pq (left) or e_qp (right) carries the s-th column
     of a corner of ``side`` label q to the s-th of the corner of label p.
+    A dual or a product's result reads them off its ``origin``.
     """
+    if x.origin is not None:
+        return x.origin.moved_columns(side, cols, labels)
     key, table = x._column_table
     step = x.right_algebra.matrix_dim if side == "left" else 1
     return table[key[cols] + (labels - getattr(x.frame, side)[cols]) * step]
@@ -488,10 +528,21 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
 
     ``cols[i, j, s]`` is the s-th frame column labelled (p0 + i, q0 + j),
     for p0 and q0 the first diagonal units of blocks k and l: in an
-    adapted frame, multiplicity index s of the corner (i, j), read off
-    :attr:`Bimodule._column_table` as :func:`moved_columns` reads it.
+    adapted frame, multiplicity index s of the corner (i, j).  A bimodule
+    with a frame of its own reads them off :attr:`Bimodule._column_table`;
+    a dual or a product's result moves the columns of each first corner
+    (:func:`moved_columns`).
     """
     a, b = x.left_algebra, x.right_algebra
+    if x.origin is not None:
+        out = []
+        for p0, n in zip(a.diagonal.first, a.blocks):
+            for q0, m in zip(b.diagonal.first, b.blocks):
+                first = ((x.frame.left == p0) & (x.frame.right == q0)).nonzero()[0]
+                rows = moved_columns(x, "left", first, p0 + np.arange(n)[:, None])
+                out.append(moved_columns(x, "right", rows[:, None],
+                                         q0 + np.arange(m)[:, None]))
+        return out
     key, table = x._column_table
     n_a, n_b = a.matrix_dim, b.matrix_dim
     mult = np.bincount(key % (n_a * n_b), minlength=n_a * n_b).reshape(n_a, n_b)
@@ -506,16 +557,27 @@ def corner_base(x: Bimodule, side: str) -> np.ndarray:
 
     Multiplicity index s of the corner (i, j) goes to s of (0, j) for
     ``side="left"`` and of (i, 0) for ``side="right"``: the column that
-    the ``side`` action's matrix units carry it to and back from.
+    the ``side`` action's matrix units carry it to and back from.  A dual
+    or a product's result gathers its bases from those of the bimodule it
+    came from, and builds no column table.  Built once inside an open
+    product store.
     """
+    return stored(_corner_base, x, side)
+
+
+def _corner_base(x: Bimodule, side: str) -> np.ndarray:
+    if x.origin is not None:
+        return x.origin.corner_base(side)
     diag, labels = getattr(x, f"{side}_algebra").diagonal, getattr(x.frame, side)
     return moved_columns(x, side, np.arange(x.dim), diag.first[diag.block[labels]])
 
 
 def multiplicity_matrix(x: Bimodule) -> np.ndarray:
     """Multiplicity matrix: per pair of blocks, the frame columns of its first corner."""
-    return np.array([cols.shape[2] for cols in _corner_columns(x)], dtype=int).reshape(
-        len(x.left_algebra.blocks), len(x.right_algebra.blocks))
+    da, db = x.left_algebra.diagonal, x.right_algebra.diagonal
+    n_a, n_b = da.first[-1], db.first[-1]
+    counts = np.bincount(x.frame.left * n_b + x.frame.right, minlength=n_a * n_b)
+    return counts.reshape(n_a, n_b)[np.ix_(da.first[:-1], db.first[:-1])]
 
 
 def random_morphism_matrix(x: Bimodule, y: Bimodule,

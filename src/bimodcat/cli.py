@@ -7,9 +7,12 @@ Subcommands::
     tensor   report dimensions / Gram ranks / multiplicities of both products
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 construction or usage
-error, also a ``verify`` that runs no check.  ``--json`` writes a defect
-that is not finite as ``null``.  ``BIMODULE_TOL`` in the environment
-overrides the default tolerance; an explicit ``--tol`` flag wins over it.
+error, also a ``verify`` that runs no check.  ``tensor``'s check is m: it
+fails when m moves frame labels or corner bases between the two products,
+so that it is no bimodule map, or when its unitarity defect is over 10
+tol.  ``--json`` writes a defect that is not finite as ``null``.
+``BIMODULE_TOL`` in the environment overrides the default tolerance; an
+explicit ``--tol`` flag wins over it.
 A tolerance must be a finite number > 0 and < 1: a relative tolerance of
 1 or more passes a defect as large as the maps it compares.
 """
@@ -30,7 +33,7 @@ from . import coherence, instances
 from .bimodule import multiplicity_matrix
 from .linalg import DEFAULT_TOL, op_norm
 from .store import product_store
-from .tensor import m_iso, tensor_left, tensor_right
+from .tensor import keeps_frame, m_iso, m_perm, tensor_left, tensor_right
 
 
 @functools.cache
@@ -202,6 +205,14 @@ def cmd_tensor(args) -> int:
         return 2
     m = m_iso(x, y)
     m_defect = float(op_norm(m.conj().T @ m - np.eye(m.shape[1])))
+    # m is a 0/1 matrix, so its unitarity holds by construction: what can
+    # fail is that it is a bimodule map, which keeps labels and corner bases
+    perm = m_perm(x, y)
+    m_is_map = all(keeps_frame(perm, tp_l.result, tp_r.result, side)
+                   for side in ("left", "right"))
+    if not m_is_map:
+        print("bimodcat: m moves frame labels or corner bases between the "
+              "two products: it is not a bimodule map", file=sys.stderr)
     info = {
         "dims": {"X": x.dim, "Y": y.dim,
                  "ltimes": tp_l.dim, "rtimes": tp_r.dim},
@@ -231,7 +242,7 @@ def cmd_tensor(args) -> int:
             f"m unitarity defect      = {m_defect:.3e}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
-    return 0 if m_defect <= 10 * tol else 1
+    return 0 if m_is_map and m_defect <= 10 * tol else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

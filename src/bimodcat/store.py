@@ -6,11 +6,16 @@ open, it joins that store: a check called on its own keeps a store of its
 own, and inside a suite it shares the suite's.  While a store is open,
 :func:`stored` builds ``build(*args)`` once and returns the same object on
 every later call, so a product of a product's result is built once too.
-Functions take bimodules and fetch their products, duals, ``m`` maps,
-associators and unitors through :func:`stored`, which keeps each of them
-per key; of the maps between products, only
-``tensor_morphisms`` takes products, the two it maps between.  Arguments
-are keyed by identity (``Bimodule`` compares by identity).
+Functions take bimodules and fetch through :func:`stored`, which keeps
+each per key: products, duals, ``m`` maps, associators and unitors, the
+sector columns a product is cut from, each bimodule's corner bases per
+side (a product's result's gathered from its factors') and bounded
+spaces.  Of the maps between products, only ``tensor_morphisms`` takes
+products, the two it maps between.  Arguments are keyed by identity
+(``Bimodule`` compares by identity).  A product's result refers to its
+product weakly (:class:`bimodcat.tensor._ProductOf`), so what a store
+kept holds no reference cycle and is freed when the store closes,
+without waiting for the garbage collector.
 
 Every caller shares what a build made, so it is read-only.  A build that
 returns an array or a tuple of arrays has them made read-only here when
@@ -44,6 +49,8 @@ import numpy as np
 
 #: kept values of the open store
 _open: ContextVar[Optional[dict]] = ContextVar("product_store", default=None)
+#: no value kept under a key; None may be one
+_MISSING = object()
 
 
 @contextmanager
@@ -65,12 +72,13 @@ def stored(build: Callable, *args):
     if values is None:
         return build(*args)
     key = (build, *args)
-    if key not in values:
+    value = values.get(key, _MISSING)
+    if value is _MISSING:
         value = values[key] = build(*args)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, np.ndarray):
                 item.setflags(write=False)
-    return values[key]
+    return value
 
 
 def stored_for(m: np.ndarray, build: Callable, *args):

@@ -21,7 +21,11 @@ reverse.
 The result has the member count as its dimension and the identity on
 its members as its frame (:meth:`bimodcat.bimodule.Bimodule.from_frame`):
 its 0/1 action stacks are read off that frame only when something reads
-them, which no check of a suite, ``generate`` or ``tensor`` does.
+them, which no check of a suite, ``generate`` or ``tensor`` does.  A acts
+on the first leg alone and C on the second, so each per-side table of the
+result is its factor's, read through the members: the result's origin
+(:class:`_ProductOf`) gathers its corner bases and moved columns from the
+factors', and no column table is built for it.
 
 Maps that send frame columns to frame columns are index arrays:
 ``perm[j]`` is the target member of source member j, the 0/1 matrix P
@@ -51,8 +55,9 @@ spanning family is built; the tests keep those constructions as oracles.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -176,7 +181,45 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     for arr in (a, b, frame.left, frame.right):
         arr.setflags(write=False)
     result = Bimodule.from_frame(x.left_algebra, y.right_algebra, a.size, frame)
-    return TensorProduct(kind, x, y, result, a, b)
+    tp = TensorProduct(kind, x, y, result, a, b)
+    result.origin = _ProductOf(kind, x, y, weakref.ref(tp))
+    return tp
+
+
+class _ProductOf(NamedTuple):
+    """A product's result's origin: kind, factors and a weak reference to the product.
+
+    Member (a, b) moves on the left as X moves a and on the right as Y
+    moves b, so the result's left tables are X's and its right ones Y's,
+    read through the member table (:attr:`TensorProduct.index`).  The
+    reference is weak, so the result keeps no cycle through its product;
+    when that product is gone the store's, or a rebuilt one, has the same
+    members.
+    """
+
+    kind: str
+    x: Bimodule
+    y: Bimodule
+    product: weakref.ref
+
+    def _members(self) -> "TensorProduct":
+        tp = self.product()
+        return tp if tp is not None else stored(_tensor_product, self.kind,
+                                                self.x, self.y)
+
+    def moved_columns(self, side: str, cols: np.ndarray,
+                      labels: np.ndarray) -> np.ndarray:
+        tp = self._members()
+        a, b = tp.a[cols], tp.b[cols]
+        if side == "left":
+            return tp.index[moved_columns(self.x, side, a, labels), b]
+        return tp.index[a, moved_columns(self.y, side, b, labels)]
+
+    def corner_base(self, side: str) -> np.ndarray:
+        tp = self._members()
+        if side == "left":
+            return tp.index[corner_base(self.x, side)[tp.a], tp.b]
+        return tp.index[tp.a, corner_base(self.y, side)[tp.b]]
 
 
 def _member_map(f, g, a, b, a2, b2) -> np.ndarray:
@@ -213,10 +256,10 @@ def _frame_leg(name: str, side: str, m, x: Bimodule, x2: Bimodule):
     base (:func:`bimodcat.bimodule.corner_base`) by fixed 0/1 maps, so F
     must be F[base', base] between columns of equal ``side`` labels and 0
     between unequal ones, to 1e-6 max(1, ||m||_F) in the Frobenius norm;
-    an index array must keep labels and bases exactly.  Inside a product
-    store a read-only raw matrix is tested once per (leg, X, X', side) and
-    its F kept (:func:`bimodcat.store.stored_for`); a writable one may
-    change between calls, so it is tested on every call.
+    an index array must keep labels and bases exactly (:func:`keeps_frame`).
+    Inside a product store a read-only raw matrix is tested once per (leg,
+    X, X', side) and its F kept (:func:`bimodcat.store.stored_for`); a
+    writable one may change between calls, so it is tested on every call.
     """
     if m is None:
         if x is not x2:
@@ -229,23 +272,32 @@ def _frame_leg(name: str, side: str, m, x: Bimodule, x2: Bimodule):
                          f"({x2.dim}, {x.dim})")
     if m.ndim == 2:
         return stored_for(m, _dense_frame_leg, name, side, x, x2)
-    if not np.issubdtype(m.dtype, np.integer):
+    if m.dtype.kind not in "iu":
         raise ValueError(f"{name} is an index array of dtype {m.dtype}")
-    if not ((0 <= m) & (m < x2.dim)).all():
+    if m.size and (m.min() < 0 or m.max() >= x2.dim):
         raise ValueError(f"{name} has an index outside 0..{x2.dim - 1}")
-    labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
-    base, base2 = (stored(corner_base, y, side) for y in (x, x2))
-    if x2.dim != x.dim or not (np.array_equal(labels2[m], labels)
-                               and np.array_equal(base2[m], m[base])):
+    if x2.dim != x.dim or not keeps_frame(m, x, x2, side):
         raise _not_b_linear(name, side, "it moves frame labels or corners")
     return m
+
+
+def keeps_frame(perm: np.ndarray, x: Bimodule, x2: Bimodule, side: str) -> bool:
+    """Whether the index array ``perm`` : X -> X' keeps ``side`` labels and corner bases.
+
+    Frame column j goes to ``perm[j]``; with the ``side`` units acting by
+    fixed 0/1 maps between corners, that map is B-linear on ``side`` when
+    it keeps each column's label and sends its base to its image's base.
+    """
+    labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
+    base, base2 = corner_base(x, side), corner_base(x2, side)
+    return bool((labels2[perm] == labels).all() and (base2[perm] == perm[base]).all())
 
 
 def _dense_frame_leg(m: np.ndarray, name: str, side: str, x: Bimodule,
                      x2: Bimodule) -> np.ndarray:
     """Raw matrix leg ``m`` in frame coordinates, once B-linear (:func:`_frame_leg`)."""
     labels, labels2 = getattr(x.frame, side), getattr(x2.frame, side)
-    base, base2 = (stored(corner_base, y, side) for y in (x, x2))
+    base, base2 = corner_base(x, side), corner_base(x2, side)
     # W'^H m W, complex so that a product fits in place; a W that is None,
     # as a product's result's, is the identity
     frame = np.asarray(m, dtype=complex)

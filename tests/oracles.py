@@ -11,7 +11,10 @@ f (x) g's legs off the frames; :func:`hom_null_space`,
 :func:`multiplicity_traces` and :func:`stack_b_linear` find them from the
 action stacks alone.  It reads m and the unitors off the frame columns as
 index arrays; :func:`m_stacks` and :func:`unitor_stacks` build them as
-dense matrices from the factors' action stacks.
+dense matrices from the factors' action stacks.  It gathers a dual's and
+a product's result's corner bases and moved columns from the bimodule
+they came from; :func:`column_table_moves` reads them off a table of the
+bimodule's own frame columns by corner and rank.
 """
 
 import numpy as np
@@ -390,3 +393,42 @@ def transpose_on_product(f, c_src, c_tgt):
     """
     mat = c_src.matrix.conj().T @ transpose(f).matrix @ c_tgt.matrix
     return Morphism(c_tgt.source, c_src.source, mat)
+
+
+def column_table_moves(x):
+    """(moved, base, corners): X's column moves read off its own frame labels.
+
+    The s-th frame column of each corner, by frame order, is multiplicity
+    index s there, found by a stable argsort of the corners.
+    ``moved(side, cols, labels)`` is the s-th column of the corner at
+    ``labels`` on ``side`` and the column's own label on the other side,
+    ``base(side)`` the move of every column to the first label of its
+    block, and ``corners`` the per pair of blocks [i, j, s] tables of
+    :func:`bimodcat.bimodule._corner_columns`.
+    """
+    a, b = x.left_algebra, x.right_algebra
+    n_a, n_b = a.matrix_dim, b.matrix_dim
+    corner = x.frame.left * n_b + x.frame.right
+    order = corner.argsort(kind="stable")
+    ranked = corner[order]
+    rank = np.empty(x.dim, dtype=np.intp)
+    rank[order] = np.arange(x.dim) - ranked.searchsorted(ranked)
+    table = np.full((n_a * n_b, rank.max(initial=-1) + 1), -1, dtype=np.intp)
+    table[corner, rank] = np.arange(x.dim)
+
+    def moved(side, cols, labels):
+        left = labels if side == "left" else x.frame.left[cols]
+        right = labels if side == "right" else x.frame.right[cols]
+        return table[left * n_b + right, rank[cols]]
+
+    def base(side):
+        diag = getattr(x, f"{side}_algebra").diagonal
+        labels = getattr(x.frame, side)
+        return moved(side, np.arange(x.dim), diag.first[diag.block[labels]])
+
+    counts = np.bincount(corner, minlength=n_a * n_b)
+    corners = [table[((p0 + np.arange(n))[:, None] * n_b + q0 + np.arange(m)),
+                     :counts[p0 * n_b + q0]]
+               for p0, n in zip(a.diagonal.first, a.blocks)
+               for q0, m in zip(b.diagonal.first, b.blocks)]
+    return moved, base, corners

@@ -187,3 +187,67 @@ def test_a_bounded_basis_keeps_its_stack_read_only():
                 sp.action_units = units.copy()
     for side in ("left", "right"):
         assert getattr(given, f"{side}_units").flags.writeable
+
+
+def test_inner_products_and_actions_read_kept_stacks(monkeypatch):
+    # L2's stack is kept per algebra and side, read-only, and a basis's
+    # vectors carry the basis's stack: once the bases are built, inner
+    # products and defects build no stack, and a module action builds one,
+    # the bimodule's side that its outer element acts by
+    rng = np.random.default_rng(1)
+    x = random_bim(rng, (2, 1), (2,), [[1], [2]])
+    a, b = x.left_algebra, x.right_algebra
+    for alg in (a, b):
+        for side in ("left", "right"):
+            units = standard_form(alg).units(side)
+            assert standard_form(alg).units(side) is units
+            assert not units.flags.writeable
+            assert np.array_equal(units, getattr(standard_form(alg).bimodule,
+                                                 f"{side}_units"))
+    rb, lb = right_bounded_basis(x), left_bounded_basis(x)
+    builds, real = [], bimodule_module._frame_stacks
+
+    def counted(y, side):
+        builds.append((y, side))
+        return real(y, side)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    for g, g2 in zip(rb, rb[1:]):
+        right_inner(g, g2)
+        assert g.defect() < 1e-12
+    for f, f2 in zip(lb, lb[1:]):
+        left_inner(f2, f)
+        assert f.defect() < 1e-12
+    assert builds == []
+    g = rb[0].module_action(a.random_element(rng), b.random_element(rng))
+    f = lb[0].module_action(a.random_element(rng), b.random_element(rng))
+    assert [(id(y), side) for y, side in builds] == [(id(x), "left"),
+                                                     (id(x), "right")]
+    assert g.defect() < 1e-12 and f.defect() < 1e-12
+    # a vector made by hand has no kept stack and builds its bimodule's
+    BoundedVector("right", x, g.matrix).defect()
+    assert len(builds) == 3 and builds[-1] == (x, "right")
+
+
+def test_criterion_6_builds_each_l2_stack_once(monkeypatch):
+    # criterion 6 draws 200 vectors from two bounded bases it builds afresh
+    # per draw, one stack each: 800 builds of its bimodules' stacks, and
+    # each L2 stack at most once per algebra and side (13,406 builds in
+    # criteria 5 and 6 when L2's stack was built on every read)
+    import test_acceptance
+    builds = []
+    real = bimodule_module._frame_stacks
+
+    def counted(y, side):
+        builds.append((y, side))
+        return real(y, side)
+    algebra_module = importlib.import_module("bimodcat.algebra")
+    algebra_module._standard_units.cache_clear()
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+
+    def verdict(label, ok, detail=""):
+        assert ok, (label, detail)
+    test_acceptance.test_criterion_6_inner_product_identities(verdict)
+    l2 = [(id(y), side) for y, side in builds
+          if standard_form(y.left_algebra).bimodule is y]
+    assert len(builds) - len(l2) == 800
+    assert 0 < len(l2) == len(set(l2))

@@ -360,6 +360,34 @@ def test_tensor_tol_bounds_the_m_defect(capsys, monkeypatch):
     assert "m unitarity defect" in out
 
 
+def test_tensor_fails_an_m_that_is_no_bimodule_map(capsys, monkeypatch):
+    # m with two members of different corners of X rtimes Y swapped is
+    # still a permutation, so its unitarity defect reads 0.0; it moves frame
+    # labels, so it is no bimodule map: exit 1 and a stderr line naming m,
+    # with the report as it was.  The products of seeds 0, 3, 4 and 6 have
+    # 2, 2, 6 and 4 members, each in a corner of its own
+    seeds = (0, 3, 4, 6)
+    want = {}
+    for seed in seeds:
+        want[seed] = _run(capsys, "tensor", "--seed", str(seed), "--json")
+        assert want[seed][0] == 0 and want[seed][2] == ""
+    real = tensor_module._m_perm
+
+    def swapped(x, y):
+        perm = real(x, y).copy()
+        frame = tensor_module.tensor_right(x, y).result.frame
+        corners = list(zip(frame.left[perm], frame.right[perm]))
+        other = next(j for j, c in enumerate(corners) if c != corners[0])
+        perm[[0, other]] = perm[[other, 0]]
+        return perm
+    monkeypatch.setattr(tensor_module, "_m_perm", swapped)
+    for seed in seeds:
+        code, out, err = _run(capsys, "tensor", "--seed", str(seed), "--json")
+        assert code == 1
+        assert out == want[seed][1]
+        assert err.startswith("bimodcat: m moves frame labels or corner bases")
+
+
 def test_tensor_mismatched_chain(capsys, tmp_path):
     doc = to_document(generate(0, length=2))
     # break composability: point the second bimodule at an algebra within

@@ -1,6 +1,8 @@
+import gc
 import importlib
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -25,8 +27,9 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              right_unitor, right_unitor_perm, tensor,
                              tensor_left, tensor_matrix_extension_iso,
                              tensor_morphisms, tensor_right)
-from oracles import (bounded, conjugation_family, dual_stacks, ext_family,
-                     gram, induced_map, m_realization, m_stacks, member_stacks,
+from oracles import (bounded, column_table_moves, conjugation_family,
+                     dual_stacks, ext_family, gram, induced_map, m_realization,
+                     m_stacks, member_stacks,
                      multiplicity_traces, quotient, sector_bases,
                      stack_b_linear, standard_images, unitor_stacks)
 from random_bims import random_bim
@@ -1006,6 +1009,26 @@ def test_a_malformed_leg_is_a_value_error():
             assert err.type is ValueError
 
 
+def test_an_index_leg_of_any_integer_dtype_is_accepted():
+    # signed and unsigned integers of every width give the same gather;
+    # an empty leg on a factor of dimension 0 passes the range test
+    rng = np.random.default_rng(2)
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    y = random_bim(rng, (1, 2), (2,), [[1], [1]])
+    for kind in KINDS:
+        tp = tensor(kind, x, y)
+        want = tensor_morphisms(tp, tp, np.arange(x.dim), np.arange(y.dim))
+        for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+            got = tensor_morphisms(tp, tp, np.arange(x.dim, dtype=dtype),
+                                   np.arange(y.dim).astype(dtype))
+            assert np.array_equal(got, want)
+    empty = canonical_bimodule(x.left_algebra, x.right_algebra,
+                               np.zeros((1, 2), dtype=int))
+    for kind in KINDS:
+        tp = tensor(kind, empty, y)
+        assert tensor_morphisms(tp, tp, np.arange(0, dtype=np.uint8), None).shape == (0,)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_an_index_leg_beside_a_dense_leg_is_its_0_1_matrix(monkeypatch, seed):
     # a whiskered by L2(C) beside a random endomorphism of L2(C), and the
@@ -1263,3 +1286,133 @@ def test_each_action_read_builds_one_stack_of_its_own_side(monkeypatch):
             builds.clear()
             read()
             assert [(id(z), s) for z, s in builds] == [(id(bim), side)]
+
+
+def _derived_bimodules(chain):
+    """Results of both kinds, nested two and three deep, duals, products of
+    duals, duals of results and double duals, from a chain of four."""
+    x, y, z, w = chain
+    out = []
+    for kind in KINDS:
+        xy, yz, zw = (tensor(kind, *p).result for p in ((x, y), (y, z), (z, w)))
+        xy_z, x_yz = tensor(kind, xy, z).result, tensor(kind, x, yz).result
+        out += [xy, yz, zw, xy_z, x_yz, tensor(kind, y, zw).result,
+                tensor(kind, xy_z, w).result, tensor(kind, x_yz, w).result,
+                tensor(kind, x, tensor(kind, y, zw).result).result]
+        ys, xs = dual_bimodule(y), dual_bimodule(x)
+        out += [tensor(kind, ys, xs).result, dual_bimodule(xy),
+                dual_bimodule(xy_z), dual_bimodule(dual_bimodule(xy))]
+    for v in chain:
+        out += [dual_bimodule(v), dual_bimodule(dual_bimodule(v))]
+    return out
+
+
+def _matched_moves(b):
+    """Compare b's corner bases, moved columns and corner tables with the
+    column-table oracle; return the number of arrays compared."""
+    moved, base, corners = column_table_moves(b)
+    compared = 0
+    for side in ("left", "right"):
+        assert np.array_equal(bimodule_module.corner_base(b, side), base(side))
+        # every column to every label of its block
+        diag = getattr(b, f"{side}_algebra").diagonal
+        cols, labels = (diag.block[getattr(b.frame, side)][:, None]
+                        == diag.block).nonzero()
+        assert np.array_equal(bimodule_module.moved_columns(b, side, cols, labels),
+                              moved(side, cols, labels))
+        compared += 2
+    got = bimodule_module._corner_columns(b)
+    assert len(got) == len(corners)
+    for g, want in zip(got, corners):
+        assert g.shape == want.shape and np.array_equal(g, want)
+    return compared + len(corners)
+
+
+@pytest.mark.parametrize("limits", [
+    Limits(), Limits(min_mult=1), Limits(min_mult=1, max_mult=2)],
+    ids=["default", "min-mult-1", "max-mult-2"])
+def test_derived_moves_are_the_column_table_moves(limits):
+    # a dual's and a product's result's corner bases, moved columns and
+    # corner tables are gathered from the bimodule they came from; they
+    # are those of the column table of their own frames, at seeds 0-14
+    compared = 0
+    for seed in range(15):
+        spec = generate(seed, limits)
+        with product_store():
+            derived = _derived_bimodules(spec.bimodules)
+            assert all(b.origin is not None for b in derived)
+            compared += sum(_matched_moves(b) for b in derived)
+    assert compared > 1000
+
+
+def test_derived_moves_on_big_and_outside_a_store():
+    # "big" (dims 53/51/40/20); and outside a store, a result whose product
+    # is gone reads its moves off a rebuilt product with the same members
+    big = generate(1, Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3,
+                             max_dim=200))
+    with product_store():
+        assert sum(_matched_moves(b) for b in _derived_bimodules(big.bimodules)) > 100
+    x, y = big.bimodules[:2]
+    for kind in KINDS:
+        result = tensor(kind, x, y).result
+        assert result.origin.product() is None
+        _matched_moves(result)
+        _matched_moves(dual_bimodule(dual_bimodule(result)))
+
+
+def test_a_double_dual_shares_its_frame_arrays():
+    # X** is framed by X's own arrays, conj(conj(W)) being W bit for bit;
+    # X* conjugates W once
+    rng = np.random.default_rng(3)
+    x = random_bim(rng, (2,), (1, 2), [[1, 1]])
+    xs = dual_bimodule(x)
+    xss = dual_bimodule(xs)
+    assert xss is not x and xss.frame is x.frame
+    assert np.array_equal(xs.frame.w, np.conj(x.frame.w))
+    assert not xs.frame.w.flags.writeable
+    assert (xs.frame.left is x.frame.right) and (xs.frame.right is x.frame.left)
+    assert np.array_equal(xss.left_units, x.left_units)
+    assert np.array_equal(xss.right_units, x.right_units)
+
+
+@pytest.mark.parametrize("limits, seed", [
+    (None, 0), (Limits(min_mult=1), 18),
+    (Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3, max_dim=200), 1)],
+    ids=["seed-0", "min-mult-1-18", "big"])
+def test_a_suite_builds_no_column_table_for_a_derived_bimodule(monkeypatch,
+                                                               limits, seed):
+    # only a bimodule with a frame of its own reads a column table: a
+    # dual or a product's result gathers its bases from its origin's
+    read = []
+    table = Bimodule._column_table
+
+    def spy(self):
+        read.append(self)
+        return table.func(self)
+    monkeypatch.setattr(Bimodule, "_column_table", property(spy))
+    spec = generate(seed, limits)
+    report = run_suite(spec)
+    assert report["summary"]["passed"] == report["summary"]["total"] == 14
+    assert read and all(b.origin is None for b in read)
+
+
+def test_a_suites_results_are_freed_when_it_returns(monkeypatch):
+    # a result refers to its product weakly, so nothing of the suite's
+    # store outlives it, also without the garbage collector
+    refs = []
+    build = tensor_module._tensor_product
+
+    def counted(*args):
+        tp = build(*args)
+        refs.extend((weakref.ref(tp), weakref.ref(tp.result)))
+        return tp
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted)
+    spec = generate(18, Limits(min_mult=1))
+    gc.disable()
+    try:
+        report = run_suite(spec)
+        assert report["summary"]["passed"] == report["summary"]["total"]
+        assert len(refs) == 100
+        assert [ref for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
