@@ -6,6 +6,10 @@ product; elements are vectorized block-by-block in row-major order.
 :class:`MultiMatrixAlgebra` owns that numbering of the matrix units and the
 labels 0, 1, ... of the diagonal units (:meth:`MultiMatrixAlgebra.unit`,
 :attr:`MultiMatrixAlgebra.diagonal`); no other module does the arithmetic.
+Block sizes, and the multiplicities of a canonical model, are integers: a
+value that is not, as 2.7 or NaN, is named, not truncated (:func:`integral`).
+L2(A) is built once per block tuple and, like every bimodule with a frame,
+keeps no action stack: an element acts on it off its frame.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ class MultiMatrixAlgebra:
     blocks: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.blocks) < 1 or any(n < 1 for n in self.blocks):
+        blocks = tuple(integral(n, "block size") for n in self.blocks)
+        if len(blocks) < 1 or any(n < 1 for n in blocks):
             raise ValueError(f"block sizes must be positive, got {self.blocks}")
-        object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def matrix_dim(self) -> int:
@@ -113,6 +118,16 @@ class MultiMatrixAlgebra:
 
     def __repr__(self):
         return "MultiMatrixAlgebra(" + "+".join(f"M{n}" for n in self.blocks) + ")"
+
+
+def integral(value, what: str) -> int:
+    """``value`` as an int; ValueError naming it unless it is an integer, as 2.0 is."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):   # NaN, infinities
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 # The tables are cached on the block tuple, not on the algebra: a lookup
@@ -236,15 +251,6 @@ class StandardFormData:
         """Permutation P with sharp(v) = P conj(v)."""
         return self.algebra.adjoint_perm()
 
-    def units(self, side: str) -> np.ndarray:
-        """L2(A)'s ``side`` action stack, built once per algebra and side; read-only.
-
-        The bounded-vector layer reads it for every inner product and
-        module action (:mod:`bimodcat.bounded`); the bimodule's own
-        ``left_units`` and ``right_units`` still build afresh on every read.
-        """
-        return _standard_units(self.algebra, side)
-
 
 @functools.cache
 def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
@@ -264,13 +270,6 @@ def standard_form(algebra: MultiMatrixAlgebra) -> StandardFormData:
     for labels in bim.frame[1:]:
         labels.setflags(write=False)
     return StandardFormData(algebra=algebra, bimodule=bim)
-
-
-@functools.cache
-def _standard_units(algebra: MultiMatrixAlgebra, side: str) -> np.ndarray:
-    units = getattr(standard_form(algebra).bimodule, f"{side}_units")
-    units.setflags(write=False)
-    return units
 
 
 def gns_vector(phi: NormalFunctional) -> np.ndarray:

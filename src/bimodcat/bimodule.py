@@ -14,8 +14,11 @@ came from, its ``origin`` (:class:`_DualOf`, and
 :class:`bimodcat.tensor._ProductOf` for a result).
 The action stacks, ``left_units[u]`` the matrix of the u-th matrix unit of
 the left algebra and likewise ``right_units``, are a view: each read
-builds its one side afresh off the frame (:func:`_frame_stacks`).  Only a
-bimodule given by its stacks keeps them as given and finds its frame from
+builds its one side afresh off the frame (:func:`_frame_stacks`).  An
+element's action is the same scatter off the frame with the element's
+coefficients in place of the stack's 1s, and builds no stack
+(:func:`_frame_scatter`).  Only a bimodule given by its stacks keeps them
+as given, sums an element's action over them and finds its frame from
 them, by pivoted Gram-Schmidt once per pair of blocks (:func:`_stack_frame`).
 """
 
@@ -27,7 +30,8 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, MultiMatrixAlgebra, amplify_algebra
+from .algebra import (AlgebraElement, MultiMatrixAlgebra, amplify_algebra,
+                      integral)
 from .linalg import crandn, op_norm, range_basis
 from .store import stored
 
@@ -129,8 +133,7 @@ class Bimodule:
         key = np.empty(self.dim, dtype=np.intp)
         key[order] = cols - ranked.searchsorted(ranked)     # s
         key = key * size + corner
-        # whole runs of all corners, so that the table reshapes to [s, p, q]
-        table = np.empty((key.max(initial=-1) // size + 1) * size, dtype=np.intp)
+        table = np.empty(key.max(initial=-1) + 1, dtype=np.intp)
         table[key] = cols
         for arr in (key, table):
             arr.setflags(write=False)
@@ -162,10 +165,10 @@ class Bimodule:
         return left_units, right_units
 
     def left_action(self, a: AlgebraElement) -> np.ndarray:
-        return np.einsum("u,uij->ij", self.left_algebra.vec(a), self.left_units)
+        return _element_action(self, "left", a)
 
     def right_action(self, b: AlgebraElement) -> np.ndarray:
-        return np.einsum("u,uij->ij", self.right_algebra.vec(b), self.right_units)
+        return _element_action(self, "right", b)
 
     def validate(self, tol: float = 1e-8) -> float:
         """Full bimodule-axiom check; returns the worst defect found."""
@@ -453,7 +456,11 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     ||W^H W - 1||_F <= 1e-8: the unitality test of the stacks W U W^H,
     up to rounding, which are read off the frame only when read.
     """
-    mult = np.asarray(mult, dtype=int)
+    mult = np.asarray(mult)
+    if mult.dtype.kind not in "biu":
+        for m in mult.ravel().tolist():
+            integral(m, "multiplicity")
+    mult = mult.astype(int, copy=False)
     if mult.shape != (len(a.blocks), len(b.blocks)):
         raise ValueError("multiplicity matrix has wrong shape")
     if (mult < 0).any():
@@ -487,7 +494,25 @@ def canonical_bimodule(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
 
 
 def _frame_stacks(x: Bimodule, side: str) -> np.ndarray:
-    """X's ``side`` action stack W U W^H, U 0/1, read off the frame (:func:`moved_columns`)."""
+    """X's ``side`` action stack W U W^H, U 0/1, off the frame (:func:`_frame_scatter`)."""
+    return _frame_scatter(x, side, np.eye(getattr(x, f"{side}_algebra").dim))
+
+
+def _element_action(x: Bimodule, side: str, a: AlgebraElement) -> np.ndarray:
+    """a acting on X on ``side``: off the frame, or summed over the given stack."""
+    vec = getattr(x, f"{side}_algebra").vec(a)
+    if x._given is not None:
+        return np.einsum("u,uij->ij", vec, getattr(x, f"{side}_units"))
+    return _frame_scatter(x, side, vec)
+
+
+def _frame_scatter(x: Bimodule, side: str, coeffs: np.ndarray) -> np.ndarray:
+    """W m W^H for m = sum_u coeffs[..., u] U_u, U_u the u-th unit's 0/1 ``side`` action.
+
+    U_u carries frame columns to frame columns (:func:`moved_columns`), so
+    m is a scatter of the coefficients: the identity gives the stack, an
+    element's vector its action.
+    """
     alg, frame, d = getattr(x, f"{side}_algebra"), x.frame, x.dim
     diag, labels = alg.diagonal, getattr(frame, side)
     # column t, of label i, and each label p of its block: e_pi (left) or
@@ -495,11 +520,11 @@ def _frame_stacks(x: Bimodule, side: str) -> np.ndarray:
     t, p = (diag.block[labels][:, None] == diag.block).nonzero()
     i = labels[t]
     unit = diag.unit[p] + (i - p) if side == "left" else diag.unit[i] - (i - p)
-    units = np.zeros((alg.dim, d, d), dtype=complex)
-    units[unit, moved_columns(x, side, t, p), t] = 1
+    m = np.zeros(coeffs.shape[:-1] + (d, d), dtype=complex)
+    m[..., moved_columns(x, side, t, p), t] = coeffs[..., unit]
     if frame.w is not None:
-        units = frame.w @ units @ frame.w.conj().T
-    return units
+        m = frame.w @ m @ frame.w.conj().T
+    return m
 
 
 def moved_columns(x: Bimodule, side: str, cols: np.ndarray,
@@ -528,28 +553,18 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
 
     ``cols[i, j, s]`` is the s-th frame column labelled (p0 + i, q0 + j),
     for p0 and q0 the first diagonal units of blocks k and l: in an
-    adapted frame, multiplicity index s of the corner (i, j).  A bimodule
-    with a frame of its own reads them off :attr:`Bimodule._column_table`;
-    a dual or a product's result moves the columns of each first corner
-    (:func:`moved_columns`).
+    adapted frame, multiplicity index s of the corner (i, j): the columns
+    of the pair's first corner (0, 0), moved (:func:`moved_columns`).
     """
-    a, b = x.left_algebra, x.right_algebra
-    if x.origin is not None:
-        out = []
-        for p0, n in zip(a.diagonal.first, a.blocks):
-            for q0, m in zip(b.diagonal.first, b.blocks):
-                first = ((x.frame.left == p0) & (x.frame.right == q0)).nonzero()[0]
-                rows = moved_columns(x, "left", first, p0 + np.arange(n)[:, None])
-                out.append(moved_columns(x, "right", rows[:, None],
-                                         q0 + np.arange(m)[:, None]))
-        return out
-    key, table = x._column_table
-    n_a, n_b = a.matrix_dim, b.matrix_dim
-    mult = np.bincount(key % (n_a * n_b), minlength=n_a * n_b).reshape(n_a, n_b)
-    table = table.reshape(-1, n_a, n_b).transpose(1, 2, 0)      # [p, q, s]
-    return [table[p0:p0 + n, q0:q0 + m, :mult[p0, q0]]
-            for p0, n in zip(a.diagonal.first, a.blocks)
-            for q0, m in zip(b.diagonal.first, b.blocks)]
+    a, b, frame = x.left_algebra, x.right_algebra, x.frame
+    out = []
+    for p0, n in zip(a.diagonal.first, a.blocks):
+        for q0, m in zip(b.diagonal.first, b.blocks):
+            first = ((frame.left == p0) & (frame.right == q0)).nonzero()[0]
+            rows = moved_columns(x, "left", first, p0 + np.arange(n)[:, None])
+            out.append(moved_columns(x, "right", rows[:, None],
+                                     q0 + np.arange(m)[:, None]))
+    return out
 
 
 def corner_base(x: Bimodule, side: str) -> np.ndarray:

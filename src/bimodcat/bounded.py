@@ -9,10 +9,11 @@ product on them is the positive form W = sum_u R(b_u)^H R(b_u) over the
 matrix units of B (Hilbert-Schmidt inner product of the maps).
 The left-handed space Hom(L2(A) -> X) works mirror-image with the left
 action.  A bounded space reads its side's action stack once, for its form,
-and keeps it for its vectors' full matrices and their defects
-(``action_units``); L2's stacks are kept once per algebra and side
-(:meth:`bimodcat.algebra.StandardFormData.units`).  Inside an open product
-store each bounded space is built once.
+and keeps it for its vectors' full matrices (``action_units``).  Inner
+products and module actions read elements' actions, of X and of L2,
+which build no stack (:meth:`bimodcat.bimodule.Bimodule.left_action`); a
+vector's defect reads X's and L2's stacks of its side.  Inside an open
+product store each bounded space is built once.
 
 An orthonormal basis is a tight frame, S = sum_i f_i f_i^H = 1_X, so it is
 the frame of the projective realizations: S commutes with B and, being
@@ -45,8 +46,6 @@ class BoundedVector:
     side: str              # "right": L2(B) -> X, right-B-linear
     bimodule: Bimodule     # "left":  L2(A) -> X, left-A-linear
     matrix: np.ndarray     # dim X  x  dim L2
-    #: the bimodule's ``side`` stack, as a bounded basis keeps it, or None
-    action_units: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
@@ -64,33 +63,27 @@ class BoundedVector:
         return self.matrix @ self.algebra.identity().vec
 
     def defect(self) -> float:
-        """One-sided intertwiner defect over matrix units.
-
-        Reads the kept stack when the vector has one, else builds the
-        bimodule's; L2's is kept per algebra (:meth:`StandardFormData.units`).
-        """
-        units = self.action_units
-        if units is None:
-            units = getattr(self.bimodule, f"{self.side}_units")
-        std_units = standard_form(self.algebra).units(self.side)
+        """One-sided intertwiner defect over matrix units: reads X's and L2's stacks."""
+        l2 = standard_form(self.algebra).bimodule
         worst = 0.0
-        for u, su in zip(units, std_units):
+        for u, su in zip(getattr(self.bimodule, f"{self.side}_units"),
+                         getattr(l2, f"{self.side}_units")):
             worst = max(worst, op_norm(self.matrix @ su - u @ self.matrix))
         return worst
 
     def module_action(self, a: Optional[AlgebraElement],
                       b: Optional[AlgebraElement]) -> "BoundedVector":
         """a . g . b for right vectors, (a f b) for left vectors."""
-        m = self.matrix
+        m, l2 = self.matrix, standard_form(self.algebra).bimodule
         # the element on the bounded side acts on L2 and the other on the
         # bimodule, both through the action opposite to the bounded side
         inner, outer = (b, a) if self.side == "right" else (a, b)
         other = "left" if self.side == "right" else "right"
         if inner is not None:
-            m = m @ _standard_action(self.algebra, other, inner)
+            m = m @ getattr(l2, f"{other}_action")(inner)
         if outer is not None:
             m = getattr(self.bimodule, f"{other}_action")(outer) @ m
-        return BoundedVector(self.side, self.bimodule, m, self.action_units)
+        return BoundedVector(self.side, self.bimodule, m)
 
     def hs_inner(self, other: "BoundedVector") -> complex:
         return complex(np.vdot(self.matrix, other.matrix))
@@ -124,8 +117,7 @@ class BoundedBasis:
         return np.einsum("wab,b->aw", self.action_units, eval_vector)
 
     def vector(self, i: int) -> BoundedVector:
-        return BoundedVector(self.side, self.bimodule,
-                             self.map_for(self.vectors[:, i]), self.action_units)
+        return BoundedVector(self.side, self.bimodule, self.map_for(self.vectors[:, i]))
 
     def expand(self, eval_vectors: np.ndarray) -> np.ndarray:
         """HS coordinates w.r.t. the basis, columns of evaluation vectors in, out.
@@ -178,19 +170,13 @@ def _extract_multiplication(alg: MultiMatrixAlgebra, composite: np.ndarray,
     """Recover b from an operator on L2 that is left (or right) multiplication by b."""
     vec = composite @ alg.identity().vec
     b = alg.unvec(vec)
-    model = _standard_action(alg, side, b)
+    model = getattr(standard_form(alg).bimodule, f"{side}_action")(b)
     defect = op_norm(model - composite)
     if defect > 1e-8 * max(1.0, op_norm(composite)):
         raise ExtractionError(
             f"operator is not a {side} multiplication (defect {defect:.3e}); "
             "input is probably not an intertwiner")
     return b
-
-
-def _standard_action(alg: MultiMatrixAlgebra, side: str,
-                     a: AlgebraElement) -> np.ndarray:
-    """a acting on L2(A) on ``side``, through L2's kept stack."""
-    return np.einsum("u,uij->ij", alg.vec(a), standard_form(alg).units(side))
 
 
 def right_inner(g: BoundedVector, g2: BoundedVector) -> AlgebraElement:

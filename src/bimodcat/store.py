@@ -12,21 +12,22 @@ sector columns a product is cut from, each bimodule's corner bases per
 side (a product's result's gathered from its factors') and bounded
 spaces.  Of the maps between products, only ``tensor_morphisms`` takes
 products, the two it maps between.  Arguments are keyed by identity
-(``Bimodule`` compares by identity).  A product's result refers to its
-product weakly (:class:`bimodcat.tensor._ProductOf`), so what a store
-kept holds no reference cycle and is freed when the store closes,
-without waiting for the garbage collector.
+(``Bimodule`` compares by identity).  A product's result holds its
+product's factors and member arrays, not the product
+(:class:`bimodcat.tensor._ProductOf`), so what a store kept holds no
+reference cycle and is freed when the store closes, without waiting for
+the garbage collector.
 
 Every caller shares what a build made, so it is read-only.  A build that
 returns an array or a tuple of arrays has them made read-only here when
 it returns.  A build that returns an object seals the arrays it makes
-itself, inside a store or not: a product's members and its result's frame
-labels (:func:`bimodcat.tensor._tensor_product`), a dual's conjugated
-frame (:meth:`bimodcat.bimodule.Frame.conj`), a bounded space's form and
-vectors.  Nothing else is looked into: a bimodule keeps its own frame
-once it has it, and no action stacks but those it was given
-(:class:`bimodcat.bimodule.Bimodule`), so no store holds them, and a
-bimodule given as an argument keeps its arrays as given.
+itself, inside a store or not: a product's members, their table and
+its result's frame labels (:func:`bimodcat.tensor._tensor_product`), a
+dual's conjugated frame (:meth:`bimodcat.bimodule.Frame.conj`), a bounded
+space's form and vectors.  Nothing else is looked into: a bimodule
+keeps its own frame once it has it, and no action stacks but those it
+was given (:class:`bimodcat.bimodule.Bimodule`), so no store holds them,
+and a bimodule given as an argument keeps its arrays as given.
 Outside a store every call builds.
 
 An array cannot be a key, so :func:`stored_for` keeps a value per

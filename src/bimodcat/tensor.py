@@ -24,17 +24,18 @@ its 0/1 action stacks are read off that frame only when something reads
 them, which no check of a suite, ``generate`` or ``tensor`` does.  A acts
 on the first leg alone and C on the second, so each per-side table of the
 result is its factor's, read through the members: the result's origin
-(:class:`_ProductOf`) gathers its corner bases and moved columns from the
-factors', and no column table is built for it.
+(:class:`_ProductOf`), which holds the factors and the product's member
+arrays but not the product, gathers its corner bases and moved columns
+from the factors', and no column table is built for it.
 
 Maps that send frame columns to frame columns are index arrays:
 ``perm[j]`` is the target member of source member j, the 0/1 matrix P
 with P[perm[j], j] = 1 (:func:`bimodcat.linalg.permutation_matrix`),
-looked up in the products' member tables (:attr:`TensorProduct.index`).
-So are the associator, a triple of frame columns sent to itself
-(:func:`associator_perm`), the extension identifications, and m and the
-unitors, whose matrix units carry frame columns to frame columns
-(:func:`bimodcat.bimodule.moved_columns`).  :func:`m_iso`,
+looked up in the products' member tables (:attr:`TensorProduct.index`),
+built with the members.  So are the associator, a triple of frame
+columns sent to itself (:func:`associator_perm`), the extension
+identifications, and m and the unitors, whose matrix units carry frame
+columns to frame columns (:func:`bimodcat.bimodule.moved_columns`).  :func:`m_iso`,
 :func:`left_unitor` and :func:`right_unitor` give their raw matrices.
 
 f (x) g of 2-cells has one entry point, :func:`tensor_morphisms`, for
@@ -54,8 +55,6 @@ spanning family is built; the tests keep those constructions as oracles.
 
 from __future__ import annotations
 
-import functools
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -80,7 +79,8 @@ class TensorProduct:
     """A relative tensor product: its factors, its members and the result bimodule.
 
     Member i is the pair (a[i], b[i]) of frame columns of the two factors,
-    c_a[i] (x) d_b[i]; ``a`` and ``b`` are read-only.
+    c_a[i] (x) d_b[i]; ``index`` is the (dim X, dim Y) table of the
+    members, index[a[i], b[i]] = i, else -1.  All three are read-only.
     """
 
     kind: str
@@ -89,22 +89,11 @@ class TensorProduct:
     result: Bimodule
     a: np.ndarray
     b: np.ndarray
+    index: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.result.dim
-
-    @functools.cached_property
-    def index(self) -> np.ndarray:
-        """(dim X, dim Y) table of the members: index[a[i], b[i]] = i, else -1.
-
-        Built on first read and kept, read-only.
-        """
-        table = np.full((self.left_factor.dim, self.right_factor.dim), -1,
-                        dtype=np.intp)
-        table[self.a, self.b] = np.arange(self.a.size)
-        table.setflags(write=False)
-        return table
 
     @property
     def alg_dim(self) -> int:
@@ -161,9 +150,9 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
     Member (a, b) of block l pairs X's frame column a labelled p_l on the
     right with Y's column b labelled p_l on the left, listed block by
     block, then by a, then by b, reversed for rtimes.  A moves a alone and
-    C b alone, so the frame is adapted.  The members and the result's
-    frame labels are made read-only, inside a product store or not: a
-    write into them would corrupt every later product of the result.
+    C b alone, so the frame is adapted.  The members, their table and the
+    result's frame labels are made read-only, inside a product store or
+    not: a write into them would corrupt every later product of the result.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
@@ -176,50 +165,44 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
         # listed in reverse, so that m is not the identity where the middle
         # blocks have size 1
         a, b = a[::-1], b[::-1]
+    index = np.full((x.dim, y.dim), -1, dtype=np.intp)
+    index[a, b] = np.arange(a.size)
     # member (a, b) lies in the corner of c_a's left label and d_b's right one
     frame = Frame(None, x.frame.left[a], y.frame.right[b])
-    for arr in (a, b, frame.left, frame.right):
+    for arr in (a, b, index, frame.left, frame.right):
         arr.setflags(write=False)
     result = Bimodule.from_frame(x.left_algebra, y.right_algebra, a.size, frame)
-    tp = TensorProduct(kind, x, y, result, a, b)
-    result.origin = _ProductOf(kind, x, y, weakref.ref(tp))
-    return tp
+    result.origin = _ProductOf(x, y, a, b, index)
+    return TensorProduct(kind, x, y, result, a, b, index)
 
 
 class _ProductOf(NamedTuple):
-    """A product's result's origin: kind, factors and a weak reference to the product.
+    """A product's result's origin: the factors and the product's members and table.
 
     Member (a, b) moves on the left as X moves a and on the right as Y
     moves b, so the result's left tables are X's and its right ones Y's,
     read through the member table (:attr:`TensorProduct.index`).  The
-    reference is weak, so the result keeps no cycle through its product;
-    when that product is gone the store's, or a rebuilt one, has the same
-    members.
+    result holds the product's arrays, not the product: it keeps no cycle
+    through it and reads its moves with or without it.
     """
 
-    kind: str
     x: Bimodule
     y: Bimodule
-    product: weakref.ref
-
-    def _members(self) -> "TensorProduct":
-        tp = self.product()
-        return tp if tp is not None else stored(_tensor_product, self.kind,
-                                                self.x, self.y)
+    a: np.ndarray
+    b: np.ndarray
+    index: np.ndarray
 
     def moved_columns(self, side: str, cols: np.ndarray,
                       labels: np.ndarray) -> np.ndarray:
-        tp = self._members()
-        a, b = tp.a[cols], tp.b[cols]
+        a, b = self.a[cols], self.b[cols]
         if side == "left":
-            return tp.index[moved_columns(self.x, side, a, labels), b]
-        return tp.index[a, moved_columns(self.y, side, b, labels)]
+            return self.index[moved_columns(self.x, side, a, labels), b]
+        return self.index[a, moved_columns(self.y, side, b, labels)]
 
     def corner_base(self, side: str) -> np.ndarray:
-        tp = self._members()
         if side == "left":
-            return tp.index[corner_base(self.x, side)[tp.a], tp.b]
-        return tp.index[tp.a, corner_base(self.y, side)[tp.b]]
+            return self.index[corner_base(self.x, side)[self.a], self.b]
+        return self.index[self.a, corner_base(self.y, side)[self.b]]
 
 
 def _member_map(f, g, a, b, a2, b2) -> np.ndarray:

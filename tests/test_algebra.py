@@ -32,6 +32,12 @@ def test_invalid_blocks():
         MultiMatrixAlgebra(())
     with pytest.raises(ValueError):
         MultiMatrixAlgebra((2, 0))
+    # a size that is no integer is named, not truncated; an integral float
+    # or a numpy integer is its int
+    for bad in (2.7, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"block size must be an integer, got {bad}"):
+            MultiMatrixAlgebra((bad, 1))
+    assert MultiMatrixAlgebra((2.0, np.int64(1))).blocks == (2, 1)
 
 
 def test_element_arithmetic():

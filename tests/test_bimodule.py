@@ -129,6 +129,20 @@ def test_bad_actions_rejected():
     Bimodule(a, a, noisy, sf.right_units)
 
 
+def test_a_multiplicity_that_is_no_integer_is_rejected():
+    # named, not truncated to [[1, 0]], and NaN with no cast warning; an
+    # integral float or a numpy integer is its int
+    a, b = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((1, 2))
+    for bad, named in (([[1.7, 0.4]], "1.7"), ([[1, np.nan]], "nan")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"multiplicity must be an integer, got {named}"):
+                canonical_bimodule(a, b, bad)
+    x = canonical_bimodule(a, b, [[2.0, np.int64(1)]])
+    assert np.array_equal(multiplicity_matrix(x), [[2, 1]]) and x.dim == 8
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0], ids=["nan", "inf", "two"])
 def test_a_basis_unitary_that_is_not_unitary_is_rejected(bad):
     # ||W^H W - 1||_F <= 1e-8 is checked on W itself, with no warning, also

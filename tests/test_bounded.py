@@ -153,18 +153,24 @@ def test_bounded_vector_shape_checked():
         BoundedVector("up", x, np.zeros((x.dim, x.right_algebra.dim)))
 
 
+def _stack_builds(monkeypatch):
+    """The (bimodule, side) of each stack read off a frame."""
+    builds, real = [], bimodule_module._frame_stacks
+
+    def counted(y, side):
+        builds.append((y, side))
+        return real(y, side)
+    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    return builds
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_a_bounded_basis_builds_one_stack_of_its_side(monkeypatch, side):
     # the space reads X's stack of its side once, for its form, and every
     # vector's full matrix reads the kept stack: no other stack is built
     rng = np.random.default_rng(1)
     x = random_bim(rng, (2, 1), (2,), [[1], [2]])
-    builds, real = [], bimodule_module._frame_stacks
-
-    def counted(y, s):
-        builds.append((y, s))
-        return real(y, s)
-    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    builds = _stack_builds(monkeypatch)
     basis = {"right": right_bounded_basis, "left": left_bounded_basis}[side](x)
     assert len(basis) == x.dim
     assert [(id(y), s) for y, s in builds] == [(id(x), side)]
@@ -189,65 +195,49 @@ def test_a_bounded_basis_keeps_its_stack_read_only():
         assert getattr(given, f"{side}_units").flags.writeable
 
 
-def test_inner_products_and_actions_read_kept_stacks(monkeypatch):
-    # L2's stack is kept per algebra and side, read-only, and a basis's
-    # vectors carry the basis's stack: once the bases are built, inner
-    # products and defects build no stack, and a module action builds one,
-    # the bimodule's side that its outer element acts by
+def test_inner_products_and_actions_build_no_stack(monkeypatch):
+    # an element acts through a scatter off the frame: once the bases are
+    # built, inner products, module actions and the multiplications they
+    # extract build no stack; a vector's defect reads two stacks of its
+    # side, its bimodule's and L2's
     rng = np.random.default_rng(1)
     x = random_bim(rng, (2, 1), (2,), [[1], [2]])
     a, b = x.left_algebra, x.right_algebra
-    for alg in (a, b):
-        for side in ("left", "right"):
-            units = standard_form(alg).units(side)
-            assert standard_form(alg).units(side) is units
-            assert not units.flags.writeable
-            assert np.array_equal(units, getattr(standard_form(alg).bimodule,
-                                                 f"{side}_units"))
     rb, lb = right_bounded_basis(x), left_bounded_basis(x)
-    builds, real = [], bimodule_module._frame_stacks
-
-    def counted(y, side):
-        builds.append((y, side))
-        return real(y, side)
-    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    a1, b1 = a.random_element(rng), b.random_element(rng)
+    builds = _stack_builds(monkeypatch)
     for g, g2 in zip(rb, rb[1:]):
         right_inner(g, g2)
-        assert g.defect() < 1e-12
     for f, f2 in zip(lb, lb[1:]):
         left_inner(f2, f)
-        assert f.defect() < 1e-12
+    g, f = rb[0].module_action(a1, b1), lb[0].module_action(a1, b1)
     assert builds == []
-    g = rb[0].module_action(a.random_element(rng), b.random_element(rng))
-    f = lb[0].module_action(a.random_element(rng), b.random_element(rng))
-    assert [(id(y), side) for y, side in builds] == [(id(x), "left"),
-                                                     (id(x), "right")]
-    assert g.defect() < 1e-12 and f.defect() < 1e-12
-    # a vector made by hand has no kept stack and builds its bimodule's
-    BoundedVector("right", x, g.matrix).defect()
-    assert len(builds) == 3 and builds[-1] == (x, "right")
+    for v in (rb[0], lb[0], g, f):
+        builds.clear()
+        assert v.defect() < 1e-12
+        l2 = standard_form(v.algebra).bimodule
+        assert [(id(y), side) for y, side in builds] == [(id(x), v.side),
+                                                         (id(l2), v.side)]
+    # a g b and a f b are the sums over the stacks
+    def summed(bim, side, elem):
+        return np.einsum("u,uij->ij", elem.vec, getattr(bim, f"{side}_units"))
+    l2a, l2b = standard_form(a).bimodule, standard_form(b).bimodule
+    for got, want in (
+            (g, summed(x, "left", a1) @ rb[0].matrix @ summed(l2b, "left", b1)),
+            (f, summed(x, "right", b1) @ lb[0].matrix @ summed(l2a, "right", a1))):
+        assert np.abs(got.matrix - want).max() <= 1e-12
 
 
-def test_criterion_6_builds_each_l2_stack_once(monkeypatch):
+def test_criterion_6_builds_no_l2_stack(monkeypatch):
     # criterion 6 draws 200 vectors from two bounded bases it builds afresh
-    # per draw, one stack each: 800 builds of its bimodules' stacks, and
-    # each L2 stack at most once per algebra and side (13,406 builds in
-    # criteria 5 and 6 when L2's stack was built on every read)
+    # per draw, one stack each: 400 builds of its bimodules' stacks; its
+    # inner products and module actions read elements' actions off the
+    # frames and build no stack, of L2 or of a bimodule
     import test_acceptance
-    builds = []
-    real = bimodule_module._frame_stacks
-
-    def counted(y, side):
-        builds.append((y, side))
-        return real(y, side)
-    algebra_module = importlib.import_module("bimodcat.algebra")
-    algebra_module._standard_units.cache_clear()
-    monkeypatch.setattr(bimodule_module, "_frame_stacks", counted)
+    builds = _stack_builds(monkeypatch)
 
     def verdict(label, ok, detail=""):
         assert ok, (label, detail)
     test_acceptance.test_criterion_6_inner_product_identities(verdict)
-    l2 = [(id(y), side) for y, side in builds
-          if standard_form(y.left_algebra).bimodule is y]
-    assert len(builds) - len(l2) == 800
-    assert 0 < len(l2) == len(set(l2))
+    assert len(builds) == 400
+    assert not any(standard_form(y.left_algebra).bimodule is y for y, _ in builds)

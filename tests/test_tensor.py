@@ -1265,27 +1265,32 @@ def test_frame_stacks_are_built_afresh_on_every_read(monkeypatch):
     assert given.left_units is left and given.right_units is right
 
 
-def test_each_action_read_builds_one_stack_of_its_own_side(monkeypatch):
-    # left_units, right_units, left_action and right_action on a canonical
-    # model, both products' results, a dual, a matrix extension and L2(A):
-    # each read builds its own side's stack once and the other side's not
+def test_a_stack_read_builds_its_side_and_an_action_read_none(monkeypatch):
+    # on a canonical model, both products' results, a dual, a matrix
+    # extension, L2(A) and a bimodule given by its stacks: left_units and
+    # right_units build their own side's stack once, or none when given;
+    # left_action and right_action, a scatter off the frame or a sum over
+    # the given stack, build none and are the sum over the stack
     rng = np.random.default_rng(4)
     x = random_bim(rng, (2,), (1, 2), [[1, 1]])
     y = random_bim(rng, (1, 2), (2,), [[1], [1]])
+    given = Bimodule(x.left_algebra, x.right_algebra, x.left_units, x.right_units)
     bims = (x, tensor_left(x, y).result, tensor_right(x, y).result,
             dual_bimodule(x), matrix_extension(x, 2, 1),
-            standard_form(x.left_algebra).bimodule)
+            standard_form(x.left_algebra).bimodule, given)
     builds = _stack_builds(monkeypatch)
     for bim in bims:
-        a = bim.left_algebra.random_element(rng)
-        b = bim.right_algebra.random_element(rng)
-        for side, read in (("left", lambda: bim.left_units),
-                           ("right", lambda: bim.right_units),
-                           ("left", lambda: bim.left_action(a)),
-                           ("right", lambda: bim.right_action(b))):
+        for side in ("left", "right"):
+            elem = getattr(bim, f"{side}_algebra").random_element(rng)
             builds.clear()
-            read()
-            assert [(id(z), s) for z, s in builds] == [(id(bim), side)]
+            stack = getattr(bim, f"{side}_units")
+            assert [(id(z), s) for z, s in builds] == (
+                [] if bim is given else [(id(bim), side)])
+            builds.clear()
+            got = getattr(bim, f"{side}_action")(elem)
+            assert builds == []
+            want = np.einsum("u,uij->ij", elem.vec, stack)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 def _derived_bimodules(chain):
@@ -1345,19 +1350,29 @@ def test_derived_moves_are_the_column_table_moves(limits):
     assert compared > 1000
 
 
-def test_derived_moves_on_big_and_outside_a_store():
+def test_derived_moves_on_big_and_outside_a_store(monkeypatch):
     # "big" (dims 53/51/40/20); and outside a store, a result whose product
-    # is gone reads its moves off a rebuilt product with the same members
+    # is gone reads its moves off the member table it holds, and builds no
+    # product for them
     big = generate(1, Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3,
                              max_dim=200))
     with product_store():
         assert sum(_matched_moves(b) for b in _derived_bimodules(big.bimodules)) > 100
+    built, build = [], tensor_module._tensor_product
+
+    def counted(*args):
+        tp = build(*args)
+        built.append(weakref.ref(tp))
+        return tp
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted)
     x, y = big.bimodules[:2]
     for kind in KINDS:
         result = tensor(kind, x, y).result
-        assert result.origin.product() is None
+        assert len(built) == 1 and built[0]() is None
         _matched_moves(result)
         _matched_moves(dual_bimodule(dual_bimodule(result)))
+        assert len(built) == 1
+        built.clear()
 
 
 def test_a_double_dual_shares_its_frame_arrays():
@@ -1397,8 +1412,8 @@ def test_a_suite_builds_no_column_table_for_a_derived_bimodule(monkeypatch,
 
 
 def test_a_suites_results_are_freed_when_it_returns(monkeypatch):
-    # a result refers to its product weakly, so nothing of the suite's
-    # store outlives it, also without the garbage collector
+    # a result holds its product's arrays, not the product, so nothing of
+    # the suite's store outlives it, also without the garbage collector
     refs = []
     build = tensor_module._tensor_product
 
