@@ -557,14 +557,14 @@ def _corner_columns(x: Bimodule) -> List[np.ndarray]:
     of the pair's first corner (0, 0), moved (:func:`moved_columns`).
     """
     a, b, frame = x.left_algebra, x.right_algebra, x.frame
-    out = []
-    for p0, n in zip(a.diagonal.first, a.blocks):
-        for q0, m in zip(b.diagonal.first, b.blocks):
-            first = ((frame.left == p0) & (frame.right == q0)).nonzero()[0]
-            rows = moved_columns(x, "left", first, p0 + np.arange(n)[:, None])
-            out.append(moved_columns(x, "right", rows[:, None],
-                                     q0 + np.arange(m)[:, None]))
-    return out
+    pair = (a.diagonal.block[frame.left] * len(b.blocks)
+            + b.diagonal.block[frame.right])
+    corner = frame.left * b.matrix_dim + frame.right
+    order = (pair * a.matrix_dim * b.matrix_dim + corner).argsort(kind="stable")
+    sizes = np.bincount(pair, minlength=len(a.blocks) * len(b.blocks))
+    shapes = [(n, m) for n in a.blocks for m in b.blocks]
+    return [order[end - size:end].reshape(n, m, -1) for end, size, (n, m) in
+            zip(sizes.cumsum().tolist(), sizes.tolist(), shapes)]
 
 
 def corner_base(x: Bimodule, side: str) -> np.ndarray:

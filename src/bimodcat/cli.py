@@ -31,9 +31,9 @@ import numpy as np
 
 from . import coherence, instances
 from .bimodule import multiplicity_matrix
-from .linalg import DEFAULT_TOL, op_norm
+from .linalg import DEFAULT_TOL
 from .store import product_store
-from .tensor import keeps_frame, m_iso, m_perm, tensor_left, tensor_right
+from .tensor import keeps_frame, m_perm, tensor_left, tensor_right
 
 
 @functools.cache
@@ -203,11 +203,11 @@ def cmd_tensor(args) -> int:
     except ValueError as exc:
         print(f"bimodcat: {exc}", file=sys.stderr)
         return 2
-    m = m_iso(x, y)
-    m_defect = float(op_norm(m.conj().T @ m - np.eye(m.shape[1])))
-    # m is a 0/1 matrix, so its unitarity holds by construction: what can
-    # fail is that it is a bimodule map, which keeps labels and corner bases
+    # m is the 0/1 matrix P of an index array: ||P^H P - 1|| is the most
+    # members it sends to one target, less 1.  What can fail is that m is
+    # a bimodule map, which keeps labels and corner bases
     perm = m_perm(x, y)
+    m_defect = float(np.bincount(perm).max(initial=1) - 1)
     m_is_map = all(keeps_frame(perm, tp_l.result, tp_r.result, side)
                    for side in ("left", "right"))
     if not m_is_map:

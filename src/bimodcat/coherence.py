@@ -269,9 +269,14 @@ def check_duality_square(kind: str, x: Bimodule, y: Bimodule,
 def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
                            rng: np.random.Generator,
                            base_tol: float = DEFAULT_TOL,
-                           mutation: Optional[Mutation] = None
+                           mutation: Optional[Mutation] = None,
+                           squares: Sequence[str] = NATURALITY_FAMILIES
                            ) -> List[CheckResult]:
-    """Naturality squares for l, r, a, m, c against random endomorphisms."""
+    """Naturality squares for l, r, a, m, c against random endomorphisms.
+
+    Only the ``squares`` named are computed, from f, g and tolerances drawn
+    as for all four.
+    """
     out: List[CheckResult] = []
     dims = (x.dim, y.dim, z.dim)
     f = random_morphism(x, x, rng).matrix
@@ -284,48 +289,55 @@ def check_naturality_suite(x: Bimodule, y: Bimodule, z: Bimodule,
     ft, gt = f.T, g.T
     tol_f = scale_tol(op_norm(f), base=base_tol)    # the unitor squares draw f
     tol_fg = scale_tol(op_norm(g), base=tol_f)      # the others f and g
-    l2a = standard_form(x.left_algebra).bimodule
-    l2b = standard_form(x.right_algebra).bimodule
 
-    worst = 0.0
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        for tp, unitor, f1, f2 in (
-                (tensor(kind, l2a, x), left_unitor, None, f),
-                (tensor(kind, x, l2b), right_unitor, f, None)):
-            u = unitor(kind, x)
-            e = tensor_morphisms(tp, tp, f1, f2)
-            worst = max(worst, op_norm(u @ e - f @ u))
-    out.append(_result("naturality-unitors", worst, tol_f, dims))
+    if "naturality-unitors" in squares:
+        l2a = standard_form(x.left_algebra).bimodule
+        l2b = standard_form(x.right_algebra).bimodule
+        worst = 0.0
+        for kind in (KIND_LEFT, KIND_RIGHT):
+            for tp, unitor, f1, f2 in (
+                    (tensor(kind, l2a, x), left_unitor, None, f),
+                    (tensor(kind, x, l2b), right_unitor, f, None)):
+                u = unitor(kind, x)
+                e = tensor_morphisms(tp, tp, f1, f2)
+                worst = max(worst, op_norm(u @ e - f @ u))
+        out.append(_result("naturality-unitors", worst, tol_f, dims))
 
-    t_xy = {kind: tensor(kind, x, y) for kind in (KIND_LEFT, KIND_RIGHT)}
-    fg = {}     # f (x) g on X (x) Y, per kind: shared by the next three squares
-    worst = 0.0
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        t_yz = tensor(kind, y, z)
-        t_xy_z = tensor(kind, t_xy[kind].result, z)
-        t_x_yz = tensor(kind, x, t_yz.result)
-        a = associator_perm(kind, x, y, z)
-        fg[kind] = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
-        fg[kind].setflags(write=False)
-        lhs = _path(a, tensor_morphisms(t_xy_z, t_xy_z, fg[kind], None))
-        gz = tensor_morphisms(t_yz, t_yz, g, None)
-        rhs = _path(tensor_morphisms(t_x_yz, t_x_yz, f, gz), a)
-        worst = max(worst, op_norm(lhs - rhs))
-    out.append(_result("naturality-assoc", worst, tol_fg, dims))
+    t_xy, fg = {}, {}   # per kind, X (x) Y and f (x) g on it, for the rest
+    if set(squares) - {"naturality-unitors"}:
+        for kind in (KIND_LEFT, KIND_RIGHT):
+            t_xy[kind] = tensor(kind, x, y)
+            fg[kind] = tensor_morphisms(t_xy[kind], t_xy[kind], f, g)
+            fg[kind].setflags(write=False)
 
-    m = _twist(m_perm(x, y), "m", mutation)
-    lhs = _path(m, fg[KIND_LEFT])
-    rhs = _path(fg[KIND_RIGHT], m)
-    out.append(_result("naturality-m", op_norm(lhs - rhs), tol_fg, dims))
+    if "naturality-assoc" in squares:
+        worst = 0.0
+        for kind in (KIND_LEFT, KIND_RIGHT):
+            t_yz = tensor(kind, y, z)
+            t_xy_z = tensor(kind, t_xy[kind].result, z)
+            t_x_yz = tensor(kind, x, t_yz.result)
+            a = associator_perm(kind, x, y, z)
+            lhs = _path(a, tensor_morphisms(t_xy_z, t_xy_z, fg[kind], None))
+            gz = tensor_morphisms(t_yz, t_yz, g, None)
+            rhs = _path(tensor_morphisms(t_x_yz, t_x_yz, f, gz), a)
+            worst = max(worst, op_norm(lhs - rhs))
+        out.append(_result("naturality-assoc", worst, tol_fg, dims))
 
-    worst = 0.0
-    xs, ys = dual_bimodule(x), dual_bimodule(y)
-    for kind in (KIND_LEFT, KIND_RIGHT):
-        t_yx = tensor(kind, ys, xs)
-        c = conjugation_perm(kind, x, y)
-        tgf = tensor_morphisms(t_yx, t_yx, gt, ft)
-        worst = max(worst, op_norm(_path(c, tgf) - _path(fg[kind].T, c)))
-    out.append(_result("naturality-c", worst, tol_fg, dims))
+    if "naturality-m" in squares:
+        m = _twist(m_perm(x, y), "m", mutation)
+        lhs = _path(m, fg[KIND_LEFT])
+        rhs = _path(fg[KIND_RIGHT], m)
+        out.append(_result("naturality-m", op_norm(lhs - rhs), tol_fg, dims))
+
+    if "naturality-c" in squares:
+        worst = 0.0
+        xs, ys = dual_bimodule(x), dual_bimodule(y)
+        for kind in (KIND_LEFT, KIND_RIGHT):
+            t_yx = tensor(kind, ys, xs)
+            c = conjugation_perm(kind, x, y)
+            tgf = tensor_morphisms(t_yx, t_yx, gt, ft)
+            worst = max(worst, op_norm(_path(c, tgf) - _path(fg[kind].T, c)))
+        out.append(_result("naturality-c", worst, tol_fg, dims))
     return out
 
 
@@ -381,12 +393,11 @@ def run_suite(instance: InstanceSpec, tol: float = DEFAULT_TOL,
                 name=name, defect=float("inf"), tol=0.0, passed=False,
                 error=f"{type(exc).__name__}: {exc}"))
             return
-        results.extend(r for r in (out if isinstance(out, list) else [out])
-                       if r.name in wanted)
+        results.extend(out if isinstance(out, list) else [out])
 
     def naturality(x, y, z, **kw) -> List[CheckResult]:
         rng = np.random.default_rng(instance.seed + 1)
-        return check_naturality_suite(x, y, z, rng, **kw)
+        return check_naturality_suite(x, y, z, rng, **kw, squares=wanted)
 
     with product_store():
         for kind in (KIND_LEFT, KIND_RIGHT):

@@ -7,28 +7,27 @@ own, and inside a suite it shares the suite's.  While a store is open,
 :func:`stored` builds ``build(*args)`` once and returns the same object on
 every later call, so a product of a product's result is built once too.
 Functions take bimodules and fetch through :func:`stored`, which keeps
-each per key: products, duals, ``m`` maps, associators and unitors, the
-sector columns a product is cut from, each bimodule's corner bases per
-side (a product's result's gathered from its factors') and bounded
-spaces.  Of the maps between products, only ``tensor_morphisms`` takes
-products, the two it maps between.  Arguments are keyed by identity
-(``Bimodule`` compares by identity).  A product's result holds its
-product's factors and member arrays, not the product
+each per key: products, duals, ``m`` maps, associators and unitors, each
+bimodule's corner bases per side (a product's result's gathered from its
+factors') and bounded spaces.  Of the maps between products, only
+``tensor_morphisms`` takes products, the two it maps between.  Arguments
+are keyed by identity (``Bimodule`` compares by identity).  A product's
+result holds its product's factors and member arrays, not the product
 (:class:`bimodcat.tensor._ProductOf`), so what a store kept holds no
 reference cycle and is freed when the store closes, without waiting for
 the garbage collector.
 
 Every caller shares what a build made, so it is read-only.  A build that
-returns an array or a tuple of arrays has them made read-only here when
-it returns.  A build that returns an object seals the arrays it makes
-itself, inside a store or not: a product's members, their table and
-its result's frame labels (:func:`bimodcat.tensor._tensor_product`), a
-dual's conjugated frame (:meth:`bimodcat.bimodule.Frame.conj`), a bounded
-space's form and vectors.  Nothing else is looked into: a bimodule
-keeps its own frame once it has it, and no action stacks but those it
-was given (:class:`bimodcat.bimodule.Bimodule`), so no store holds them,
-and a bimodule given as an argument keeps its arrays as given.
-Outside a store every call builds.
+returns an array has it made read-only here when it returns.  A build
+that returns an object seals the arrays it makes itself, inside a store
+or not: a product's members, their table and its result's frame labels
+(:func:`bimodcat.tensor._tensor_product`), a dual's conjugated frame
+(:meth:`bimodcat.bimodule.Frame.conj`), a bounded space's form and
+vectors.  Nothing else is looked into: a bimodule keeps its own frame
+once it has it, and no action stacks but those it was given
+(:class:`bimodcat.bimodule.Bimodule`), so no store holds them, and a
+bimodule given as an argument keeps its arrays as given.  Outside a
+store every call builds.
 
 An array cannot be a key, so :func:`stored_for` keeps a value per
 read-only array, by identity, and keeps the array with it: the
@@ -76,9 +75,8 @@ def stored(build: Callable, *args):
     value = values.get(key, _MISSING)
     if value is _MISSING:
         value = values[key] = build(*args)
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                item.setflags(write=False)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return value
 
 

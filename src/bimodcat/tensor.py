@@ -10,9 +10,10 @@ Both are built from the sectors of B = (+)_l M_m.  For a minimal
 projection p of block l, [xi, xi']_B = <xi, xi'> p on X p, so X (x)_B Y is
 the orthogonal sum over l of X p (x) p Y.  The columns c_a of X's frame
 (:class:`bimodcat.bimodule.Frame`) labelled p on the right and d_b of Y's
-labelled p on the left (:func:`_sector_columns`) are orthonormal bases of
-X p and p Y, so the tensors c_a (x) d_b, each a pair (a, b) of frame
-columns, are an orthonormal basis of the product and the result's frame.
+labelled p on the left are orthonormal bases of X p and p Y, so the
+tensors c_a (x) d_b, each a pair (a, b) of frame columns, are an
+orthonormal basis of the product and the result's frame; one mask of
+the frame labels holds every block's pairs (:func:`_tensor_product`).
 A product keeps its members as two index arrays, ``tp.a`` and ``tp.b``;
 the frames stay with the factors.  ltimes cuts block l with p = e_00 and
 rtimes with its last diagonal unit, and rtimes lists its members in
@@ -56,7 +57,7 @@ spanning family is built; the tests keep those constructions as oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -101,20 +102,6 @@ class TensorProduct:
         return self.left_factor.dim * self.right_factor.dim
 
 
-def _sector_columns(x: Bimodule, side: str, kind: str) -> Tuple[np.ndarray, ...]:
-    """Per block of the ``side`` algebra, the indices of the frame columns labelled p.
-
-    ltimes takes p = e_00 of each block, rtimes the last diagonal unit
-    e_dd.  With one p shared by both kinds, the two results would get
-    equal action matrices and m would be the identity.
-    """
-    alg = x.left_algebra if side == "left" else x.right_algebra
-    labels = getattr(x.frame, side)   # Frame.left or Frame.right
-    first = alg.diagonal.first        # each block's first label, then the count
-    cut = first[:-1] if kind == KIND_LEFT else first[1:] - 1
-    return tuple((labels == p).nonzero()[0] for p in cut)
-
-
 def tensor_left(x: Bimodule, y: Bimodule) -> TensorProduct:
     """X ltimes Y: completion of XB(-1/2) (x)_B Y.
 
@@ -149,23 +136,26 @@ def _tensor_product(kind: str, x: Bimodule, y: Bimodule) -> TensorProduct:
 
     Member (a, b) of block l pairs X's frame column a labelled p_l on the
     right with Y's column b labelled p_l on the left, listed block by
-    block, then by a, then by b, reversed for rtimes.  A moves a alone and
-    C b alone, so the frame is adapted.  The members, their table and the
-    result's frame labels are made read-only, inside a product store or
-    not: a write into them would corrupt every later product of the result.
+    block, then by a, then by b: the nonzeros of the (blocks of B) x dim X
+    x dim Y boolean mask of those labels, blocks / 8 of the member table's
+    8 dim X dim Y bytes.  rtimes, with its own p_l, lists its members in
+    reverse, so that m is not the identity where a middle block has size
+    1.  A moves a alone and C b alone, so the frame is adapted.  The
+    members, their table and the result's frame labels are made read-only,
+    inside a product store or not: a write into them would corrupt every
+    later product of the result.
     """
     if x.right_algebra.blocks != y.left_algebra.blocks:
         raise ValueError(
             f"middle algebras differ: {x.right_algebra} vs {y.left_algebra}")
-    pairs = [(cx.repeat(cy.size), cy[None, :].repeat(cx.size, 0).ravel())
-             for cx, cy in zip(stored(_sector_columns, x, "right", kind),
-                               stored(_sector_columns, y, "left", kind))]
-    a, b = (np.concatenate(cols) for cols in zip(*pairs))
+    first = x.right_algebra.diagonal.first
+    cut = (first[:-1] if kind == KIND_LEFT else first[1:] - 1)[:, None]
+    _, a, b = ((x.frame.right == cut)[:, :, None]
+               & (y.frame.left == cut)[:, None, :]).nonzero()
     if kind == KIND_RIGHT:
-        # listed in reverse, so that m is not the identity where the middle
-        # blocks have size 1
         a, b = a[::-1], b[::-1]
-    index = np.full((x.dim, y.dim), -1, dtype=np.intp)
+    index = np.empty((x.dim, y.dim), dtype=np.intp)
+    index.fill(-1)
     index[a, b] = np.arange(a.size)
     # member (a, b) lies in the corner of c_a's left label and d_b's right one
     frame = Frame(None, x.frame.left[a], y.frame.right[b])

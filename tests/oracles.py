@@ -14,7 +14,9 @@ index arrays; :func:`m_stacks` and :func:`unitor_stacks` build them as
 dense matrices from the factors' action stacks.  It gathers a dual's and
 a product's result's corner bases and moved columns from the bimodule
 they came from; :func:`column_table_moves` reads them off a table of the
-bimodule's own frame columns by corner and rank.
+bimodule's own frame columns by corner and rank.  It cuts a product's
+members from one mask of the frame labels; :func:`members` lists them
+block by block, from each block's :func:`sector_columns`.
 """
 
 import numpy as np
@@ -24,8 +26,8 @@ from bimodcat.bimodule import Morphism, dual_bimodule, transpose
 from bimodcat.bounded import left_bounded_space, right_bounded_space
 from bimodcat.linalg import (RANK_EPS, fix_phases, hermitize, op_norm, psd_eig,
                              unit_inner)
-from bimodcat.tensor import (KIND_LEFT, WellDefinednessError, _member_map,
-                             _sector_columns, tensor, tensor_left, tensor_right)
+from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
+                             _member_map, tensor, tensor_left, tensor_right)
 
 
 def bounded(tp):
@@ -35,14 +37,44 @@ def bounded(tp):
     return left_bounded_space(tp.right_factor)
 
 
+def sector_columns(x, side, kind):
+    """Per block of the ``side`` algebra, the indices of the frame columns labelled p.
+
+    ltimes takes p = e_00 of each block, rtimes the last diagonal unit e_dd.
+    """
+    alg = x.left_algebra if side == "left" else x.right_algebra
+    labels = getattr(x.frame, side)
+    first = alg.diagonal.first
+    cut = first[:-1] if kind == KIND_LEFT else first[1:] - 1
+    return tuple((labels == p).nonzero()[0] for p in cut)
+
+
 def sector_bases(x, side, kind):
     """Per block of the ``side`` algebra, X p or p X: the frame columns selected.
 
     ``side`` "right" gives X p, "left" p X, for the kind's sector unit p;
-    the columns are those :func:`bimodcat.tensor._sector_columns` selects.
+    the columns are those :func:`sector_columns` selects.
     """
     w = np.eye(x.dim, dtype=complex) if x.frame.w is None else x.frame.w
-    return tuple(w[:, cols] for cols in _sector_columns(x, side, kind))
+    return tuple(w[:, cols] for cols in sector_columns(x, side, kind))
+
+
+def members(kind, x, y):
+    """A product's members (a, b) and their table, block by block.
+
+    Block l pairs each of X's columns labelled p_l on the right with each
+    of Y's labelled p_l on the left, by a, then by b; rtimes lists the
+    members in reverse.  ``index[a[i], b[i]] = i``, else -1.
+    """
+    pairs = [(cx.repeat(cy.size), np.tile(cy, cx.size))
+             for cx, cy in zip(sector_columns(x, "right", kind),
+                               sector_columns(y, "left", kind))]
+    a, b = (np.concatenate(cols) for cols in zip(*pairs))
+    if kind == KIND_RIGHT:
+        a, b = a[::-1], b[::-1]
+    index = np.full((x.dim, y.dim), -1, dtype=np.intp)
+    index[a, b] = np.arange(a.size)
+    return a, b, index
 
 
 def gram(tp):

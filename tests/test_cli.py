@@ -14,6 +14,7 @@ from bimodcat.bimodule import canonical_bimodule
 from bimodcat.cli import main
 from bimodcat.instances import (InstanceSpec, Limits, _encode, generate,
                                 load_lenient, save, to_document)
+from bimodcat.linalg import op_norm, permutation_matrix
 from bimodcat.tensor import tensor_left, tensor_right
 from oracles import gram, psd_rank
 from stacks import given_by_stacks
@@ -340,24 +341,42 @@ def test_tensor_builds_each_product_once(capsys, monkeypatch):
     assert tensor_left(x, y) is not tensor_left(x, y)
 
 
-def test_tensor_tol_bounds_the_m_defect(capsys, monkeypatch):
-    # m is a 0/1 matrix, so its defect reads 0.0 for every --tol.  The exit
-    # test is 10 tol for every --tol, 1e-8 at the default: an m scaled by
-    # 1 + 1e-15 (defect about 2e-15) passes the default and fails
-    # --tol 1e-17
+def test_tensor_tol_bounds_the_m_defect(capsys, monkeypatch, tmp_path):
+    # m is an index array, so its defect reads 0.0 for every --tol.  The
+    # exit test is 10 tol for every --tol, 1e-7 at the default: an m that
+    # sends two members to one target (defect ||P^H P - 1|| = 1) fails the
+    # default and passes --tol 0.2.  Every block has size 1 and X rtimes Y
+    # has one corner, so that m still keeps labels and corner bases
     for tol in ("1e-8", "1e-17"):
         code, out, _ = _run(capsys, "tensor", "--seed", "3", "--json",
                             "--tol", tol)
         assert code == 0
         assert json.loads(out)["mUnitaryDefect"] == 0.0
-    real = cli.m_iso
-    monkeypatch.setattr(cli, "m_iso", lambda x, y: real(x, y) * (1 + 1e-15))
-    code, out, _ = _run(capsys, "tensor", "--seed", "3", "--json")
-    assert code == 0
-    assert 1e-16 < json.loads(out)["mUnitaryDefect"] < 1e-8
-    code, out, _ = _run(capsys, "tensor", "--seed", "3", "--tol", "1e-17")
+    a, b = MultiMatrixAlgebra((1,)), MultiMatrixAlgebra((1, 1))
+    x = canonical_bimodule(a, b, np.array([[2, 1]]))
+    y = canonical_bimodule(b, a, np.array([[2], [1]]))
+    path = tmp_path / "ones.json"
+    path.write_bytes(save(InstanceSpec(
+        seed=0, limits=Limits(max_mult=2), algebras=(a, b, a),
+        bimodules=(x, y), morphisms=())))
+    real = tensor_module._m_perm
+    merged = []
+
+    def merge(x, y):
+        perm = real(x, y).copy()
+        perm[1] = perm[0]
+        merged.append(perm)
+        return perm
+    monkeypatch.setattr(tensor_module, "_m_perm", merge)
+    code, out, _ = _run(capsys, "tensor", "--instance", str(path), "--json")
     assert code == 1
-    assert "m unitarity defect" in out
+    m = permutation_matrix(merged[-1])
+    assert abs(json.loads(out)["mUnitaryDefect"]
+               - op_norm(m.conj().T @ m - np.eye(len(m)))) <= 1e-12
+    code, out, _ = _run(capsys, "tensor", "--instance", str(path),
+                        "--tol", "0.2")
+    assert code == 0
+    assert "m unitarity defect      = 1.000e+00" in out
 
 
 def test_tensor_fails_an_m_that_is_no_bimodule_map(capsys, monkeypatch):

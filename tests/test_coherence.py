@@ -16,7 +16,7 @@ from bimodcat.coherence import (CHECK_FAMILIES, CheckResult, check_duality_squar
                                 run_suite)
 from bimodcat.instances import InstanceSpec, Limits, generate
 from bimodcat.involution import conjugation
-from bimodcat.store import product_store, stored
+from bimodcat.store import product_store
 from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, associator, left_unitor,
                              m_standard, right_unitor, tensor_left, tensor_right)
 from random_bims import random_bim
@@ -323,6 +323,34 @@ def test_run_suite_subset():
         assert [c["name"] for c in rep["checks"]] == sorted(suite)
 
 
+#: the structural edges each naturality square reads, by their names in coherence
+NATURALITY_EDGES = {"naturality-unitors": ("left_unitor", "right_unitor"),
+                    "naturality-assoc": ("associator_perm",),
+                    "naturality-m": ("m_perm",),
+                    "naturality-c": ("conjugation_perm",)}
+
+
+@pytest.mark.parametrize("seed, limits", [(3, Limits()), (7, Limits()),
+                                           (4, Limits(min_mult=1))])
+def test_one_naturality_family_computes_its_square_alone(monkeypatch, seed,
+                                                         limits):
+    # f, g and both tolerances are drawn as for the whole suite, so a square
+    # run alone reports the full suite's entry; it reads its own edges only
+    spec = generate(seed, limits=limits)
+    full = {c["name"]: c for c in run_suite(spec)["checks"]}
+    read = []
+    for name in sum(NATURALITY_EDGES.values(), ()):
+        def counted(*args, real=getattr(coherence, name), name=name):
+            read.append(name)
+            return real(*args)
+        monkeypatch.setattr(coherence, name, counted)
+    for family, edges in NATURALITY_EDGES.items():
+        read.clear()
+        checks = run_suite(spec, suite=family)["checks"]
+        assert json.dumps(checks) == json.dumps([full[family]])
+        assert set(read) == set(edges), family
+
+
 def test_run_suite_mutation_failures_and_exit_codes():
     spec = generate(9, limits=Limits(min_mult=1))
     mut = ("assoc", np.random.default_rng(5), 1e-3)
@@ -477,10 +505,6 @@ def test_store_keeps_every_product():
             stack = tp.result.left_units
             assert np.array_equal(tp.result.left_units, stack)
             assert tp.result.left_units is not stack
-            # so are the sector columns the product was built from
-            for cols in stored(tensor_module._sector_columns,
-                               tp.right_factor, "left", KIND_LEFT):
-                assert not cols.flags.writeable
         # the basis unitary a canonical model keeps as its frame stays as
         # given
         for factor in (x, y, z):

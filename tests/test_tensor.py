@@ -29,7 +29,7 @@ from bimodcat.tensor import (KIND_LEFT, KIND_RIGHT, WellDefinednessError,
                              tensor_morphisms, tensor_right)
 from oracles import (bounded, column_table_moves, conjugation_family,
                      dual_stacks, ext_family, gram, induced_map, m_realization,
-                     m_stacks, member_stacks,
+                     m_stacks, member_stacks, members as oracle_members,
                      multiplicity_traces, quotient, sector_bases,
                      stack_b_linear, standard_images, unitor_stacks)
 from random_bims import random_bim
@@ -456,6 +456,60 @@ def test_quotient_matches_the_gram_oracle(monkeypatch, seed, limits):
         # both quotients have the Gram's range as row space
         turn = q @ oracle.conj().T
         assert np.linalg.norm(turn @ turn.conj().T - np.eye(tp.dim)) <= 1e-12
+
+
+def _assert_oracle_members(tp):
+    want = oracle_members(tp.kind, tp.left_factor, tp.right_factor)
+    for got, expected in zip((tp.a, tp.b, tp.index), want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+BIG = Limits(min_mult=1, max_mult=3, max_blocks=3, max_block=3, max_dim=200)
+
+
+@pytest.mark.parametrize("seeds, limits", [
+    (range(30), None), (range(30), Limits(min_mult=1)),
+    (range(30), Limits(min_mult=1, max_mult=2)), ((1,), BIG)],
+    ids=["default", "min-mult-1", "max-mult-2", "big"])
+def test_members_are_listed_as_the_per_block_oracle(monkeypatch, seeds, limits):
+    # every product a suite builds, of both kinds: block by block, then by
+    # a, then by b, reversed for rtimes, with the same table
+    kinds = set()
+    for seed in seeds:
+        for tp in _suite_products(monkeypatch, seed, limits):
+            _assert_oracle_members(tp)
+            kinds.add(tp.kind)
+    assert kinds == set(KINDS)
+
+
+def test_members_of_built_factors_are_listed_as_the_per_block_oracle():
+    # a middle algebra of three blocks, a zero-dimensional factor, results
+    # nested two deep, duals and a bimodule given by its stacks
+    rng = np.random.default_rng(5)
+    x = random_bim(rng, (2,), (1, 2, 2), [[1, 2, 1]])
+    y = random_bim(rng, (1, 2, 2), (1, 2), [[1, 0], [2, 1], [0, 1]])
+    z = random_bim(rng, (1, 2), (2,), [[1], [2]])
+    w = random_bim(rng, (2,), (1, 2, 2), [[0, 1, 1]])
+    empty = canonical_bimodule(y.left_algebra, y.right_algebra,
+                               np.zeros((3, 2), dtype=int))
+    given = Bimodule(y.left_algebra, y.right_algebra, y.left_units,
+                     y.right_units)
+    assert empty.dim == 0
+    sizes = []
+    for kind in KINDS:
+        with product_store():
+            xyz = tensor(kind, tensor(kind, x, y).result, z)
+            built = [tensor(kind, x, y), tensor(kind, x, empty),
+                     tensor(kind, empty, z), xyz,
+                     tensor(kind, xyz.result, w),
+                     tensor(kind, w, tensor(kind, given, z).result),
+                     tensor(kind, dual_bimodule(y), dual_bimodule(x)),
+                     tensor(kind, x, given), tensor(kind, given, z)]
+            for tp in built:
+                _assert_oracle_members(tp)
+                sizes.append(tp.dim)
+    assert 0 in sizes and min(s for s in sizes if s) > 1
 
 
 def test_m_is_not_the_identity():
@@ -1206,14 +1260,14 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
     # frame columns, and a suite on a canonical chain runs no Gram-Schmidt
     spec = generate(18, limits=Limits(min_mult=1))
     depth, built, calls = [0], [], []
-    bases, frame_stacks, gram_schmidt = (tensor_module._sector_columns,
+    build, frame_stacks, gram_schmidt = (tensor_module._tensor_product,
                                          bimodule_module._frame_stacks,
                                          bimodule_module.range_basis)
 
-    def counted_bases(*args):
+    def counted_build(*args):
         depth[0] += 1
         try:
-            return bases(*args)
+            return build(*args)
         finally:
             depth[0] -= 1
 
@@ -1225,7 +1279,7 @@ def test_sector_bases_read_no_stack_and_small_matrices(monkeypatch):
     def counted_range(proj):
         calls.append(proj)
         return gram_schmidt(proj)
-    monkeypatch.setattr(tensor_module, "_sector_columns", counted_bases)
+    monkeypatch.setattr(tensor_module, "_tensor_product", counted_build)
     monkeypatch.setattr(bimodule_module, "_frame_stacks", counted_stacks)
     monkeypatch.setattr(bimodule_module, "range_basis", counted_range)
     report = run_suite(spec)
